@@ -36,6 +36,10 @@ def pack_uints(values: np.ndarray, width: int) -> bytes:
         return b""
     if v.max() >= (1 << width):
         raise ValueError(f"value {v.max()} does not fit in {width} bits")
+    if width % 8 == 0:
+        # Whole bytes per field: the low bytes of the big-endian words.
+        be = v.astype(">u4").view(np.uint8).reshape(-1, 4)
+        return be[:, 4 - width // 8 :].tobytes()
     shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
     bits = ((v[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
     return np.packbits(bits.ravel()).tobytes()
@@ -45,6 +49,15 @@ def unpack_uints(blob: bytes, width: int, count: int) -> np.ndarray:
     """Inverse of :func:`pack_uints`; returns ``uint32`` array of ``count`` values."""
     if count == 0:
         return np.empty(0, dtype=np.uint32)
+    if len(blob) * 8 < count * width:
+        raise ValueError(f"{len(blob)} bytes cannot hold {count} fields of {width} bits")
+    if width % 8 == 0:
+        nbytes = width // 8
+        be = np.zeros((count, 4), dtype=np.uint8)
+        be[:, 4 - nbytes :] = np.frombuffer(blob, dtype=np.uint8, count=count * nbytes).reshape(
+            count, nbytes
+        )
+        return be.view(">u4").ravel().astype(np.uint32)
     bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8), count=count * width)
     bits = bits.reshape(count, width).astype(np.uint64)
     weights = (np.uint64(1) << np.arange(width - 1, -1, -1, dtype=np.uint64))

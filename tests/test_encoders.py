@@ -14,7 +14,14 @@ from repro.encoders import (
     get_encoder,
     list_encoders,
 )
-from repro.encoders.ans import quantize_freqs
+from repro.encoders.ans import (
+    _decode_lanes,
+    _decode_scalar,
+    _encode_lanes,
+    _encode_scalar,
+    lane_count,
+    quantize_freqs,
+)
 from repro.encoders.huffman import code_lengths
 
 ALL = list_encoders()
@@ -79,7 +86,7 @@ class TestAnsInternals:
         freq = rng.integers(0, 1000, 256)
         freq[0] = 0
         q = quantize_freqs(freq)
-        assert q.sum() == 1 << 12
+        assert q.sum() == 1 << 14
 
     def test_present_symbols_stay_nonzero(self):
         freq = np.zeros(256, dtype=np.int64)
@@ -92,6 +99,99 @@ class TestAnsInternals:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             quantize_freqs(np.zeros(256, dtype=np.int64))
+
+
+def _gradient_bytes(rng, n, spread=12.0):
+    """Bell-shaped byte stream like a quantised-gradient code plane."""
+    return np.clip(rng.normal(128, spread, n), 0, 255).astype(np.uint8)
+
+
+class TestAnsLanes:
+    """The lane-interleaved kernel: frames past ``test_ans_roundtrip_property``'s 4 KB."""
+
+    # 1 -> 48 lanes, 48 -> 49 lanes, and the 1024-lane cap.
+    BOUNDARIES = [48 << 11, 49 << 11, 1024 << 11]
+
+    def test_lane_policy(self):
+        assert lane_count(0) == lane_count((48 << 11) - 1) == 1
+        assert lane_count(48 << 11) == 48
+        assert lane_count((49 << 11) - 1) == 48
+        assert lane_count(1024 << 11) == lane_count(1 << 30) == 1024
+
+    @pytest.mark.parametrize("n", [b + d for b in BOUNDARIES for d in (-1, 0, 1)])
+    def test_roundtrip_at_policy_boundaries(self, rng, n):
+        enc = RansEncoder()
+        data = _gradient_bytes(rng, n).tobytes()
+        blob = enc.encode(data)
+        assert blob[0] == 1 and len(blob) < 0.8 * n  # coded, not the raw fallback
+        assert int.from_bytes(blob[5:7], "little") == lane_count(n)
+        assert enc.decode(blob) == data
+
+    @pytest.mark.parametrize(
+        "n,lanes",
+        [(1000, 64), (64, 64), (65, 64), (63, 64), (1, 8), (5000, 7), (4096, 1024)],
+    )
+    @pytest.mark.parametrize("stream", ["bell", "two_symbol", "uniform", "constant"])
+    def test_kernel_roundtrip_forced_lanes(self, rng, n, lanes, stream):
+        u8 = {
+            "bell": lambda: _gradient_bytes(rng, n),
+            "two_symbol": lambda: np.where(rng.random(n) < 0.9, 3, 200).astype(np.uint8),
+            "uniform": lambda: rng.integers(0, 256, n, dtype=np.uint8),
+            "constant": lambda: np.full(n, 77, dtype=np.uint8),
+        }[stream]()
+        qfreq = quantize_freqs(np.bincount(u8, minlength=256))
+        states, words = _encode_lanes(u8, qfreq, lanes)
+        assert states.dtype == np.uint32 and states.size == lanes
+        assert _decode_lanes(states, words, qfreq, n) == u8.tobytes()
+
+    def test_single_repeated_byte_multilane(self):
+        # Its frequency equals the scale: freq << 18 would overflow 32 bits.
+        enc = RansEncoder()
+        data = b"\x2a" * 200_000
+        blob = enc.encode(data)
+        assert lane_count(len(data)) > 1 and len(blob) < 1000
+        assert enc.decode(blob) == data
+
+    @pytest.mark.parametrize("n", [1, 2, 300, 3000])
+    def test_scalar_loop_and_numpy_kernel_agree_on_one_lane(self, rng, n):
+        u8 = _gradient_bytes(rng, n, spread=3.0)
+        qfreq = quantize_freqs(np.bincount(u8, minlength=256))
+        s_state, s_words = _encode_scalar(u8, qfreq)
+        k_state, k_words = _encode_lanes(u8, qfreq, 1)
+        assert s_state.tobytes() == k_state.tobytes()
+        assert s_words.tobytes() == k_words.tobytes()
+        assert _decode_scalar(s_state, s_words, qfreq, n) == u8.tobytes()
+        assert _decode_lanes(k_state, k_words, qfreq, n) == u8.tobytes()
+
+    @given(
+        st.integers(min_value=100_000, max_value=300_000),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([0.5, 4.0, 30.0]),
+    )
+    @settings(max_examples=6, deadline=None)
+    def test_roundtrip_property_large(self, n, seed, spread):
+        enc = RansEncoder()
+        data = _gradient_bytes(np.random.default_rng(seed), n, spread).tobytes()
+        assert enc.decode(enc.encode(data)) == data
+
+    @pytest.mark.parametrize("n", [3_000, 200_000])  # scalar loop, NumPy kernel
+    def test_damaged_frames_raise(self, n):
+        rng = np.random.default_rng(2025)
+        enc = RansEncoder()
+        blob = enc.encode(_gradient_bytes(rng, n).tobytes())
+        assert blob[0] == 1
+        for bit in rng.choice(len(blob) * 8, size=200, replace=False):
+            damaged = bytearray(blob)
+            damaged[bit >> 3] ^= 1 << (bit & 7)
+            with pytest.raises(EncodeError):
+                enc.decode(bytes(damaged))
+        for cut in (1, 2, 3, 10, 1000):
+            with pytest.raises(EncodeError):
+                enc.decode(blob[:-cut])
+            with pytest.raises(EncodeError):
+                enc.decode(blob[:40] + blob[40 + cut :])
+        with pytest.raises(EncodeError):
+            enc.decode(blob + b"\x00\x00")  # words left over
 
 
 class TestHuffmanInternals:

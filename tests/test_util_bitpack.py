@@ -40,6 +40,21 @@ class TestPackUints:
         blob = pack_uints(values, 3)
         assert len(blob) == (1000 * 3 + 7) // 8
 
+    @pytest.mark.parametrize("width", [8, 16, 24, 32])
+    def test_whole_byte_widths_match_the_bit_matrix_layout(self, rng, width):
+        """The byte-view path must write what the general MSB-first path writes."""
+        values = rng.integers(0, 1 << width, 777).astype(np.uint64)
+        values[:2] = 0, (1 << width) - 1
+        shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
+        bits = ((values[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
+        assert pack_uints(values, width) == np.packbits(bits.ravel()).tobytes()
+
+    @pytest.mark.parametrize("width", [3, 8, 16, 24])
+    def test_short_blob_rejected(self, width):
+        blob = pack_uints(np.arange(5, dtype=np.uint64), width)
+        with pytest.raises(ValueError, match="cannot hold"):
+            unpack_uints(blob[:-1], width, 5)
+
     def test_empty(self):
         assert pack_uints(np.empty(0, dtype=np.uint64), 5) == b""
         assert unpack_uints(b"", 5, 0).size == 0
