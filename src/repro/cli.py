@@ -204,7 +204,6 @@ _TRACE_MODELS = ("mini-resnet", "mini-detection")
 
 
 def _build_trace_trainer(args: argparse.Namespace):
-    from repro.core import CompsoCompressor
     from repro.data import make_detection_data, make_image_data
     from repro.distributed import SimCluster
     from repro.kfac_dist import DistributedKfacTrainer
@@ -221,16 +220,12 @@ def _build_trace_trainer(args: argparse.Namespace):
     else:
         task = DetectionTask(make_detection_data(256, size=8, seed=0))
         model = maskrcnn_proxy(rng=3)
-    if compressor is None:
-        compressor = CompsoCompressor(4e-3, 4e-3, seed=0)
     return DistributedKfacTrainer(
         model, task, cluster, lr=0.05, inv_update_freq=5, compressor=compressor
     )
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    import numpy as np  # noqa: F401  (kept for symmetry with other commands)
-
     from repro import telemetry
 
     trainer = _build_trace_trainer(args)

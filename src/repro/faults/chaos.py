@@ -127,8 +127,10 @@ def _counter_key(name: str, labels: dict) -> str:
     return f"{name}[{inner}]"
 
 
-def _run_once(plan, *, nodes, gpus_per_node, iterations, batch_size, seed):
-    """One training run (faulted or not); returns its measurements."""
+def _run_once(plan, *, nodes, gpus_per_node, iterations, batch_size, seed, **trainer_options):
+    """One training run of the scenario job (faulted or not); returns its
+    measurements.  ``trainer_options`` are the trainer arguments a
+    scenario varies: ``guard``, ``reliable_channel``, checkpointing."""
     from repro import telemetry
     from repro.core import AdaptiveCompso, StepLrSchedule
     from repro.data import make_image_data
@@ -145,7 +147,13 @@ def _run_once(plan, *, nodes, gpus_per_node, iterations, batch_size, seed):
     model = resnet_proxy(n_classes=4, channels=8, rng=seed + 3)
     compressor = AdaptiveCompso(StepLrSchedule(max(iterations // 3, 1)), seed=seed)
     trainer = DistributedKfacTrainer(
-        model, task, cluster, lr=0.05, inv_update_freq=5, compressor=compressor
+        model,
+        task,
+        cluster,
+        lr=0.05,
+        inv_update_freq=5,
+        compressor=compressor,
+        **trainer_options,
     )
     with telemetry.session() as sess:
         trainer.train(iterations=iterations, batch_size=batch_size, seed=seed)
@@ -156,12 +164,7 @@ def _run_once(plan, *, nodes, gpus_per_node, iterations, batch_size, seed):
     counters = {
         _counter_key(m["name"], m["labels"]): m["value"]
         for m in snapshot
-        if m["type"] == "counter" and m["name"].startswith("faults.")
-    }
-    gauges = {
-        m["name"]: m["value"]
-        for m in snapshot
-        if m["type"] == "gauge" and m["name"].startswith("faults.")
+        if m["type"] == "counter" and m["name"].startswith(("faults.", "guard."))
     }
     sim_times = [rec["sim_time"] for rec in steps if "sim_time" in rec]
     fault_iterations = {
@@ -172,10 +175,10 @@ def _run_once(plan, *, nodes, gpus_per_node, iterations, batch_size, seed):
         "sim_time": cluster.time,
         "sim_times": sim_times,
         "counters": counters,
-        "gauges": gauges,
         "world_size": cluster.world_size,
         "fault_iterations": fault_iterations,
         "steps_done": len(trainer.history.losses),
+        "trainer": trainer,
     }
 
 

@@ -33,8 +33,7 @@ import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
+from repro.faults.chaos import _run_once
 from repro.faults.plan import FaultPlan
 from repro.guard.guard import GuardConfig
 
@@ -139,51 +138,6 @@ class GuardRunResult:
         return "\n".join(lines)
 
 
-def _run_once(plan, guard, *, nodes, gpus_per_node, iterations, batch_size, seed, ckpt_dir):
-    from repro import telemetry
-    from repro.core import AdaptiveCompso, StepLrSchedule
-    from repro.data import make_image_data
-    from repro.distributed import SimCluster
-    from repro.kfac_dist import DistributedKfacTrainer
-    from repro.models import resnet_proxy
-    from repro.train import ClassificationTask
-
-    data = make_image_data(300, n_classes=4, size=8, noise=1.6, seed=seed)
-    task = ClassificationTask(data)
-    cluster = SimCluster(nodes, gpus_per_node, seed=seed, fault_plan=plan)
-    model = resnet_proxy(n_classes=4, channels=8, rng=seed + 3)
-    compressor = AdaptiveCompso(StepLrSchedule(max(iterations // 3, 1)), seed=seed)
-    trainer = DistributedKfacTrainer(
-        model,
-        task,
-        cluster,
-        lr=0.05,
-        inv_update_freq=5,
-        compressor=compressor,
-        guard=guard,
-        reliable_channel=False,
-        checkpoint_dir=ckpt_dir,
-        checkpoint_every=3 if ckpt_dir is not None else 0,
-    )
-    with telemetry.session() as sess:
-        trainer.train(iterations=iterations, batch_size=batch_size, seed=seed)
-        snapshot = sess.metrics.snapshot()
-    x, y = task.batch(np.arange(task.n))
-    full_loss, _ = task.loss_and_grad(trainer.model(x), y)
-    counters = {}
-    for m in snapshot:
-        if m["type"] == "counter" and m["name"].startswith(("guard.", "faults.")):
-            labels = ",".join(f"{k}={v}" for k, v in sorted(m["labels"].items()))
-            counters[f"{m['name']}[{labels}]" if labels else m["name"]] = m["value"]
-    return {
-        "loss": float(full_loss),
-        "sim_time": cluster.time,
-        "steps_done": len(trainer.history.losses),
-        "counters": counters,
-        "trainer": trainer,
-    }
-
-
 def run_guard_scenario(
     *,
     nodes: int = 2,
@@ -201,19 +155,22 @@ def run_guard_scenario(
         iterations=iterations,
         batch_size=batch_size,
         seed=seed,
+        reliable_channel=False,
     )
-    clean = _run_once(None, None, ckpt_dir=None, **kwargs)
+    clean = _run_once(None, **kwargs)
 
     guard = GuardConfig(breaker_cooldown=3, breaker_reclose_after=2)
     with tempfile.TemporaryDirectory(prefix="guard-scenario-") as tmp:
         plan = make_guard_plan(world, iterations, seed=seed, corruption=corruption)
-        guarded = _run_once(plan, guard, ckpt_dir=Path(tmp), **kwargs)
+        guarded = _run_once(
+            plan, guard=guard, checkpoint_dir=Path(tmp), checkpoint_every=3, **kwargs
+        )
 
     plan = make_guard_plan(world, iterations, seed=seed, corruption=corruption)
     unguarded_raised = False
     unguarded_error = ""
     try:
-        unguarded = _run_once(plan, None, ckpt_dir=None, **kwargs)
+        unguarded = _run_once(plan, **kwargs)
         unguarded_loss = unguarded["loss"]
     except Exception as exc:  # noqa: BLE001 — the crash IS the measurement
         unguarded_raised = True

@@ -17,6 +17,11 @@ numerically identical to synchronized replicas; compression is applied
 exactly once per layer by its owner, and every rank applies the same
 decompressed update, matching the paper's observation that K-FAC's
 allgather pattern avoids ring-allreduce error propagation.
+
+Steps 2-5 are written once, against collective handles; the trainer's
+:class:`~repro.train.step.Schedule` (the caller's ``StreamRuntime``, or
+the blocking one for ``runtime=None``) decides only when a handle
+completes and how messages are grouped.
 """
 
 from __future__ import annotations
@@ -27,23 +32,26 @@ import numpy as np
 
 from repro.compression.base import GradientCompressor
 from repro.core.adaptive import AdaptiveCompso
-from repro.data.loaders import batch_indices, shard
 from repro.distributed.cluster import SimCluster
-from repro.distributed.plane import map_payloads
 from repro.faults.plan import FailureEvent
 from repro.faults.recovery import ReliableChannel
-from repro.guard.guard import as_guard
 from repro.kfac_dist.assignment import assign_layers, eig_cost
 from repro.optim.kfac import Kfac
-from repro.telemetry import get_metrics, get_tracer
+from repro.runtime.bucketing import Bucketer
+from repro.telemetry import get_metrics
+from repro.train.step import StepScaffold
 from repro.train.trainer import TrainHistory
 from repro.util.checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = ["DistributedKfacTrainer"]
 
 
-class DistributedKfacTrainer:
-    """Data-parallel K-FAC training with compressed gradient allgather."""
+class DistributedKfacTrainer(StepScaffold):
+    """Data-parallel K-FAC training with compressed gradient allgather.
+
+    ``runtime``, ``guard``, ``obsv``, ``autotune`` and ``xray`` are
+    documented at :meth:`StepScaffold._bind_collaborators`.
+    """
 
     def __init__(
         self,
@@ -75,13 +83,6 @@ class DistributedKfacTrainer:
         self.cluster = cluster
         self.lr_schedule = lr_schedule
         self.compressor = compressor
-        #: Optional :class:`repro.runtime.StreamRuntime`.  When set, the
-        #: gradient allreduce is issued in buckets during (modelled)
-        #: backward, factor allreduces are coalesced and issued
-        #: nonblocking, and each layer's preconditioned-gradient
-        #: broadcast travels while the owner preconditions the next
-        #: layer.  Numerics are bit-identical to the blocking path.
-        self.runtime = runtime
         #: Optional compressor for the factor allreduce payload (paper
         #: section 7 future work; see repro.core.factor_compression).
         self.factor_compressor = factor_compressor
@@ -95,10 +96,7 @@ class DistributedKfacTrainer:
             momentum=momentum,
             kl_clip=kl_clip,
         )
-        costs = [
-            eig_cost(*self._layer_dims(i)) for i in range(len(self.kfac.layers))
-        ]
-        self.owners = assign_layers(costs, cluster.world_size)
+        self._assign_owners()
         self.t = 0
         self.history = TrainHistory()
         #: Wire bytes actually allgathered (compressed) per iteration.
@@ -126,60 +124,22 @@ class DistributedKfacTrainer:
         #: the single-file ``checkpoint_dir`` behaviour bit-identical.
         self.checkpoint_store = checkpoint_store
         self._last_checkpoint: Path | None = None
-        #: Optional :class:`repro.guard.Guard` (or GuardConfig): numerical
-        #: sentinels, divergence detection, and self-healing remediation.
-        #: ``None`` (the default) is bit-identical to the unguarded trainer.
-        self.guard = as_guard(guard)
-        self._guard_grad_norm = float("nan")
-        if self.guard is not None:
-            self.guard.bind(
-                compressor=self.compressor, kfac=self.kfac, trainer=self, cluster=cluster
-            )
-            self.guard.attach_runtime(self.runtime)
-        #: Optional :class:`repro.obsv.LedgerConfig` (or LedgerWriter):
-        #: the run ledger folding metrics, span digests, overlap
-        #: accounting, and guard events into one artifact per run.
-        #: ``None`` (the default) is bit-identical to before — the
-        #: writer only reads trainer state and never consumes RNG.
-        #: Optional :class:`repro.autotune.AutotuneConfig` (or controller):
-        #: closed-loop cost-model retuning of the compression stack.
-        #: ``None`` (the default) is bit-identical to before — the
-        #: controller only reads trainer state and owns its own probe RNG.
-        from repro.autotune.controller import as_autotune
+        self._bind_collaborators(
+            kind="kfac",
+            category="kfac_allgather",
+            runtime=runtime,
+            guard=guard,
+            obsv=obsv,
+            autotune=autotune,
+            xray=xray,
+            kfac=self.kfac,
+            factor_compressor=factor_compressor,
+        )
 
-        self.autotune = as_autotune(autotune)
-        if self.autotune is not None:
-            self.autotune.bind(
-                trainer=self,
-                cluster=cluster,
-                guard=self.guard,
-                compressor=self.compressor,
-                category="kfac_allgather",
-            )
-        #: Optional :class:`repro.xray.XrayConfig` (or analyzer, or
-        #: ``True``): per-step critical-path attribution over the span
-        #: stream.  ``None`` (the default) is bit-identical to before —
-        #: the analyzer only reads tracer/cluster state.
-        from repro.xray import as_xray
-
-        self.xray = as_xray(xray)
-        if self.xray is not None:
-            self.xray.bind(trainer=self, cluster=cluster, runtime=self.runtime)
-        from repro.obsv.ledger import as_ledger
-
-        self.obsv = as_ledger(obsv)
-        if self.obsv is not None:
-            self.obsv.bind(
-                kind="kfac",
-                trainer=self,
-                cluster=cluster,
-                runtime=self.runtime,
-                guard=self.guard,
-                compressor=self.compressor,
-                factor_compressor=self.factor_compressor,
-                autotune=self.autotune,
-                xray=self.xray,
-            )
+    def _assign_owners(self) -> None:
+        """Greedy LPT assignment of layers to the current world's ranks."""
+        costs = [eig_cost(*self._layer_dims(i)) for i in range(len(self.kfac.layers))]
+        self.owners = assign_layers(costs, self.cluster.world_size)
 
     def _layer_dims(self, idx: int) -> tuple[int, int]:
         layer = self.kfac.layers[idx]
@@ -195,12 +155,6 @@ class DistributedKfacTrainer:
         if not self.kfac.other_params:
             return np.zeros(0, dtype=np.float32)
         return np.concatenate([p.grad.ravel() for p in self.kfac.other_params])
-
-    def _set_other_flat_grad(self, flat: np.ndarray) -> None:
-        pos = 0
-        for p in self.kfac.other_params:
-            p.grad = flat[pos : pos + p.size].reshape(p.shape).astype(np.float32)
-            pos += p.size
 
     def _kfac_flat_grads(self) -> np.ndarray:
         return np.concatenate(
@@ -220,26 +174,9 @@ class DistributedKfacTrainer:
     # -- one training iteration ---------------------------------------------------
 
     def step(self, global_idx: np.ndarray) -> float:
-        tracer = get_tracer()
-        with tracer.span("step", "step", step=self.t):
-            return self._step(global_idx, tracer)
-
-    def _trimmed_shards(self, global_idx: np.ndarray) -> list[np.ndarray]:
-        world = self.cluster.world_size
-        rem = len(global_idx) % world
-        if self.cluster.faults is not None and rem and rem < len(global_idx):
-            # Elastic continuation: after a world shrink the global batch
-            # may not divide evenly; trim the remainder so shards stay
-            # consistent (averaging rescales automatically to the new world).
-            # When the batch is smaller than the world the remainder is the
-            # whole batch — keep it, the representative shard below still
-            # needs at least one sample.
-            global_idx = global_idx[: len(global_idx) - rem]
-        if self.cluster.is_timing:
-            # Representative rank: run one shard of the per-rank size so
-            # compute timing matches what every rank would do.
-            return [global_idx[: max(1, len(global_idx) // world)]]
-        return shard(global_idx, world)
+        # Defined here and not only inherited: perfbench's tracer patches
+        # the method it finds in this class's own ``__dict__``.
+        return super().step(global_idx)
 
     def _local_shard_pass(self, shards: list[np.ndarray], tracer):
         """Per-shard forward/backward; collect grads and K-FAC factors."""
@@ -247,14 +184,7 @@ class DistributedKfacTrainer:
         per_rank_grads: list[np.ndarray] = []
         per_rank_other: list[np.ndarray] = []
         per_rank_factors: list[list[tuple[np.ndarray, np.ndarray]]] = []
-        for r, idx in enumerate(shards):
-            self.model.zero_grad()
-            x, y = self.task.batch(idx)
-            with tracer.span("forward", "forward", shard=r):
-                out = self.model(x)
-                loss, dl = self.task.loss_and_grad(out, y)
-            with tracer.span("backward", "backward", shard=r):
-                self.model.backward(dl)
+        for _, loss in self._backward_per_shard(shards, tracer):
             losses.append(loss)
             per_rank_grads.append(self._kfac_flat_grads())
             per_rank_other.append(self._other_flat_grad())
@@ -280,49 +210,70 @@ class DistributedKfacTrainer:
         guard = self.guard
         if guard is not None:
             guard.begin_step(self.t)
-        world = self.cluster.world_size
         shards = self._trimmed_shards(global_idx)
         losses, per_rank_grads, per_rank_other, per_rank_factors = self._local_shard_pass(
             shards, tracer
         )
-        if self.runtime is not None:
-            return self._finish_step_runtime(
-                losses, per_rank_grads, per_rank_other, per_rank_factors, shards, world, tracer
-            )
+        rt, bucket_bytes = self._schedule
+        cm = rt.compute
+        n_layers = len(self.kfac.layers)
 
-        # Step: SGD-gradient allreduce (counted under "others" in Fig. 1).
-        with tracer.span("grad_allreduce", "comm"):
-            reduced = self.cluster.allreduce(
-                per_rank_grads, average=True, category="grad_allreduce"
-            )
-            self._set_kfac_flat_grads(self._guard_gradient(self._sanitize(reduced[0])))
-            if per_rank_other[0].size:
-                other = self.cluster.allreduce(
-                    per_rank_other, average=True, category="grad_allreduce"
-                )
-                self._set_other_flat_grad(self._sanitize(other[0]))
+        # SGD-gradient allreduce (counted under "others" in Fig. 1), issued
+        # first so it travels under the factor exchange.
+        grad_handles, other_handle = self._issue_grad_allreduce(
+            per_rank_grads, len(shards[0]), tracer, whole=per_rank_other
+        )
 
         # Step 2 of Fig. 2: factor allreduce, then running-average fold.
-        # With a factor compressor, each rank's local contribution travels
-        # compressed; SR's unbiasedness makes per-rank errors average out
-        # in the sum (no feedback: factors are re-derived every iteration).
-        with tracer.span("factor_allreduce", "factor", n_layers=len(self.kfac.layers)):
-            self._factor_allreduce(per_rank_factors, world)
+        # Per-layer payloads are coalesced into byte-threshold buckets, all
+        # buckets in flight concurrently.
+        with tracer.span("factor_allreduce", "factor", n_layers=n_layers):
+            bucketer = Bucketer(
+                rt,
+                threshold_bytes=bucket_bytes or 1,  # 1: every layer flushes alone
+                category="kfac_allreduce",
+                average=True,
+            )
+            for i in range(n_layers):
+                a_flat, wire_bytes = self._factor_payload(i, per_rank_factors)
+                bucketer.add(i, a_flat, wire_nbytes=wire_bytes)
+            reduced_factors = bucketer.wait()
+
+        with tracer.span("grad_wait", "comm"):
+            reduced, grad_norm = self._reduced_gradient(grad_handles)
+            self._set_kfac_flat_grads(reduced)
+            if other_handle is not None:
+                self._scatter_grads(
+                    self.kfac.other_params, self._sanitize(other_handle.wait()[0])
+                )
+        for i, (a, g) in enumerate(per_rank_factors[0]):
+            red = reduced_factors[i]
+            self.kfac.accumulate_factors(
+                i, red[: a.size].reshape(a.shape), red[a.size :].reshape(g.shape)
+            )
 
         # Step 3: owner-rank eigendecomposition on the refresh schedule.
         refresh = self.t % self.kfac.inv_update_freq == 0
         with tracer.span("eigendecomposition", "inverse", refresh=refresh):
-            for i in range(len(self.kfac.layers)):
+            for i in range(n_layers):
                 if refresh or not self.kfac.state[i].ready:
                     if guard is not None:
                         guard.safe_eigen(self.kfac, i)
                     else:
                         self.kfac.compute_eigen(i)
+                    if cm is not None:
+                        in_f, out_f = self._layer_dims(i)
+                        self.cluster.advance_rank(
+                            self.owners[i],
+                            cm.eig_seconds(in_f) + cm.eig_seconds(out_f),
+                            "kfac_compute",
+                        )
 
         # Steps 4-5: owners precondition, compress, and eagerly distribute
         # each layer's result (per-layer broadcast from the owner — the
-        # KAISA communication pattern).  The guard's circuit breaker can
-        # force the lossless path for the whole step.
+        # KAISA communication pattern); layer i's broadcast is in flight
+        # while the owner of layer i+1 preconditions.  The guard's circuit
+        # breaker can force the lossless path for the whole step.
         compressor = self.compressor if guard is None else guard.active(self.compressor)
         autotune = self.autotune
         if autotune is not None:
@@ -331,65 +282,74 @@ class DistributedKfacTrainer:
         original = 0.0
         layer_wire: list[tuple[int, float, float]] = []
         precond: dict[int, np.ndarray] = {}
-        for i in range(len(self.kfac.layers)):
+        in_flight: dict[int, tuple] = {}
+        for i in range(n_layers):
             with tracer.span("precondition", "precondition", layer=i):
                 pg = self.kfac.precondition(i)
+            if cm is not None:
+                self.cluster.advance_rank(
+                    self.owners[i],
+                    cm.precondition_seconds(*self._layer_dims(i)),
+                    "kfac_compute",
+                )
             original += pg.nbytes
-            owner_pg = pg
             comp_i = (
                 compressor
                 if autotune is None
                 else autotune.layer_compressor(i, pg.nbytes, compressor)
             )
             if comp_i is not None and self._channel is not None:
-                pg, payload_bytes = self._reliable_allgather(pg, i, tracer)
-            elif comp_i is not None:
-                ct = comp_i.compress(pg)
-                payload_bytes = ct.nbytes
-                with tracer.span("allgather", "comm", layer=i, nbytes=payload_bytes):
-                    received = self.cluster.broadcast(
-                        ct, root=self.owners[i], nbytes=payload_bytes, category="kfac_allgather"
-                    )[0]
-                pg = self._guard_decode(received, owner_pg, comp_i, i)
+                # The checksum/retry protocol is barrier-synchronous on
+                # every schedule: retries must settle before the next
+                # transfer can be priced, so this transfer never overlaps.
+                precond[i], payload_bytes = self._reliable_allgather(pg, i, tracer)
             else:
-                payload_bytes = pg.nbytes
+                payload = pg if comp_i is None else comp_i.compress(pg)
+                payload_bytes = payload.nbytes
                 with tracer.span("allgather", "comm", layer=i, nbytes=payload_bytes):
-                    pg = self.cluster.broadcast(
-                        pg, root=self.owners[i], nbytes=payload_bytes, category="kfac_allgather"
-                    )[0]
-                if guard is not None:
-                    pg = guard.scan(pg, what="kfac_allgather").reshape(owner_pg.shape)
+                    handle = rt.ibroadcast(
+                        payload,
+                        root=self.owners[i],
+                        nbytes=payload_bytes,
+                        category="kfac_allgather",
+                    )
+                if bucket_bytes is None:
+                    precond[i] = self._receive(handle, pg, comp_i, i)
+                else:
+                    in_flight[i] = (handle, pg, comp_i)
             wire += payload_bytes
-            layer_wire.append((i, payload_bytes, owner_pg.nbytes))
-            precond[i] = pg
-        return self._apply_and_record(losses, precond, wire, original, tracer, layer_wire)
+            layer_wire.append((i, payload_bytes, pg.nbytes))
+        with tracer.span("allgather_wait", "comm"):
+            for i, (handle, owner_pg, comp_i) in in_flight.items():
+                precond[i] = self._receive(handle, owner_pg, comp_i, i)
+        rt.assert_quiesced()
+        return self._apply_and_record(
+            losses, precond, wire, original, tracer, layer_wire, grad_norm
+        )
 
-    # -- guard hooks -----------------------------------------------------------
+    def _receive(self, handle, owner_pg: np.ndarray, compressor, layer: int) -> np.ndarray:
+        """Wait for a layer's broadcast and decode it under the guard's sentinels.
 
-    def _guard_gradient(self, flat: np.ndarray) -> np.ndarray:
-        """Scan the reduced gradient and capture its norm for health checks."""
-        if self.guard is None:
-            return flat
-        flat = self.guard.scan(flat, what="grad_allreduce")
-        self._guard_grad_norm = float(np.linalg.norm(flat))
-        return flat
-
-    def _guard_decode(self, received, owner_pg: np.ndarray, compressor, layer: int):
-        """Decompress a received payload under the guard's sentinels.
-
-        Without a guard this is a plain ``decompress``.  With one, a
-        decode blow-up becomes a ``decode_failure`` verdict and the
-        layer's update is dropped (zeros); the decoded tensor is scanned
-        and checked against the active error-bound contract using the
-        owner's original — no re-compression, so no RNG is consumed.
+        Without a guard this is a plain ``decompress`` (nothing at all
+        for a dense payload).  With one, a decode blow-up becomes a
+        ``decode_failure`` verdict and the layer's update is dropped
+        (zeros); the received tensor is scanned and checked against the
+        active error-bound contract using the owner's original — no
+        re-compression, so no RNG is consumed.
         """
-        if self.guard is None:
+        received = handle.wait()[0]
+        guard = self.guard
+        if compressor is None:
+            if guard is None:
+                return received
+            return guard.scan(received, what="kfac_allgather").reshape(owner_pg.shape)
+        if guard is None:
             return compressor.decompress(received)
-        decoded = self.guard.safe_decompress(compressor, received, layer=layer)
+        decoded = guard.safe_decompress(compressor, received, layer=layer)
         if decoded is None:
             return np.zeros_like(owner_pg)
-        decoded = self.guard.scan(decoded, what="kfac_allgather")
-        self.guard.check_contract(owner_pg, decoded, compressor, layer=layer)
+        decoded = guard.scan(decoded, what="kfac_allgather")
+        guard.check_contract(owner_pg, decoded, compressor, layer=layer)
         return decoded.reshape(owner_pg.shape)
 
     def _apply_and_record(
@@ -399,9 +359,10 @@ class DistributedKfacTrainer:
         wire: float,
         original: float,
         tracer,
-        layer_wire: list[tuple[int, float, float]] | None = None,
+        layer_wire: list[tuple[int, float, float]],
+        grad_norm: float,
     ) -> float:
-        """Shared step tail: apply the update, record history and metrics."""
+        """Step tail: apply the update, record history and metrics."""
         self.bytes_on_wire.append(wire)
         self.bytes_original.append(original)
         if original > 0:
@@ -417,41 +378,22 @@ class DistributedKfacTrainer:
         mean_loss = float(np.mean(losses))
         self.history.losses.append(mean_loss)
         self.history.lrs.append(self.kfac.lr)
-        if self.autotune is not None:
-            # Decide *before* the ledger folds the step so the decision
-            # lands in the step record that produced it; a retune takes
-            # effect from the next iteration's compression.
-            sample = None
-            if self.autotune.wants_sample and precond:
-                sample = precond[min(precond)]
-            self.autotune.end_step(
-                step=self.t,
-                wire_bytes=wire,
-                dense_bytes=original,
-                n_messages=len(layer_wire) if layer_wire else len(precond),
-                sample=sample,
-            )
         m = get_metrics()
         if m.enabled:
-            m.gauge("train.loss").set(mean_loss)
             m.gauge("train.lr").set(self.kfac.lr)
-            m.counter("train.steps").inc()
             if original > 0:
                 m.histogram("train.step_compression_ratio").observe(original / max(wire, 1.0))
-            m.record_step(self.t, sim_time=self.cluster.time)
-        if self.xray is not None:
-            # Analyse the step's span window before the ledger folds the
-            # step, so the attribution record lands where it belongs.
-            self.xray.end_step(self.t)
-        if self.obsv is not None:
-            self.obsv.record_step(
-                self.t,
-                loss=mean_loss,
-                lr=self.kfac.lr,
-                wire_bytes=wire,
-                dense_bytes=original,
-                layers=layer_wire,
-            )
+        self._observe_step(
+            mean_loss,
+            self.kfac.lr,
+            wire=wire,
+            dense=original,
+            n_messages=len(layer_wire),
+            sample=precond[min(precond)] if precond else None,
+            wire_bytes=wire,
+            dense_bytes=original,
+            layers=layer_wire,
+        )
         self.t += 1
         self.kfac.t = self.t
         if self.guard is not None:
@@ -459,264 +401,48 @@ class DistributedKfacTrainer:
             # a rollback remediation restores the checkpoint's counter, so
             # the next iteration resumes the rolled-back trajectory.
             self.guard.check_ef(self.compressor)
-            self.guard.end_step(loss=mean_loss, grad_norm=self._guard_grad_norm)
+            self.guard.end_step(loss=mean_loss, grad_norm=grad_norm)
         return mean_loss
 
-    # -- runtime (overlapped) execution path -----------------------------------
-
-    def _finish_step_runtime(
-        self,
-        losses: list[float],
-        per_rank_grads: list[np.ndarray],
-        per_rank_other: list[np.ndarray],
-        per_rank_factors: list[list[tuple[np.ndarray, np.ndarray]]],
-        shards: list[np.ndarray],
-        world: int,
-        tracer,
-    ) -> float:
-        """Scheduled compute–communication overlap via the StreamRuntime.
-
-        Gradient buckets are issued during (modelled) backward, factor
-        allreduces are coalesced and issued nonblocking, and each layer's
-        preconditioned-gradient broadcast travels while the owner
-        preconditions the next layer.  Data-plane order matches the
-        blocking path exactly (same per-layer compression order, same
-        reduction math), so the numerics are bit-identical.
-        """
-        from repro.runtime.bucketing import Bucketer, split_bounds
-
-        rt = self.runtime
-        cm = rt.compute
-        guard = self.guard
-        samples = len(shards[0])
-        n_params = sum(p.size for p in self.model.parameters())
-        if cm is not None:
-            self.cluster.advance_all(cm.forward_seconds(n_params, samples), "forward")
-
-        # Gradient allreduce in byte buckets issued during backward.
-        bounds = split_bounds(per_rank_grads[0], rt.bucket_bytes)
-        bwd = cm.backward_seconds(n_params, samples) if cm is not None else 0.0
-        grad_handles = []
-        other_handle = None
-        with tracer.span("grad_allreduce", "comm", n_buckets=len(bounds)):
-            for lo, hi in bounds:
-                if bwd:
-                    self.cluster.advance_all(bwd / len(bounds), "backward")
-                grad_handles.append(
-                    rt.iallreduce(
-                        map_payloads(per_rank_grads, lambda g: g[lo:hi]),
-                        average=True,
-                        category="grad_allreduce",
-                    )
-                )
-            if per_rank_other[0].size:
-                other_handle = rt.iallreduce(
-                    per_rank_other, average=True, category="grad_allreduce"
-                )
-
-        # Factor allreduce: per-layer payloads coalesced into byte-
-        # threshold buckets, all buckets in flight concurrently.
-        with tracer.span("factor_allreduce", "factor", n_layers=len(self.kfac.layers)):
-            bucketer = Bucketer(rt, category="kfac_allreduce", average=True)
-            for i in range(len(self.kfac.layers)):
-                a_flat, wire_bytes = self._factor_payload(i, per_rank_factors, world)
-                bucketer.add(i, a_flat, wire_nbytes=wire_bytes)
-            reduced_factors = bucketer.wait()
-
-        with tracer.span("grad_wait", "comm"):
-            reduced = np.concatenate([h.wait()[0] for h in grad_handles])
-            self._set_kfac_flat_grads(self._guard_gradient(self._sanitize(reduced)))
-            if other_handle is not None:
-                self._set_other_flat_grad(self._sanitize(other_handle.wait()[0]))
-        for i in range(len(self.kfac.layers)):
-            self._fold_factor(i, reduced_factors[i], per_rank_factors)
-
-        refresh = self.t % self.kfac.inv_update_freq == 0
-        with tracer.span("eigendecomposition", "inverse", refresh=refresh):
-            for i in range(len(self.kfac.layers)):
-                if refresh or not self.kfac.state[i].ready:
-                    if guard is not None:
-                        guard.safe_eigen(self.kfac, i)
-                    else:
-                        self.kfac.compute_eigen(i)
-                    if cm is not None:
-                        in_f, out_f = self._layer_dims(i)
-                        self.cluster.advance_rank(
-                            self.owners[i],
-                            cm.eig_seconds(in_f) + cm.eig_seconds(out_f),
-                            "kfac_compute",
-                        )
-
-        # Steps 4-5 overlapped: layer i's broadcast is in flight while the
-        # owner of layer i+1 preconditions (KAISA's cross-layer overlap,
-        # scheduled instead of assumed).
-        compressor = self.compressor if guard is None else guard.active(self.compressor)
-        autotune = self.autotune
-        if autotune is not None:
-            compressor = autotune.active_compressor(compressor)
-        wire = 0.0
-        original = 0.0
-        layer_wire: list[tuple[int, float, float]] = []
-        precond: dict[int, np.ndarray] = {}
-        originals: dict[int, np.ndarray] = {}
-        bcast_handles: dict[int, tuple] = {}
-        for i in range(len(self.kfac.layers)):
-            with tracer.span("precondition", "precondition", layer=i):
-                pg = self.kfac.precondition(i)
-            if cm is not None:
-                self.cluster.advance_rank(
-                    self.owners[i],
-                    cm.precondition_seconds(*self._layer_dims(i)),
-                    "kfac_compute",
-                )
-            original += pg.nbytes
-            originals[i] = pg
-            comp_i = (
-                compressor
-                if autotune is None
-                else autotune.layer_compressor(i, pg.nbytes, compressor)
-            )
-            if comp_i is not None and self._channel is not None:
-                # The checksum/retry protocol is barrier-synchronous even
-                # under the runtime: retries must settle before the next
-                # transfer can be priced, so this transfer stays blocking.
-                pg, payload_bytes = self._reliable_allgather(pg, i, tracer)
-                precond[i] = pg
-            elif comp_i is not None:
-                ct = comp_i.compress(pg)
-                payload_bytes = ct.nbytes
-                with tracer.span("allgather", "comm", layer=i, nbytes=payload_bytes):
-                    bcast_handles[i] = (
-                        rt.ibroadcast(
-                            ct,
-                            root=self.owners[i],
-                            nbytes=payload_bytes,
-                            category="kfac_allgather",
-                        ),
-                        comp_i,
-                    )
-            else:
-                payload_bytes = pg.nbytes
-                with tracer.span("allgather", "comm", layer=i, nbytes=payload_bytes):
-                    bcast_handles[i] = (
-                        rt.ibroadcast(
-                            pg,
-                            root=self.owners[i],
-                            nbytes=payload_bytes,
-                            category="kfac_allgather",
-                        ),
-                        None,
-                    )
-            wire += payload_bytes
-            layer_wire.append((i, payload_bytes, pg.nbytes))
-        with tracer.span("allgather_wait", "comm"):
-            for i, (handle, comp_i) in bcast_handles.items():
-                got = handle.wait()[0]
-                if comp_i is not None:
-                    precond[i] = self._guard_decode(got, originals[i], comp_i, i)
-                elif guard is not None:
-                    precond[i] = guard.scan(got, what="kfac_allgather").reshape(
-                        originals[i].shape
-                    )
-                else:
-                    precond[i] = got
-        rt.assert_quiesced()
-        return self._apply_and_record(losses, precond, wire, original, tracer, layer_wire)
-
-    def _factor_allreduce(
-        self,
-        per_rank_factors: list[list[tuple[np.ndarray, np.ndarray]]],
-        world: int,
-    ) -> None:
-        for i in range(len(self.kfac.layers)):
-            a_flat, wire_bytes = self._factor_payload(i, per_rank_factors, world)
-            red = self.cluster.allreduce(
-                a_flat, average=True, category="kfac_allreduce", nbytes=wire_bytes
-            )[0]
-            self._fold_factor(i, red, per_rank_factors)
-
     def _factor_payload(
-        self,
-        i: int,
-        per_rank_factors: list[list[tuple[np.ndarray, np.ndarray]]],
-        world: int,
+        self, i: int, per_rank_factors: list[list[tuple[np.ndarray, np.ndarray]]]
     ) -> tuple[list[np.ndarray], float | None]:
-        """Per-rank flattened factor payload for layer ``i``.
+        """Per-rank flattened factor payload for layer ``i`` and its wire bytes.
 
         With a factor compressor, each rank's local contribution travels
         compressed; SR's unbiasedness makes per-rank errors average out
         in the sum (no feedback: factors are re-derived every iteration).
-        Shared by the blocking and the runtime paths so the compression
-        RNG is consumed in the exact same order.
+        ``wire_bytes`` is the mean compressed bytes per rank, ``None``
+        for dense payloads.
         """
+        timing = self.cluster.is_timing
+        # Timing track: every rank's contribution is the representative
+        # one, so it is compressed once.
+        pairs = [per_rank_factors[0][i]] if timing else [f[i] for f in per_rank_factors]
         wire_bytes: float | None = None
-        if self.cluster.is_timing:
-            # Timing track: every rank's contribution is the representative
-            # one, so compress it once — wire_bytes already matches the
-            # convergence semantic (mean compressed bytes per rank).
-            pair = per_rank_factors[0][i]
-            if self.factor_compressor is not None:
-                original = 0
-                wire = 0
-                decoded = []
-                for mat in pair:
-                    ct = self.factor_compressor.compress(mat.astype(np.float32))
-                    original += mat.astype(np.float32).nbytes
-                    wire += ct.nbytes
-                    decoded.append(self.factor_compressor.decompress(ct).astype(np.float64))
-                self.factor_ratios.append(original / max(wire, 1))
-                wire_bytes = float(wire)
-                pair = decoded
-            flat = np.concatenate([pair[0].ravel(), pair[1].ravel()])
-            return self.cluster.replicate(flat, copy=False), wire_bytes
-        if self.factor_compressor is not None:
+        fc = self.factor_compressor
+        if fc is not None:
             original = 0
             wire = 0
             decoded = []
-            for f in per_rank_factors:
-                pair = []
-                for mat in f[i]:
-                    ct = self.factor_compressor.compress(mat.astype(np.float32))
-                    original += mat.astype(np.float32).nbytes
+            for pair in pairs:
+                received = []
+                for mat in pair:
+                    mat32 = mat.astype(np.float32)
+                    ct = fc.compress(mat32)
+                    original += mat32.nbytes
                     wire += ct.nbytes
-                    pair.append(self.factor_compressor.decompress(ct).astype(np.float64))
-                decoded.append(pair)
+                    received.append(fc.decompress(ct).astype(np.float64))
+                decoded.append(received)
             self.factor_ratios.append(original / max(wire, 1))
-            wire_bytes = float(wire) / world
-            a_flat = [np.concatenate([p[0].ravel(), p[1].ravel()]) for p in decoded]
-        else:
-            a_flat = [
-                np.concatenate([f[i][0].ravel(), f[i][1].ravel()]) for f in per_rank_factors
-            ]
-        return a_flat, wire_bytes
-
-    def _fold_factor(
-        self,
-        i: int,
-        red: np.ndarray,
-        per_rank_factors: list[list[tuple[np.ndarray, np.ndarray]]],
-    ) -> None:
-        da = per_rank_factors[0][i][0].shape[0]
-        A = red[: da * da].reshape(da, da)
-        G = red[da * da :].reshape(per_rank_factors[0][i][1].shape)
-        self.kfac.accumulate_factors(i, A, G)
+            wire_bytes = float(wire) / len(pairs)
+            pairs = decoded
+        flats = [np.concatenate([a.ravel(), g.ravel()]) for a, g in pairs]
+        if timing:
+            return self.cluster.replicate(flats[0], copy=False), wire_bytes
+        return flats, wire_bytes
 
     # -- fault tolerance -------------------------------------------------------
-
-    def _sanitize(self, flat: np.ndarray) -> np.ndarray:
-        """Replace non-finite gradient entries after data-plane faults.
-
-        Silent corruption of a raw allreduce payload can surface as
-        NaN/Inf; zeroing the poisoned entries keeps the update bounded
-        (graceful degradation) instead of destroying the parameters.
-        Fault-free runs never pay for the scan.
-        """
-        if self.cluster.faults is None or np.isfinite(flat).all():
-            return flat
-        m = get_metrics()
-        if m.enabled:
-            m.counter("faults.recovered", kind="sanitized_gradient").inc()
-        return np.nan_to_num(flat, nan=0.0, posinf=0.0, neginf=0.0)
 
     def _reliable_allgather(self, pg: np.ndarray, layer: int, tracer) -> tuple[np.ndarray, float]:
         """Checksummed compressed broadcast with retransmit + degradation.
@@ -789,8 +515,7 @@ class DistributedKfacTrainer:
                         st.QA = st.vA = st.QG = st.vG = None
                         if m.enabled:
                             m.counter("faults.recovered", kind="eigen_rebuild").inc()
-            costs = [eig_cost(*self._layer_dims(i)) for i in range(len(self.kfac.layers))]
-            self.owners = assign_layers(costs, self.cluster.world_size)
+            self._assign_owners()
             if m.enabled:
                 m.counter("faults.recovered", kind="rank_failure").inc(len(failures))
 
@@ -856,30 +581,6 @@ class DistributedKfacTrainer:
         self.t = self.kfac.t
         self._last_checkpoint = self.checkpoint_store.root / gen.file
         return gen
-
-    def train(self, *, iterations: int, batch_size: int, eval_every: int = 0, seed: int = 0):
-        if self.obsv is not None:
-            self.obsv.update_manifest(seed=seed, iterations=iterations, batch_size=batch_size)
-        for t, idx in enumerate(
-            batch_indices(self.task.n, batch_size, iterations=iterations, seed=seed)
-        ):
-            self.step(idx)
-            if eval_every and (t + 1) % eval_every == 0:
-                self.history.metrics.append((t + 1, self.task.evaluate(self.model)))
-            if self.checkpoint_every and (t + 1) % self.checkpoint_every == 0:
-                if self.checkpoint_store is not None:
-                    self.save_state()
-                elif self.checkpoint_dir is not None:
-                    self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
-                    self.save_state(self.checkpoint_dir / "latest.npz")
-        if self.obsv is not None:
-            store = self.checkpoint_store
-            if store is not None and store.abnormal_events():
-                # Only damage perturbs the artifact: a healthy store's
-                # ledger stays byte-identical to a store-less run.
-                self.obsv.update_manifest(store=store.summary())
-            self.obsv.close(final_metric=self.history.final_metric())
-        return self.history
 
     def mean_compression_ratio(self) -> float:
         return self.history.mean_cr()

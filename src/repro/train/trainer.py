@@ -3,7 +3,8 @@
 The distributed K-FAC (KAISA) trainer lives in :mod:`repro.kfac_dist`;
 here are the task-agnostic single-worker loop and the first-order
 data-parallel baseline (SGD/LAMB + optional gradient compression, i.e.
-the paper's "SGD+CocktailSGD" configuration).
+the paper's "SGD+CocktailSGD" configuration); what the two
+data-parallel trainers share is in :mod:`repro.train.step`.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.compression.base import GradientCompressor
-from repro.data.loaders import batch_indices, shard
+from repro.data.loaders import batch_indices
 from repro.distributed.cluster import SimCluster
-from repro.distributed.plane import map_payloads
 from repro.telemetry import get_metrics, get_tracer
+from repro.train.step import StepScaffold
 
 __all__ = ["TrainHistory", "train_single", "DistributedSgdTrainer"]
 
@@ -71,13 +72,17 @@ def train_single(
     return history
 
 
-class DistributedSgdTrainer:
+class DistributedSgdTrainer(StepScaffold):
     """Data-parallel first-order training on the simulated cluster.
 
     One shared model evaluates every rank's shard (identical math to
     per-rank replicas); per-rank gradients are optionally compressed
     before the (simulated) allreduce, reproducing the SGD+CocktailSGD
-    baseline.
+    baseline.  The one allreduce path issues DDP-style byte buckets
+    during (modelled) backward under a ``StreamRuntime`` and a single
+    whole-gradient barrier for ``runtime=None``.  ``runtime``, ``guard``,
+    ``obsv``, ``autotune`` and ``xray`` are documented at
+    :meth:`StepScaffold._bind_collaborators`.
     """
 
     def __init__(
@@ -102,12 +107,6 @@ class DistributedSgdTrainer:
         self.cluster = cluster
         self.lr_schedule = lr_schedule
         self.compressor = compressor
-        #: Optional :class:`repro.runtime.StreamRuntime`.  When set, the
-        #: gradient allreduce is issued in DDP-style byte buckets during
-        #: (modelled) backward compute; with ``runtime.overlap`` the
-        #: buckets travel on comm streams and only their exposed tails
-        #: cost simulated time.  Numerics are bit-identical either way.
-        self.runtime = runtime
         #: When the compressor is an ErrorFeedback wrapper and its residual
         #: L2 norm climbs past this threshold, the trainer resets the EF
         #: state and degrades the inner compressor (graceful degradation
@@ -115,79 +114,18 @@ class DistributedSgdTrainer:
         self.ef_residual_guard = ef_residual_guard
         self.t = 0
         self.history = TrainHistory()
-        #: Optional :class:`repro.guard.Guard` (or GuardConfig): payload
-        #: sentinels, divergence detection, and the compression circuit
-        #: breaker.  ``None`` (the default) is bit-identical to before.
-        from repro.guard.guard import as_guard
-
-        self.guard = as_guard(guard)
-        if self.guard is not None:
-            self.guard.bind(compressor=compressor, trainer=self, cluster=cluster)
-            self.guard.attach_runtime(runtime)
-        #: Optional :class:`repro.obsv.LedgerConfig` (or LedgerWriter):
-        #: one canonical run artifact folding metrics, span digests,
-        #: overlap accounting, and guard events.  ``None`` (the default)
-        #: is bit-identical to before — the writer never consumes RNG.
-        #: Optional :class:`repro.autotune.AutotuneConfig` (or controller):
-        #: closed-loop cost-model retuning of the compression stack.
-        #: ``None`` (the default) is bit-identical to before.
-        from repro.autotune.controller import as_autotune
-
-        self.autotune = as_autotune(autotune)
-        if self.autotune is not None:
-            self.autotune.bind(
-                trainer=self,
-                cluster=cluster,
-                guard=self.guard,
-                compressor=compressor,
-                category="grad_allreduce",
-            )
-        #: Optional :class:`repro.xray.XrayConfig` (or analyzer, or
-        #: ``True``): per-step critical-path attribution over the span
-        #: stream.  ``None`` (the default) is bit-identical to before.
-        from repro.xray import as_xray
-
-        self.xray = as_xray(xray)
-        if self.xray is not None:
-            self.xray.bind(trainer=self, cluster=cluster, runtime=runtime)
-        from repro.obsv.ledger import as_ledger
-
-        self.obsv = as_ledger(obsv)
-        if self.obsv is not None:
-            self.obsv.bind(
-                kind="sgd",
-                trainer=self,
-                cluster=cluster,
-                runtime=runtime,
-                guard=self.guard,
-                compressor=compressor,
-                autotune=self.autotune,
-                xray=self.xray,
-            )
+        self._bind_collaborators(
+            kind="sgd",
+            category="grad_allreduce",
+            runtime=runtime,
+            guard=guard,
+            obsv=obsv,
+            autotune=autotune,
+            xray=xray,
+        )
 
     def _flat_grad(self) -> np.ndarray:
         return np.concatenate([p.grad.ravel() for p in self.model.parameters()])
-
-    def _set_flat_grad(self, flat: np.ndarray) -> None:
-        pos = 0
-        for p in self.model.parameters():
-            p.grad = flat[pos : pos + p.size].reshape(p.shape).astype(np.float32)
-            pos += p.size
-
-    def step(self, global_idx: np.ndarray) -> float:
-        tracer = get_tracer()
-        with tracer.span("step", "step", step=self.t):
-            return self._step(global_idx, tracer)
-
-    def _sanitize(self, flat: np.ndarray) -> np.ndarray:
-        """Zero non-finite entries left by data-plane faults; no-op (and
-        no scan) on fault-free runs."""
-        if self.cluster.faults is None or np.isfinite(flat).all():
-            return flat
-        m = get_metrics()
-        if m.enabled:
-            m.counter("faults.recovered", kind="sanitized_gradient").inc()
-        return np.nan_to_num(flat, nan=0.0, posinf=0.0, neginf=0.0)
 
     def _check_ef_residual(self) -> None:
         """Reset error-feedback state if its residual norm explodes."""
@@ -219,14 +157,7 @@ class DistributedSgdTrainer:
         compressor = self.compressor if guard is None else guard.active(self.compressor)
         if self.autotune is not None:
             compressor = self.autotune.active_compressor(compressor)
-        for r, idx in enumerate(shards):
-            self.model.zero_grad()
-            x, y = self.task.batch(idx)
-            with tracer.span("forward", "forward", shard=r):
-                out = self.model(x)
-                loss, dl = self.task.loss_and_grad(out, y)
-            with tracer.span("backward", "backward", shard=r):
-                self.model.backward(dl)
+        for r, loss in self._backward_per_shard(shards, tracer):
             g = self._flat_grad()
             if compressor is not None:
                 ct = compressor.compress(g)
@@ -254,21 +185,6 @@ class DistributedSgdTrainer:
             )
         return losses, per_rank_grads, wire, dense
 
-    def _trimmed_shards(self, global_idx: np.ndarray) -> list[np.ndarray]:
-        world = self.cluster.world_size
-        rem = len(global_idx) % world
-        if self.cluster.faults is not None and rem and rem < len(global_idx):
-            # Elastic continuation: trim the batch so it shards evenly
-            # over the shrunken world (averaging rescales automatically).
-            # A batch smaller than the world is all remainder — keep it so
-            # the representative shard below stays non-empty.
-            global_idx = global_idx[: len(global_idx) - rem]
-        if self.cluster.is_timing:
-            # Representative rank: run one shard of the per-rank size so
-            # compute timing matches what every rank would do.
-            return [global_idx[: max(1, len(global_idx) // world)]]
-        return shard(global_idx, world)
-
     def _step(self, global_idx: np.ndarray, tracer) -> float:
         failures = self.cluster.begin_iteration(self.t)
         if failures:
@@ -280,20 +196,11 @@ class DistributedSgdTrainer:
             guard.begin_step(self.t)
         shards = self._trimmed_shards(global_idx)
         losses, per_rank_grads, wire, dense = self._local_grads(shards, tracer)
-        if self.runtime is not None:
-            reduced0 = self._bucketed_allreduce(per_rank_grads, len(shards[0]), tracer)
-        else:
-            with tracer.span("grad_allreduce", "comm"):
-                reduced = self.cluster.allreduce(
-                    per_rank_grads, average=True, category="grad_allreduce"
-                )
-            reduced0 = reduced[0]
-        reduced0 = self._sanitize(reduced0)
-        grad_norm = float("nan")
-        if guard is not None:
-            reduced0 = guard.scan(reduced0, what="grad_allreduce")
-            grad_norm = float(np.linalg.norm(reduced0))
-        self._set_flat_grad(reduced0)
+        handles, _ = self._issue_grad_allreduce(per_rank_grads, len(shards[0]), tracer)
+        with tracer.span("grad_wait", "comm"):
+            reduced0, grad_norm = self._reduced_gradient(handles)
+        self._schedule.rt.assert_quiesced()
+        self._scatter_grads(self.model.parameters(), reduced0)
         self._check_ef_residual()
         if guard is not None:
             guard.check_ef(self.compressor)
@@ -304,86 +211,20 @@ class DistributedSgdTrainer:
         mean_loss = float(np.mean(losses))
         self.history.losses.append(mean_loss)
         self.history.lrs.append(self.optimizer.lr)
-        if self.autotune is not None:
-            # Decide before the ledger folds the step (same ordering as
-            # the K-FAC trainer); the whole gradient travels in one
-            # logical message per rank on this path.
-            self.autotune.end_step(
-                step=self.t,
-                wire_bytes=wire,
-                dense_bytes=dense,
-                n_messages=1,
-                sample=reduced0 if self.autotune.wants_sample else None,
-            )
-        m = get_metrics()
-        if m.enabled:
-            m.gauge("train.loss").set(mean_loss)
-            m.counter("train.steps").inc()
-            m.record_step(self.t, sim_time=self.cluster.time)
-        if self.xray is not None:
-            self.xray.end_step(self.t)
-        if self.obsv is not None:
-            self.obsv.record_step(
-                self.t,
-                loss=mean_loss,
-                lr=self.optimizer.lr,
-                # 0.0 means the step travelled uncompressed (no compressor,
-                # or circuit breaker open) — record no wire accounting.
-                wire_bytes=wire or None,
-                dense_bytes=dense or None,
-            )
+        self._observe_step(
+            mean_loss,
+            self.optimizer.lr,
+            wire=wire,
+            dense=dense,
+            # The whole gradient travels in one logical message per rank.
+            n_messages=1,
+            sample=reduced0,
+            # 0.0 means the step travelled uncompressed (no compressor,
+            # or circuit breaker open) — record no wire accounting.
+            wire_bytes=wire or None,
+            dense_bytes=dense or None,
+        )
         self.t += 1
         if guard is not None:
             guard.end_step(loss=mean_loss, grad_norm=grad_norm)
         return mean_loss
-
-    def _bucketed_allreduce(
-        self, per_rank_grads: list[np.ndarray], samples_per_rank: int, tracer
-    ) -> np.ndarray:
-        """Issue the gradient allreduce in byte buckets during backward.
-
-        Bucket ``b``'s collective goes on the wire while buckets
-        ``b+1..`` are still (in modelled time) being produced by the
-        backward pass — DDP's overlap pattern, scheduled for real by the
-        runtime.  Per-bucket reduction math is element-wise identical to
-        the single whole-tensor allreduce.
-        """
-        from repro.runtime.bucketing import split_bounds
-
-        rt = self.runtime
-        cm = rt.compute
-        n_params = per_rank_grads[0].size
-        if cm is not None:
-            self.cluster.advance_all(
-                cm.forward_seconds(n_params, samples_per_rank), "forward"
-            )
-        bounds = split_bounds(per_rank_grads[0], rt.bucket_bytes)
-        bwd = cm.backward_seconds(n_params, samples_per_rank) if cm is not None else 0.0
-        handles = []
-        with tracer.span("grad_allreduce", "comm", n_buckets=len(bounds)):
-            for lo, hi in bounds:
-                if bwd:
-                    self.cluster.advance_all(bwd / len(bounds), "backward")
-                handles.append(
-                    rt.iallreduce(
-                        map_payloads(per_rank_grads, lambda g: g[lo:hi]),
-                        average=True,
-                        category="grad_allreduce",
-                    )
-                )
-            reduced = np.concatenate([h.wait()[0] for h in handles])
-        rt.assert_quiesced()
-        return reduced
-
-    def train(self, *, iterations: int, batch_size: int, eval_every: int = 0, seed: int = 0):
-        if self.obsv is not None:
-            self.obsv.update_manifest(seed=seed, iterations=iterations, batch_size=batch_size)
-        for t, idx in enumerate(
-            batch_indices(self.task.n, batch_size, iterations=iterations, seed=seed)
-        ):
-            self.step(idx)
-            if eval_every and (t + 1) % eval_every == 0:
-                self.history.metrics.append((t + 1, self.task.evaluate(self.model)))
-        if self.obsv is not None:
-            self.obsv.close(final_metric=self.history.final_metric())
-        return self.history

@@ -496,3 +496,21 @@ class TestCli:
         assert "telemetry summary" in out
         # Telemetry must be torn down after the command.
         assert get_tracer() is NULL_TRACER
+
+    def test_trace_compressor_none_is_dense(self, tmp_path, capsys):
+        from repro.cli import _build_trace_trainer, build_parser, main
+
+        argv = ["trace", "--nodes", "1", "--iterations", "2", "--metrics-out", ""]
+        dense = tmp_path / "dense.json"
+        compso = tmp_path / "compso.json"
+        assert main([*argv, "--compressor", "none", "--out", str(dense)]) == 0
+        assert main([*argv, "--out", str(compso)]) == 0
+        capsys.readouterr()
+
+        def codec_spans(path):
+            events = json.loads(path.read_text())["traceEvents"]
+            return [e for e in events if e.get("name") in ("compress", "decompress")]
+
+        assert codec_spans(compso) and not codec_spans(dense)
+        args = build_parser().parse_args([*argv, "--compressor", "none"])
+        assert _build_trace_trainer(args).compressor is None
