@@ -103,8 +103,7 @@ def fsck_archive(path: str | Path) -> FsckVerdict:
         return FsckVerdict(str(path), "archive", "missing")
     except CheckpointError as exc:
         return FsckVerdict(str(path), "archive", "corrupt", str(exc))
-    sealed = "sealed" if meta.get("sealed") else "pre-seal schema, structural check only"
-    return FsckVerdict(str(path), "archive", "ok", sealed)
+    return FsckVerdict(str(path), "archive", "ok", _seal_detail(meta))
 
 
 def fsck_ledger_file(path: str | Path, *, repair: bool = False) -> FsckVerdict:
@@ -122,22 +121,10 @@ def fsck_ledger_file(path: str | Path, *, repair: bool = False) -> FsckVerdict:
     return FsckVerdict(str(path), "ledger", status, detail)
 
 
-def _verify_entry(root: Path, entry: Generation) -> str | None:
-    """None if the generation passes both seals, else the failure detail."""
-    path = root / entry.file
-    if not path.exists():
-        return "generation file missing"
-    actual = file_crc32(path)
-    if actual != entry.crc32:
-        return (
-            f"file CRC mismatch against manifest "
-            f"(manifest {entry.crc32:#010x}, actual {actual:#010x})"
-        )
-    try:
-        verify_checkpoint(path)
-    except CheckpointError as exc:
-        return str(exc)
-    return None
+def _seal_detail(meta: dict) -> str:
+    """How an archive that verified was checked, for an ``ok`` verdict."""
+    sealed = "sealed" if meta.get("sealed") else "pre-seal, structural check only"
+    return f"schema {meta['schema_version']}, {sealed}"
 
 
 def fsck_store(root: str | Path, *, repair: bool = False) -> list[FsckVerdict]:
@@ -183,11 +170,16 @@ def fsck_store(root: str | Path, *, repair: bool = False) -> list[FsckVerdict]:
     changed = manifest_damaged
     for entry in entries:
         path = root / entry.file
-        failure = _verify_entry(root, entry)
-        if failure is None:
+        try:
+            meta = store.verify_generation(entry)
+        except (FileNotFoundError, CheckpointError) as exc:
+            failure = str(exc)
+        else:
             survivors.append(entry)
-            verdicts.append(FsckVerdict(str(path), "generation", "ok",
-                                        f"gen {entry.gen}, step {entry.step}"))
+            verdicts.append(
+                FsckVerdict(str(path), "generation", "ok",
+                            f"gen {entry.gen}, step {entry.step}, {_seal_detail(meta)}")
+            )
             continue
         changed = True
         if repair:

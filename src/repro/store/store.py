@@ -32,10 +32,11 @@ crash always restores a verified generation.
 Every abnormal decision (fallback, quarantine, missing file, manifest
 rebuild, orphan adoption) is a typed :class:`StoreEvent`; the
 deterministic parts (kinds, generation numbers, steps — never CRCs or
-byte offsets, which vary with the zlib build) feed telemetry counters
-and fleet ledger manifests.  A healthy store emits only ``save`` /
-``verify_ok`` events and contributes nothing to the ledger, keeping
-store-backed runs bit-identical to direct-checkpoint runs.
+byte offsets, which vary with zip timestamps and the zlib build) feed
+telemetry counters and fleet ledger manifests.  A healthy store emits
+only ``save`` / ``verify_ok`` events and contributes nothing to the
+ledger, keeping store-backed runs bit-identical to direct-checkpoint
+runs.
 """
 
 from __future__ import annotations
@@ -131,7 +132,8 @@ class StoreEvent:
     ``quarantine``, ``missing``, ``manifest_rebuilt``,
     ``orphan_adopted``, ``retention``.  ``detail`` carries only
     deterministic context (exception class names, file stems) — never
-    CRC values or byte offsets, which depend on the zlib build.
+    CRC values or byte offsets, which depend on zip timestamps and, for
+    schema <= 3 archives, the zlib build.
     """
 
     kind: str
@@ -407,12 +409,8 @@ class CheckpointStore:
         hook("sealed", final)
         return entry
 
-    def verify_generation(self, entry: Generation) -> dict:
-        """Both seals for one generation: file CRC vs manifest, content CRC.
-
-        Raises :class:`CheckpointError` (or ``FileNotFoundError``) on any
-        mismatch; returns the archive meta on success.
-        """
+    def _check_file_seal(self, entry: Generation) -> Path:
+        """The generation's path, once its bytes match the manifest's CRC."""
         path = self.root / entry.file
         if not path.exists():
             raise FileNotFoundError(f"{path}: generation file missing")
@@ -422,7 +420,15 @@ class CheckpointStore:
                 f"{path}: file CRC mismatch against store manifest "
                 f"(manifest {entry.crc32:#010x}, actual {actual:#010x})"
             )
-        return verify_checkpoint(path)
+        return path
+
+    def verify_generation(self, entry: Generation) -> dict:
+        """Both seals for one generation: file CRC vs manifest, content CRC.
+
+        Raises :class:`CheckpointError` (or ``FileNotFoundError``) on any
+        mismatch; returns the archive meta on success.
+        """
+        return verify_checkpoint(self._check_file_seal(entry))
 
     def quarantine(self, entry: Generation, *, reason: str = "") -> Path | None:
         """Move a damaged generation file aside (never delete evidence)."""
@@ -452,10 +458,12 @@ class CheckpointStore:
     ) -> Generation | None:
         """Restore the newest *verified* generation; fall back on damage.
 
-        Walks the manifest newest-first.  Each candidate is fully
-        verified (file CRC against the manifest, then content seal)
-        *before* any state is mutated; a failure emits ``fallback``,
-        quarantines the file, and tries the next-older generation.
+        Walks the manifest newest-first.  Each candidate's file CRC is
+        checked against the manifest, then the archive is materialised
+        once and its content seal checked on that one copy (``verify=True``
+        also refuses an unsealed archive) *before* any state is mutated;
+        a failure emits ``fallback``, quarantines the file, and tries
+        the next-older generation.
         Returns the restored :class:`Generation` (its ``step`` tells the
         caller where to resume), ``None`` for an empty store, and raises
         :class:`StoreError` when generations exist but none verifies.
@@ -466,9 +474,8 @@ class CheckpointStore:
         survivors = list(gens)
         for entry in reversed(gens):
             try:
-                self.verify_generation(entry)
                 load_checkpoint(
-                    self.root / entry.file,
+                    self._check_file_seal(entry),
                     model,
                     kfac,
                     optimizer=optimizer,

@@ -22,6 +22,16 @@ raw array bytes of every section) computed *before* the bytes hit disk;
 :func:`verify_checkpoint` and ``load_checkpoint(verify=...)`` recompute
 it, so bit-rot at rest is detected before any state is mutated.
 
+The on-disk layout is this module's decision alone.  An archive is an
+``.npz`` with two *stored* members: ``index`` — JSON rows of ``[key,
+dtype, shape, offset, length]`` — and ``data``, every section's raw
+bytes back to back.  A save serialises each array once, seals those
+bytes, and writes them in one pass; K-FAC state is mostly float64 noise
+that deflate shrank by a quarter at five times the cost of the write,
+so nothing is compressed.  Archives written before schema version 4
+(one deflated member per section) still load through the same reader,
+:func:`_read_all`, because stores on disk outlive a commit.
+
 The save sequence exposes its injection points (:data:`SAVE_POINTS`)
 through the ``hooks`` callback, which is how the storage fault plane
 (:mod:`repro.faults.storage`) makes "kill the process at any point
@@ -32,7 +42,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
+import zipfile
 import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
@@ -58,9 +70,31 @@ __all__ = [
 #: Archive layout version.  Version 1 is the pre-versioned layout (no
 #: ``meta/*`` keys); version 2 added ``meta/schema_version`` and
 #: ``meta/world_size``; version 3 added the ``meta/content_crc32`` seal
-#: and the optional ``meta/step`` stamp.  Bump on any incompatible key
-#: change.
-SCHEMA_VERSION = 3
+#: and the optional ``meta/step`` stamp; version 4 keeps those keys but
+#: stores them as one ``index`` + one ``data`` member instead of one
+#: deflated zip member per key.  Versions 1-3 are read, never written.
+#: Bump on any incompatible key or layout change.
+SCHEMA_VERSION = 4
+
+_SEAL_KEY = "meta/content_crc32"
+
+#: The two members of a schema >= 4 archive.  No section key can collide
+#: with them: every key the writer has ever produced contains a ``/``.
+_INDEX, _DATA = "index", "data"
+
+#: What ``zipfile``/``np.load`` raise on a torn, truncated or bit-flipped
+#: archive (``NotImplementedError``/``RuntimeError``: a flipped method or
+#: flag field reads as an unsupported or encrypted member).
+_ARCHIVE_ERRORS = (
+    zipfile.BadZipFile,
+    zlib.error,
+    OSError,
+    EOFError,
+    ValueError,
+    KeyError,
+    NotImplementedError,
+    RuntimeError,
+)
 
 #: Enumerated injection points of the archive save sequence, in order.
 #: A crash at ``save:begin`` loses the save entirely; at
@@ -102,6 +136,29 @@ def _restore_rng_state(rng: np.random.Generator, stored: np.ndarray) -> None:
     rng.bit_generator.state = json.loads(str(stored[()]))
 
 
+#: One serialised section: key, dtype string, shape, raw C-order bytes.
+_Section = tuple[str, str, tuple[int, ...], bytes]
+
+
+def _serialise(arrays: dict[str, np.ndarray]) -> list[_Section]:
+    """Every section's bytes, taken once, in sorted key order."""
+    sections = []
+    for key in sorted(arrays):
+        arr = np.asarray(arrays[key])
+        sections.append((key, arr.dtype.str, arr.shape, arr.tobytes()))
+    return sections
+
+
+def _seal(sections: list[_Section]) -> int:
+    crc = 0
+    for key, dtype, shape, raw in sections:
+        if key == _SEAL_KEY:
+            continue
+        crc = zlib.crc32(f"{key}|{dtype}|{shape}".encode(), crc)
+        crc = zlib.crc32(raw, crc)
+    return crc & 0xFFFFFFFF
+
+
 def content_crc32(arrays: dict[str, np.ndarray]) -> int:
     """CRC32 seal over every section's name, dtype, shape, and raw bytes.
 
@@ -109,15 +166,7 @@ def content_crc32(arrays: dict[str, np.ndarray]) -> int:
     the ``meta/content_crc32`` entry itself is excluded (it cannot seal
     its own value).
     """
-    crc = 0
-    for key in sorted(arrays):
-        if key == "meta/content_crc32":
-            continue
-        arr = np.asarray(arrays[key])
-        header = f"{key}|{arr.dtype.str}|{arr.shape}".encode()
-        crc = zlib.crc32(header, crc)
-        crc = zlib.crc32(np.ascontiguousarray(arr).tobytes(), crc)
-    return crc & 0xFFFFFFFF
+    return _seal(_serialise(arrays))
 
 
 def _compressor_parts(compressor) -> tuple[object | None, object]:
@@ -272,13 +321,14 @@ def save_checkpoint(
         _collect_optimizer(arrays, optimizer)
     if compressor is not None:
         _collect_compressor(arrays, compressor)
-    arrays["meta/content_crc32"] = np.array(content_crc32(arrays), dtype=np.uint32)
+    sections = _serialise(arrays)
+    sections += _serialise({_SEAL_KEY: np.array(_seal(sections), dtype=np.uint32)})
 
     final = _final_path(path)
     tmp = final.with_name(f".{final.stem}.tmp.{os.getpid()}-{next(_TMP_COUNTER)}.npz")
     try:
         hook("save:begin", final)
-        np.savez_compressed(tmp, **arrays)
+        _write_archive(tmp, sections)
         hook("save:tmp_written", tmp)
         os.replace(tmp, final)
         hook("save:replaced", final)
@@ -288,36 +338,117 @@ def save_checkpoint(
     return final
 
 
-def _open_archive(path: Path):
-    """``np.load`` with torn/garbage archives surfaced as CheckpointError."""
-    import zipfile
+def _write_archive(path: Path, sections: list[_Section]) -> None:
+    """Write ``sections`` as one index and one contiguous stored payload."""
+    index, offset = [], 0
+    for key, dtype, shape, raw in sections:
+        index.append([key, dtype, list(shape), offset, len(raw)])
+        offset += len(raw)
+    np.savez(
+        path,
+        **{
+            _INDEX: np.frombuffer(json.dumps(index).encode(), dtype=np.uint8),
+            _DATA: np.frombuffer(b"".join(raw for *_, raw in sections), dtype=np.uint8),
+        },
+    )
+
+
+def _member(path: Path, archive, name: str) -> np.ndarray:
+    """One zip member as an array, damage reported against its name."""
+    try:
+        return archive[name]
+    except _ARCHIVE_ERRORS as exc:
+        raise CheckpointError(f"{path}: corrupt checkpoint member {name!r} ({exc})") from exc
+
+
+def _section_array(path: Path, row, payload: np.ndarray) -> tuple[str, np.ndarray]:
+    """Validate one index row against the payload and cut its array out."""
+    if not (isinstance(row, list) and len(row) == 5 and isinstance(row[0], str)):
+        raise CheckpointError(f"{path}: malformed {_INDEX!r} row {row!r}")
+    key, dtype_str, shape, offset, length = row
+
+    def bad(why: str) -> CheckpointError:
+        return CheckpointError(f"{path}: {_INDEX!r} row for {key!r} {why}")
 
     try:
-        return np.load(path)
-    except FileNotFoundError:
-        raise
-    except (zipfile.BadZipFile, OSError, EOFError, ValueError, KeyError) as exc:
-        raise CheckpointError(f"{path}: unreadable checkpoint archive ({exc})") from exc
+        dtype = np.dtype(dtype_str) if isinstance(dtype_str, str) else None
+    except (TypeError, ValueError):
+        dtype = None
+    if (
+        dtype is None
+        or dtype.hasobject
+        or dtype.names is not None
+        or dtype.subdtype is not None
+        or dtype.itemsize == 0
+    ):
+        raise bad(f"names dtype {dtype_str!r}, which is not a plain NumPy dtype")
+    if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
+        raise bad(f"has shape {shape!r}")
+    if type(offset) is not int or type(length) is not int:
+        raise bad(f"has offset {offset!r}, length {length!r}")
+    count = math.prod(shape)
+    if length != count * dtype.itemsize:
+        raise bad(
+            f"has length {length}, but shape {tuple(shape)} of {dtype_str} "
+            f"is {count * dtype.itemsize} bytes"
+        )
+    if offset < 0 or offset + length > payload.size:
+        raise bad(
+            f"spans bytes {offset}..{offset + length}, outside the "
+            f"{payload.size}-byte {_DATA!r} member"
+        )
+    # A copy, so every restored array is writable and owns its memory.
+    arr = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
+    return key, arr.reshape(shape).copy()
+
+
+def _read_flat(path: Path, archive) -> dict[str, np.ndarray]:
+    index = _member(path, archive, _INDEX)
+    payload = _member(path, archive, _DATA)
+    for name, member in ((_INDEX, index), (_DATA, payload)):
+        if member.dtype != np.uint8 or member.ndim != 1:
+            raise CheckpointError(
+                f"{path}: corrupt checkpoint member {name!r} "
+                f"({member.dtype} array of shape {member.shape}, expected flat bytes)"
+            )
+    try:
+        rows = json.loads(index.tobytes())
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: corrupt checkpoint member {_INDEX!r} ({exc})") from exc
+    if not isinstance(rows, list):
+        raise CheckpointError(f"{path}: corrupt checkpoint member {_INDEX!r} (not a list)")
+    arrays: dict[str, np.ndarray] = {}
+    for row in rows:
+        key, arr = _section_array(path, row, payload)
+        if key in arrays:
+            raise CheckpointError(f"{path}: {_INDEX!r} names {key!r} twice")
+        arrays[key] = arr
+    return arrays
 
 
 def _read_all(path: Path) -> dict[str, np.ndarray]:
-    """Fully materialise an archive, surfacing member corruption loudly.
+    """Fully materialise an archive of either layout, failing loudly.
 
-    ``np.load`` is lazy: a flipped byte inside a member only explodes
-    when that member is accessed, which without this step could be
-    halfway through a restore.  Reading (and CRC-checking, via the zip
-    layer) every member up front guarantees corruption is detected
-    before any state is mutated.
+    The one place that knows how sections sit on disk: a schema >= 4
+    archive is cut out of its ``data`` member by its ``index``, an older
+    one is read member by member (``np.load`` is lazy, so a flipped byte
+    inside a member would otherwise only explode when that member is
+    accessed, possibly halfway through a restore).  Either way the
+    result is the same ``{key: writable array}`` dict, produced before
+    any state is mutated.
     """
-    import zipfile
-
-    with _open_archive(path) as data:
-        try:
-            return {key: data[key] for key in data.files}
-        except (zipfile.BadZipFile, OSError, EOFError, ValueError, KeyError) as exc:
-            raise CheckpointError(f"{path}: corrupt checkpoint section ({exc})") from exc
-        except zlib.error as exc:
-            raise CheckpointError(f"{path}: corrupt checkpoint section ({exc})") from exc
+    try:
+        archive = np.load(path)
+    except FileNotFoundError:
+        raise
+    except _ARCHIVE_ERRORS as exc:
+        raise CheckpointError(f"{path}: unreadable checkpoint archive ({exc})") from exc
+    with archive:
+        # Either name marks the layout: a flipped bit in the zip directory
+        # can hide one member, and that must not read as an older archive.
+        if _INDEX in archive.files or _DATA in archive.files:
+            return _read_flat(path, archive)
+        return {key: _member(path, archive, key) for key in archive.files}
 
 
 def read_meta(data: dict[str, np.ndarray]) -> dict:
@@ -330,8 +461,8 @@ def read_meta(data: dict[str, np.ndarray]) -> dict:
     for key, name in (("meta/world_size", "world_size"), ("meta/step", "step")):
         if key in data:
             meta[name] = int(data[key])
-    if "meta/content_crc32" in data:
-        meta["content_crc32"] = int(data["meta/content_crc32"])
+    if _SEAL_KEY in data:
+        meta["content_crc32"] = int(data[_SEAL_KEY])
     return meta
 
 

@@ -33,6 +33,7 @@ from repro.optim.kfac import Kfac
 from repro.runtime import StreamRuntime
 from repro.telemetry.export import chrome_trace
 from repro.train import ClassificationTask, DistributedSgdTrainer
+from tests.archives import rewrite_archive
 
 
 def _params(model) -> np.ndarray:
@@ -534,9 +535,11 @@ class TestCheckpointSchema:
         from repro.util.checkpoint import CheckpointError, load_checkpoint
 
         model = self._save(tmp_path)
-        arrays = dict(np.load(tmp_path / "c.npz"))
-        arrays["meta/schema_version"] = np.array(99)
-        np.savez_compressed(tmp_path / "future.npz", **arrays)
+        rewrite_archive(
+            tmp_path / "c.npz",
+            tmp_path / "future.npz",
+            mutate=lambda arrays: arrays.update({"meta/schema_version": np.array(99)}),
+        )
         with pytest.raises(CheckpointError, match="schema version 99"):
             load_checkpoint(tmp_path / "future.npz", model)
 

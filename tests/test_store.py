@@ -21,6 +21,7 @@ from repro.store import (
 )
 from repro.store.store import manifest_text, parse_manifest
 from repro.util.checkpoint import save_checkpoint, verify_checkpoint
+from tests.archives import rewrite_archive, vouch_for
 
 
 def _model(seed=0):
@@ -162,26 +163,16 @@ class TestCorruptionFallback:
         _fill(store, [1, 2])
         newest = store.latest()
         path = tmp_path / newest.file
-        # Tamper with decoded content while keeping the stale seal: the
-        # file-level CRC can be made to vouch for these bytes, but the
-        # content seal inside the archive cannot.
-        data = dict(np.load(path).items())
-        key = next(k for k in data if k.startswith("param/"))
-        data[key] = data[key] + 1.0
-        np.savez_compressed(path, **data)
-        # Re-seal the *manifest* over the damaged file: the file CRC now
+        # Tamper with decoded content while keeping the stale seal, then
+        # re-seal the *manifest* over the damaged file: the file CRC now
         # matches, so only the archive's own content seal can object.
-        from repro.store.store import file_crc32
 
-        gens = store.generations()
-        gens[-1] = Generation(
-            gen=newest.gen,
-            file=newest.file,
-            step=newest.step,
-            nbytes=path.stat().st_size,
-            crc32=file_crc32(path),
-        )
-        (tmp_path / MANIFEST_NAME).write_text(manifest_text(gens))
+        def bump_first_param(arrays):
+            key = next(k for k in arrays if k.startswith("param/"))
+            arrays[key] = arrays[key] + 1.0
+
+        rewrite_archive(path, mutate=bump_first_param, reseal=False)
+        vouch_for(store, newest)
 
         reader = CheckpointStore(tmp_path)
         assert reader.load_latest(_model(seed=5)).step == 1
