@@ -42,7 +42,26 @@ from repro.util.bitpack import (
 )
 from repro.util.seeding import spawn_rng
 
-__all__ = ["CompsoCompressor"]
+__all__ = ["CompsoCompressor", "pack_codes"]
+
+
+def pack_codes(codes: np.ndarray) -> tuple[bytes, int, int]:
+    """Pack signed quantisation codes; returns ``(packed, code_min, width)``.
+
+    The codes are shifted to start at zero and packed at the minimal
+    ``ceil(log2(bins))`` width rounded up to a byte multiple: whole-byte
+    fields keep every code one symbol for the lossless encoder (which is
+    told the field size and recovers the sub-byte entropy, and more) —
+    strictly smaller coded output than either misaligned minimal-width
+    packing or a fixed 8-bit format (see
+    benchmarks/bench_ablation_packing.py).
+    """
+    if codes.size == 0:
+        return b"", 0, 8
+    cmin = int(codes.min())
+    span = int(codes.max()) - cmin
+    width = min(-(-required_width(span) // 8) * 8, 32)
+    return pack_uints((codes - cmin).astype(np.uint64), width), cmin, width
 
 
 class CompsoCompressor(GradientCompressor):
@@ -108,24 +127,6 @@ class CompsoCompressor(GradientCompressor):
             return np.zeros(kept.size, dtype=np.int64)
         return ROUNDING_MODES[self.rounding](kept / step, self._rng).astype(np.int64)
 
-    @staticmethod
-    def _pack_codes(codes: np.ndarray) -> tuple[bytes, int, int]:
-        """Pack signed codes at the error-bound-derived width.
-
-        The width is the minimal ``ceil(log2(bins))`` rounded up to a
-        byte multiple: byte alignment preserves symbol structure for the
-        byte-wise lossless encoder, which then recovers the sub-byte
-        entropy (and more) — strictly smaller coded output than either
-        misaligned minimal-width packing or a fixed 8-bit format (see
-        benchmarks/bench_ablation_packing.py).
-        """
-        if codes.size == 0:
-            return b"", 0, 8
-        cmin = int(codes.min())
-        span = int(codes.max()) - cmin
-        width = min(-(-required_width(span) // 8) * 8, 32)
-        return pack_uints((codes - cmin).astype(np.uint64), width), cmin, width
-
     def compress(self, x: np.ndarray) -> CompressedTensor:
         x = np.asarray(x, dtype=np.float32)
         flat = x.ravel()
@@ -140,11 +141,11 @@ class CompsoCompressor(GradientCompressor):
             with tracer.span("quantise", "compress.quantise"):
                 codes = self._quantize(kept, step)
             with tracer.span("pack", "compress.pack"):
-                packed, cmin, width = self._pack_codes(codes)
+                packed, cmin, width = pack_codes(codes)
             with tracer.span("encode", "compress.encode", encoder=self.encoder_name):
                 segments = {
                     "bitmap": self._encoder.encode(pack_bitmap(filtered)),
-                    "codes": self._encoder.encode(packed),
+                    "codes": self._encoder.encode(packed, width // 8),
                 }
         meta = {
             "step": step,
@@ -191,6 +192,7 @@ class CompsoCompressor(GradientCompressor):
         tracer = get_tracer()
         bitmap_parts: list[bytes] = []
         code_parts: list[bytes] = []
+        item_sizes: set[int] = set()
         headers: list[bytes] = []
         raw_nbytes = 0
         with tracer.span(
@@ -208,9 +210,11 @@ class CompsoCompressor(GradientCompressor):
                     )
                     kept = flat[~filtered]
                     codes = self._quantize(kept, step)
-                    packed, cmin, width = self._pack_codes(codes)
+                    packed, cmin, width = pack_codes(codes)
                     bitmap_parts.append(pack_bitmap(filtered))
                     code_parts.append(packed)
+                    if packed:
+                        item_sizes.add(width // 8)
                     headers.append(
                         struct.pack(
                             "<IIfiBI", flat.size, kept.size, step, cmin, width, len(packed)
@@ -221,7 +225,10 @@ class CompsoCompressor(GradientCompressor):
                 segments = {
                     "headers": header_blob,
                     "bitmap": self._encoder.encode(b"".join(bitmap_parts)),
-                    "codes": self._encoder.encode(b"".join(code_parts)),
+                    # One symbol per code only when every layer packed at one width.
+                    "codes": self._encoder.encode(
+                        b"".join(code_parts), item_sizes.pop() if len(item_sizes) == 1 else 1
+                    ),
                 }
         total = sum(np.asarray(t).size for t in tensors)
         ct = CompressedTensor(segments, (total,), meta={"aggregated": len(tensors)})

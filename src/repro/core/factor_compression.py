@@ -26,8 +26,9 @@ import numpy as np
 
 from repro.compression.base import CompressedTensor, GradientCompressor
 from repro.compression.quantize import ROUNDING_MODES
+from repro.core.compso import pack_codes
 from repro.encoders.registry import get_encoder
-from repro.util.bitpack import pack_uints, required_width, unpack_uints
+from repro.util.bitpack import unpack_uints
 from repro.util.seeding import spawn_rng
 
 __all__ = ["FactorCompressor"]
@@ -72,12 +73,9 @@ class FactorCompressor(GradientCompressor):
             codes = np.zeros(tri.size, dtype=np.int64)
         else:
             codes = ROUNDING_MODES[self.rounding](tri / step, self._rng).astype(np.int64)
-        cmin = int(codes.min()) if codes.size else 0
-        span = int(codes.max()) - cmin if codes.size else 0
-        width = min(-(-required_width(span) // 8) * 8, 32)
-        packed = pack_uints((codes - cmin).astype(np.uint64), width)
+        packed, cmin, width = pack_codes(codes)
         return CompressedTensor(
-            {"codes": self._encoder.encode(packed)},
+            {"codes": self._encoder.encode(packed, width // 8)},
             x.shape,
             meta={"step": step, "code_min": cmin, "width": width, "dim": d},
         )

@@ -57,11 +57,18 @@ class Encoder(ABC):
     #: Registry key, e.g. ``"ans"``.
     name: str = "base"
 
-    def encode(self, data: bytes | np.ndarray) -> bytes:
+    def encode(self, data: bytes | np.ndarray, item_size: int = 1) -> bytes:
+        """Encode ``data``, whose bytes are big-endian ``item_size``-byte items.
+
+        The item size is a hint about where the structure of the input
+        lies; ``decode`` returns the same bytes whatever it was.
+        """
         raw = as_bytes(data)
+        if item_size < 1 or len(raw) % item_size:
+            raise ValueError(f"{self.name}: {len(raw)} bytes are not {item_size}-byte items")
         if not raw:
             return struct.pack("<BI", _FRAME_RAW, 0)
-        coded = self._encode_payload(raw)
+        coded = self._encode_payload(raw, item_size)
         if len(coded) < len(raw):
             return struct.pack("<BI", _FRAME_CODED, len(raw)) + coded
         return struct.pack("<BI", _FRAME_RAW, len(raw)) + raw
@@ -83,8 +90,11 @@ class Encoder(ABC):
         return out
 
     @abstractmethod
-    def _encode_payload(self, data: bytes) -> bytes:
-        """Encode ``data``; may return something larger (frame handles fallback)."""
+    def _encode_payload(self, data: bytes, item_size: int) -> bytes:
+        """Encode ``data``; may return something larger (frame handles fallback).
+
+        A coder that models bytes ignores ``item_size``.
+        """
 
     @abstractmethod
     def _decode_payload(self, payload: bytes, n: int) -> bytes:

@@ -32,7 +32,7 @@ class BitcompEncoder(Encoder):
             raise ValueError("block_size must be positive")
         self.block_size = block_size
 
-    def _encode_payload(self, data: bytes) -> bytes:
+    def _encode_payload(self, data: bytes, item_size: int) -> bytes:
         u8 = as_u8(data)
         parts = [struct.pack("<I", self.block_size)]
         for start in range(0, u8.size, self.block_size):

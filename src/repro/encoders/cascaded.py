@@ -56,7 +56,7 @@ class CascadedEncoder(Encoder):
 
     name = "cascaded"
 
-    def _encode_payload(self, data: bytes) -> bytes:
+    def _encode_payload(self, data: bytes, item_size: int) -> bytes:
         u8 = as_u8(data)
         values, lengths = _run_length(u8)
         val_width = required_width(int(values.max())) if values.size else 1

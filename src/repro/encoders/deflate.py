@@ -26,7 +26,7 @@ class DeflateEncoder(Encoder):
     name = "deflate"
     level = 6
 
-    def _encode_payload(self, data: bytes) -> bytes:
+    def _encode_payload(self, data: bytes, item_size: int) -> bytes:
         return zlib.compress(data, self.level)
 
     def _decode_payload(self, payload: bytes, n: int) -> bytes:
@@ -48,7 +48,7 @@ class ZstdLikeEncoder(Encoder):
 
     name = "zstd"
 
-    def _encode_payload(self, data: bytes) -> bytes:
+    def _encode_payload(self, data: bytes, item_size: int) -> bytes:
         return lzma.compress(data, preset=2)
 
     def _decode_payload(self, payload: bytes, n: int) -> bytes:

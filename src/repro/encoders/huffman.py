@@ -80,7 +80,7 @@ class HuffmanEncoder(Encoder):
 
     name = "huffman"
 
-    def _encode_payload(self, data: bytes) -> bytes:
+    def _encode_payload(self, data: bytes, item_size: int) -> bytes:
         u8 = as_u8(data)
         freq = np.bincount(u8, minlength=256)
         lengths = code_lengths(freq)

@@ -65,7 +65,7 @@ class _LzBase(Encoder):
     #: matcher starts striding, trading ratio for speed.
     skip_shift: int = 5
 
-    def _encode_payload(self, data: bytes) -> bytes:
+    def _encode_payload(self, data: bytes, item_size: int) -> bytes:
         n = len(data)
         out = bytearray()
         table: dict[bytes, int] = {}

@@ -1,12 +1,16 @@
 """COMPSO compressor: filter semantics, error bounds, aggregation, encoders."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.compso import CompsoCompressor
+from repro.core.compso import CompsoCompressor, pack_codes
 from repro.encoders.registry import NVCOMP_CANDIDATES
+from repro.util.bitpack import unpack_uints
 
 
 class TestFilter:
@@ -130,6 +134,90 @@ class TestAggregatedPath:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             CompsoCompressor().compress_many([])
+
+
+class TestPackCodes:
+    @pytest.mark.parametrize(
+        "lo,hi,width", [(-3, 3, 8), (-100, 155, 8), (-100, 156, 16), (0, 65_535, 16), (5, 65_541, 24)]
+    )
+    def test_width_is_the_span_rounded_up_to_bytes(self, rng, lo, hi, width):
+        codes = rng.integers(lo, hi + 1, 500)
+        codes[:2] = lo, hi
+        packed, cmin, got = pack_codes(codes)
+        assert (cmin, got) == (lo, width)
+        assert np.array_equal(unpack_uints(packed, width, 500).astype(np.int64) + cmin, codes)
+
+    def test_width_is_capped_at_32_bits(self):
+        packed, cmin, width = pack_codes(np.array([-(2**31), 2**31 - 1], dtype=np.int64))
+        assert (cmin, width, len(packed)) == (-(2**31), 32, 8)
+
+    def test_no_codes(self):
+        assert pack_codes(np.zeros(0, dtype=np.int64)) == (b"", 0, 8)
+
+
+def _ans_item_size(frame: bytes) -> int:
+    """Item size a coded ANS frame declares (top bits of its lane-count field)."""
+    assert frame[0] == 1
+    return (int.from_bytes(frame[5:7], "little") >> 12) + 1
+
+
+class TestCodeSymbols:
+    """The code stream reaches ANS with its field size; bitmaps stay byte streams."""
+
+    @staticmethod
+    def _layers(rng):
+        two_sided = rng.standard_normal(5000).astype(np.float32)  # span 2 / eb_q = 500: 16 bit
+        one_sided = np.abs(rng.standard_normal(3000)).astype(np.float32)  # span 250: 8 bit
+        return two_sided, one_sided, (rng.standard_normal(700) * 3).astype(np.float32)
+
+    def test_sixteen_bit_codes_are_one_symbol_each(self, rng):
+        c = CompsoCompressor(2e-3, 4e-3, seed=5)
+        x = np.random.default_rng(78).standard_normal((300, 40)).astype(np.float32)
+        ct = c.compress(x)
+        assert ct.meta["width"] == 16
+        assert _ans_item_size(ct.segments["codes"]) == 2
+        assert _ans_item_size(ct.segments["bitmap"]) == 1
+        # The lossless stage moved, nothing else: decoded tensor as at b5a6b53.
+        assert hashlib.sha256(c.decompress(ct).tobytes()).hexdigest() == (
+            "6415c487696197cbef305a03ea3fa7c610b556aecad26d3d677c2008997e9d30"
+        )
+
+    def test_eight_bit_codes_stay_bytes(self, rng):
+        c = CompsoCompressor(0.0, 4e-3)
+        ct = c.compress(np.abs(rng.standard_normal(30_000)).astype(np.float32))
+        assert ct.meta["width"] == 8 and _ans_item_size(ct.segments["codes"]) == 1
+
+    def test_group_of_one_width_is_coded_as_items(self, rng):
+        two_sided, _, scaled = self._layers(rng)
+        c = CompsoCompressor(0.0, 4e-3)
+        empty = np.zeros(0, dtype=np.float32)  # packs nothing, so it decides nothing
+        ct = c.compress_many([two_sided, empty, scaled])
+        assert _ans_item_size(ct.segments["codes"]) == 2
+        outs = c.decompress_many(ct)
+        assert [o.size for o in outs] == [5000, 0, 700]
+
+    def test_mixed_width_group_is_coded_as_bytes(self):
+        layers = self._layers(np.random.default_rng(77))
+        c = CompsoCompressor(0.0, 4e-3, seed=5)
+        ct = c.compress_many(list(layers))
+        header = ct.segments["headers"]
+        widths = [struct.unpack_from("<IIfiBI", header, 4 + 21 * i)[4] for i in range(3)]
+        assert widths == [16, 8, 16]
+        assert _ans_item_size(ct.segments["codes"]) == 1
+        digest = hashlib.sha256()
+        for out in c.decompress_many(ct):
+            digest.update(out.tobytes())
+        # Decoded layers as at b5a6b53.
+        assert digest.hexdigest() == (
+            "1b28b0ffd21e7ce581f2b3eaaf0fe3d47e60f6a15ccc91b615c0818a2b7c605e"
+        )
+
+    def test_item_symbols_shrink_the_code_frame(self, rng):
+        x = rng.standard_normal(200_000).astype(np.float32)
+        c = CompsoCompressor(0.0, 4e-3)
+        codes = c.compress(x).segments["codes"]
+        as_bytes = c._encoder.encode(c._encoder.decode(codes))
+        assert len(codes) < 0.8 * len(as_bytes)
 
 
 class TestConfiguration:

@@ -98,6 +98,12 @@ class TestFactorCompressor:
         with pytest.raises(ValueError):
             FactorCompressor().compress(rng.standard_normal((3, 4)).astype(np.float32))
 
+    def test_sixteen_bit_codes_reach_ans_as_items(self, spd_factor):
+        ct = FactorCompressor(1e-3).compress(spd_factor)
+        frame = ct.segments["codes"]
+        assert ct.meta["width"] == 16 and frame[0] == 1
+        assert int.from_bytes(frame[5:7], "little") >> 12 == 1  # item size 2
+
     def test_invalid_bound(self):
         with pytest.raises(ValueError):
             FactorCompressor(0.0)

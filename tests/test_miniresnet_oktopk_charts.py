@@ -102,16 +102,30 @@ class TestOkTopk:
         """Section 4.3: Ok-topk keeps a fixed selection rule across
         iterations; COMPSO's adaptive schedule changes its ratio when the
         LR drops, Ok-topk's stays flat."""
-        ok = OkTopkCompressor(0.1, seed=0)
-        ac = AdaptiveCompso(StepLrSchedule(5))
         x = kfac_like_gradient
-        ok_ratios, ac_ratios = [], []
-        for t in range(10):
-            ok_ratios.append(x.nbytes / ok.compress(x).nbytes)
-            ac_ratios.append(x.nbytes / ac.compress(x).nbytes)
-            ac.step()
+        ok = OkTopkCompressor(0.1, seed=0)
+        ok_ratios = [x.nbytes / ok.compress(x).nbytes for _ in range(10)]
         assert np.std(ok_ratios) < 0.05 * np.mean(ok_ratios)
-        assert max(ac_ratios) > 1.5 * min(ac_ratios)
+
+        def schedule_ratios(encoder):
+            ac = AdaptiveCompso(StepLrSchedule(5), encoder=encoder)
+            ratios = []
+            for _ in range(10):
+                ratios.append(x.nbytes / ac.compress(x).nbytes)
+                ac.step()
+            return ratios
+
+        # A coder that models bytes leaves most of a near-zero code's
+        # entropy on the wire, so dropping the filter costs 26x -> 8x.
+        byte_coded = schedule_ratios("huffman")
+        assert max(byte_coded) > 1.5 * min(byte_coded)
+        # The default coder, one ANS symbol per 16-bit code, takes that
+        # entropy in either stage, which leaves the filter a step of
+        # 31.7x -> 28.2x (EXPERIMENTS.md, "What the filter is still
+        # worth"): each stage in its own band.
+        ratios = schedule_ratios("ans")
+        assert 30.0 < min(ratios[:5]) and max(ratios[:5]) < 34.0
+        assert 26.0 < min(ratios[5:]) and max(ratios[5:]) < 30.0
 
     def test_reset(self, rng):
         c = OkTopkCompressor(0.1, seed=0)
