@@ -24,10 +24,14 @@ The acceptance bar mirrors the autotune issue:
   for compression (identity -> a COMPSO candidate).
 
 ``benchmarks/out/BENCH_ext_autotune.json`` carries the per-config
-table, the decision timeline, and the closed-loop ledger path.
+table, the decision timeline, and the closed-loop ledger's file name;
+the ledgers themselves are scratch and live in a temporary directory.
 """
 
-from benchmarks._common import OUT_DIR, emit
+import tempfile
+from pathlib import Path
+
+from benchmarks._common import emit
 from repro import telemetry
 from repro.autotune import DEFAULT_MENU, AutotuneConfig, replay_extra_seconds
 from repro.core import CompsoCompressor
@@ -76,6 +80,11 @@ def _run(*, compressor, autotune, ledger_path=None):
 
 
 def run_experiment():
+    with tempfile.TemporaryDirectory(prefix="autotune-") as ledger_dir:
+        return _run_experiment(Path(ledger_dir))
+
+
+def _run_experiment(ledger_dir):
     results = {}
     # Every static config in the controller's menu, held the whole run.
     # Aggregation is modelled-only (DESIGN.md decision 10), so a static
@@ -83,7 +92,7 @@ def run_experiment():
     # up in the replayed extra-seconds term — identical accounting to
     # the controller's live accumulator.
     for cand in DEFAULT_MENU:
-        path = OUT_DIR / f"autotune_static_{cand.name}.ledger"
+        path = ledger_dir / f"autotune_static_{cand.name}.ledger"
         comp = (
             None
             if cand.is_identity
@@ -98,7 +107,7 @@ def run_experiment():
             "final_loss": trainer.history.losses[-1],
             "retunes": 0,
         }
-    closed_path = OUT_DIR / "autotune_closed_loop.ledger"
+    closed_path = ledger_dir / "autotune_closed_loop.ledger"
     trainer, cluster = _run(
         compressor=CompsoCompressor(4e-3, 4e-3, seed=0),
         autotune=AutotuneConfig(initial="identity", warmup=2, min_dwell=2),
@@ -113,11 +122,11 @@ def run_experiment():
         "final_loss": trainer.history.losses[-1],
         "retunes": sum(1 for d in decisions if d["kind"] == "retune"),
     }
-    return results, decisions, str(closed_path)
+    return results, decisions, closed_path.name
 
 
 def test_ext_autotune(benchmark):
-    results, decisions, closed_path = benchmark.pedantic(
+    results, decisions, closed_name = benchmark.pedantic(
         run_experiment, rounds=1, iterations=1
     )
     rows = [
@@ -145,7 +154,7 @@ def test_ext_autotune(benchmark):
     emit(
         "ext_autotune",
         out,
-        data={"results": results, "decisions": decisions, "ledger": closed_path},
+        data={"results": results, "decisions": decisions, "ledger": closed_name},
     )
 
     closed = results["closed-loop"]

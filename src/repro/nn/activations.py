@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.nn._select import keep_where
 from repro.nn.module import Module
 
 __all__ = ["ReLU", "GELU", "Tanh", "Sigmoid"]
@@ -12,10 +13,14 @@ __all__ = ["ReLU", "GELU", "Tanh", "Sigmoid"]
 class ReLU(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        # x where x > 0, else +0.0: fmax drops a NaN, adding +0.0 turns the
+        # -0.0 fmax may pick into +0.0 and changes nothing else.
+        y = np.fmax(x, 0)
+        y += 0.0
+        return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return np.where(self._mask, grad_out, 0.0)
+        return keep_where(self._mask, grad_out)
 
 
 class GELU(Module):

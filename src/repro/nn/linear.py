@@ -41,7 +41,9 @@ class Linear(Module, KfacLayerMixin):
         return y.reshape(*self._orig_shape[:-1], self.out_features)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        g2 = grad_out.reshape(-1, self.out_features).astype(np.float32)
+        g2 = grad_out.reshape(-1, self.out_features)
+        # One copy: astype detaches a view, and skips a reshape's own copy.
+        g2 = g2.astype(np.float32, copy=np.may_share_memory(g2, grad_out))
         x2 = self._x
         if x2 is None:
             raise RuntimeError("backward called before forward")

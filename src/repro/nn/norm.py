@@ -53,21 +53,27 @@ class BatchNorm2d(Module):
         self.running_var = np.ones(channels, dtype=np.float32)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        m = x.shape[0] * x.shape[2] * x.shape[3]
         if self.training:
             mu = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
+            # Centre once, for the variance and for x-hat.  These are
+            # np.var's own steps in its order — subtract the mean, square,
+            # sum, divide by an intp count (a float64 division rounded once
+            # to the sum's dtype) — so the bits are np.var's.
+            xc = x - mu[None, :, None, None]
+            var = np.square(xc).sum(axis=(0, 2, 3))
+            np.true_divide(var, np.intp(m), out=var, casting="unsafe")
             self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mu
             self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
         else:
             mu, var = self.running_mean, self.running_var
+            xc = x - mu[None, :, None, None]
         inv_std = 1.0 / np.sqrt(var + self.eps)
         self._inv_std = inv_std
-        self._xhat = (x - mu[None, :, None, None]) * inv_std[None, :, None, None]
-        self._m = x.shape[0] * x.shape[2] * x.shape[3]
-        return (
-            self.gamma.data[None, :, None, None] * self._xhat
-            + self.beta.data[None, :, None, None]
-        )
+        self._xhat = np.multiply(xc, inv_std[None, :, None, None], out=xc)
+        y = self.gamma.data[None, :, None, None] * self._xhat
+        y += self.beta.data[None, :, None, None]
+        return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         xhat = self._xhat

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.nn._select import keep_where
 from repro.nn.module import Module
 
 __all__ = ["AvgPool2d", "MaxPool2d", "GlobalAvgPool2d", "Flatten"]
@@ -34,31 +35,49 @@ class AvgPool2d(Module):
 
 
 class MaxPool2d(Module):
-    """Non-overlapping max pooling with window ``k``."""
+    """Non-overlapping max pooling with window ``k``.
+
+    The ``k*k`` window positions are ``k*k`` strided slabs of the input;
+    forward keeps a running maximum and the index of the slab that set it,
+    in the input's memory order, and returns a C-contiguous array.  Ties
+    go to the first position and a NaN, once seen, stays (``argmax``'s
+    rules), so backward routes each gradient where ``argmax`` would.
+    """
 
     def __init__(self, k: int):
         super().__init__()
+        if k <= 0:
+            raise ValueError("pool size must be positive")
         self.k = k
+
+    def _slabs(self, x: np.ndarray) -> list[np.ndarray]:
+        k = self.k
+        return [x[:, :, i::k, j::k] for i in range(k) for j in range(k)]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape
         k = self.k
         if h % k or w % k:
             raise ValueError(f"spatial dims ({h},{w}) not divisible by pool {k}")
-        blocks = x.reshape(n, c, h // k, k, w // k, k)
-        flat = blocks.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // k, w // k, k * k)
-        self._argmax = flat.argmax(axis=-1)
         self._in_shape = x.shape
-        return flat.max(axis=-1)
+        slabs = self._slabs(x)
+        best = slabs[0].copy(order="K")
+        arg = np.zeros_like(best, dtype=np.min_scalar_type(k * k - 1))
+        for t, slab in enumerate(slabs[1:], 1):
+            higher = np.maximum(best, slab)
+            # slab beats best: the maximum moved, and best was not already NaN.
+            take = higher != best
+            take &= best == best
+            np.maximum(arg, np.multiply(take, t, dtype=arg.dtype), out=arg)
+            best = higher
+        self._argmax = np.ascontiguousarray(arg)
+        return np.ascontiguousarray(best)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        n, c, h, w = self._in_shape
-        k = self.k
-        oh, ow = h // k, w // k
-        flat = np.zeros((n, c, oh, ow, k * k), dtype=grad_out.dtype)
-        np.put_along_axis(flat, self._argmax[..., None], grad_out[..., None], axis=-1)
-        blocks = flat.reshape(n, c, oh, ow, k, k).transpose(0, 1, 2, 4, 3, 5)
-        return blocks.reshape(n, c, h, w)
+        grad_in = np.empty(self._in_shape, dtype=grad_out.dtype)
+        for t, slab in enumerate(self._slabs(grad_in)):
+            keep_where(self._argmax == t, grad_out, out=slab)
+        return grad_in
 
 
 class GlobalAvgPool2d(Module):
