@@ -29,54 +29,34 @@ the ledgers themselves are scratch and live in a temporary directory.
 """
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from benchmarks._common import emit
-from repro import telemetry
 from repro.autotune import DEFAULT_MENU, AutotuneConfig, replay_extra_seconds
 from repro.core import CompsoCompressor
-from repro.data import make_image_data
-from repro.distributed import SimCluster
-from repro.faults import FaultPlan, LinkDegradation
-from repro.guard.guard import GuardConfig
-from repro.kfac_dist import DistributedKfacTrainer
-from repro.models import resnet_proxy
-from repro.obsv import LedgerConfig, autotune_timeline, load_ledger
-from repro.train import ClassificationTask
+from repro.obsv import autotune_timeline, load_ledger
+from repro.scenarios import SCENARIOS, fault_plan, run
 from repro.util.tables import format_table
 
-ITERATIONS = 12
-WINDOW = (4, 8)
+#: The closed loop is the registered run; every static config is that
+#: run with the controller off and the candidate's compressor.
+CLOSED_LOOP = SCENARIOS["autotune"]["autotuned-degraded"]
+ITERATIONS = CLOSED_LOOP.iterations
+_DEGRADED = fault_plan(CLOSED_LOOP).degradations[0]
+WINDOW = (_DEGRADED.start, _DEGRADED.stop)
 ALPHA0 = AutotuneConfig().alpha0
 
 
-def _run(*, compressor, autotune, ledger_path=None):
-    """One seeded K-FAC run under the shared degradation window."""
-    plan = FaultPlan(
-        degradations=[
-            LinkDegradation(
-                start=WINDOW[0], stop=WINDOW[1], latency_factor=4.0, bandwidth_factor=64.0
-            )
-        ]
+def _static(cand):
+    """The registered run with the controller off, holding ``cand``."""
+
+    def compressor(s):
+        return CompsoCompressor(cand.eb_f, cand.eb_q, encoder=cand.encoder, seed=s.job_seed)
+
+    return replace(
+        CLOSED_LOOP, compressor=None if cand.is_identity else compressor, autotune=False
     )
-    cluster = SimCluster(2, 2, seed=0, fault_plan=plan)
-    trainer = DistributedKfacTrainer(
-        resnet_proxy(n_classes=5, channels=16, rng=3),
-        ClassificationTask(make_image_data(256, n_classes=5, size=8, noise=0.5, seed=0)),
-        cluster,
-        lr=0.05,
-        inv_update_freq=2,
-        compressor=compressor,
-        guard=GuardConfig(),
-        obsv=LedgerConfig(str(ledger_path)) if ledger_path else None,
-        autotune=autotune,
-        reliable_channel=False,
-    )
-    with telemetry.session():
-        trainer.train(
-            iterations=ITERATIONS, batch_size=32, eval_every=ITERATIONS, seed=0
-        )
-    return trainer, cluster
 
 
 def run_experiment():
@@ -93,12 +73,8 @@ def _run_experiment(ledger_dir):
     # the controller's live accumulator.
     for cand in DEFAULT_MENU:
         path = ledger_dir / f"autotune_static_{cand.name}.ledger"
-        comp = (
-            None
-            if cand.is_identity
-            else CompsoCompressor(cand.eb_f, cand.eb_q, encoder=cand.encoder, seed=0)
-        )
-        trainer, cluster = _run(compressor=comp, autotune=None, ledger_path=path)
+        trainer, _ = run(_static(cand), path)
+        cluster = trainer.cluster
         extra = replay_extra_seconds(load_ledger(str(path)).steps, cand, alpha=ALPHA0)
         results[f"static:{cand.name}"] = {
             "sim_time": cluster.time,
@@ -108,11 +84,8 @@ def _run_experiment(ledger_dir):
             "retunes": 0,
         }
     closed_path = ledger_dir / "autotune_closed_loop.ledger"
-    trainer, cluster = _run(
-        compressor=CompsoCompressor(4e-3, 4e-3, seed=0),
-        autotune=AutotuneConfig(initial="identity", warmup=2, min_dwell=2),
-        ledger_path=closed_path,
-    )
+    trainer, _ = run(CLOSED_LOOP, closed_path)
+    cluster = trainer.cluster
     controller = trainer.autotune
     decisions = autotune_timeline(load_ledger(str(closed_path)))
     results["closed-loop"] = {
@@ -144,7 +117,8 @@ def test_ext_autotune(benchmark):
         ["config", "sim ms", "modelled extra ms", "end-to-end ms", "final loss", "retunes"],
         rows,
         title=f"Closed-loop autotune vs static configs (degraded window "
-        f"[{WINDOW[0]}, {WINDOW[1]}) of {ITERATIONS} iters: lat 4x, bw /64)",
+        f"[{WINDOW[0]}, {WINDOW[1]}) of {ITERATIONS} iters: "
+        f"lat {CLOSED_LOOP.latency_factor:g}x, bw /{CLOSED_LOOP.bandwidth_factor:g})",
     )
     timeline = "\n".join(
         f"  step {d['step']:>3}  {d['kind']:<7} {d['from']} -> {d['to']}"

@@ -17,12 +17,13 @@ within 5% of the fault-free run at equal iterations.
 """
 
 from benchmarks._common import emit
-from repro.faults.chaos import SCENARIOS, run_chaos
+from repro.faults.chaos import run_chaos
+from repro.scenarios import SCENARIOS
 from repro.util.tables import format_table
 
 
 def run_experiment():
-    return {name: run_chaos(name, iterations=12, seed=0) for name in SCENARIOS}
+    return {name: run_chaos(scenario) for name, scenario in SCENARIOS["chaos"].items()}
 
 
 def test_ext_chaos(benchmark):

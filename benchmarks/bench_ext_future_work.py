@@ -11,12 +11,8 @@
 import numpy as np
 
 from benchmarks._common import emit
-from repro.core import (
-    CompsoCompressor,
-    FactorCompressor,
-    FidelityBudget,
-    autotune_bounds,
-)
+from repro.autotune import FidelityBudget, autotune_bounds
+from repro.core import CompsoCompressor, FactorCompressor
 from repro.data import make_image_data
 from repro.distributed import PLATFORM1, SimCluster
 from repro.kfac_dist import (

@@ -24,13 +24,12 @@ import math
 
 from benchmarks._common import emit
 from repro.guard.scenario import run_guard_scenario
+from repro.scenarios import SCENARIOS
 from repro.util.tables import format_table
 
 
 def run_experiment():
-    return run_guard_scenario(
-        nodes=2, gpus_per_node=2, iterations=18, batch_size=32, seed=0
-    )
+    return run_guard_scenario(SCENARIOS["guard"]["guard"])
 
 
 def test_ext_guard(benchmark):

@@ -156,15 +156,15 @@ def _crash_sweep(workdir: Path):
 
 
 def _storage_fleet(workdir: Path):
-    from repro.fleet import FleetScheduler, preset_options, preset_specs
+    from repro.fleet import FleetScheduler
+    from repro.scenarios import FLEETS
 
-    specs = preset_specs("storage-smoke")
-    opts = preset_options("storage-smoke")
-    chaotic = FleetScheduler(specs, store_dir=workdir / "store", **opts).run()
+    fleet = FLEETS["storage-smoke"]
+    chaotic = FleetScheduler(fleet.jobs(), store_dir=workdir / "store", **fleet.options).run()
     # The clean control: identical specs with the fault plans stripped
     # and no store — the bit-identity reference for every final loss.
     clean = FleetScheduler(
-        [replace(s, fault_plan=None) for s in preset_specs("storage-smoke")], **opts
+        [replace(s, fault_plan=None) for s in fleet.jobs()], **fleet.options
     ).run()
     return chaotic, clean
 

@@ -21,59 +21,39 @@ errors, the on-path category split, and the attribution verdict.
 
 import shutil
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from benchmarks._common import emit
-from repro import telemetry
-from repro.core import CompsoCompressor
-from repro.data import make_image_data
-from repro.distributed import SimCluster
-from repro.faults import FaultPlan, LinkDegradation
-from repro.kfac_dist import DistributedKfacTrainer
-from repro.models import resnet_proxy
-from repro.obsv import LedgerConfig, load_ledger
-from repro.runtime import ComputeModel, StreamRuntime
-from repro.train import ClassificationTask
+from repro.obsv import load_ledger
+from repro.scenarios import SCENARIOS, run
 from repro.util.tables import format_table
 from repro.xray import attribute_regression, xray_records
 
 ITERATIONS = 8
 
+#: ``repro record --preset smoke-slow-net --xray`` at bench size: a
+#: smaller proxy for more iterations, unguarded, no final evaluation.
+SLOW_NET = replace(
+    SCENARIOS["record"]["smoke-slow-net"],
+    samples=160,
+    n_classes=4,
+    channels=4,
+    iterations=ITERATIONS,
+    guard=False,
+    evaluate=False,
+    xray=True,
+)
+
 
 def _run(ledger_path, *, overlap=False, slow_net=False):
     """One seeded K-FAC run with the xray analyzer attached."""
-    plan = None
-    if slow_net:
-        plan = FaultPlan(
-            degradations=[
-                LinkDegradation(
-                    start=0, stop=ITERATIONS, latency_factor=4.0, bandwidth_factor=8.0
-                )
-            ]
-        )
-    cluster = SimCluster(2, 2, seed=0, fault_plan=plan)
-    runtime = None
-    if overlap:
-        runtime = StreamRuntime(
-            cluster, overlap=True, n_comm_streams=2, compute=ComputeModel(train_flops=5e7)
-        )
-    task = ClassificationTask(
-        make_image_data(160, n_classes=4, size=8, noise=0.5, seed=0)
+    scenario = replace(
+        SLOW_NET,
+        schedule="overlapped" if overlap else None,
+        faults=SLOW_NET.faults if slow_net else None,
     )
-    trainer = DistributedKfacTrainer(
-        resnet_proxy(n_classes=4, channels=4, rng=3),
-        task,
-        cluster,
-        lr=0.05,
-        inv_update_freq=2,
-        compressor=CompsoCompressor(4e-3, 4e-3, seed=0),
-        runtime=runtime,
-        reliable_channel=False,
-        obsv=LedgerConfig(ledger_path),
-        xray=True,
-    )
-    with telemetry.session():
-        trainer.train(iterations=ITERATIONS, batch_size=32, seed=0)
+    trainer, _ = run(scenario, ledger_path)
     return trainer
 
 

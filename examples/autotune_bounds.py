@@ -10,7 +10,8 @@ Run with:  python examples/autotune_bounds.py
 
 import numpy as np
 
-from repro.core import CompsoCompressor, FidelityBudget, autotune_bounds
+from repro.autotune import FidelityBudget, autotune_bounds
+from repro.core import CompsoCompressor
 from repro.data import make_image_data
 from repro.distributed import SimCluster
 from repro.kfac_dist import DistributedKfacTrainer

@@ -1,7 +1,7 @@
 """Closed-loop cost-model autotuning for the compression stack.
 
 COMPSO picks its aggregation factor and encoder from an *offline*
-performance model, and :func:`repro.core.autotune.autotune_bounds`
+performance model, and :func:`repro.autotune.offline.autotune_bounds`
 searches error bounds on sample gradients *before* training starts.
 This subsystem closes the loop: an :class:`AutotuneController` observes
 live signals each step — per-layer wire/dense bytes, what the simulated
@@ -20,9 +20,8 @@ controller is vetoed and pins the safe candidate (DESIGN.md decision
 rendered by ``repro report``; ``repro autotune`` runs the static /
 autotuned / autotuned-degraded presets.
 
-This package is also the single import surface for the *offline* bound
-tuner (:func:`autotune_bounds`, :class:`FidelityBudget`), re-exported
-from :mod:`repro.core.autotune`.
+The *offline* bound tuner (:func:`autotune_bounds`,
+:class:`FidelityBudget`) lives beside it in :mod:`repro.autotune.offline`.
 """
 
 from repro.autotune.controller import AutotuneConfig, AutotuneController, as_autotune
@@ -34,9 +33,9 @@ from repro.autotune.cost_model import (
     modelled_extra_seconds,
     replay_extra_seconds,
 )
+from repro.autotune.offline import FidelityBudget, TuneResult, autotune_bounds
 from repro.autotune.policy import HysteresisPolicy
 from repro.autotune.types import DEFAULT_MENU, CandidateConfig, Decision
-from repro.core.autotune import FidelityBudget, TuneResult, autotune_bounds
 
 __all__ = [
     "DEFAULT_MENU",

@@ -52,15 +52,7 @@ class FidelityBudget:
                 "(0 or less is unsatisfiable for any lossy compressor)"
             )
 
-    def check(self, original: np.ndarray, restored: np.ndarray) -> bool:
-        x = original.ravel().astype(np.float64)
-        y = restored.ravel().astype(np.float64)
-        nx = np.linalg.norm(x)
-        if nx == 0:
-            return True
-        rel_l2 = np.linalg.norm(y - x) / nx
-        ny = np.linalg.norm(y)
-        cosine = float(x @ y / (nx * ny)) if ny > 0 else 0.0
+    def admits(self, cosine: float, rel_l2: float) -> bool:
         return cosine >= self.min_cosine and rel_l2 <= self.max_rel_l2
 
 
@@ -130,8 +122,7 @@ def autotune_bounds(
         # Feasibility at the tight end: if the tightest eb_q already
         # violates the budget, this filter bound is too aggressive.
         comp = CompsoCompressor(eb_f, lo_q, encoder=encoder, seed=seed)
-        cos, l2 = _fidelity(grads, comp)
-        if cos < budget.min_cosine or l2 > budget.max_rel_l2:
+        if not budget.admits(*_fidelity(grads, comp)):
             trace.append((eb_f, lo_q, 0.0, False))
             continue
         lo, hi = lo_q, hi_q
@@ -139,8 +130,7 @@ def autotune_bounds(
         for _ in range(refine_steps):
             mid = float(np.sqrt(lo * hi))  # geometric bisection
             comp = CompsoCompressor(eb_f, mid, encoder=encoder, seed=seed)
-            cos, l2 = _fidelity(grads, comp)
-            ok = cos >= budget.min_cosine and l2 <= budget.max_rel_l2
+            ok = budget.admits(*_fidelity(grads, comp))
             trace.append((eb_f, mid, 0.0, ok))
             if ok:
                 best_q = mid

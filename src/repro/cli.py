@@ -1,49 +1,14 @@
-"""Command-line interface: ``python -m repro <command>``.
+"""Command-line interface: ``python -m repro <command>`` (``--help`` lists the commands).
 
-Commands:
-
-* ``info`` — package inventory and available compressors/encoders;
-* ``compress`` — compress a ``.npy`` float32 tensor (or a synthetic
-  demo payload) with a chosen compressor and report ratio/error;
-* ``demo-train`` — a one-minute distributed K-FAC + COMPSO training demo;
-* ``trace`` — run a short simulated training job with telemetry enabled
-  and write a Chrome trace (``chrome://tracing`` / Perfetto), a metrics
-  JSONL dump, and a plain-text summary;
-* ``chaos`` — run a scripted fault-injection scenario against a clean
-  baseline and report convergence delta, recovery counters, and
-  time-to-recover;
-* ``guard`` — run a seeded chaos plan with and without the repro.guard
-  self-healing layer (checksums off) and report the remediation
-  timeline: verdicts, circuit-breaker transitions, rollbacks;
-* ``overlap`` — train the same K-FAC job blocking and with scheduled
-  compute/communication overlap, verify the two are bit-identical, and
-  report the measured hidden-communication split;
-* ``tune`` — offline error-bound search: find the ``(eb_f, eb_q)`` pair
-  maximising compression ratio under a gradient-fidelity budget on
-  sample gradients;
-* ``autotune`` — run a K-FAC job with the closed-loop online autotuner
-  (``repro.autotune``) re-picking the compression config from live
-  cost-model signals, optionally under an injected link-degradation
-  window, and record every decision in the run ledger;
-* ``record`` — run a seeded guarded+overlapped training job and write
-  its run ledger (the canonical per-run observability artifact);
-* ``report`` — render a recorded ledger as a self-contained HTML
-  dashboard plus a markdown summary;
-* ``diff`` — compare two ledgers under per-metric tolerance bands and
-  exit non-zero on regression (the CI perf gate); ``--attribute`` names
-  the critical-path segment responsible for a slowdown;
-* ``xray`` — render an xray-enabled ledger's per-step critical-path
-  attribution as a self-contained HTML flame view plus markdown;
-* ``fleet`` — time-share the simulated fabric between a fleet of
-  concurrent training jobs on the representative-rank timing track,
-  reporting per-job contention, slowdown, and peak payload memory;
-* ``experiments`` — list the paper's tables/figures and their benches.
+A command that trains looks its run up in ``repro.scenarios``, lays the
+flags the user actually set over it, runs it and prints.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -61,9 +26,17 @@ _EXPERIMENTS = [
     ("Fig. 9", "end-to-end performance gain", "bench_fig09_end2end.py"),
     ("Ablations", "adaptive/aggregation/fusion/packing", "bench_ablation_*.py"),
     ("Sec. 7", "future work: autotune + factor compression", "bench_ext_future_work.py"),
+    ("Sec. 7", "closed-loop autotune vs every static config", "bench_ext_autotune.py"),
+    ("Sec. 4.1", "where compression stops paying off", "bench_ext_sensitivity.py"),
+    ("Sec. 6", "Ok-topk adaptivity + error-feedback memory", "bench_ext_related_work.py"),
+    ("Sec. 6", "data-parallel KAISA vs PipeFisher", "bench_ext_pipefisher.py"),
+    ("Runtime", "blocking vs scheduled comm/compute overlap", "bench_runtime_overlap.py"),
+    ("Runtime", "xray critical-path attribution", "bench_ext_xray.py"),
+    ("Runtime", "multi-job fleet on a shared fabric", "bench_ext_fleet.py"),
     ("Robustness", "chaos scenarios vs fault-free twin", "bench_ext_chaos.py"),
     ("Robustness", "guarded vs unguarded run under corruption", "bench_ext_guard.py"),
     ("Robustness", "store crash-consistency + storage chaos", "bench_ext_store.py"),
+    ("Robustness", "fleet restarts/preemption under seeded chaos", "bench_ext_fleet_chaos.py"),
 ]
 
 
@@ -84,6 +57,14 @@ def _make_compressor(name: str, seed: int):
     return factories[name]()
 
 
+def _write_json(path: str, document, lead: str = "\n") -> None:
+    import json
+
+    with open(path, "w") as f:
+        json.dump(document, f, indent=2)
+    print(f"{lead}wrote {path}")
+
+
 def cmd_info(args: argparse.Namespace) -> int:
     import repro
     from repro.encoders import list_encoders
@@ -95,16 +76,19 @@ def cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
+def _synthetic_gradient(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A K-FAC-like mixture: mostly tiny values, 12 % heavy-tailed ones."""
+    small = rng.standard_normal(n) * 1e-4
+    big = rng.standard_normal(n) * np.exp(rng.standard_normal(n)) * 5e-2
+    return np.where(rng.random(n) < 0.12, big, small).astype(np.float32)
+
+
 def cmd_compress(args: argparse.Namespace) -> int:
     if args.input:
         x = np.load(args.input).astype(np.float32)
     else:
-        rng = np.random.default_rng(args.seed)
-        n = args.size
-        small = rng.standard_normal(n) * 1e-4
-        big = rng.standard_normal(n) * np.exp(rng.standard_normal(n)) * 5e-2
-        x = np.where(rng.random(n) < 0.12, big, small).astype(np.float32)
-        print(f"(no --input given; using a synthetic {n}-element K-FAC-like tensor)")
+        x = _synthetic_gradient(np.random.default_rng(args.seed), args.size)
+        print(f"(no --input given; using a synthetic {args.size}-element K-FAC-like tensor)")
     comp = _make_compressor(args.compressor, args.seed)
     if args.encoder:
         from repro.encoders import list_encoders
@@ -138,13 +122,7 @@ def _sample_gradients(args: argparse.Namespace) -> list[np.ndarray]:
     if args.input:
         return [np.load(args.input).astype(np.float32)]
     rng = np.random.default_rng(args.seed)
-    grads = []
-    for _ in range(args.samples):
-        n = args.size
-        small = rng.standard_normal(n) * 1e-4
-        big = rng.standard_normal(n) * np.exp(rng.standard_normal(n)) * 5e-2
-        grads.append(np.where(rng.random(n) < 0.12, big, small).astype(np.float32))
-    return grads
+    return [_synthetic_gradient(rng, args.size) for _ in range(args.samples)]
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
@@ -175,62 +153,48 @@ def cmd_tune(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_demo_train(args: argparse.Namespace) -> int:
-    from repro.core import AdaptiveCompso, StepLrSchedule
-    from repro.data import make_image_data
-    from repro.distributed import SimCluster
-    from repro.kfac_dist import DistributedKfacTrainer
-    from repro.models import resnet_proxy
-    from repro.train import ClassificationTask
+#: The flags (and the Scenario fields they write) every training command
+#: shares; ``_add_shape_flags`` declares them.
+_SHAPE = ("nodes", "gpus_per_node", "iterations", "batch_size")
 
-    task = ClassificationTask(make_image_data(500, n_classes=5, size=8, noise=0.5, seed=0))
-    trainer = DistributedKfacTrainer(
-        resnet_proxy(n_classes=5, channels=8, rng=3),
-        task,
-        SimCluster(1, args.ranks, seed=0),
-        lr=0.05,
-        inv_update_freq=5,
-        compressor=AdaptiveCompso(StepLrSchedule(args.iterations // 2)),
-    )
-    h = trainer.train(iterations=args.iterations, batch_size=64, eval_every=args.iterations)
-    print(f"ranks={args.ranks} iterations={args.iterations}")
+
+def _given(args: argparse.Namespace, *flags: str, **fields: str) -> dict:
+    """The flags the user actually set — one left unset parses to ``None``,
+    which means "as registered" — keyed by the field each writes: its own
+    name for ``flags``; ``fields`` maps a field to a differently named flag."""
+    named = {**{f: f for f in flags}, **fields}
+    return {k: getattr(args, f) for k, f in named.items() if getattr(args, f) is not None}
+
+
+def _scenario(args: argparse.Namespace, command: str, name: str | None, *flags: str, **fields: str):
+    """The registered run ``name`` of ``command`` (a command with one run
+    registers it under its own name) with the given flags laid over it."""
+    from repro.scenarios import SCENARIOS
+
+    return replace(SCENARIOS[command][name or command], **_given(args, *flags, **fields))
+
+
+def cmd_demo_train(args: argparse.Namespace) -> int:
+    from repro import scenarios
+
+    s = _scenario(args, "demo-train", None, "iterations", gpus_per_node="ranks")
+    trainer, _ = scenarios.run(s)
+    h = trainer.history
+    print(f"ranks={s.world} iterations={s.iterations}")
     print(f"loss {h.losses[0]:.3f} -> {h.losses[-1]:.4f}; accuracy {h.final_metric():.1f}%")
     print(f"mean compression ratio {trainer.mean_compression_ratio():.2f}x")
     return 0
 
 
-#: Tiny proxy workloads small enough to trace in seconds.
-_TRACE_MODELS = ("mini-resnet", "mini-detection")
-
-
-def _build_trace_trainer(args: argparse.Namespace):
-    from repro.data import make_detection_data, make_image_data
-    from repro.distributed import SimCluster
-    from repro.kfac_dist import DistributedKfacTrainer
-    from repro.models import maskrcnn_proxy, resnet_proxy
-    from repro.train import ClassificationTask, DetectionTask
-
-    cluster = SimCluster(args.nodes, args.gpus_per_node, seed=0)
-    compressor = None
-    if args.compressor != "none":
-        compressor = _make_compressor(args.compressor, seed=0)
-    if args.model == "mini-resnet":
-        task = ClassificationTask(make_image_data(256, n_classes=5, size=8, noise=0.5, seed=0))
-        model = resnet_proxy(n_classes=5, channels=8, rng=3)
-    else:
-        task = DetectionTask(make_detection_data(256, size=8, seed=0))
-        model = maskrcnn_proxy(rng=3)
-    return DistributedKfacTrainer(
-        model, task, cluster, lr=0.05, inv_update_freq=5, compressor=compressor
-    )
+def _trace_compressor(name: str):
+    """``trace --compressor NAME`` as a ``Scenario.compressor`` factory."""
+    return lambda s: None if name == "none" else _make_compressor(name, s.job_seed)
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    from repro import telemetry
+    from repro import scenarios, telemetry
 
-    trainer = _build_trace_trainer(args)
-    with telemetry.session() as t:
-        trainer.train(iterations=args.iterations, batch_size=args.batch_size)
+    trainer, t = scenarios.run(_scenario(args, "trace", None, "model", *_SHAPE, "compressor"))
     trace_path = telemetry.write_chrome_trace(t.tracer, args.out)
     print(f"wrote {trace_path} ({len(t.tracer.spans())} spans)")
     if args.metrics_out:
@@ -261,28 +225,16 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.faults.chaos import make_plan, run_chaos
+    from repro import scenarios
+    from repro.faults.chaos import run_chaos
 
-    plan = make_plan(
-        args.scenario, args.nodes * args.gpus_per_node, args.iterations, seed=args.seed
-    )
-    print(plan.describe())
+    s = _scenario(args, "chaos", args.scenario, *_SHAPE, "seed", job_seed="seed")
+    print(scenarios.fault_plan(s).describe())
     print()
-    result = run_chaos(
-        args.scenario,
-        nodes=args.nodes,
-        gpus_per_node=args.gpus_per_node,
-        iterations=args.iterations,
-        batch_size=args.batch_size,
-        seed=args.seed,
-    )
+    result = run_chaos(s)
     print(result.summary())
     if args.json:
-        import json
-
-        with open(args.json, "w") as f:
-            json.dump(result.to_dict(), f, indent=2)
-        print(f"\nwrote {args.json}")
+        _write_json(args.json, result.to_dict())
     if not result.completed:
         print("ERROR: faulted run did not complete all iterations", file=sys.stderr)
         return 1
@@ -292,31 +244,16 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 def cmd_guard(args: argparse.Namespace) -> int:
     import math
 
-    from repro.guard.scenario import make_guard_plan, run_guard_scenario
+    from repro import scenarios
+    from repro.guard.scenario import run_guard_scenario
 
-    plan = make_guard_plan(
-        args.nodes * args.gpus_per_node,
-        args.iterations,
-        seed=args.seed,
-        corruption=args.corruption,
-    )
-    print(plan.describe())
+    s = _scenario(args, "guard", None, *_SHAPE, "seed", "corruption", job_seed="seed")
+    print(scenarios.fault_plan(s).describe())
     print()
-    result = run_guard_scenario(
-        nodes=args.nodes,
-        gpus_per_node=args.gpus_per_node,
-        iterations=args.iterations,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        corruption=args.corruption,
-    )
+    result = run_guard_scenario(s)
     print(result.summary())
     if args.json:
-        import json
-
-        with open(args.json, "w") as f:
-            json.dump(result.to_dict(), f, indent=2)
-        print(f"\nwrote {args.json}")
+        _write_json(args.json, result.to_dict())
     if not result.guarded_completed or not math.isfinite(result.guarded_loss):
         print("ERROR: guarded run did not survive the fault plan", file=sys.stderr)
         return 1
@@ -327,43 +264,24 @@ def cmd_guard(args: argparse.Namespace) -> int:
 
 
 def cmd_overlap(args: argparse.Namespace) -> int:
-    from repro.data import make_image_data
-    from repro.distributed import SimCluster
-    from repro.kfac_dist import DistributedKfacTrainer
-    from repro.models import resnet_proxy
-    from repro.runtime import ComputeModel, StreamRuntime
-    from repro.train import ClassificationTask
+    from repro import scenarios
 
-    def run(overlap: bool):
-        task = ClassificationTask(
-            make_image_data(256, n_classes=5, size=8, noise=0.5, seed=0)
-        )
+    s = _scenario(args, "overlap", None, "batch_size", "streams", "train_flops", iterations="iters")
+    if args.ranks is not None:
         gpus = min(args.ranks, 4)
-        cluster = SimCluster(args.ranks // gpus, gpus, seed=0)
-        rt = StreamRuntime(
-            cluster,
-            overlap=overlap,
-            n_comm_streams=args.streams,
-            compute=ComputeModel(train_flops=args.train_flops),
-        )
-        trainer = DistributedKfacTrainer(
-            resnet_proxy(n_classes=5, channels=8, rng=3),
-            task,
-            cluster,
-            lr=0.05,
-            inv_update_freq=2,
-            runtime=rt,
-        )
-        trainer.train(iterations=args.iters, batch_size=args.batch_size)
-        params = np.concatenate([p.data.ravel() for p in trainer.model.parameters()])
-        return params, cluster.time, rt
+        if args.ranks < 1 or args.ranks % gpus:
+            raise SystemExit(f"--ranks must be a multiple of 4 (or < 4), got {args.ranks}")
+        s = replace(s, nodes=args.ranks // gpus, gpus_per_node=gpus)
 
-    if args.ranks < 1 or args.ranks % min(args.ranks, 4):
-        raise SystemExit(f"--ranks must be a multiple of 4 (or < 4), got {args.ranks}")
-    blk_params, blk_time, _ = run(overlap=False)
-    ovl_params, ovl_time, rt = run(overlap=True)
+    def run(schedule: str):
+        trainer, _ = scenarios.run(replace(s, schedule=schedule))
+        params = np.concatenate([p.data.ravel() for p in trainer.model.parameters()])
+        return params, trainer.cluster.time, trainer.runtime
+
+    blk_params, blk_time, _ = run("blocking")
+    ovl_params, ovl_time, rt = run("overlapped")
     identical = bool(np.array_equal(blk_params, ovl_params))
-    print(f"ranks={args.ranks} iters={args.iters} comm-streams={args.streams}")
+    print(f"ranks={s.world} iters={s.iterations} comm-streams={s.streams}")
     print(f"blocking   : {blk_time * 1e3:.3f} ms simulated")
     print(f"overlapped : {ovl_time * 1e3:.3f} ms simulated ({blk_time / ovl_time:.2f}x)")
     print(f"bit-identical parameters: {identical}")
@@ -372,18 +290,16 @@ def cmd_overlap(args: argparse.Namespace) -> int:
         f"exposed {rt.exposed_comm_seconds() * 1e3:.3f} ms "
         f"(hidden fraction {rt.hidden_fraction():.2f})"
     )
-    for cat, s in rt.overlap_stats().items():
+    for cat, split in rt.overlap_stats().items():
         print(
-            f"  {cat:16s} hidden {s['hidden'] * 1e3:8.3f} ms   "
-            f"exposed {s['exposed'] * 1e3:8.3f} ms"
+            f"  {cat:16s} hidden {split['hidden'] * 1e3:8.3f} ms   "
+            f"exposed {split['exposed'] * 1e3:8.3f} ms"
         )
     if args.json:
-        import json
-
         payload = {
-            "ranks": args.ranks,
-            "iters": args.iters,
-            "n_comm_streams": args.streams,
+            "ranks": s.world,
+            "iters": s.iterations,
+            "n_comm_streams": s.streams,
             "blocking_seconds": blk_time,
             "overlapped_seconds": ovl_time,
             "speedup": blk_time / ovl_time,
@@ -393,87 +309,23 @@ def cmd_overlap(args: argparse.Namespace) -> int:
             "hidden_fraction": rt.hidden_fraction(),
             "per_category": rt.overlap_stats(),
         }
-        with open(args.json, "w") as f:
-            json.dump(payload, f, indent=2)
-        print(f"\nwrote {args.json}")
+        _write_json(args.json, payload)
     if not identical:
         print("ERROR: overlapped parameters diverged from blocking", file=sys.stderr)
         return 1
     return 0
 
 
-#: ``repro record`` presets: one honest configuration, one with a
-#: deliberately loosened error bound (the regression the diff gate must
-#: catch), and one on a deliberately slowed fabric (the regression
-#: ``diff --attribute`` must *name*: its critical path grows in a comm
-#: category).  Everything else is shared so the runs stay like-for-like.
-_RECORD_PRESETS = {
-    "smoke": {"eb": 4e-3},
-    "smoke-degraded": {"eb": 0.5},
-    "smoke-slow-net": {"eb": 4e-3, "slow_net": True},
-}
-
-
 def cmd_record(args: argparse.Namespace) -> int:
-    from repro import telemetry
-    from repro.core import CompsoCompressor
-    from repro.data import make_image_data
-    from repro.distributed import SimCluster
-    from repro.guard.guard import GuardConfig
-    from repro.kfac_dist import DistributedKfacTrainer
-    from repro.models import resnet_proxy
-    from repro.obsv import LedgerConfig, load_ledger, summarize
-    from repro.runtime import ComputeModel, StreamRuntime
-    from repro.train import ClassificationTask
+    from repro import scenarios
+    from repro.obsv import load_ledger, summarize
 
-    preset = _RECORD_PRESETS[args.preset]
-    eb = args.eb if args.eb is not None else preset["eb"]
-    task = ClassificationTask(
-        make_image_data(256, n_classes=5, size=8, noise=0.5, seed=0)
-    )
-    plan = None
-    if preset.get("slow_net"):
-        from repro.faults import FaultPlan, LinkDegradation
-
-        # A degradation window covering the whole run: every collective
-        # pays 4x latency and 1/8 bandwidth, so the critical path grows
-        # in the comm categories — the segment attribution must name.
-        plan = FaultPlan(
-            degradations=[
-                LinkDegradation(
-                    start=0,
-                    stop=args.iterations,
-                    latency_factor=4.0,
-                    bandwidth_factor=8.0,
-                )
-            ]
-        )
-    cluster = SimCluster(args.nodes, args.gpus_per_node, seed=0, fault_plan=plan)
-    runtime = None
-    if not args.no_overlap:
-        runtime = StreamRuntime(
-            cluster, overlap=True, n_comm_streams=2, compute=ComputeModel(train_flops=5e7)
-        )
-    trainer = DistributedKfacTrainer(
-        resnet_proxy(n_classes=5, channels=8, rng=3),
-        task,
-        cluster,
-        lr=0.05,
-        inv_update_freq=2,
-        compressor=CompsoCompressor(eb, eb, seed=0),
-        runtime=runtime,
-        guard=None if args.no_guard else GuardConfig(),
-        obsv=LedgerConfig(args.out, note=f"preset={args.preset} eb={eb}"),
-        xray=True if args.xray else None,
-        reliable_channel=False,
-    )
-    with telemetry.session():
-        trainer.train(
-            iterations=args.iterations,
-            batch_size=args.batch_size,
-            eval_every=args.iterations,
-            seed=args.seed,
-        )
+    s = _scenario(args, "record", args.preset, *_SHAPE, "seed", "eb", "xray")
+    if args.no_guard:
+        s = replace(s, guard=False)
+    if args.no_overlap:
+        s = replace(s, schedule=None)
+    scenarios.run(s, args.out)
     ledger = load_ledger(args.out)
     print(f"wrote {args.out} ({len(ledger.steps)} step records)")
     for key, value in summarize(ledger).items():
@@ -481,76 +333,16 @@ def cmd_record(args: argparse.Namespace) -> int:
     return 0
 
 
-#: ``repro autotune`` presets: the same seeded K-FAC job run with a
-#: fixed compression config, with the closed-loop controller on a clean
-#: fabric, and with the controller under an injected mid-run
-#: link-degradation window (the case it exists for).
-_AUTOTUNE_PRESETS = {
-    "static": {"autotune": False, "degraded": False},
-    "autotuned": {"autotune": True, "degraded": False},
-    "autotuned-degraded": {"autotune": True, "degraded": True},
-}
-
-
 def cmd_autotune(args: argparse.Namespace) -> int:
-    from repro import telemetry
+    from repro import scenarios
     from repro.autotune import AutotuneConfig
-    from repro.core import CompsoCompressor
-    from repro.data import make_image_data
-    from repro.distributed import SimCluster
-    from repro.faults import FaultPlan, LinkDegradation
-    from repro.guard.guard import GuardConfig
-    from repro.kfac_dist import DistributedKfacTrainer
-    from repro.models import resnet_proxy
-    from repro.obsv import LedgerConfig, autotune_timeline, load_ledger, summarize
-    from repro.train import ClassificationTask
+    from repro.obsv import autotune_timeline, load_ledger, summarize
 
-    preset = _AUTOTUNE_PRESETS[args.preset]
-    start = args.iterations // 3
-    stop = max(2 * args.iterations // 3, start + 1)
-    plan = None
-    if preset["degraded"]:
-        plan = FaultPlan(
-            degradations=[
-                LinkDegradation(
-                    start=start,
-                    stop=stop,
-                    latency_factor=args.latency_factor,
-                    bandwidth_factor=args.bandwidth_factor,
-                )
-            ]
-        )
-    autotune = None
-    if preset["autotune"]:
-        autotune = AutotuneConfig(
-            initial="identity",
-            warmup=args.warmup,
-            min_dwell=args.min_dwell,
-            seed=args.seed,
-        )
-    task = ClassificationTask(
-        make_image_data(256, n_classes=5, size=8, noise=0.5, seed=0)
+    s = _scenario(
+        args, "autotune", args.preset, *_SHAPE,
+        "seed", "channels", "latency_factor", "bandwidth_factor", "warmup", "min_dwell",
     )
-    cluster = SimCluster(args.nodes, args.gpus_per_node, seed=0, fault_plan=plan)
-    trainer = DistributedKfacTrainer(
-        resnet_proxy(n_classes=5, channels=args.channels, rng=3),
-        task,
-        cluster,
-        lr=0.05,
-        inv_update_freq=2,
-        compressor=CompsoCompressor(4e-3, 4e-3, seed=0),
-        guard=GuardConfig(),
-        obsv=LedgerConfig(args.out, note=f"autotune preset={args.preset}"),
-        autotune=autotune,
-        reliable_channel=False,
-    )
-    with telemetry.session():
-        trainer.train(
-            iterations=args.iterations,
-            batch_size=args.batch_size,
-            eval_every=args.iterations,
-            seed=args.seed,
-        )
+    trainer, _ = scenarios.run(s, args.out)
     ledger = load_ledger(args.out)
     summary = summarize(ledger)
     controller = trainer.autotune
@@ -562,8 +354,11 @@ def cmd_autotune(args: argparse.Namespace) -> int:
 
         default = next(c for c in DEFAULT_MENU if c.name == "default")
         extra = replay_extra_seconds(ledger.steps, default, alpha=AutotuneConfig().alpha0)
-    window = f"[{start}, {stop})" if preset["degraded"] else "none"
-    print(f"preset={args.preset} iterations={args.iterations} degraded window {window}")
+    window = "none"
+    if s.faults is not None:
+        degraded = scenarios.fault_plan(s).degradations[0]
+        window = f"[{degraded.start}, {degraded.stop})"
+    print(f"preset={args.preset} iterations={s.iterations} degraded window {window}")
     print(f"wrote {args.out} ({len(ledger.steps)} step records)")
     for key, value in summary.items():
         print(f"  {key:22s} {value}")
@@ -662,14 +457,10 @@ def cmd_diff(args: argparse.Namespace) -> int:
                 f"busiest phase: {attribution['phase']}"
             )
     if args.json:
-        import json
-
         payload = diff.to_dict()
         if args.attribute:
             payload["attribution"] = attribution
-        with open(args.json, "w") as f:
-            json.dump(payload, f, indent=2)
-        print(f"\nwrote {args.json}")
+        _write_json(args.json, payload)
     if not diff.ok:
         names = ", ".join(r.metric for r in diff.regressions)
         print(f"\nREGRESSION: {names}", file=sys.stderr)
@@ -679,30 +470,20 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.fleet import (
-        FleetScheduler,
-        apply_chaos,
-        fabric_degradations,
-        preset_options,
-        preset_specs,
-    )
+    from repro.fleet import FleetScheduler, apply_chaos, fabric_degradations
+    from repro.scenarios import FLEETS
 
-    specs = preset_specs(args.preset)
-    options = preset_options(args.preset)
+    fleet = FLEETS[args.preset]
+    specs = fleet.jobs()
+    options = {**fleet.options, **_given(args, "max_concurrent", "retry_budget")}
     if args.chaos:
         specs = apply_chaos(specs, rate=args.fault_rate, seed=args.chaos_seed)
         options.setdefault(
             "fabric_degradations",
             fabric_degradations(specs, rate=args.fault_rate, seed=args.chaos_seed),
         )
-    if args.max_concurrent is not None:
-        options["max_concurrent"] = args.max_concurrent
-    if args.retry_budget is not None:
-        options["retry_budget"] = args.retry_budget
     store_dir = args.store_dir
-    if store_dir is None and args.preset == "storage-smoke":
-        # The storage-smoke faults live on the checkpoint save path, so
-        # the preset is meaningless without a store.
+    if store_dir is None and fleet.needs_store:
         import os.path
         import tempfile
 
@@ -711,7 +492,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             if args.out
             else tempfile.mkdtemp(prefix="repro-store-")
         )
-        print(f"storage-smoke needs a checkpoint store; using {store_dir}")
+        print(f"{args.preset} needs a checkpoint store; using {store_dir}")
     scheduler = FleetScheduler(specs, ledger_dir=args.out, store_dir=store_dir, **options)
     result = scheduler.run()
     header = (
@@ -747,11 +528,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     if args.out:
         print(f"per-job ledgers in {args.out}/")
     if args.json:
-        import json
-
-        with open(args.json, "w") as f:
-            json.dump(result.to_dict(), f, indent=2)
-        print(f"wrote {args.json}")
+        _write_json(args.json, result.to_dict(), lead="")
     return 0
 
 
@@ -774,11 +551,7 @@ def cmd_fsck(args: argparse.Namespace) -> int:
         f"{len(problems)} problem(s){' (repair applied)' if args.repair else ''}"
     )
     if args.json:
-        import json
-
-        with open(args.json, "w") as f:
-            json.dump([v.to_dict() for v in verdicts], f, indent=2)
-        print(f"wrote {args.json}")
+        _write_json(args.json, [v.to_dict() for v in verdicts], lead="")
     if args.repair:
         # Repair mode fails only when damage remains beyond repair.
         return 1 if unrepairable else 0
@@ -793,7 +566,20 @@ def cmd_experiments(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_shape_flags(p: argparse.ArgumentParser, *, seed: bool = True) -> None:
+    # Like every flag that shapes a run, these default to ``None``: "as
+    # registered" in repro.scenarios (see ``_given``).
+    p.add_argument("--nodes", type=int)
+    p.add_argument("--gpus-per-node", type=int)
+    p.add_argument("--iterations", type=int)
+    p.add_argument("--batch-size", type=int)
+    if seed:
+        p.add_argument("--seed", type=int)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    from repro.scenarios import FLEETS, MODELS, SCENARIOS
+
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -824,56 +610,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("demo-train", help="quick distributed K-FAC + COMPSO demo")
-    p.add_argument("--ranks", type=int, default=4)
-    p.add_argument("--iterations", type=int, default=20)
+    p.add_argument("--ranks", type=int)
+    p.add_argument("--iterations", type=int)
     p.set_defaults(func=cmd_demo_train)
 
     p = sub.add_parser("trace", help="trace a short simulated run (Chrome trace + metrics)")
-    p.add_argument("--model", default="mini-resnet", choices=_TRACE_MODELS)
-    p.add_argument("--nodes", type=int, default=2)
-    p.add_argument("--gpus-per-node", type=int, default=2)
-    p.add_argument("--iterations", type=int, default=5)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--compressor", default="compso", help="compressor name or 'none'")
+    p.add_argument("--model", choices=MODELS)
+    _add_shape_flags(p, seed=False)
+    p.add_argument("--compressor", type=_trace_compressor, help="compressor name or 'none'")
     p.add_argument("--out", default="trace.json", help="Chrome trace output path")
     p.add_argument("--metrics-out", default="metrics.jsonl", help="metrics JSONL path ('' skips)")
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("chaos", help="run a fault-injection scenario vs a clean baseline")
-    from repro.faults.chaos import SCENARIOS
-
-    p.add_argument("--scenario", default="mixed", choices=SCENARIOS)
-    p.add_argument("--nodes", type=int, default=2)
-    p.add_argument("--gpus-per-node", type=int, default=2)
-    p.add_argument("--iterations", type=int, default=12)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--scenario", default="mixed", choices=list(SCENARIOS["chaos"]))
+    _add_shape_flags(p)
     p.add_argument("--json", default="", help="write the ChaosResult as JSON to this path")
     p.set_defaults(func=cmd_chaos)
 
     p = sub.add_parser(
         "guard", help="guarded vs unguarded chaos run (remediation timeline)"
     )
-    p.add_argument("--nodes", type=int, default=2)
-    p.add_argument("--gpus-per-node", type=int, default=2)
-    p.add_argument("--iterations", type=int, default=18)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--corruption", type=float, default=0.6)
+    _add_shape_flags(p)
+    p.add_argument("--corruption", type=float)
     p.add_argument("--json", default="", help="write the GuardRunResult as JSON to this path")
     p.set_defaults(func=cmd_guard)
 
     p = sub.add_parser(
         "overlap", help="compare blocking vs scheduled-overlap execution"
     )
-    p.add_argument("--ranks", type=int, default=8)
-    p.add_argument("--iters", type=int, default=5)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--streams", type=int, default=2, help="comm streams per rank")
+    p.add_argument("--ranks", type=int)
+    p.add_argument("--iters", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--streams", type=int, help="comm streams per rank")
     p.add_argument(
         "--train-flops",
         type=float,
-        default=5e7,
         help="modelled training throughput (FLOP/s); small so the tiny "
         "proxy's compute is on the same scale as its communication",
     )
@@ -881,19 +653,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_overlap)
 
     p = sub.add_parser("record", help="record a run ledger (guarded+overlapped by default)")
-    p.add_argument("--preset", default="smoke", choices=sorted(_RECORD_PRESETS))
+    p.add_argument("--preset", default="smoke", choices=list(SCENARIOS["record"]))
     p.add_argument("--out", default="run.ledger", help="ledger output path")
-    p.add_argument("--nodes", type=int, default=2)
-    p.add_argument("--gpus-per-node", type=int, default=2)
-    p.add_argument("--iterations", type=int, default=6)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eb", type=float, default=None, help="override the preset's error bound")
+    _add_shape_flags(p)
+    p.add_argument("--eb", type=float, help="override the preset's error bound")
     p.add_argument("--no-guard", action="store_true", help="disable the guard layer")
     p.add_argument("--no-overlap", action="store_true", help="disable the overlap runtime")
     p.add_argument(
         "--xray",
         action="store_true",
+        default=None,
         help="fold per-step critical-path attribution records into the ledger",
     )
     p.set_defaults(func=cmd_record)
@@ -903,38 +672,30 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a K-FAC job with the closed-loop online autotuner "
         "(optionally under a link-degradation window)",
     )
-    p.add_argument("--preset", default="autotuned", choices=sorted(_AUTOTUNE_PRESETS))
+    p.add_argument("--preset", default="autotuned", choices=list(SCENARIOS["autotune"]))
     p.add_argument("--out", default="autotune.ledger", help="ledger output path")
-    p.add_argument("--nodes", type=int, default=2)
-    p.add_argument("--gpus-per-node", type=int, default=2)
-    p.add_argument("--iterations", type=int, default=12)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--channels", type=int, default=16, help="proxy model width")
+    _add_shape_flags(p)
+    p.add_argument("--channels", type=int, help="proxy model width")
     p.add_argument(
         "--latency-factor",
         type=float,
-        default=4.0,
         help="link-degradation latency multiplier (degraded preset)",
     )
     p.add_argument(
         "--bandwidth-factor",
         type=float,
-        default=64.0,
         help="link-degradation bandwidth divisor (degraded preset)",
     )
-    p.add_argument("--warmup", type=int, default=2, help="steps before the first decision")
-    p.add_argument("--min-dwell", type=int, default=2, help="min steps between decisions")
+    p.add_argument("--warmup", type=int, help="steps before the first decision")
+    p.add_argument("--min-dwell", type=int, help="min steps between decisions")
     p.add_argument(
         "--min-retunes",
         type=int,
-        default=None,
         help="exit non-zero unless at least this many retunes fired (CI gate)",
     )
     p.add_argument(
         "--max-retunes",
         type=int,
-        default=None,
         help="exit non-zero if more than this many retunes fired (CI gate)",
     )
     p.set_defaults(func=cmd_autotune)
@@ -978,7 +739,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--preset",
-        choices=["smoke", "scale", "chaos-smoke", "storage-smoke"],
+        choices=list(FLEETS),
         default="smoke",
         help="job mix: smoke (3 small jobs, CI-gated), scale (10 jobs at 1k-4k "
         "ranks), chaos-smoke (smoke + deterministic crash/failure plans, "

@@ -10,7 +10,6 @@
 """
 
 from repro.core.adaptive import AdaptiveCompso, Bounds, SmoothLrSchedule, StepLrSchedule
-from repro.core.autotune import FidelityBudget, TuneResult, autotune_bounds
 from repro.core.compso import CompsoCompressor
 from repro.core.factor_compression import FactorCompressor
 from repro.core.layer_aggregation import LayerAggregator
@@ -26,8 +25,5 @@ __all__ = [
     "PerformanceModel",
     "CommLookupTable",
     "ProfiledStats",
-    "autotune_bounds",
-    "FidelityBudget",
-    "TuneResult",
     "FactorCompressor",
 ]

@@ -15,9 +15,9 @@ The subsystem has three layers, all inert unless a fault plan is given:
   ``faults.recovered`` ...) and sim-track spans, and lands in the
   controller's materialised event log.
 
-Chaos scenario presets and the end-to-end harness behind ``repro chaos``
-live in :mod:`repro.faults.chaos` (imported lazily by the CLI and the
-chaos bench to keep this package's import graph acyclic).
+The chaos scenarios are :mod:`repro.scenarios` entries; the harness behind
+``repro chaos`` lives in :mod:`repro.faults.chaos` (imported lazily by the
+CLI and the chaos bench to keep this package's import graph acyclic).
 """
 
 from repro.faults.checksum import CHECKSUM_BYTES, is_sealed, payload_crc, seal, verify

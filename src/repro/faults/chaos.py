@@ -1,10 +1,11 @@
 """Chaos-testing harness: scripted fault scenarios with a clean baseline.
 
-Each scenario builds a :class:`~repro.faults.plan.FaultPlan` scaled to
-the requested world size and iteration count, then trains the same tiny
-distributed K-FAC + COMPSO workload twice — once fault-free, once under
-the plan — with identical seeds.  The result quantifies the cost of the
-faults and the effectiveness of the tolerance machinery:
+A chaos scenario is a ``repro.scenarios`` entry whose fault plan scales
+to the requested world size and iteration count.  The harness trains
+the same tiny distributed K-FAC + COMPSO workload twice — once
+fault-free, once under the plan — with identical seeds.  The result
+quantifies the cost of the faults and the effectiveness of the
+tolerance machinery:
 
 * **convergence delta** — full-dataset loss after the faulted run vs the
   fault-free run at equal iterations (the paper-style "does compression
@@ -21,50 +22,13 @@ trainer dependencies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from repro.faults.plan import FaultPlan
+from repro import scenarios
 
-__all__ = ["SCENARIOS", "ChaosResult", "make_plan", "run_chaos"]
-
-#: Scenario names accepted by :func:`make_plan` / ``repro chaos``.
-#: ``smoke`` is the CI scenario: one straggler plus one corruption
-#: window, small enough to finish in seconds.
-SCENARIOS = ("stragglers", "degraded-link", "corruption", "rank-loss", "mixed", "smoke")
-
-
-def make_plan(name: str, world_size: int, iterations: int, seed: int = 0) -> FaultPlan:
-    """Build the named scenario's fault plan, scaled to the run shape."""
-    if name not in SCENARIOS:
-        raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIOS}")
-    if world_size < 2:
-        raise ValueError("chaos scenarios need world_size >= 2")
-    third = max(iterations // 3, 1)
-    plan = FaultPlan(seed=seed)
-    if name == "stragglers":
-        plan.add_straggler(1, start=third, stop=2 * third, slowdown=3.0)
-        plan.add_straggler(world_size - 1, start=2 * third, slowdown=1.8)
-        plan.add_jitter(2e-5, start=0)
-    elif name == "degraded-link":
-        plan.add_link_degradation(
-            start=third, stop=2 * third, latency_factor=4.0, bandwidth_factor=2.5
-        )
-    elif name == "corruption":
-        plan.add_corruption(0.3, start=third, stop=2 * third, n_bits=4)
-    elif name == "rank-loss":
-        plan.add_drop(1, iteration=max(third - 1, 0))
-        plan.add_failure(world_size - 1, iteration=iterations // 2)
-    elif name == "mixed":
-        plan.add_straggler(1, start=third // 2 + 1, stop=2 * third, slowdown=2.5)
-        plan.add_corruption(0.3, start=third, stop=iterations - third // 2, n_bits=4)
-        plan.add_failure(world_size - 1, iteration=iterations // 2 + 1)
-    elif name == "smoke":
-        plan.add_straggler(1, start=1, stop=iterations, slowdown=2.0)
-        plan.add_corruption(0.5, start=1, stop=iterations, n_bits=2)
-    plan.validate(world_size)
-    return plan
+__all__ = ["ChaosResult", "run_chaos"]
 
 
 @dataclass
@@ -86,21 +50,7 @@ class ChaosResult:
     counters: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "world_size": self.world_size,
-            "final_world_size": self.final_world_size,
-            "iterations": self.iterations,
-            "completed": self.completed,
-            "baseline_loss": self.baseline_loss,
-            "faulted_loss": self.faulted_loss,
-            "loss_delta_pct": self.loss_delta_pct,
-            "baseline_sim_time": self.baseline_sim_time,
-            "faulted_sim_time": self.faulted_sim_time,
-            "sim_time_overhead_pct": self.sim_time_overhead_pct,
-            "time_to_recover_s": self.time_to_recover_s,
-            "counters": dict(self.counters),
-        }
+        return asdict(self)
 
     def summary(self) -> str:
         lines = [
@@ -127,46 +77,19 @@ def _counter_key(name: str, labels: dict) -> str:
     return f"{name}[{inner}]"
 
 
-def _run_once(plan, *, nodes, gpus_per_node, iterations, batch_size, seed, **trainer_options):
-    """One training run of the scenario job (faulted or not); returns its
-    measurements.  ``trainer_options`` are the trainer arguments a
-    scenario varies: ``guard``, ``reliable_channel``, checkpointing."""
-    from repro import telemetry
-    from repro.core import AdaptiveCompso, StepLrSchedule
-    from repro.data import make_image_data
-    from repro.distributed import SimCluster
-    from repro.kfac_dist import DistributedKfacTrainer
-    from repro.models import resnet_proxy
-    from repro.train import ClassificationTask
-
-    # noise=1.6 keeps the final loss around 0.1-0.5: large enough that a
-    # few-percent convergence delta is signal, not minibatch noise.
-    data = make_image_data(300, n_classes=4, size=8, noise=1.6, seed=seed)
-    task = ClassificationTask(data)
-    cluster = SimCluster(nodes, gpus_per_node, seed=seed, fault_plan=plan)
-    model = resnet_proxy(n_classes=4, channels=8, rng=seed + 3)
-    compressor = AdaptiveCompso(StepLrSchedule(max(iterations // 3, 1)), seed=seed)
-    trainer = DistributedKfacTrainer(
-        model,
-        task,
-        cluster,
-        lr=0.05,
-        inv_update_freq=5,
-        compressor=compressor,
-        **trainer_options,
-    )
-    with telemetry.session() as sess:
-        trainer.train(iterations=iterations, batch_size=batch_size, seed=seed)
-        snapshot = sess.metrics.snapshot()
-        steps = list(sess.metrics.steps)
+def _run_once(s: scenarios.Scenario):
+    """One training run of the scenario (faulted or not); returns its
+    measurements."""
+    trainer, sess = scenarios.run(s)
+    task, cluster = trainer.task, trainer.cluster
     x, y = task.batch(np.arange(task.n))
     full_loss, _ = task.loss_and_grad(trainer.model(x), y)
     counters = {
         _counter_key(m["name"], m["labels"]): m["value"]
-        for m in snapshot
+        for m in sess.metrics.snapshot()
         if m["type"] == "counter" and m["name"].startswith(("faults.", "guard."))
     }
-    sim_times = [rec["sim_time"] for rec in steps if "sim_time" in rec]
+    sim_times = [rec["sim_time"] for rec in sess.metrics.steps if "sim_time" in rec]
     fault_iterations = {
         ev.get("iteration") for ev in (cluster.faults.events if cluster.faults else [])
     }
@@ -182,27 +105,12 @@ def _run_once(plan, *, nodes, gpus_per_node, iterations, batch_size, seed, **tra
     }
 
 
-def run_chaos(
-    scenario: str,
-    *,
-    nodes: int = 2,
-    gpus_per_node: int = 2,
-    iterations: int = 12,
-    batch_size: int = 32,
-    seed: int = 0,
-) -> ChaosResult:
-    """Run ``scenario`` and its fault-free twin; compare them."""
-    world = nodes * gpus_per_node
-    plan = make_plan(scenario, world, iterations, seed=seed)
-    kwargs = dict(
-        nodes=nodes,
-        gpus_per_node=gpus_per_node,
-        iterations=iterations,
-        batch_size=batch_size,
-        seed=seed,
-    )
-    baseline = _run_once(None, **kwargs)
-    faulted = _run_once(plan, **kwargs)
+def run_chaos(s: scenarios.Scenario) -> ChaosResult:
+    """Run the scenario and its fault-free twin; compare them."""
+    if s.world < 2:
+        raise ValueError("chaos scenarios need world_size >= 2")
+    baseline = _run_once(replace(s, faults=None))
+    faulted = _run_once(s)
 
     # Extra simulated seconds spent in iterations where a fault fired:
     # the recovery cost the time plane actually paid.
@@ -221,11 +129,11 @@ def run_chaos(
         (faulted["sim_time"] - baseline["sim_time"]) / max(baseline["sim_time"], 1e-12) * 100.0
     )
     return ChaosResult(
-        scenario=scenario,
-        world_size=world,
+        scenario=s.name,
+        world_size=s.world,
         final_world_size=faulted["world_size"],
-        iterations=iterations,
-        completed=faulted["steps_done"] == iterations,
+        iterations=s.iterations,
+        completed=faulted["steps_done"] == s.iterations,
         baseline_loss=base_loss,
         faulted_loss=faulted["loss"],
         loss_delta_pct=delta,

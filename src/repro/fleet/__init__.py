@@ -13,20 +13,14 @@ backoff (up to a retry budget), preempts lower-priority jobs when a
 concurrency cap binds, and accounts per-job SLOs, restarts, and goodput
 in each :class:`JobReport`.  The seeded chaos harness
 (:mod:`repro.fleet.chaos`, ``repro fleet --chaos``) attaches
-deterministic fault plans to any spec list.
+deterministic fault plans to any spec list.  The named job mixes
+``repro fleet --preset`` runs are ``repro.scenarios.FLEETS``.
 """
 
 from repro.fleet.chaos import apply_chaos, chaos_plan, fabric_degradations
 from repro.fleet.fabric import SharedFabric
 from repro.fleet.job import FleetJob, JobCrashed, JobSpec
-from repro.fleet.scheduler import (
-    PRESETS,
-    FleetResult,
-    FleetScheduler,
-    JobReport,
-    preset_options,
-    preset_specs,
-)
+from repro.fleet.scheduler import FleetResult, FleetScheduler, JobReport
 
 __all__ = [
     "SharedFabric",
@@ -36,9 +30,6 @@ __all__ = [
     "FleetScheduler",
     "FleetResult",
     "JobReport",
-    "PRESETS",
-    "preset_specs",
-    "preset_options",
     "apply_chaos",
     "chaos_plan",
     "fabric_degradations",

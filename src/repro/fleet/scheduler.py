@@ -42,14 +42,7 @@ from pathlib import Path
 from repro.fleet.fabric import SharedFabric
 from repro.fleet.job import FleetJob, JobCrashed, JobSpec
 
-__all__ = [
-    "JobReport",
-    "FleetResult",
-    "FleetScheduler",
-    "PRESETS",
-    "preset_specs",
-    "preset_options",
-]
+__all__ = ["JobReport", "FleetResult", "FleetScheduler"]
 
 
 @dataclass(frozen=True)
@@ -313,136 +306,3 @@ class FleetScheduler:
             straggler_skew_s=job.straggler_skew_s,
             top_straggler_rank=straggler[0] if straggler is not None else None,
         )
-
-
-def _smoke_specs() -> list[JobSpec]:
-    """Three small jobs; job0 is the deterministic CI diff anchor."""
-    return [
-        JobSpec("job0", world_size=32, iterations=3, priority=2.0, seed=0),
-        JobSpec("job1", world_size=16, iterations=3, priority=1.0, seed=1, arrival=0.001),
-        JobSpec("job2", world_size=8, iterations=2, batch_size=32, seed=2, arrival=0.002),
-    ]
-
-
-def _scale_specs() -> list[JobSpec]:
-    """Ten jobs at 1k–4k ranks, mixed priorities and arrivals."""
-    worlds = [1024, 2048, 4096, 1024, 2048, 4096, 1024, 2048, 1024, 4096]
-    return [
-        JobSpec(
-            f"job{i}",
-            world_size=w,
-            iterations=2,
-            priority=2.0 if i % 3 == 0 else 1.0,
-            seed=i,
-            arrival=0.01 * i,
-        )
-        for i, w in enumerate(worlds)
-    ]
-
-
-def _chaos_smoke_specs() -> list[JobSpec]:
-    """The smoke fleet under a deterministic fault schedule.
-
-    job0 (the CI diff anchor) crashes once and restarts from its
-    checkpoint; job1 runs with a straggler and a link-degradation
-    window; job2 loses a whole node mid-run and continues elastically;
-    job3 arrives late at high priority and preempts under the
-    ``max_concurrent=2`` cap that ``preset_options`` pairs with this
-    preset.
-    """
-    from repro.faults.plan import FaultPlan
-
-    crashy = FaultPlan().add_crash(iteration=1)
-    shaky = (
-        FaultPlan()
-        .add_straggler(0, start=0, stop=2, slowdown=3.0)
-        .add_link_degradation(start=1, stop=2, bandwidth_factor=2.0)
-    )
-    failing = FaultPlan().add_node_failure(1, iteration=1, gpus_per_node=4)
-    return [
-        JobSpec(
-            "job0", world_size=32, iterations=3, priority=2.0, seed=0,
-            deadline=0.05, fault_plan=crashy,
-        ),
-        JobSpec(
-            "job1", world_size=16, iterations=3, priority=1.0, seed=1,
-            arrival=0.001, deadline=0.05, fault_plan=shaky,
-        ),
-        JobSpec(
-            "job2", world_size=8, iterations=2, batch_size=32, seed=2,
-            arrival=0.002, fault_plan=failing,
-        ),
-        JobSpec(
-            "job3", world_size=8, iterations=2, batch_size=32, priority=4.0,
-            seed=3, arrival=0.004, deadline=0.05,
-        ),
-    ]
-
-
-def _storage_smoke_specs() -> list[JobSpec]:
-    """The smoke fleet under a deterministic *storage* fault schedule.
-
-    Requires a scheduler ``store_dir`` (the CLI's ``repro fleet
-    --preset storage-smoke`` supplies one) — the faults live on the
-    checkpoint save path.  Every job checkpoints each step (saves land
-    at save indices 0, 1, 2, ...):
-
-    * job0: bit rot eats the newest generation at rest (save index 2),
-      then the job crashes — restart must fall back one generation and
-      replay to a bit-identical finish;
-    * job1: a torn write tears the save at index 2 inside the tmp-write
-      window; the crash-restart detects the broken content seal,
-      quarantines the generation, and falls back;
-    * job2: the process dies *inside* the save sequence (crash at the
-      ``save:tmp_written`` injection point) — the previous committed
-      generation must survive and the restart resume from it.
-
-    All three must end ``done`` with zero failed jobs: storage damage
-    costs replayed steps, never a job.
-    """
-    from repro.faults.plan import FaultPlan
-
-    rotten = FaultPlan().add_crash(iteration=3).add_bit_rot(save_index=2)
-    torn = FaultPlan().add_crash(iteration=3).add_torn_write(save_index=2)
-    dying = FaultPlan().add_save_crash(save_index=1, point="save:tmp_written")
-    return [
-        JobSpec(
-            "job0", world_size=32, iterations=4, priority=2.0, seed=0,
-            fault_plan=rotten,
-        ),
-        JobSpec(
-            "job1", world_size=16, iterations=4, priority=1.0, seed=1,
-            arrival=0.001, fault_plan=torn,
-        ),
-        JobSpec(
-            "job2", world_size=8, iterations=3, batch_size=32, seed=2,
-            arrival=0.002, fault_plan=dying,
-        ),
-    ]
-
-
-PRESETS = {
-    "smoke": _smoke_specs,
-    "scale": _scale_specs,
-    "chaos-smoke": _chaos_smoke_specs,
-    "storage-smoke": _storage_smoke_specs,
-}
-
-#: Scheduler keyword arguments each preset expects (empty = defaults).
-PRESET_OPTIONS: dict[str, dict] = {
-    "chaos-smoke": {"max_concurrent": 2, "retry_budget": 3},
-    "storage-smoke": {"retry_budget": 3},
-}
-
-
-def preset_specs(name: str) -> list[JobSpec]:
-    if name not in PRESETS:
-        raise KeyError(f"unknown fleet preset {name!r}; have {sorted(PRESETS)}")
-    return PRESETS[name]()
-
-
-def preset_options(name: str) -> dict:
-    """Scheduler kwargs that pair with ``preset_specs(name)``."""
-    if name not in PRESETS:
-        raise KeyError(f"unknown fleet preset {name!r}; have {sorted(PRESETS)}")
-    return dict(PRESET_OPTIONS.get(name, {}))

@@ -4,8 +4,9 @@ Trains the same distributed K-FAC + COMPSO workload three times with
 identical seeds:
 
 * **clean** — no faults, no guard: the reference trajectory;
-* **guarded** — under a seeded fault plan (compressed-payload bit flips
-  plus a straggler stall) with ``guard=GuardConfig(...)``;
+* **guarded** — the registered run itself (``repro.scenarios``'s
+  ``guard`` entry): a seeded fault plan (compressed-payload bit flips
+  plus a straggler stall) with the guard on;
 * **unguarded** — same fault plan, no guard.
 
 Both faulted runs decline the checksummed
@@ -21,7 +22,7 @@ half-open probe sees consecutive clean iterations.
 
 The result object carries the full remediation timeline and breaker
 transition history — the report surfaced by ``repro guard`` and
-asserted on by the guard benchmark and the CI smoke job.
+asserted on by the guard benchmark and pinned whole in tier-1.
 
 Imported lazily (CLI / bench), never from ``repro.guard`` hot paths.
 """
@@ -29,29 +30,12 @@ Imported lazily (CLI / bench), never from ``repro.guard`` hot paths.
 from __future__ import annotations
 
 import math
-import tempfile
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import asdict, dataclass, field, replace
 
+from repro import scenarios
 from repro.faults.chaos import _run_once
-from repro.faults.plan import FaultPlan
-from repro.guard.guard import GuardConfig
 
-__all__ = ["GuardRunResult", "make_guard_plan", "run_guard_scenario"]
-
-
-def make_guard_plan(
-    world_size: int, iterations: int, *, seed: int = 0, corruption: float = 0.6
-) -> FaultPlan:
-    """Payload bit-flips over the middle third plus one straggler stall."""
-    third = max(iterations // 3, 1)
-    plan = FaultPlan(seed=seed)
-    plan.add_corruption(
-        corruption, start=third, stop=2 * third, n_bits=4, ops=("broadcast",)
-    )
-    plan.add_straggler(1, start=third, stop=2 * third, slowdown=3.0)
-    plan.validate(world_size)
-    return plan
+__all__ = ["GuardRunResult", "run_guard_scenario"]
 
 
 @dataclass
@@ -72,35 +56,17 @@ class GuardRunResult:
     timeline: list[dict] = field(default_factory=list)
     breaker_transitions: list[list] = field(default_factory=list)
     breaker_trips: int = 0
+    #: Breaker tripped and later re-closed (half-open probe passed).
+    breaker_recovered: bool = field(init=False, default=False)
     counters: dict[str, float] = field(default_factory=dict)
 
-    @property
-    def breaker_recovered(self) -> bool:
-        """Breaker tripped and later re-closed (half-open probe passed)."""
-        return self.breaker_trips > 0 and any(
-            frm == "half_open" and to == "closed"
-            for _, frm, to in self.breaker_transitions
+    def __post_init__(self):
+        self.breaker_recovered = self.breaker_trips > 0 and any(
+            frm == "half_open" and to == "closed" for _, frm, to in self.breaker_transitions
         )
 
     def to_dict(self) -> dict:
-        return {
-            "world_size": self.world_size,
-            "iterations": self.iterations,
-            "clean_loss": self.clean_loss,
-            "guarded_loss": self.guarded_loss,
-            "unguarded_loss": self.unguarded_loss,
-            "unguarded_raised": self.unguarded_raised,
-            "unguarded_error": self.unguarded_error,
-            "guarded_completed": self.guarded_completed,
-            "clean_sim_time": self.clean_sim_time,
-            "guarded_sim_time": self.guarded_sim_time,
-            "verdicts": dict(self.verdicts),
-            "timeline": list(self.timeline),
-            "breaker_transitions": [list(t) for t in self.breaker_transitions],
-            "breaker_trips": self.breaker_trips,
-            "breaker_recovered": self.breaker_recovered,
-            "counters": dict(self.counters),
-        }
+        return asdict(self)
 
     def summary(self) -> str:
         if self.unguarded_raised:
@@ -138,39 +104,16 @@ class GuardRunResult:
         return "\n".join(lines)
 
 
-def run_guard_scenario(
-    *,
-    nodes: int = 2,
-    gpus_per_node: int = 2,
-    iterations: int = 18,
-    batch_size: int = 32,
-    seed: int = 0,
-    corruption: float = 0.6,
-) -> GuardRunResult:
-    """Run the chaos plan guarded, unguarded, and a clean reference."""
-    world = nodes * gpus_per_node
-    kwargs = dict(
-        nodes=nodes,
-        gpus_per_node=gpus_per_node,
-        iterations=iterations,
-        batch_size=batch_size,
-        seed=seed,
-        reliable_channel=False,
-    )
-    clean = _run_once(None, **kwargs)
+def run_guard_scenario(s: scenarios.Scenario) -> GuardRunResult:
+    """Run the scenario (the guarded run under its fault plan), its
+    unguarded twin, and a clean reference."""
+    clean = _run_once(replace(s, faults=None, guard=False, checkpoint_every=0))
+    guarded = _run_once(s)
 
-    guard = GuardConfig(breaker_cooldown=3, breaker_reclose_after=2)
-    with tempfile.TemporaryDirectory(prefix="guard-scenario-") as tmp:
-        plan = make_guard_plan(world, iterations, seed=seed, corruption=corruption)
-        guarded = _run_once(
-            plan, guard=guard, checkpoint_dir=Path(tmp), checkpoint_every=3, **kwargs
-        )
-
-    plan = make_guard_plan(world, iterations, seed=seed, corruption=corruption)
     unguarded_raised = False
     unguarded_error = ""
     try:
-        unguarded = _run_once(plan, **kwargs)
+        unguarded = _run_once(replace(s, guard=False, checkpoint_every=0))
         unguarded_loss = unguarded["loss"]
     except Exception as exc:  # noqa: BLE001 — the crash IS the measurement
         unguarded_raised = True
@@ -179,14 +122,14 @@ def run_guard_scenario(
 
     report = guarded["trainer"].guard.report()
     return GuardRunResult(
-        world_size=world,
-        iterations=iterations,
+        world_size=s.world,
+        iterations=s.iterations,
         clean_loss=clean["loss"],
         guarded_loss=guarded["loss"],
         unguarded_loss=unguarded_loss,
         unguarded_raised=unguarded_raised,
         unguarded_error=unguarded_error,
-        guarded_completed=guarded["steps_done"] == iterations,
+        guarded_completed=guarded["steps_done"] == s.iterations,
         clean_sim_time=clean["sim_time"],
         guarded_sim_time=guarded["sim_time"],
         verdicts=report["verdicts"],

@@ -89,11 +89,16 @@ class TestFidelityBudget:
         # One import surface: the offline tuner rides along with the
         # online controller (satellite of the autotune subsystem).
         import repro.autotune as online
-        import repro.core.autotune as offline
+        import repro.autotune.offline as offline
 
         assert online.FidelityBudget is offline.FidelityBudget
         assert online.autotune_bounds is offline.autotune_bounds
         assert online.TuneResult is offline.TuneResult
+        # ...and only there: ``repro.core`` no longer carries a second name.
+        import repro.core
+
+        assert not hasattr(repro.core, "autotune_bounds")
+        assert not hasattr(repro.core, "FidelityBudget")
 
 
 class TestCandidateConfig:

@@ -1,16 +1,21 @@
-"""Digest-identical ledgers: the proof that a trainer refactor changed nothing.
+"""Digest-identical ledgers and result documents: the proof that a
+refactor changed nothing.
 
-Two groups.  The first re-records each committed
-``benchmarks/out/baselines/*.ledger`` with exactly the command
-``.github/workflows/ci.yml`` uses and requires the fresh ledger's
-:meth:`RunLedger.digest` (every field but ``manifest.created_unix``) to
-equal the committed one's.  The second pins, as hex digests,
-configurations no committed ledger covers: the blocking K-FAC step under
-guard + xray, K-FAC behind the checksummed channel under a fault plan,
-K-FAC whose guard remediates in the middle of a step, and the
-first-order trainer — each on every schedule it can run
-(``runtime=None``, ``StreamRuntime(overlap=False)``,
-``StreamRuntime(overlap=True)``).
+Three groups.  The first re-records each committed
+``benchmarks/out/baselines/*.ledger`` from the ``repro.scenarios`` entry
+(or fleet) whose ``baseline`` names it — no command line is spelled here
+or in ``.github/workflows/ci.yml`` to know which run a ledger is — and
+requires the fresh ledger's :meth:`RunLedger.digest` (every field but
+``manifest.created_unix``) to equal the committed one's.  The second
+pins, as hex digests, configurations no committed ledger covers: the
+blocking K-FAC step under guard + xray, K-FAC behind the checksummed
+channel under a fault plan, K-FAC whose guard remediates in the middle
+of a step, and the first-order trainer — each on every schedule it can
+run (``runtime=None``, ``StreamRuntime(overlap=False)``,
+``StreamRuntime(overlap=True)``).  The third pins the JSON result
+documents the CLI writes (``chaos``, ``guard``, ``overlap``, ``fleet``
+``--json``) as the sha256 of their sorted-key serialisation; a last test
+holds ci.yml to the registry's names.
 
 How the pinned digests were captured: this file was copied into a
 ``git clone`` of commit e7b1eab — the last commit whose trainers carried
@@ -31,8 +36,17 @@ verdicts, bounds and losses.  They therefore run the Huffman coder,
 whose payload a codec change to ANS cannot touch: their digests were
 captured the same way at b5a6b53 and are identical at the commit that
 changed the ANS frame.
+
+The result-document pins were captured by PR 13's method again: this
+same file was run (``-k result_document``) in a ``git clone`` of
+b279dc0 — the last commit whose CLI built each of these jobs by hand,
+before ``repro.scenarios`` existed — and the digests it printed as
+mismatches were pasted below; the registry reproduces every one.
 """
 
+import hashlib
+import json
+import re
 from pathlib import Path
 
 import pytest
@@ -51,27 +65,41 @@ from repro.optim import Sgd
 from repro.runtime import ComputeModel, StreamRuntime
 from repro.train import ClassificationTask, DistributedSgdTrainer
 
-BASELINES = Path(__file__).resolve().parent.parent / "benchmarks" / "out" / "baselines"
-
-#: committed ledger -> (argv before ``--out``, path of the ledger under
-#: the ``--out`` location; "" when ``--out`` names the ledger itself).
-COMMITTED = {
-    "smoke": (["record", "--preset", "smoke"], ""),
-    "xray-smoke": (["record", "--preset", "smoke", "--xray"], ""),
-    "autotune-smoke": (["autotune", "--preset", "autotuned-degraded"], ""),
-    "fleet-smoke": (["fleet", "--preset", "smoke"], "job0.ledger"),
-    "fleet-chaos": (["fleet", "--preset", "chaos-smoke"], "job0.ledger"),
-    "storage-smoke": (["fleet", "--preset", "storage-smoke"], "job0.ledger"),
-}
+REPO = Path(__file__).resolve().parent.parent
+BASELINES = REPO / "benchmarks" / "out" / "baselines"
 
 
-@pytest.mark.parametrize("name", sorted(COMMITTED))
+def _baselined():
+    """Committed ledger stem -> the ``(command, preset)`` registered as
+    reproducing it.  Imported here, not at module level, so this file
+    also collects at a commit that has no registry (see the docstring)."""
+    from repro.scenarios import FLEETS, SCENARIOS
+
+    named = [
+        (s.baseline, (command, name))
+        for command, group in SCENARIOS.items()
+        for name, s in group.items()
+    ]
+    named += [(fleet.baseline, ("fleet", name)) for name, fleet in FLEETS.items()]
+    named = [(baseline, run) for baseline, run in named if baseline is not None]
+    assert len(dict(named)) == len(named), "two registry entries claim one baseline"
+    return dict(named)
+
+
+def test_every_committed_ledger_is_named_by_one_registry_entry():
+    assert set(_baselined()) == {p.stem for p in BASELINES.glob("*.ledger")}
+    assert [p.name for p in BASELINES.iterdir() if p.suffix != ".ledger"] == []
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in BASELINES.glob("*.ledger")))
 def test_committed_ledger_reproduces(name, tmp_path, capsys):
-    argv, inner = COMMITTED[name]
-    out = tmp_path / (name if inner else f"{name}.ledger")
-    assert main([*argv, "--out", str(out)]) == 0
+    command, preset = _baselined()[name]
+    # A fleet's ``--out`` is a directory of per-job ledgers; job0 is its anchor.
+    out = tmp_path / (name if command == "fleet" else f"{name}.ledger")
+    assert main([command, "--preset", preset, "--out", str(out)]) == 0
     capsys.readouterr()
-    expected, fresh = load_ledger(BASELINES / f"{name}.ledger"), load_ledger(out / inner)
+    fresh = load_ledger(out / "job0.ledger" if command == "fleet" else out)
+    expected = load_ledger(BASELINES / f"{name}.ledger")
     if fresh.digest() != expected.digest():
         pytest.fail(
             "ledger body moved:\n" + diff_ledgers(expected, fresh).format_table(),
@@ -218,3 +246,68 @@ def test_pinned_configuration(name, tmp_path, capsys):
     CONFIGURATIONS[name](out)
     capsys.readouterr()
     assert load_ledger(out).digest() == PINNED[name]
+
+
+# -- result documents the CLI writes -------------------------------------------
+
+CI_SHAPE = ["--nodes", "1", "--gpus-per-node", "2", "--iterations", "6", "--batch-size", "16"]
+CHAOS = ("stragglers", "degraded-link", "corruption", "rank-loss", "mixed", "smoke")
+
+#: name -> argv before ``--json``.  Fleets run without ``--out``, so the
+#: document carries no ledger path.
+DOCUMENTS = {
+    **{f"chaos-{name}": ["chaos", "--scenario", name] for name in CHAOS},
+    **{f"chaos-{name}-ci-shape": ["chaos", "--scenario", name, *CI_SHAPE] for name in CHAOS},
+    "guard": ["guard"],
+    "overlap-ranks4-iters3": ["overlap", "--ranks", "4", "--iters", "3"],
+    "overlap-ranks8": ["overlap", "--ranks", "8"],
+    "fleet-smoke": ["fleet", "--preset", "smoke"],
+    "fleet-chaos-smoke": ["fleet", "--preset", "chaos-smoke"],
+    "fleet-storage-smoke": ["fleet", "--preset", "storage-smoke"],
+}
+
+#: sha256 of each DOCUMENTS entry (see the module docstring for their provenance).
+PINNED_DOCUMENTS = {
+    "chaos-corruption": "ded0478516b4a757ee4c4a7d1af77d0c7f5a52430f48fa8d4766503f750ac016",
+    "chaos-corruption-ci-shape": "bfbd9d05e7f495d9d74414c22733d9b1fa86c8d1797ec002eb99af5aa3329fb0",
+    "chaos-degraded-link": "1c7e5d36cdb7e016e9f1dedf11a1b1a73c4481ed6c36052d385e56806f17d3c8",
+    "chaos-degraded-link-ci-shape": "6350242b3410daf549eb64aeb2fd36295c36edf5b51c3157e6fc71e1195beea4",
+    "chaos-mixed": "b70cb9c7ece844a92d696e830efdf83fe1ec4ef818b415930a84cfb100433f4d",
+    "chaos-mixed-ci-shape": "29b723e447ab4d0f7b880650694057b09c81107b671a1a963654b850490f631f",
+    "chaos-rank-loss": "84863e8379ed6aaaed8513362464319aa6444ca786d0c267145c7755de13a447",
+    "chaos-rank-loss-ci-shape": "0c9f5a9e99fc6a68bc3403b60938c261dcd1fced684183280d0727ed61ccf9e6",
+    "chaos-smoke": "79126068cc14981b1c5b45213254e7ad5aff22a6c753ba699dc9f4685d8a54d0",
+    "chaos-smoke-ci-shape": "46838f6db53ae87fcf662fa605f68d4cb9ac9f69e145fc20437e642a06b30f6c",
+    "chaos-stragglers": "93737f742dc9957a6041cd74d70e8e02b2785aebf83bfe2dc06a0e8e7a2680b3",
+    "chaos-stragglers-ci-shape": "0607f3992fc2ee8452154699490816df7867f1f549171cb24dd0f6ecc0199098",
+    "fleet-chaos-smoke": "3bce31de331f58d5247168bc6806e989c5098fe14be19cccb5b8d2b34afcf7be",
+    "fleet-smoke": "58a1f1ecdd8579702ce0aa7e4ad71c4a365a699923caf05ba833a78e926f44ae",
+    "fleet-storage-smoke": "0de7884521e8af6cc4c962d89dda119eaead9f3531b1a8c6185671fa7a5b6695",
+    "guard": "c61cecf5ab1e5ae6dd05183de401b3b92628ffba578ee8d2a51e2cc3a5c04590",
+    "overlap-ranks4-iters3": "0bdc3b38f617a4f8cec67ffd604b3e45b0005065e1cb87e6e797545fd410e235",
+    "overlap-ranks8": "3ac5df6cac1045b97d0c218064fc22c6fd655ab1b7e22a6e3859357e4054d34d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_result_document(name, tmp_path, capsys):
+    path = tmp_path / "result.json"
+    assert main([*DOCUMENTS[name], "--json", str(path)]) == 0
+    capsys.readouterr()
+    text = json.dumps(json.loads(path.read_text()), sort_keys=True)
+    # The guard's rollbacks name a checkpoint in a temporary directory.
+    text = re.sub(r'"[^"]*/latest\.npz"', '"latest.npz"', text)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DOCUMENTS.get(name)
+
+
+def test_ci_names_its_runs_from_the_registry():
+    """Every ``--preset X`` / ``--scenario X`` in ci.yml is a registry key
+    of the command it is passed to."""
+    from repro.scenarios import FLEETS, SCENARIOS
+
+    text = (REPO / ".github" / "workflows" / "ci.yml").read_text().replace("\\\n", " ")
+    runs = re.findall(r"-m repro ([\w-]+)[^\n]*?--(?:preset|scenario)[ =]([\w-]+)", text)
+    assert runs, "ci.yml runs no named scenario"
+    for command, name in runs:
+        registered = FLEETS if command == "fleet" else SCENARIOS[command]
+        assert name in registered, f"ci.yml: repro {command} has no run named {name!r}"

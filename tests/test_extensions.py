@@ -8,12 +8,8 @@ import numpy as np
 import pytest
 
 from repro.compression import ErrorFeedback, QsgdCompressor, TopKCompressor
-from repro.core import (
-    CompsoCompressor,
-    FactorCompressor,
-    FidelityBudget,
-    autotune_bounds,
-)
+from repro.autotune import FidelityBudget, autotune_bounds
+from repro.core import CompsoCompressor, FactorCompressor
 from repro.data import make_image_data
 from repro.distributed import PLATFORM1, SimCluster
 from repro.kfac_dist import (

@@ -1,5 +1,7 @@
 """Fault injection, detection, recovery, and determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -374,19 +376,22 @@ class TestDeterminism:
 
 class TestChaosHarness:
     def test_make_plan_scales_and_validates(self):
-        from repro.faults.chaos import SCENARIOS, make_plan
+        from repro.scenarios import SCENARIOS, fault_plan
 
-        for name in SCENARIOS:
-            plan = make_plan(name, 4, 12, seed=0)
+        for scenario in SCENARIOS["chaos"].values():
+            assert (scenario.world, scenario.iterations, scenario.job_seed) == (4, 12, 0)
+            plan = fault_plan(scenario)
             assert not plan.is_empty()
             plan.validate(4)
         with pytest.raises(ValueError):
-            make_plan("nope", 4, 12)
+            fault_plan(replace(SCENARIOS["chaos"]["smoke"], faults="nope"))
 
     def test_smoke_scenario_end_to_end(self):
         from repro.faults.chaos import run_chaos
+        from repro.scenarios import SCENARIOS
 
-        r = run_chaos("smoke", nodes=1, gpus_per_node=2, iterations=4, batch_size=16)
+        smoke = SCENARIOS["chaos"]["smoke"]
+        r = run_chaos(replace(smoke, nodes=1, gpus_per_node=2, iterations=4, batch_size=16))
         assert r.completed
         assert sum(v for k, v in r.counters.items() if k.startswith("faults.injected")) > 0
         assert r.faulted_sim_time > r.baseline_sim_time

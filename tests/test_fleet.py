@@ -30,11 +30,12 @@ from repro.distributed import (
 )
 from repro.faults import FaultPlan
 from repro.faults.plan import PayloadCorruption
-from repro.fleet import FleetScheduler, JobSpec, SharedFabric, preset_specs
+from repro.fleet import FleetScheduler, JobSpec, SharedFabric
 from repro.kfac_dist import DistributedKfacTrainer
 from repro.models import resnet_proxy
 from repro.optim import Sgd
 from repro.runtime import ComputeModel, StreamRuntime
+from repro.scenarios import FLEETS
 from repro.train import ClassificationTask, DistributedSgdTrainer
 
 ITERS = 3
@@ -293,9 +294,9 @@ class TestSharedFabric:
 
 class TestFleetScheduler:
     def test_smoke_preset_completes_with_contention(self, tmp_path):
-        result = FleetScheduler(preset_specs("smoke"), ledger_dir=tmp_path).run()
+        result = FleetScheduler(FLEETS["smoke"].jobs(), ledger_dir=tmp_path).run()
         assert len(result.reports) == 3
-        assert all(r.steps == spec.iterations for r, spec in zip(result.reports, preset_specs("smoke")))
+        assert all(r.steps == spec.iterations for r, spec in zip(result.reports, FLEETS["smoke"].jobs()))
         assert result.total_contended_seconds > 0.0
         for r in result.reports:
             assert (tmp_path / f"{r.name}.ledger").exists()
@@ -333,8 +334,8 @@ class TestFleetScheduler:
             JobSpec("bad", world_size=8, iterations=0)
 
     def test_deterministic_reruns(self, tmp_path):
-        r1 = FleetScheduler(preset_specs("smoke"), ledger_dir=tmp_path / "a").run()
-        r2 = FleetScheduler(preset_specs("smoke"), ledger_dir=tmp_path / "b").run()
+        r1 = FleetScheduler(FLEETS["smoke"].jobs(), ledger_dir=tmp_path / "a").run()
+        r2 = FleetScheduler(FLEETS["smoke"].jobs(), ledger_dir=tmp_path / "b").run()
         assert r1.makespan == r2.makespan
         for a, b in zip(r1.reports, r2.reports):
             assert a.sim_time == b.sim_time

@@ -28,10 +28,9 @@ from repro.fleet import (
     SharedFabric,
     apply_chaos,
     chaos_plan,
-    preset_options,
-    preset_specs,
 )
 from repro.obsv import load_ledger
+from repro.scenarios import FLEETS
 
 
 def _params(model):
@@ -288,7 +287,7 @@ class TestFabricDegradation:
 
 class TestChaosDeterminism:
     def test_empty_chaos_is_bit_identical_to_faultless(self, tmp_path):
-        specs = preset_specs("smoke")
+        specs = FLEETS["smoke"].jobs()
         assert apply_chaos(specs, rate=0.0) == specs
         FleetScheduler(specs, ledger_dir=tmp_path / "plain").run()
         FleetScheduler(apply_chaos(specs, rate=0.0), ledger_dir=tmp_path / "chaos0").run()
@@ -298,7 +297,7 @@ class TestChaosDeterminism:
             assert a.digest() == b.digest()
 
     def test_chaos_reruns_are_byte_identical(self, tmp_path):
-        specs = apply_chaos(preset_specs("smoke"), rate=1.0, seed=7)
+        specs = apply_chaos(FLEETS["smoke"].jobs(), rate=1.0, seed=7)
         FleetScheduler(specs, ledger_dir=tmp_path / "a").run()
         FleetScheduler(specs, ledger_dir=tmp_path / "b").run()
         for spec in specs:
@@ -330,9 +329,9 @@ class TestChaosDeterminism:
 
     def test_chaos_smoke_preset_restarts_and_converges(self, tmp_path):
         result = FleetScheduler(
-            preset_specs("chaos-smoke"),
+            FLEETS["chaos-smoke"].jobs(),
             ledger_dir=tmp_path,
-            **preset_options("chaos-smoke"),
+            **FLEETS["chaos-smoke"].options,
         ).run()
         assert result.total_restarts >= 1
         assert result.total_preemptions >= 1

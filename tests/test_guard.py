@@ -1,5 +1,7 @@
 """repro.guard: sentinels, divergence detection, policy engine, watchdog."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -559,8 +561,11 @@ class TestCheckpointSchema:
 class TestScenario:
     def test_guard_scenario_smoke(self):
         from repro.guard.scenario import run_guard_scenario
+        from repro.scenarios import SCENARIOS
 
-        result = run_guard_scenario(iterations=10, batch_size=16)
+        result = run_guard_scenario(
+            replace(SCENARIOS["guard"]["guard"], iterations=10, batch_size=16)
+        )
         assert result.guarded_completed
         assert np.isfinite(result.guarded_loss)
         assert result.timeline  # at least one remediation fired

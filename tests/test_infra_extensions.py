@@ -3,6 +3,8 @@ checkpointing, CLI."""
 
 import io
 from contextlib import redirect_stdout
+from fnmatch import fnmatch
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,6 +227,14 @@ class TestCli:
         code, out = self._run(["experiments"])
         assert code == 0
         assert "Fig. 9" in out
+        # Every bench on disk is listed (a row may be a glob, as the
+        # ablations' is), and every row names a bench that exists.
+        benchmarks = Path(__file__).resolve().parent.parent / "benchmarks"
+        rows = [line.split()[-1] for line in out.splitlines() if "benchmarks/bench_" in line]
+        for bench in sorted(p.name for p in benchmarks.glob("bench_*.py")):
+            assert any(fnmatch(f"benchmarks/{bench}", row) for row in rows), f"{bench} is not listed"
+        for row in rows:
+            assert list(benchmarks.parent.glob(row)), f"{row} matches no bench"
 
     def test_demo_train(self):
         code, out = self._run(["demo-train", "--ranks", "2", "--iterations", "6"])

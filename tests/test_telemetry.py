@@ -490,15 +490,24 @@ class TestCli:
         assert rc == 0
         doc = json.loads(trace.read_text())
         assert len(doc["traceEvents"]) > 0
+        # Complete events are written in timestamp order on every track.
+        spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+        assert spans
+        last = {}
+        for e in spans:
+            key = (e["pid"], e["tid"])
+            assert e["ts"] >= last.get(key, -1.0), "events out of order"
+            last[key] = e["ts"]
         lines = [json.loads(line) for line in metrics.read_text().splitlines()]
-        assert lines[-1]["final"] is True
+        assert lines[-1]["final"] is True and lines[-1]["metrics"]
         out = capsys.readouterr().out
         assert "telemetry summary" in out
         # Telemetry must be torn down after the command.
         assert get_tracer() is NULL_TRACER
 
     def test_trace_compressor_none_is_dense(self, tmp_path, capsys):
-        from repro.cli import _build_trace_trainer, build_parser, main
+        from repro.cli import _scenario, build_parser, main
+        from repro.scenarios import build
 
         argv = ["trace", "--nodes", "1", "--iterations", "2", "--metrics-out", ""]
         dense = tmp_path / "dense.json"
@@ -513,4 +522,4 @@ class TestCli:
 
         assert codec_spans(compso) and not codec_spans(dense)
         args = build_parser().parse_args([*argv, "--compressor", "none"])
-        assert _build_trace_trainer(args).compressor is None
+        assert build(_scenario(args, "trace", None, "nodes", "compressor")).compressor is None
