@@ -30,6 +30,7 @@ from repro.core.compso import pack_codes
 from repro.encoders.registry import get_encoder
 from repro.util.bitpack import unpack_uints
 from repro.util.seeding import spawn_rng
+from repro.util.triangle import mirror_upper, pack_upper, triangle_size
 
 __all__ = ["FactorCompressor"]
 
@@ -61,8 +62,7 @@ class FactorCompressor(GradientCompressor):
         if x.ndim != 2 or x.shape[0] != x.shape[1]:
             raise ValueError(f"factors are square matrices, got shape {x.shape}")
         d = x.shape[0]
-        iu = np.triu_indices(d)
-        tri = x[iu]
+        tri = pack_upper(x)
         # Scale to the diagonal magnitude: the damping gamma added before
         # inversion makes errors below eb*max(diag) immaterial.
         scale = float(np.abs(np.diag(x)).max())
@@ -82,14 +82,8 @@ class FactorCompressor(GradientCompressor):
 
     def decompress(self, ct: CompressedTensor) -> np.ndarray:
         d = int(ct.meta["dim"])
-        n_tri = d * (d + 1) // 2
         packed = self._encoder.decode(ct.segments["codes"])
-        codes = unpack_uints(packed, int(ct.meta["width"]), n_tri).astype(np.int64)
+        codes = unpack_uints(packed, int(ct.meta["width"]), triangle_size(d)).astype(np.int64)
         codes += int(ct.meta["code_min"])
         tri = codes.astype(np.float32) * np.float32(ct.meta["step"])
-        out = np.zeros((d, d), dtype=np.float32)
-        iu = np.triu_indices(d)
-        out[iu] = tri
-        # Mirror the strict upper triangle to restore exact symmetry.
-        out = out + out.T - np.diag(np.diag(out))
-        return out
+        return mirror_upper(tri, d)

@@ -3,8 +3,13 @@
 Implements the five-step workflow of paper Fig. 2 on the simulated
 cluster, with KAISA's refinements (section 2.2):
 
-1. per-rank covariance computation from local shards;
-2. factor **allreduce** (category ``kfac_allreduce``);
+1. per-rank covariance computation from local shards (float32, the
+   width of the captured activations);
+2. factor **allreduce** (category ``kfac_allreduce``): a factor is
+   symmetric, so each rank's message is the float32 upper triangle
+   (diagonal included) of ``A`` and ``G`` — the bytes the analytic
+   ``KfacIterationModel`` prices — reduced, then mirrored once per layer
+   and folded into the float64 running averages;
 3. **eigendecomposition** of each layer by its assigned owner rank only
    (greedy LPT assignment, category ``kfac_compute``);
 4. preconditioned-gradient computation on the owner;
@@ -42,6 +47,7 @@ from repro.telemetry import get_metrics
 from repro.train.step import StepScaffold
 from repro.train.trainer import TrainHistory
 from repro.util.checkpoint import load_checkpoint, save_checkpoint
+from repro.util.triangle import mirror_upper, pack_upper, triangle_size
 
 __all__ = ["DistributedKfacTrainer"]
 
@@ -246,10 +252,12 @@ class DistributedKfacTrainer(StepScaffold):
                 self._scatter_grads(
                     self.kfac.other_params, self._sanitize(other_handle.wait()[0])
                 )
-        for i, (a, g) in enumerate(per_rank_factors[0]):
+        for i in range(n_layers):
+            in_f, out_f = self._layer_dims(i)
+            cut = triangle_size(in_f)
             red = reduced_factors[i]
             self.kfac.accumulate_factors(
-                i, red[: a.size].reshape(a.shape), red[a.size :].reshape(g.shape)
+                i, mirror_upper(red[:cut], in_f), mirror_upper(red[cut:], out_f)
             )
 
         # Step 3: owner-rank eigendecomposition on the refresh schedule.
@@ -407,7 +415,12 @@ class DistributedKfacTrainer(StepScaffold):
     def _factor_payload(
         self, i: int, per_rank_factors: list[list[tuple[np.ndarray, np.ndarray]]]
     ) -> tuple[list[np.ndarray], float | None]:
-        """Per-rank flattened factor payload for layer ``i`` and its wire bytes.
+        """Per-rank factor message for layer ``i`` and its wire bytes.
+
+        A rank's message is the float32 upper triangles (diagonal
+        included) of its ``A`` and ``G``, back to back: the statistic is
+        symmetric bit for bit, so reducing the triangles and mirroring
+        afterwards equals reducing the squares.
 
         With a factor compressor, each rank's local contribution travels
         compressed; SR's unbiasedness makes per-rank errors average out
@@ -428,16 +441,17 @@ class DistributedKfacTrainer(StepScaffold):
             for pair in pairs:
                 received = []
                 for mat in pair:
-                    mat32 = mat.astype(np.float32)
-                    ct = fc.compress(mat32)
-                    original += mat32.nbytes
+                    ct = fc.compress(mat)
+                    original += mat.nbytes
                     wire += ct.nbytes
-                    received.append(fc.decompress(ct).astype(np.float64))
+                    received.append(fc.decompress(ct))
                 decoded.append(received)
             self.factor_ratios.append(original / max(wire, 1))
             wire_bytes = float(wire) / len(pairs)
             pairs = decoded
-        flats = [np.concatenate([a.ravel(), g.ravel()]) for a, g in pairs]
+        flats = [
+            np.concatenate([pack_upper(a), pack_upper(g)], dtype=np.float32) for a, g in pairs
+        ]
         if timing:
             return self.cluster.replicate(flats[0], copy=False), wire_bytes
         return flats, wire_bytes

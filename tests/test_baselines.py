@@ -42,6 +42,21 @@ same file was run (``-k result_document``) in a ``git clone`` of
 b279dc0 — the last commit whose CLI built each of these jobs by hand,
 before ``repro.scenarios`` existed — and the digests it printed as
 mismatches were pasted below; the registry reproduces every one.
+
+Re-pinned a second time, together with the six committed ledgers, for
+the change that forms the K-FAC factor statistics in float32 and ships
+their upper triangles: the six ``kfac-*`` configurations and all
+eighteen documents moved, the three ``sgd-*`` ones did not.  Field by
+field against the same runs at c3bf950: losses move by at most 7e-5
+relative (chaos ``rank-loss``; 1e-5 elsewhere) and the guard's
+``*_over_bound`` / ``*_over_median`` details with them, allreduce bytes
+fall by 69 %, and the sim-time-derived fields follow; steps, verdict
+kinds, remediations fired, restart and preemption counts are identical.
+Where ``bucket_bytes=2048``, a step now issues 11 allreduces instead of
+12 (the smaller factor messages fill fewer buckets), and the per-
+collective jitter/straggler injection counts follow.
+``tests/test_factor_exchange.py`` holds what these digests used to
+prove about the factor path.
 """
 
 import hashlib
@@ -228,12 +243,12 @@ CONFIGURATIONS = {
 
 #: Ledger digests of CONFIGURATIONS (see the module docstring for their provenance).
 PINNED = {
-    "kfac-blocking-guard-xray": "e977643d1d7bc4a120d9bb6204b0c61777318bd63ed3759e6c37e37cd5419950",
-    "kfac-reliable-faults-none": "ae804ee7cf53a800c156a54420a9be628ea189a4e8879d3f5749c1e12e042518",
-    "kfac-reliable-faults-overlapped": "41d10caa88d6aca4c47295eb668c01a350b2a3bf911cfd6e3df7ee55700863a4",
-    "kfac-guard-remediates-none": "7d4900847ffa9bd96814473ca57d2765b860a002ffaad702f02b96a68099da8f",
-    "kfac-guard-remediates-blocking": "660db6d50d385596a65a65b229bcd3b250303f6ff4a9f527f2619624edf57e28",
-    "kfac-guard-remediates-overlapped": "cf72106431c1df3248969dbf81f37daaff6ea560848faad7202ac55c78237109",
+    "kfac-blocking-guard-xray": "c019ddb51101d661ba9f102bf7ae03553516788a953bbd94cc9ea1f06142cee7",
+    "kfac-reliable-faults-none": "996367c8ddabb7d4149b0d32ece886b3685c902f49279fb643bff017b5c23fbe",
+    "kfac-reliable-faults-overlapped": "90f4ab344e61fb2894f093f4391bc38355a6230d8e3f19e85f0ef8f0c2d1283f",
+    "kfac-guard-remediates-none": "92f124c2c2f01d47fc74a9eb6e88431505590eeb318b39cdec4f37509ddc2c33",
+    "kfac-guard-remediates-blocking": "b4a70a132fedf755f94d7ae2a09ce4ff1aa32989375f0bc2ed92389abeed165d",
+    "kfac-guard-remediates-overlapped": "623326ac9e9d501978fd6f43dc31caffb7c7ffff81cd1f8c6f96af99524d600d",
     "sgd-compso-guard-none": "bbd0dc9522fcc08e1b6deebd29623eac03c66faa279d9942cb3dcbe766bc932a",
     "sgd-compso-guard-blocking": "1dee6fb507485119a70113cf88bb74ecfa2d4ae9a5b4ea430b751e44ef443dae",
     "sgd-compso-guard-overlapped": "9a2c1394eb3d8bbbf6d7665ef549e266c32bba5eb91028d703b499cfcc4f93d5",
@@ -268,24 +283,24 @@ DOCUMENTS = {
 
 #: sha256 of each DOCUMENTS entry (see the module docstring for their provenance).
 PINNED_DOCUMENTS = {
-    "chaos-corruption": "ded0478516b4a757ee4c4a7d1af77d0c7f5a52430f48fa8d4766503f750ac016",
-    "chaos-corruption-ci-shape": "bfbd9d05e7f495d9d74414c22733d9b1fa86c8d1797ec002eb99af5aa3329fb0",
-    "chaos-degraded-link": "1c7e5d36cdb7e016e9f1dedf11a1b1a73c4481ed6c36052d385e56806f17d3c8",
-    "chaos-degraded-link-ci-shape": "6350242b3410daf549eb64aeb2fd36295c36edf5b51c3157e6fc71e1195beea4",
-    "chaos-mixed": "b70cb9c7ece844a92d696e830efdf83fe1ec4ef818b415930a84cfb100433f4d",
-    "chaos-mixed-ci-shape": "29b723e447ab4d0f7b880650694057b09c81107b671a1a963654b850490f631f",
-    "chaos-rank-loss": "84863e8379ed6aaaed8513362464319aa6444ca786d0c267145c7755de13a447",
-    "chaos-rank-loss-ci-shape": "0c9f5a9e99fc6a68bc3403b60938c261dcd1fced684183280d0727ed61ccf9e6",
-    "chaos-smoke": "79126068cc14981b1c5b45213254e7ad5aff22a6c753ba699dc9f4685d8a54d0",
-    "chaos-smoke-ci-shape": "46838f6db53ae87fcf662fa605f68d4cb9ac9f69e145fc20437e642a06b30f6c",
-    "chaos-stragglers": "93737f742dc9957a6041cd74d70e8e02b2785aebf83bfe2dc06a0e8e7a2680b3",
-    "chaos-stragglers-ci-shape": "0607f3992fc2ee8452154699490816df7867f1f549171cb24dd0f6ecc0199098",
-    "fleet-chaos-smoke": "3bce31de331f58d5247168bc6806e989c5098fe14be19cccb5b8d2b34afcf7be",
-    "fleet-smoke": "58a1f1ecdd8579702ce0aa7e4ad71c4a365a699923caf05ba833a78e926f44ae",
-    "fleet-storage-smoke": "0de7884521e8af6cc4c962d89dda119eaead9f3531b1a8c6185671fa7a5b6695",
-    "guard": "c61cecf5ab1e5ae6dd05183de401b3b92628ffba578ee8d2a51e2cc3a5c04590",
-    "overlap-ranks4-iters3": "0bdc3b38f617a4f8cec67ffd604b3e45b0005065e1cb87e6e797545fd410e235",
-    "overlap-ranks8": "3ac5df6cac1045b97d0c218064fc22c6fd655ab1b7e22a6e3859357e4054d34d",
+    "chaos-corruption": "5a5ff684d1b7bd4391b0f2f78c22ee7e838cf922c3ca04fcb81cfa6643c3ac79",
+    "chaos-corruption-ci-shape": "3e434226896be96eb4ac7984f1f7a915065b8e1ed17b896da2fc5ca9a1c474eb",
+    "chaos-degraded-link": "f9bbae6084d5586fd6e3c53fcb788e4a85653f32156e7b07aa626a749e58c86e",
+    "chaos-degraded-link-ci-shape": "f50750781aba874275ab31350defd74bc60032eea8a06662c8d7f640f9697fa8",
+    "chaos-mixed": "f4359cc72217e6b5c0e8f4cc6b971bb108819236b04850f112d96084bbdf23e4",
+    "chaos-mixed-ci-shape": "aeace9592b98897c9484513701ecfac9cd0680bf1e748a187271b328424799ad",
+    "chaos-rank-loss": "7b0402d436a4c62791eaa1e94bce8bbaef65f4f52ab05297425a92d13dcd0a13",
+    "chaos-rank-loss-ci-shape": "5055b57352757b3aa5a44db2802638324ed8b68c86e9e83d51c7b7cb92225ebb",
+    "chaos-smoke": "a7ecf136b6db5a3d895891d974e9aba8470b9fd7e9f843f9a6f33f911eae7b0e",
+    "chaos-smoke-ci-shape": "d59078514f3617e1a4a42030d0e363291dab69432c2df681ca57455387efcda4",
+    "chaos-stragglers": "3e5ab948b581b378f7973bc5a02bf11bdb5c7ca0e78c36b660d5ccdf58b34f10",
+    "chaos-stragglers-ci-shape": "2fe6c0ec8c0f4a4458fae02fc36a0f4ff3e98769c94170debb61358ffba32a14",
+    "fleet-chaos-smoke": "209700f30b451665b5f4dbd579286b5db0356ebe6e25c484f266a34d89dcb106",
+    "fleet-smoke": "389881f218134e076190355d8efb0334b2b2ab85de1c97a9f20b18ef1f3d838f",
+    "fleet-storage-smoke": "9f6b2fceedfcc9da54cf9367ab8d0d5474704a9890e3f32e568dce25b0999293",
+    "guard": "6fee474270c65a5a20734e9a87c23f60b1d9dfb946870037ca8a8ef7158417a5",
+    "overlap-ranks4-iters3": "c59d6ce14e39333aae8ce7a1385f1895a2d29628228641714ccd8b06f5dae792",
+    "overlap-ranks8": "f06a7d95593aa9a09443497e3dfa30a94a77ef8946c8f0af8f2cef5b3cfe7ed6",
 }
 
 

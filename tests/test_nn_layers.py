@@ -644,14 +644,18 @@ class TestGeometryValidation:
 # pooling, np.where ReLU and np.var BatchNorm — and the digests
 # ``_trained_digest`` returns were printed there.  They moving means an
 # observable of training moved; re-pin only for a change meant to do that.
+#
+# Re-pinned once since, for float32 K-FAC factor statistics: no repro.nn
+# file changed, and tests/test_factor_exchange.py holds the same three
+# runs' losses to within 1e-3 of those at c3bf950 (measured: 2e-6).
 
 _PINNED_RUNS = {
     # Sequential: residual block, stride-1 3x3 convs, two pools.
-    "resnet_proxy": "c9e51f60c077a8ed1154cff27684be6a0de39ef7f4debf781de53b809d2d1ecf",
+    "resnet_proxy": "94f8f8f8f4c92741e40c99c9d8956e7249b8868e94db7ccd90133c4bb71bbda5",
     # Module with a shared trunk, two linear heads and a split gradient.
-    "detection_proxy": "6765ef13c4b69fa46135386beb688be3428a1243860890d6037d2f947bde9873",
+    "detection_proxy": "6d8d9423dc97d354423b80c6d45b21b7569046ae252c1257fe0821cb53bd990d",
     # Residual stages with stride-2 3x3 and 1x1 projection convs, no pooling.
-    "mini_resnet": "1c1d1ef1cfa9f25fece8267189d7c820ef7f6bcc4ce14016e7e21cc4998c2a60",
+    "mini_resnet": "722e55e08ce675fd4ab175f3cecd09cae70b4746d3269c413e02e9d760774cc0",
 }
 
 

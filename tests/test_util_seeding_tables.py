@@ -1,5 +1,8 @@
 """Seeding determinism and table formatting."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -34,6 +37,52 @@ class TestSeeding:
 
     def test_rank_rngs_reproducible(self):
         assert np.array_equal(rng_for_rank(5, 3).random(5), rng_for_rank(5, 3).random(5))
+
+
+def _hash_seeded(tree):
+    """``(line, call)`` of every seed expression that contains a call to
+    the builtin ``hash``, whose value for a ``str`` follows
+    ``PYTHONHASHSEED``: the arguments of ``spawn_rng`` / ``default_rng``
+    and any ``seed=`` keyword."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if callee in ("spawn_rng", "default_rng"):
+            seeds = [*node.args, *(kw.value for kw in node.keywords)]
+        else:
+            seeds = [kw.value for kw in node.keywords if kw.arg == "seed"]
+        for seed in seeds:
+            for inner in ast.walk(seed):
+                if isinstance(inner, ast.Call) and getattr(inner.func, "id", None) == "hash":
+                    found.append((node.lineno, callee))
+    return found
+
+
+def test_no_seed_is_derived_from_the_builtin_hash():
+    """Four benches seeded gradients with ``hash(model_name)``, so their
+    committed outputs depended on the interpreter's hash seed."""
+    repo = Path(__file__).resolve().parent.parent
+    files = sorted([*(repo / "src").rglob("*.py"), *(repo / "benchmarks").rglob("*.py")])
+    assert len(files) > 100
+    offenders = [
+        f"{path.relative_to(repo)}:{line} ({callee})"
+        for path in files
+        for line, callee in _hash_seeded(ast.parse(path.read_text()))
+    ]
+    assert offenders == []
+
+
+def test_the_hash_seed_lint_sees_what_it_looks_for():
+    bad = ast.parse(
+        "spawn_rng(0, hash(m) % 991)\n"
+        "np.random.default_rng(hash(m))\n"
+        "f(catalog, seed=hash(m) % 1009)\n"
+        "spawn_rng(0, zlib.crc32(m.encode()) % 991)\n"
+        "g(seed=hashlib.sha256(b).digest()[0])\n"
+    )
+    assert _hash_seeded(bad) == [(1, "spawn_rng"), (2, "default_rng"), (3, "f")]
 
 
 class TestFormatTable:
