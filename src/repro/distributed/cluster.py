@@ -43,6 +43,9 @@ Two tracks (DESIGN.md decision 8):
 
 from __future__ import annotations
 
+import operator
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from repro.distributed.clock import SimClock, VirtualClock, VirtualClockPlane
@@ -66,7 +69,26 @@ TRACK_PLANES = {
     "convergence": frozenset({"time", "data", "availability"}),
     "timing": frozenset({"time", "availability"}),
 }
-_TRACK_PLANES = TRACK_PLANES
+
+
+def _require_positive_int(name: str, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
+class _Plan(NamedTuple):
+    """One collective, planned: its data already moved, sized, priced and
+    counted.  A schedule charges ``seconds`` to clocks its own way (the
+    blocking barrier, or a comm stream) and then calls ``finalize``."""
+
+    op: str
+    seconds: float
+    #: Modelled bytes on the wire (what the runtime's posting queues match on).
+    wire: float
+    #: Span attributes, in the order the Chrome export serialises them.
+    attrs: dict
+    #: Receiver-side completion: per-rank copies, then data-plane faults.
+    finalize: Callable[[], list]
 
 
 class SimRank:
@@ -111,16 +133,8 @@ class SimCluster:
         if platform is not None:
             network = platform.network
             gpus_per_node = platform.gpus_per_node
-        if not isinstance(n_nodes, int) or isinstance(n_nodes, bool) or n_nodes < 1:
-            raise ValueError(f"n_nodes must be a positive integer, got {n_nodes!r}")
-        if (
-            not isinstance(gpus_per_node, int)
-            or isinstance(gpus_per_node, bool)
-            or gpus_per_node < 1
-        ):
-            raise ValueError(
-                f"gpus_per_node must be a positive integer, got {gpus_per_node!r}"
-            )
+        _require_positive_int("n_nodes", n_nodes)
+        _require_positive_int("gpus_per_node", gpus_per_node)
         if track not in ("convergence", "timing"):
             raise ValueError(f"track must be 'convergence' or 'timing', got {track!r}")
         if payloads is None:
@@ -175,9 +189,9 @@ class SimCluster:
         self.faults: FaultController | None = None
         if fault_plan is not None and not fault_plan.is_empty_for_cluster():
             for entry in fault_plan.entries():
-                if entry.plane not in _TRACK_PLANES[track]:
+                if entry.plane not in TRACK_PLANES[track]:
                     supported = sorted(
-                        t for t, planes in _TRACK_PLANES.items() if entry.plane in planes
+                        t for t, planes in TRACK_PLANES.items() if entry.plane in planes
                     )
                     raise ValueError(
                         f"{type(entry).__name__} is a {entry.plane}-plane fault, which "
@@ -196,16 +210,8 @@ class SimCluster:
         A world smaller than one full node becomes a single partial node;
         anything else must divide evenly into ``gpus_per_node``-GPU nodes.
         """
-        if not isinstance(world_size, int) or isinstance(world_size, bool) or world_size < 1:
-            raise ValueError(f"world_size must be a positive integer, got {world_size!r}")
-        if (
-            not isinstance(gpus_per_node, int)
-            or isinstance(gpus_per_node, bool)
-            or gpus_per_node < 1
-        ):
-            raise ValueError(
-                f"gpus_per_node must be a positive integer, got {gpus_per_node!r}"
-            )
+        _require_positive_int("world_size", world_size)
+        _require_positive_int("gpus_per_node", gpus_per_node)
         local = min(world_size, gpus_per_node)
         if world_size % local:
             raise ValueError(
@@ -289,6 +295,22 @@ class SimCluster:
 
     # -- time plane helpers --------------------------------------------------
 
+    def _fault_extras(self, op: str, seconds: float, review=None) -> dict[int, float]:
+        """Per-rank straggler/jitter stalls drawn for one collective.
+
+        The worst stall is charged to :attr:`fault_delay_seconds`; the
+        caller stretches the clocks.  ``review`` (the runtime's watchdog)
+        sits between draw and charge: it may re-draw the map or raise.
+        """
+        if self.faults is None:
+            return {}
+        extras = self.faults.collective_extras(op, seconds, [r.rank for r in self.ranks])
+        if review is not None and extras:
+            extras = review(extras)
+        if extras:
+            self.fault_delay_seconds += max(extras.values())
+        return extras
+
     def _barrier_and_advance(
         self, seconds: float, category: str, *, op: str | None = None, **attrs
     ) -> None:
@@ -309,15 +331,9 @@ class SimCluster:
         span-reconciliation invariant is a convergence-track guarantee).
         """
         tracer = get_tracer()
+        extras = self._fault_extras(op or category, seconds)
         if self._plane is not None:
             plane = self._plane
-            extras: dict[int, float] = {}
-            if self.faults is not None:
-                extras = self.faults.collective_extras(
-                    op or category, seconds, [r.rank for r in self.ranks]
-                )
-                if extras:
-                    self.fault_delay_seconds += max(extras.values())
             start = plane.max_now
             plane.barrier("wait")
             plane.advance_all(seconds, category)
@@ -345,13 +361,6 @@ class SimCluster:
                             op=op or category,
                         )
             return
-        extras: dict[int, float] = {}
-        if self.faults is not None:
-            extras = self.faults.collective_extras(
-                op or category, seconds, [r.rank for r in self.ranks]
-            )
-            if extras:
-                self.fault_delay_seconds += max(extras.values())
         t = max(r.clock.now for r in self.ranks)
         op_spans = []  # per-rank collective legs, rank order
         for r in self.ranks:
@@ -473,8 +482,8 @@ class SimCluster:
     def collective_seconds(self, op: str, nbytes: float) -> float:
         """Alpha-beta seconds for one collective on the current fabric.
 
-        The single pricing point both the blocking collectives and the
-        runtime engine call — which is what keeps blocking and overlapped
+        The single pricing point: every plan calls it, whichever schedule
+        settles the plan — which is what keeps blocking and overlapped
         execution bit-identical in modelled time, and gives the fleet's
         contention hook one place to stretch transfers.
         """
@@ -487,11 +496,19 @@ class SimCluster:
 
     # -- data-plane collectives ----------------------------------------------
     #
-    # Each collective is split into a pure data-plane helper (``_*_data``)
-    # and the blocking wrapper that adds barrier time accounting.  The
-    # nonblocking engine in :mod:`repro.runtime` calls the same data
-    # helpers, which is what makes the overlapped execution path
-    # bit-identical to the blocking one: only the clocks differ.
+    # Each collective is described once, by its ``_plan_<op>``: check the
+    # input, move the data (``_*_data``), size it, price it
+    # (``collective_seconds``), count it (``_record_collective``) and hand
+    # back a :class:`_Plan`.  The rest is a schedule's: the blocking methods
+    # settle a plan as a barrier (``_settle``), :mod:`repro.runtime` settles
+    # the same plan on a comm stream — so the two are bit-identical in data,
+    # bytes and priced seconds, and only the clocks differ (DESIGN.md
+    # decision 18).
+
+    def _settle(self, plan: _Plan, category: str) -> list:
+        """The blocking schedule of a plan: barrier, charge, complete."""
+        self._barrier_and_advance(plan.seconds, category, op=plan.op, **plan.attrs)
+        return plan.finalize()
 
     def _check(self, arrays) -> None:
         if len(arrays) != self.world_size:
@@ -556,6 +573,16 @@ class SimCluster:
             total /= self.world_size - len(skip)
         return total
 
+    def _plan_allreduce(self, arrays, *, average: bool, nbytes: float | None) -> _Plan:
+        """Reduce now; completion hands every rank its copy of the result."""
+        total = self._reduce_data(arrays, "allreduce", average=average)
+        result = total.astype(np.asarray(arrays[0]).dtype)
+        wire = result.nbytes if nbytes is None else nbytes
+        seconds = self.collective_seconds("allreduce", wire)
+        self._record_collective("allreduce", seconds, result.nbytes, wire)
+        attrs = {"nbytes_raw": result.nbytes, "nbytes_wire": wire}
+        return _Plan("allreduce", seconds, wire, attrs, lambda: self._replicate_result(result))
+
     def allreduce(
         self,
         arrays: list[np.ndarray],
@@ -569,19 +596,28 @@ class SimCluster:
         ``nbytes`` overrides the modelled wire size (used when the
         payload travels compressed, e.g. factor compression).
         """
-        total = self._reduce_data(arrays, "allreduce", average=average)
-        result = total.astype(np.asarray(arrays[0]).dtype)
-        wire = result.nbytes if nbytes is None else nbytes
-        seconds = self.collective_seconds("allreduce", wire)
-        self._record_collective("allreduce", seconds, result.nbytes, wire)
-        self._barrier_and_advance(
-            seconds,
-            category,
-            op="allreduce",
-            nbytes_raw=result.nbytes,
-            nbytes_wire=wire,
+        return self._settle(
+            self._plan_allreduce(arrays, average=average, nbytes=nbytes), category
         )
-        return self._replicate_result(result)
+
+    def _plan_allgather(self, objects, *, nbytes_per_rank: float | None) -> _Plan:
+        """Gather now; completion is the receiver-side corruption pass."""
+        self._check(objects)
+        distinct = [objects.payload] if isinstance(objects, RepView) else objects
+        raw_sizes = [o.nbytes for o in distinct if isinstance(o, np.ndarray)]
+        if nbytes_per_rank is None:
+            nbytes_per_rank = max(raw_sizes) if raw_sizes else 0.0
+        seconds = self.collective_seconds("allgather", nbytes_per_rank)
+        raw = max(raw_sizes) if raw_sizes else nbytes_per_rank
+        self._record_collective(
+            "allgather", seconds, raw * self.world_size, nbytes_per_rank * self.world_size
+        )
+        data = self._allgather_data(objects)  # sender buffers are copied now
+        attrs = {"nbytes_raw": raw, "nbytes_wire": nbytes_per_rank}
+        return _Plan(
+            "allgather", seconds, nbytes_per_rank, attrs,
+            lambda: self._inject_allgather_faults(data),
+        )
 
     def allgather(
         self,
@@ -596,27 +632,9 @@ class SimCluster:
         gathering compressed blobs whose wire size differs from the Python
         object size); defaults to the max ``nbytes`` of NumPy payloads.
         """
-        self._check(objects)
-        if isinstance(objects, RepView):
-            first = objects.payload
-            raw_sizes = [first.nbytes] if isinstance(first, np.ndarray) else []
-        else:
-            raw_sizes = [o.nbytes for o in objects if isinstance(o, np.ndarray)]
-        if nbytes_per_rank is None:
-            nbytes_per_rank = max(raw_sizes) if raw_sizes else 0.0
-        seconds = self.collective_seconds("allgather", nbytes_per_rank)
-        raw = max(raw_sizes) if raw_sizes else nbytes_per_rank
-        self._record_collective(
-            "allgather", seconds, raw * self.world_size, nbytes_per_rank * self.world_size
+        return self._settle(
+            self._plan_allgather(objects, nbytes_per_rank=nbytes_per_rank), category
         )
-        self._barrier_and_advance(
-            seconds,
-            category,
-            op="allgather",
-            nbytes_raw=raw,
-            nbytes_wire=nbytes_per_rank,
-        )
-        return self._inject_allgather_faults(self._allgather_data(objects))
 
     def _allgather_data(self, objects):
         # Real MPI allgather copies every contribution into each rank's
@@ -667,24 +685,36 @@ class SimCluster:
                 )
         return corrupted
 
-    def broadcast(
-        self, obj: object, root: int = 0, *, nbytes: float | None = None, category: str = "broadcast"
-    ) -> list[object]:
-        """Send ``obj`` from ``root`` to every rank."""
+    def _plan_broadcast(self, obj: object, root: int, *, nbytes: float | None) -> _Plan:
+        """Copy to every non-root now; completion is the corruption pass."""
+        # A root outside the live world (a stale owner index after an
+        # elastic shrink, say) would make every rank a receiver: no sender
+        # keeps its buffer and corruption may touch what should be it.
+        try:
+            sender = operator.index(root)
+        except TypeError:
+            sender = -1  # not an integer at all
+        if isinstance(root, (bool, np.bool_)) or not 0 <= sender < self.world_size:
+            raise ValueError(
+                f"broadcast root {root!r} is not a rank position of the live world: "
+                f"need an integer in [0, {self.world_size})"
+            )
         raw = obj.nbytes if isinstance(obj, np.ndarray) else 0.0
         if nbytes is None:
             nbytes = raw
         seconds = self.collective_seconds("broadcast", nbytes)
         self._record_collective("broadcast", seconds, raw, nbytes)
-        self._barrier_and_advance(
-            seconds,
-            category,
-            op="broadcast",
-            root=root,
-            nbytes_raw=raw,
-            nbytes_wire=nbytes,
+        data = self._broadcast_data(obj, root)
+        attrs = {"root": root, "nbytes_raw": raw, "nbytes_wire": nbytes}
+        return _Plan(
+            "broadcast", seconds, nbytes, attrs, lambda: self._inject_broadcast_faults(data, root)
         )
-        return self._inject_broadcast_faults(self._broadcast_data(obj, root), root)
+
+    def broadcast(
+        self, obj: object, root: int = 0, *, nbytes: float | None = None, category: str = "broadcast"
+    ) -> list[object]:
+        """Send ``obj`` from ``root`` to every rank."""
+        return self._settle(self._plan_broadcast(obj, root, nbytes=nbytes), category)
 
     def _broadcast_data(self, obj: object, root: int):
         # The root keeps its own buffer (MPI semantics); every other rank
@@ -711,6 +741,19 @@ class SimCluster:
                 out[pos] = self._maybe_corrupt(out[pos], receiver, "broadcast")
         return out
 
+    def _plan_reduce_scatter(self, arrays, *, nbytes: float | None) -> _Plan:
+        """Reduce and split now; completion casts each rank's chunk."""
+        total = self._reduce_data(arrays, "reduce_scatter", average=False)
+        chunks = np.array_split(total.ravel(), self.world_size)
+        dtype = np.asarray(arrays[0]).dtype
+        wire = total.nbytes if nbytes is None else nbytes
+        seconds = self.collective_seconds("reduce_scatter", wire)
+        self._record_collective("reduce_scatter", seconds, total.nbytes, wire)
+        attrs = {"nbytes_raw": total.nbytes, "nbytes_wire": wire}
+        return _Plan(
+            "reduce_scatter", seconds, wire, attrs, lambda: [c.astype(dtype).copy() for c in chunks]
+        )
+
     def reduce_scatter(
         self,
         arrays: list[np.ndarray],
@@ -723,18 +766,4 @@ class SimCluster:
         ``nbytes`` overrides the modelled wire size, like ``allreduce``'s
         — required to cost compressed payloads through this collective.
         """
-        total = self._reduce_data(arrays, "reduce_scatter", average=False)
-        p = self.world_size
-        flat = total.ravel()
-        chunks = np.array_split(flat, p)
-        wire = total.nbytes if nbytes is None else nbytes
-        seconds = self.collective_seconds("reduce_scatter", wire)
-        self._record_collective("reduce_scatter", seconds, total.nbytes, wire)
-        self._barrier_and_advance(
-            seconds,
-            category,
-            op="reduce_scatter",
-            nbytes_raw=total.nbytes,
-            nbytes_wire=wire,
-        )
-        return [c.astype(np.asarray(arrays[0]).dtype).copy() for c in chunks]
+        return self._settle(self._plan_reduce_scatter(arrays, nbytes=nbytes), category)

@@ -144,16 +144,8 @@ class DistributedKfacTrainer(StepScaffold):
 
     def _assign_owners(self) -> None:
         """Greedy LPT assignment of layers to the current world's ranks."""
-        costs = [eig_cost(*self._layer_dims(i)) for i in range(len(self.kfac.layers))]
+        costs = [eig_cost(*self.kfac.layer_dims(i)) for i in range(len(self.kfac.layers))]
         self.owners = assign_layers(costs, self.cluster.world_size)
-
-    def _layer_dims(self, idx: int) -> tuple[int, int]:
-        layer = self.kfac.layers[idx]
-        out_f = layer.weight.shape[0]
-        in_f = int(np.prod(layer.weight.shape[1:]))
-        if getattr(layer, "bias", None) is not None:
-            in_f += 1
-        return in_f, out_f
 
     # -- gradient helpers -------------------------------------------------------
 
@@ -170,7 +162,7 @@ class DistributedKfacTrainer(StepScaffold):
     def _set_kfac_flat_grads(self, flat: np.ndarray) -> None:
         pos = 0
         for i in range(len(self.kfac.layers)):
-            in_f, out_f = self._layer_dims(i)
+            in_f, out_f = self.kfac.layer_dims(i)
             size = in_f * out_f
             self.kfac.layers[i].set_kfac_weight_grad(
                 flat[pos : pos + size].reshape(out_f, in_f).astype(np.float32)
@@ -253,7 +245,7 @@ class DistributedKfacTrainer(StepScaffold):
                     self.kfac.other_params, self._sanitize(other_handle.wait()[0])
                 )
         for i in range(n_layers):
-            in_f, out_f = self._layer_dims(i)
+            in_f, out_f = self.kfac.layer_dims(i)
             cut = triangle_size(in_f)
             red = reduced_factors[i]
             self.kfac.accumulate_factors(
@@ -270,7 +262,7 @@ class DistributedKfacTrainer(StepScaffold):
                     else:
                         self.kfac.compute_eigen(i)
                     if cm is not None:
-                        in_f, out_f = self._layer_dims(i)
+                        in_f, out_f = self.kfac.layer_dims(i)
                         self.cluster.advance_rank(
                             self.owners[i],
                             cm.eig_seconds(in_f) + cm.eig_seconds(out_f),
@@ -297,7 +289,7 @@ class DistributedKfacTrainer(StepScaffold):
             if cm is not None:
                 self.cluster.advance_rank(
                     self.owners[i],
-                    cm.precondition_seconds(*self._layer_dims(i)),
+                    cm.precondition_seconds(*self.kfac.layer_dims(i)),
                     "kfac_compute",
                 )
             original += pg.nbytes

@@ -112,11 +112,15 @@ class Kfac:
         self.kl_clip = kl_clip
         self.layers: list[KfacLayerMixin] = model.kfac_layers()
         self.state: dict[int, LayerFactors] = {i: LayerFactors() for i in range(len(self.layers))}
+        self._layer_dims: list[tuple[int, int]] = []
         kfac_params = set()
         for layer in self.layers:
             kfac_params.add(id(layer.weight))
+            in_f = int(np.prod(layer.weight.shape[1:]))
             if getattr(layer, "bias", None) is not None:
                 kfac_params.add(id(layer.bias))
+                in_f += 1  # the bias rides as one more input column
+            self._layer_dims.append((in_f, layer.weight.shape[0]))
         self.other_params: list[Parameter] = [
             p for p in model.parameters() if id(p) not in kfac_params
         ]
@@ -279,13 +283,11 @@ class Kfac:
 
     # -- sizes used by the communication model -------------------------------------
 
+    def layer_dims(self, idx: int) -> tuple[int, int]:
+        """``(in_features [+1 with bias], out_features)`` of layer ``idx`` —
+        the sides of its A and G factors."""
+        return self._layer_dims[idx]
+
     def gradient_sizes(self) -> list[int]:
         """Per-layer preconditioned-gradient element counts (allgather payload)."""
-        sizes = []
-        for layer in self.layers:
-            out_f = layer.weight.shape[0]
-            in_f = int(np.prod(layer.weight.shape[1:]))
-            if getattr(layer, "bias", None) is not None:
-                in_f += 1
-            sizes.append(out_f * in_f)
-        return sizes
+        return [in_f * out_f for in_f, out_f in self._layer_dims]

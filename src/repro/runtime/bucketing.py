@@ -7,12 +7,9 @@ collective per bucket.  Because per-element reduction math is unchanged
 by concatenation (same per-rank addition order, same averaging), bucketed
 results are bit-identical to per-tensor collectives.
 
-With a ``compressor``, each rank's concatenated bucket payload travels
-through the existing COMPSO pipeline once per bucket — compression over
-a bucket is precisely the layer-aggregation idea of the paper (COMPSO's
-``m``) executed by the runtime instead of being assumed by the timing
-model.  Without one, ``wire_nbytes`` overrides per item let callers
-account for payloads that were compressed upstream.
+``wire_nbytes`` overrides per item let callers account for payloads that
+travel smaller than they are held (compressed upstream, or the K-FAC
+factor exchange's float32 triangles).
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ import numpy as np
 from repro.distributed.plane import RepView, map_payloads
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.compression.base import GradientCompressor
     from repro.runtime.engine import StreamRuntime
 
 __all__ = ["Bucketer", "split_bounds"]
@@ -57,7 +53,6 @@ class Bucketer:
         threshold_bytes: int | None = None,
         category: str = "allreduce",
         average: bool = True,
-        compressor: "GradientCompressor | None" = None,
     ):
         self.runtime = runtime
         self.threshold_bytes = (
@@ -67,7 +62,6 @@ class Bucketer:
             raise ValueError(f"threshold_bytes must be positive, got {self.threshold_bytes}")
         self.category = category
         self.average = average
-        self.compressor = compressor
         #: Buckets issued over this bucketer's lifetime.
         self.n_buckets = 0
         #: Wire bytes modelled across all flushed buckets.
@@ -85,7 +79,7 @@ class Bucketer:
         (e.g. when the payload was already compressed upstream and only
         the compressed bytes travel).  A :class:`RepView` input (the
         timing track's representative payloads) stays a RepView all the
-        way through flush — one concatenation, one compression.
+        way through flush — one concatenation.
         """
         arrays = map_payloads(per_rank_arrays, np.asarray)
         flats = map_payloads(arrays, lambda a: a.ravel())
@@ -113,22 +107,7 @@ class Bucketer:
             slices.append((key, pos, pos + flats[0].size, shape))
             pos += flats[0].size
         wire: float | None = None
-        if self.compressor is not None:
-            # Compress each rank's whole bucket once (layer aggregation
-            # executed for real); the decompressed payloads are what the
-            # collective reduces, and only compressed bytes are costed.
-            dtype = payloads[0].dtype
-            compressed = map_payloads(
-                payloads, lambda p: self.compressor.compress(p.astype(np.float32))
-            )
-            if isinstance(compressed, RepView):
-                wire = float(compressed.payload.nbytes)
-            else:
-                wire = float(sum(ct.nbytes for ct in compressed)) / world
-            payloads = map_payloads(
-                compressed, lambda ct: self.compressor.decompress(ct).ravel().astype(dtype)
-            )
-        elif any(w is not None for _, _, _, w in self._items):
+        if any(w is not None for _, _, _, w in self._items):
             wire = float(
                 sum(w if w is not None else flats[0].nbytes for _, flats, _, w in self._items)
             )

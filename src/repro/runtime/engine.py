@@ -7,10 +7,13 @@ runtime gives each rank ``n_comm_streams`` communication streams next to
 its compute stream (the rank's :class:`SimClock`):
 
 * ``iallreduce`` / ``iallgather`` / ``ibroadcast`` / ``ireduce_scatter``
-  move the data **eagerly** — the payload math runs through the exact
-  same SimCluster data-plane helpers the blocking collectives use, so an
-  overlapped run is bit-identical to a blocking run — and return a
-  :class:`CollectiveHandle` instead of advancing any clock;
+  ask the cluster for the operation's *plan* — the data already moved
+  (eagerly, at issue), sized, priced and counted by the one function
+  that also serves the blocking collective, so an overlapped run is
+  bit-identical to a blocking run — and return a
+  :class:`CollectiveHandle` instead of advancing any clock.  This
+  module holds no payload, size or price logic of its own (DESIGN.md
+  decision 18);
 * the transfer occupies the least-busy comm stream of every participant
   from ``start = max(issue clocks, stream availability)`` for the
   alpha-beta duration of the collective;
@@ -39,17 +42,17 @@ never waited.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.distributed.plane import RepView
 from repro.runtime.compute import ComputeModel
 from repro.runtime.errors import DeadlockError, UnmatchedCollectiveError
 from repro.telemetry import SIM_TRACK, get_tracer
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.distributed.cluster import SimCluster
+    from repro.distributed.cluster import SimCluster, _Plan
 
 __all__ = ["CollectiveHandle", "StreamRuntime"]
 
@@ -140,11 +143,12 @@ class CollectiveHandle:
 class StreamRuntime:
     """Nonblocking-collective scheduler over a :class:`SimCluster`.
 
-    With ``overlap=False`` every ``i*`` collective degenerates to the
-    corresponding blocking SimCluster barrier and returns an
-    already-completed handle — trainers are written against one API and
-    the flag alone selects the execution mode, which is exactly what the
-    bit-identical equivalence guarantee rests on.
+    Every ``i*`` collective is the cluster's plan for that operation,
+    settled by :meth:`_run`.  With ``overlap=False`` the plan is settled
+    as the cluster's own barrier and the handle comes back already
+    completed — trainers are written against one API and the flag
+    selects only how a plan's seconds reach the clocks, which is what
+    the bit-identical equivalence guarantee rests on.
     """
 
     def __init__(
@@ -249,18 +253,10 @@ class StreamRuntime:
 
     # -- scheduling core -----------------------------------------------------
 
-    def _issue(
-        self,
-        op: str,
-        category: str,
-        seconds: float,
-        *,
-        nbytes_wire: float,
-        finalize: Callable[[], list],
-        attrs: dict,
-    ) -> CollectiveHandle:
+    def _issue(self, plan: "_Plan", category: str) -> CollectiveHandle:
+        """Put a planned collective's transfer on a comm stream of every rank."""
         live = list(self.cluster.ranks)
-        self._post_all((op, category, int(round(nbytes_wire))))
+        self._post_all((plan.op, category, int(round(plan.wire))))
         # Least-busy comm stream per rank (ties -> lowest index): the
         # deterministic equivalent of a round-robin stream pool.
         streams: dict[int, int] = {}
@@ -273,25 +269,20 @@ class StreamRuntime:
             streams[r.rank] = idx
             start = max(start, r.clock.now, self._busy.get((r.rank, idx), 0.0))
         for r in live:
-            self._busy[(r.rank, streams[r.rank])] = start + seconds
+            self._busy[(r.rank, streams[r.rank])] = start + plan.seconds
         self._seq += 1
         handle = CollectiveHandle(
-            self, op, category, seconds, start, self._seq, streams, finalize, attrs
+            self, plan.op, category, plan.seconds, start, self._seq, streams,
+            plan.finalize, plan.attrs,
         )
         self._pending.append(handle)
         return handle
 
     def _wait(self, handle: CollectiveHandle) -> list:
         cluster = self.cluster
-        extras: dict[int, float] = {}
-        if cluster.faults is not None:
-            extras = cluster.faults.collective_extras(
-                handle.op, handle.seconds, [r.rank for r in cluster.ranks]
-            )
-            if self.watchdog is not None and extras:
-                extras = self.watchdog.review(self, handle, extras)
-            if extras:
-                cluster.fault_delay_seconds += max(extras.values())
+        watchdog = self.watchdog
+        review = None if watchdog is None else partial(watchdog.review, self, handle)
+        extras = cluster._fault_extras(handle.op, handle.seconds, review)
         tracer = get_tracer()
         world = max(len(cluster.ranks), 1)
         transfer_spans = []  # per-rank comm-stream legs, rank order
@@ -376,6 +367,19 @@ class StreamRuntime:
 
     # -- nonblocking collectives ---------------------------------------------
 
+    def _run(self, plan: "_Plan", category: str) -> CollectiveHandle:
+        """Settle one planned collective on this runtime's schedule.
+
+        ``overlap=False``: the cluster's barrier, here and now — nothing
+        is posted and nothing stays pending.  Otherwise the transfer goes
+        onto a comm stream and the clocks are charged at ``wait``.
+        """
+        if not self.overlap:
+            return CollectiveHandle.completed(
+                plan.op, category, self.cluster._settle(plan, category)
+            )
+        return self._issue(plan, category)
+
     def iallreduce(
         self,
         arrays: list[np.ndarray],
@@ -385,25 +389,8 @@ class StreamRuntime:
         nbytes: float | None = None,
     ) -> CollectiveHandle:
         """Nonblocking :meth:`SimCluster.allreduce`; same data, deferred time."""
-        c = self.cluster
-        if not self.overlap:
-            return CollectiveHandle.completed(
-                "allreduce",
-                category,
-                c.allreduce(arrays, average=average, category=category, nbytes=nbytes),
-            )
-        total = c._reduce_data(arrays, "allreduce", average=average)
-        result = total.astype(np.asarray(arrays[0]).dtype)
-        wire = result.nbytes if nbytes is None else nbytes
-        seconds = c.collective_seconds("allreduce", wire)
-        c._record_collective("allreduce", seconds, result.nbytes, wire)
-        return self._issue(
-            "allreduce",
-            category,
-            seconds,
-            nbytes_wire=wire,
-            finalize=lambda: c._replicate_result(result),
-            attrs={"nbytes_raw": result.nbytes, "nbytes_wire": wire},
+        return self._run(
+            self.cluster._plan_allreduce(arrays, average=average, nbytes=nbytes), category
         )
 
     def iallgather(
@@ -414,34 +401,8 @@ class StreamRuntime:
         category: str = "allgather",
     ) -> CollectiveHandle:
         """Nonblocking :meth:`SimCluster.allgather` (corruption at wait)."""
-        c = self.cluster
-        if not self.overlap:
-            return CollectiveHandle.completed(
-                "allgather",
-                category,
-                c.allgather(objects, nbytes_per_rank=nbytes_per_rank, category=category),
-            )
-        c._check(objects)
-        if isinstance(objects, RepView):
-            first = objects.payload
-            raw_sizes = [first.nbytes] if isinstance(first, np.ndarray) else []
-        else:
-            raw_sizes = [o.nbytes for o in objects if isinstance(o, np.ndarray)]
-        if nbytes_per_rank is None:
-            nbytes_per_rank = max(raw_sizes) if raw_sizes else 0.0
-        seconds = c.collective_seconds("allgather", nbytes_per_rank)
-        raw = max(raw_sizes) if raw_sizes else nbytes_per_rank
-        c._record_collective(
-            "allgather", seconds, raw * c.world_size, nbytes_per_rank * c.world_size
-        )
-        data = c._allgather_data(objects)  # sender buffers copied at issue
-        return self._issue(
-            "allgather",
-            category,
-            seconds,
-            nbytes_wire=nbytes_per_rank,
-            finalize=lambda: c._inject_allgather_faults(data),
-            attrs={"nbytes_raw": raw, "nbytes_wire": nbytes_per_rank},
+        return self._run(
+            self.cluster._plan_allgather(objects, nbytes_per_rank=nbytes_per_rank), category
         )
 
     def ibroadcast(
@@ -453,25 +414,7 @@ class StreamRuntime:
         category: str = "broadcast",
     ) -> CollectiveHandle:
         """Nonblocking :meth:`SimCluster.broadcast` (corruption at wait)."""
-        c = self.cluster
-        if not self.overlap:
-            return CollectiveHandle.completed(
-                "broadcast", category, c.broadcast(obj, root, nbytes=nbytes, category=category)
-            )
-        raw = obj.nbytes if isinstance(obj, np.ndarray) else 0.0
-        if nbytes is None:
-            nbytes = raw
-        seconds = c.collective_seconds("broadcast", nbytes)
-        c._record_collective("broadcast", seconds, raw, nbytes)
-        data = c._broadcast_data(obj, root)
-        return self._issue(
-            "broadcast",
-            category,
-            seconds,
-            nbytes_wire=nbytes,
-            finalize=lambda: c._inject_broadcast_faults(data, root),
-            attrs={"root": root, "nbytes_raw": raw, "nbytes_wire": nbytes},
-        )
+        return self._run(self.cluster._plan_broadcast(obj, root, nbytes=nbytes), category)
 
     def ireduce_scatter(
         self,
@@ -481,24 +424,4 @@ class StreamRuntime:
         nbytes: float | None = None,
     ) -> CollectiveHandle:
         """Nonblocking :meth:`SimCluster.reduce_scatter`."""
-        c = self.cluster
-        if not self.overlap:
-            return CollectiveHandle.completed(
-                "reduce_scatter",
-                category,
-                c.reduce_scatter(arrays, category=category, nbytes=nbytes),
-            )
-        total = c._reduce_data(arrays, "reduce_scatter", average=False)
-        chunks = np.array_split(total.ravel(), c.world_size)
-        wire = total.nbytes if nbytes is None else nbytes
-        seconds = c.collective_seconds("reduce_scatter", wire)
-        c._record_collective("reduce_scatter", seconds, total.nbytes, wire)
-        dtype = np.asarray(arrays[0]).dtype
-        return self._issue(
-            "reduce_scatter",
-            category,
-            seconds,
-            nbytes_wire=wire,
-            finalize=lambda: [ch.astype(dtype).copy() for ch in chunks],
-            attrs={"nbytes_raw": total.nbytes, "nbytes_wire": wire},
-        )
+        return self._run(self.cluster._plan_reduce_scatter(arrays, nbytes=nbytes), category)

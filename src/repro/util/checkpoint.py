@@ -492,16 +492,6 @@ def verify_checkpoint(path: str | Path) -> dict:
     return meta
 
 
-def _expected_factor_dims(kfac, idx: int) -> tuple[int, int]:
-    """(in_features+bias, out_features) — the A/G factor dimensions."""
-    layer = kfac.layers[idx]
-    out_f = layer.weight.shape[0]
-    in_f = int(np.prod(layer.weight.shape[1:]))
-    if getattr(layer, "bias", None) is not None:
-        in_f += 1
-    return in_f, out_f
-
-
 def _check_shape(key: str, arr: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if arr.shape != shape:
         raise CheckpointError(
@@ -524,7 +514,7 @@ def _restore_kfac(data, kfac) -> None:
     if "kfac/t" in data:
         kfac.t = int(data["kfac/t"])
     for idx, st in kfac.state.items():
-        in_f, out_f = _expected_factor_dims(kfac, idx)
+        in_f, out_f = kfac.layer_dims(idx)
         a_key = f"kfac/{idx}/A"
         if a_key in data:
             for needed in (f"kfac/{idx}/G", f"kfac/{idx}/n_updates"):

@@ -319,7 +319,7 @@ def test_executed_factor_bytes_equal_the_analytic_triangle():
     )
     executed = _kfac_allreduce_bytes(trainer, np.arange(64))
 
-    dims = [trainer._layer_dims(i) for i in range(len(trainer.kfac.layers))]
+    dims = [trainer.kfac.layer_dims(i) for i in range(len(trainer.kfac.layers))]
     assert dims == [(28, 32), (289, 32), (289, 32), (289, 64), (65, 10)]
     exact = sum(4 * (tri.triangle_size(in_f) + tri.triangle_size(out_f)) for in_f, out_f in dims)
     assert executed == exact == 527_940
@@ -341,7 +341,7 @@ def test_factor_compressor_still_sets_the_wire_bytes():
     tri = _triangle()
     dense = sum(
         4 * (tri.triangle_size(a) + tri.triangle_size(g))
-        for a, g in (trainer._layer_dims(i) for i in range(len(trainer.kfac.layers)))
+        for a, g in (trainer.kfac.layer_dims(i) for i in range(len(trainer.kfac.layers)))
     )
     executed = _kfac_allreduce_bytes(trainer, np.arange(64))
     assert 0 < executed < dense

@@ -202,6 +202,18 @@ class TestReliableChannel:
         (_, report), _ = self._sealed_broadcast(1.0, max_retries=1)
         assert report.wire_bytes_factor == 2.0
 
+    def test_root_outside_the_world_is_refused(self):
+        """The channel sends through the cluster's broadcast plan, which
+        refuses a root that is no live rank — unchecked, every rank was a
+        receiver and the sender's own copy could be bit-flipped."""
+        plan = FaultPlan(seed=0).add_corruption(1.0, n_bits=4)
+        cl = SimCluster(1, 4, fault_plan=plan)
+        cl.begin_iteration(0)
+        ct = CompsoCompressor(4e-3, 4e-3).compress(np.ones(100, dtype=np.float32))
+        with pytest.raises(ValueError, match="broadcast root 99 is not a rank position"):
+            ReliableChannel(cl).broadcast(ct, root=99)
+        assert cl.time == 0.0 and not cl.faults.events
+
 
 class TestDataPlane:
     def test_drop_rescales_average(self):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.distributed import SimCluster
+from repro.distributed import RepView, SimCluster
+from repro.faults import FaultPlan
 from repro.runtime import (
     Bucketer,
     ComputeModel,
@@ -27,45 +28,178 @@ def per_rank(world, n=16, seed=0):
     return [rng.standard_normal(n).astype(np.float32) for _ in range(world)]
 
 
+def _canon(value, inputs):
+    """A result as comparable data: every array's dtype, shape and bytes,
+    plus the position of the *input* object it is (``None`` for a copy) —
+    so "the root keeps its own buffer, everyone else gets a copy" is part
+    of what two settlers must agree on."""
+    if isinstance(value, RepView):
+        return ("rep", len(value), _canon(value.payload, inputs))
+    if isinstance(value, list):
+        return [_canon(v, inputs) for v in value]
+    own = next((i for i, x in enumerate(inputs) if x is value), None)
+    return (value.dtype.str, value.shape, value.tobytes(), own)
+
+
+#: name -> cluster factory.  The timing track's contract is identical
+#: per-rank payloads, so its rows are fed one array world times.
+CLUSTERS = {
+    "convergence": lambda **kw: SimCluster(1, 4, seed=0, **kw),
+    "timing-full": lambda **kw: SimCluster(1, 4, seed=0, track="timing", payloads="full", **kw),
+    "timing-representative": lambda **kw: SimCluster(1, 4, seed=0, track="timing", **kw),
+}
+
+
+def _payloads(cluster):
+    if cluster.representative:
+        return RepView(per_rank(1)[0], cluster.world_size)
+    if cluster.is_timing:
+        return [per_rank(1)[0] for _ in range(cluster.world_size)]
+    return per_rank(cluster.world_size)
+
+
+#: old test id -> (blocking method, positional arguments, keyword arguments)
+OPERATIONS = {
+    "iallreduce": lambda c: ("allreduce", (_payloads(c),), {"average": True}),
+    "iallgather": lambda c: ("allgather", (_payloads(c),), {}),
+    "ibroadcast": lambda c: ("broadcast", (per_rank(1)[0],), {"root": 2}),
+    "ireduce_scatter": lambda c: ("reduce_scatter", (_payloads(c),), {}),
+}
+
+
+def _blocking(cluster, method, args, kwargs):
+    return getattr(cluster, method)(*args, **kwargs)
+
+
+def _handle(overlap):
+    def settle(cluster, method, args, kwargs):
+        rt = StreamRuntime(cluster, overlap=overlap)
+        out = getattr(rt, "i" + method)(*args, **kwargs).wait()  # waited at once
+        rt.assert_quiesced()
+        return out
+
+    return settle
+
+
+SETTLERS = {"blocking-handle": _handle(False), "overlapped-handle": _handle(True)}
+
+
+def _observe(cluster, settle, operations):
+    """Run ``operations`` through ``settle`` on a clock-skewed cluster and
+    return everything a caller, a ledger or a trace could see of them."""
+    with telemetry.session() as t:
+        cluster.advance_rank(1, 3e-6, "forward")  # somebody waits at the barrier
+        results = []
+        for operation in operations:
+            method, args, kwargs = OPERATIONS[operation](cluster)
+            inputs = [args[0]] if method == "broadcast" else list(args[0])
+            results.append(_canon(settle(cluster, method, args, kwargs), inputs))
+    seen = {
+        "results": results,
+        "metrics": [m for m in t.metrics.snapshot() if m["name"].startswith("comm.")],
+        "peak_payload_bytes": cluster.peak_payload_bytes,
+        "fault_delay_seconds": cluster.fault_delay_seconds,
+        "fault_events": None if cluster.faults is None else cluster.faults.events,
+    }
+    barrier_only = {
+        "clocks": [r.clock.now for r in cluster.ranks],
+        "breakdown": cluster.breakdown(),
+        "spans": [
+            (s.name, s.category, s.start, s.duration, s.rank, s.stream, list(s.attrs.items()))
+            for s in t.tracer.spans(track=SIM_TRACK)
+        ],
+        "edges": [(e.src, e.dst, e.kind) for e in t.tracer.edges()],
+    }
+    return seen, barrier_only
+
+
 class TestDataEquivalence:
-    """Each icollective returns exactly what its blocking twin returns."""
+    """A collective is planned once; whichever schedule settles the plan,
+    the caller, the metrics and the payload accounting see the same thing —
+    and a ``StreamRuntime(overlap=False)`` handle *is* the blocking method,
+    clock for clock and span for span."""
 
-    def test_iallreduce(self):
-        arrays = per_rank(4)
-        c1, rt = make_pair()
-        want = SimCluster(1, 4, seed=0).allreduce(arrays, average=True)
-        got = rt.iallreduce(arrays, average=True).wait()
-        rt.assert_quiesced()
-        for w, g in zip(want, got):
-            assert np.array_equal(w, g)
+    @pytest.mark.parametrize("settler", SETTLERS)
+    @pytest.mark.parametrize("cluster", CLUSTERS)
+    @pytest.mark.parametrize("operation", OPERATIONS)
+    def test_settlers_agree(self, operation, cluster, settler):
+        want, want_barrier = _observe(CLUSTERS[cluster](), _blocking, [operation])
+        got, got_barrier = _observe(CLUSTERS[cluster](), SETTLERS[settler], [operation])
+        assert want["metrics"] and want["peak_payload_bytes"] > 0
+        assert got == want
+        if settler == "blocking-handle":
+            assert want_barrier["spans"]
+            # (the timing track emits one span per collective, hence no edges)
+            assert want_barrier["edges"] or cluster != "convergence"
+            assert got_barrier == want_barrier
 
-    def test_iallgather(self):
-        arrays = per_rank(4)
-        c1, rt = make_pair()
-        want = SimCluster(1, 4, seed=0).allgather(arrays)
-        got = rt.iallgather(arrays).wait()
-        rt.assert_quiesced()
-        for wrow, grow in zip(want, got):
-            for w, g in zip(wrow, grow):
-                assert np.array_equal(w, g)
+    def test_faulted_barrier_settlers_agree(self):
+        """Under a straggler, a corruption model and a dropped contribution
+        the blocking method and the ``overlap=False`` handle draw the fault
+        RNG in the same order: same corrupted bytes on the same receivers,
+        same ``fault_delay_seconds``, same clocks and spans."""
 
-    def test_ibroadcast(self):
+        def faulted():
+            plan = FaultPlan(seed=5).add_straggler(1, start=0, slowdown=3.0)
+            plan.add_corruption(0.6, n_bits=3).add_drop(2, iteration=0)
+            cluster = CLUSTERS["convergence"](fault_plan=plan)
+            cluster.begin_iteration(0)
+            return cluster
+
+        sequence = ["iallreduce", "iallgather", "ibroadcast", "ireduce_scatter", "iallgather"]
+        want = _observe(faulted(), _blocking, sequence)
+        got = _observe(faulted(), SETTLERS["blocking-handle"], sequence)
+        assert got == want
+        clean, _ = _observe(CLUSTERS["convergence"](), _blocking, sequence)
+        assert want[0]["fault_delay_seconds"] > 0.0
+        kinds = {e["kind"] for e in want[0]["fault_events"]}
+        assert {"straggler", "corruption", "drop"} <= kinds
+        for faulted_result, clean_result in zip(want[0]["results"][:3], clean["results"]):
+            assert faulted_result != clean_result  # the drop and the flips landed
+
+
+def _broadcast(cluster, settler, payload, root):
+    if settler == "blocking-method":
+        return cluster.broadcast(payload, root=root)
+    rt = StreamRuntime(cluster, overlap=settler == "overlapped-handle")
+    try:
+        return rt.ibroadcast(payload, root=root).wait()
+    finally:
+        rt.assert_quiesced()  # a refused root posted nothing, left nothing pending
+
+
+@pytest.mark.parametrize("settler", ["blocking-method", *SETTLERS])
+@pytest.mark.parametrize("track", ["convergence", "timing"])
+class TestBroadcastRoot:
+    """``root`` is validated once, in the broadcast plan, so every schedule
+    refuses a sender that is not a live rank position."""
+
+    @pytest.mark.parametrize("root", [99, 4, -1, True, 2.0, None, "2", np.bool_(True)])
+    def test_root_outside_the_world_is_refused(self, track, settler, root):
+        cluster = SimCluster(1, 4, seed=0, track=track)
+        with pytest.raises(ValueError, match="broadcast root") as err:
+            _broadcast(cluster, settler, per_rank(1)[0], root)
+        assert f"root {root!r} " in str(err.value) and "[0, 4)" in str(err.value)
+        assert cluster.time == 0.0 and cluster.peak_payload_bytes == 0.0
+
+    @pytest.mark.parametrize("root", [2, np.int64(2), np.uint8(2)])
+    def test_integer_roots_pass_and_are_recorded_as_given(self, track, settler, root):
         payload = per_rank(1)[0]
-        c1, rt = make_pair()
-        want = SimCluster(1, 4, seed=0).broadcast(payload, root=2)
-        got = rt.ibroadcast(payload, root=2).wait()
-        rt.assert_quiesced()
-        for w, g in zip(want, got):
-            assert np.array_equal(w, g)
+        with telemetry.session() as t:
+            out = _broadcast(SimCluster(1, 4, seed=0, track=track), settler, payload, root)
+        assert len(out) == 4 and out[2] is payload
+        recorded = {s.attrs["root"] for s in t.tracer.spans(track=SIM_TRACK) if "root" in s.attrs}
+        assert len(recorded) == 1 and type(recorded.pop()) is type(root)
 
-    def test_ireduce_scatter(self):
-        arrays = per_rank(4)
-        c1, rt = make_pair()
-        want = SimCluster(1, 4, seed=0).reduce_scatter(arrays)
-        got = rt.ireduce_scatter(arrays).wait()
-        rt.assert_quiesced()
-        for w, g in zip(want, got):
-            assert np.array_equal(w, g)
+    def test_stale_root_after_a_world_shrink_is_refused(self, track, settler):
+        plan = FaultPlan(seed=0).add_failure(3, iteration=1)
+        cluster = SimCluster(1, 4, seed=0, track=track, fault_plan=plan)
+        payload = per_rank(1)[0]
+        assert _broadcast(cluster, settler, payload, 3)[3] is payload
+        assert [e.rank for e in cluster.begin_iteration(1)] == [3]
+        with pytest.raises(ValueError, match=r"root 3 is not .* integer in \[0, 3\)$"):
+            _broadcast(cluster, settler, payload, 3)
+        assert len(_broadcast(cluster, settler, payload, 2)) == 3
 
 
 class TestHandles:

@@ -85,6 +85,83 @@ def test_the_hash_seed_lint_sees_what_it_looks_for():
     assert _hash_seeded(bad) == [(1, "spawn_rng"), (2, "default_rng"), (3, "f")]
 
 
+#: What only ``SimCluster``'s per-operation plans may touch: the helpers
+#: that move, check, price and count a collective and complete it on the
+#: receivers.  A second module using them is a second description of what
+#: a collective moves, weighs and costs, to be kept in step by hand.
+_PLAN_ONLY = frozenset({
+    "collective_seconds", "_record_collective", "_reduce_data", "_replicate_result",
+    "_allgather_data", "_broadcast_data", "_inject_allgather_faults",
+    "_inject_broadcast_faults", "_check",
+})
+
+
+def _collective_logic(tree):
+    """``(line, name)`` of every attribute access in ``_PLAN_ONLY`` and
+    every import of ``RepView`` (payload sniffing)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _PLAN_ONLY:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [
+                (node.lineno, "RepView")
+                for alias in node.names
+                if alias.name.rpartition(".")[2] == "RepView"
+            ]
+    return sorted(found)
+
+
+def _overlap_readers(tree):
+    """Names of the functions that load ``self.overlap``."""
+    return [
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        and any(
+            isinstance(node, ast.Attribute)
+            and node.attr == "overlap"
+            and isinstance(node.ctx, ast.Load)
+            and getattr(node.value, "id", None) == "self"
+            for node in ast.walk(fn)
+        )
+    ]
+
+
+def test_the_runtime_settles_collectives_and_describes_none():
+    """``runtime/engine.py`` once re-implemented all four collectives next
+    to ``SimCluster``'s and chose between the copies per method."""
+    repo = Path(__file__).resolve().parent.parent
+    tree = ast.parse((repo / "src/repro/runtime/engine.py").read_text())
+    assert _collective_logic(tree) == []
+    assert _overlap_readers(tree) == ["_run"]
+
+
+def test_the_collective_lint_sees_what_it_looks_for():
+    bad = ast.parse(
+        "from repro.distributed.plane import RepView\n"
+        "class StreamRuntime:\n"
+        "    def __init__(self, overlap):\n"
+        "        self.overlap = overlap\n"
+        "    def ibroadcast(self, obj, root):\n"
+        "        c = self.cluster\n"
+        "        if not self.overlap:\n"
+        "            return c.broadcast(obj, root)\n"
+        "        seconds = c.collective_seconds('broadcast', obj.nbytes)\n"
+        "        c._record_collective('broadcast', seconds, obj.nbytes, obj.nbytes)\n"
+        "        data = c._broadcast_data(obj, root)\n"
+        "        return self._issue(lambda: c._inject_broadcast_faults(data, root))\n"
+        "    def iallgather(self, objects):\n"
+        "        self.cluster._check(objects)\n"
+        "        return None if self.overlap else self.cluster.allgather(objects)\n"
+    )
+    assert _collective_logic(bad) == [
+        (1, "RepView"), (9, "collective_seconds"), (10, "_record_collective"),
+        (11, "_broadcast_data"), (12, "_inject_broadcast_faults"), (14, "_check"),
+    ]
+    assert _overlap_readers(bad) == ["ibroadcast", "iallgather"]
+
+
 class TestFormatTable:
     def test_basic_layout(self):
         out = format_table(["a", "bb"], [[1, 2.5], [30, 4.125]])
