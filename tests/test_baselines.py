@@ -57,6 +57,22 @@ Where ``bucket_bytes=2048``, a step now issues 11 allreduces instead of
 collective jitter/straggler injection counts follow.
 ``tests/test_factor_exchange.py`` holds what these digests used to
 prove about the factor path.
+
+Re-pinned a third time, with the six ledgers, for the ANS frame whose
+lane count is stored, whose frequency table is bit-packed and which
+carries a checksum: every run that codes with ANS moved (six
+configurations, sixteen documents); the three ``kfac-guard-remediates-*``
+(Huffman) and the two ``overlap`` documents (no compressor) did not.
+Field by field against the same runs at 8654adf: wire bytes fall by up
+to 15 % (0.3 % where the autotuner has most layers on other encoders)
+(the per-layer byte lists, ``cr``, ``mean_cr``, the byte metrics), and
+sim time, the overlap split, span digests, xray paths, fleet goodput and
+the autotuner's fitted ``alpha``/``beta``/CR signals follow them; step 4
+of ``smoke`` records 27 ``kfac_allgather`` spans where it recorded 30
+(smaller frames fill one bucket fewer).  Losses,
+steps, verdicts, remediations, autotune decisions, restart and
+preemption counts, and every chaos document's detection and retransmit
+counts are identical: the lossless stage cannot change a decoded tensor.
 """
 
 import hashlib
@@ -243,15 +259,15 @@ CONFIGURATIONS = {
 
 #: Ledger digests of CONFIGURATIONS (see the module docstring for their provenance).
 PINNED = {
-    "kfac-blocking-guard-xray": "c019ddb51101d661ba9f102bf7ae03553516788a953bbd94cc9ea1f06142cee7",
-    "kfac-reliable-faults-none": "996367c8ddabb7d4149b0d32ece886b3685c902f49279fb643bff017b5c23fbe",
-    "kfac-reliable-faults-overlapped": "90f4ab344e61fb2894f093f4391bc38355a6230d8e3f19e85f0ef8f0c2d1283f",
+    "kfac-blocking-guard-xray": "0b257a28f14c86d22b51b775e0f0dd79f4e3ff8dec5bcb115a25c14fba01032d",
+    "kfac-reliable-faults-none": "13b35321bd02fb97498c23fbc7908b83bb38b54d8c33d35e37395357e797be3f",
+    "kfac-reliable-faults-overlapped": "3887f4bad65213fcbc8e90625c5b8b235b2f1faa8094c12ad1630a20a817d48e",
     "kfac-guard-remediates-none": "92f124c2c2f01d47fc74a9eb6e88431505590eeb318b39cdec4f37509ddc2c33",
     "kfac-guard-remediates-blocking": "b4a70a132fedf755f94d7ae2a09ce4ff1aa32989375f0bc2ed92389abeed165d",
     "kfac-guard-remediates-overlapped": "623326ac9e9d501978fd6f43dc31caffb7c7ffff81cd1f8c6f96af99524d600d",
-    "sgd-compso-guard-none": "bbd0dc9522fcc08e1b6deebd29623eac03c66faa279d9942cb3dcbe766bc932a",
-    "sgd-compso-guard-blocking": "1dee6fb507485119a70113cf88bb74ecfa2d4ae9a5b4ea430b751e44ef443dae",
-    "sgd-compso-guard-overlapped": "9a2c1394eb3d8bbbf6d7665ef549e266c32bba5eb91028d703b499cfcc4f93d5",
+    "sgd-compso-guard-none": "364344fedceb5cdae05ce0933462f58bff4f8c59f601ac76143d4efa6b83d16d",
+    "sgd-compso-guard-blocking": "67199705cd1adfd161d49e61a48996e3066733130396e09ef364502e8f2d812c",
+    "sgd-compso-guard-overlapped": "4dce909b4e2038329b3c15461ed7f2f39c0635912344b0d0831517406ffbccbf",
 }
 
 
@@ -283,22 +299,22 @@ DOCUMENTS = {
 
 #: sha256 of each DOCUMENTS entry (see the module docstring for their provenance).
 PINNED_DOCUMENTS = {
-    "chaos-corruption": "5a5ff684d1b7bd4391b0f2f78c22ee7e838cf922c3ca04fcb81cfa6643c3ac79",
-    "chaos-corruption-ci-shape": "3e434226896be96eb4ac7984f1f7a915065b8e1ed17b896da2fc5ca9a1c474eb",
-    "chaos-degraded-link": "f9bbae6084d5586fd6e3c53fcb788e4a85653f32156e7b07aa626a749e58c86e",
-    "chaos-degraded-link-ci-shape": "f50750781aba874275ab31350defd74bc60032eea8a06662c8d7f640f9697fa8",
-    "chaos-mixed": "f4359cc72217e6b5c0e8f4cc6b971bb108819236b04850f112d96084bbdf23e4",
-    "chaos-mixed-ci-shape": "aeace9592b98897c9484513701ecfac9cd0680bf1e748a187271b328424799ad",
-    "chaos-rank-loss": "7b0402d436a4c62791eaa1e94bce8bbaef65f4f52ab05297425a92d13dcd0a13",
-    "chaos-rank-loss-ci-shape": "5055b57352757b3aa5a44db2802638324ed8b68c86e9e83d51c7b7cb92225ebb",
-    "chaos-smoke": "a7ecf136b6db5a3d895891d974e9aba8470b9fd7e9f843f9a6f33f911eae7b0e",
-    "chaos-smoke-ci-shape": "d59078514f3617e1a4a42030d0e363291dab69432c2df681ca57455387efcda4",
-    "chaos-stragglers": "3e5ab948b581b378f7973bc5a02bf11bdb5c7ca0e78c36b660d5ccdf58b34f10",
-    "chaos-stragglers-ci-shape": "2fe6c0ec8c0f4a4458fae02fc36a0f4ff3e98769c94170debb61358ffba32a14",
-    "fleet-chaos-smoke": "209700f30b451665b5f4dbd579286b5db0356ebe6e25c484f266a34d89dcb106",
-    "fleet-smoke": "389881f218134e076190355d8efb0334b2b2ab85de1c97a9f20b18ef1f3d838f",
-    "fleet-storage-smoke": "9f6b2fceedfcc9da54cf9367ab8d0d5474704a9890e3f32e568dce25b0999293",
-    "guard": "6fee474270c65a5a20734e9a87c23f60b1d9dfb946870037ca8a8ef7158417a5",
+    "chaos-corruption": "5022fe0dcf4bf7bfaf5ba6801eee0b0f2920e26af86e331d5d96c1eb780e407e",
+    "chaos-corruption-ci-shape": "8b62d520c843f1fe62aab02d9ce60c90bf459d1ef9c2f73f7a65092e4e2895fa",
+    "chaos-degraded-link": "834c6fb8588c5c796694b80846037c7de4d76868eb4fe491b37d3cf1a05e9110",
+    "chaos-degraded-link-ci-shape": "12c03acfe7243144e5821ee1bb619ee7ebc4fda87a13cf64e3f03eae91668b62",
+    "chaos-mixed": "f107a250894be76ead382fea284e56746c9874fafaf22d91628e26034549c30a",
+    "chaos-mixed-ci-shape": "31617a19be8a65384fb0c381c924475629f794d0272f4b02328a49f1c0717314",
+    "chaos-rank-loss": "0019cf71925d5baa14e1342dba81dcb8bf73a150055ae5db90ae7f6f1e109308",
+    "chaos-rank-loss-ci-shape": "d702e682577cba0f21ba8c45aaa68b380c13f5294d721f304e75810d968b1b80",
+    "chaos-smoke": "30be7d4c87f23e6f07f28a1ab5c89145eec5a3974df70a8205a69751412c3ef7",
+    "chaos-smoke-ci-shape": "0a3b677cebc21e840060432e16b698201463dacee4345b0abddcfe18efd9339a",
+    "chaos-stragglers": "47c1f5640c1e04d162a159f52a18ccde7ad8fdb74941738e0688d539858fb78d",
+    "chaos-stragglers-ci-shape": "a3ac7b7ccf0deb3bbac025b3fa89338c2e21b161e77d699846fff5f64cf7c1b4",
+    "fleet-chaos-smoke": "fd63db7c40b2b4d024ebb254b9762864e38f3a3534493bf36903da76abaa5e23",
+    "fleet-smoke": "6ba749f82e2283d55112d8ca10de6e7cbf777d7d008ad1f402fe71b74b036b00",
+    "fleet-storage-smoke": "7b5ed891cda3368a3408873c0de944432b1a288f9bc9d9547e2fa30933009807",
+    "guard": "d394680c09f0baef3a9623f0d200a5b206032f5550193ce57ddfdc8364f7c6e0",
     "overlap-ranks4-iters3": "c59d6ce14e39333aae8ce7a1385f1895a2d29628228641714ccd8b06f5dae792",
     "overlap-ranks8": "f06a7d95593aa9a09443497e3dfa30a94a77ef8946c8f0af8f2cef5b3cfe7ed6",
 }

@@ -1,6 +1,7 @@
 """Lossless encoder round trips, frame behaviour, and CR ordering."""
 
 import hashlib
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -16,12 +17,13 @@ from repro.encoders import (
     get_encoder,
     list_encoders,
 )
+from repro.encoders import ans
 from repro.encoders.ans import (
     _decode_lanes,
     _decode_scalar,
     _encode_lanes,
     _encode_scalar,
-    lane_count,
+    _lanes,
     quantize_freqs,
 )
 from repro.encoders.huffman import code_lengths
@@ -108,26 +110,177 @@ def _gradient_bytes(rng, n, spread=12.0):
     return np.clip(rng.normal(128, spread, n), 0, 255).astype(np.uint8)
 
 
+class _Fields:
+    """Where the fields of a coded ANS frame lie, read off the layout in ``ans.py``'s docstring."""
+
+    def __init__(self, blob):
+        assert blob[0] == 1
+        field = int.from_bytes(blob[5:7], "little")
+        self.lanes = field & 0xFFF
+        self.item_size = (field >> 12) + 1
+        self.symbols = int.from_bytes(blob[1:5], "little") // self.item_size
+        self.alphabet = int.from_bytes(blob[7:9], "little") + 1 if self.item_size == 2 else 256
+        self.check_at = 7 + 2 * (self.item_size - 1)
+        self.bitmap_at = self.check_at + 4
+        self.width_at = self.bitmap_at + -(-self.alphabet // 8)
+        bitmap = np.frombuffer(blob[self.bitmap_at : self.width_at], np.uint8)
+        self.present = int(np.unpackbits(bitmap).sum())
+        self.width = blob[self.width_at]
+        self.table_at = self.width_at + 1
+        self.states_at = self.table_at + -(-self.present * self.width // 8)
+        self.words_at = self.states_at + 4 * self.lanes
+
+
+def _with_bytes(blob, at, new):
+    return blob[:at] + bytes(new) + blob[at + len(new) :]
+
+
+def _encode_recording_lanes(data, item_size=1, forced=None):
+    """``(blob, calls)``: the frame and every ``(symbols, predicted)`` the encoder asked
+    :func:`_lanes` about; ``forced`` answers in its place."""
+    calls = []
+
+    def spy(symbols, predicted):
+        calls.append((symbols, predicted))
+        return _lanes(symbols, predicted) if forced is None else forced
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ans, "_lanes", spy)
+        return RansEncoder().encode(data, item_size), calls
+
+
+def _encode_lanes_per_row(symbols, qfreq, lanes):
+    """The row kernel as it was before the table gathers moved out of the loop
+    (8654adf): three fancy indexes and a cast per row.  Oracle for ``_encode_lanes``."""
+    n = symbols.size
+    rows = -(-n // lanes)
+    comp = (1 << 14) - qfreq
+    cum = np.zeros(qfreq.size, dtype=np.uint32)
+    np.cumsum(qfreq[:-1], out=cum[1:])
+    low = np.zeros((rows, lanes), dtype=np.uint16)
+    emitted = np.zeros((rows, lanes), dtype=bool)
+    x = np.full(lanes, 1 << 16, dtype=np.uint32)
+    for r in range(rows - 1, -1, -1):
+        sym = symbols[r * lanes : (r + 1) * lanes].astype(np.intp)
+        xs = x[: sym.size]
+        f = qfreq[sym]
+        emit = (xs >> 18) >= f
+        low[r, : sym.size] = xs
+        emitted[r, : sym.size] = emit
+        xs >>= np.multiply(emit, 16, dtype=np.uint32)
+        q = xs // f
+        q *= comp[sym]
+        q += cum[sym]
+        xs += q
+    return x, np.compress(emitted.ravel(), low.ravel())
+
+
+def _assert_damage_raises(enc, blob, rng, flips, every_cut):
+    """Every one of ``flips`` seeded single-bit flips and every cut raises: none decodes."""
+    for bit in rng.choice(len(blob) * 8, size=flips, replace=False):
+        damaged = bytearray(blob)
+        damaged[bit >> 3] ^= 1 << (bit & 7)
+        with pytest.raises(EncodeError):
+            enc.decode(bytes(damaged))
+    for cut in range(1, len(blob)) if every_cut else (1, 2, 3, 10, 1000, len(blob) - 8):
+        with pytest.raises(EncodeError):
+            enc.decode(blob[:-cut])
+    for cut in (1, 2, 3, 10, 1000):
+        with pytest.raises(EncodeError):
+            enc.decode(blob[:100] + blob[100 + cut :])
+    with pytest.raises(EncodeError):
+        enc.decode(blob + b"\x00\x00")  # words left over
+
+
 class TestAnsLanes:
     """The lane-interleaved kernel: frames past ``test_ans_roundtrip_property``'s 4 KB."""
 
-    # 1 -> 48 lanes, 48 -> 49 lanes, and the 1024-lane cap.
+    # Large frames (where the 2 KiB-per-lane policy once changed its mind; now
+    # interior points of the sqrt rule) and the 1024-lane cap at 1024**2 symbols.
     BOUNDARIES = [48 << 11, 49 << 11, 1024 << 11]
 
     def test_lane_policy(self):
-        assert lane_count(0) == lane_count((48 << 11) - 1) == 1
-        assert lane_count(48 << 11) == 48
-        assert lane_count((49 << 11) - 1) == 48
-        assert lane_count(1024 << 11) == lane_count(1 << 30) == 1024
+        # sqrt(symbols) lanes ...
+        assert _lanes(1024, 1 << 20) == 32 and _lanes(10**6, 1 << 30) == 1000
+        assert _lanes(97_968, 1 << 20) == 312 and _lanes(97_969, 1 << 20) == 313
+        # ... at most 1024 ...
+        assert _lanes(1024**2 - 1, 1 << 30) == 1023
+        assert _lanes(1024**2, 1 << 30) == _lanes(1 << 40, 1 << 40) == 1024
+        # ... whose 4-byte states take at most 1/32 of the predicted coded bytes ...
+        assert _lanes(1 << 22, 1 << 15) == 256 and _lanes(1 << 22, (1 << 15) - 1) == 255
+        assert _lanes(10**6, 448) == 1  # a bitmap that codes to nearly nothing
+        # ... and one scalar lane where rows would be narrower than the loop is fast.
+        assert _lanes(1023, 1 << 20) == 1  # isqrt is 31
+        assert _lanes(1 << 20, 4095) == 1 and _lanes(1 << 20, 4096) == 32
+        assert _lanes(0, 0) == _lanes(1, 1) == 1
 
-    @pytest.mark.parametrize("n", [b + d for b in BOUNDARIES for d in (-1, 0, 1)])
+    @pytest.mark.parametrize("n", [b + d for b in BOUNDARIES + [1024**2] for d in (-1, 0, 1)])
     def test_roundtrip_at_policy_boundaries(self, rng, n):
         enc = RansEncoder()
         data = _gradient_bytes(rng, n).tobytes()
         blob = enc.encode(data)
         assert blob[0] == 1 and len(blob) < 0.8 * n  # coded, not the raw fallback
-        assert int.from_bytes(blob[5:7], "little") == lane_count(n)
+        # Nowhere near the byte budget: 5.4 bits a byte leave room for sqrt(n) lanes.
+        assert int.from_bytes(blob[5:7], "little") == min(isqrt(n), 1024)
         assert enc.decode(blob) == data
+
+    def test_roundtrip_across_the_loop_row_boundary(self, rng):
+        enc = RansEncoder()
+        lanes = []
+        for n in range(4_000, 9_000, 250):
+            data = _gradient_bytes(rng, n).tobytes()
+            blob, calls = _encode_recording_lanes(data)
+            assert enc.decode(blob) == data
+            lanes.append(_Fields(blob).lanes)
+            assert (lanes[-1] == 1) == (calls[-1][1] < 32 << 7)
+        assert lanes[0] == 1 and lanes[-1] >= 32 and lanes == sorted(lanes)
+        assert not set(lanes) & set(range(2, 32))
+
+    @given(
+        st.one_of(st.integers(1, 4_000), st.integers(4_000, 12_000), st.integers(12_000, 60_000)),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([0.5, 4.0, 30.0, 90.0]),
+        st.sampled_from([1, 2]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stored_lanes_are_the_rule(self, n, seed, spread, item_size):
+        """The frame's ``K`` is ``_lanes`` of the size the encoder predicted, the prediction is
+        honest, and so the lane states stay under 1/32 of it — on both sides of the loop/row
+        boundary, for bytes and items."""
+        rng = np.random.default_rng(seed)
+        if item_size == 2:
+            data = _code_items(rng, n, 20 * spread, 2000)
+        else:
+            data = _gradient_bytes(rng, n, spread).tobytes()
+        blob, calls = _encode_recording_lanes(data, item_size)
+        assert RansEncoder().decode(blob) == data
+        if blob[0] == 0:
+            return  # stored raw
+        fields = _Fields(blob)
+        symbols, predicted = calls[-1]
+        assert symbols == fields.symbols
+        expected = min(isqrt(symbols), 1024, predicted >> 7)
+        assert fields.lanes == _lanes(symbols, predicted) == (expected if expected >= 32 else 1)
+        if fields.lanes > 1:
+            assert 32 * 4 * fields.lanes <= predicted
+        # All of the frame but its header and lane states is what was predicted.
+        assert abs(len(blob) - 5 - 4 * fields.lanes - predicted) <= 0.03 * predicted + 16
+
+    @pytest.mark.parametrize("forced", [32, 37, 61, 70])
+    def test_any_lane_count_in_range_decodes(self, rng, forced):
+        """The decoder reads ``K`` from the frame: it need not be the count this
+        encoder's rule would pick (70 = isqrt(5000), 37 and 61 leave a short last row)."""
+        data = _gradient_bytes(rng, 5000).tobytes()
+        blob, calls = _encode_recording_lanes(data, forced=forced)
+        assert _Fields(blob).lanes == forced != _lanes(*calls[-1])
+        assert RansEncoder().decode(blob) == data
+
+    @pytest.mark.parametrize("forced", [0, 2, 31, 71, 1025])
+    def test_lying_lane_count_is_rejected(self, rng, forced):
+        """Fewer symbols than ``K**2``, rows narrower than the loop, no lane at all."""
+        blob = RansEncoder().encode(_gradient_bytes(rng, 5000).tobytes())
+        with pytest.raises(EncodeError, match=f"{forced} lanes declared for 5000 symbols"):
+            RansEncoder().decode(_with_bytes(blob, 5, forced.to_bytes(2, "little")))
 
     @pytest.mark.parametrize(
         "n,lanes",
@@ -146,13 +299,36 @@ class TestAnsLanes:
         assert states.dtype == np.uint32 and states.size == lanes
         assert _decode_lanes(states, words, qfreq, n) == u8.tobytes()
 
+    @pytest.mark.parametrize("block_rows", [1, 3, None])
+    @pytest.mark.parametrize(
+        "n,lanes", [(9078, 95), (5000, 7), (4096, 64), (63, 64), (1, 8), (20_000, 141)]
+    )
+    def test_block_gathered_kernel_is_the_per_row_kernel(self, rng, monkeypatch, n, lanes, block_rows):
+        """Words and states, bit for bit, however the rows fall into blocks."""
+        if block_rows:
+            monkeypatch.setattr(ans, "_BLOCK_SYMBOLS", block_rows * lanes)
+        for sym in (
+            _gradient_bytes(rng, n),
+            np.frombuffer(_code_items(rng, n), ">u2"),
+            np.full(n, 9, dtype=np.uint8),
+        ):
+            qfreq = quantize_freqs(np.bincount(sym))
+            states, words = _encode_lanes(sym, qfreq, lanes)
+            oracle_states, oracle_words = _encode_lanes_per_row(sym, qfreq, lanes)
+            assert states.tobytes() == oracle_states.tobytes()
+            assert words.tobytes() == oracle_words.tobytes()
+
     def test_single_repeated_byte_multilane(self):
         # Its frequency equals the scale: freq << 18 would overflow 32 bits.
+        sym = np.full(200_000, 0x2A, dtype=np.uint8)
+        qfreq = quantize_freqs(np.bincount(sym, minlength=256))
+        states, words = _encode_lanes(sym, qfreq, 97)
+        assert words.size == 0 and _decode_lanes(states, words, qfreq, sym.size) == sym.tobytes()
+        # As a frame it codes to a header: too little to pay for a second lane.
         enc = RansEncoder()
-        data = b"\x2a" * 200_000
-        blob = enc.encode(data)
-        assert lane_count(len(data)) > 1 and len(blob) < 1000
-        assert enc.decode(blob) == data
+        blob = enc.encode(sym.tobytes())
+        assert _Fields(blob).lanes == 1 and len(blob) < 100
+        assert enc.decode(blob) == sym.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 300, 3000])
     def test_scalar_loop_and_numpy_kernel_agree_on_one_lane(self, rng, n):
@@ -176,24 +352,17 @@ class TestAnsLanes:
         data = _gradient_bytes(np.random.default_rng(seed), n, spread).tobytes()
         assert enc.decode(enc.encode(data)) == data
 
-    @pytest.mark.parametrize("n", [3_000, 200_000])  # scalar loop, NumPy kernel
+    # scalar loop and narrowest rows: 3 000 flips and every cut; wide rows: a sample
+    @pytest.mark.parametrize("n", [3_000, 6_500, 200_000])
     def test_damaged_frames_raise(self, n):
+        """No damaged frame decodes.  rANS re-synchronises, so before the frame
+        carried a checksum a few flips in a thousand returned wrong bytes."""
         rng = np.random.default_rng(2025)
         enc = RansEncoder()
         blob = enc.encode(_gradient_bytes(rng, n).tobytes())
-        assert blob[0] == 1
-        for bit in rng.choice(len(blob) * 8, size=200, replace=False):
-            damaged = bytearray(blob)
-            damaged[bit >> 3] ^= 1 << (bit & 7)
-            with pytest.raises(EncodeError):
-                enc.decode(bytes(damaged))
-        for cut in (1, 2, 3, 10, 1000):
-            with pytest.raises(EncodeError):
-                enc.decode(blob[:-cut])
-            with pytest.raises(EncodeError):
-                enc.decode(blob[:40] + blob[40 + cut :])
-        with pytest.raises(EncodeError):
-            enc.decode(blob + b"\x00\x00")  # words left over
+        assert (_Fields(blob).lanes > 1) == (n > 3_000)
+        small = n < 10_000
+        _assert_damage_raises(enc, blob, rng, 3_000 if small else 200, every_cut=small)
 
 
 def _code_items(rng, n, spread=60.0, span=500):
@@ -220,21 +389,31 @@ class TestAnsItems:
     """2-byte items as symbols: same kernels, wider alphabet, one more header field."""
 
     def test_lane_policy(self):
-        assert lane_count((36 << 11) - 1, 2) == 1
-        assert lane_count(36 << 11, 2) == 36 and lane_count(36 << 11) == 1
-        assert lane_count(48 << 11, 2) == lane_count(48 << 11) == 48
-        assert lane_count(1 << 30, 2) == 1024
-        # Any other item size is coded as bytes, and counted as bytes.
-        assert [lane_count(n, 3) for n in (47 << 11, 48 << 11)] == [1, 48]
+        """The rule counts symbols, not bytes: as items a frame has half the symbols
+        of its bytes; any other item size is coded, and counted, as bytes."""
+        rng = np.random.default_rng(2203)
+        for n_items in (900, 1_024, 5_000, 20_000, 300_000):
+            data = _code_items(rng, n_items)
+            for item_size in (1, 2, 4):
+                blob, calls = _encode_recording_lanes(data, item_size)
+                fields = _Fields(blob)
+                assert fields.item_size == (2 if item_size == 2 else 1)
+                assert calls[-1][0] == fields.symbols == len(data) // fields.item_size
+                assert fields.lanes == _lanes(*calls[-1])
+        # Items at 7.9 bits each: the loop under 32**2 of them or 4 KiB coded, then sqrt.
+        enc = RansEncoder()
+        sizes = (1_023, 3_000, 5_000, 40_000)
+        assert [_Fields(enc.encode(_code_items(rng, n), 2)).lanes for n in sizes] == [1, 1, 41, 200]
 
-    # 1 -> 36 lanes, 36 -> 37 lanes, the 1024-lane cap; +-1 item around each.
+    # Large frames (boundaries of the old 2 KiB-per-lane policy, now interior points)
+    # and the 1024-lane cap at 1024**2 items; +-1 item around each.
     @pytest.mark.parametrize("n", [b + d for b in (36 << 11, 37 << 11, 1024 << 11) for d in (-2, 0, 2)])
     def test_roundtrip_at_policy_boundaries(self, rng, n):
         enc = RansEncoder()
         data = _code_items(rng, n // 2)
         blob = enc.encode(data, 2)
         assert _item_size_of(blob) == 2 and len(blob) < 0.6 * n
-        assert int.from_bytes(blob[5:7], "little") & 0xFFF == lane_count(n, 2)
+        assert int.from_bytes(blob[5:7], "little") & 0xFFF == min(isqrt(n // 2), 1024)
         assert int.from_bytes(blob[7:9], "little") == max(np.frombuffer(data, ">u2"))
         assert enc.decode(blob) == data
 
@@ -326,63 +505,109 @@ class TestAnsItems:
         enc = RansEncoder()
         assert enc.encode(data, 4) == enc.encode(data, 3) == enc.encode(data)
 
-    @pytest.mark.parametrize("n_items", [1_500, 100_000])  # scalar loop, NumPy kernel
+    # scalar loop and narrowest rows: 3 000 flips and every cut; wide rows: a sample
+    @pytest.mark.parametrize("n_items", [1_500, 4_500, 100_000])
     def test_damaged_frames_raise(self, n_items):
         rng = np.random.default_rng(2026)
         enc = RansEncoder()
         blob = enc.encode(_code_items(rng, n_items), 2)
-        assert _item_size_of(blob) == 2
-        for bit in rng.choice(len(blob) * 8, size=200, replace=False):
-            damaged = bytearray(blob)
-            damaged[bit >> 3] ^= 1 << (bit & 7)
-            with pytest.raises(EncodeError):
-                enc.decode(bytes(damaged))
-        cuts = range(1, len(blob)) if n_items < 10_000 else (1, 2, 3, 10, 1000, len(blob) - 8)
-        for cut in cuts:
-            with pytest.raises(EncodeError):
-                enc.decode(blob[:-cut])
-        for cut in (1, 2, 3, 10, 1000):
-            with pytest.raises(EncodeError):
-                enc.decode(blob[:100] + blob[100 + cut :])
-        with pytest.raises(EncodeError):
-            enc.decode(blob + b"\x00\x00")  # words left over
+        fields = _Fields(blob)
+        assert fields.item_size == 2 and (fields.lanes > 1) == (n_items > 1_500)
+        small = n_items < 10_000
+        _assert_damage_raises(enc, blob, rng, 3_000 if small else 200, every_cut=small)
 
     def test_lying_header_fields_raise(self):
         rng = np.random.default_rng(2027)
         enc = RansEncoder()
         data = _code_items(rng, 4000)
         blob = enc.encode(data, 2)
+        at = _Fields(blob)
         field = int.from_bytes(blob[5:7], "little")
-        alphabet = int.from_bytes(blob[7:9], "little") + 1
-        table_at = 9 + -(-alphabet // 8)
+        assert at.lanes == 34 and at.symbols == 4000 and 2 <= at.width <= 14
 
-        def with_bytes(at, new):
-            return blob[:at] + new + blob[at + len(new) :]
+        def lie(where, new, error):
+            with pytest.raises(EncodeError, match=error):
+                enc.decode(_with_bytes(blob, where, new))
 
-        lies = [with_bytes(5, (field & 0xFFF | size << 12).to_bytes(2, "little")) for size in (0, 2, 15)]
-        lies += [
-            with_bytes(7, (alphabet - 1 + d).to_bytes(2, "little"))
-            for d in (-9, -8, -1, 1, 8, 9, 300, -alphabet + 1)
-        ]
-        first, second = blob[table_at : table_at + 2], blob[table_at + 2 : table_at + 4]
-        assert first != second
-        lies.append(with_bytes(table_at, second + first))  # a valid table, not this frame's
-        lies.append(with_bytes(table_at, b"\x00\x00"))
-        lies.append(with_bytes(9, bytes([blob[9] ^ 0x80])))  # a present symbol goes missing
+        for size in (3, 16):
+            lie(5, (at.lanes | size - 1 << 12).to_bytes(2, "little"), f"item size {size}")
+        lie(5, at.lanes.to_bytes(2, "little"), "ans: ")  # items read as bytes
+        for lanes in (0, 2, 31, isqrt(4000) + 1, 1024, 1025, 4095):
+            lie(5, (lanes | field & 0xF000).to_bytes(2, "little"), "lanes declared")
+        lie(5, ((1 if at.lanes > 1 else 32) | field & 0xF000).to_bytes(2, "little"), "ans: ")
+        for d in (-9, -8, -1, 1, 8, 9, 300, -at.alphabet + 1):
+            lie(7, (at.alphabet - 1 + d).to_bytes(2, "little"), "ans: ")
+        lie(at.bitmap_at, [blob[at.bitmap_at] ^ 0x80], "ans: ")  # a present symbol goes missing
+        lie(at.check_at, [blob[at.check_at] ^ 1], "fail the frame check")
+        for width in (0, 15, 255):
+            lie(at.width_at, [width], f"table of {width}-bit entries")
+        lie(at.width_at, [at.width - 1], "ans: ")  # a short table: the states are read from its end
+        lie(at.width_at, [at.width + 1], "ans: ")
+        # The table's padding bits are clear, and checked (on a table that has some).
+        frames = (enc.encode(_code_items(rng, 4000, spread), 2) for spread in range(20, 60))
+        padded, end = next((b, f.states_at) for b in frames if (f := _Fields(b)).present * f.width % 8)
+        with pytest.raises(EncodeError, match="padding bits set"):
+            enc.decode(_with_bytes(padded, end - 1, [padded[end - 1] | 1]))
+        # A valid table that is not this frame's: two entries swapped, so the sum holds.
+        table = ans._unpack_table(blob[at.table_at : at.states_at], at.present, at.width)
+        swap = int(np.flatnonzero(table != table[0])[0])
+        table[[0, swap]] = table[[swap, 0]]
+        lie(at.table_at, ans._pack_table(table, at.width), "ans: ")
+        table[0] += 1
+        lie(at.table_at, ans._pack_table(table, at.width), "invalid frequency table")
+        for end in (at.width_at, at.width_at + 1, at.states_at - 1, at.words_at - 1):
+            with pytest.raises(EncodeError, match="truncated"):
+                enc.decode(blob[:end])
         byte_blob = enc.encode(_gradient_bytes(rng, 4000).tobytes())
-        lies.append(byte_blob[:6] + bytes([byte_blob[6] | 0x10]) + byte_blob[7:])  # bytes as items
+        with pytest.raises(EncodeError, match="ans: "):  # bytes read as items
+            enc.decode(_with_bytes(byte_blob, 6, [byte_blob[6] | 0x10]))
         odd = enc.encode(_code_items(rng, 4000) + b"\x00")
-        lies.append(blob[:1] + odd[1:5] + blob[5:])  # 2-byte items in an odd-length frame
-        for lie in lies:
-            with pytest.raises(EncodeError):
-                enc.decode(lie)
+        with pytest.raises(EncodeError, match="item size"):  # 2-byte items in an odd-length frame
+            enc.decode(blob[:1] + odd[1:5] + blob[5:])
+
+    def test_the_checksum_catches_what_the_lanes_forgive(self):
+        """A flipped renormalisation word garbles a stretch of symbols and the lane
+        re-synchronises, arriving home on ``2**16`` with every word used: about one
+        flip in a hundred, and until the frame carried a checksum those decoded to
+        wrong bytes without raising.  Searched for, not pinned, over the first 64 words."""
+        enc = RansEncoder()
+        silent = 0
+        for data, item_size in (
+            (_code_items(np.random.default_rng(7), 1500), 2),
+            (_gradient_bytes(np.random.default_rng(7), 3000).tobytes(), 1),
+        ):
+            blob = enc.encode(data, item_size)
+            at = _Fields(blob)
+            states = np.frombuffer(blob[at.states_at : at.words_at], "<u4")
+            words = np.frombuffer(blob[at.words_at :], "<u2").copy()
+            qfreq = np.zeros(at.alphabet, dtype=np.uint32)
+            bitmap = np.frombuffer(blob[at.bitmap_at : at.width_at], np.uint8)
+            table = ans._unpack_table(blob[at.table_at : at.states_at], at.present, at.width)
+            qfreq[np.unpackbits(bitmap)[: at.alphabet].astype(bool)] = table + 1
+            for i in range(64):
+                for bit in range(16):
+                    words[i] ^= 1 << bit
+                    try:  # the kernel alone: every structural check, no checksum
+                        out = _decode_scalar(states, words, qfreq, at.symbols, item_size)
+                    except EncodeError:
+                        out = data
+                    words[i] ^= 1 << bit
+                    if out != data:
+                        silent += 1
+                        damaged = blob[: at.words_at] + _with_bytes(
+                            words.tobytes(), 2 * i, (int(words[i]) ^ 1 << bit).to_bytes(2, "little")
+                        )
+                        with pytest.raises(EncodeError, match="fail the frame check"):
+                            enc.decode(damaged)
+        assert silent >= 10
 
     def test_byte_frames_are_the_parents(self):
-        """1-byte frames are byte-identical to the coder before item sizes existed
-        (digest captured at b5a6b53): every bitmap and 8-bit code stream is untouched."""
+        """They no longer are: the frame of 8654adf had no checksum, a ``u16`` table and a lane
+        count derived from its length.  What is pinned is the one format that replaced it,
+        for the byte frames that test pinned and for the same sizes as items."""
         rng = np.random.default_rng(1509)
         enc = RansEncoder()
-        digest = hashlib.sha256()
+        by_bytes, by_items = hashlib.sha256(), hashlib.sha256()
         for n in (1, 2, 39, 40, 270, 3000, 98_303, 98_304, 200_001, 2_100_000):
             frames = [
                 np.clip(rng.normal(128, spread, n), 0, 255).astype(np.uint8).tobytes()
@@ -391,10 +616,47 @@ class TestAnsItems:
             frames.append(rng.integers(0, 256, n, dtype=np.uint8).tobytes())
             frames.append(bytes([7]) * n)
             for data in frames:
-                digest.update(enc.encode(data))
-        assert digest.hexdigest() == (
-            "a8471d29dca57c084087d023c7c41c39311940cbff23c2e6df87d449b39b4868"
-        )
+                by_bytes.update(enc.encode(data))
+            for spread, span in ((0.5, 500), (60.0, 500), (3000.0, 1 << 16)):
+                by_items.update(enc.encode(_code_items(rng, n, spread, span), 2))
+        assert by_bytes.hexdigest() == "0e29967f1084d23f73bd351bc2100c8d530105b1d4c9741f3c7c990eb3d0a7a6"
+        assert by_items.hexdigest() == "661f4f0453194c5efc163dc62f421bc0ec6bc2a03f1d61393eb6dd8e83e46859"
+
+    def test_entropy_floor_skips_only_frames_the_full_prediction_rejects(self):
+        """``_code`` gives up on the entropy of the histogram, before it builds a table.
+        Cross-entropy under any table is at least the entropy, so the frames it skips are
+        frames the prediction from the table (written out here from the payload layout)
+        rejects too — and the prediction still rejects frames the floor lets through."""
+        rng = np.random.default_rng(2204)
+        frames = [(rng.integers(0, 256, n, dtype=np.uint8).tobytes(), 1) for n in (40, 300, 5000)]
+        for spread in (2, 12, 40, 70):
+            frames += [(_gradient_bytes(rng, n, spread).tobytes(), 1) for n in (60, 272, 1100)]
+        for spread in (2, 20, 60, 150):
+            frames += [(_code_items(rng, n, spread), 2) for n in (41, 136, 578, 1100)]
+        frames += [(_spread_symbols(rng, 3000, 6000), 2)]
+        skipped = late = coded = 0
+        for data, item_size in frames:
+            symbols = np.frombuffer(data, ">u2" if item_size == 2 else np.uint8)
+            counts = np.bincount(symbols)
+            built = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ans, "quantize_freqs", lambda c: built.append(1) or quantize_freqs(c))
+                payload = ans._code(symbols, counts, data)
+            present = counts > 0
+            table = quantize_freqs(counts)[present]
+            width = int(table.max() - 1).bit_length()
+            bits = float((counts[present] * (14 - np.log2(table))).sum())
+            # K, [largest symbol], checksum, bitmap, width, table, one lane, words
+            predicted = 2 + 2 * (item_size - 1) + 4 + -(-counts.size // 8) + 1
+            predicted += -(-table.size * width // 8) + 4 + int(bits / 8)
+            if payload is None:
+                assert predicted >= len(data)
+                skipped += not built
+                late += bool(built)
+            else:
+                assert built and predicted < len(data) and abs(len(payload) - predicted) < 16
+                coded += 1
+        assert skipped >= 10 and late >= 1 and coded >= 10
 
     @pytest.mark.parametrize("name", [n for n in ALL if n != "ans"])
     def test_byte_coders_ignore_the_item_size(self, name, rng):
