@@ -9,6 +9,7 @@ by the benchmarks are computed from these sizes, never estimated.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -41,7 +42,7 @@ class CompressedTensor:
 
     @property
     def n_elements(self) -> int:
-        return int(np.prod(self.shape)) if self.shape else 1
+        return math.prod(self.shape)
 
 
 class GradientCompressor(ABC):

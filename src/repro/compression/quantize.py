@@ -48,9 +48,9 @@ def round_nearest(v: np.ndarray, rng: np.random.Generator | None = None) -> np.n
 def round_stochastic(v: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
     """Stochastic rounding, Eq. 4: E[round(v)] == v."""
     rng = spawn_rng(rng)
-    floor = np.floor(v)
-    frac = v - floor
-    return floor + (rng.random(v.shape) < frac)
+    out = np.floor(v)
+    out += rng.random(v.shape) < v - out
+    return out
 
 
 def round_p05(v: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:

@@ -21,19 +21,32 @@ Setting ``eb_f = 0`` disables the filter: that is the *conservative*
 the layer-aggregation mechanism (section 4.4): per-layer quantisation
 scales (ranges must not mix, section 4.5) with a single encoder
 invocation over the aggregated code stream.
+
+A stage reads the gradient once and everything after the filter costs
+what survived it (DESIGN.md decision 20): ``_filter`` forms ``|x|`` once
+for the range and the comparison and hands on the *packed* bitmap and the
+survivors; the codes stay the rounding mode's integer-valued floats until
+``pack_codes`` casts them once; decode is ``_dequantize`` then
+``_scatter``, which between them check every header field against the
+streams and raise :class:`~repro.encoders.base.EncodeError` on a lie.
+A non-finite input is refused with ``ValueError`` before any rounding
+draw.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
 from repro.compression.base import CompressedTensor, GradientCompressor
 from repro.compression.quantize import ROUNDING_MODES
+from repro.encoders.base import EncodeError
 from repro.encoders.registry import get_encoder
 from repro.telemetry import get_metrics, get_tracer
 from repro.util.bitpack import (
+    clear_bit_index,
     pack_bitmap,
     pack_uints,
     required_width,
@@ -44,11 +57,45 @@ from repro.util.seeding import spawn_rng
 
 __all__ = ["CompsoCompressor", "pack_codes"]
 
+_LAYER_HEADER = struct.Struct("<IIfiBI")  # n, n_kept, step, code_min, width, packed_len
+
+#: Survivors are gathered and scattered through ``clear_bit_index`` when
+#: at most this share of a tensor survives the filter, and through the
+#: boolean mask above it.  The index costs per survivor; the mask costs per
+#: element and per mispredicted branch, so it is dearest near one half and
+#: cheap again when nearly everything survives.  Gather + scatter of one
+#: float32 tensor in microseconds, index | mask, a fresh random mask on every
+#: call (DESIGN.md decision 20 has every size):
+#:
+#:     kept      16 384 elements    2 359 808 elements
+#:      5 %          47 | 62          4 027 |  8 740
+#:     50 %         119 | 238        16 221 | 31 569
+#:     75 %         152 | 178        20 486 | 23 931
+#:     80 %         162 | 154        20 858 | 21 383
+#:     90 %         166 | 96         23 425 | 13 166
+#:     99 %         181 | 38         25 909 |  5 160
+#:
+#: The two cross between 75 % and 80 % at every size from 8 192 up.
+_INDEX_MAX_KEPT = 0.75
+
+#: Below this many elements the mask is used whatever survives: the index
+#: path is a dozen NumPy calls where the mask is five, about 9 us more per
+#: use, which under 8 192 elements is more than it saves (4 096 elements at
+#: 5 % kept: 27 | 19 us; 88 elements: 20 | 4).
+_INDEX_MIN_SIZE = 8192
+
+
+def _by_index(n_kept: int, n: int) -> bool:
+    """Whether ``n_kept`` survivors of ``n`` elements are moved by index."""
+    return n >= _INDEX_MIN_SIZE and n_kept <= _INDEX_MAX_KEPT * n
+
 
 def pack_codes(codes: np.ndarray) -> tuple[bytes, int, int]:
     """Pack signed quantisation codes; returns ``(packed, code_min, width)``.
 
-    The codes are shifted to start at zero and packed at the minimal
+    ``codes`` hold integers in any real dtype (the rounding modes return
+    integer-valued floats); they are cast to integers once, here.  The
+    codes are shifted to start at zero and packed at the minimal
     ``ceil(log2(bins))`` width rounded up to a byte multiple: whole-byte
     fields keep every code one symbol for the lossless encoder (which is
     told the field size and recovers the sub-byte entropy, and more) —
@@ -61,7 +108,59 @@ def pack_codes(codes: np.ndarray) -> tuple[bytes, int, int]:
     cmin = int(codes.min())
     span = int(codes.max()) - cmin
     width = min(-(-required_width(span) // 8) * 8, 32)
-    return pack_uints((codes - cmin).astype(np.uint64), width), cmin, width
+    # Below 2**30 in magnitude the shift cannot leave int32.
+    wide = np.int32 if max(-cmin, cmin + span) < 1 << 30 else np.int64
+    shifted = codes.astype(wide)
+    shifted -= cmin
+    return pack_uints(shifted.view(f"u{shifted.itemsize}"), width), cmin, width
+
+
+def _dequantize(packed: bytes, width: int, count: int, cmin: int, step: float) -> np.ndarray:
+    """``count`` packed codes back to float32 values, ``(code + cmin) * step``.
+
+    Raises :class:`EncodeError` when ``width`` is not one :func:`pack_codes`
+    writes or ``packed`` is not exactly ``count`` fields of it.
+    """
+    if width not in (8, 16, 24, 32):
+        raise EncodeError(f"compso: width {width} is not a whole-byte code width")
+    if len(packed) != count * (width // 8):
+        raise EncodeError(
+            f"compso: packed_len {len(packed)} is not n_kept {count} x width {width} / 8"
+        )
+    codes = unpack_uints(packed, width, count)
+    if max(-cmin, cmin + (1 << width)) < 1 << 31:
+        signed = codes.view(np.int32)
+        signed += cmin
+    else:
+        signed = codes.astype(np.int64) + cmin
+    values = signed.astype(np.float32)
+    values *= np.float32(step)
+    return values
+
+
+def _scatter(values: np.ndarray, bitmap: bytes, n: int) -> np.ndarray:
+    """Put the survivors back among ``n`` elements; filtered positions are zero.
+
+    Raises :class:`EncodeError` when ``bitmap`` is not ``ceil(n / 8)`` bytes
+    or does not leave exactly ``values.size`` of its first ``n`` bits clear.
+    """
+    n_kept = values.size
+    if len(bitmap) != (n + 7) // 8:
+        raise EncodeError(f"compso: bitmap of {len(bitmap)} bytes for {n} elements")
+    if _by_index(n_kept, n):
+        where = clear_bit_index(bitmap, n)
+        clear = where.size
+    else:
+        where = unpack_bitmap(bitmap, n)
+        np.logical_not(where, out=where)
+        clear = np.count_nonzero(where)
+    if clear != n_kept:
+        raise EncodeError(f"compso: n_kept {n_kept} but the bitmap keeps {clear} of {n}")
+    if n_kept == n:
+        return values
+    out = np.zeros(n, dtype=np.float32)
+    out[where] = values
+    return out
 
 
 class CompsoCompressor(GradientCompressor):
@@ -107,25 +206,44 @@ class CompsoCompressor(GradientCompressor):
         self.encoder_name = name
         self.name = f"compso-{name}"
 
-    # -- single-tensor path -------------------------------------------------
+    # -- the lossy stages, one tensor ---------------------------------------
 
-    def _bounds_for(self, flat: np.ndarray) -> tuple[float, float]:
-        """Absolute (filter_threshold, quant_step) for this tensor."""
-        if self.relative:
-            vmax = float(np.abs(flat).max()) if flat.size else 0.0
-            scale = vmax if vmax > 0 else 1.0
-        else:
-            scale = 1.0
+    def _filter(self, flat: np.ndarray) -> tuple[bytes, np.ndarray, float]:
+        """One pass over ``|flat|``: returns ``(bitmap, survivors, quant_step)``.
+
+        The magnitudes serve the range and the comparison; a non-finite
+        range is a non-finite input and is refused here, before any
+        rounding draw.  ``survivors`` is ``flat`` itself when nothing was
+        filtered.
+        """
+        n = flat.size
+        mag = np.abs(flat)
+        vmax = float(mag.max()) if n else 0.0
+        if not math.isfinite(vmax):
+            raise ValueError(f"{self.name}: non-finite value in a tensor of {n} elements")
+        scale = vmax if self.relative and vmax > 0 else 1.0
         threshold = self.eb_f * scale
         step = self.eb_q * scale
         if self.rounding == "rn":
             step *= 2.0  # RN has half-step worst case; keep |err| <= eb_q
-        return threshold, step
+        if not threshold > 0:
+            return bytes((n + 7) // 8), flat, step
+        filtered = mag < threshold
+        bitmap = pack_bitmap(filtered)
+        n_kept = n - np.count_nonzero(filtered)
+        if n_kept == n:
+            return bitmap, flat, step
+        if _by_index(n_kept, n):
+            return bitmap, flat.take(clear_bit_index(bitmap, n)), step
+        return bitmap, flat[np.logical_not(filtered, out=filtered)], step
 
     def _quantize(self, kept: np.ndarray, step: float) -> np.ndarray:
+        """Integer-valued float codes of the survivors (:func:`pack_codes` casts them)."""
         if step == 0.0:
-            return np.zeros(kept.size, dtype=np.int64)
-        return ROUNDING_MODES[self.rounding](kept / step, self._rng).astype(np.int64)
+            return np.zeros(kept.size, dtype=np.float32)
+        return ROUNDING_MODES[self.rounding](kept / step, self._rng)
+
+    # -- single-tensor path -------------------------------------------------
 
     def compress(self, x: np.ndarray) -> CompressedTensor:
         x = np.asarray(x, dtype=np.float32)
@@ -133,18 +251,14 @@ class CompsoCompressor(GradientCompressor):
         tracer = get_tracer()
         with tracer.span("compress", "compress", compressor=self.name, nbytes=x.nbytes):
             with tracer.span("filter", "compress.filter"):
-                threshold, step = self._bounds_for(flat)
-                filtered = (
-                    np.abs(flat) < threshold if threshold > 0 else np.zeros(flat.size, dtype=bool)
-                )
-                kept = flat[~filtered]
+                bitmap, kept, step = self._filter(flat)
             with tracer.span("quantise", "compress.quantise"):
                 codes = self._quantize(kept, step)
             with tracer.span("pack", "compress.pack"):
                 packed, cmin, width = pack_codes(codes)
             with tracer.span("encode", "compress.encode", encoder=self.encoder_name):
                 segments = {
-                    "bitmap": self._encoder.encode(pack_bitmap(filtered)),
+                    "bitmap": self._encoder.encode(bitmap),
                     "codes": self._encoder.encode(packed, width // 8),
                 }
         meta = {
@@ -164,18 +278,15 @@ class CompsoCompressor(GradientCompressor):
 
     def decompress(self, ct: CompressedTensor) -> np.ndarray:
         with get_tracer().span("decompress", "decompress", compressor=self.name):
-            return self._decompress(ct)
-
-    def _decompress(self, ct: CompressedTensor) -> np.ndarray:
-        n = ct.n_elements
-        filtered = unpack_bitmap(self._encoder.decode(ct.segments["bitmap"]), n)
-        n_kept = int(ct.meta["n_kept"])
-        width = int(ct.meta["width"])
-        packed = self._encoder.decode(ct.segments["codes"])
-        codes = unpack_uints(packed, width, n_kept).astype(np.int64) + int(ct.meta["code_min"])
-        out = np.zeros(n, dtype=np.float32)
-        out[~filtered] = codes.astype(np.float32) * np.float32(ct.meta["step"])
-        return out.reshape(ct.shape)
+            bitmap = self._encoder.decode(ct.segments["bitmap"])
+            values = _dequantize(
+                self._encoder.decode(ct.segments["codes"]),
+                int(ct.meta["width"]),
+                int(ct.meta["n_kept"]),
+                int(ct.meta["code_min"]),
+                ct.meta["step"],
+            )
+            return _scatter(values, bitmap, ct.n_elements).reshape(ct.shape)
 
     # -- aggregated (multi-layer) path ---------------------------------------
 
@@ -185,83 +296,77 @@ class CompsoCompressor(GradientCompressor):
         Filtering and quantisation happen per layer (a layer's range must
         not leak into its neighbours, section 4.5); the bitmaps and packed
         code streams are concatenated and encoded once, which is the
-        GPU-efficiency win the layer aggregation mechanism targets.
+        GPU-efficiency win the layer aggregation mechanism targets.  Every
+        layer is filtered before any is quantised, so a group with a
+        non-finite layer is refused with the generator untouched.
         """
         if not tensors:
             raise ValueError("compress_many requires at least one tensor")
         tracer = get_tracer()
-        bitmap_parts: list[bytes] = []
         code_parts: list[bytes] = []
         item_sizes: set[int] = set()
         headers: list[bytes] = []
-        raw_nbytes = 0
         with tracer.span(
             "compress_many", "compress", compressor=self.name, n_layers=len(tensors)
         ):
             with tracer.span("filter+quantise+pack", "compress.quantise"):
-                for t in tensors:
-                    flat = np.asarray(t, dtype=np.float32).ravel()
-                    raw_nbytes += flat.nbytes
-                    threshold, step = self._bounds_for(flat)
-                    filtered = (
-                        np.abs(flat) < threshold
-                        if threshold > 0
-                        else np.zeros(flat.size, dtype=bool)
-                    )
-                    kept = flat[~filtered]
-                    codes = self._quantize(kept, step)
-                    packed, cmin, width = pack_codes(codes)
-                    bitmap_parts.append(pack_bitmap(filtered))
+                flats = [np.asarray(t, dtype=np.float32).ravel() for t in tensors]
+                layers = [self._filter(flat) for flat in flats]
+                for flat, (_, kept, step) in zip(flats, layers):
+                    packed, cmin, width = pack_codes(self._quantize(kept, step))
                     code_parts.append(packed)
                     if packed:
                         item_sizes.add(width // 8)
                     headers.append(
-                        struct.pack(
-                            "<IIfiBI", flat.size, kept.size, step, cmin, width, len(packed)
-                        )
+                        _LAYER_HEADER.pack(flat.size, kept.size, step, cmin, width, len(packed))
                     )
             header_blob = struct.pack("<I", len(tensors)) + b"".join(headers)
             with tracer.span("encode", "compress.encode", encoder=self.encoder_name):
                 segments = {
                     "headers": header_blob,
-                    "bitmap": self._encoder.encode(b"".join(bitmap_parts)),
+                    "bitmap": self._encoder.encode(b"".join(bitmap for bitmap, _, _ in layers)),
                     # One symbol per code only when every layer packed at one width.
                     "codes": self._encoder.encode(
                         b"".join(code_parts), item_sizes.pop() if len(item_sizes) == 1 else 1
                     ),
                 }
-        total = sum(np.asarray(t).size for t in tensors)
+        total = sum(flat.size for flat in flats)
         ct = CompressedTensor(segments, (total,), meta={"aggregated": len(tensors)})
-        self._record_compression(raw_nbytes, ct)
+        self._record_compression(sum(flat.nbytes for flat in flats), ct)
         return ct
 
     def decompress_many(self, ct: CompressedTensor) -> list[np.ndarray]:
-        """Inverse of :func:`compress_many`; returns flat per-layer arrays."""
+        """Inverse of :func:`compress_many`; returns flat per-layer arrays.
+
+        Raises :class:`EncodeError` when the header blob, the bitmap stream
+        or the code stream is not consumed exactly by the layers the
+        headers describe, or their sizes do not add up to the frame's.
+        """
         blob = ct.segments["headers"]
-        (count,) = struct.unpack_from("<I", blob, 0)
-        rec_size = struct.calcsize("<IIfiBI")
+        count = struct.unpack_from("<I", blob)[0] if len(blob) >= 4 else None
+        if count is None or len(blob) != 4 + count * _LAYER_HEADER.size:
+            raise EncodeError(f"compso: header count {count} does not match {len(blob)} bytes")
         bitmaps = self._encoder.decode(ct.segments["bitmap"])
         codestream = self._encoder.decode(ct.segments["codes"])
         outputs: list[np.ndarray] = []
         bit_pos = 0
         code_pos = 0
-        offset = 4
-        for _ in range(count):
-            n, n_kept, step, cmin, width, packed_len = struct.unpack_from(
-                "<IIfiBI", blob, offset
-            )
-            offset += rec_size
-            bitmap_bytes = (n + 7) // 8
-            filtered = unpack_bitmap(bitmaps[bit_pos : bit_pos + bitmap_bytes], n)
-            bit_pos += bitmap_bytes
-            codes = (
-                unpack_uints(codestream[code_pos : code_pos + packed_len], width, n_kept).astype(
-                    np.int64
-                )
-                + cmin
+        for n, n_kept, step, cmin, width, packed_len in _LAYER_HEADER.iter_unpack(blob[4:]):
+            values = _dequantize(
+                codestream[code_pos : code_pos + packed_len], width, n_kept, cmin, step
             )
             code_pos += packed_len
-            out = np.zeros(n, dtype=np.float32)
-            out[~filtered] = codes.astype(np.float32) * np.float32(step)
-            outputs.append(out)
+            bitmap_bytes = (n + 7) // 8
+            outputs.append(_scatter(values, bitmaps[bit_pos : bit_pos + bitmap_bytes], n))
+            bit_pos += bitmap_bytes
+        if bit_pos != len(bitmaps) or code_pos != len(codestream):
+            raise EncodeError(
+                f"compso: layers consume {bit_pos} of {len(bitmaps)} bitmap bytes "
+                f"and {code_pos} of {len(codestream)} code bytes"
+            )
+        total = sum(out.size for out in outputs)
+        if total != ct.n_elements:
+            raise EncodeError(
+                f"compso: layer sizes n add up to {total}, the frame holds {ct.n_elements}"
+            )
         return outputs

@@ -22,13 +22,14 @@ exactly on decompression.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.compression.base import CompressedTensor, GradientCompressor
 from repro.compression.quantize import ROUNDING_MODES
-from repro.core.compso import pack_codes
+from repro.core.compso import _dequantize, pack_codes
 from repro.encoders.registry import get_encoder
-from repro.util.bitpack import unpack_uints
 from repro.util.seeding import spawn_rng
 from repro.util.triangle import mirror_upper, pack_upper, triangle_size
 
@@ -63,16 +64,18 @@ class FactorCompressor(GradientCompressor):
             raise ValueError(f"factors are square matrices, got shape {x.shape}")
         d = x.shape[0]
         tri = pack_upper(x)
+        if not (math.isfinite(tri.min()) and math.isfinite(tri.max())):
+            raise ValueError(f"{self.name}: non-finite value in a {d} x {d} factor")
         # Scale to the diagonal magnitude: the damping gamma added before
         # inversion makes errors below eb*max(diag) immaterial.
         scale = float(np.abs(np.diag(x)).max())
         step = self.eb * scale if scale > 0 else self.eb
         if self.rounding == "rn":
             step *= 2.0
-        if step == 0.0 or tri.size == 0:
-            codes = np.zeros(tri.size, dtype=np.int64)
+        if step == 0.0:
+            codes = np.zeros(tri.size, dtype=np.float32)
         else:
-            codes = ROUNDING_MODES[self.rounding](tri / step, self._rng).astype(np.int64)
+            codes = ROUNDING_MODES[self.rounding](tri / step, self._rng)
         packed, cmin, width = pack_codes(codes)
         return CompressedTensor(
             {"codes": self._encoder.encode(packed, width // 8)},
@@ -82,8 +85,11 @@ class FactorCompressor(GradientCompressor):
 
     def decompress(self, ct: CompressedTensor) -> np.ndarray:
         d = int(ct.meta["dim"])
-        packed = self._encoder.decode(ct.segments["codes"])
-        codes = unpack_uints(packed, int(ct.meta["width"]), triangle_size(d)).astype(np.int64)
-        codes += int(ct.meta["code_min"])
-        tri = codes.astype(np.float32) * np.float32(ct.meta["step"])
+        tri = _dequantize(
+            self._encoder.decode(ct.segments["codes"]),
+            int(ct.meta["width"]),
+            triangle_size(d),
+            int(ct.meta["code_min"]),
+            ct.meta["step"],
+        )
         return mirror_upper(tri, d)
