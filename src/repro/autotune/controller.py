@@ -236,13 +236,6 @@ class AutotuneController:
             bw *= h_bw
         return lat, bw
 
-    def _mutation_target(self):
-        """Innermost bound compressor exposing ``set_bounds``."""
-        comp = self._compressor
-        while comp is not None and not hasattr(comp, "set_bounds"):
-            comp = getattr(comp, "inner", None)
-        return comp
-
     # -- decision loop ---------------------------------------------------------
 
     def end_step(
@@ -367,11 +360,9 @@ class AutotuneController:
             # Realised by active_compressor()/layer_compressor() returning
             # None — the trainer's lossless broadcast path.
             return
-        target = self._mutation_target()
-        if target is not None:
-            target.set_bounds(candidate.eb_f, candidate.eb_q)
-            if hasattr(target, "set_encoder"):
-                target.set_encoder(candidate.encoder)
+        if self._compressor is not None:
+            self._compressor.set_bounds(candidate.eb_f, candidate.eb_q)
+            self._compressor.set_encoder(candidate.encoder)
 
     def _record(self, decision: Decision) -> None:
         self.decisions.append(decision)

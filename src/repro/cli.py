@@ -97,12 +97,11 @@ def cmd_compress(args: argparse.Namespace) -> int:
             raise SystemExit(
                 f"unknown encoder {args.encoder!r}; choose from {list_encoders()}"
             )
-        if not hasattr(comp, "set_encoder"):
+        if comp.set_encoder(args.encoder) is None:
             raise SystemExit(
                 f"compressor {args.compressor!r} does not take a lossless "
                 "encoder (--encoder applies to compso variants)"
             )
-        comp.set_encoder(args.encoder)
         print(f"(lossless encoder: {args.encoder})")
     ct = comp.compress(x)
     restored = comp.decompress(ct)

@@ -5,6 +5,13 @@ A ``GradientCompressor`` turns a float32 tensor into a
 every byte a real implementation would put on the wire (payload segments
 plus fixed per-tensor metadata) — and back.  Compression ratios reported
 by the benchmarks are computed from these sizes, never estimated.
+
+A compressor is also steered (Algorithm 1 moves its bounds, section 4.4
+swaps its encoder, the fault layer degrades it), inspected and saved.
+That surface is declared here once so callers ask instead of probing
+(DESIGN.md decision 21): every call has the neutral answer ``None`` /
+``{}`` on a plain compressor and forwards to :attr:`inner` on a wrapper;
+a class overrides only what it has something to say about.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import numpy as np
 
 from repro.telemetry import get_metrics
 
-__all__ = ["CompressedTensor", "GradientCompressor", "METADATA_BYTES"]
+__all__ = ["Bounds", "CompressedTensor", "GradientCompressor", "METADATA_BYTES"]
 
 #: Fixed per-tensor wire overhead we charge every compressor: shape/dtype
 #: descriptor, scale factors, segment lengths.  Kept small and identical
@@ -45,11 +52,34 @@ class CompressedTensor:
         return math.prod(self.shape)
 
 
+@dataclass(frozen=True)
+class Bounds:
+    """Error bounds for one iteration; ``eb_f == 0`` means SR-only mode."""
+
+    eb_f: float
+    eb_q: float
+
+    def __post_init__(self) -> None:
+        # A negative bound would silently invert the filtering threshold
+        # (|g| < eb_f * max|g| never holds) and poison every downstream
+        # schedule computation; reject it at construction.
+        if self.eb_f < 0:
+            raise ValueError(f"filter bound eb_f must be >= 0, got {self.eb_f}")
+        if self.eb_q < 0:
+            raise ValueError(f"quantisation bound eb_q must be >= 0, got {self.eb_q}")
+
+    @property
+    def filtering(self) -> bool:
+        return self.eb_f > 0
+
+
 class GradientCompressor(ABC):
     """Lossy gradient compressor: float32 tensor <-> wire bytes."""
 
     #: Human-readable identifier used in benchmark tables.
     name: str = "base"
+    #: The compressor a wrapper delegates to; ``None`` on a plain one.
+    inner: GradientCompressor | None = None
 
     @abstractmethod
     def compress(self, x: np.ndarray) -> CompressedTensor:
@@ -69,6 +99,54 @@ class GradientCompressor(ABC):
         if x.size == 0:
             return 1.0
         return x.nbytes / self.compress(x).nbytes
+
+    def group_nbytes(self, tensors: list[np.ndarray]) -> int:
+        """Wire bytes of ``tensors`` sent as one aggregation group (section
+        4.4): one frame per tensor unless the compressor aggregates."""
+        return sum(self.compress(t).nbytes for t in tensors)
+
+    # -- steering, inspection, persistence: neutral here, forwarded by a wrapper;
+    # a steering call answers None when nothing in the stack acted on it ------
+
+    @property
+    def bounds(self) -> Bounds | None:
+        """The pointwise contract ``(eb_f + eb_q) * max|x|`` in force on
+        ``roundtrip``; ``None`` when none is promised."""
+        return None if self.inner is None else self.inner.bounds
+
+    def set_bounds(self, eb_f: float, eb_q: float) -> Bounds | None:
+        """Move the error bounds; returns the bounds now in force."""
+        return None if self.inner is None else self.inner.set_bounds(eb_f, eb_q)
+
+    def set_encoder(self, name: str) -> str | None:
+        """Swap the lossless encoder; returns the encoder now in use."""
+        return None if self.inner is None else self.inner.set_encoder(name)
+
+    def degrade(self, iterations: int = 2) -> Bounds | None:
+        """Enter the conservative mode for ``iterations``; returns its bounds."""
+        return None if self.inner is None else self.inner.degrade(iterations)
+
+    def step(self) -> Bounds | None:
+        """One training iteration finished; returns the next one's bounds."""
+        return None if self.inner is None else self.inner.step()
+
+    def reset(self) -> int | None:
+        """Drop error-compensation state; returns how many buffers went."""
+        return None if self.inner is None else self.inner.reset()
+
+    def residual_norm(self) -> float | None:
+        """L2 norm of the error-compensation state carried between calls."""
+        return None if self.inner is None else self.inner.residual_norm()
+
+    def state_dict(self) -> dict[str, np.ndarray]:
+        """What an exact resume needs, as named arrays (checkpoint sections)."""
+        return {} if self.inner is None else self.inner.state_dict()
+
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Restore :meth:`state_dict`; names absent from ``state`` keep
+        their current value (archives older than a field still load)."""
+        if self.inner is not None:
+            self.inner.load_state_dict(state)
 
     def _record_compression(self, raw_nbytes: int, ct: CompressedTensor) -> CompressedTensor:
         """Feed the active metrics registry with honest wire accounting."""

@@ -14,6 +14,8 @@ of ``memory_overhead_bytes`` of state per wrapped tensor stream.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from repro.compression.base import CompressedTensor, GradientCompressor
@@ -26,8 +28,15 @@ class ErrorFeedback(GradientCompressor):
 
     Each distinct tensor shape+key gets its own residual buffer, so one
     wrapper instance can serve a whole model's layer stream (pass
-    ``key=layer_index`` to keep streams separate).
+    ``key=layer_index`` to keep streams separate; a key must be ``None``,
+    an int or a str for the residuals to be checkpointed).
+
+    Steering reaches the wrapped compressor (the base class forwards), but
+    no pointwise bound is promised: the channel carries ``x + residual``,
+    so ``|x - roundtrip(x)|`` is not bounded by the inner's contract.
     """
+
+    bounds = None
 
     def __init__(self, inner: GradientCompressor):
         self.inner = inner
@@ -46,9 +55,11 @@ class ErrorFeedback(GradientCompressor):
     def decompress(self, ct: CompressedTensor) -> np.ndarray:
         return self.inner.decompress(ct)
 
-    def reset(self) -> None:
-        """Drop all residual state."""
+    def reset(self) -> int:
+        """Drop all residual state; returns how many buffers it held."""
+        dropped = len(self._residuals)
         self._residuals.clear()
+        return dropped
 
     def residual_norm(self) -> float:
         """L2 norm over every residual buffer.
@@ -62,6 +73,21 @@ class ErrorFeedback(GradientCompressor):
         for r in self._residuals.values():
             total += float(np.dot(r.ravel(), r.ravel()))
         return float(np.sqrt(total))
+
+    def state_dict(self) -> dict[str, np.ndarray]:
+        keys = [key for key, _ in self._residuals]
+        if not all(key is None or isinstance(key, (int, str)) for key in keys):
+            raise TypeError(f"residual keys must be None, int or str to be saved: {keys}")
+        state = {**self.inner.state_dict(), "residual_keys": np.array(json.dumps(keys))}
+        state.update((f"residual/{i}", r) for i, r in enumerate(self._residuals.values()))
+        return state
+
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        self.inner.load_state_dict(state)
+        if "residual_keys" in state:
+            keys = json.loads(str(state["residual_keys"][()]))
+            residuals = [state[f"residual/{i}"] for i in range(len(keys))]
+            self._residuals = {(k, r.shape): r for k, r in zip(keys, residuals)}
 
     @property
     def memory_overhead_bytes(self) -> int:

@@ -19,7 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compression.base import CompressedTensor, GradientCompressor
-from repro.util.bitpack import pack_bitmap, unpack_bitmap
+from repro.compression.topk import TopKCompressor
+from repro.util.bitpack import pack_bitmap
 from repro.util.seeding import spawn_rng
 
 __all__ = ["OkTopkCompressor"]
@@ -74,13 +75,11 @@ class OkTopkCompressor(GradientCompressor):
             meta={"k": int(mask.sum()), "threshold": float(self._threshold)},
         )
 
-    def decompress(self, ct: CompressedTensor) -> np.ndarray:
-        n = ct.n_elements
-        mask = unpack_bitmap(ct.segments["bitmap"], n)
-        out = np.zeros(n, dtype=np.float32)
-        out[mask] = np.frombuffer(ct.segments["values"], dtype=np.float32)
-        return out.reshape(ct.shape)
+    #: Same wire layout as exact top-k: a bitmap and the surviving values.
+    decompress = TopKCompressor.decompress
 
     def reset(self) -> None:
+        """Forget the threshold estimate.  There is no error-compensation
+        state to drop, so this is also the contract's neutral answer."""
         self._threshold = None
         self._calls = 0

@@ -19,35 +19,13 @@ updating bounds at each ``step()``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compression.base import CompressedTensor, GradientCompressor
+from repro.compression.base import Bounds, CompressedTensor, GradientCompressor
 from repro.core.compso import CompsoCompressor
 
 __all__ = ["Bounds", "StepLrSchedule", "SmoothLrSchedule", "AdaptiveCompso"]
-
-
-@dataclass(frozen=True)
-class Bounds:
-    """Error bounds for one iteration; ``eb_f == 0`` means SR-only mode."""
-
-    eb_f: float
-    eb_q: float
-
-    def __post_init__(self) -> None:
-        # A negative bound would silently invert the filtering threshold
-        # (|g| < eb_f * max|g| never holds) and poison every downstream
-        # schedule computation; reject it at construction.
-        if self.eb_f < 0:
-            raise ValueError(f"filter bound eb_f must be >= 0, got {self.eb_f}")
-        if self.eb_q < 0:
-            raise ValueError(f"quantisation bound eb_q must be >= 0, got {self.eb_q}")
-
-    @property
-    def filtering(self) -> bool:
-        return self.eb_f > 0
 
 
 class StepLrSchedule:
@@ -169,13 +147,22 @@ class AdaptiveCompso(GradientCompressor):
     def degraded(self) -> bool:
         return self.iteration < self._degraded_until
 
-    @property
-    def bounds(self) -> Bounds:
-        """Bounds in force right now (degradation included)."""
-        if self.degraded:
-            scheduled = self.schedule.bounds_at(self.iteration)
-            return Bounds(self.fallback.eb_f, min(self.fallback.eb_q, scheduled.eb_q))
-        return self.schedule.bounds_at(self.iteration)
+    def state_dict(self) -> dict[str, np.ndarray]:
+        return {
+            "iteration": np.array(self.iteration),
+            "degraded_until": np.array(self._degraded_until),
+            **self.inner.state_dict(),
+        }
+
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        # Schedule position first, bounds re-derived from it, and only then
+        # the inner's saved bounds (an autotuned override) and generator.
+        if "iteration" in state:
+            self.iteration = int(state["iteration"])
+            if "degraded_until" in state:
+                self._degraded_until = int(state["degraded_until"])
+            self._apply(self.iteration)
+        self.inner.load_state_dict(state)
 
     def compress(self, x: np.ndarray) -> CompressedTensor:
         return self.inner.compress(x)
@@ -188,3 +175,6 @@ class AdaptiveCompso(GradientCompressor):
 
     def decompress_many(self, ct: CompressedTensor) -> list[np.ndarray]:
         return self.inner.decompress_many(ct)
+
+    def group_nbytes(self, tensors: list[np.ndarray]) -> int:
+        return self.inner.group_nbytes(tensors)

@@ -40,7 +40,7 @@ import struct
 
 import numpy as np
 
-from repro.compression.base import CompressedTensor, GradientCompressor
+from repro.compression.base import Bounds, CompressedTensor, GradientCompressor
 from repro.compression.quantize import ROUNDING_MODES
 from repro.encoders.base import EncodeError
 from repro.encoders.registry import get_encoder
@@ -53,7 +53,7 @@ from repro.util.bitpack import (
     unpack_bitmap,
     unpack_uints,
 )
-from repro.util.seeding import spawn_rng
+from repro.util.seeding import restore_rng_state, rng_state_array, spawn_rng
 
 __all__ = ["CompsoCompressor", "pack_codes"]
 
@@ -191,20 +191,44 @@ class CompsoCompressor(GradientCompressor):
         self._rng = spawn_rng(seed)
         self.name = f"compso-{encoder}"
 
-    # -- configuration hooks used by the adaptive schedule -----------------
+    # -- the compressor contract: bounds, encoder, resumable state ----------
 
-    def set_bounds(self, eb_f: float, eb_q: float) -> None:
+    @property
+    def bounds(self) -> Bounds:
+        return Bounds(self.eb_f, self.eb_q)
+
+    def set_bounds(self, eb_f: float, eb_q: float) -> Bounds:
         """Update error bounds (iteration-wise adaptive mechanism)."""
         if eb_f < 0 or eb_q <= 0:
             raise ValueError(f"invalid bounds eb_f={eb_f}, eb_q={eb_q}")
         self.eb_f = float(eb_f)
         self.eb_q = float(eb_q)
+        return self.bounds
 
-    def set_encoder(self, name: str) -> None:
+    def set_encoder(self, name: str) -> str:
         """Swap the lossless encoder (online encoder selection)."""
         self._encoder = get_encoder(name)
         self.encoder_name = name
         self.name = f"compso-{name}"
+        return name
+
+    def state_dict(self) -> dict[str, np.ndarray]:
+        return {
+            "eb_f": np.array(self.eb_f),
+            "eb_q": np.array(self.eb_q),
+            "rng": rng_state_array(self._rng),
+        }
+
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        if "eb_f" in state:
+            self.set_bounds(float(state["eb_f"]), float(state["eb_q"]))
+        if "rng" in state:
+            restore_rng_state(self._rng, state["rng"])
+
+    def group_nbytes(self, tensors: list[np.ndarray]) -> int:
+        if len(tensors) > 1:
+            return self.compress_many(tensors).nbytes
+        return super().group_nbytes(tensors)
 
     # -- the lossy stages, one tensor ---------------------------------------
 

@@ -165,13 +165,7 @@ class PerformanceModel:
         L_o = float(sum(g.nbytes for g in grads))
         sizes = []
         for _ in range(k):
-            total_c = 0
-            for group in agg.aggregate(list(grads)):
-                if hasattr(compressor, "compress_many") and len(group) > 1:
-                    total_c += compressor.compress_many(group).nbytes
-                else:
-                    total_c += sum(compressor.compress(g).nbytes for g in group)
-            sizes.append(total_c)
+            sizes.append(sum(compressor.group_nbytes(g) for g in agg.aggregate(list(grads))))
         L_c = float(np.mean(sizes))
         t_comp = sum(
             self.pipeline.compress_time(b, self.device)
@@ -227,12 +221,7 @@ class PerformanceModel:
         group_bytes = agg.group_bytes([g.size for g in grads])
         for name in candidates:
             compso.set_encoder(name)
-            L_c = 0
-            for group in agg.aggregate(list(grads)):
-                if hasattr(compso, "compress_many") and len(group) > 1:
-                    L_c += compso.compress_many(group).nbytes
-                else:
-                    L_c += sum(compso.compress(g).nbytes for g in group)
+            L_c = sum(compso.group_nbytes(g) for g in agg.aggregate(list(grads)))
             perf = ENCODER_PERF[name]
             t = sum(perf.compress_time(b * 0.3) + perf.decompress_time(b * 0.3) for b in group_bytes)
             t += self.lookup.time(self.world_size, L_c)

@@ -164,10 +164,6 @@ class FaultController:
                 p_clean *= 1.0 - c.probability
         return 1.0 - p_clean
 
-    def corrupts_op(self, op: str) -> bool:
-        """True when any corruption model is active for ``op`` right now."""
-        return self._corruption_probability(op) > 0.0
-
     def maybe_corrupt(self, obj: object, *, rank: int, op: str) -> tuple[object, bool]:
         """Independently corrupt one receiver's payload copy.
 

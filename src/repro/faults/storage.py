@@ -99,9 +99,6 @@ class StorageFaultController:
             if e.save_index == save_index and i not in self._fired
         ]
 
-    def _mark(self, entry) -> None:
-        self._fired.add(self.entries.index(entry))
-
     def hooks_for(self, save_index: int):
         """The injection callback for one save sequence (or None if inert)."""
         if not any(e.save_index == save_index for e in self.entries):

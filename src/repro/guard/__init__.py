@@ -39,7 +39,6 @@ from repro.guard.policy import (
 )
 from repro.guard.sentinels import (
     ScanResult,
-    active_bounds,
     contract_error,
     factor_health,
     safe_eigen,
@@ -63,7 +62,6 @@ __all__ = [
     "PolicyEngine",
     "ScanResult",
     "WatchdogTimeoutError",
-    "active_bounds",
     "as_guard",
     "contract_error",
     "factor_health",

@@ -250,11 +250,8 @@ class Guard:
         limit = self.config.ef_residual_limit
         if limit is None:
             return
-        norm = getattr(compressor, "residual_norm", None)
-        if norm is None:
-            return
-        value = norm()
-        if value > limit:
+        value = None if compressor is None else compressor.residual_norm()
+        if value is not None and value > limit:
             self._emit("ef_residual", {"residual_norm": value, "limit": limit})
 
     def safe_eigen(self, kfac, idx: int) -> None:

@@ -188,20 +188,16 @@ class PolicyEngine:
     # -- remediation implementations ----------------------------------------
 
     def _apply_tighten_bounds(self, ctx: GuardContext) -> dict | None:
-        degrade = getattr(ctx.compressor, "degrade", None)
-        if degrade is None:
+        if ctx.compressor is None:
             return None
-        bounds = degrade(self.degrade_iterations)
-        detail = {"iterations": self.degrade_iterations}
-        if bounds is not None and hasattr(bounds, "eb_q"):
-            detail.update(eb_f=bounds.eb_f, eb_q=bounds.eb_q)
-        return detail
+        bounds = ctx.compressor.degrade(self.degrade_iterations)
+        if bounds is None:
+            return None
+        return {"iterations": self.degrade_iterations, "eb_f": bounds.eb_f, "eb_q": bounds.eb_q}
 
     def _apply_reset_ef(self, ctx: GuardContext) -> dict | None:
-        reset = getattr(ctx.compressor, "reset", None)
-        if reset is None:
+        if ctx.compressor is None or ctx.compressor.reset() is None:
             return None
-        reset()
         return {}
 
     def _apply_trip_breaker(self, ctx: GuardContext, iteration: int) -> dict | None:

@@ -30,7 +30,6 @@ __all__ = [
     "ScanResult",
     "scan_tensor",
     "contract_error",
-    "active_bounds",
     "factor_health",
     "safe_eigen",
 ]
@@ -74,23 +73,6 @@ def scan_tensor(x: np.ndarray, *, abs_limit: float = 1e6) -> ScanResult:
     return ScanResult(scrubbed, n_nonfinite, n_oversized, max_abs)
 
 
-def active_bounds(compressor) -> tuple[float, float] | None:
-    """(eb_f, eb_q) currently in force for ``compressor``, if discoverable.
-
-    Understands :class:`~repro.core.adaptive.AdaptiveCompso` (``bounds``
-    property, degradation included) and any compressor exposing plain
-    ``eb_f`` / ``eb_q`` attributes; returns None otherwise.
-    """
-    bounds = getattr(compressor, "bounds", None)
-    if bounds is not None and hasattr(bounds, "eb_f"):
-        return float(bounds.eb_f), float(bounds.eb_q)
-    eb_f = getattr(compressor, "eb_f", None)
-    eb_q = getattr(compressor, "eb_q", None)
-    if eb_f is not None and eb_q is not None:
-        return float(eb_f), float(eb_q)
-    return None
-
-
 def contract_error(
     original: np.ndarray, decoded: np.ndarray, compressor, *, slack: float = 1.25
 ) -> float | None:
@@ -104,14 +86,13 @@ def contract_error(
     corrupted in flight — either way the bytes being applied to the
     model are not the bytes the error analysis licensed.
     """
-    bounds = active_bounds(compressor)
+    bounds = compressor.bounds
     if bounds is None or original.size == 0:
         return None
-    eb_f, eb_q = bounds
     vmax = float(np.abs(original).max())
     if vmax == 0.0:
         return None
-    allowed = (eb_f + eb_q) * vmax * slack
+    allowed = (bounds.eb_f + bounds.eb_q) * vmax * slack
     if allowed <= 0.0:
         return None
     err = float(np.abs(decoded.reshape(original.shape) - original).max())

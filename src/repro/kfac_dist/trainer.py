@@ -36,7 +36,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.compression.base import GradientCompressor
-from repro.core.adaptive import AdaptiveCompso
 from repro.distributed.cluster import SimCluster
 from repro.faults.plan import FailureEvent
 from repro.faults.recovery import ReliableChannel
@@ -373,7 +372,7 @@ class DistributedKfacTrainer(StepScaffold):
             self.kfac.lr = self.lr_schedule.lr_at(self.t)
         with tracer.span("apply_update", "update"):
             self.kfac.apply(precond)
-        if isinstance(self.compressor, AdaptiveCompso):
+        if self.compressor is not None:
             self.compressor.step()
         mean_loss = float(np.mean(losses))
         self.history.losses.append(mean_loss)
@@ -485,10 +484,8 @@ class DistributedKfacTrainer(StepScaffold):
         return self.compressor.decompress(sealed), wire
 
     def _degrade_compressor(self) -> None:
-        degrade = getattr(self.compressor, "degrade", None)
-        if degrade is None:
+        if self.compressor.degrade() is None:
             return
-        degrade()
         m = get_metrics()
         if m.enabled:
             m.counter("faults.recovered", kind="degrade").inc()

@@ -55,10 +55,6 @@ class LayerShape:
     def factor_bytes(self) -> int:
         return 4 * self.factor_elems
 
-    @property
-    def eig_dims(self) -> tuple[int, int]:
-        return (self.in_f, self.out_f)
-
 
 def _conv(name: str, cin: int, cout: int, k: int, h: int, w: int, stride: int = 1) -> LayerShape:
     """Conv layer shape at input resolution h x w."""

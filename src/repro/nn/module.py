@@ -87,9 +87,6 @@ class Module:
         """All K-FAC-capable layers in forward order."""
         return [m for m in self.modules() if isinstance(m, KfacLayerMixin)]
 
-    def n_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.zero_grad()

@@ -87,7 +87,7 @@ def describe_compressor(compressor) -> dict | None:
         return None
     out: dict = {
         "class": type(compressor).__name__,
-        "name": getattr(compressor, "name", None),
+        "name": compressor.name,
     }
     params = {}
     for key, value in sorted(vars(compressor).items()):
@@ -98,9 +98,8 @@ def describe_compressor(compressor) -> dict | None:
             params[key] = scalar
     if params:
         out["params"] = params
-    inner = getattr(compressor, "inner", None)
-    if inner is not None:
-        out["inner"] = describe_compressor(inner)
+    if compressor.inner is not None:
+        out["inner"] = describe_compressor(compressor.inner)
     return out
 
 
@@ -333,13 +332,10 @@ class LedgerWriter:
     def _capture_bounds(self) -> dict | None:
         trainer = self._trainer
         compressor = getattr(trainer, "compressor", None) if trainer is not None else None
-        inner = getattr(compressor, "inner", None)
-        source = inner if inner is not None else compressor
-        eb_f = _scalarize(getattr(source, "eb_f", None))
-        eb_q = _scalarize(getattr(source, "eb_q", None))
-        if eb_f is None and eb_q is None:
+        bounds = None if compressor is None else compressor.bounds
+        if bounds is None:
             return None
-        return {"eb_f": eb_f, "eb_q": eb_q}
+        return {"eb_f": bounds.eb_f, "eb_q": bounds.eb_q}
 
     def record_step(
         self,

@@ -80,7 +80,9 @@ class DistributedSgdTrainer(StepScaffold):
     before the (simulated) allreduce, reproducing the SGD+CocktailSGD
     baseline.  The one allreduce path issues DDP-style byte buckets
     during (modelled) backward under a ``StreamRuntime`` and a single
-    whole-gradient barrier for ``runtime=None``.  ``runtime``, ``guard``,
+    whole-gradient barrier for ``runtime=None``.  An exploding
+    error-feedback residual is the guard's to catch
+    (``GuardConfig.ef_residual_limit``).  ``runtime``, ``guard``,
     ``obsv``, ``autotune`` and ``xray`` are documented at
     :meth:`StepScaffold._bind_collaborators`.
     """
@@ -94,7 +96,6 @@ class DistributedSgdTrainer(StepScaffold):
         *,
         lr_schedule=None,
         compressor: GradientCompressor | None = None,
-        ef_residual_guard: float | None = None,
         runtime=None,
         guard=None,
         obsv=None,
@@ -107,11 +108,6 @@ class DistributedSgdTrainer(StepScaffold):
         self.cluster = cluster
         self.lr_schedule = lr_schedule
         self.compressor = compressor
-        #: When the compressor is an ErrorFeedback wrapper and its residual
-        #: L2 norm climbs past this threshold, the trainer resets the EF
-        #: state and degrades the inner compressor (graceful degradation
-        #: against corruption-driven residual explosion).
-        self.ef_residual_guard = ef_residual_guard
         self.t = 0
         self.history = TrainHistory()
         self._bind_collaborators(
@@ -126,23 +122,6 @@ class DistributedSgdTrainer(StepScaffold):
 
     def _flat_grad(self) -> np.ndarray:
         return np.concatenate([p.grad.ravel() for p in self.model.parameters()])
-
-    def _check_ef_residual(self) -> None:
-        """Reset error-feedback state if its residual norm explodes."""
-        if self.ef_residual_guard is None:
-            return
-        norm = getattr(self.compressor, "residual_norm", None)
-        if norm is None or norm() <= self.ef_residual_guard:
-            return
-        self.compressor.reset()
-        m = get_metrics()
-        if m.enabled:
-            m.counter("faults.recovered", kind="ef_reset").inc()
-        inner = getattr(self.compressor, "inner", None)
-        if inner is not None and hasattr(inner, "degrade"):
-            inner.degrade()
-            if m.enabled:
-                m.counter("faults.recovered", kind="degrade").inc()
 
     def _local_grads(
         self, shards: list[np.ndarray], tracer
@@ -201,7 +180,6 @@ class DistributedSgdTrainer(StepScaffold):
             reduced0, grad_norm = self._reduced_gradient(handles)
         self._schedule.rt.assert_quiesced()
         self._scatter_grads(self.model.parameters(), reduced0)
-        self._check_ef_residual()
         if guard is not None:
             guard.check_ef(self.compressor)
         if self.lr_schedule is not None:

@@ -9,9 +9,10 @@ it.  A checkpoint therefore round-trips, beyond model parameters:
   momentum buffers, the first-order momentum of non-K-FAC parameters,
   and the optimizer step counter;
 * first-order optimizer state (SGD velocity, Adam/LAMB moments);
-* compressor state: the adaptive error-bound schedule position and the
-  stochastic-rounding RNG state, so compression decisions after a
-  restore are bit-identical to the uninterrupted run.
+* compressor state, whatever its ``state_dict()`` declares: the adaptive
+  error-bound schedule position, the stochastic-rounding RNG state and
+  error-feedback residuals, so compression decisions after a restore
+  are bit-identical to the uninterrupted run.
 
 Writes are **atomic and sealed**: the ``.npz`` is produced in a
 writer-unique temp file in the same directory and moved into place with
@@ -78,6 +79,10 @@ SCHEMA_VERSION = 4
 
 _SEAL_KEY = "meta/content_crc32"
 
+#: Sections a compressor's ``state_dict()`` fills and ``load_state_dict()``
+#: reads back; what is in them is the compressor's business.
+_COMPRESSOR = "compressor/"
+
 #: The two members of a schema >= 4 archive.  No section key can collide
 #: with them: every key the writer has ever produced contains a ``/``.
 _INDEX, _DATA = "index", "data"
@@ -127,15 +132,6 @@ def _final_path(path: str | Path) -> Path:
     return path if path.suffix == ".npz" else path.with_name(path.name + ".npz")
 
 
-def _rng_state_array(rng: np.random.Generator) -> np.ndarray:
-    """A generator's full bit-generator state as a JSON unicode array."""
-    return np.array(json.dumps(rng.bit_generator.state))
-
-
-def _restore_rng_state(rng: np.random.Generator, stored: np.ndarray) -> None:
-    rng.bit_generator.state = json.loads(str(stored[()]))
-
-
 #: One serialised section: key, dtype string, shape, raw C-order bytes.
 _Section = tuple[str, str, tuple[int, ...], bytes]
 
@@ -167,45 +163,6 @@ def content_crc32(arrays: dict[str, np.ndarray]) -> int:
     its own value).
     """
     return _seal(_serialise(arrays))
-
-
-def _compressor_parts(compressor) -> tuple[object | None, object]:
-    """(adaptive wrapper or None, inner CompsoCompressor-like) of a compressor."""
-    inner = getattr(compressor, "inner", None)
-    if inner is not None and hasattr(compressor, "iteration"):
-        return compressor, inner
-    return None, compressor
-
-
-def _collect_compressor(arrays: dict[str, np.ndarray], compressor) -> None:
-    adaptive, inner = _compressor_parts(compressor)
-    if adaptive is not None:
-        arrays["compressor/iteration"] = np.array(adaptive.iteration)
-        degraded = getattr(adaptive, "_degraded_until", None)
-        if degraded is not None:
-            arrays["compressor/degraded_until"] = np.array(degraded)
-    if hasattr(inner, "eb_f"):
-        arrays["compressor/eb_f"] = np.array(inner.eb_f)
-        arrays["compressor/eb_q"] = np.array(inner.eb_q)
-    rng = getattr(inner, "_rng", None)
-    if isinstance(rng, np.random.Generator):
-        arrays["compressor/rng"] = _rng_state_array(rng)
-
-
-def _restore_compressor(data, compressor) -> None:
-    adaptive, inner = _compressor_parts(compressor)
-    if adaptive is not None and "compressor/iteration" in data:
-        adaptive.iteration = int(data["compressor/iteration"])
-        if "compressor/degraded_until" in data and hasattr(adaptive, "_degraded_until"):
-            adaptive._degraded_until = int(data["compressor/degraded_until"])
-        # Re-derive the schedule's bounds at the restored iteration.
-        if hasattr(adaptive, "_apply"):
-            adaptive._apply(adaptive.iteration)
-    if "compressor/eb_f" in data and hasattr(inner, "set_bounds"):
-        inner.set_bounds(float(data["compressor/eb_f"]), float(data["compressor/eb_q"]))
-    rng = getattr(inner, "_rng", None)
-    if isinstance(rng, np.random.Generator) and "compressor/rng" in data:
-        _restore_rng_state(rng, data["compressor/rng"])
 
 
 def _collect_optimizer(arrays: dict[str, np.ndarray], optimizer) -> None:
@@ -320,7 +277,8 @@ def save_checkpoint(
     if optimizer is not None:
         _collect_optimizer(arrays, optimizer)
     if compressor is not None:
-        _collect_compressor(arrays, compressor)
+        for key, value in compressor.state_dict().items():
+            arrays[_COMPRESSOR + key] = value
     sections = _serialise(arrays)
     sections += _serialise({_SEAL_KEY: np.array(_seal(sections), dtype=np.uint32)})
 
@@ -634,5 +592,7 @@ def load_checkpoint(
     if optimizer is not None:
         _restore_optimizer(data, optimizer)
     if compressor is not None:
-        _restore_compressor(data, compressor)
+        compressor.load_state_dict(
+            {k.removeprefix(_COMPRESSOR): v for k, v in data.items() if k.startswith(_COMPRESSOR)}
+        )
     return meta

@@ -9,9 +9,11 @@ reproducible end to end, including across simulated ranks.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
-__all__ = ["spawn_rng", "rng_for_rank"]
+__all__ = ["spawn_rng", "rng_for_rank", "rng_state_array", "restore_rng_state"]
 
 
 def spawn_rng(seed: int | np.random.Generator | None, *key: int) -> np.random.Generator:
@@ -36,3 +38,12 @@ def spawn_rng(seed: int | np.random.Generator | None, *key: int) -> np.random.Ge
 def rng_for_rank(seed: int, rank: int, *, stream: int = 0) -> np.random.Generator:
     """Generator for a simulated rank; distinct per (rank, stream)."""
     return spawn_rng(seed, rank, stream)
+
+
+def rng_state_array(rng: np.random.Generator) -> np.ndarray:
+    """A generator's full bit-generator state as a JSON unicode array."""
+    return np.array(json.dumps(rng.bit_generator.state))
+
+
+def restore_rng_state(rng: np.random.Generator, stored: np.ndarray) -> None:
+    rng.bit_generator.state = json.loads(str(stored[()]))

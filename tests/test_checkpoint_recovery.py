@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import AdaptiveCompso, StepLrSchedule
+from repro.compression import ErrorFeedback
+from repro.core import AdaptiveCompso, CompsoCompressor, StepLrSchedule
 from repro.data import make_image_data
 from repro.data.loaders import batch_indices
 from repro.distributed import SimCluster
@@ -11,15 +12,16 @@ from repro.kfac_dist import DistributedKfacTrainer
 from repro.models import resnet_proxy
 from repro.optim import Adam, Sgd
 from repro.train import ClassificationTask
-from repro.util.checkpoint import load_checkpoint, save_checkpoint
+from repro.util.checkpoint import _read_all, load_checkpoint, save_checkpoint
 
 
-def _make_trainer(seed=0):
+def _make_trainer(seed=0, compressor=None):
     data = make_image_data(200, n_classes=4, size=8, noise=0.6, seed=seed)
     task = ClassificationTask(data)
     cluster = SimCluster(1, 2, seed=seed)
     model = resnet_proxy(n_classes=4, channels=8, rng=seed + 3)
-    compressor = AdaptiveCompso(StepLrSchedule(4), seed=seed)
+    if compressor is None:
+        compressor = AdaptiveCompso(StepLrSchedule(4), seed=seed)
     return (
         DistributedKfacTrainer(
             model, task, cluster, lr=0.05, inv_update_freq=3, compressor=compressor
@@ -135,6 +137,34 @@ class TestExactResume:
         assert tr_a.history.losses[N:] == tr_c.history.losses
         assert tr_a.compressor.iteration == tr_c.compressor.iteration
         assert tr_a.compressor.bounds == tr_c.compressor.bounds
+
+    def test_error_feedback_resume_matches_uninterrupted_run(self, tmp_path):
+        """The wrapper's residuals and the generator behind it are state too:
+        ``ErrorFeedback(CompsoCompressor)`` resumes bit for bit."""
+
+        def make():
+            return _make_trainer(compressor=ErrorFeedback(CompsoCompressor(4e-3, 4e-3, seed=0)))
+
+        N = 3
+        tr_a, task = make()
+        batches = list(batch_indices(task.n, 32, iterations=2 * N, seed=7))
+        for idx in batches:
+            tr_a.step(idx)
+        tr_b, _ = make()
+        for idx in batches[:N]:
+            tr_b.step(idx)
+        tr_b.save_state(tmp_path / "mid")
+        assert {"compressor/rng", "compressor/residual_keys", "compressor/residual/0"} <= set(
+            _read_all(tmp_path / "mid.npz")
+        )
+
+        tr_c, _ = make()
+        tr_c.restore_state(tmp_path / "mid")
+        for idx in batches[N:]:
+            tr_c.step(idx)
+        assert tr_a.history.losses[N:] == tr_c.history.losses
+        assert np.array_equal(_params(tr_a.model), _params(tr_c.model))
+        assert tr_a.compressor.residual_norm() == tr_c.compressor.residual_norm()
 
     def test_adaptive_degradation_state_round_trips(self, tmp_path):
         tr, _ = _make_trainer()

@@ -446,7 +446,8 @@ class TestBitIdentity:
                 for name in make:
                     module = f"repro.compression.{name}"
                     monkeypatch.setattr(f"{module}.pack_bitmap", _head_pack_bitmap)
-                    monkeypatch.setattr(f"{module}.unpack_bitmap", _head_unpack_bitmap)
+                    if name != "oktopk":  # decodes with TopKCompressor.decompress
+                        monkeypatch.setattr(f"{module}.unpack_bitmap", _head_unpack_bitmap)
                 monkeypatch.setitem(quantize.ROUNDING_MODES, "sr", _head_round_stochastic)
             for name, build in make.items():
                 c = build()

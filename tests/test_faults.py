@@ -324,30 +324,38 @@ class TestGracefulDegradation:
             ac.degrade(iterations=0)
 
     def test_sgd_ef_residual_guard(self):
-        from repro.compression import TopKCompressor
+        """``GuardConfig(ef_residual_limit=)`` is the one residual sentinel:
+        ``ef_residual`` resets the wrapper, then — the reset on cool-down —
+        degrades the compressor *behind* it through the wrapper's forwarding."""
         from repro.compression.error_feedback import ErrorFeedback
         from repro.data import make_image_data
+        from repro.data.loaders import batch_indices
+        from repro.guard import GuardConfig
         from repro.optim import Sgd
         from repro.train.trainer import DistributedSgdTrainer
 
         data = make_image_data(200, n_classes=4, size=8, noise=0.6, seed=0)
         task = ClassificationTask(data)
         model = resnet_proxy(n_classes=4, channels=8, rng=3)
-        ef = ErrorFeedback(TopKCompressor(0.2))
-        plan = FaultPlan().add_straggler(0, start=0, slowdown=1.1)  # activate fault path
+        ef = ErrorFeedback(AdaptiveCompso(StepLrSchedule(10)))
         tr = DistributedSgdTrainer(
             model,
             task,
             Sgd(model.parameters(), lr=0.05),
-            SimCluster(1, 2, fault_plan=plan),
+            SimCluster(1, 2),
             compressor=ef,
-            ef_residual_guard=1e-9,  # absurdly low: must trip immediately
+            guard=GuardConfig(ef_residual_limit=1e-9),  # absurdly low: trips every step
         )
-        with telemetry.session() as sess:
-            tr.train(iterations=2, batch_size=16)
-            counters = _counters(sess.metrics.snapshot())
-        assert counters[("faults.recovered", (("kind", "ef_reset"),))] >= 1
-        assert ef.memory_overhead_bytes == 0 or ef.residual_norm() >= 0  # reset ran
+        first, second = batch_indices(task.n, 16, iterations=2, seed=0)
+        tr.step(first)
+        assert [(a.verdict, a.action) for a in tr.guard.timeline] == [("ef_residual", "reset_ef")]
+        assert ef.memory_overhead_bytes == 0 and ef.residual_norm() == 0.0
+        assert not ef.inner.degraded
+        tr.step(second)
+        assert tr.guard.verdict_counts == {"ef_residual": 2}
+        assert [a.action for a in tr.guard.timeline] == ["reset_ef", "tighten_bounds"]
+        assert ef.inner.degraded and not ef.inner.inner.bounds.filtering
+        assert tr.guard.timeline[-1].detail["eb_q"] == ef.inner.fallback.eb_q
 
 
 class TestDeterminism:

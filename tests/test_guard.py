@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.compression import TopKCompressor
 from repro.core import AdaptiveCompso, CompsoCompressor, StepLrSchedule
 from repro.core.adaptive import Bounds
 from repro.data import make_image_data
@@ -102,7 +103,8 @@ class TestContract:
         assert ratio is not None and ratio > 100
 
     def test_unknown_compressor_is_unknowable(self):
-        assert contract_error(np.ones(4), np.ones(4), object()) is None
+        """A compressor that promises no bound (``bounds is None``) is skipped."""
+        assert contract_error(np.ones(4), np.ones(4) + 9.0, TopKCompressor()) is None
 
 
 class TestFactorHealth:
