@@ -70,17 +70,16 @@ class CocktailSgdCompressor(GradientCompressor):
                 offset = 1 << (self.bits - 1)
                 byte_codes = (qt.codes + offset).astype(np.uint8)
             with tracer.span("encode", "compress.encode", encoder="ans"):
-                segments = {
-                    "bitmap": self._encoder.encode(pack_bitmap(mask)),
-                    "codes": self._encoder.encode(byte_codes.tobytes()),
-                }
+                bitmap, codes = self._encoder.encode_many([(pack_bitmap(mask), 1), (byte_codes, 1)])
+                segments = {"bitmap": bitmap, "codes": codes}
         ct = CompressedTensor(segments, x.shape, meta={"scale": qt.scale, "k": int(mask.sum())})
         return self._record_compression(x.nbytes, ct)
 
     def decompress(self, ct: CompressedTensor) -> np.ndarray:
         n = ct.n_elements
-        mask = unpack_bitmap(self._encoder.decode(ct.segments["bitmap"]), n)
-        byte_codes = np.frombuffer(self._encoder.decode(ct.segments["codes"]), dtype=np.uint8)
+        bitmap, codes = self._encoder.decode_many([ct.segments["bitmap"], ct.segments["codes"]])
+        mask = unpack_bitmap(bitmap, n)
+        byte_codes = np.frombuffer(codes, dtype=np.uint8)
         offset = 1 << (self.bits - 1)
         codes = byte_codes.astype(np.int32) - offset
         out = np.zeros(n, dtype=np.float32)

@@ -58,6 +58,7 @@ from repro.util.seeding import restore_rng_state, rng_state_array, spawn_rng
 __all__ = ["CompsoCompressor", "pack_codes"]
 
 _LAYER_HEADER = struct.Struct("<IIfiBI")  # n, n_kept, step, code_min, width, packed_len
+_SEGMENTS = ("bitmap", "codes")  # the coded frames of a compressed tensor, in encoder-call order
 
 #: Survivors are gathered and scattered through ``clear_bit_index`` when
 #: at most this share of a tensor survives the filter, and through the
@@ -267,6 +268,19 @@ class CompsoCompressor(GradientCompressor):
             return np.zeros(kept.size, dtype=np.float32)
         return ROUNDING_MODES[self.rounding](kept / step, self._rng)
 
+    # -- the coded segments -------------------------------------------------
+
+    def _encode_segments(self, bitmap: tuple[bytes, int], codes: tuple[bytes, int]) -> dict[str, bytes]:
+        """The bitmap and code frames, coded in one encoder call."""
+        return dict(zip(_SEGMENTS, self._encoder.encode_many([bitmap, codes])))
+
+    def _decode_segments(self, ct: CompressedTensor) -> list[bytes]:
+        """The decoded bitmap and code streams; an :class:`EncodeError` names its segment."""
+        try:
+            return self._encoder.decode_many([ct.segments[name] for name in _SEGMENTS])
+        except EncodeError as exc:
+            raise exc.at(segment=None if exc.frame is None else _SEGMENTS[exc.frame])
+
     # -- single-tensor path -------------------------------------------------
 
     def compress(self, x: np.ndarray) -> CompressedTensor:
@@ -281,10 +295,7 @@ class CompsoCompressor(GradientCompressor):
             with tracer.span("pack", "compress.pack"):
                 packed, cmin, width = pack_codes(codes)
             with tracer.span("encode", "compress.encode", encoder=self.encoder_name):
-                segments = {
-                    "bitmap": self._encoder.encode(bitmap),
-                    "codes": self._encoder.encode(packed, width // 8),
-                }
+                segments = self._encode_segments((bitmap, 1), (packed, width // 8))
         meta = {
             "step": step,
             "code_min": cmin,
@@ -302,9 +313,9 @@ class CompsoCompressor(GradientCompressor):
 
     def decompress(self, ct: CompressedTensor) -> np.ndarray:
         with get_tracer().span("decompress", "decompress", compressor=self.name):
-            bitmap = self._encoder.decode(ct.segments["bitmap"])
+            bitmap, codestream = self._decode_segments(ct)
             values = _dequantize(
-                self._encoder.decode(ct.segments["codes"]),
+                codestream,
                 int(ct.meta["width"]),
                 int(ct.meta["n_kept"]),
                 int(ct.meta["code_min"]),
@@ -348,10 +359,10 @@ class CompsoCompressor(GradientCompressor):
             with tracer.span("encode", "compress.encode", encoder=self.encoder_name):
                 segments = {
                     "headers": header_blob,
-                    "bitmap": self._encoder.encode(b"".join(bitmap for bitmap, _, _ in layers)),
-                    # One symbol per code only when every layer packed at one width.
-                    "codes": self._encoder.encode(
-                        b"".join(code_parts), item_sizes.pop() if len(item_sizes) == 1 else 1
+                    **self._encode_segments(
+                        (b"".join(bitmap for bitmap, _, _ in layers), 1),
+                        # One symbol per code only when every layer packed at one width.
+                        (b"".join(code_parts), item_sizes.pop() if len(item_sizes) == 1 else 1),
                     ),
                 }
         total = sum(flat.size for flat in flats)
@@ -370,8 +381,7 @@ class CompsoCompressor(GradientCompressor):
         count = struct.unpack_from("<I", blob)[0] if len(blob) >= 4 else None
         if count is None or len(blob) != 4 + count * _LAYER_HEADER.size:
             raise EncodeError(f"compso: header count {count} does not match {len(blob)} bytes")
-        bitmaps = self._encoder.decode(ct.segments["bitmap"])
-        codestream = self._encoder.decode(ct.segments["codes"])
+        bitmaps, codestream = self._decode_segments(ct)
         outputs: list[np.ndarray] = []
         bit_pos = 0
         code_pos = 0

@@ -31,6 +31,20 @@ that into the word stream, which the decoder, walking the rows forward,
 consumes in exactly that order.  Every lane starts at ``2**16``, so a
 decoder that does not arrive back there read a damaged stream.
 
+The frames of one call share their rows.  ``encode_many`` /
+``decode_many`` place the lanes of every multi-lane frame of the call
+side by side and run one row kernel over them, so a call pays for the
+rows of its longest frame rather than for the rows of each (a COMPSO
+group's bitmap and code frames: about 730 rows instead of 1 200).  Lanes
+are ordered by their frame's row count, descending, so the lanes still
+coding at any row are a prefix and no padding symbol is ever stepped.  A
+lane finds its frame's tables at a per-frame offset into the
+concatenated tables; the encoder hands each frame the words of its own
+columns, and the decoder keeps one word cursor per frame and splits each
+row's refills at the frames' first lanes.  Lanes of one frame stay
+consecutive and in order, so every frame codes to exactly the bytes it
+codes to alone: ``encode`` / ``decode`` are the one-frame case.
+
 ``K`` is the encoder's choice, written into the frame (:func:`_lanes`).
 A row of ``K`` symbols costs one round of NumPy calls whatever ``K`` is,
 so rows plus lanes is least at ``K = isqrt(symbols)``; every lane also
@@ -74,10 +88,11 @@ from __future__ import annotations
 
 import zlib
 from math import isqrt
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.encoders.base import Encoder, EncodeError
+from repro.encoders.base import _FRAME_CODED, Encoder, EncodeError
 
 __all__ = ["RansEncoder", "quantize_freqs"]
 
@@ -105,6 +120,9 @@ _LANE_BUDGET_SHIFT = 2 + 5
 # The encoder's row kernel gathers table entries for this many symbols at
 # a time: enough rows to amortise the gather, 0.5 MB however long the frame.
 _BLOCK_SYMBOLS = 1 << 15
+# Byte histograms of at least this many bytes count byte pairs: on a 2-core
+# x86-64 host, pairs take 0.62 ms and bytes 0.94 ms at 2**19, and they meet near 2**17.
+_PAIR_HISTOGRAM_BYTES = 1 << 17
 # K <= 1024 leaves the top of its u16 field free: item size - 1 lives
 # there, so a frame of 1-byte symbols starts with the bare lane count.
 _ITEM_SHIFT = 12
@@ -192,47 +210,125 @@ def _encode_scalar(symbols: np.ndarray, qfreq: np.ndarray) -> tuple[np.ndarray, 
     return np.array([x], dtype=np.uint32), np.array(words, dtype=np.uint16)
 
 
-def _encode_lanes(
-    symbols: np.ndarray, qfreq: np.ndarray, lanes: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``lanes`` interleaved states, one row of symbols per step; returns ``(states, words)``.
+class _Layout:
+    """The lanes of several frames side by side, one row kernel over all of them.
+
+    Frame ``j`` of ``symbols`` symbols on ``lanes`` lanes has ``rows =
+    ceil(symbols / lanes)`` rows.  Its lanes occupy the columns ``[start,
+    end)``, frames in descending order of rows (ties keep the caller's
+    order), so the frames still coding at row ``r`` are a prefix and so are
+    their lanes: row ``r`` steps columns ``[0, width)`` and nothing beyond.
+    A frame's last row may be short; the kernels make its missing symbols
+    no-ops.  Attributes are in that order; ``order[t]`` is the caller's
+    index of frame ``t``.
+    """
+
+    def __init__(self, shapes: list[tuple[int, int]]):
+        rows = [-(-n // lanes) for n, lanes in shapes]
+        self.order = sorted(range(len(shapes)), key=lambda j: -rows[j])
+        self.rows = [rows[j] for j in self.order]
+        self.lanes = [shapes[j][1] for j in self.order]
+        # Symbols in each frame's last row when it is short, else 0.
+        self.short = [shapes[j][0] % shapes[j][1] for j in self.order]
+        self.end = np.cumsum(self.lanes).tolist()
+        self.start = [e - k for e, k in zip(self.end, self.lanes)]
+        self.width = self.end[-1]
+
+    def spans(self, base: int, top: int):
+        """``(lo, hi, t)`` over rows ``[base, top)``, highest first: frames ``0..t``
+        code rows ``[lo, hi)``, which therefore step lanes ``[0, end[t])``."""
+        for t, hi in enumerate(self.rows):
+            lo = max(base, self.rows[t + 1] if t + 1 < len(self.rows) else 0)
+            if lo < min(top, hi):
+                yield lo, min(top, hi), t
+
+
+def _encode_rows(
+    frames: list[tuple[np.ndarray, np.ndarray, int]],
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(states, words)`` of each ``(symbols, qfreq, lanes)``, all frames in one row kernel.
 
     The per-symbol table entries are gathered a block of rows at a time,
-    so a step is eight in-place NumPy calls on row views and nothing else.
+    each frame into its own columns, so a step is eight in-place NumPy
+    calls on row views of the lanes still coding and nothing else.  A
+    frame's words are its columns of the emitted rows: the order its own
+    kernel would have written them in.
     """
-    n = symbols.size
-    rows = -(-n // lanes)
-    cum = _cumulative(qfreq)
-    low = np.empty((rows, lanes), dtype=np.uint16)
-    emitted = np.empty((rows, lanes), dtype=bool)
+    if not frames:
+        return []
+    lay = _Layout([(symbols.size, lanes) for symbols, _, lanes in frames])
+    ordered = [frames[j] for j in lay.order]
+    cums = [_cumulative(qfreq) for _, qfreq, _ in ordered]
+    low = np.empty((lay.rows[0], lay.width), dtype=np.uint16)
+    emitted = np.empty((lay.rows[0], lay.width), dtype=bool)
     shift_of = emitted.view(np.uint8)  # 1 where a word leaves, so << 4 is its 16-bit shift
-    x = np.full(lanes, _RANS_L, dtype=np.uint32)
-    q = np.empty(lanes, dtype=np.uint32)
-    shift = np.empty(lanes, dtype=np.uint8)
-    block = _BLOCK_SYMBOLS // lanes  # rows; lanes <= 1024
-    for top in range(rows, 0, -block):
+    x = np.full(lay.width, _RANS_L, dtype=np.uint32)
+    q = np.empty(lay.width, dtype=np.uint32)
+    shift = np.empty(lay.width, dtype=np.uint8)
+    block = max(1, _BLOCK_SYMBOLS // lay.width)  # rows
+    # Each block's frequency, 2**14 - frequency, cumulative frequency and emit
+    # limit per symbol, gathered into buffers allocated once per call.
+    gathered = np.empty((4, block, lay.width), dtype=np.uint32)
+    for top in range(lay.rows[0], 0, -block):
         base = max(0, top - block)
-        sym = symbols[base * lanes : top * lanes]
-        # The last row may be short: its missing symbols get the whole
-        # scale, which codes in no bits and leaves their lanes where they are.
-        f = np.full((top - base, lanes), _PROB_SCALE, dtype=np.uint32)
-        c = np.zeros((top - base, lanes), dtype=np.uint32)
-        # Symbols index their own histogram: "clip" only spares take a bounds pass.
-        qfreq.take(sym, out=f.ravel()[: sym.size], mode="clip")
-        cum.take(sym, out=c.ravel()[: sym.size], mode="clip")
-        comp = _PROB_SCALE - f
-        limit = (f << _EMIT_SHIFT) - 1
-        for r in range(top - 1, base - 1, -1):
-            i = r - base
-            np.greater(x, limit[i], out=emitted[r])
-            low[r] = x  # keeps the low 16 bits
-            np.left_shift(shift_of[r], 4, out=shift)
-            x >>= shift
-            np.floor_divide(x, f[i], out=q)
-            q *= comp[i]
-            q += c[i]
-            x += q
-    return x, np.compress(emitted.ravel(), low.ravel())
+        spans = list(lay.spans(base, top))
+        f, comp, c, limit = gathered[:, : top - base, : lay.end[spans[-1][2]]]
+        for (symbols, qfreq, lanes), cum, start, rows in zip(ordered, cums, lay.start, lay.rows):
+            if rows <= base:
+                break
+            # Widened once here, not by each take.
+            sym = symbols[base * lanes : min(top, rows) * lanes].astype(np.intp)
+            whole, tail = divmod(sym.size, lanes)
+            cols = slice(start, start + lanes)
+            if tail:
+                # A short last row's missing symbols get the whole scale, which
+                # codes in no bits and leaves their lanes where they are.
+                f[whole, start + tail : start + lanes] = _PROB_SCALE
+                c[whole, start + tail : start + lanes] = 0
+            # Symbols index their own histogram: "clip" only spares take a bounds pass.
+            for table, out in ((qfreq, f), (cum, c)):
+                table.take(sym[: whole * lanes].reshape(whole, lanes), out=out[:whole, cols], mode="clip")
+                if tail:
+                    table.take(sym[whole * lanes :], out=out[whole, start : start + tail], mode="clip")
+        np.subtract(_PROB_SCALE, f, out=comp)
+        np.left_shift(f, _EMIT_SHIFT, out=limit)
+        limit -= 1
+        for lo, hi, t in spans:
+            w = lay.end[t]
+            xw, qw, sw = x[:w], q[:w], shift[:w]
+            fs, cs, ms, ls = (a[lo - base : hi - base, :w] for a in (f, comp, c, limit))
+            es, lows, shs = (a[lo:hi, :w] for a in (emitted, low, shift_of))
+            for i in range(hi - lo - 1, -1, -1):
+                np.greater(xw, ls[i], out=es[i])
+                lows[i] = xw  # keeps the low 16 bits
+                np.left_shift(shs[i], 4, out=sw)
+                xw >>= sw
+                np.floor_divide(xw, fs[i], out=qw)
+                qw *= cs[i]
+                qw += ms[i]
+                xw += qw
+    out = [None] * len(frames)
+    for j, start, end, rows in zip(lay.order, lay.start, lay.end, lay.rows):
+        cols = (slice(0, rows), slice(start, end))
+        out[j] = x[start:end].copy(), np.compress(emitted[cols].ravel(), low[cols].ravel())
+    return out
+
+
+def _encode_lanes(symbols: np.ndarray, qfreq: np.ndarray, lanes: int) -> tuple[np.ndarray, np.ndarray]:
+    """``lanes`` interleaved states over one frame: :func:`_encode_rows` of that frame alone."""
+    return _encode_rows([(symbols, qfreq, lanes)])[0]
+
+
+class _Stream(NamedTuple):
+    """A coded frame whose header has been read and checked."""
+
+    index: int | None  # in the caller's list of blobs, for errors
+    states: np.ndarray
+    words: np.ndarray
+    qfreq: np.ndarray
+    count: int  # symbols
+    item_size: int
+    check: int  # crc32 of the decoded bytes
 
 
 def _decode_scalar(
@@ -267,36 +363,111 @@ def _decode_scalar(
     return _wire_bytes(np.asarray(out))
 
 
+_SLOTS = np.arange(_PROB_SCALE, dtype=np.uint32)
+
+
+def _decode_rows(streams: list[_Stream]) -> list[bytes]:
+    """The bytes of each stream, all streams in one row kernel.
+
+    A lane finds its frame's slot tables at that frame's offset in the
+    concatenated tables.  Past them lies an identity table (the whole
+    scale, every slot its own bias) that a short last row's missing
+    symbols are pointed at: stepping it leaves a lane as it is, and such a
+    lane is never refilled.  Each frame keeps its own word cursor, and a
+    row's refills are split at the frames' first lanes: lanes of one frame
+    are consecutive and in order, so each frame consumes its words exactly
+    as its own kernel would.  A frame that fails raises an
+    :class:`EncodeError` located at its ``index``.
+    """
+    if not streams:
+        return []
+    lay = _Layout([(s.count, s.states.size) for s in streams])
+    ordered = [streams[j] for j in lay.order]
+    sentinel = len(ordered) * _PROB_SCALE
+    sym_of = np.concatenate(
+        [np.repeat(np.arange(s.qfreq.size, dtype=np.uint16), s.qfreq) for s in ordered]
+        + [np.zeros(_PROB_SCALE, dtype=np.uint16)]
+    )
+    freq_of = np.concatenate(
+        [np.repeat(s.qfreq, s.qfreq) for s in ordered] + [np.full(_PROB_SCALE, _PROB_SCALE, np.uint32)]
+    )
+    bias_of = np.concatenate(
+        [_SLOTS - np.repeat(_cumulative(s.qfreq), s.qfreq) for s in ordered] + [_SLOTS]
+    )
+    offset = np.repeat(np.arange(0, sentinel, _PROB_SCALE), lay.lanes)
+    out = np.empty((lay.rows[0], lay.width), dtype=np.uint16)
+    x = np.concatenate([s.states for s in ordered]).astype(np.uint32)
+    slot = np.empty(lay.width, dtype=np.intp)
+    entry = np.empty(lay.width, dtype=np.uint32)
+    words = [s.words for s in ordered]
+    pos = [0] * len(ordered)
+
+    def ran_out(t: int) -> EncodeError:
+        return EncodeError("ans: word stream ran out").at(frame=ordered[t].index)
+
+    for lo, hi, t in reversed(list(lay.spans(0, lay.rows[0]))):
+        w = lay.end[t]
+        xw, sw, ew = x[:w], slot[:w], entry[:w]
+        bounds = np.array(lay.start[1 : t + 1], dtype=np.intp)
+        # One table offset per lane, unless every lane reads the first table.
+        runs = [(lo, hi, offset[:w] if t else None, None)]
+        ending = [u for u in range(t + 1) if lay.rows[u] == hi and lay.short[u]]
+        if ending:
+            last = offset[:w].copy()
+            for u in ending:
+                last[lay.start[u] + lay.short[u] : lay.end[u]] = sentinel
+            runs = [(lo, hi - 1, runs[0][2], None), (hi - 1, hi, last, last != sentinel)]
+        for a, b, offsets, stepped in runs:
+            rows = out[a:b, :w]
+            for i in range(b - a):
+                # Slots are below 2**14 by construction, so "clip" never clips.
+                np.bitwise_and(xw, _SLOT_MASK, out=sw)
+                if offsets is not None:
+                    sw |= offsets
+                sym_of.take(sw, out=rows[i], mode="clip")
+                xw >>= _PROB_BITS
+                xw *= freq_of.take(sw, out=ew, mode="clip")
+                xw += bias_of.take(sw, out=ew, mode="clip")
+                low = xw < _RANS_L
+                if stepped is not None:
+                    low &= stepped
+                refill = low.nonzero()[0]
+                if not refill.size:
+                    continue
+                if not t:
+                    end = pos[0] + refill.size
+                    if end > words[0].size:
+                        raise ran_out(0)
+                    fresh = words[0][pos[0] : end]
+                    pos[0] = end
+                else:
+                    pieces, first = [], 0
+                    for u, cut in enumerate([*refill.searchsorted(bounds).tolist(), refill.size]):
+                        end = pos[u] + cut - first
+                        if end > words[u].size:
+                            raise ran_out(u)
+                        pieces.append(words[u][pos[u] : end])
+                        pos[u], first = end, cut
+                    fresh = np.concatenate(pieces)
+                xw[refill] = (xw[refill] << _WORD_BITS) | fresh
+    result = [b""] * len(streams)
+    for u, (j, s) in enumerate(zip(lay.order, ordered)):
+        lanes = slice(lay.start[u], lay.end[u])
+        try:
+            _check_end(pos[u], words[u].size, bool((x[lanes] == _RANS_L).all()))
+        except EncodeError as exc:
+            raise exc.at(frame=s.index)
+        # Cast first: the cast makes the frame's columns contiguous, so ravel copies nothing.
+        symbols = out[: lay.rows[u], lanes].astype(">u2" if s.item_size == 2 else np.uint8)
+        result[j] = symbols.ravel()[: s.count].tobytes()
+    return result
+
+
 def _decode_lanes(
     states: np.ndarray, words: np.ndarray, qfreq: np.ndarray, n: int, item_size: int = 1
 ) -> bytes:
-    lanes = states.size
-    sym_of = np.repeat(np.arange(qfreq.size, dtype=f"u{item_size}"), qfreq)
-    freq_of = np.repeat(qfreq, qfreq)
-    bias_of = np.arange(_PROB_SCALE, dtype=np.uint32) - np.repeat(_cumulative(qfreq), qfreq)
-    out = np.empty(n, dtype=sym_of.dtype)
-    x = state = states.astype(np.uint32)
-    entry = np.empty(lanes, dtype=np.uint32)
-    pos = 0
-    for lo in range(0, n, lanes):
-        row = out[lo : lo + lanes]
-        if row.size != lanes:  # the last row may be short
-            x, entry = x[: row.size], entry[: row.size]
-        # Slots are below 2**14 by construction, so "clip" never clips.
-        slot = (x & _SLOT_MASK).astype(np.intp)
-        sym_of.take(slot, out=row, mode="clip")
-        x >>= _PROB_BITS
-        x *= freq_of.take(slot, out=entry, mode="clip")
-        x += bias_of.take(slot, out=entry, mode="clip")
-        refill = (x < _RANS_L).nonzero()[0]
-        if refill.size:
-            end = pos + refill.size
-            if end > words.size:
-                raise EncodeError("ans: word stream ran out")
-            x[refill] = (x[refill] << _WORD_BITS) | words[pos:end]
-            pos = end
-    _check_end(pos, words.size, bool((state == _RANS_L).all()))
-    return _wire_bytes(out)
+    """One frame on ``states.size`` lanes: :func:`_decode_rows` of that frame alone."""
+    return _decode_rows([_Stream(None, states, words, qfreq, n, item_size, 0)])[0]
 
 
 def _check_end(used: int, available: int, at_start_state: bool) -> None:
@@ -315,13 +486,35 @@ def _byte_counts(counts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _byte_histogram(u8: np.ndarray) -> np.ndarray:
+    """``np.bincount(u8, minlength=256)``; from ``_PAIR_HISTOGRAM_BYTES`` on,
+    counted over byte pairs: half the elements to widen to ``intp``, which is
+    what ``bincount`` spends its time on, for a fixed ~0.15 ms of 2**16 bins."""
+    if u8.size < _PAIR_HISTOGRAM_BYTES:
+        return np.bincount(u8, minlength=256)
+    even = u8.size & ~1
+    counts = _byte_counts(np.bincount(u8[:even].view(np.uint16)))
+    if u8.size & 1:
+        counts[u8[-1]] += 1
+    return counts
+
+
 def _table_bytes(entries: int, width: int) -> int:
     return -(-entries * width // 8)
 
 
-def _code(symbols: np.ndarray, counts: np.ndarray, data: bytes) -> bytes | None:
-    """Payload of the frame ``data`` coded as ``symbols`` with histogram
-    ``counts``, or ``None`` when that cannot make the frame smaller.
+class _Plan(NamedTuple):
+    """A frame the coder will run: its symbols, table, lanes and header."""
+
+    symbols: np.ndarray
+    qfreq: np.ndarray
+    lanes: int
+    head: bytes  # the payload up to its lane states
+
+
+def _plan(symbols: np.ndarray, counts: np.ndarray, data: bytes) -> _Plan | None:
+    """How to code the frame ``data`` as ``symbols`` with histogram ``counts``,
+    or ``None`` when that cannot make the frame smaller.
 
     The size is predicted from the histogram, so a frame that will not
     shrink never reaches the coder — nor, when the entropy of the
@@ -348,11 +541,7 @@ def _code(symbols: np.ndarray, counts: np.ndarray, data: bytes) -> bytes | None:
     lanes = _lanes(symbols.size, predicted)
     if predicted + 4 * lanes >= n:
         return None
-    if lanes == 1:
-        states, words = _encode_scalar(symbols, qfreq)
-    else:
-        states, words = _encode_lanes(symbols, qfreq, lanes)
-    return b"".join(
+    head = b"".join(
         (
             (lanes | (item_size - 1) << _ITEM_SHIFT).to_bytes(2, "little"),
             b"" if item_size == 1 else (counts.size - 1).to_bytes(2, "little"),
@@ -360,74 +549,186 @@ def _code(symbols: np.ndarray, counts: np.ndarray, data: bytes) -> bytes | None:
             np.packbits(present).tobytes(),
             bytes([width]),
             _pack_table(table - 1, width),
-            states.astype("<u4").tobytes(),
-            words.astype("<u2").tobytes(),
         )
+    )
+    return _Plan(symbols, qfreq, lanes, head)
+
+
+def _plan_frame(data: bytes, item_size: int) -> _Plan | None:
+    """The plan for ``data`` as items of ``item_size`` bytes, or as bytes, or ``None``."""
+    u8 = np.frombuffer(data, dtype=np.uint8)
+    if item_size == 2:
+        items = np.frombuffer(data, dtype=">u2")
+        counts = np.bincount(items)
+        few = np.count_nonzero(counts) <= _MAX_SYMBOLS
+        plan = _plan(items, counts, data) if few else None
+        if plan is None:  # too many items, or a table that outweighs them
+            plan = _plan(u8, _byte_counts(counts), data)
+        return plan
+    # Items of any other size are coded as the bytes they are.
+    return _plan(u8, _byte_histogram(u8), data)
+
+
+def _payload(plan: _Plan, states: np.ndarray, words: np.ndarray) -> bytes:
+    """A plan's payload, once its states and words are coded."""
+    return b"".join((plan.head, states.astype("<u4", copy=False).tobytes(), words.astype("<u2", copy=False).tobytes()))
+
+
+def _payloads(plans: list[_Plan]) -> list[bytes]:
+    """The payload of each plan: single-lane frames in the loop, every other
+    frame in one call of the row kernel."""
+    rows = iter(_encode_rows([(p.symbols, p.qfreq, p.lanes) for p in plans if p.lanes > 1]))
+    return [
+        _payload(p, *(next(rows) if p.lanes > 1 else _encode_scalar(p.symbols, p.qfreq))) for p in plans
+    ]
+
+
+def _read(payload: bytes, n: int, index: int | None) -> _Stream:
+    """The header of a coded payload of an ``n``-byte frame, every field checked."""
+    if len(payload) < 4:
+        raise EncodeError("ans: truncated header")
+    field = int.from_bytes(payload[:2], "little")
+    lanes = field & _LANE_MASK
+    item_size = (field >> _ITEM_SHIFT) + 1
+    if item_size not in (1, 2) or n % item_size:
+        raise EncodeError(f"ans: item size {item_size} declared for a {n}-byte frame")
+    count = n // item_size
+    if lanes != 1 and not _ROW_LANES <= lanes <= min(isqrt(count), _MAX_LANES):
+        raise EncodeError(f"ans: {lanes} lanes declared for {count} symbols")
+    if item_size == 1:
+        alphabet, check_at = 256, 2
+    else:
+        alphabet, check_at = int.from_bytes(payload[2:4], "little") + 1, 4
+    bitmap_at = check_at + 4
+    width_at = bitmap_at + -(-alphabet // 8)
+    if len(payload) <= width_at:
+        raise EncodeError("ans: truncated header")
+    bitmap = np.frombuffer(payload, dtype=np.uint8, count=width_at - bitmap_at, offset=bitmap_at)
+    bits = np.unpackbits(bitmap)
+    present = bits[:alphabet].astype(bool)
+    n_present = int(np.count_nonzero(present))
+    if item_size == 2 and (not present[-1] or bits[alphabet:].any() or n_present > _MAX_SYMBOLS):
+        # The encoder's alphabet ends on its largest symbol.
+        raise EncodeError("ans: invalid alphabet")
+    width = payload[width_at]
+    if not 1 <= width <= _PROB_BITS:
+        raise EncodeError(f"ans: frequency table of {width}-bit entries")
+    table_end = width_at + 1 + _table_bytes(n_present, width)
+    states_end = table_end + 4 * lanes
+    if len(payload) < states_end:
+        raise EncodeError("ans: truncated header")
+    if (len(payload) - states_end) % 2:
+        raise EncodeError("ans: odd-sized word stream")
+    table = _unpack_table(payload[width_at + 1 : table_end], n_present, width) + 1
+    if int(table.sum()) != _PROB_SCALE:
+        raise EncodeError("ans: invalid frequency table")
+    qfreq = np.zeros(alphabet, dtype=np.uint32)
+    qfreq[present] = table
+    return _Stream(
+        index,
+        np.frombuffer(payload[table_end:states_end], dtype="<u4"),
+        np.frombuffer(payload[states_end:], dtype="<u2"),
+        qfreq,
+        count,
+        item_size,
+        int.from_bytes(payload[check_at:bitmap_at], "little"),
     )
 
 
+def _checked(stream: _Stream, data: bytes) -> bytes:
+    """``data``, the decoded bytes of ``stream``, once they pass the frame check."""
+    if zlib.crc32(data) != stream.check:
+        raise EncodeError("ans: decoded bytes fail the frame check")
+    return data
+
+
+def _decode_payloads(frames: list[tuple[int | None, bytes, int]]) -> list[bytes]:
+    """The bytes of each ``(index, payload, n)``: single-lane frames in the loop,
+    every other frame in one call of the row kernel.  Raises an
+    :class:`EncodeError` located at the ``index`` of the frame that failed."""
+    streams = []
+    for index, payload, n in frames:
+        try:
+            streams.append(_read(payload, n, index))
+        except EncodeError as exc:
+            raise exc.at(frame=index)
+    rows = iter(_decode_rows([s for s in streams if s.states.size > 1]))
+    out = []
+    for s in streams:
+        try:
+            if s.states.size > 1:
+                out.append(_checked(s, next(rows)))
+            else:
+                out.append(_checked(s, _decode_scalar(s.states, s.words, s.qfreq, s.count, s.item_size)))
+        except EncodeError as exc:
+            raise exc.at(frame=s.index)
+    return out
+
+
+def _rows_possible(raw: bytes) -> bool:
+    """Whether a frame of these bytes could be coded on rows: ``K >= _ROW_LANES``
+    needs a predicted ``_ROW_LANES << _LANE_BUDGET_SHIFT`` bytes, and a coded
+    frame is shorter than its input."""
+    return len(raw) > _ROW_LANES << _LANE_BUDGET_SHIFT
+
+
+def _on_rows(blob: bytes) -> bool:
+    """Whether a blob declares a coded frame of more than one lane."""
+    return len(blob) >= 7 and blob[0] == _FRAME_CODED and int.from_bytes(blob[5:7], "little") & _LANE_MASK > 1
+
+
 class RansEncoder(Encoder):
-    """Static rANS over a frame's bytes or its 2-byte items, on interleaved states."""
+    """Static rANS over a frame's bytes or its 2-byte items, on interleaved states.
+
+    ``encode_many`` / ``decode_many`` run the lanes of all their frames
+    through one call of the row kernel; every blob is the one ``encode``
+    writes for its frame alone.  A call in which fewer than two frames can
+    have rows shares nothing, and is the per-frame ``encode`` / ``decode``
+    loop it would be for any other encoder.
+    """
 
     name = "ans"
 
     def _encode_payload(self, data: bytes, item_size: int) -> bytes:
-        u8 = np.frombuffer(data, dtype=np.uint8)
-        if item_size == 2:
-            items = np.frombuffer(data, dtype=">u2")
-            counts = np.bincount(items)
-            few = np.count_nonzero(counts) <= _MAX_SYMBOLS
-            coded = _code(items, counts, data) if few else None
-            if coded is None:  # too many items, or a table that outweighs them
-                coded = _code(u8, _byte_counts(counts), data)
-        else:  # items of any other size are coded as the bytes they are
-            coded = _code(u8, np.bincount(u8, minlength=256), data)
-        return data if coded is None else coded  # cannot shrink: the frame stores it raw
+        plan = _plan_frame(data, item_size)
+        if plan is None:
+            return data
+        if plan.lanes == 1:
+            return _payload(plan, *_encode_scalar(plan.symbols, plan.qfreq))
+        return _payload(plan, *_encode_lanes(plan.symbols, plan.qfreq, plan.lanes))
+
+    def encode_many(self, frames: list[tuple[bytes | np.ndarray, int]]) -> list[bytes]:
+        raws = [(self._items(data, item_size), item_size) for data, item_size in frames]
+        if sum(_rows_possible(raw) for raw, _ in raws) < 2:
+            return super().encode_many(raws)
+        coded = iter(self._encode_payloads([frame for frame in raws if frame[0]]))
+        return [self._frame(raw, next(coded) if raw else raw) for raw, _ in raws]
+
+    @staticmethod
+    def _encode_payloads(frames: list[tuple[bytes, int]]) -> list[bytes]:
+        plans = [_plan_frame(data, item_size) for data, item_size in frames]
+        coded = iter(_payloads([p for p in plans if p is not None]))
+        # A frame that cannot shrink is returned as it is: its blob stores it raw.
+        return [data if p is None else next(coded) for (data, _), p in zip(frames, plans)]
 
     def _decode_payload(self, payload: bytes, n: int) -> bytes:
-        if len(payload) < 4:
-            raise EncodeError("ans: truncated header")
-        field = int.from_bytes(payload[:2], "little")
-        lanes = field & _LANE_MASK
-        item_size = (field >> _ITEM_SHIFT) + 1
-        if item_size not in (1, 2) or n % item_size:
-            raise EncodeError(f"ans: item size {item_size} declared for a {n}-byte frame")
-        count = n // item_size
-        if lanes != 1 and not _ROW_LANES <= lanes <= min(isqrt(count), _MAX_LANES):
-            raise EncodeError(f"ans: {lanes} lanes declared for {count} symbols")
-        if item_size == 1:
-            alphabet, check_at = 256, 2
-        else:
-            alphabet, check_at = int.from_bytes(payload[2:4], "little") + 1, 4
-        bitmap_at = check_at + 4
-        width_at = bitmap_at + -(-alphabet // 8)
-        if len(payload) <= width_at:
-            raise EncodeError("ans: truncated header")
-        bitmap = np.frombuffer(payload, dtype=np.uint8, count=width_at - bitmap_at, offset=bitmap_at)
-        bits = np.unpackbits(bitmap)
-        present = bits[:alphabet].astype(bool)
-        n_present = int(np.count_nonzero(present))
-        if item_size == 2 and (not present[-1] or bits[alphabet:].any() or n_present > _MAX_SYMBOLS):
-            # The encoder's alphabet ends on its largest symbol.
-            raise EncodeError("ans: invalid alphabet")
-        width = payload[width_at]
-        if not 1 <= width <= _PROB_BITS:
-            raise EncodeError(f"ans: frequency table of {width}-bit entries")
-        table_end = width_at + 1 + _table_bytes(n_present, width)
-        states_end = table_end + 4 * lanes
-        if len(payload) < states_end:
-            raise EncodeError("ans: truncated header")
-        if (len(payload) - states_end) % 2:
-            raise EncodeError("ans: odd-sized word stream")
-        table = _unpack_table(payload[width_at + 1 : table_end], n_present, width) + 1
-        if int(table.sum()) != _PROB_SCALE:
-            raise EncodeError("ans: invalid frequency table")
-        qfreq = np.zeros(alphabet, dtype=np.uint32)
-        qfreq[present] = table
-        states = np.frombuffer(payload[table_end:states_end], dtype="<u4")
-        words = np.frombuffer(payload[states_end:], dtype="<u2")
-        decode = _decode_scalar if lanes == 1 else _decode_lanes
-        out = decode(states, words, qfreq, count, item_size)
-        if zlib.crc32(out) != int.from_bytes(payload[check_at:bitmap_at], "little"):
-            raise EncodeError("ans: decoded bytes fail the frame check")
+        s = _read(payload, n, None)
+        if s.states.size == 1:
+            return _checked(s, _decode_scalar(s.states, s.words, s.qfreq, s.count, s.item_size))
+        return _checked(s, _decode_rows([s])[0])
+
+    def decode_many(self, blobs: list[bytes]) -> list[bytes]:
+        if sum(_on_rows(blob) for blob in blobs) < 2:
+            return super().decode_many(blobs)
+        out, coded = [], []
+        for index, blob in enumerate(blobs):
+            try:
+                n, payload, is_coded = self._unframe(blob)
+            except EncodeError as exc:
+                raise exc.at(frame=index)
+            out.append(payload)
+            if is_coded:
+                coded.append((index, payload, n))
+        for (index, _, _), data in zip(coded, _decode_payloads(coded)):
+            out[index] = data
         return out

@@ -9,7 +9,10 @@ real compressed sizes.
 
 Encoders operate on raw bytes.  Every encoder is self-framing: ``decode``
 needs only the blob produced by ``encode`` (original length and any code
-tables are carried in a header).
+tables are carried in a header).  ``encode_many`` / ``decode_many`` code
+the frames of one call (COMPSO's bitmap and codes) and return exactly the
+blobs and bytes one call per frame would; an encoder that can share work
+between frames overrides them (ANS runs them as lanes of one kernel).
 """
 
 from __future__ import annotations
@@ -28,7 +31,24 @@ _FRAME_CODED = 1
 
 
 class EncodeError(ValueError):
-    """Raised when a blob cannot be decoded (corrupt or mismatched frame)."""
+    """Raised when a blob cannot be decoded (corrupt or mismatched frame).
+
+    ``frame`` is the blob's index in a :meth:`Encoder.decode_many` call and
+    ``segment`` the compressor segment that carried it, where known.  They
+    are attributes and notes, never part of the message: a guard verdict
+    records ``str(exc)``, and it must not depend on how a blob was decoded.
+    """
+
+    frame: int | None = None
+    segment: str | None = None
+
+    def at(self, **where: int | str | None) -> EncodeError:
+        """This error, located at ``frame=`` / ``segment=`` (``None`` is not a place)."""
+        for key, value in where.items():
+            if value is not None:
+                setattr(self, key, value)
+                self.add_note(f"{key}: {value}")
+        return self
 
 
 def as_bytes(data: bytes | bytearray | memoryview | np.ndarray) -> bytes:
@@ -63,17 +83,49 @@ class Encoder(ABC):
         The item size is a hint about where the structure of the input
         lies; ``decode`` returns the same bytes whatever it was.
         """
+        raw = self._items(data, item_size)
+        return self._frame(raw, self._encode_payload(raw, item_size) if raw else raw)
+
+    def encode_many(self, frames: list[tuple[bytes | np.ndarray, int]]) -> list[bytes]:
+        """Encode each ``(data, item_size)`` of ``frames``: the blobs ``encode`` returns."""
+        return [self.encode(data, item_size) for data, item_size in frames]
+
+    def decode(self, blob: bytes) -> bytes:
+        n, payload, coded = self._unframe(blob)
+        if not coded:
+            return payload
+        out = self._decode_payload(payload, n)
+        if len(out) != n:
+            raise EncodeError(f"{self.name}: decoded {len(out)} bytes, expected {n}")
+        return out
+
+    def decode_many(self, blobs: list[bytes]) -> list[bytes]:
+        """Decode every blob; an :class:`EncodeError` carries the index of the blob that failed."""
+        out = []
+        for index, blob in enumerate(blobs):
+            try:
+                out.append(self.decode(blob))
+            except EncodeError as exc:
+                raise exc.at(frame=index)
+        return out
+
+    # -- the frame around every payload ----------------------------------------
+
+    def _items(self, data: bytes | np.ndarray, item_size: int) -> bytes:
         raw = as_bytes(data)
         if item_size < 1 or len(raw) % item_size:
             raise ValueError(f"{self.name}: {len(raw)} bytes are not {item_size}-byte items")
-        if not raw:
-            return struct.pack("<BI", _FRAME_RAW, 0)
-        coded = self._encode_payload(raw, item_size)
+        return raw
+
+    @staticmethod
+    def _frame(raw: bytes, coded: bytes) -> bytes:
+        """The blob of ``raw`` coded to ``coded``: stored raw unless that is shorter."""
         if len(coded) < len(raw):
             return struct.pack("<BI", _FRAME_CODED, len(raw)) + coded
         return struct.pack("<BI", _FRAME_RAW, len(raw)) + raw
 
-    def decode(self, blob: bytes) -> bytes:
+    def _unframe(self, blob: bytes) -> tuple[int, bytes, bool]:
+        """``(n, payload, coded)`` of a blob; a raw payload is already checked."""
         if len(blob) < 5:
             raise EncodeError(f"{self.name}: frame too short ({len(blob)} bytes)")
         kind, n = struct.unpack_from("<BI", blob, 0)
@@ -81,13 +133,10 @@ class Encoder(ABC):
         if kind == _FRAME_RAW:
             if len(payload) != n:
                 raise EncodeError(f"{self.name}: raw frame length mismatch")
-            return payload
+            return n, payload, False
         if kind != _FRAME_CODED:
             raise EncodeError(f"{self.name}: unknown frame kind {kind}")
-        out = self._decode_payload(payload, n)
-        if len(out) != n:
-            raise EncodeError(f"{self.name}: decoded {len(out)} bytes, expected {n}")
-        return out
+        return n, payload, True
 
     @abstractmethod
     def _encode_payload(self, data: bytes, item_size: int) -> bytes:

@@ -23,9 +23,10 @@ a trusted one:
   crash-truncated ledger tails.
 
 Every verify/fallback/quarantine/repair decision is a typed
-:class:`StoreEvent`, counted as ``store.*`` telemetry counters and (in
-fleet runs) folded into the job's ledger manifest, where new
-``store_*`` metric specs gate them in ``repro diff``.  A healthy store
+:class:`StoreEvent`, kept on the store (``CheckpointStore.events``,
+counted by ``summary()``) and, in fleet runs, folded into the job's
+ledger manifest, where ``store_*`` metric specs gate them in
+``repro diff``.  A healthy store
 emits no abnormal events, so store-backed runs stay bit-identical to
 the pre-store layout.
 """

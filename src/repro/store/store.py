@@ -241,18 +241,12 @@ class CheckpointStore:
         self.events: list[StoreEvent] = []
 
     # ------------------------------------------------------------------
-    # events / telemetry
+    # events
 
     def _event(self, kind: str, *, gen: int | None = None, step: int | None = None,
                detail: str = "") -> StoreEvent:
         ev = StoreEvent(kind=kind, gen=gen, step=step, detail=detail)
         self.events.append(ev)
-        try:  # counters are best-effort; telemetry may be disabled
-            from repro.obsv.telemetry import get_metrics
-
-            get_metrics().counter(f"store.{kind}").inc()
-        except Exception:
-            pass
         return ev
 
     def summary(self) -> dict:

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.compso import CompsoCompressor, pack_codes
-from repro.encoders.registry import NVCOMP_CANDIDATES
+from repro.encoders.base import EncodeError
+from repro.encoders.registry import NVCOMP_CANDIDATES, get_encoder
 from repro.util.bitpack import unpack_uints
 
 
@@ -134,6 +135,38 @@ class TestAggregatedPath:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             CompsoCompressor().compress_many([])
+
+
+class TestCodedSegments:
+    """The bitmap and code frames are coded in one encoder call and decoded in one."""
+
+    @pytest.fixture(params=["single", "aggregated"])
+    def path(self, request, rng):
+        c = CompsoCompressor(1e-2, 4e-3, encoder="ans", seed=3)
+        tensors = [rng.standard_normal(n).astype(np.float32) for n in (60_000, 30_000)]
+        if request.param == "single":
+            return c.compress(tensors[0]), c.decompress
+        return c.compress_many(tensors), c.decompress_many
+
+    def test_frames_are_what_each_codes_to_alone(self, path):
+        ct, _ = path
+        enc = get_encoder("ans")
+        for name in ("bitmap", "codes"):
+            frame = ct.segments[name]
+            assert frame[0] == 1  # coded, not stored raw
+            assert enc.encode(enc.decode(frame), _ans_item_size(frame)) == frame
+
+    @pytest.mark.parametrize("segment", ["bitmap", "codes"])
+    def test_a_damaged_frame_is_named(self, path, segment):
+        ct, decompress = path
+        frame = ct.segments[segment]
+        ct.segments[segment] = frame[:-2]
+        with pytest.raises(EncodeError) as caught:
+            decompress(ct)
+        with pytest.raises(EncodeError) as alone:
+            get_encoder("ans").decode(frame[:-2])
+        assert caught.value.segment == segment and f"segment: {segment}" in caught.value.__notes__
+        assert str(caught.value) == str(alone.value)  # what a guard verdict records
 
 
 class TestPackCodes:
