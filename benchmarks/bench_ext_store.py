@@ -15,10 +15,11 @@ Two sweeps over the sealed checkpoint store (:mod:`repro.store`):
 
 * **Storage-smoke fleet** — the ``storage-smoke`` preset (bit rot at
   rest, a torn write, a crash inside the save sequence, spread over
-  three jobs) runs against a scheduler store.  Generation fallbacks
-  must fire, the damaged archives must be quarantined, no job may
-  fail, and every job's final loss must match the same fleet run
-  clean (no faults, no store) exactly.
+  three jobs) runs against stores under a given ``store_dir``.
+  Generation fallbacks must fire, the damaged archives must be
+  quarantined, no job may fail, and every job's final loss must match
+  the same fleet run clean (no faults; its stores in the scheduler's
+  temporary directory) exactly.
 
 Emits ``BENCH_ext_store.json`` with both sweeps.
 """
@@ -161,8 +162,9 @@ def _storage_fleet(workdir: Path):
 
     fleet = FLEETS["storage-smoke"]
     chaotic = FleetScheduler(fleet.jobs(), store_dir=workdir / "store", **fleet.options).run()
-    # The clean control: identical specs with the fault plans stripped
-    # and no store — the bit-identity reference for every final loss.
+    # The clean control: identical specs with the fault plans stripped,
+    # healthy stores in the scheduler's temporary directory — the
+    # bit-identity reference for every final loss.
     clean = FleetScheduler(
         [replace(s, fault_plan=None) for s in fleet.jobs()], **fleet.options
     ).run()

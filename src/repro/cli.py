@@ -481,18 +481,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             "fabric_degradations",
             fabric_degradations(specs, rate=args.fault_rate, seed=args.chaos_seed),
         )
-    store_dir = args.store_dir
-    if store_dir is None and fleet.needs_store:
-        import os.path
-        import tempfile
-
-        store_dir = (
-            os.path.join(args.out, "store")
-            if args.out
-            else tempfile.mkdtemp(prefix="repro-store-")
-        )
-        print(f"{args.preset} needs a checkpoint store; using {store_dir}")
-    scheduler = FleetScheduler(specs, ledger_dir=args.out, store_dir=store_dir, **options)
+    scheduler = FleetScheduler(specs, ledger_dir=args.out, store_dir=args.store_dir, **options)
     result = scheduler.run()
     header = (
         f"{'job':8s} {'world':>6s} {'prio':>5s} {'steps':>5s} {'sim_s':>9s} "
@@ -516,14 +505,14 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         f"{result.total_restarts} restarts, {result.total_preemptions} preemptions, "
         f"{result.jobs_failed} failed, {result.slo_missed} SLO misses"
     )
-    if store_dir is not None:
-        fallbacks = sum(r.store_fallbacks for r in result.reports)
-        quarantined = sum(r.store_quarantined for r in result.reports)
-        repairs = sum(r.store_repairs for r in result.reports)
-        print(
-            f"store {store_dir}: {fallbacks} generation fallbacks, "
-            f"{quarantined} quarantined, {repairs} repairs"
-        )
+    fallbacks = sum(r.store_fallbacks for r in result.reports)
+    quarantined = sum(r.store_quarantined for r in result.reports)
+    repairs = sum(r.store_repairs for r in result.reports)
+    where = f" {args.store_dir}" if args.store_dir else ""
+    print(
+        f"store{where}: {fallbacks} generation fallbacks, "
+        f"{quarantined} quarantined, {repairs} repairs"
+    )
     if args.out:
         print(f"per-job ledgers in {args.out}/")
     if args.json:
@@ -749,8 +738,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--store-dir",
         default=None,
-        help="checkpoint into sealed versioned stores under this directory "
-        "(one per job); enables storage-plane faults and generation fallback",
+        help="keep the per-job checkpoint stores under this directory (default: "
+        "a temporary one removed after the run), e.g. for `repro fsck`",
     )
     p.add_argument("--json", default=None, help="also dump the fleet result as JSON")
     p.add_argument(

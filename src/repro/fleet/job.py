@@ -38,6 +38,7 @@ from pathlib import Path
 from repro.faults.plan import FaultPlan
 from repro.faults.storage import StorageCrash, StorageFaultController
 from repro.fleet.fabric import SharedFabric
+from repro.store import CheckpointStore
 
 __all__ = ["JobSpec", "FleetJob", "JobCrashed"]
 
@@ -109,38 +110,26 @@ class FleetJob:
         spec: JobSpec,
         fabric: SharedFabric,
         *,
+        store_dir: str | Path,
         network=None,
         ledger_path: str | Path | None = None,
-        checkpoint_path: str | Path | None = None,
-        store_dir: str | Path | None = None,
     ):
         self.spec = spec
         self.fabric = fabric
         fabric.register(spec.name, spec.priority)
         self._network = network
         self.ledger_path = Path(ledger_path) if ledger_path is not None else None
-        self.checkpoint_path = (
-            Path(checkpoint_path) if checkpoint_path is not None else None
-        )
-        # Durable state: with a ``store_dir`` the job checkpoints into a
-        # sealed, versioned CheckpointStore (its own subdirectory) and
+        # Durable state: the job checkpoints into a sealed, versioned
+        # CheckpointStore (its own subdirectory of ``store_dir``) and
         # restores fall back across generations on damage.  The store —
         # and the storage fault controller interpreting the spec's
         # storage-plane faults against it — persist across segment
         # rebuilds: a restarted job keeps its generation lineage, and
         # each scheduled fault fires exactly once per job lifetime.
-        self.store = None
-        self.storage_faults: StorageFaultController | None = None
-        if store_dir is not None:
-            from repro.store import CheckpointStore
-
-            hooks_factory = None
-            if spec.fault_plan is not None and spec.fault_plan.storage:
-                self.storage_faults = StorageFaultController(spec.fault_plan)
-                hooks_factory = self.storage_faults.hooks_for
-            self.store = CheckpointStore(
-                Path(store_dir) / spec.name, hooks_factory=hooks_factory
-            )
+        hooks_factory = None
+        if spec.fault_plan is not None and spec.fault_plan.storage:
+            hooks_factory = StorageFaultController(spec.fault_plan).hooks_for
+        self.store = CheckpointStore(Path(store_dir) / spec.name, hooks_factory=hooks_factory)
         # -- lifecycle state --------------------------------------------------
         self.state = "waiting"
         #: Fleet time at which the job can (re)start.
@@ -321,18 +310,13 @@ class FleetJob:
             raise RuntimeError(f"job {self.spec.name!r} is {self.state}, not waiting")
         if self._pending_restore:
             self._build()
-            if self.store is not None:
-                # Newest *verified* generation wins: a corrupt newest
-                # checkpoint is quarantined and the job resumes from the
-                # generation before it (replaying the steps in between
-                # bit-identically) instead of failing the restart.
-                gen = self.trainer.restore_latest()
-                self.steps_done = gen.step if gen is not None else 0
-                self.checkpoint_step = self.steps_done
-            else:
-                if self.checkpoint_path is not None and self.checkpoint_step > 0:
-                    self.trainer.restore_state(self.checkpoint_path)
-                self.steps_done = self.checkpoint_step
+            # Newest *verified* generation wins: a corrupt newest
+            # checkpoint is quarantined and the job resumes from the
+            # generation before it (replaying the steps in between
+            # bit-identically) instead of failing the restart.
+            gen = self.trainer.restore_latest()
+            self.steps_done = gen.step if gen is not None else 0
+            self.checkpoint_step = self.steps_done
             self._ckpt_sim_time = 0.0
             self._pending_restore = False
         self.offset = at
@@ -341,23 +325,16 @@ class FleetJob:
     def checkpoint(self) -> None:
         """Lightweight exact-resume checkpoint of the current step.
 
-        With a store this commits a sealed generation; a storage-plane
+        Commits a sealed store generation; a storage-plane
         :class:`~repro.faults.storage.StorageCrash` scheduled inside the
         save sequence surfaces as :class:`JobCrashed` — the process died
         mid-save, and the scheduler's crash machinery takes over (the
         store guarantees the previous committed generation survives).
         """
-        if self.store is not None:
-            try:
-                self.trainer.save_state()
-            except StorageCrash as exc:
-                raise JobCrashed(self.spec.name, self.steps_done) from exc
-            self.checkpoint_step = self.steps_done
-            self._ckpt_sim_time = self.cluster.time
-            return
-        if self.checkpoint_path is None:
-            return
-        self.trainer.save_state(self.checkpoint_path)
+        try:
+            self.trainer.save_state()
+        except StorageCrash as exc:
+            raise JobCrashed(self.spec.name, self.steps_done) from exc
         self.checkpoint_step = self.steps_done
         self._ckpt_sim_time = self.cluster.time
 
@@ -446,10 +423,9 @@ class FleetJob:
         if obsv is None:
             return
         obsv.update_manifest(fleet=self._fleet_manifest())
-        if self.store is not None and self.store.abnormal_events():
-            # Damage only: a healthy store leaves the ledger byte-
-            # identical to a store-less fleet run, so committed fleet
-            # baselines stay valid.
+        if self.store.abnormal_events():
+            # Damage only: a healthy store leaves nothing in the ledger,
+            # so committed fleet baselines stay valid.
             obsv.update_manifest(store=self.store.summary())
         obsv.close()
 

@@ -81,10 +81,10 @@ class JobReport:
     deadline: float | None = None
     #: Whether the job finished inside its deadline (None = no SLO).
     slo_met: bool | None = None
-    #: Durable-state events (all zero without a store or with a healthy
-    #: one): restores that fell back past a damaged newest generation,
-    #: files quarantined (or found missing), and repairs (manifest
-    #: rebuilds, orphan adoptions).
+    #: Durable-state events (all zero with a healthy store): restores
+    #: that fell back past a damaged newest generation, files quarantined
+    #: (or found missing), and repairs (manifest rebuilds, orphan
+    #: adoptions).
     store_fallbacks: int = 0
     store_quarantined: int = 0
     store_repairs: int = 0
@@ -140,6 +140,7 @@ class FleetScheduler:
         *,
         network=None,
         ledger_dir: str | Path | None = None,
+        # Ignored; perfbench's fleet_scale passes it until ROADMAP.md item 3a drops both.
         checkpoint_dir: str | Path | None = None,
         store_dir: str | Path | None = None,
         max_concurrent: int | None = None,
@@ -172,34 +173,28 @@ class FleetScheduler:
         self.ledger_dir = Path(ledger_dir) if ledger_dir is not None else None
         if self.ledger_dir is not None:
             self.ledger_dir.mkdir(parents=True, exist_ok=True)
-        # Checkpoints are required by the restart/preemption machinery;
-        # without a caller-provided directory they live in a temp dir
-        # tied to the scheduler's lifetime.
+        # Each job checkpoints into a sealed versioned CheckpointStore
+        # under ``store_dir/<job name>``, which the restart/preemption
+        # machinery and the jobs' storage-plane faults need; without a
+        # caller-provided directory the stores live in a temp dir tied to
+        # the scheduler's lifetime.
         self._tmpdir = None
-        if checkpoint_dir is None:
-            self._tmpdir = tempfile.TemporaryDirectory(prefix="fleet-ckpt-")
-            checkpoint_dir = self._tmpdir.name
-        self.checkpoint_dir = Path(checkpoint_dir)
-        self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
-        # With a store_dir, each job checkpoints into a sealed versioned
-        # CheckpointStore under ``store_dir/<job name>`` (and the job's
-        # storage-plane faults become live); without one, jobs keep the
-        # single-file checkpoint path, bit-identical to before.
-        self.store_dir = Path(store_dir) if store_dir is not None else None
-        if self.store_dir is not None:
-            self.store_dir.mkdir(parents=True, exist_ok=True)
+        if store_dir is None:
+            self._tmpdir = tempfile.TemporaryDirectory(prefix="fleet-store-")
+            store_dir = self._tmpdir.name
+        self.store_dir = Path(store_dir)
+        self.store_dir.mkdir(parents=True, exist_ok=True)
         self.jobs = [
             FleetJob(
                 spec,
                 self.fabric,
+                store_dir=self.store_dir,
                 network=network,
                 ledger_path=(
                     self.ledger_dir / f"{spec.name}.ledger"
                     if self.ledger_dir is not None
                     else None
                 ),
-                checkpoint_path=self.checkpoint_dir / f"{spec.name}.npz",
-                store_dir=self.store_dir,
             )
             for spec in specs
         ]
@@ -277,7 +272,7 @@ class FleetScheduler:
 
     def _report(self, job: FleetJob) -> JobReport:
         spec = job.spec
-        store = job.store.summary() if job.store is not None else {}
+        store = job.store.summary()
         straggler = job.top_straggler()
         return JobReport(
             name=spec.name,
@@ -299,9 +294,9 @@ class FleetScheduler:
             goodput=job.goodput(),
             deadline=spec.deadline,
             slo_met=job.slo_met(),
-            store_fallbacks=store.get("fallbacks", 0),
-            store_quarantined=store.get("quarantined", 0),
-            store_repairs=store.get("repairs", 0),
+            store_fallbacks=store["fallbacks"],
+            store_quarantined=store["quarantined"],
+            store_repairs=store["repairs"],
             critpath_s=job.critpath_s,
             straggler_skew_s=job.straggler_skew_s,
             top_straggler_rank=straggler[0] if straggler is not None else None,

@@ -19,12 +19,13 @@ Remediations, in escalation order of severity:
   iterations;
 * ``escalate_damping`` — multiply K-FAC damping (capped), stabilising
   the preconditioner against noisy factors;
-* ``rollback`` — restore the latest checkpoint, the last resort once
-  parameters are already poisoned.  When the trainer owns a
-  :class:`repro.store.CheckpointStore` the rollback walks the store's
-  generation lineage (newest *verified* generation wins; corrupt ones
-  are quarantined), otherwise it restores ``_last_checkpoint`` via
-  ``util.checkpoint``.
+* ``rollback`` — ``trainer.restore_latest()``, the last resort once
+  parameters are already poisoned: it walks the trainer's
+  :class:`repro.store.CheckpointStore` generation lineage (newest
+  *verified* generation wins; corrupt ones are quarantined) and is
+  skipped when there is no generation to restore.  The action's detail
+  names the generation and its step, never a file path, so a rollback
+  reads the same on every run.
 
 Every applied action is appended to the engine's ``timeline``, counted
 as ``guard.remediations`` on the metrics registry, and recorded as a
@@ -209,7 +210,7 @@ class PolicyEngine:
 
     def _apply_escalate_damping(self, ctx: GuardContext) -> dict | None:
         kfac = ctx.kfac
-        if kfac is None or not hasattr(kfac, "damping"):
+        if kfac is None:
             return None
         if self._initial_damping is None:
             self._initial_damping = float(kfac.damping)
@@ -221,22 +222,13 @@ class PolicyEngine:
         return {"from": before, "to": float(kfac.damping)}
 
     def _apply_rollback(self, ctx: GuardContext) -> dict | None:
-        trainer = ctx.trainer
-        store = getattr(trainer, "checkpoint_store", None)
-        if store is not None and hasattr(trainer, "restore_latest") and store.latest():
-            # Walk the store's generation lineage: a corrupt newest
-            # checkpoint falls back to the newest *verified* one instead
-            # of failing the remediation (load_latest quarantines the
-            # damage and records store events).
-            gen = trainer.restore_latest()
-            if gen is None:
-                return None
-            return {"checkpoint": str(store.root / gen.file), "generation": gen.gen}
-        checkpoint = getattr(trainer, "_last_checkpoint", None)
-        if checkpoint is None or not hasattr(trainer, "restore_state"):
+        # A corrupt newest generation falls back to the newest *verified*
+        # one instead of failing the remediation (the store quarantines
+        # the damage and records store events).
+        gen = None if ctx.trainer is None else ctx.trainer.restore_latest()
+        if gen is None:
             return None
-        trainer.restore_state(checkpoint)
-        return {"checkpoint": str(checkpoint)}
+        return {"generation": gen.gen, "step": gen.step}
 
     # -- the dispatch loop ----------------------------------------------------
 

@@ -31,8 +31,6 @@ completes and how messages are grouped.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from repro.compression.base import GradientCompressor
@@ -45,7 +43,6 @@ from repro.runtime.bucketing import Bucketer
 from repro.telemetry import get_metrics
 from repro.train.step import StepScaffold
 from repro.train.trainer import TrainHistory
-from repro.util.checkpoint import load_checkpoint, save_checkpoint
 from repro.util.triangle import mirror_upper, pack_upper, triangle_size
 
 __all__ = ["DistributedKfacTrainer"]
@@ -73,7 +70,6 @@ class DistributedKfacTrainer(StepScaffold):
         kl_clip: float = 1e-3,
         compressor: GradientCompressor | None = None,
         factor_compressor: GradientCompressor | None = None,
-        checkpoint_dir: str | Path | None = None,
         checkpoint_every: int = 0,
         checkpoint_store=None,
         runtime=None,
@@ -83,6 +79,10 @@ class DistributedKfacTrainer(StepScaffold):
         autotune=None,
         xray=None,
     ):
+        if checkpoint_every > 0 and checkpoint_store is None:
+            raise ValueError(
+                f"checkpoint_every={checkpoint_every} needs a checkpoint_store to save into"
+            )
         self.model = model
         self.task = task
         self.cluster = cluster
@@ -120,15 +120,12 @@ class DistributedKfacTrainer(StepScaffold):
             if cluster.faults is not None and reliable_channel and not cluster.is_timing
             else None
         )
-        self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
         self.checkpoint_every = checkpoint_every
-        #: Optional :class:`repro.store.CheckpointStore`.  When set,
-        #: periodic checkpoints become sealed, versioned generations and
-        #: every restore verifies both seals, falling back to the newest
-        #: verified generation on damage.  ``None`` (the default) keeps
-        #: the single-file ``checkpoint_dir`` behaviour bit-identical.
+        #: The :class:`repro.store.CheckpointStore` every checkpoint is a
+        #: sealed, versioned generation of; every restore verifies both
+        #: seals, falling back to the newest verified generation on
+        #: damage.  ``None`` keeps nothing durable.
         self.checkpoint_store = checkpoint_store
-        self._last_checkpoint: Path | None = None
         self._bind_collaborators(
             kind="kfac",
             category="kfac_allgather",
@@ -502,12 +499,7 @@ class DistributedKfacTrainer(StepScaffold):
         m = get_metrics()
         with tracer.span("recover", "fault", n_failures=len(failures)):
             hard = [f for f in failures if not f.recoverable]
-            if hard and self.checkpoint_store is not None and self.checkpoint_store.latest():
-                self.restore_latest()
-                if m.enabled:
-                    m.counter("faults.recovered", kind="checkpoint_restore").inc()
-            elif hard and self._last_checkpoint is not None:
-                self.restore_state(self._last_checkpoint)
+            if hard and self.restore_latest() is not None:
                 if m.enabled:
                     m.counter("faults.recovered", kind="checkpoint_restore").inc()
             else:
@@ -524,65 +516,38 @@ class DistributedKfacTrainer(StepScaffold):
 
     # -- checkpointing ---------------------------------------------------------
 
-    def save_state(self, path: str | Path | None = None) -> Path:
-        """Atomic full-state checkpoint (model, K-FAC, compressor).
-
-        With a :attr:`checkpoint_store` and no explicit ``path``, the
-        checkpoint is committed as a sealed store generation instead of
-        a bare file.
-        """
-        if path is None:
-            if self.checkpoint_store is None:
-                raise ValueError(
-                    "save_state() needs a path when no checkpoint_store is configured"
-                )
-            gen = self.checkpoint_store.save(
-                self.model,
-                self.kfac,
-                compressor=self.compressor,
-                world_size=self.cluster.world_size,
-                step=self.t,
-            )
-            self._last_checkpoint = self.checkpoint_store.root / gen.file
-            return self._last_checkpoint
-        path = Path(path)
-        save_checkpoint(
-            path,
+    def save_state(self):
+        """Commit an atomic full-state checkpoint (model, K-FAC,
+        compressor) as a new :attr:`checkpoint_store` generation."""
+        if self.checkpoint_store is None:
+            raise ValueError("save_state() needs a checkpoint_store")
+        return self.checkpoint_store.save(
             self.model,
             self.kfac,
             compressor=self.compressor,
             world_size=self.cluster.world_size,
             step=self.t,
         )
-        self._last_checkpoint = path
-        return path
-
-    def restore_state(self, path: str | Path) -> None:
-        """Restore a :meth:`save_state` checkpoint and resume its exact
-        trajectory (momentum, eigen state, adaptive bounds, SR RNG)."""
-        load_checkpoint(path, self.model, self.kfac, compressor=self.compressor)
-        self.t = self.kfac.t
-        self._last_checkpoint = Path(path)
 
     def restore_latest(self):
-        """Restore the newest *verified* store generation (with fallback).
+        """Restore the newest *verified* store generation (with fallback)
+        and resume its exact trajectory (momentum, eigen state, adaptive
+        bounds, SR RNG).
 
         Returns the restored :class:`~repro.store.Generation` — its
-        ``step`` is where training resumes — or ``None`` when the store
-        is empty.  A corrupt newest generation is quarantined and the
-        next-older verified one restored instead
+        ``step`` is where training resumes — or ``None`` without a store
+        or with an empty one.  A corrupt newest generation is quarantined
+        and the next-older verified one restored instead
         (:meth:`CheckpointStore.load_latest`); only a store with *no*
         verified generation raises.
         """
         if self.checkpoint_store is None:
-            raise ValueError("restore_latest() requires a checkpoint_store")
+            return None
         gen = self.checkpoint_store.load_latest(
             self.model, self.kfac, compressor=self.compressor
         )
-        if gen is None:
-            return None
-        self.t = self.kfac.t
-        self._last_checkpoint = self.checkpoint_store.root / gen.file
+        if gen is not None:
+            self.t = self.kfac.t
         return gen
 
     def mean_compression_ratio(self) -> float:

@@ -194,8 +194,7 @@ def summarize(ledger: RunLedger) -> dict:
     if isinstance(store, dict):
         # Durable-state fields exist only when a CheckpointStore had to
         # work around damage (fallbacks/quarantines/repairs); a healthy
-        # store contributes nothing, keeping its ledger byte-identical
-        # to a store-less run.
+        # store contributes nothing to the ledger.
         out["store_fallbacks"] = store.get("fallbacks", 0)
         out["store_quarantined"] = store.get("quarantined", 0)
         out["store_repairs"] = store.get("repairs", 0)

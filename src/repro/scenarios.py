@@ -281,7 +281,8 @@ SCENARIOS: dict[str, dict[str, Scenario]] = {
 
 def build(s: Scenario, out=None, checkpoint_dir=None):
     """Construct the scenario's trainer; ``out`` is its ledger path,
-    ``checkpoint_dir`` where ``checkpoint_every`` saves go."""
+    ``checkpoint_dir`` the directory of the store ``checkpoint_every``
+    saves go to."""
     from repro.autotune import AutotuneConfig
     from repro.data import make_detection_data, make_image_data
     from repro.distributed import SimCluster
@@ -290,6 +291,7 @@ def build(s: Scenario, out=None, checkpoint_dir=None):
     from repro.models import maskrcnn_proxy, resnet_proxy
     from repro.obsv import LedgerConfig
     from repro.runtime import ComputeModel, StreamRuntime
+    from repro.store import CheckpointStore
     from repro.train import ClassificationTask, DetectionTask
 
     cluster = SimCluster(s.nodes, s.gpus_per_node, seed=s.job_seed, fault_plan=fault_plan(s))
@@ -323,8 +325,8 @@ def build(s: Scenario, out=None, checkpoint_dir=None):
         lr=0.05,
         inv_update_freq=s.inv_update_freq,
         compressor=s.compressor(s) if s.compressor is not None else None,
-        checkpoint_dir=checkpoint_dir,
         checkpoint_every=s.checkpoint_every,
+        checkpoint_store=CheckpointStore(checkpoint_dir) if s.checkpoint_every else None,
         runtime=runtime,
         guard=GuardConfig() if s.guard else None,
         reliable_channel=s.reliable_channel,
@@ -343,8 +345,8 @@ def run(s: Scenario, out=None):
 
     # Checkpoints (if the scenario takes any) only matter while the run is
     # alive — the guard rolls back to them — so their directory ends with it.
-    with tempfile.TemporaryDirectory(prefix="repro-run-") as checkpoint_dir:
-        trainer = build(s, out, checkpoint_dir)
+    with tempfile.TemporaryDirectory(prefix="repro-run-") as store_dir:
+        trainer = build(s, out, store_dir)
         with telemetry.session() as session:
             trainer.train(
                 iterations=s.iterations,
@@ -366,9 +368,6 @@ class Fleet:
     jobs: Callable[[], list[JobSpec]]
     #: Scheduler keyword arguments the mix expects (empty = defaults).
     options: Mapping[str, int] = field(default_factory=dict)
-    #: The mix's faults live on the checkpoint save path, so it is
-    #: meaningless without a scheduler ``store_dir``.
-    needs_store: bool = False
     #: Stem of the committed ledger ``job0`` must reproduce.
     baseline: str | None = None
 
@@ -463,7 +462,5 @@ FLEETS: dict[str, Fleet] = {
     "chaos-smoke": Fleet(
         _chaos_smoke_jobs, {"max_concurrent": 2, "retry_budget": 3}, baseline="fleet-chaos"
     ),
-    "storage-smoke": Fleet(
-        _storage_smoke_jobs, {"retry_budget": 3}, needs_store=True, baseline="storage-smoke"
-    ),
+    "storage-smoke": Fleet(_storage_smoke_jobs, {"retry_budget": 3}, baseline="storage-smoke"),
 }

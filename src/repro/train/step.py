@@ -54,7 +54,11 @@ class StepScaffold:
     #: ``save_state``; ``checkpoint_every = 0`` never saves.
     checkpoint_every = 0
     checkpoint_store = None
-    checkpoint_dir = None
+
+    def restore_latest(self):
+        """Restore the newest durable checkpoint and return its
+        generation; a trainer with nothing durable has none (``None``)."""
+        return None
 
     def _bind_collaborators(
         self,
@@ -293,11 +297,7 @@ class StepScaffold:
             if eval_every and (t + 1) % eval_every == 0:
                 self.history.metrics.append((t + 1, self.task.evaluate(self.model)))
             if self.checkpoint_every and (t + 1) % self.checkpoint_every == 0:
-                if self.checkpoint_store is not None:
-                    self.save_state()
-                elif self.checkpoint_dir is not None:
-                    self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
-                    self.save_state(self.checkpoint_dir / "latest.npz")
+                self.save_state()
         if self.obsv is not None:
             store = self.checkpoint_store
             if store is not None and store.abnormal_events():

@@ -73,6 +73,14 @@ of ``smoke`` records 27 ``kfac_allgather`` spans where it recorded 30
 steps, verdicts, remediations, autotune decisions, restart and
 preemption counts, and every chaos document's detection and retransmit
 counts are identical: the lossless stage cannot change a decoded tensor.
+
+The ``guard`` document alone was re-pinned once more, when a trainer's
+checkpoints became checkpoint-store generations only: its one rollback
+used to name the bare checkpoint file in the run's temporary directory
+(a path this test had to scrub) and now names the generation and its
+step.  Leaf by leaf against the same run at 34f2e3b, that rollback's
+``detail`` is the only difference; every ledger and every other document
+held without a re-pin.
 """
 
 import hashlib
@@ -314,7 +322,7 @@ PINNED_DOCUMENTS = {
     "fleet-chaos-smoke": "fd63db7c40b2b4d024ebb254b9762864e38f3a3534493bf36903da76abaa5e23",
     "fleet-smoke": "6ba749f82e2283d55112d8ca10de6e7cbf777d7d008ad1f402fe71b74b036b00",
     "fleet-storage-smoke": "7b5ed891cda3368a3408873c0de944432b1a288f9bc9d9547e2fa30933009807",
-    "guard": "d394680c09f0baef3a9623f0d200a5b206032f5550193ce57ddfdc8364f7c6e0",
+    "guard": "f89a88bebb1f73ca78d224c6fb819a6de3ac6a6c50bf5d3412792c7a1ecff516",
     "overlap-ranks4-iters3": "c59d6ce14e39333aae8ce7a1385f1895a2d29628228641714ccd8b06f5dae792",
     "overlap-ranks8": "f06a7d95593aa9a09443497e3dfa30a94a77ef8946c8f0af8f2cef5b3cfe7ed6",
 }
@@ -326,8 +334,6 @@ def test_result_document(name, tmp_path, capsys):
     assert main([*DOCUMENTS[name], "--json", str(path)]) == 0
     capsys.readouterr()
     text = json.dumps(json.loads(path.read_text()), sort_keys=True)
-    # The guard's rollbacks name a checkpoint in a temporary directory.
-    text = re.sub(r'"[^"]*/latest\.npz"', '"latest.npz"', text)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DOCUMENTS.get(name)
 
 

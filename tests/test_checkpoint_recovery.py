@@ -1,4 +1,9 @@
-"""Atomic checkpointing and exact-trajectory resume."""
+"""Atomic checkpointing and exact-trajectory resume.
+
+Archive-level behaviour (atomic writes, the ``.npz`` suffix, optimizer
+state) is exercised through ``save_checkpoint`` / ``load_checkpoint``;
+a trainer's own checkpoints are ``CheckpointStore`` generations, resumed
+with ``restore_latest()``."""
 
 import numpy as np
 import pytest
@@ -11,11 +16,12 @@ from repro.distributed import SimCluster
 from repro.kfac_dist import DistributedKfacTrainer
 from repro.models import resnet_proxy
 from repro.optim import Adam, Sgd
+from repro.store import CheckpointStore
 from repro.train import ClassificationTask
 from repro.util.checkpoint import _read_all, load_checkpoint, save_checkpoint
 
 
-def _make_trainer(seed=0, compressor=None):
+def _make_trainer(seed=0, compressor=None, store=None, **kw):
     data = make_image_data(200, n_classes=4, size=8, noise=0.6, seed=seed)
     task = ClassificationTask(data)
     cluster = SimCluster(1, 2, seed=seed)
@@ -24,7 +30,8 @@ def _make_trainer(seed=0, compressor=None):
         compressor = AdaptiveCompso(StepLrSchedule(4), seed=seed)
     return (
         DistributedKfacTrainer(
-            model, task, cluster, lr=0.05, inv_update_freq=3, compressor=compressor
+            model, task, cluster, lr=0.05, inv_update_freq=3, compressor=compressor,
+            checkpoint_store=store, **kw,
         ),
         task,
     )
@@ -40,7 +47,7 @@ class TestAtomicSave:
         tr, _ = _make_trainer()
         path = tmp_path / "ckpt.npz"
         tr.train(iterations=2, batch_size=16)
-        tr.save_state(path)
+        save_checkpoint(path, tr.model, tr.kfac, compressor=tr.compressor, step=tr.t)
         good = path.read_bytes()
 
         def torn_write(point, target):
@@ -57,14 +64,14 @@ class TestAtomicSave:
         assert path.read_bytes() == good  # previous checkpoint untouched
         assert not list(tmp_path.glob(".*.tmp.*"))  # temp file cleaned up
         tr2, _ = _make_trainer()
-        tr2.restore_state(path)  # and it still loads
-        assert tr2.t == 2
+        load_checkpoint(path, tr2.model, tr2.kfac, compressor=tr2.compressor)  # still loads
+        assert tr2.kfac.t == 2
 
     def test_npz_suffix_appended_once(self, tmp_path):
         tr, _ = _make_trainer()
         tr.train(iterations=1, batch_size=16)
-        tr.save_state(tmp_path / "a")
-        tr.save_state(tmp_path / "b.npz")
+        save_checkpoint(tmp_path / "a", tr.model, tr.kfac)
+        save_checkpoint(tmp_path / "b.npz", tr.model, tr.kfac)
         assert (tmp_path / "a.npz").exists()
         assert (tmp_path / "b.npz").exists() and not (tmp_path / "b.npz.npz").exists()
 
@@ -119,16 +126,16 @@ class TestExactResume:
         for idx in batches:
             tr_a.step(idx)
 
-        tr_b, _ = _make_trainer()
+        tr_b, _ = _make_trainer(store=CheckpointStore(tmp_path))
         for idx in batches[:N]:
             tr_b.step(idx)
-        tr_b.save_state(tmp_path / "mid")
+        tr_b.save_state()
 
-        tr_c, _ = _make_trainer(seed=0)
+        tr_c, _ = _make_trainer(seed=0, store=CheckpointStore(tmp_path))
         # Scramble the fresh trainer so the test can't pass by accident.
         for p in tr_c.model.parameters():
             p.data = p.data + 1.0
-        tr_c.restore_state(tmp_path / "mid")
+        assert tr_c.restore_latest().step == N
         assert tr_c.t == N
         for idx in batches[N:]:
             tr_c.step(idx)
@@ -143,7 +150,10 @@ class TestExactResume:
         ``ErrorFeedback(CompsoCompressor)`` resumes bit for bit."""
 
         def make():
-            return _make_trainer(compressor=ErrorFeedback(CompsoCompressor(4e-3, 4e-3, seed=0)))
+            return _make_trainer(
+                compressor=ErrorFeedback(CompsoCompressor(4e-3, 4e-3, seed=0)),
+                store=CheckpointStore(tmp_path),
+            )
 
         N = 3
         tr_a, task = make()
@@ -153,13 +163,13 @@ class TestExactResume:
         tr_b, _ = make()
         for idx in batches[:N]:
             tr_b.step(idx)
-        tr_b.save_state(tmp_path / "mid")
+        gen = tr_b.save_state()
         assert {"compressor/rng", "compressor/residual_keys", "compressor/residual/0"} <= set(
-            _read_all(tmp_path / "mid.npz")
+            _read_all(tmp_path / gen.file)
         )
 
         tr_c, _ = make()
-        tr_c.restore_state(tmp_path / "mid")
+        assert tr_c.restore_latest() == gen
         for idx in batches[N:]:
             tr_c.step(idx)
         assert tr_a.history.losses[N:] == tr_c.history.losses
@@ -167,28 +177,20 @@ class TestExactResume:
         assert tr_a.compressor.residual_norm() == tr_c.compressor.residual_norm()
 
     def test_adaptive_degradation_state_round_trips(self, tmp_path):
-        tr, _ = _make_trainer()
+        tr, _ = _make_trainer(store=CheckpointStore(tmp_path))
         tr.train(iterations=2, batch_size=16)
         tr.compressor.degrade(iterations=5)
-        tr.save_state(tmp_path / "deg")
-        tr2, _ = _make_trainer()
-        tr2.restore_state(tmp_path / "deg")
+        tr.save_state()
+        tr2, _ = _make_trainer(store=CheckpointStore(tmp_path))
+        tr2.restore_latest()
         assert tr2.compressor.degraded
         assert tr2.compressor._degraded_until == tr.compressor._degraded_until
         assert tr2.compressor.bounds == tr.compressor.bounds
 
     def test_periodic_checkpoint_written_by_train(self, tmp_path):
-        data = make_image_data(200, n_classes=4, size=8, noise=0.6, seed=0)
-        task = ClassificationTask(data)
-        tr = DistributedKfacTrainer(
-            resnet_proxy(n_classes=4, channels=8, rng=3),
-            task,
-            SimCluster(1, 2, seed=0),
-            lr=0.05,
-            inv_update_freq=3,
-            checkpoint_dir=tmp_path / "ckpts",
-            checkpoint_every=2,
-        )
-        tr.train(iterations=4, batch_size=16)
-        assert (tmp_path / "ckpts" / "latest.npz").exists()
-        assert tr._last_checkpoint == tmp_path / "ckpts" / "latest.npz"
+        """One store generation per ``checkpoint_every`` steps, at that step."""
+        store = CheckpointStore(tmp_path / "ckpts")
+        tr, _ = _make_trainer(store=store, checkpoint_every=2)
+        tr.train(iterations=5, batch_size=16)
+        assert [(g.gen, g.step) for g in store.generations()] == [(1, 2), (2, 4)]
+        assert all((store.root / g.file).exists() for g in store.generations())

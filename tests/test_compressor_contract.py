@@ -20,6 +20,7 @@ from repro.data import make_image_data
 from repro.distributed import SimCluster
 from repro.kfac_dist import DistributedKfacTrainer
 from repro.models import resnet_proxy
+from repro.store import CheckpointStore
 from repro.train import ClassificationTask
 from repro.util.checkpoint import _read_all
 
@@ -339,16 +340,18 @@ def test_error_feedback_refuses_to_save_a_key_it_could_not_restore():
 
 def _checkpoint_sections(compressor, tmp_path):
     data = make_image_data(64, n_classes=4, size=8, noise=0.6, seed=0)
+    store = CheckpointStore(tmp_path)
     trainer = DistributedKfacTrainer(
         resnet_proxy(n_classes=4, channels=8, rng=3), ClassificationTask(data),
         SimCluster(1, 2, seed=0), lr=0.05, inv_update_freq=3, compressor=compressor,
+        checkpoint_store=store,
     )
     trainer.train(iterations=1, batch_size=16)
-    trainer.save_state(tmp_path / "c")
+    gen = trainer.save_state()
     return {
         key: (value.dtype.kind, value.dtype.itemsize if value.dtype.kind != "U" else None,
               value.shape)
-        for key, value in _read_all(tmp_path / "c.npz").items()
+        for key, value in _read_all(store.root / gen.file).items()
         if key.startswith("compressor/")
     }
 
@@ -379,7 +382,10 @@ _CONTRACT_NAMES = (
     "inner|bounds|eb_f|eb_q|set_bounds|set_encoder|degrade|reset|residual_norm|step|"
     "state_dict|load_state_dict|group_nbytes|iteration|_rng|_degraded_until|_apply|compress_many"
 )
-_PROBE = re.compile(rf'(getattr|hasattr)\([^,]+, *"({_CONTRACT_NAMES})"')
+#: A trainer's durable state is declared too (DESIGN.md decision 23): every
+#: trainer answers ``restore_latest``, and there is one way to save.
+_DURABLE_NAMES = "checkpoint_store|restore_latest|save_state|restore_state|_last_checkpoint"
+_PROBE = re.compile(rf'(getattr|hasattr)\([^,]+, *"({_CONTRACT_NAMES}|{_DURABLE_NAMES})"')
 _TYPE_TEST = re.compile(
     r"isinstance\(.*\b(" + "|".join(cls.__name__ for cls in CLASSES) + r")\b"
 )
@@ -408,8 +414,13 @@ def test_the_probe_lint_sees_what_it_looks_for():
         "if isinstance(self.compressor, AdaptiveCompso):\n"
         'norm = getattr(self.compressor,  "residual_norm", None)\n'
         'rng = getattr(optimizer, "_velocity", None)\n'
+        'store = getattr(trainer, "checkpoint_store", None)\n'
+        'if hasattr(trainer, "restore_state"):\n'
+        'checkpoint = getattr(trainer, "_last_checkpoint", None)\n'
     )
     assert [hit.split(":")[1] for hit in _probes(_SRC / "guard" / "x.py", bad)] == [
-        "1", "2", "4", "5",
+        "1", "2", "4", "5", "7", "8", "9",
     ]
-    assert [hit.split(":")[1] for hit in _probes(_SRC / "core" / "x.py", bad)] == ["1", "2", "5"]
+    assert [hit.split(":")[1] for hit in _probes(_SRC / "core" / "x.py", bad)] == [
+        "1", "2", "5", "7", "8", "9",
+    ]

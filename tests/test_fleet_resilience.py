@@ -147,6 +147,21 @@ class TestCrashRestart:
         assert r_crash.fleet_end > r_clean.fleet_end
         assert r_crash.goodput < 1.0
 
+    def test_storage_faults_fire_without_a_store_dir(self):
+        """Every job owns a checkpoint store, so a crash inside a save is
+        live even when the scheduler is given no ``store_dir``: it costs a
+        restart (beside the plan's job crash) and no bit of the result."""
+        plan = (
+            FaultPlan()
+            .add_save_crash(save_index=1, point="save:tmp_written")
+            .add_crash(iteration=3)
+        )
+        faulted = FleetScheduler([_solo(fault_plan=plan)]).run().by_name("solo")
+        clean = FleetScheduler([_solo()]).run().by_name("solo")
+        assert faulted.restarts == 2  # the save crash, then the job crash
+        assert faulted.state == "done" and faulted.steps == 4
+        assert faulted.final_loss == clean.final_loss
+
     def test_crash_fires_once_and_counts_in_ledger(self, tmp_path):
         spec = _solo(fault_plan=FaultPlan().add_crash(iteration=1))
         result = FleetScheduler([spec], ledger_dir=tmp_path).run()

@@ -34,6 +34,7 @@ from repro.models import resnet_proxy
 from repro.optim import FactorNumericsError, Sgd
 from repro.optim.kfac import Kfac
 from repro.runtime import StreamRuntime
+from repro.store import CheckpointStore, Generation
 from repro.telemetry.export import chrome_trace
 from repro.train import ClassificationTask, DistributedSgdTrainer
 from tests.archives import rewrite_archive
@@ -238,12 +239,17 @@ class TestCircuitBreaker:
 
 
 class _StubTrainer:
-    def __init__(self):
-        self._last_checkpoint = "ckpt.npz"
+    """A trainer whose store holds one generation (``None``: an empty store)."""
+
+    GEN = Generation(gen=3, file="gen-00000003.npz", step=6, nbytes=1, crc32=0)
+
+    def __init__(self, latest=GEN):
+        self.latest = latest
         self.restored = []
 
-    def restore_state(self, path):
-        self.restored.append(path)
+    def restore_latest(self):
+        self.restored.append(self.latest)
+        return self.latest
 
 
 class TestPolicyEngine:
@@ -269,7 +275,16 @@ class TestPolicyEngine:
         trainer = _StubTrainer()
         action = engine.handle("loss_nan", {}, GuardContext(trainer=trainer), 7)
         assert action.action == "rollback"
-        assert trainer.restored == ["ckpt.npz"]
+        assert trainer.restored == [trainer.latest]
+        # The detail names the generation, never a path: it reads the same every run.
+        assert action.detail == {"generation": 3, "step": 6}
+
+    def test_rollback_without_a_generation_escalates(self):
+        engine = PolicyEngine(CircuitBreaker())
+        comp = AdaptiveCompso(StepLrSchedule(4), seed=0)
+        ctx = GuardContext(compressor=comp, trainer=_StubTrainer(latest=None))
+        action = engine.handle("loss_nan", {}, ctx, 7)
+        assert action.action == "trip_breaker"  # nothing to roll back to: next remediation
 
     def test_damping_escalation_is_capped(self):
         engine = PolicyEngine(
@@ -405,7 +420,7 @@ class TestGuardedTraining:
             guard=guard,
             plan=plan,
             reliable_channel=False,
-            checkpoint_dir=tmp_path,
+            checkpoint_store=CheckpointStore(tmp_path),
             checkpoint_every=2,
         )
         tr.train(iterations=10, batch_size=32, seed=0)
@@ -464,6 +479,7 @@ class TestGuardedTraining:
         tr.train(iterations=5, batch_size=16, seed=0)
         assert np.isfinite(tr.history.losses[-1])
         assert np.isfinite(_params(model)).all()
+        assert tr.restore_latest() is None  # nothing durable: a rollback is skipped
 
     def test_sgd_guarded_healthy_bit_identical(self):
         def run(guard):
@@ -487,7 +503,7 @@ class TestGuardedTraining:
         guard.bind(trainer=trainer)
         guard.begin_step(5)
         guard.end_step(loss=float("nan"), grad_norm=1.0)
-        assert trainer.restored == ["ckpt.npz"]
+        assert trainer.restored == [trainer.latest]
         assert guard.timeline[0].action == "rollback"
         assert guard.timeline[0].verdict == "loss_nan"
 

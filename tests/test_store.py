@@ -485,7 +485,7 @@ class TestDiffGating:
 
 
 class TestTrainerIntegration:
-    def _trainer(self, store=None, seed=0):
+    def _trainer(self, store=None, seed=0, **kw):
         from repro.core import AdaptiveCompso, StepLrSchedule
         from repro.data import make_image_data
         from repro.distributed import SimCluster
@@ -499,11 +499,17 @@ class TestTrainerIntegration:
         compressor = AdaptiveCompso(StepLrSchedule(4), seed=seed)
         return DistributedKfacTrainer(
             model, task, cluster, lr=0.05, inv_update_freq=3, compressor=compressor,
-            checkpoint_store=store,
+            checkpoint_store=store, **kw,
         )
 
     def test_save_state_requires_a_target(self):
+        """Periodic saves with no store are refused when the trainer is
+        built, not skipped in silence (which left the guard nothing to
+        roll back to); a direct save names the missing store too."""
+        with pytest.raises(ValueError, match="checkpoint_every=2 needs a checkpoint_store"):
+            self._trainer(checkpoint_every=2)
         tr = self._trainer()
+        assert tr.restore_latest() is None  # nothing durable, nothing to restore
         with pytest.raises(ValueError, match="checkpoint_store"):
             tr.save_state()
 
