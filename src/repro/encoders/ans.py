@@ -31,20 +31,6 @@ that into the word stream, which the decoder, walking the rows forward,
 consumes in exactly that order.  Every lane starts at ``2**16``, so a
 decoder that does not arrive back there read a damaged stream.
 
-The frames of one call share their rows.  ``encode_many`` /
-``decode_many`` place the lanes of every multi-lane frame of the call
-side by side and run one row kernel over them, so a call pays for the
-rows of its longest frame rather than for the rows of each (a COMPSO
-group's bitmap and code frames: about 730 rows instead of 1 200).  Lanes
-are ordered by their frame's row count, descending, so the lanes still
-coding at any row are a prefix and no padding symbol is ever stepped.  A
-lane finds its frame's tables at a per-frame offset into the
-concatenated tables; the encoder hands each frame the words of its own
-columns, and the decoder keeps one word cursor per frame and splits each
-row's refills at the frames' first lanes.  Lanes of one frame stay
-consecutive and in order, so every frame codes to exactly the bytes it
-codes to alone: ``encode`` / ``decode`` are the one-frame case.
-
 ``K`` is the encoder's choice, written into the frame (:func:`_lanes`).
 A row of ``K`` symbols costs one round of NumPy calls whatever ``K`` is,
 so rows plus lanes is least at ``K = isqrt(symbols)``; every lane also
@@ -55,7 +41,29 @@ fewer than ``_ROW_LANES`` lanes the frame has a single lane — the same
 format, run by a plain Python loop, which is faster than rows that
 narrow.  The budget and where exactly rows start to pay are the
 encoder's business: the decoder re-derives nothing and decodes any ``K``
-in range.
+from 1 to ``min(isqrt(symbols), _MAX_LANES)``.
+
+The frames of one call share their rows.  ``encode_many`` /
+``decode_many`` place the lanes of every multi-lane frame of the call
+side by side and run one row kernel over them, so a call pays for the
+rows of its longest frame rather than for the rows of each.  Lanes are
+ordered by their frame's row count, descending, so the lanes still
+coding at any row are a prefix and no padding symbol is ever stepped.  A
+lane finds its frame's tables at a per-frame offset into the
+concatenated tables; the encoder hands each frame the words of its own
+columns, and the decoder keeps one word cursor per frame and splits each
+row's refills at the frames' first lanes.  Lanes of one frame stay
+consecutive and in order, so a frame codes to the bytes it would code to
+alone on the same ``K``: ``encode`` / ``decode`` are the one-frame case.
+
+A shared call also pools its lanes (:func:`_pool`).  Planned alone, a
+frame that codes to little (a dense tensor's bitmap) keeps few lanes or
+one and so sets the call's row count, or runs the loop beside rows that
+are already paid for.  The call instead spends the lanes its frames
+bought, in total, on the fewest rows that fit them all, each frame on
+``ceil(symbols / rows)`` lanes — down to 2 — when that costs fewer rows.
+Its lane states then weigh no more than its frames' own, but a frame's
+``K``, and so its states and words, can differ from the frame's alone.
 
 A frame that cannot shrink is not coded (the caller's frame stores it
 raw): the size is predicted from the histogram before the coder runs,
@@ -75,8 +83,8 @@ Payload (after the 5-byte frame of :class:`Encoder`), little-endian::
     u16 * W  renormalisation words
 
 The decoder checks every field before it uses it: item size 1 or 2 and
-dividing the frame length, ``K`` equal to 1 or within ``[_ROW_LANES,
-min(isqrt(symbols), _MAX_LANES)]``, the last alphabet bit set and the
+dividing the frame length, ``K`` within ``[1, min(isqrt(symbols),
+_MAX_LANES)]``, the last alphabet bit set and the
 bitmap padding clear, at most ``2**12`` items present, ``w`` within
 ``[1, 14]`` and the table's padding clear, the table's sum, the word
 stream's parity and length, every lane's end state — and, last, the
@@ -110,10 +118,11 @@ _RANS_L = 1 << 16  # lower bound of the normalised state interval; every lane st
 _EMIT_SHIFT = 32 - _PROB_BITS
 
 _MAX_LANES = 1024
-# Rows narrower than this lose to the scalar loop.  Measured here: a row
-# costs the encoder 4.5 us and the decoder 7.3 us whatever it codes, a
-# symbol of the loop 0.13 + 0.19 us (bytes) or 0.17 + 0.23 us (items),
-# so the two meet at 37 and 30 lanes.
+# Rows narrower than this lose to the scalar loop, so it is also what a
+# row costs in loop symbols (_row_cost).  Measured here: a row costs the
+# encoder 4.5 us and the decoder 7.3 us whatever it codes, a symbol of
+# the loop 0.13 + 0.19 us (bytes) or 0.17 + 0.23 us (items), so the two
+# meet at 37 and 30 lanes.
 _ROW_LANES = 32
 # 4 K bytes of lane states <= 1/32 of the predicted coded bytes.
 _LANE_BUDGET_SHIFT = 2 + 5
@@ -509,7 +518,8 @@ class _Plan(NamedTuple):
     symbols: np.ndarray
     qfreq: np.ndarray
     lanes: int
-    head: bytes  # the payload up to its lane states
+    predicted: int  # coded bytes, lane states not counted
+    head: bytes  # the payload after its ``K`` field, up to its lane states
 
 
 def _plan(symbols: np.ndarray, counts: np.ndarray, data: bytes) -> _Plan | None:
@@ -543,7 +553,6 @@ def _plan(symbols: np.ndarray, counts: np.ndarray, data: bytes) -> _Plan | None:
         return None
     head = b"".join(
         (
-            (lanes | (item_size - 1) << _ITEM_SHIFT).to_bytes(2, "little"),
             b"" if item_size == 1 else (counts.size - 1).to_bytes(2, "little"),
             zlib.crc32(data).to_bytes(4, "little"),
             np.packbits(present).tobytes(),
@@ -551,7 +560,7 @@ def _plan(symbols: np.ndarray, counts: np.ndarray, data: bytes) -> _Plan | None:
             _pack_table(table - 1, width),
         )
     )
-    return _Plan(symbols, qfreq, lanes, head)
+    return _Plan(symbols, qfreq, lanes, predicted, head)
 
 
 def _plan_frame(data: bytes, item_size: int) -> _Plan | None:
@@ -571,7 +580,56 @@ def _plan_frame(data: bytes, item_size: int) -> _Plan | None:
 
 def _payload(plan: _Plan, states: np.ndarray, words: np.ndarray) -> bytes:
     """A plan's payload, once its states and words are coded."""
-    return b"".join((plan.head, states.astype("<u4", copy=False).tobytes(), words.astype("<u2", copy=False).tobytes()))
+    field = plan.lanes | (plan.symbols.itemsize - 1) << _ITEM_SHIFT
+    return b"".join(
+        (
+            field.to_bytes(2, "little"),
+            plan.head,
+            states.astype("<u4", copy=False).tobytes(),
+            words.astype("<u2", copy=False).tobytes(),
+        )
+    )
+
+
+def _row_cost(sizes: list[int], lanes: list[int]) -> int:
+    """What coding frames of ``sizes`` symbols on ``lanes`` lanes costs, in
+    loop symbols: the rows of the one row-kernel call, at ``_ROW_LANES`` loop
+    symbols each, and every symbol of a single-lane frame."""
+    rows = max((-(-n // k) for n, k in zip(sizes, lanes) if k > 1), default=0)
+    return _ROW_LANES * rows + sum(n for n, k in zip(sizes, lanes) if k == 1)
+
+
+def _pool(plans: list[_Plan]) -> list[_Plan]:
+    """The plans of one shared call, their lanes spread so that no frame sets
+    the call's row count alone.
+
+    The call keeps the lanes its frames bought (``sum(K)``, a loop frame
+    counting one) and spends them on the fewest rows ``R`` that fit every
+    frame at ``ceil(symbols / R)`` lanes, none past ``min(isqrt(symbols),
+    _MAX_LANES)``.  A frame those lanes would leave no shorter than its raw
+    bytes keeps its own.  The call takes that layout only when it costs
+    less than the frames' own lanes (:func:`_row_cost`); otherwise every
+    plan is returned as it was.
+    """
+    if len(plans) < 2:
+        return plans
+    sizes = [p.symbols.size for p in plans]
+    own = [p.lanes for p in plans]
+    budget = sum(own)
+    # The frames' own lanes fit in ``hi`` rows; no frame fits in fewer than ``lo``.
+    lo = max(-(-n // min(isqrt(n), _MAX_LANES)) for n in sizes)
+    hi = max(-(-n // k) for n, k in zip(sizes, own))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if sum(-(-n // mid) for n in sizes) <= budget:
+            hi = mid
+        else:
+            lo = mid + 1
+    pooled = (-(-n // lo) for n in sizes)
+    lanes = [p.lanes if p.predicted + 4 * k >= p.symbols.nbytes else k for p, k in zip(plans, pooled)]
+    if _row_cost(sizes, lanes) >= _row_cost(sizes, own):
+        return plans
+    return [p._replace(lanes=k) for p, k in zip(plans, lanes)]
 
 
 def _payloads(plans: list[_Plan]) -> list[bytes]:
@@ -593,7 +651,7 @@ def _read(payload: bytes, n: int, index: int | None) -> _Stream:
     if item_size not in (1, 2) or n % item_size:
         raise EncodeError(f"ans: item size {item_size} declared for a {n}-byte frame")
     count = n // item_size
-    if lanes != 1 and not _ROW_LANES <= lanes <= min(isqrt(count), _MAX_LANES):
+    if not 1 <= lanes <= min(isqrt(count), _MAX_LANES):
         raise EncodeError(f"ans: {lanes} lanes declared for {count} symbols")
     if item_size == 1:
         alphabet, check_at = 256, 2
@@ -666,7 +724,7 @@ def _decode_payloads(frames: list[tuple[int | None, bytes, int]]) -> list[bytes]
 
 
 def _rows_possible(raw: bytes) -> bool:
-    """Whether a frame of these bytes could be coded on rows: ``K >= _ROW_LANES``
+    """Whether a frame of these bytes could be coded on rows alone: ``K >= _ROW_LANES``
     needs a predicted ``_ROW_LANES << _LANE_BUDGET_SHIFT`` bytes, and a coded
     frame is shorter than its input."""
     return len(raw) > _ROW_LANES << _LANE_BUDGET_SHIFT
@@ -681,10 +739,10 @@ class RansEncoder(Encoder):
     """Static rANS over a frame's bytes or its 2-byte items, on interleaved states.
 
     ``encode_many`` / ``decode_many`` run the lanes of all their frames
-    through one call of the row kernel; every blob is the one ``encode``
-    writes for its frame alone.  A call in which fewer than two frames can
-    have rows shares nothing, and is the per-frame ``encode`` / ``decode``
-    loop it would be for any other encoder.
+    through one call of the row kernel, pooled across the frames where that
+    saves rows; every blob decodes alone.  A call in which fewer than two
+    frames can have rows alone shares nothing, and is the per-frame
+    ``encode`` / ``decode`` loop it would be for any other encoder.
     """
 
     name = "ans"
@@ -707,7 +765,7 @@ class RansEncoder(Encoder):
     @staticmethod
     def _encode_payloads(frames: list[tuple[bytes, int]]) -> list[bytes]:
         plans = [_plan_frame(data, item_size) for data, item_size in frames]
-        coded = iter(_payloads([p for p in plans if p is not None]))
+        coded = iter(_payloads(_pool([p for p in plans if p is not None])))
         # A frame that cannot shrink is returned as it is: its blob stores it raw.
         return [data if p is None else next(coded) for (data, _), p in zip(frames, plans)]
 

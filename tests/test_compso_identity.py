@@ -132,10 +132,9 @@ class _HeadCompso(CompsoCompressor):
         kept = flat[~filtered]
         codes = self._quantize(kept, step)
         packed, cmin, width = _head_pack_codes(codes)
-        segments = {
-            "bitmap": self._encoder.encode(_head_pack_bitmap(filtered)),
-            "codes": self._encoder.encode(packed, width // 8),
-        }
+        # Coded as the compressor codes them, in one call: the encoder is not under test here.
+        blobs = self._encoder.encode_many([(_head_pack_bitmap(filtered), 1), (packed, width // 8)])
+        segments = dict(zip(("bitmap", "codes"), blobs))
         meta = {"step": step, "code_min": cmin, "width": width, "n_kept": int(kept.size)}
         return CompressedTensor(segments, x.shape, meta=meta)
 
@@ -171,12 +170,15 @@ class _HeadCompso(CompsoCompressor):
             headers.append(
                 struct.pack("<IIfiBI", flat.size, kept.size, step, cmin, width, len(packed))
             )
+        blobs = self._encoder.encode_many(
+            [
+                (b"".join(bitmap_parts), 1),
+                (b"".join(code_parts), item_sizes.pop() if len(item_sizes) == 1 else 1),
+            ]
+        )
         segments = {
             "headers": struct.pack("<I", len(tensors)) + b"".join(headers),
-            "bitmap": self._encoder.encode(b"".join(bitmap_parts)),
-            "codes": self._encoder.encode(
-                b"".join(code_parts), item_sizes.pop() if len(item_sizes) == 1 else 1
-            ),
+            **dict(zip(("bitmap", "codes"), blobs)),
         }
         total = sum(np.asarray(t).size for t in tensors)
         return CompressedTensor(segments, (total,), meta={"aggregated": len(tensors)})

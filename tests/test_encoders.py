@@ -1,6 +1,7 @@
 """Lossless encoder round trips, frame behaviour, and CR ordering."""
 
 import hashlib
+import itertools
 from math import isqrt
 
 import numpy as np
@@ -276,10 +277,11 @@ class TestAnsLanes:
         # All of the frame but its header and lane states is what was predicted.
         assert abs(len(blob) - 5 - 4 * fields.lanes - predicted) <= 0.03 * predicted + 16
 
-    @pytest.mark.parametrize("forced", [32, 37, 61, 70])
+    @pytest.mark.parametrize("forced", [2, 31, 32, 37, 61, 70])
     def test_any_lane_count_in_range_decodes(self, rng, forced):
         """The decoder reads ``K`` from the frame: it need not be the count this
-        encoder's rule would pick (70 = isqrt(5000), 37 and 61 leave a short last row)."""
+        encoder's rule would pick for the frame alone (70 = isqrt(5000), 37 and 61
+        leave a short last row, 2 and 31 are what a shared call can give a frame)."""
         data = _gradient_bytes(rng, 5000).tobytes()
         blob, calls = _encode_recording_lanes(data, forced=forced)
         assert _Fields(blob).lanes == forced != _lanes(*calls[-1])
@@ -287,10 +289,14 @@ class TestAnsLanes:
 
     @pytest.mark.parametrize("forced", [0, 2, 31, 71, 1025])
     def test_lying_lane_count_is_rejected(self, rng, forced):
-        """Fewer symbols than ``K**2``, rows narrower than the loop, no lane at all."""
+        """No lane at all, more than 1024, more than ``isqrt(symbols)``: 71 for the
+        frame's 5000 symbols, and 2 and 31 for a length rewritten to the most
+        symbols that are still too few for them (at 5000 both are in range)."""
+        n = forced**2 - 1 if forced in (2, 31) else 5000
         blob = RansEncoder().encode(_gradient_bytes(rng, 5000).tobytes())
-        with pytest.raises(EncodeError, match=f"{forced} lanes declared for 5000 symbols"):
-            RansEncoder().decode(_with_bytes(blob, 5, forced.to_bytes(2, "little")))
+        lie = _with_bytes(_with_bytes(blob, 1, n.to_bytes(4, "little")), 5, forced.to_bytes(2, "little"))
+        with pytest.raises(EncodeError, match=f"{forced} lanes declared for {n} symbols"):
+            RansEncoder().decode(lie)
 
     @pytest.mark.parametrize(
         "n,lanes",
@@ -542,9 +548,10 @@ class TestAnsItems:
         for size in (3, 16):
             lie(5, (at.lanes | size - 1 << 12).to_bytes(2, "little"), f"item size {size}")
         lie(5, at.lanes.to_bytes(2, "little"), "ans: ")  # items read as bytes
-        for lanes in (0, 2, 31, isqrt(4000) + 1, 1024, 1025, 4095):
+        for lanes in (0, isqrt(4000) + 1, 1024, 1025, 4095):
             lie(5, (lanes | field & 0xF000).to_bytes(2, "little"), "lanes declared")
-        lie(5, ((1 if at.lanes > 1 else 32) | field & 0xF000).to_bytes(2, "little"), "ans: ")
+        for lanes in (1, 2, 31, isqrt(4000)):  # in range, not this frame's
+            lie(5, (lanes | field & 0xF000).to_bytes(2, "little"), "ans: ")
         for d in (-9, -8, -1, 1, 8, 9, 300, -at.alphabet + 1):
             lie(7, (at.alphabet - 1 + d).to_bytes(2, "little"), "ans: ")
         lie(at.bitmap_at, [blob[at.bitmap_at] ^ 0x80], "ans: ")  # a present symbol goes missing
@@ -688,36 +695,61 @@ def _frame_of(kind, n, seed):
         "scalar_items": lambda: (_code_items(rng, 100 + n % 1400, 9.0), 2),
         "rows": lambda: (_gradient_bytes(rng, 6_500 + n).tobytes(), 1),
         "row_items": lambda: (_code_items(rng, 4_500 + n // 2), 2),
+        # A dense tensor's filter bitmap: 1 % of the bits set, too little coded for rows alone.
+        "bitmap": lambda: (np.packbits(rng.random(8 * (4_200 + n % 14_000)) < 0.011).tobytes(), 1),
     }[kind]()
 
 
-class TestAnsMany:
-    """The frames of one call as lanes of one row kernel: every blob is the frame's own."""
+def _frames_of(specs):
+    """The frames of ``(kind, n, seed)`` specs; a "twin" is the previous frame permuted."""
+    frames = []
+    for kind, n, seed in specs:
+        if kind == "twin":  # another frame of the previous one's size: equal row counts
+            data, item_size = frames[-1] if frames else (b"", 1)
+            items = np.frombuffer(data, ">u2" if item_size == 2 else np.uint8)
+            frames.append((np.random.default_rng(seed).permutation(items.copy()).tobytes(), item_size))
+        else:
+            frames.append(_frame_of(kind, n, seed))
+    return frames
 
-    @given(
-        st.lists(
-            st.tuples(
-                # Row frames weigh double: most calls then share rows between frames.
-                st.sampled_from(
-                    ["empty", "raw", "scalar", "scalar_items"] + 2 * ["rows", "row_items", "twin"]
-                ),
-                st.integers(0, 40_000),
-                st.integers(0, 2**32 - 1),
-            ),
-            min_size=1,
-            max_size=5,
-        )
+
+def _specs(kinds, min_size, max_size):
+    return st.lists(
+        st.tuples(st.sampled_from(kinds), st.integers(0, 40_000), st.integers(0, 2**32 - 1)),
+        min_size=min_size,
+        max_size=max_size,
     )
-    @settings(max_examples=80, deadline=None)
-    def test_many_is_one_call_per_frame(self, specs):
-        frames = []
-        for kind, n, seed in specs:
-            if kind == "twin":  # another frame of the previous one's size: equal row counts
-                data, item_size = frames[-1] if frames else (b"", 1)
-                items = np.frombuffer(data, ">u2" if item_size == 2 else np.uint8)
-                frames.append((np.random.default_rng(seed).permutation(items.copy()).tobytes(), item_size))
-            else:
-                frames.append(_frame_of(kind, n, seed))
+
+
+_SHORT = ["empty", "raw", "scalar", "scalar_items"]
+_LONG = ["rows", "row_items", "bitmap"]
+
+
+def _lane_count(blob):
+    """Lane states a blob carries: none when its frame is stored raw."""
+    return _Fields(blob).lanes if blob[0] == 1 else 0
+
+
+def _frame_rows(blob):
+    """Steps coding a blob's frame takes alone: its rows, or one per symbol in the loop."""
+    return -(-_Fields(blob).symbols // _Fields(blob).lanes) if blob[0] == 1 else 0
+
+
+def _call_rows(blobs):
+    """Rows of the row-kernel call that codes ``blobs`` together."""
+    return max((_frame_rows(b) for b in blobs if _lane_count(b) > 1), default=0)
+
+
+class TestAnsMany:
+    """The frames of one call as lanes of one row kernel."""
+
+    @given(_specs(_SHORT, 0, 4), st.one_of(st.none(), _specs(_LONG, 1, 1)), st.integers(0, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_many_is_one_call_per_frame(self, short, long, at):
+        """A call in which fewer than two frames can have rows shares nothing: its
+        blobs are the ones ``encode`` writes for each frame."""
+        specs = short[:at] + (long or []) + short[at:]
+        frames = _frames_of(specs)
         enc = RansEncoder()
         blobs = enc.encode_many(frames)
         assert blobs == [enc.encode(data, item_size) for data, item_size in frames]
@@ -727,6 +759,73 @@ class TestAnsMany:
         for (data, _), blob in zip(frames, blobs):
             assert ans._rows_possible(data) or not ans._on_rows(blob)
 
+    @given(
+        # Long frames weigh double and come at least twice: every call shares its rows.
+        _specs(_SHORT + 2 * (_LONG + ["twin"]), 0, 3),
+        _specs(_LONG, 2, 2),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_a_shared_call_spends_the_lanes_its_frames_bought(self, extra, long, order):
+        """Every blob decodes alone through ``decode`` and together through ``decode_many``;
+        the call carries no more lane states than its frames coded one by one, and
+        steps no more rows than the longest of them alone.  Only ``K`` and what it
+        shapes (states and words) differ from a frame's own blob."""
+        specs = long + extra
+        order.shuffle(specs)
+        frames = _frames_of(specs)
+        enc = RansEncoder()
+        blobs = enc.encode_many(frames)
+        alone = [enc.encode(data, item_size) for data, item_size in frames]
+        assert enc.decode_many(blobs) == [data for data, _ in frames]
+        assert [enc.decode(blob) for blob in blobs] == [data for data, _ in frames]
+        assert sum(map(_lane_count, blobs)) <= sum(map(_lane_count, alone))
+        assert _call_rows(blobs) <= max(map(_frame_rows, alone))
+        for blob, own in zip(blobs, alone):
+            if blob[0] == own[0] == 1:
+                shared, solo = _Fields(blob), _Fields(own)
+                assert blob[:5] == own[:5] and shared.item_size == solo.item_size
+                assert blob[7 : shared.states_at] == own[7 : solo.states_at]
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 20_000), st.integers(0, 2**16), st.integers(1, 64)),
+            min_size=2,
+            max_size=4,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_pooled_rows_are_the_fewest_the_lanes_buy(self, shapes):
+        """``_pool`` against the rule spelled out, with the row count found by search:
+        the fewest rows ``R`` at which ``ceil(n / R)`` lanes per frame, none past
+        ``min(isqrt(n), 1024)``, total at most the frames' own lanes; a frame whose
+        payload on those lanes would not stay under its raw bytes keeps its own ``K``;
+        and the layout only if it costs fewer rows, a loop symbol counting 1/32 of one."""
+        plans = []
+        for n, draw, slack in shapes:
+            top = min(isqrt(n), 1024)
+            own = 1 if top < 32 or draw % 3 == 0 else 32 + draw % (top - 31)
+            predicted = max(0, n - 4 * own - slack)
+            plans.append(ans._Plan(np.zeros(n, np.uint8), None, own, predicted, b""))
+        sizes = [n for n, _, _ in shapes]
+        own = [p.lanes for p in plans]
+        rows = next(
+            r
+            for r in itertools.count(1)
+            if sum(-(-n // r) for n in sizes) <= sum(own)
+            and all(-(-n // r) <= min(isqrt(n), 1024) for n in sizes)
+        )
+        spread = [
+            p.lanes if p.predicted + 4 * -(-n // rows) >= n else -(-n // rows) for p, n in zip(plans, sizes)
+        ]
+
+        def cost(lanes):
+            call_rows = max((-(-n // k) for n, k in zip(sizes, lanes) if k > 1), default=0)
+            return 32 * call_rows + sum(n for n, k in zip(sizes, lanes) if k == 1)
+
+        expected = spread if cost(spread) < cost(own) else own
+        assert [p.lanes for p in ans._pool(plans)] == expected
+
     @pytest.mark.parametrize(
         "shapes",
         [
@@ -734,6 +833,7 @@ class TestAnsMany:
             [(9078, 95), (1000, 64), (63, 64)],  # unequal rows, short last rows
             [(1000, 64), (9078, 95), (4096, 1024), (1, 8)],  # the caller's order is not the rows'
             [(5000, 37), (4999, 37), (5000, 61)],  # equal rows, one short
+            [(6200, 24), (5500, 22), (300, 2)],  # the narrow lanes of a pooled call
         ],
     )
     def test_shared_rows_are_each_frames_per_row_kernel(self, rng, monkeypatch, shapes):
@@ -753,15 +853,16 @@ class TestAnsMany:
         decoded = ans._decode_rows(streams)
         assert decoded == [ans._wire_bytes(sym) for sym, _, _ in frames]
 
-    @pytest.mark.parametrize("kinds", [("rows", "row_items"), ("row_items", "row_items")])
+    @pytest.mark.parametrize("kinds", [("bitmap", "row_items"), ("row_items", "bitmap")])
     @pytest.mark.parametrize("damaged", [0, 1])
     def test_damage_to_one_frame_names_it(self, kinds, damaged):
         """Every cut and 500 flips of one frame, its sibling intact: an error located at the
-        damaged frame, never bytes — neither wrong ones nor the sibling's alone."""
+        damaged frame, never bytes — neither wrong ones nor the sibling's alone.  The call
+        pools its lanes, so both frames run on rows narrower than a frame alone may have."""
         enc = RansEncoder()
         frames = [_frame_of(kind, 2_000, 2028 + u) for u, kind in enumerate(kinds)]
         blobs = enc.encode_many(frames)
-        assert all(_Fields(b).lanes > 1 for b in blobs)  # one shared kernel call
+        assert all(2 <= _Fields(b).lanes < 32 for b in blobs)  # one shared kernel call
         blob = blobs[damaged]
         rng = np.random.default_rng(2029)
         flips = []
