@@ -25,10 +25,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from benchmarks._common import emit
-from repro.obsv import load_ledger
+from repro.obsv import load_ledger, xray_timeline
 from repro.scenarios import SCENARIOS, run
 from repro.util.tables import format_table
-from repro.xray import attribute_regression, xray_records
+from repro.xray import attribute_regression
 
 ITERATIONS = 8
 
@@ -68,7 +68,7 @@ def run_experiment():
     ):
         path = workdir / f"{name}.ledger"
         trainers[name] = _run(path, **kwargs)
-        records = xray_records(load_ledger(path))
+        records = xray_timeline(load_ledger(path))
         runs[name] = {
             "path": path,
             "records": records,

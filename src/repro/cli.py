@@ -389,37 +389,22 @@ def cmd_autotune(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    from repro.obsv import load_ledger, render_markdown, write_report
+def cmd_view(args: argparse.Namespace) -> int:
+    """``repro report`` and ``repro xray``: build the view once, write it as
+    HTML and markdown, print the markdown."""
+    from repro.obsv import load_ledger, run_report, xray_timeline
+    from repro.xray import xray_report
 
     ledger = load_ledger(args.ledger)
-    stem = args.ledger.rsplit(".", 1)[0]
-    html_path = args.html if args.html else f"{stem}.html"
-    md_path = args.md if args.md else f"{stem}.md"
-    written = write_report(ledger, html_path=html_path, md_path=md_path)
-    print(render_markdown(ledger))
+    xray = args.command == "xray"
+    view = (xray_report if xray else run_report)(ledger)
+    stem = args.ledger.rsplit(".", 1)[0] + (".xray" if xray else "")
+    written = view.write(html_path=args.html or f"{stem}.html", md_path=args.md or f"{stem}.md")
+    print(view.markdown())
     for p in written:
         print(f"wrote {p}")
-    return 0
-
-
-def cmd_xray(args: argparse.Namespace) -> int:
-    from repro.obsv import load_ledger
-    from repro.xray import render_xray_markdown, write_xray_report, xray_records
-
-    ledger = load_ledger(args.ledger)
-    stem = args.ledger.rsplit(".", 1)[0]
-    html_path = args.html if args.html else f"{stem}.xray.html"
-    md_path = args.md if args.md else f"{stem}.xray.md"
-    written = write_xray_report(ledger, html_path=html_path, md_path=md_path)
-    print(render_xray_markdown(ledger))
-    for p in written:
-        print(f"wrote {p}")
-    if not xray_records(ledger):
-        print(
-            "ERROR: ledger has no xray records — record with --xray",
-            file=sys.stderr,
-        )
+    if xray and not xray_timeline(ledger):
+        print("ERROR: ledger has no xray records — record with --xray", file=sys.stderr)
         return 1
     return 0
 
@@ -692,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ledger", help="path to a recorded .ledger file")
     p.add_argument("--html", default="", help="HTML output path (default: <ledger>.html)")
     p.add_argument("--md", default="", help="markdown output path (default: <ledger>.md)")
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_view)
 
     p = sub.add_parser(
         "xray", help="render a ledger's critical-path attribution (flame view)"
@@ -700,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ledger", help="path to a ledger recorded with --xray")
     p.add_argument("--html", default="", help="HTML output path (default: <ledger>.xray.html)")
     p.add_argument("--md", default="", help="markdown output path (default: <ledger>.xray.md)")
-    p.set_defaults(func=cmd_xray)
+    p.set_defaults(func=cmd_view)
 
     p = sub.add_parser("diff", help="compare two ledgers; exit non-zero on regression")
     p.add_argument("baseline", help="baseline .ledger")

@@ -19,7 +19,7 @@ from repro.compression.topk import topk_mask
 from repro.encoders.ans import RansEncoder
 from repro.telemetry import get_tracer
 from repro.util.bitpack import pack_bitmap, unpack_bitmap
-from repro.util.seeding import spawn_rng
+from repro.util.seeding import restore_rng_state, rng_state_array, spawn_rng
 
 __all__ = ["CocktailSgdCompressor"]
 
@@ -46,6 +46,18 @@ class CocktailSgdCompressor(GradientCompressor):
         self._rng = spawn_rng(seed)
         self._quantizer = BitBudgetQuantizer(bits, "sr", seed=spawn_rng(seed, 1))
         self._encoder = RansEncoder()
+
+    def state_dict(self) -> dict[str, np.ndarray]:
+        return {
+            "rng": rng_state_array(self._rng),
+            "quantizer_rng": rng_state_array(self._quantizer._rng),
+        }
+
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        if "rng" in state:
+            restore_rng_state(self._rng, state["rng"])
+        if "quantizer_rng" in state:
+            restore_rng_state(self._quantizer._rng, state["quantizer_rng"])
 
     def compress(self, x: np.ndarray) -> CompressedTensor:
         x = np.asarray(x, dtype=np.float32)

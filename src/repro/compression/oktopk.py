@@ -21,7 +21,7 @@ import numpy as np
 from repro.compression.base import CompressedTensor, GradientCompressor
 from repro.compression.topk import TopKCompressor
 from repro.util.bitpack import pack_bitmap
-from repro.util.seeding import spawn_rng
+from repro.util.seeding import restore_rng_state, rng_state_array, spawn_rng
 
 __all__ = ["OkTopkCompressor"]
 
@@ -77,6 +77,23 @@ class OkTopkCompressor(GradientCompressor):
 
     #: Same wire layout as exact top-k: a bitmap and the surviving values.
     decompress = TopKCompressor.decompress
+
+    def state_dict(self) -> dict[str, np.ndarray]:
+        # An empty threshold array is "not estimated yet".
+        threshold = [] if self._threshold is None else [self._threshold]
+        return {
+            "threshold": np.array(threshold, dtype=np.float64),
+            "calls": np.array(self._calls),
+            "rng": rng_state_array(self._rng),
+        }
+
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        if "threshold" in state:
+            threshold = state["threshold"]
+            self._threshold = float(threshold[0]) if threshold.size else None
+            self._calls = int(state["calls"])
+        if "rng" in state:
+            restore_rng_state(self._rng, state["rng"])
 
     def reset(self) -> None:
         """Forget the threshold estimate.  There is no error-compensation

@@ -15,7 +15,7 @@ from repro.compression.quantize import BitBudgetQuantizer
 from repro.encoders.elias import elias_gamma_decode, elias_gamma_encode
 from repro.telemetry import get_tracer
 from repro.util.bitpack import pack_bitmap, unpack_bitmap
-from repro.util.seeding import spawn_rng
+from repro.util.seeding import restore_rng_state, rng_state_array, spawn_rng
 
 __all__ = ["QsgdCompressor"]
 
@@ -27,6 +27,13 @@ class QsgdCompressor(GradientCompressor):
         self.bits = bits
         self.name = f"qsgd-{bits}bit"
         self._quantizer = BitBudgetQuantizer(bits, "sr", seed=spawn_rng(seed))
+
+    def state_dict(self) -> dict[str, np.ndarray]:
+        return {"rng": rng_state_array(self._quantizer._rng)}
+
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        if "rng" in state:
+            restore_rng_state(self._quantizer._rng, state["rng"])
 
     def compress(self, x: np.ndarray) -> CompressedTensor:
         x = np.asarray(x, dtype=np.float32)

@@ -30,7 +30,7 @@ from repro.compression.base import CompressedTensor, GradientCompressor
 from repro.compression.quantize import ROUNDING_MODES
 from repro.core.compso import _dequantize, pack_codes
 from repro.encoders.registry import get_encoder
-from repro.util.seeding import spawn_rng
+from repro.util.seeding import restore_rng_state, rng_state_array, spawn_rng
 from repro.util.triangle import mirror_upper, pack_upper, triangle_size
 
 __all__ = ["FactorCompressor"]
@@ -57,6 +57,13 @@ class FactorCompressor(GradientCompressor):
         self._encoder = get_encoder(encoder)
         self._rng = spawn_rng(seed)
         self.name = f"factor-{encoder}"
+
+    def state_dict(self) -> dict[str, np.ndarray]:
+        return {"rng": rng_state_array(self._rng)}
+
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        if "rng" in state:
+            restore_rng_state(self._rng, state["rng"])
 
     def compress(self, x: np.ndarray) -> CompressedTensor:
         x = np.asarray(x, dtype=np.float32)

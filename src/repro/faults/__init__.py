@@ -36,7 +36,6 @@ from repro.faults.plan import (
     SaveCrash,
     Straggler,
     TornWrite,
-    Truncation,
 )
 from repro.faults.recovery import ReliableChannel, TransferReport
 from repro.faults.storage import StorageCrash, StorageFaultController
@@ -60,7 +59,6 @@ __all__ = [
     "Straggler",
     "TornWrite",
     "TransferReport",
-    "Truncation",
     "corrupt_payload",
     "flip_bits",
     "is_sealed",

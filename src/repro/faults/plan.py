@@ -34,7 +34,6 @@ __all__ = [
     "RankFailure",
     "JobCrash",
     "BitRot",
-    "Truncation",
     "TornWrite",
     "SaveCrash",
     "FailureEvent",
@@ -207,29 +206,6 @@ class BitRot:
 
 
 @dataclass(frozen=True)
-class Truncation:
-    """The ``save_index``-th save's archive is truncated at rest.
-
-    Keeps the leading ``keep_fraction`` of the file after the save
-    completes — a torn file discovered later (lost sectors, filesystem
-    rollback).  The store must detect the short read and fall back.
-    """
-
-    plane: ClassVar[str] = "storage"
-
-    save_index: int
-    keep_fraction: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.save_index < 0:
-            raise ValueError(f"save_index must be >= 0, got {self.save_index}")
-        if not 0.0 <= self.keep_fraction < 1.0:
-            raise ValueError(
-                f"keep_fraction must be in [0, 1), got {self.keep_fraction}"
-            )
-
-
-@dataclass(frozen=True)
 class TornWrite:
     """The ``save_index``-th save's temp file is torn before publish.
 
@@ -372,13 +348,6 @@ class FaultPlan:
     def add_bit_rot(self, *, save_index: int, n_bytes: int = 1) -> "FaultPlan":
         """Flip bytes in the ``save_index``-th durable save, at rest."""
         self.storage.append(BitRot(save_index, n_bytes))
-        return self
-
-    def add_truncation(
-        self, *, save_index: int, keep_fraction: float = 0.5
-    ) -> "FaultPlan":
-        """Truncate the ``save_index``-th durable save's archive at rest."""
-        self.storage.append(Truncation(save_index, keep_fraction))
         return self
 
     def add_torn_write(

@@ -3,18 +3,17 @@
 The cluster's fault planes (time/data/availability) cover the wire and
 the workers; this module covers the *disk*.  A
 :class:`StorageFaultController` interprets the storage entries of a
-:class:`~repro.faults.plan.FaultPlan` — bit rot, at-rest truncation,
-torn writes, and crash-at-injection-point — against the enumerated
-injection points the durable-state layer exposes
-(:data:`repro.util.checkpoint.SAVE_POINTS` extended by
-:data:`repro.store.STORE_SAVE_POINTS`).
+:class:`~repro.faults.plan.FaultPlan` — bit rot, torn writes, and
+crash-at-injection-point — against the enumerated injection points the
+durable-state layer exposes (:data:`repro.util.checkpoint.SAVE_POINTS`
+extended by :data:`repro.store.STORE_SAVE_POINTS`).
 
 Faults are addressed by **save index**: the Nth time the owning store
 runs its save sequence, the entries scheduled for ``save_index=N``
-fire, each exactly once.  Byte positions for bit rot and truncation are
-drawn from an RNG derived from ``(plan seed, save index)``, so the same
-plan always damages the same bytes — corruption scenarios are
-replayable tests, not flaky hopes.
+fire, each exactly once.  Byte positions for bit rot are drawn from an
+RNG derived from ``(plan seed, save index)``, so the same plan always
+damages the same bytes — corruption scenarios are replayable tests,
+not flaky hopes.
 
 The controller is passive until threaded into a store; a plan whose
 only entries are storage faults is empty *for the cluster*
@@ -26,7 +25,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.faults.plan import BitRot, FaultPlan, SaveCrash, TornWrite, Truncation
+from repro.faults.plan import BitRot, FaultPlan, SaveCrash, TornWrite
 from repro.util.seeding import spawn_rng
 
 __all__ = ["StorageCrash", "StorageFaultController"]
@@ -124,12 +123,6 @@ class StorageFaultController:
                     positions = _flip_bytes(Path(path), rng, entry.n_bytes)
                     self.log.append(
                         (save_index, "bit_rot", {"positions": positions, "file": str(path)})
-                    )
-                elif isinstance(entry, Truncation) and point == "sealed":
-                    self._fired.add(i)
-                    kept = _truncate(Path(path), entry.keep_fraction)
-                    self.log.append(
-                        (save_index, "truncation", {"kept_bytes": kept, "file": str(path)})
                     )
 
         return hook

@@ -10,7 +10,8 @@ it and to compare two of them under tolerance bands.
 * :mod:`repro.obsv.ledger` — the versioned run ledger trainers write
   via ``obsv=LedgerConfig(...)``;
 * :mod:`repro.obsv.analytics` — trajectories and summary scalars;
-* :mod:`repro.obsv.report` — self-contained HTML dashboard + markdown;
+* :mod:`repro.obsv.report` — the report document and its markdown and
+  self-contained HTML writers;
 * :mod:`repro.obsv.diff` — structural run comparison that exits CI
   non-zero on perf/accuracy regression against committed baselines.
 """
@@ -20,14 +21,12 @@ from __future__ import annotations
 from repro.obsv.analytics import (
     autotune_timeline,
     bound_series,
-    cr_series,
     guard_timeline,
     loss_series,
     overlap_summary,
     per_layer_cr,
     span_totals,
     summarize,
-    wire_series,
     xray_timeline,
 )
 from repro.obsv.diff import (
@@ -52,7 +51,7 @@ from repro.obsv.ledger import (
     fsck_ledger,
     load_ledger,
 )
-from repro.obsv.report import render_html, render_markdown, write_report
+from repro.obsv.report import Report, run_report
 
 __all__ = [
     "DEFAULT_SPECS",
@@ -63,12 +62,12 @@ __all__ = [
     "LedgerWriter",
     "MetricSpec",
     "RunDiff",
+    "Report",
     "RunLedger",
     "SCHEMA_VERSION",
     "as_ledger",
     "autotune_timeline",
     "bound_series",
-    "cr_series",
     "describe_compressor",
     "diff_ledgers",
     "fault_plan_digest",
@@ -80,11 +79,8 @@ __all__ = [
     "overlap_summary",
     "parse_tolerance",
     "per_layer_cr",
-    "render_html",
-    "render_markdown",
+    "run_report",
     "span_totals",
     "summarize",
-    "wire_series",
-    "write_report",
     "xray_timeline",
 ]

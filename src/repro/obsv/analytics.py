@@ -13,7 +13,6 @@ from repro.obsv.ledger import RunLedger
 __all__ = [
     "autotune_timeline",
     "bound_series",
-    "cr_series",
     "guard_timeline",
     "loss_series",
     "overlap_summary",
@@ -21,7 +20,6 @@ __all__ = [
     "series",
     "span_totals",
     "summarize",
-    "wire_series",
     "xray_timeline",
 ]
 
@@ -33,15 +31,6 @@ def series(ledger: RunLedger, key: str) -> list:
 
 def loss_series(ledger: RunLedger) -> list[float]:
     return series(ledger, "loss")
-
-
-def cr_series(ledger: RunLedger) -> list[float]:
-    """Whole-step compression ratio (dense bytes / wire bytes)."""
-    return series(ledger, "cr")
-
-
-def wire_series(ledger: RunLedger) -> list[float]:
-    return series(ledger, "wire_bytes")
 
 
 def bound_series(ledger: RunLedger) -> list[dict]:

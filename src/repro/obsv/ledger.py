@@ -15,12 +15,12 @@ A ledger is a JSONL file with three kinds of lines, in order:
 3. one **final** record — ``{"final": {...}}`` — with end-of-run
    summary scalars and the guard's full report.
 
-Determinism contract: with the default configuration every line except
-the manifest's ``created_unix`` timestamp is a pure function of
-``(seed, config)`` — span digests default to the simulated-time tracks
-(``sim``/``device``) precisely so wall-clock noise never enters the
-body.  :meth:`RunLedger.body_text` excludes the timestamp, which is
-what the determinism tests and :func:`RunLedger.digest` hash.
+Determinism contract: every line except the manifest's ``created_unix``
+timestamp is a pure function of ``(seed, config)`` — span digests cover
+only the simulated-time tracks (``sim``/``device``) precisely so
+wall-clock noise never enters the body.  :meth:`RunLedger.body_text`
+excludes the timestamp, which is what the determinism tests and
+:func:`RunLedger.digest` hash.
 
 Trainers write ledgers through the ``obsv=LedgerConfig(...)`` kwarg;
 ``obsv=None`` (the default) is bit-identical to a build without this
@@ -57,6 +57,10 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 _SCALARS = (bool, int, float, str)
+
+#: Tracer tracks digested into step records: simulated time only, so the
+#: wall-clock ``host`` track never reaches the body.
+_SPAN_TRACKS = ("sim", "device")
 
 
 class LedgerError(RuntimeError):
@@ -120,18 +124,12 @@ def fault_plan_digest(plan) -> str | None:
 class LedgerConfig:
     """Configuration for a trainer-written run ledger.
 
-    ``span_tracks`` defaults to the simulated-time tracks so the ledger
-    body stays deterministic; add ``"host"`` to also digest wall-clock
-    trainer-phase spans (useful for profiling, fatal for byte-identical
-    replay comparisons).
+    The writer always folds the per-step metrics snapshot and the
+    per-category span digests of the simulated-time tracks into step
+    records.
     """
 
     path: str | Path
-    #: Fold per-step MetricsRegistry snapshots into step records.
-    metrics: bool = True
-    #: Fold per-category span-duration digests into step records.
-    span_digests: bool = True
-    span_tracks: tuple[str, ...] = ("sim", "device")
     #: Free-form annotation stored in the manifest.
     note: str = ""
     #: Also append each record to disk as it is produced, leaving a
@@ -274,13 +272,13 @@ class LedgerWriter:
         from repro.telemetry import get_tracer
 
         tracer = get_tracer()
-        if not tracer.enabled or not self.config.span_digests:
+        if not tracer.enabled:
             return None
         spans = tracer.spans()
         fresh = spans[self._span_cursor :]
         self._span_cursor = len(spans)
         out: dict[str, dict] = {}
-        for track in self.config.span_tracks:
+        for track in _SPAN_TRACKS:
             per_cat: dict[str, list[float]] = {}
             for s in fresh:
                 if s.track == track:
@@ -293,7 +291,7 @@ class LedgerWriter:
         from repro.telemetry import get_metrics
 
         m = get_metrics()
-        if not m.enabled or not self.config.metrics:
+        if not m.enabled:
             return None
         return m.snapshot()
 

@@ -13,7 +13,7 @@ a trusted one:
   falls back to the newest *verified* one, quarantining the bad file.
   Retention keeps the newest ``keep`` generations.
 * the **storage fault plane** (:mod:`repro.faults.storage`) — seeded
-  bit-rot, truncation, torn-write, and crash-at-injection-point faults
+  bit-rot, torn-write, and crash-at-injection-point faults
   threaded through the enumerated save sequence
   (:data:`STORE_SAVE_POINTS`), so "kill at any moment during save" is a
   deterministic sweep, not a hope.

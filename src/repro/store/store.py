@@ -73,8 +73,8 @@ MANIFEST_SCHEMA_VERSION = 1
 #: The full, ordered injection-point sequence of one ``save()`` call:
 #: the archive-level points, then the manifest update (same
 #: tmp-write/replace shape), then ``sealed`` — the at-rest window after
-#: the save is fully committed, where bit-rot and truncation faults
-#: strike the just-written generation file.
+#: the save is fully committed, where bit-rot faults strike
+#: the just-written generation file.
 STORE_SAVE_POINTS = SAVE_POINTS + (
     "manifest:begin",
     "manifest:tmp_written",
@@ -398,8 +398,8 @@ class CheckpointStore:
                 old_path.unlink()
             self._event("retention", gen=old.gen, step=old.step)
         self._event("save", gen=number, step=int(step))
-        # The at-rest window: the save is fully committed; bit-rot and
-        # truncation faults scheduled for this save index strike now.
+        # The at-rest window: the save is fully committed; bit-rot
+        # faults scheduled for this save index strike now.
         hook("sealed", final)
         return entry
 

@@ -17,10 +17,10 @@ this package.
 """
 
 from repro.xray.analyzer import XrayAnalyzer, XrayConfig, as_xray
-from repro.xray.attribute import attribute_regression, xray_records
+from repro.xray.attribute import attribute_regression
 from repro.xray.critical import PathSegment, critical_path
 from repro.xray.graph import COMM_OPS, StepGraph, build_step_graph, is_comm
-from repro.xray.render import render_xray_html, render_xray_markdown, write_xray_report
+from repro.xray.render import xray_report
 
 __all__ = [
     "COMM_OPS",
@@ -33,8 +33,5 @@ __all__ = [
     "build_step_graph",
     "critical_path",
     "is_comm",
-    "render_xray_html",
-    "render_xray_markdown",
-    "write_xray_report",
-    "xray_records",
+    "xray_report",
 ]

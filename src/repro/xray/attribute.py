@@ -8,12 +8,9 @@ wait, untraced, or compute.  Pure function of the two ledgers.
 
 from __future__ import annotations
 
-__all__ = ["attribute_regression", "xray_records"]
+from repro.obsv.analytics import xray_timeline
 
-
-def xray_records(ledger) -> list[dict]:
-    """The per-step xray attribution records of a ledger (may be [])."""
-    return [r["xray"] for r in ledger.steps if isinstance(r.get("xray"), dict)]
+__all__ = ["attribute_regression"]
 
 
 def _totals(records: list[dict]) -> tuple[dict[str, float], dict[str, float], set[str], float]:
@@ -41,8 +38,8 @@ def attribute_regression(baseline, candidate) -> dict | None:
     the total slowdown it explains, and the phase (span name) that
     moved most — enough to point an engineer at one subsystem.
     """
-    base_records = xray_records(baseline)
-    cand_records = xray_records(candidate)
+    base_records = xray_timeline(baseline)
+    cand_records = xray_timeline(candidate)
     if not base_records or not cand_records:
         return None
     base_cat, base_phase, base_comm, base_total = _totals(base_records)

@@ -1,224 +1,90 @@
-"""Render a ledger's xray records as self-contained HTML and markdown.
+"""The xray view: a ledger's critical-path attribution as one report.
 
-Same contract as :mod:`repro.obsv.report`: pure functions of a parsed
-:class:`~repro.obsv.ledger.RunLedger`, HTML with inline CSS and inline
-SVG only (no scripts, no external assets), byte-deterministic given the
-ledger.  The flame view renders each step as one horizontal bar whose
-category slices are proportional to their on-path seconds — a
-critical-path flame graph flattened to one level per step.
+:func:`xray_report` builds it from :func:`repro.obsv.analytics.xray_timeline`
+and :class:`repro.obsv.report.Report` renders it.  The flame view draws
+each step as one bar whose category slices are proportional to their
+on-path seconds — a critical-path flame graph flattened to one level.
 """
 
 from __future__ import annotations
 
 import html
-from pathlib import Path
 
-from repro.util.tables import format_table
-from repro.xray.attribute import xray_records
+from repro.obsv.analytics import xray_timeline
+from repro.obsv.report import Bullets, Note, Report, Section, Svg, Table, records_table
 
-__all__ = ["render_xray_html", "render_xray_markdown", "write_xray_report"]
+__all__ = ["xray_report"]
 
 #: Deterministic category palette: hash-free, assignment by sorted order.
-_COLORS = (
-    "#2563eb", "#059669", "#d97706", "#7c3aed", "#0891b2",
-    "#b91c1c", "#4d7c0f", "#9d174d", "#475569", "#a16207",
-)
-
-_CSS = """
-body { font: 14px/1.5 system-ui, sans-serif; margin: 2rem auto; max-width: 72rem;
-       color: #0f172a; padding: 0 1rem; }
-h1 { font-size: 1.4rem; } h2 { font-size: 1.1rem; margin-top: 2rem; }
-table { border-collapse: collapse; margin: .5rem 0; }
-th, td { border: 1px solid #cbd5e1; padding: .25rem .6rem; text-align: left;
-         font-variant-numeric: tabular-nums; }
-th { background: #f1f5f9; }
-svg text { font: 10px system-ui, sans-serif; fill: #334155; }
-.legend span { display: inline-block; margin-right: 1rem; }
-.legend i { display: inline-block; width: .8em; height: .8em; margin-right: .3em;
-            border-radius: 2px; }
-"""
+_COLORS = ("#2563eb", "#059669", "#d97706", "#7c3aed", "#0891b2",
+           "#b91c1c", "#4d7c0f", "#9d174d", "#475569", "#a16207")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".6g")
-    if value is None:
-        return "-"
-    return str(value)
-
-
-def _palette(categories: list[str]) -> dict[str, str]:
-    return {cat: _COLORS[i % len(_COLORS)] for i, cat in enumerate(categories)}
-
-
-def _categories(records: list[dict]) -> list[str]:
-    cats: set[str] = set()
-    for r in records:
-        cats.update(r.get("by_category", {}))
-    return sorted(cats)
-
-
-def _flame_svg(records: list[dict], colors: dict[str, str]) -> str:
-    """Per-step stacked critical-path bars, one row per step."""
+def _flame(records: list[dict]) -> Svg:
+    """Legend plus per-step stacked critical-path bars, one row per step."""
+    categories = sorted({cat for r in records for cat in r.get("by_category", {})})
+    colors = {cat: _COLORS[i % len(_COLORS)] for i, cat in enumerate(categories)}
     width, row_h, pad, label_w = 680, 18, 4, 60
     vmax = max((r.get("critpath_s", 0.0) for r in records), default=0.0) or 1.0
     height = len(records) * (row_h + pad) + pad
-    parts = [
-        f'<svg viewBox="0 0 {width} {height}" width="{width}" height="{height}" role="img">'
+    parts = ['<p class="legend">'] + [
+        f'<span><i style="background:{color}"></i>{html.escape(cat)}</span>'
+        for cat, color in colors.items()
     ]
+    parts.append(
+        f'</p><svg viewBox="0 0 {width} {height}" width="{width}" height="{height}" role="img">'
+    )
     for row, r in enumerate(records):
         y = pad + row * (row_h + pad)
-        parts.append(
-            f'<text x="0" y="{y + row_h - 5}">step {r.get("step")}</text>'
-        )
+        parts.append(f'<text x="0" y="{y + row_h - 5}">step {r.get("step")}</text>')
         x = float(label_w)
-        scale = (width - label_w) / vmax
-        for cat in sorted(r.get("by_category", {})):
-            seconds = r["by_category"][cat]
-            w = seconds * scale
-            if w <= 0.0:
-                continue
-            title = html.escape(f"{cat}: {seconds:.6g} s")
-            parts.append(
-                f'<rect x="{x:.2f}" y="{y}" width="{w:.2f}" height="{row_h}" '
-                f'fill="{colors[cat]}"><title>{title}</title></rect>'
-            )
-            x += w
+        for cat, seconds in sorted(r.get("by_category", {}).items()):
+            w = seconds * (width - label_w) / vmax
+            if w > 0.0:
+                parts.append(
+                    f'<rect x="{x:.2f}" y="{y}" width="{w:.2f}" height="{row_h}" '
+                    f'fill="{colors[cat]}"><title>{html.escape(f"{cat}: {seconds:.6g} s")}'
+                    "</title></rect>"
+                )
+                x += w
     parts.append("</svg>")
-    return "".join(parts)
+    return Svg("on-path seconds per step, by category: " + ", ".join(categories), "".join(parts))
 
 
-def _legend(colors: dict[str, str]) -> str:
-    return (
-        '<p class="legend">'
-        + "".join(
-            f'<span><i style="background:{color}"></i>{html.escape(cat)}</span>'
-            for cat, color in colors.items()
-        )
-        + "</p>"
-    )
+def _totals(records: list[dict], final) -> list[list]:
+    if isinstance(final, dict) and final:
+        keys = ("steps", "critpath_s", "exposed_comm_s", "hidden_comm_s", "wait_s",
+                "untraced_s", "straggler_skew_s", "top_straggler_rank")
+        return [[k, final[k]] for k in keys if k in final]
+    sums = ("critpath_s", "exposed_comm_s", "wait_s", "untraced_s")
+    return [["steps", len(records)]] + [[k, sum(r.get(k, 0.0) for r in records)] for k in sums]
 
 
-def _summary_rows(records: list[dict], final: dict | None) -> list[list]:
-    if final:
-        keys = (
-            "steps", "critpath_s", "exposed_comm_s", "hidden_comm_s",
-            "wait_s", "untraced_s", "straggler_skew_s", "top_straggler_rank",
-        )
-        return [[k, _fmt(final.get(k))] for k in keys if k in final]
-    rows = [["steps", len(records)]]
-    for key in ("critpath_s", "exposed_comm_s", "wait_s", "untraced_s"):
-        rows.append([key, _fmt(sum(r.get(key, 0.0) for r in records))])
-    return rows
-
-
-def _step_rows(records: list[dict]) -> list[list]:
-    return [
-        [
-            r.get("step"),
-            _fmt(r.get("critpath_s")),
-            _fmt(r.get("exposed_comm_s")),
-            _fmt(r.get("hidden_comm_s")),
-            _fmt(r.get("wait_s")),
-            _fmt(r.get("straggler_rank")),
-        ]
-        for r in records
+def xray_report(ledger) -> Report:
+    """The critical-path view: flame, per-step attribution, totals, and
+    the ten longest on-path segments."""
+    records = xray_timeline(ledger)
+    title = f"Xray report — {ledger.manifest.get('kind', 'run')}"
+    if not records:
+        note = Note("no xray records in this ledger — record with xray enabled")
+        return Report(title, [Section("Critical-path flame view", [note])])
+    columns = {"step": "step", "critpath s": "critpath_s", "exposed comm s": "exposed_comm_s",
+               "hidden comm s": "hidden_comm_s", "wait s": "wait_s", "straggler": "straggler_rank"}
+    totals = Table(["metric", "value"], _totals(records, ledger.final.get("xray")))
+    sections = [
+        Section("Critical-path flame view", [_flame(records)]),
+        Section("Critical path per step", [records_table(records, columns)]),
+        Section("Totals", [totals]),
     ]
-
-
-_STEP_HEADERS = ["step", "critpath s", "exposed comm s", "hidden comm s", "wait s", "straggler"]
-
-
-def render_xray_markdown(ledger) -> str:
-    """Markdown critical-path summary of an xray-enabled ledger."""
-    records = xray_records(ledger)
-    final = ledger.final.get("xray") if isinstance(ledger.final.get("xray"), dict) else None
-    lines = [f"# Xray report — {ledger.manifest.get('kind', 'run')}", ""]
-    if not records:
-        lines.append("(no xray records in this ledger — record with xray enabled)")
-        return "\n".join(lines) + "\n"
-    lines.append("## Critical path per step")
-    lines.append("")
-    lines.append("```")
-    lines.append(format_table(_STEP_HEADERS, _step_rows(records), floatfmt=".6g"))
-    lines.append("```")
-    lines.append("")
-    lines.append("## Totals")
-    lines.append("")
-    for key, value in _summary_rows(records, final):
-        lines.append(f"- **{key}**: `{value}`")
-    longest: list[tuple] = []
-    for r in records:
-        for seg in r.get("top_segments", []):
-            longest.append(
-                (-seg.get("seconds", 0.0), r.get("step"), seg.get("name"),
-                 seg.get("category"), seg.get("rank"), seg.get("seconds"))
-            )
+    longest = sorted(
+        (-seg.get("seconds", 0.0), r.get("step"), seg.get("name"), seg.get("category"),
+         seg.get("rank"), seg.get("seconds"))
+        for r in records
+        for seg in r.get("top_segments", [])
+    )[:10]
     if longest:
-        lines.append("")
-        lines.append("## Longest on-path segments")
-        lines.append("")
-        for _, step, name, category, rank, seconds in sorted(longest)[:10]:
-            lines.append(
-                f"- step {step}: `{name}` ({category}) on rank {rank} — "
-                f"{_fmt(seconds)} s"
-            )
-    return "\n".join(lines) + "\n"
-
-
-def render_xray_html(ledger) -> str:
-    """Self-contained HTML flame / critical-path view of one ledger."""
-    records = xray_records(ledger)
-    final = ledger.final.get("xray") if isinstance(ledger.final.get("xray"), dict) else None
-    kind = html.escape(str(ledger.manifest.get("kind", "run")))
-    sections = [f"<h1>Xray report — {kind}</h1>"]
-    if not records:
-        sections.append("<p>(no xray records in this ledger)</p>")
-    else:
-        colors = _palette(_categories(records))
-        sections.append("<h2>Critical-path flame view</h2>")
-        sections.append(_legend(colors))
-        sections.append(_flame_svg(records, colors))
-        sections.append("<h2>Per-step attribution</h2>")
-        head = "".join(f"<th>{html.escape(h)}</th>" for h in _STEP_HEADERS)
-        body = "".join(
-            "<tr>" + "".join(f"<td>{html.escape(_fmt(c))}</td>" for c in row) + "</tr>"
-            for row in _step_rows(records)
-        )
-        sections.append(
-            f"<table><thead><tr>{head}</tr></thead><tbody>{body}</tbody></table>"
-        )
-        sections.append("<h2>Totals</h2>")
-        body = "".join(
-            f"<tr><td>{html.escape(str(k))}</td><td>{html.escape(_fmt(v))}</td></tr>"
-            for k, v in _summary_rows(records, final)
-        )
-        sections.append(
-            f"<table><thead><tr><th>metric</th><th>value</th></tr></thead>"
-            f"<tbody>{body}</tbody></table>"
-        )
-    return (
-        "<!doctype html><html><head><meta charset='utf-8'>"
-        f"<title>xray report</title><style>{_CSS}</style></head><body>"
-        + "".join(sections)
-        + "</body></html>\n"
-    )
-
-
-def write_xray_report(
-    ledger,
-    *,
-    html_path: str | Path | None = None,
-    md_path: str | Path | None = None,
-) -> list[Path]:
-    """Write the xray HTML and/or markdown views; returns paths written."""
-    written: list[Path] = []
-    if html_path is not None:
-        p = Path(html_path)
-        p.write_text(render_xray_html(ledger))
-        written.append(p)
-    if md_path is not None:
-        p = Path(md_path)
-        p.write_text(render_xray_markdown(ledger))
-        written.append(p)
-    return written
+        sections.append(Section("Longest on-path segments", [Bullets([
+            f"step {step}: {name} ({category}) on rank {rank} — {seconds:.6g} s"
+            for _, step, name, category, rank, seconds in longest
+        ])]))
+    return Report(title, sections)

@@ -27,7 +27,7 @@ from repro.fleet import SharedFabric
 from repro.guard.guard import Guard, GuardConfig
 from repro.kfac_dist import DistributedKfacTrainer
 from repro.models import resnet_proxy
-from repro.obsv import autotune_timeline, LedgerConfig, load_ledger, render_markdown, summarize
+from repro.obsv import autotune_timeline, LedgerConfig, load_ledger, run_report, summarize
 from repro.optim import Sgd
 from repro.train import ClassificationTask, DistributedSgdTrainer
 
@@ -336,7 +336,7 @@ class TestClosedLoop:
             autotune=AutotuneConfig(initial="identity", warmup=2, min_dwell=1),
             degraded=True,
         )
-        md = render_markdown(load_ledger(path))
+        md = run_report(load_ledger(path)).markdown()
         assert "## Autotune decisions" in md
         assert "retune" in md
 

@@ -14,8 +14,14 @@ import pytest
 
 import repro.compression
 import repro.core
-from repro.compression import ErrorFeedback, GradientCompressor
-from repro.core import AdaptiveCompso, Bounds, CompsoCompressor, StepLrSchedule
+from repro.compression import (
+    CocktailSgdCompressor,
+    ErrorFeedback,
+    GradientCompressor,
+    OkTopkCompressor,
+    QsgdCompressor,
+)
+from repro.core import AdaptiveCompso, Bounds, CompsoCompressor, FactorCompressor, StepLrSchedule
 from repro.data import make_image_data
 from repro.distributed import SimCluster
 from repro.kfac_dist import DistributedKfacTrainer
@@ -71,8 +77,18 @@ def test_the_discovery_finds_at_least_the_ten_compressors_of_pr_24():
 def _neutral_answers(comp):
     return [
         comp.bounds, comp.set_bounds(1e-3, 1e-3), comp.set_encoder("huffman"),
-        comp.degrade(3), comp.step(), comp.residual_norm(), comp.state_dict(),
+        comp.degrade(3), comp.step(), comp.residual_norm(),
     ]
+
+
+#: The plain compressors that carry generator (or threshold) state between
+#: calls, and the sections they save; every other plain one saves nothing.
+RESUMABLE = {
+    CocktailSgdCompressor: ["quantizer_rng", "rng"],
+    FactorCompressor: ["rng"],
+    OkTopkCompressor: ["calls", "rng", "threshold"],
+    QsgdCompressor: ["rng"],
+}
 
 
 @pytest.mark.parametrize("cls", PLAIN, ids=lambda c: c.__name__)
@@ -80,9 +96,13 @@ def test_a_plain_compressor_answers_neutrally_and_ignores_steering(cls):
     steered, untouched = cls(), cls()
     assert steered.inner is None
     before = dict(vars(steered))
-    assert _neutral_answers(steered) == [None] * 6 + [{}]
+    assert _neutral_answers(steered) == [None] * 6
     assert steered.reset() is None
-    steered.load_state_dict({"eb_f": np.array(0.5), "rng": np.array("{}")})
+    assert sorted(steered.state_dict()) == RESUMABLE.get(cls, [])
+    # Sections it does not own are ignored; its own come from a fresh twin.
+    steered.load_state_dict(
+        {"eb_f": np.array(0.5), "rng": np.array("{}"), **untouched.state_dict()}
+    )
     assert vars(steered).keys() == before.keys()
     x = _gradient().reshape(64, 64)  # square: FactorCompressor takes nothing else
     assert _frame(steered.compress(x)) == _frame(untouched.compress(x))
@@ -95,7 +115,9 @@ def test_error_feedback_over_a_plain_compressor_has_only_its_residuals(cls):
     assert _neutral_answers(ef)[:5] == [None] * 5
     assert ef.residual_norm() == 0.0 and ef.reset() == 0
     ef.compress(_gradient().reshape(64, 64))
-    assert sorted(ef.state_dict()) == ["residual/0", "residual_keys"]
+    assert sorted(ef.state_dict()) == sorted(
+        ["residual/0", "residual_keys", *RESUMABLE.get(cls, [])]
+    )
     assert ef.reset() == 1 and ef.memory_overhead_bytes == 0
 
 
@@ -261,8 +283,20 @@ def _adaptive(seed):
     return AdaptiveCompso(StepLrSchedule(3), seed=seed)
 
 
+def _square(seed, n=4096):
+    """A square gradient: ``FactorCompressor`` takes nothing else."""
+    side = int(np.sqrt(n))
+    return _gradient(seed, n).reshape(side, side)
+
+
 def _draw(comp):
-    comp.compress(_gradient(1))
+    comp.compress(_square(1))
+
+
+def _oktopk(seed):
+    # A small sample and a short period, so the next frames depend on the
+    # saved threshold, call count and generator alike.
+    return OkTopkCompressor(0.05, reestimate_every=2, sample_size=1024, seed=seed)
 
 
 def _mid_schedule(comp):
@@ -300,6 +334,11 @@ _STATEFUL = {
     "adaptive-autotuned": (_adaptive, _autotuned),
     "ef(compso)": _behind_error_feedback(_compso, _draw),
     "ef(adaptive-mid-degradation)": _behind_error_feedback(_adaptive, _mid_degradation),
+    "cocktail": (lambda seed: CocktailSgdCompressor(seed=seed), _draw),
+    "oktopk": (_oktopk, _draw),
+    "qsgd": (lambda seed: QsgdCompressor(seed=seed), _draw),
+    "factor": (lambda seed: FactorCompressor(seed=seed), _draw),
+    "ef(qsgd)": _behind_error_feedback(lambda seed: QsgdCompressor(seed=seed), _draw),
 }
 
 
@@ -311,7 +350,7 @@ def test_state_round_trip_makes_the_next_frames_identical(name):
     fresh.load_state_dict(used.state_dict())
     assert fresh.bounds == used.bounds
     for step in range(3):
-        x = _gradient(10 + step)
+        x = _square(10 + step)
         assert _frame(fresh.compress(x)) == _frame(used.compress(x)), step
         assert fresh.step() == used.step()
     assert fresh.residual_norm() == used.residual_norm()

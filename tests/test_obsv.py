@@ -28,10 +28,8 @@ from repro.obsv import (
     loss_series,
     parse_tolerance,
     per_layer_cr,
-    render_html,
-    render_markdown,
+    run_report,
     summarize,
-    write_report,
 )
 from repro.obsv.ledger import SCHEMA_VERSION
 from repro.optim import Sgd
@@ -327,12 +325,12 @@ class TestReport:
         path = tmp_path / "run.ledger"
         _record_kfac(path)
         ledger = load_ledger(path)
-        md = render_markdown(ledger)
+        md = run_report(ledger).markdown()
         assert "# Run report — kfac" in md
         assert "## Summary" in md and "final_loss" in md
         assert "## Guard timeline" in md
         assert "Span digests — sim track" in md
-        page = render_html(ledger)
+        page = run_report(ledger).html()
         assert page.startswith("<!doctype html>")
         assert "<script" not in page  # self-contained, no scripts
         assert "<svg" in page and "training loss" in page
@@ -342,8 +340,8 @@ class TestReport:
         path = tmp_path / "run.ledger"
         _record_kfac(path)
         ledger = load_ledger(path)
-        written = write_report(
-            ledger, html_path=tmp_path / "r.html", md_path=tmp_path / "r.md"
+        written = run_report(ledger).write(
+            html_path=tmp_path / "r.html", md_path=tmp_path / "r.md"
         )
         assert [p.name for p in written] == ["r.html", "r.md"]
         assert all(p.stat().st_size > 500 for p in written)

@@ -13,8 +13,15 @@ from repro.distributed import SimCluster
 from repro.fleet import FleetScheduler, JobSpec
 from repro.kfac_dist import DistributedKfacTrainer
 from repro.models import resnet_proxy
-from repro.obsv import LedgerConfig, RunLedger, diff_ledgers, load_ledger, summarize
-from repro.obsv.report import render_html, render_markdown
+from repro.obsv import (
+    LedgerConfig,
+    RunLedger,
+    diff_ledgers,
+    load_ledger,
+    run_report,
+    summarize,
+    xray_timeline,
+)
 from repro.runtime import ComputeModel, StreamRuntime
 from repro.telemetry import SIM_TRACK, Tracer
 from repro.telemetry.tracer import Span, span_sort_key
@@ -28,9 +35,7 @@ from repro.xray import (
     build_step_graph,
     critical_path,
     is_comm,
-    render_xray_html,
-    render_xray_markdown,
-    xray_records,
+    xray_report,
 )
 
 ITERS = 4
@@ -290,7 +295,7 @@ class TestAttribution:
         plain = load_ledger(tmp_path / "plain.ledger")
         assert attribute_regression(plain, with_x) is None
         assert attribute_regression(with_x, plain) is None
-        assert xray_records(plain) == []
+        assert xray_timeline(plain) == []
 
     def test_diff_gates_missing_xray_side(self, tmp_path):
         _run(ledger=tmp_path / "x.ledger", xray=True)
@@ -344,14 +349,14 @@ class TestRender:
         return load_ledger(path)
 
     def test_markdown(self, tmp_path):
-        md = render_xray_markdown(self._ledger(tmp_path))
+        md = xray_report(self._ledger(tmp_path)).markdown()
         assert "# Xray report — kfac" in md
         assert "## Critical path per step" in md
         assert "## Totals" in md and "critpath_s" in md
         assert "## Longest on-path segments" in md
 
     def test_html_self_contained_flame(self, tmp_path):
-        page = render_xray_html(self._ledger(tmp_path))
+        page = xray_report(self._ledger(tmp_path)).html()
         assert page.startswith("<!doctype html>")
         assert "<script" not in page  # inline CSS/SVG only
         assert "<svg" in page and "<rect" in page
@@ -360,13 +365,13 @@ class TestRender:
     def test_no_records_degrades(self, tmp_path):
         _run(ledger=tmp_path / "plain.ledger", xray=None)
         plain = load_ledger(tmp_path / "plain.ledger")
-        assert "no xray records" in render_xray_markdown(plain)
-        assert "no xray records" in render_xray_html(plain)
+        assert "no xray records" in xray_report(plain).markdown()
+        assert "no xray records" in xray_report(plain).html()
 
     def test_obsv_report_gains_xray_section(self, tmp_path):
         ledger = self._ledger(tmp_path)
-        assert "## Critical path (xray)" in render_markdown(ledger)
-        assert "Critical path (xray)" in render_html(ledger)
+        assert "## Critical path (xray)" in run_report(ledger).markdown()
+        assert "Critical path (xray)" in run_report(ledger).html()
 
 
 class TestFleetStragglers:
@@ -500,12 +505,12 @@ class TestMinimalLedgerDegradation:
         assert s["tail_loss"] is None
 
     def test_render_markdown_minimal(self):
-        md = render_markdown(self.MINIMAL)
+        md = run_report(self.MINIMAL).markdown()
         assert "# Run report — kfac" in md
         assert "final_loss" in md
 
     def test_render_html_minimal(self):
-        page = render_html(self.MINIMAL)
+        page = run_report(self.MINIMAL).html()
         assert page.startswith("<!doctype html>")
         assert "<script" not in page
 
