@@ -33,7 +33,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from benchmarks._common import emit
-from repro.autotune import DEFAULT_MENU, AutotuneConfig, replay_extra_seconds
+from repro.autotune import DEFAULT_MENU, AlphaBetaEstimator, replay_extra_seconds
 from repro.core import CompsoCompressor
 from repro.obsv import autotune_timeline, load_ledger
 from repro.scenarios import SCENARIOS, fault_plan, run
@@ -45,7 +45,7 @@ CLOSED_LOOP = SCENARIOS["autotune"]["autotuned-degraded"]
 ITERATIONS = CLOSED_LOOP.iterations
 _DEGRADED = fault_plan(CLOSED_LOOP).degradations[0]
 WINDOW = (_DEGRADED.start, _DEGRADED.stop)
-ALPHA0 = AutotuneConfig().alpha0
+ALPHA0 = AlphaBetaEstimator().alpha0
 
 
 def _static(cand):

@@ -6,11 +6,9 @@ searches error bounds on sample gradients *before* training starts.
 This subsystem closes the loop: an :class:`AutotuneController` observes
 live signals each step — per-layer wire/dense bytes, what the simulated
 clock charged each collective category, fabric health from the fault
-plane's link-degradation windows (or a fleet fabric's
-:meth:`~repro.fleet.SharedFabric.degrade` windows via the ``health``
-hook), and the guard's verdicts — fits an online alpha-beta cost model,
-and re-picks ``{compressor, encoder, aggregation factor, (eb_f, eb_q)}``
-on the fly with bounded hysteresis.
+plane's link-degradation windows, and the guard's verdicts — fits an
+online alpha-beta cost model, and re-picks ``{compressor, encoder,
+aggregation factor, (eb_f, eb_q)}`` on the fly with bounded hysteresis.
 
 Trainers take ``autotune=AutotuneConfig(...)``; ``autotune=None`` (the
 default) is bit-identical to a build without this subsystem.  The

@@ -1,14 +1,13 @@
 """The closed-loop autotune controller and its trainer-facing config.
 
 :class:`AutotuneConfig` is the single knob surface; trainers accept
-``autotune=AutotuneConfig(...)`` (or a prebuilt controller) and call
-:meth:`AutotuneController.end_step` once per iteration, *before* the
-obsv ledger folds the step — so every decision lands in the step record
-that produced it.  ``autotune=None`` (the default) is bit-identical to
-a build without this subsystem: the controller only ever reads trainer
-state, owns its own seeded probe compressors, and mutates the training
-compressor exclusively through ``set_bounds``/``set_encoder`` when a
-decision actually fires.
+``autotune=AutotuneConfig(...)`` and call :meth:`AutotuneController.end_step`
+once per iteration, *before* the obsv ledger folds the step — so every
+decision lands in the step record that produced it.  ``autotune=None``
+(the default) is bit-identical to a build without this subsystem: the
+controller only ever reads trainer state, owns its own seeded probe
+compressors, and mutates the training compressor exclusively through
+``set_bounds``/``set_encoder`` when a decision actually fires.
 
 Decision loop, per step:
 
@@ -62,36 +61,22 @@ class AutotuneConfig:
     warmup: int = 2
     min_dwell: int = 3
     min_improvement: float = 0.1
-    probe_elements: int = 65536
-    cr_smoothing: float = 0.5
-    #: Layers smaller than this travel dense regardless of the active
-    #: candidate (per-layer decision: tiny payloads are alpha-dominated).
-    min_payload_bytes: int = 0
-    alpha0: float = 5e-5
-    beta0: float = 1e-9
     seed: int = 0
 
     def build(self) -> "AutotuneController":
         return AutotuneController(self)
 
 
-def as_autotune(
-    autotune: "AutotuneConfig | AutotuneController | None",
-) -> "AutotuneController | None":
+def as_autotune(autotune: AutotuneConfig | None) -> "AutotuneController | None":
     """Normalise a trainer's ``autotune=`` argument to a controller."""
-    if autotune is None:
-        return None
-    if isinstance(autotune, AutotuneConfig):
-        return autotune.build()
-    return autotune
+    return None if autotune is None else autotune.build()
 
 
 class AutotuneController:
     """Online cost-model controller over the compression stack."""
 
-    def __init__(self, config: AutotuneConfig | None = None):
-        self.config = config if config is not None else AutotuneConfig()
-        c = self.config
+    def __init__(self, config: AutotuneConfig):
+        self.config = c = config
         names = [cand.name for cand in c.menu]
         if len(set(names)) != len(names):
             raise ValueError(f"menu candidate names must be unique, got {names}")
@@ -109,12 +94,6 @@ class AutotuneController:
             raise ValueError(f"safe {safe!r} is not in the menu {names}")
         if c.max_error <= 0:
             raise ValueError(f"max_error must be > 0, got {c.max_error}")
-        if c.probe_elements < 1:
-            raise ValueError(f"probe_elements must be >= 1, got {c.probe_elements}")
-        if not 0 < c.cr_smoothing <= 1:
-            raise ValueError(f"cr_smoothing must be in (0, 1], got {c.cr_smoothing}")
-        if c.min_payload_bytes < 0:
-            raise ValueError(f"min_payload_bytes must be >= 0, got {c.min_payload_bytes}")
         for cand in (by_name[c.initial], by_name[safe]):
             if cand.error_bound > c.max_error:
                 raise ValueError(
@@ -126,10 +105,7 @@ class AutotuneController:
         self.policy = HysteresisPolicy(
             warmup=c.warmup, min_dwell=c.min_dwell, min_improvement=c.min_improvement
         )
-        self.model = CostModel(
-            AlphaBetaEstimator(alpha0=c.alpha0, beta0=c.beta0),
-            cr_smoothing=c.cr_smoothing,
-        )
+        self.model = CostModel(AlphaBetaEstimator())
         #: Append-only decision timeline (the obsv ledger keeps a cursor).
         self.decisions: list[Decision] = []
         #: Modelled codec-minus-aggregation seconds accumulated so far —
@@ -139,12 +115,10 @@ class AutotuneController:
         self._last_change = -1
         self._veto_active = False
         self._last_breakdown: dict[str, float] = {}
-        # Bound subsystems (all optional; duck-typed).
-        self._trainer = None
+        # Bound subsystems (all optional).
         self._cluster = None
         self._guard = None
         self._compressor = None
-        self._health = None
         self._category = "kfac_allgather"
 
     # -- wiring ----------------------------------------------------------------
@@ -152,25 +126,17 @@ class AutotuneController:
     def bind(
         self,
         *,
-        trainer=None,
         cluster=None,
         guard=None,
         compressor=None,
         category: str | None = None,
-        health=None,
     ) -> "AutotuneController":
         """Attach the run's subsystems (None leaves a binding as-is).
 
         ``category`` is the collective category whose clock charges feed
         the alpha-beta fit (``kfac_allgather`` for the K-FAC trainer,
-        ``grad_allreduce`` for SGD).  ``health`` is an optional callable
-        ``step -> (lat_factor, bw_factor)`` (or a scalar factor) layered
-        on top of the fault plane's link degradation — e.g. a fleet job
-        can pass ``lambda t: fabric.degradation_factor(now(t))`` so
-        :meth:`repro.fleet.SharedFabric.degrade` windows steer decisions.
+        ``grad_allreduce`` for SGD).
         """
-        if trainer is not None:
-            self._trainer = trainer
         if cluster is not None:
             self._cluster = cluster
             self._last_breakdown = dict(cluster.breakdown())
@@ -180,8 +146,6 @@ class AutotuneController:
             self._compressor = compressor
         if category is not None:
             self._category = category
-        if health is not None:
-            self._health = health
         return self
 
     # -- data-path hooks ---------------------------------------------------------
@@ -198,14 +162,6 @@ class AutotuneController:
             return None if self.active.is_identity else compressor
         return compressor
 
-    def layer_compressor(self, layer: int, nbytes: float, compressor):
-        """Per-layer decision: identity for sub-threshold payloads."""
-        if compressor is None or self.active.is_identity:
-            return None if self.active.is_identity else compressor
-        if nbytes < self.config.min_payload_bytes:
-            return None
-        return compressor
-
     # -- signals ---------------------------------------------------------------
 
     def _now(self) -> float:
@@ -220,21 +176,12 @@ class AutotuneController:
         self._last_breakdown = bd
         return max(delta, 0.0)
 
-    def _network_factors(self, step: int) -> tuple[float, float]:
-        """(latency, bandwidth) cost multipliers for the current step."""
-        lat = bw = 1.0
+    def _network_factors(self) -> tuple[float, float]:
+        """(latency, bandwidth) cost multipliers of the fault plane now."""
         cluster = self._cluster
         if cluster is not None and cluster.faults is not None:
-            lat, bw = cluster.faults.network_factors()
-        if self._health is not None:
-            h = self._health(step)
-            try:
-                h_lat, h_bw = h
-            except TypeError:
-                h_lat = h_bw = float(h)
-            lat *= h_lat
-            bw *= h_bw
-        return lat, bw
+            return cluster.faults.network_factors()
+        return 1.0, 1.0
 
     # -- decision loop ---------------------------------------------------------
 
@@ -257,19 +204,14 @@ class AutotuneController:
         step = int(step)
         n_layers = max(int(n_messages), 1)
         comm = self._observed_comm()
-        lat, bw = self._network_factors(step)
+        lat, bw = self._network_factors()
         travelled = wire_bytes if wire_bytes > 0 else dense_bytes
         if travelled > 0 and comm > 0:
             # Normalise the fabric factors out so the fit stays a
             # clean-fabric property; predictions scale them back in.
             self.model.estimator.observe(n_layers * lat, travelled * bw, comm)
         if sample is not None and not self._probed:
-            self.model.probe(
-                sample,
-                self.config.menu,
-                seed=self.config.seed,
-                probe_elements=self.config.probe_elements,
-            )
+            self.model.probe(sample, self.config.menu, seed=self.config.seed)
             self._probed = True
         if not self.active.is_identity and wire_bytes > 0 and dense_bytes > 0:
             self.model.update_cr(self.active.name, dense_bytes / wire_bytes)
@@ -278,13 +220,12 @@ class AutotuneController:
             dense_bytes=dense_bytes,
             wire_bytes=wire_bytes if wire_bytes > 0 else dense_bytes,
             n_layers=n_layers,
-            alpha=self.config.alpha0,
+            alpha=self.model.estimator.alpha0,
         )
 
         # Breaker veto: the guard owns the data path until it recloses.
         guard = self._guard
-        veto = getattr(guard, "autotune_veto", None)
-        if veto is not None and veto():
+        if guard is not None and guard.autotune_veto():
             if not self._veto_active:
                 self._veto_active = True
                 safe = self._by_name[self.safe_name]
@@ -357,8 +298,8 @@ class AutotuneController:
         self.active = candidate
         self._last_change = step
         if candidate.is_identity:
-            # Realised by active_compressor()/layer_compressor() returning
-            # None — the trainer's lossless broadcast path.
+            # Realised by active_compressor() returning None — the
+            # trainer's lossless broadcast path.
             return
         if self._compressor is not None:
             self._compressor.set_bounds(candidate.eb_f, candidate.eb_q)
@@ -395,11 +336,6 @@ class AutotuneController:
             "min_improvement": round6(c.min_improvement)
             if math.isfinite(c.min_improvement)
             else "inf",
-            "probe_elements": c.probe_elements,
-            "cr_smoothing": round6(c.cr_smoothing),
-            "min_payload_bytes": c.min_payload_bytes,
-            "alpha0": round6(c.alpha0),
-            "beta0": round6(c.beta0),
             "seed": c.seed,
             "category": self._category,
         }

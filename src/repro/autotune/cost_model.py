@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from repro.autotune.types import CandidateConfig, round6
-from repro.gpusim.encoder_perf import ENCODER_PERF
+from repro.gpusim.encoder_perf import ENCODER_INPUT_FRACTION, ENCODER_PERF
 
 __all__ = [
     "AlphaBetaEstimator",
@@ -33,10 +33,10 @@ __all__ = [
     "replay_extra_seconds",
 ]
 
-#: Fraction of the dense payload COMPSO feeds the lossless encoder
-#: (filter + bitmap + variable-width packing shrink it first; paper
-#: Fig. 4's pipeline leaves the encoder roughly a third of the input).
-_ENCODER_INPUT_FRACTION = 0.3
+#: Elements of the live gradient the one-shot CR probe compresses.
+_PROBE_ELEMENTS = 65536
+#: EWMA weight of a newly observed compression ratio.
+_CR_SMOOTHING = 0.5
 
 
 class AlphaBetaEstimator:
@@ -102,7 +102,7 @@ def codec_seconds(
         return 0.0
     perf = ENCODER_PERF[candidate.encoder]
     invocations = max(1, math.ceil(n_layers / candidate.aggregation))
-    enc_in = dense_bytes * _ENCODER_INPUT_FRACTION / invocations
+    enc_in = dense_bytes * ENCODER_INPUT_FRACTION / invocations
     dec_in = max(wire_bytes, 0.0) / invocations
     return invocations * (perf.compress_time(enc_in) + perf.decompress_time(dec_in))
 
@@ -161,9 +161,8 @@ class CostModel:
     with an EWMA.
     """
 
-    def __init__(self, estimator: AlphaBetaEstimator, cr_smoothing: float = 0.5):
+    def __init__(self, estimator: AlphaBetaEstimator):
         self.estimator = estimator
-        self.cr_smoothing = float(cr_smoothing)
         self.cr: dict[str, float] = {}
 
     # -- compression-ratio estimation ---------------------------------------
@@ -174,7 +173,7 @@ class CostModel:
         candidates: tuple[CandidateConfig, ...],
         *,
         seed: int,
-        probe_elements: int,
+        probe_elements: int = _PROBE_ELEMENTS,
     ) -> None:
         """Fill CR estimates by compressing ``sample`` under each candidate.
 
@@ -218,7 +217,7 @@ class CostModel:
         if prev is None:
             self.cr[name] = float(observed)
         else:
-            s = self.cr_smoothing
+            s = _CR_SMOOTHING
             self.cr[name] = (1.0 - s) * prev + s * float(observed)
 
     # -- prediction ---------------------------------------------------------

@@ -40,11 +40,12 @@ _EXPERIMENTS = [
 ]
 
 
-def _make_compressor(name: str, seed: int):
+def _compressor_factories(seed: int) -> dict:
+    """``--compressor`` name -> factory of that compressor at ``seed``."""
     from repro.compression import CocktailSgdCompressor, QsgdCompressor, SzCompressor
     from repro.core import CompsoCompressor
 
-    factories = {
+    return {
         "compso": lambda: CompsoCompressor(4e-3, 4e-3, seed=seed),
         "compso-sr": lambda: CompsoCompressor(0.0, 4e-3, seed=seed),
         "qsgd8": lambda: QsgdCompressor(8, seed=seed),
@@ -52,6 +53,10 @@ def _make_compressor(name: str, seed: int):
         "sz": lambda: SzCompressor(4e-3),
         "cocktail": lambda: CocktailSgdCompressor(0.2, 8, seed=seed),
     }
+
+
+def _make_compressor(name: str, seed: int):
+    factories = _compressor_factories(seed)
     if name not in factories:
         raise SystemExit(f"unknown compressor {name!r}; choose from {sorted(factories)}")
     return factories[name]()
@@ -72,7 +77,7 @@ def cmd_info(args: argparse.Namespace) -> int:
     print(f"repro {repro.__version__} — COMPSO reproduction (PPoPP'25)")
     print(f"subpackages: {', '.join(repro.__all__)}")
     print(f"encoders: {', '.join(list_encoders())}")
-    print("compressors: compso, compso-sr, qsgd8, qsgd4, sz, cocktail")
+    print(f"compressors: {', '.join(_compressor_factories(0))}")
     return 0
 
 
@@ -334,7 +339,6 @@ def cmd_record(args: argparse.Namespace) -> int:
 
 def cmd_autotune(args: argparse.Namespace) -> int:
     from repro import scenarios
-    from repro.autotune import AutotuneConfig
     from repro.obsv import autotune_timeline, load_ledger, summarize
 
     s = _scenario(
@@ -349,10 +353,10 @@ def cmd_autotune(args: argparse.Namespace) -> int:
         extra = controller.modelled_extra_seconds
     else:
         # The static run holds the "default" menu entry the whole way.
-        from repro.autotune import DEFAULT_MENU, replay_extra_seconds
+        from repro.autotune import DEFAULT_MENU, AlphaBetaEstimator, replay_extra_seconds
 
         default = next(c for c in DEFAULT_MENU if c.name == "default")
-        extra = replay_extra_seconds(ledger.steps, default, alpha=AutotuneConfig().alpha0)
+        extra = replay_extra_seconds(ledger.steps, default, alpha=AlphaBetaEstimator().alpha0)
     window = "none"
     if s.faults is not None:
         degraded = scenarios.fault_plan(s).degradations[0]

@@ -33,7 +33,7 @@ from repro.distributed.collectives import allgather_time
 from repro.distributed.network import NetworkSpec
 from repro.encoders.registry import NVCOMP_CANDIDATES
 from repro.gpusim.device import A100, DeviceModel
-from repro.gpusim.encoder_perf import ENCODER_PERF
+from repro.gpusim.encoder_perf import ENCODER_INPUT_FRACTION, ENCODER_PERF
 from repro.gpusim.kernels import PIPELINES, KernelPipeline
 
 __all__ = ["CommLookupTable", "ProfiledStats", "PerformanceModel"]
@@ -223,7 +223,8 @@ class PerformanceModel:
             compso.set_encoder(name)
             L_c = sum(compso.group_nbytes(g) for g in agg.aggregate(list(grads)))
             perf = ENCODER_PERF[name]
-            t = sum(perf.compress_time(b * 0.3) + perf.decompress_time(b * 0.3) for b in group_bytes)
+            f = ENCODER_INPUT_FRACTION
+            t = sum(perf.compress_time(b * f) + perf.decompress_time(b * f) for b in group_bytes)
             t += self.lookup.time(self.world_size, L_c)
             results[name] = (float(L_c), float(t))
         compso.set_encoder(original_encoder)

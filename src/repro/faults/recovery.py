@@ -34,6 +34,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["TransferReport", "ReliableChannel"]
 
+#: Simulated seconds charged before the first retransmit; each further
+#: retransmit doubles it, up to the cap.
+_BACKOFF_BASE = 1e-4
+_BACKOFF_CAP = 2e-3
+
 
 @dataclass
 class TransferReport:
@@ -61,17 +66,11 @@ class ReliableChannel:
         cluster: "SimCluster",
         *,
         max_retries: int = 3,
-        backoff_base: float = 1e-4,
-        backoff_cap: float = 2e-3,
     ):
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if backoff_base <= 0 or backoff_cap < backoff_base:
-            raise ValueError("need 0 < backoff_base <= backoff_cap")
         self.cluster = cluster
         self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
 
     def broadcast(
         self,
@@ -118,7 +117,7 @@ class ReliableChannel:
                     )
             if attempt == self.max_retries:
                 break
-            backoff = min(self.backoff_base * (2.0**attempt), self.backoff_cap)
+            backoff = min(_BACKOFF_BASE * (2.0**attempt), _BACKOFF_CAP)
             report.backoff_seconds += backoff
             self.cluster.advance_all(backoff, "fault_backoff")
             if m.enabled:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.faults.plan import FaultPlan
-from repro.fleet.job import JobSpec
+from repro.fleet.job import GPUS_PER_NODE, JobSpec
 from repro.util.seeding import spawn_rng
 
 __all__ = ["chaos_plan", "apply_chaos", "fabric_degradations"]
@@ -70,12 +70,12 @@ def chaos_plan(spec: JobSpec, index: int, *, rate: float, seed: int) -> FaultPla
             bandwidth_factor=1.5 + float(rng.random()),
         )
     # Node failures need a surviving remainder and a node to lose.
-    n_nodes = spec.world_size // spec.gpus_per_node
+    n_nodes = spec.world_size // GPUS_PER_NODE
     if n_nodes > 1 and rng.random() < _p(P_NODE_FAILURE, rate):
         plan.add_node_failure(
             int(rng.integers(0, n_nodes)),
             iteration=int(rng.integers(0, iters)),
-            gpus_per_node=spec.gpus_per_node,
+            gpus_per_node=GPUS_PER_NODE,
             recoverable=True,
         )
     if iters > 1 and rng.random() < _p(P_CRASH, rate):

@@ -104,16 +104,6 @@ class SharedFabric:
         self.acquisitions += 1
         return slowed
 
-    def degradation_factor(self, at: float) -> float:
-        """Instantaneous fabric slowdown at fleet time ``at`` (1.0 =
-        healthy).  Overlapping windows compound multiplicatively; the
-        online autotuner polls this as its fabric-health signal."""
-        factor = 1.0
-        for d_start, d_stop, d_factor in self._degradations:
-            if d_start <= at < d_stop:
-                factor *= d_factor
-        return factor
-
     def slowdown(self, name: str) -> float:
         """Mean contention stretch for ``name`` (1.0 = never contended)."""
         nominal = self.nominal_seconds.get(name, 0.0)

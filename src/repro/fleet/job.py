@@ -42,6 +42,10 @@ from repro.store import CheckpointStore
 
 __all__ = ["JobSpec", "FleetJob", "JobCrashed"]
 
+#: Every fleet job runs on nodes of this many GPUs (a smaller world is
+#: one partial node).
+GPUS_PER_NODE = 4
+
 
 class JobCrashed(RuntimeError):
     """Raised by :meth:`FleetJob.step` when a scheduled crash fires."""
@@ -63,10 +67,6 @@ class JobSpec:
     #: Fair-share weight on the fabric (higher = slowed less) and the
     #: scheduler's preemption rank (higher priority can preempt lower).
     priority: float = 1.0
-    gpus_per_node: int = 4
-    #: COMPSO error bound for the preconditioned-gradient compressor;
-    #: ``None`` runs the job uncompressed.
-    eb: float | None = 4e-3
     seed: int = 0
     #: Fleet time at which the job starts (seconds).
     arrival: float = 0.0
@@ -111,13 +111,11 @@ class FleetJob:
         fabric: SharedFabric,
         *,
         store_dir: str | Path,
-        network=None,
         ledger_path: str | Path | None = None,
     ):
         self.spec = spec
         self.fabric = fabric
         fabric.register(spec.name, spec.priority)
-        self._network = network
         self.ledger_path = Path(ledger_path) if ledger_path is not None else None
         # Durable state: the job checkpoints into a sealed, versioned
         # CheckpointStore (its own subdirectory of ``store_dir``) and
@@ -176,9 +174,9 @@ class FleetJob:
         spec = self.spec
         self.cluster = SimCluster.from_world_size(
             spec.world_size,
-            spec.gpus_per_node,
+            GPUS_PER_NODE,
             seed=spec.seed,
-            network=self._network if self._network is not None else SLINGSHOT10,
+            network=SLINGSHOT10,
             track="timing",
             fault_plan=spec.fault_plan,
         )
@@ -194,11 +192,7 @@ class FleetJob:
             self.cluster,
             lr=0.05,
             inv_update_freq=2,
-            compressor=(
-                CompsoCompressor(spec.eb, spec.eb, seed=spec.seed)
-                if spec.eb is not None
-                else None
-            ),
+            compressor=CompsoCompressor(4e-3, 4e-3, seed=spec.seed),
             checkpoint_store=self.store,
             obsv=(
                 LedgerConfig(self.ledger_path, note=f"fleet job={spec.name}")
@@ -253,13 +247,11 @@ class FleetJob:
         """Mean per-rank barrier-wait seconds in the current segment
         (the plane's straggler accounting resets when a crash or
         preemption rebuilds the cluster)."""
-        plane = getattr(self.cluster, "_plane", None)
-        return plane.barrier_wait_s if plane is not None else 0.0
+        return self.cluster._plane.barrier_wait_s
 
     def top_straggler(self) -> tuple[int, float] | None:
         """The rank that led the most barrier time, with its seconds."""
-        plane = getattr(self.cluster, "_plane", None)
-        return plane.top_straggler() if plane is not None else None
+        return self.cluster._plane.top_straggler()
 
     @property
     def useful_time(self) -> float:

@@ -138,7 +138,6 @@ class FleetScheduler:
         self,
         specs: list[JobSpec],
         *,
-        network=None,
         ledger_dir: str | Path | None = None,
         # Ignored; perfbench's fleet_scale passes it until ROADMAP.md item 3a drops both.
         checkpoint_dir: str | Path | None = None,
@@ -189,7 +188,6 @@ class FleetScheduler:
                 spec,
                 self.fabric,
                 store_dir=self.store_dir,
-                network=network,
                 ledger_path=(
                     self.ledger_dir / f"{spec.name}.ledger"
                     if self.ledger_dir is not None

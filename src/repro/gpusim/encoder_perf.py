@@ -15,7 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["EncoderPerf", "ENCODER_PERF", "TABLE2_CALIBRATION"]
+__all__ = ["EncoderPerf", "ENCODER_PERF", "ENCODER_INPUT_FRACTION", "TABLE2_CALIBRATION"]
+
+#: Fraction of the dense payload COMPSO feeds the lossless encoder
+#: (filter + bitmap + variable-width packing shrink it first; paper
+#: Fig. 4's pipeline leaves the encoder roughly a third of the input).
+ENCODER_INPUT_FRACTION = 0.3
 
 #: (resnet_GBps, bert_GBps) for compression (C) and decompression (D)
 #: straight from paper Table 2.

@@ -1,10 +1,10 @@
 """The guard facade: sentinels + detector + policy behind one object.
 
 :class:`GuardConfig` is the single user-facing knob surface; trainers
-accept ``guard=GuardConfig(...)`` (or a prebuilt :class:`Guard`) and
-call into the facade at the few points where numerical health can go
-wrong: payload arrival, decompression, the error-bound contract, the
-eigendecomposition, and the end-of-step loss/grad-norm observation.
+accept ``guard=GuardConfig(...)`` and call into the facade at the few
+points where numerical health can go wrong: payload arrival,
+decompression, the error-bound contract, the eigendecomposition, and
+the end-of-step loss/grad-norm observation.
 
 Everything the guard does is observable: each verdict increments
 ``guard.verdicts`` (labelled by kind), each remediation increments
@@ -36,44 +36,21 @@ __all__ = ["GuardConfig", "Guard", "as_guard"]
 
 @dataclass
 class GuardConfig:
-    """Declarative guard configuration (every sentinel can be tuned off).
+    """Declarative guard configuration: the settings a run chooses.
 
-    The defaults arm the numerical sentinels and the divergence detector
-    with conservative thresholds; the watchdog stays off unless a
+    Every other threshold is the default of the class that uses it
+    (:class:`DivergenceDetector`, :class:`PolicyEngine`,
+    :func:`scan_tensor`, :func:`safe_eigen`, :func:`contract_error`,
+    :class:`CollectiveWatchdog`).  The watchdog stays off unless a
     deadline is given (it needs a :class:`StreamRuntime` to attach to).
     """
 
-    # scan_tensor sentinel on arriving payloads
-    scan_payloads: bool = True
-    abs_limit: float = 1e6
-    # error-bound contract verification (0 disables; N = check every Nth
-    # iteration — it is a full-tensor comparison, so sampling keeps the
-    # guard overhead sub-linear)
-    contract_check_every: int = 1
-    contract_slack: float = 1.25
-    # error-feedback residual guard (None disables)
+    #: Error-feedback residual-norm limit (None disables the sentinel).
     ef_residual_limit: float | None = None
-    # divergence detector
-    window: int = 8
-    warmup: int = 3
-    spike_factor: float = 3.0
-    grad_spike_factor: float = 10.0
-    plateau_window: int = 0
-    plateau_tol: float = 1e-3
-    # circuit breaker
     breaker_cooldown: int = 3
     breaker_reclose_after: int = 2
-    # K-FAC eigendecomposition retries
-    eigen_max_retries: int = 3
-    eigen_jitter: float = 1e-6
-    # collective watchdog (None disables)
+    #: Collective watchdog deadline in simulated seconds (None disables).
     watchdog_deadline: float | None = None
-    watchdog_max_retries: int = 2
-    # policy engine
-    rules: dict[str, tuple[str, ...]] | None = None
-    action_cooldown: int = 2
-    degrade_iterations: int = 3
-    damping_factor: float = 10.0
 
     def build(self) -> "Guard":
         return Guard(self)
@@ -82,27 +59,13 @@ class GuardConfig:
 class Guard:
     """Runtime guard instance: owns the detector, breaker, and policy."""
 
-    def __init__(self, config: GuardConfig | None = None):
-        self.config = config if config is not None else GuardConfig()
-        c = self.config
-        self.detector = DivergenceDetector(
-            window=c.window,
-            warmup=c.warmup,
-            spike_factor=c.spike_factor,
-            grad_spike_factor=c.grad_spike_factor,
-            plateau_window=c.plateau_window,
-            plateau_tol=c.plateau_tol,
-        )
+    def __init__(self, config: GuardConfig):
+        self.config = config
+        self.detector = DivergenceDetector()
         self.breaker = CircuitBreaker(
-            cooldown=c.breaker_cooldown, reclose_after=c.breaker_reclose_after
+            cooldown=config.breaker_cooldown, reclose_after=config.breaker_reclose_after
         )
-        self.policy = PolicyEngine(
-            self.breaker,
-            rules=c.rules,
-            degrade_iterations=c.degrade_iterations,
-            damping_factor=c.damping_factor,
-            action_cooldown=c.action_cooldown,
-        )
+        self.policy = PolicyEngine(self.breaker)
         self.ctx = GuardContext()
         self.watchdog: CollectiveWatchdog | None = None
         self.verdict_counts: dict[str, int] = {}
@@ -129,10 +92,7 @@ class Guard:
         if runtime is None or self.config.watchdog_deadline is None:
             return
         if self.watchdog is None:
-            self.watchdog = CollectiveWatchdog(
-                deadline_seconds=self.config.watchdog_deadline,
-                max_retries=self.config.watchdog_max_retries,
-            )
+            self.watchdog = CollectiveWatchdog(deadline_seconds=self.config.watchdog_deadline)
         runtime.watchdog = self.watchdog
 
     # -- verdict plumbing ------------------------------------------------------
@@ -205,9 +165,7 @@ class Guard:
 
     def scan(self, flat: np.ndarray, *, what: str = "gradient") -> np.ndarray:
         """NaN/Inf + magnitude sentinel; returns the (possibly scrubbed) tensor."""
-        if not self.config.scan_payloads:
-            return flat
-        result = scan_tensor(flat, abs_limit=self.config.abs_limit)
+        result = scan_tensor(flat)
         if not result.clean:
             self._emit(
                 "nonfinite_payload",
@@ -236,12 +194,9 @@ class Guard:
 
     def check_contract(self, original: np.ndarray, decoded, compressor, *, layer: int) -> None:
         """Verify the error-bound contract on an (original, decoded) pair."""
-        every = self.config.contract_check_every
-        if not every or decoded is None or self._iteration % every:
+        if decoded is None:
             return
-        ratio = contract_error(
-            original, decoded, compressor, slack=self.config.contract_slack
-        )
+        ratio = contract_error(original, decoded, compressor)
         if ratio is not None:
             self._emit("contract_violation", {"layer": layer, "error_over_bound": ratio})
 
@@ -256,12 +211,7 @@ class Guard:
 
     def safe_eigen(self, kfac, idx: int) -> None:
         """Guarded eigendecomposition with escalating-damping retries."""
-        attempts = _safe_eigen(
-            kfac,
-            idx,
-            max_retries=self.config.eigen_max_retries,
-            jitter=self.config.eigen_jitter,
-        )
+        attempts = _safe_eigen(kfac, idx)
         if attempts:
             self._emit("eigh_retry", {"layer": idx, "attempts": attempts})
 
@@ -319,10 +269,6 @@ class Guard:
         return out
 
 
-def as_guard(guard: "GuardConfig | Guard | None") -> Guard | None:
+def as_guard(guard: GuardConfig | None) -> Guard | None:
     """Normalise a trainer's ``guard=`` argument to a Guard instance."""
-    if guard is None:
-        return None
-    if isinstance(guard, GuardConfig):
-        return guard.build()
-    return guard
+    return None if guard is None else guard.build()

@@ -42,6 +42,10 @@ class HealthReport:
         return not self.verdicts
 
 
+#: Steps in each rolling baseline window.
+_WINDOW = 8
+
+
 def _median(values: list[float]) -> float:
     s = sorted(values)
     n = len(s)
@@ -55,25 +59,21 @@ class DivergenceDetector:
     def __init__(
         self,
         *,
-        window: int = 8,
         warmup: int = 3,
         spike_factor: float = 3.0,
         grad_spike_factor: float = 10.0,
         plateau_window: int = 0,
         plateau_tol: float = 1e-3,
     ):
-        if window < 2:
-            raise ValueError(f"window must be >= 2, got {window}")
         if spike_factor <= 1.0 or grad_spike_factor <= 1.0:
             raise ValueError("spike factors must be > 1")
-        self.window = window
         self.warmup = warmup
         self.spike_factor = spike_factor
         self.grad_spike_factor = grad_spike_factor
         self.plateau_window = plateau_window
         self.plateau_tol = plateau_tol
-        self._losses: deque[float] = deque(maxlen=window)
-        self._grads: deque[float] = deque(maxlen=window)
+        self._losses: deque[float] = deque(maxlen=_WINDOW)
+        self._grads: deque[float] = deque(maxlen=_WINDOW)
         self._all_losses: list[float] = []
 
     def observe(self, iteration: int, loss: float, grad_norm: float) -> HealthReport:

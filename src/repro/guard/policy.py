@@ -146,6 +146,9 @@ class GuardAction:
         }
 
 
+#: Iterations a ``tighten_bounds`` remediation holds the conservative bounds.
+_DEGRADE_ITERATIONS = 3
+
 #: Verdict kind -> ordered remediations (mildest first).  ``plateau`` is
 #: observe-only by default: it is a tuning signal, not a fault.
 DEFAULT_RULES: dict[str, tuple[str, ...]] = {
@@ -169,15 +172,11 @@ class PolicyEngine:
         self,
         breaker: CircuitBreaker,
         *,
-        rules: dict[str, tuple[str, ...]] | None = None,
-        degrade_iterations: int = 3,
         damping_factor: float = 10.0,
         damping_cap_factor: float = 1e4,
         action_cooldown: int = 2,
     ):
         self.breaker = breaker
-        self.rules = dict(DEFAULT_RULES if rules is None else rules)
-        self.degrade_iterations = degrade_iterations
         self.damping_factor = damping_factor
         self.damping_cap_factor = damping_cap_factor
         self.action_cooldown = action_cooldown
@@ -191,10 +190,10 @@ class PolicyEngine:
     def _apply_tighten_bounds(self, ctx: GuardContext) -> dict | None:
         if ctx.compressor is None:
             return None
-        bounds = ctx.compressor.degrade(self.degrade_iterations)
+        bounds = ctx.compressor.degrade(_DEGRADE_ITERATIONS)
         if bounds is None:
             return None
-        return {"iterations": self.degrade_iterations, "eb_f": bounds.eb_f, "eb_q": bounds.eb_q}
+        return {"iterations": _DEGRADE_ITERATIONS, "eb_f": bounds.eb_f, "eb_q": bounds.eb_q}
 
     def _apply_reset_ef(self, ctx: GuardContext) -> dict | None:
         if ctx.compressor is None or ctx.compressor.reset() is None:
@@ -243,7 +242,7 @@ class PolicyEngine:
         ``action_cooldown`` iterations — recurrence then escalates to
         the next entry instead of re-spamming the same fix.
         """
-        for action in self.rules.get(verdict, ()):
+        for action in DEFAULT_RULES.get(verdict, ()):
             last = self._last_fired.get((verdict, action))
             if last is not None and iteration - last < self.action_cooldown:
                 continue

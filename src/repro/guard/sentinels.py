@@ -73,13 +73,22 @@ def scan_tensor(x: np.ndarray, *, abs_limit: float = 1e6) -> ScanResult:
     return ScanResult(scrubbed, n_nonfinite, n_oversized, max_abs)
 
 
-def contract_error(
-    original: np.ndarray, decoded: np.ndarray, compressor, *, slack: float = 1.25
-) -> float | None:
+#: Headroom over the ``(eb_f + eb_q) * max|x|`` contract before a
+#: reconstruction error counts as a violation.
+_CONTRACT_SLACK = 1.25
+
+#: :func:`safe_eigen`'s repair schedule: attempts, first diagonal jitter,
+#: and the factor each further attempt multiplies it by.
+_EIGEN_RETRIES = 3
+_EIGEN_JITTER = 1e-6
+_EIGEN_ESCALATION = 100.0
+
+
+def contract_error(original: np.ndarray, decoded: np.ndarray, compressor) -> float | None:
     """How badly the compression channel violated its error bound.
 
     Returns ``observed_error / allowed_error`` when the maximum absolute
-    reconstruction error exceeds ``slack`` times the contract
+    reconstruction error exceeds ``_CONTRACT_SLACK`` times the contract
     ``(eb_f + eb_q) * max|original|`` (relative bounds, the COMPSO
     convention), or None when the contract held / is unknowable.  A
     violation means either the compressor is broken or the payload was
@@ -92,7 +101,7 @@ def contract_error(
     vmax = float(np.abs(original).max())
     if vmax == 0.0:
         return None
-    allowed = (bounds.eb_f + bounds.eb_q) * vmax * slack
+    allowed = (bounds.eb_f + bounds.eb_q) * vmax * _CONTRACT_SLACK
     if allowed <= 0.0:
         return None
     err = float(np.abs(decoded.reshape(original.shape) - original).max())
@@ -101,14 +110,15 @@ def contract_error(
     return err / allowed
 
 
-def factor_health(mat: np.ndarray, *, sym_tol: float = 1e-6) -> str | None:
-    """None when ``mat`` is eigh-safe; otherwise a short failure reason."""
+def factor_health(mat: np.ndarray) -> str | None:
+    """None when ``mat`` is eigh-safe (finite, symmetric to 1e-6 of its
+    scale); otherwise a short failure reason."""
     if not np.isfinite(mat).all():
         return "non-finite entries"
     scale = float(np.abs(mat).max())
     if scale > 0.0:
         asym = float(np.abs(mat - mat.T).max())
-        if asym > sym_tol * scale:
+        if asym > 1e-6 * scale:
             return f"asymmetry {asym:.3e} (scale {scale:.3e})"
     return None
 
@@ -120,22 +130,15 @@ def _repair_factor(mat: np.ndarray, jitter: float) -> np.ndarray:
     return sym + jitter * np.eye(sym.shape[0], dtype=sym.dtype)
 
 
-def safe_eigen(
-    kfac: Kfac,
-    idx: int,
-    *,
-    max_retries: int = 3,
-    jitter: float = 1e-6,
-    escalation: float = 100.0,
-) -> int:
+def safe_eigen(kfac: Kfac, idx: int) -> int:
     """Eigendecompose layer ``idx`` with escalating-damping retries.
 
     Healthy factors take the exact same single
     :meth:`~repro.optim.kfac.Kfac.compute_eigen` call an unguarded run
     makes (bit-identical).  On a precheck failure or
     :class:`FactorNumericsError`, both factors are repaired —
-    symmetrised, definitised with ``jitter * escalation**attempt`` on the
-    diagonal — and the decomposition retried; the final attempt's error
+    symmetrised, definitised with ``_EIGEN_JITTER * _EIGEN_ESCALATION**attempt``
+    on the diagonal — and the decomposition retried; the final attempt's error
     propagates if nothing converges.  Returns the number of repair
     attempts spent (0 == healthy path).
     """
@@ -147,14 +150,14 @@ def safe_eigen(
             return 0
         except FactorNumericsError:
             pass
-    for attempt in range(max_retries):
-        eps = jitter * (escalation**attempt)
+    for attempt in range(_EIGEN_RETRIES):
+        eps = _EIGEN_JITTER * (_EIGEN_ESCALATION**attempt)
         st.A = _repair_factor(st.A, eps)
         st.G = _repair_factor(st.G, eps)
         try:
             kfac.compute_eigen(idx)
             return attempt + 1
         except FactorNumericsError:
-            if attempt == max_retries - 1:
+            if attempt == _EIGEN_RETRIES - 1:
                 raise
     raise FactorNumericsError(idx, "unreachable")  # pragma: no cover

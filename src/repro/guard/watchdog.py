@@ -25,6 +25,11 @@ from repro.telemetry import SIM_TRACK, get_metrics, get_tracer
 
 __all__ = ["CollectiveWatchdog", "WatchdogTimeoutError"]
 
+#: Simulated seconds charged before the first retry; each further retry
+#: doubles it, up to the cap.
+_BACKOFF_BASE = 1e-4
+_BACKOFF_CAP = 0.05
+
 
 class WatchdogTimeoutError(RuntimeSchedulerError):
     """A collective exceeded its deadline after all watchdog retries.
@@ -52,9 +57,6 @@ class CollectiveWatchdog:
         *,
         deadline_seconds: float,
         max_retries: int = 2,
-        backoff_base: float = 1e-4,
-        backoff_factor: float = 2.0,
-        backoff_cap: float = 0.05,
     ):
         if deadline_seconds <= 0:
             raise ValueError(f"deadline_seconds must be > 0, got {deadline_seconds}")
@@ -62,9 +64,6 @@ class CollectiveWatchdog:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         self.deadline_seconds = deadline_seconds
         self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.backoff_factor = backoff_factor
-        self.backoff_cap = backoff_cap
         self.retries = 0
         self.timeouts = 0
         #: Chronological {kind, op, seq, ...} records for reporting.
@@ -99,9 +98,7 @@ class CollectiveWatchdog:
             return extras
         rank_ids = [r.rank for r in cluster.ranks]
         for attempt in range(self.max_retries):
-            backoff = min(
-                self.backoff_base * self.backoff_factor**attempt, self.backoff_cap
-            )
+            backoff = min(_BACKOFF_BASE * 2.0**attempt, _BACKOFF_CAP)
             self.retries += 1
             self._record(
                 "retry", runtime, handle, attempt=attempt + 1, backoff_seconds=backoff

@@ -64,9 +64,7 @@ class DistributedKfacTrainer(StepScaffold):
         lr: float = 0.05,
         lr_schedule=None,
         damping: float = 1e-2,
-        factor_decay: float = 0.95,
         inv_update_freq: int = 10,
-        momentum: float = 0.9,
         kl_clip: float = 1e-3,
         compressor: GradientCompressor | None = None,
         factor_compressor: GradientCompressor | None = None,
@@ -96,9 +94,7 @@ class DistributedKfacTrainer(StepScaffold):
             model,
             lr=lr,
             damping=damping,
-            factor_decay=factor_decay,
             inv_update_freq=inv_update_freq,
-            momentum=momentum,
             kl_clip=kl_clip,
         )
         self._assign_owners()
@@ -271,9 +267,8 @@ class DistributedKfacTrainer(StepScaffold):
         # while the owner of layer i+1 preconditions.  The guard's circuit
         # breaker can force the lossless path for the whole step.
         compressor = self.compressor if guard is None else guard.active(self.compressor)
-        autotune = self.autotune
-        if autotune is not None:
-            compressor = autotune.active_compressor(compressor)
+        if self.autotune is not None:
+            compressor = self.autotune.active_compressor(compressor)
         wire = 0.0
         original = 0.0
         layer_wire: list[tuple[int, float, float]] = []
@@ -289,18 +284,13 @@ class DistributedKfacTrainer(StepScaffold):
                     "kfac_compute",
                 )
             original += pg.nbytes
-            comp_i = (
-                compressor
-                if autotune is None
-                else autotune.layer_compressor(i, pg.nbytes, compressor)
-            )
-            if comp_i is not None and self._channel is not None:
+            if compressor is not None and self._channel is not None:
                 # The checksum/retry protocol is barrier-synchronous on
                 # every schedule: retries must settle before the next
                 # transfer can be priced, so this transfer never overlaps.
                 precond[i], payload_bytes = self._reliable_allgather(pg, i, tracer)
             else:
-                payload = pg if comp_i is None else comp_i.compress(pg)
+                payload = pg if compressor is None else compressor.compress(pg)
                 payload_bytes = payload.nbytes
                 with tracer.span("allgather", "comm", layer=i, nbytes=payload_bytes):
                     handle = rt.ibroadcast(
@@ -310,14 +300,14 @@ class DistributedKfacTrainer(StepScaffold):
                         category="kfac_allgather",
                     )
                 if bucket_bytes is None:
-                    precond[i] = self._receive(handle, pg, comp_i, i)
+                    precond[i] = self._receive(handle, pg, compressor, i)
                 else:
-                    in_flight[i] = (handle, pg, comp_i)
+                    in_flight[i] = (handle, pg)
             wire += payload_bytes
             layer_wire.append((i, payload_bytes, pg.nbytes))
         with tracer.span("allgather_wait", "comm"):
-            for i, (handle, owner_pg, comp_i) in in_flight.items():
-                precond[i] = self._receive(handle, owner_pg, comp_i, i)
+            for i, (handle, owner_pg) in in_flight.items():
+                precond[i] = self._receive(handle, owner_pg, compressor, i)
         rt.assert_quiesced()
         return self._apply_and_record(
             losses, precond, wire, original, tracer, layer_wire, grad_norm

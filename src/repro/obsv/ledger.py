@@ -143,13 +143,9 @@ class LedgerConfig:
         return LedgerWriter(self)
 
 
-def as_ledger(obsv: "LedgerConfig | LedgerWriter | None") -> "LedgerWriter | None":
+def as_ledger(obsv: LedgerConfig | None) -> "LedgerWriter | None":
     """Normalise a trainer's ``obsv=`` argument to a LedgerWriter."""
-    if obsv is None:
-        return None
-    if isinstance(obsv, LedgerConfig):
-        return obsv.build()
-    return obsv
+    return None if obsv is None else obsv.build()
 
 
 def _digest(durations: list[float]) -> dict:
@@ -192,7 +188,7 @@ class LedgerWriter:
         self._closed = False
         self._stream_started = False
         # Bound observability sources (all optional).
-        self._trainer = None
+        self._compressor = None
         self._cluster = None
         self._runtime = None
         self._guard = None
@@ -209,7 +205,6 @@ class LedgerWriter:
         self,
         *,
         kind: str,
-        trainer=None,
         cluster=None,
         runtime=None,
         guard=None,
@@ -219,7 +214,7 @@ class LedgerWriter:
         xray=None,
     ) -> "LedgerWriter":
         """Attach the run's subsystems and fill the manifest config."""
-        self._trainer = trainer
+        self._compressor = compressor
         self._cluster = cluster
         self._runtime = runtime
         self._guard = guard
@@ -245,13 +240,11 @@ class LedgerWriter:
                 "bucket_bytes": runtime.bucket_bytes,
             }
         if guard is not None:
-            config = getattr(guard, "config", None)
             guarded: dict = {"enabled": True}
-            if config is not None:
-                for key, value in sorted(vars(config).items()):
-                    scalar = _scalarize(value)
-                    if scalar is not None or value is None:
-                        guarded[key] = scalar
+            for key, value in sorted(vars(guard.config).items()):
+                scalar = _scalarize(value)
+                if scalar is not None or value is None:
+                    guarded[key] = scalar
             self._manifest["guard"] = guarded
         if autotune is not None:
             self._manifest["autotune"] = autotune.describe()
@@ -328,8 +321,7 @@ class LedgerWriter:
         return fresh
 
     def _capture_bounds(self) -> dict | None:
-        trainer = self._trainer
-        compressor = getattr(trainer, "compressor", None) if trainer is not None else None
+        compressor = self._compressor
         bounds = None if compressor is None else compressor.bounds
         if bounds is None:
             return None

@@ -19,18 +19,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.gpusim.device import A100, DeviceModel
+from repro.gpusim.device import A100
 
 __all__ = ["ComputeModel"]
 
 
 @dataclass(frozen=True)
 class ComputeModel:
-    """Analytic per-rank compute-time model for the trainers."""
+    """Analytic per-rank compute-time model for the trainers (an A100)."""
 
-    device: DeviceModel = A100
     #: Effective training throughput, FLOP/s.  ``None`` uses half the
-    #: device's tensor-core peak.
+    #: A100's tensor-core peak.
     train_flops: float | None = None
     #: Backward costs this multiple of forward (the usual 2x).
     backward_factor: float = 2.0
@@ -43,7 +42,7 @@ class ComputeModel:
 
     @property
     def throughput(self) -> float:
-        return self.train_flops if self.train_flops is not None else 0.5 * self.device.tensor_flops
+        return self.train_flops if self.train_flops is not None else 0.5 * A100.tensor_flops
 
     def forward_seconds(self, n_params: int, samples: int) -> float:
         """One forward pass: ~2 FLOPs per parameter per sample."""
@@ -54,7 +53,7 @@ class ComputeModel:
 
     def eig_seconds(self, dim: int) -> float:
         """Owner-rank eigendecomposition of one ``dim x dim`` factor."""
-        return self.device.eig_time(dim)
+        return A100.eig_time(dim)
 
     def precondition_seconds(self, in_f: int, out_f: int) -> float:
         """Owner-rank preconditioning matmuls for one layer."""

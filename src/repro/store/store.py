@@ -347,7 +347,6 @@ class CheckpointStore:
         model,
         kfac=None,
         *,
-        optimizer=None,
         compressor=None,
         world_size: int | None = None,
         step: int = 0,
@@ -375,7 +374,6 @@ class CheckpointStore:
             final,
             model,
             kfac,
-            optimizer=optimizer,
             compressor=compressor,
             world_size=world_size,
             step=step,
@@ -446,9 +444,7 @@ class CheckpointStore:
         model,
         kfac=None,
         *,
-        optimizer=None,
         compressor=None,
-        expect_world_size: int | None = None,
     ) -> Generation | None:
         """Restore the newest *verified* generation; fall back on damage.
 
@@ -472,9 +468,7 @@ class CheckpointStore:
                     self._check_file_seal(entry),
                     model,
                     kfac,
-                    optimizer=optimizer,
                     compressor=compressor,
-                    expect_world_size=expect_world_size,
                     verify=True,
                 )
             except (FileNotFoundError, CheckpointError) as exc:

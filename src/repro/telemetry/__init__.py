@@ -101,15 +101,15 @@ class TelemetrySession(NamedTuple):
 
 
 @contextmanager
-def session(tracer: Tracer | None = None, metrics: MetricsRegistry | None = None):
+def session():
     """Enable telemetry for the duration of the ``with`` block.
 
-    Fresh collectors are created unless provided; the previously active
-    pair (normally the null singletons) is restored on exit, including on
-    exceptions, so a crashed traced run never leaves tracing enabled.
+    Fresh collectors are created; the previously active pair (normally
+    the null singletons) is restored on exit, including on exceptions,
+    so a crashed traced run never leaves tracing enabled.
     """
-    tracer = tracer if tracer is not None else Tracer()
-    metrics = metrics if metrics is not None else MetricsRegistry()
+    tracer = Tracer()
+    metrics = MetricsRegistry()
     prev_tracer = set_tracer(tracer)
     prev_metrics = set_metrics(metrics)
     try:

@@ -69,7 +69,7 @@ class StepScaffold:
         guard,
         obsv,
         autotune,
-        xray,
+        xray=None,
         kfac=None,
         factor_compressor=None,
     ) -> None:
@@ -80,17 +80,18 @@ class StepScaffold:
 
         * ``runtime`` — :class:`repro.runtime.StreamRuntime` scheduling
           the step's collectives; ``None`` is the blocking schedule.
-        * ``guard`` — :class:`repro.guard.Guard` or ``GuardConfig``:
-          payload sentinels, divergence detection, self-healing
-          remediation and the compression circuit breaker.
-        * ``autotune`` — :class:`repro.autotune.AutotuneConfig` or a
-          controller: closed-loop retuning of the compression stack on
-          ``category``; owns its own probe RNG.
+        * ``guard`` — :class:`repro.guard.GuardConfig`: payload
+          sentinels, divergence detection, self-healing remediation and
+          the compression circuit breaker.
+        * ``autotune`` — :class:`repro.autotune.AutotuneConfig`:
+          closed-loop retuning of the compression stack on ``category``;
+          owns its own probe RNG.
         * ``xray`` — :class:`repro.xray.XrayConfig`, an analyzer or
-          ``True``: per-step critical-path attribution over the spans.
-        * ``obsv`` — :class:`repro.obsv.LedgerConfig` or a writer: the
-          run ledger folding metrics, span digests, overlap accounting,
-          guard events and the above into one artifact.
+          ``True``: per-step critical-path attribution over the spans
+          (the K-FAC trainer only).
+        * ``obsv`` — :class:`repro.obsv.LedgerConfig`: the run ledger
+          folding metrics, span digests, overlap accounting, guard
+          events and the above into one artifact.
         """
         from repro.autotune.controller import as_autotune
         from repro.guard.guard import as_guard
@@ -111,20 +112,15 @@ class StepScaffold:
         self.autotune = as_autotune(autotune)
         if self.autotune is not None:
             self.autotune.bind(
-                trainer=self,
-                cluster=cluster,
-                guard=self.guard,
-                compressor=compressor,
-                category=category,
+                cluster=cluster, guard=self.guard, compressor=compressor, category=category
             )
         self.xray = as_xray(xray)
         if self.xray is not None:
-            self.xray.bind(trainer=self, cluster=cluster, runtime=runtime)
+            self.xray.bind(cluster=cluster)
         self.obsv = as_ledger(obsv)
         if self.obsv is not None:
             self.obsv.bind(
                 kind=kind,
-                trainer=self,
                 cluster=cluster,
                 runtime=runtime,
                 guard=self.guard,

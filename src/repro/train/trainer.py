@@ -83,7 +83,7 @@ class DistributedSgdTrainer(StepScaffold):
     whole-gradient barrier for ``runtime=None``.  An exploding
     error-feedback residual is the guard's to catch
     (``GuardConfig.ef_residual_limit``).  ``runtime``, ``guard``,
-    ``obsv``, ``autotune`` and ``xray`` are documented at
+    ``obsv`` and ``autotune`` are documented at
     :meth:`StepScaffold._bind_collaborators`.
     """
 
@@ -94,19 +94,16 @@ class DistributedSgdTrainer(StepScaffold):
         optimizer,
         cluster: SimCluster,
         *,
-        lr_schedule=None,
         compressor: GradientCompressor | None = None,
         runtime=None,
         guard=None,
         obsv=None,
         autotune=None,
-        xray=None,
     ):
         self.model = model
         self.task = task
         self.optimizer = optimizer
         self.cluster = cluster
-        self.lr_schedule = lr_schedule
         self.compressor = compressor
         self.t = 0
         self.history = TrainHistory()
@@ -117,7 +114,6 @@ class DistributedSgdTrainer(StepScaffold):
             guard=guard,
             obsv=obsv,
             autotune=autotune,
-            xray=xray,
         )
 
     def _flat_grad(self) -> np.ndarray:
@@ -182,8 +178,6 @@ class DistributedSgdTrainer(StepScaffold):
         self._scatter_grads(self.model.parameters(), reduced0)
         if guard is not None:
             guard.check_ef(self.compressor)
-        if self.lr_schedule is not None:
-            self.optimizer.lr = self.lr_schedule.lr_at(self.t)
         with tracer.span("apply_update", "update"):
             self.optimizer.step()
         mean_loss = float(np.mean(losses))

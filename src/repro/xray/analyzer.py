@@ -29,19 +29,17 @@ __all__ = ["XrayConfig", "XrayAnalyzer", "as_xray"]
 class XrayConfig:
     """Configuration for the causal-trace analyzer.
 
-    ``tol`` is the time-comparison tolerance of the path walk;
     ``top_segments`` caps the per-step "longest segments" list stored
     in the ledger.
     """
 
-    tol: float = 1e-12
     top_segments: int = 5
 
     def build(self) -> "XrayAnalyzer":
         return XrayAnalyzer(self)
 
     def describe(self) -> dict:
-        return {"tol": self.tol, "top_segments": self.top_segments}
+        return {"top_segments": self.top_segments}
 
 
 def as_xray(xray) -> "XrayAnalyzer | None":
@@ -71,7 +69,6 @@ class XrayAnalyzer:
         self.config = config if config is not None else XrayConfig()
         self.records: list[dict] = []
         self._cluster = None
-        self._runtime = None
         self._t_prev = 0.0
         self._span_cursor = 0
         self._edge_cursor = 0
@@ -80,10 +77,9 @@ class XrayAnalyzer:
     def describe(self) -> dict:
         return self.config.describe()
 
-    def bind(self, *, trainer=None, cluster=None, runtime=None) -> "XrayAnalyzer":
-        """Attach the run's cluster (the sim clock source) and runtime."""
+    def bind(self, *, cluster=None) -> "XrayAnalyzer":
+        """Attach the run's cluster (the sim clock source)."""
         self._cluster = cluster
-        self._runtime = runtime
         if cluster is not None:
             self._t_prev = cluster.time
         return self
@@ -110,8 +106,8 @@ class XrayAnalyzer:
         edges = tracer.edges()
         fresh_edges = tuple(edges[self._edge_cursor :])
         self._edge_cursor = len(edges)
-        graph = build_step_graph(fresh, fresh_edges, t0=t0, t1=t1, tol=self.config.tol)
-        segments = critical_path(graph, tol=self.config.tol)
+        graph = build_step_graph(fresh, fresh_edges, t0=t0, t1=t1)
+        segments = critical_path(graph)
         record = self._attribute(step, graph, segments)
         self.records.append(record)
         self._pending = record

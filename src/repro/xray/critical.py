@@ -20,13 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.xray.graph import StepGraph, is_comm
+from repro.xray.graph import TOL, StepGraph, is_comm
 
 __all__ = ["PathSegment", "critical_path"]
-
-#: Internal time comparison tolerance (seconds).  Well below the 1e-9
-#: identity the tests assert, well above float64 noise at sim scales.
-_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -66,12 +62,12 @@ def _covering_index(lane: list, hint: int, t: float) -> int:
     so the scan only ever moves left — the whole walk is O(spans).
     """
     i = min(hint, len(lane) - 1)
-    while i >= 0 and lane[i].start >= t - _TOL:
+    while i >= 0 and lane[i].start >= t - TOL:
         i -= 1
     return i
 
 
-def critical_path(graph: StepGraph, *, tol: float = _TOL) -> list[PathSegment]:
+def critical_path(graph: StepGraph) -> list[PathSegment]:
     """Extract the step's critical path as a list of segments.
 
     Segments come out in reverse-chronological walk order but are
@@ -80,7 +76,7 @@ def critical_path(graph: StepGraph, *, tol: float = _TOL) -> list[PathSegment]:
     filler).
     """
     t0, t1 = graph.t0, graph.t1
-    if t1 - t0 <= tol:
+    if t1 - t0 <= TOL:
         return []
     lanes = {r: lane for r, lane in graph.lanes.items() if lane}
     if not lanes:
@@ -92,16 +88,16 @@ def critical_path(graph: StepGraph, *, tol: float = _TOL) -> list[PathSegment]:
     # defines the step's end time (ties break to the lowest rank).
     rank = rank_order[0]
     for r in rank_order[1:]:
-        if lanes[r][-1].end > lanes[rank][-1].end + tol:
+        if lanes[r][-1].end > lanes[rank][-1].end + TOL:
             rank = r
     pointer = {r: len(lane) - 1 for r, lane in lanes.items()}
     segments: list[PathSegment] = []
     t = t1
-    while t > t0 + tol:
+    while t > t0 + TOL:
         lane = lanes[rank]
         i = _covering_index(lane, pointer[rank], t)
         pointer[rank] = i
-        if i < 0 or lane[i].end < t - tol:
+        if i < 0 or lane[i].end < t - TOL:
             # Nothing on this rank accounts for the time ending at t:
             # an instrumentation gap (timing-track barriers emit no
             # span).  Fill down to the nearest accounted boundary.
@@ -121,7 +117,7 @@ def critical_path(graph: StepGraph, *, tol: float = _TOL) -> list[PathSegment]:
                     continue
                 j = _covering_index(lanes[r], pointer[r], t)
                 pointer[r] = j
-                if j >= 0 and lanes[r][j].end >= t - tol and not _is_barrier_wait(lanes[r][j]):
+                if j >= 0 and lanes[r][j].end >= t - TOL and not _is_barrier_wait(lanes[r][j]):
                     rank = r
                     jumped = True
                     break

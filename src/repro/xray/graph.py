@@ -20,6 +20,11 @@ from repro.telemetry.tracer import SIM_TRACK, Edge, Span, span_sort_key
 
 __all__ = ["COMM_OPS", "StepGraph", "build_step_graph", "is_comm"]
 
+#: Time comparison tolerance (seconds) of the graph build and the path
+#: walk.  Well below the 1e-9 identity the tests assert, well above
+#: float64 noise at sim scales.
+TOL = 1e-12
+
 #: Span names that are collective operations on the wire.
 COMM_OPS = frozenset(
     {"allreduce", "allgather", "broadcast", "reduce_scatter", "gather", "alltoall"}
@@ -67,7 +72,6 @@ def build_step_graph(
     *,
     t0: float,
     t1: float,
-    tol: float = 1e-12,
 ) -> StepGraph:
     """Assemble the step DAG for the window ``[t0, t1]``.
 
@@ -79,9 +83,9 @@ def build_step_graph(
     """
     graph = StepGraph(t0=t0, t1=t1, edges=tuple(edges))
     for span in sorted(spans, key=span_sort_key):
-        if span.track != SIM_TRACK or span.duration <= tol:
+        if span.track != SIM_TRACK or span.duration <= TOL:
             continue
-        if span.end <= t0 + tol or span.start >= t1 - tol:
+        if span.end <= t0 + TOL or span.start >= t1 - TOL:
             continue
         target = graph.lanes if span.stream == 0 else graph.comm_lanes
         target.setdefault(span.rank, []).append(span)

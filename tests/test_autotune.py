@@ -23,7 +23,6 @@ from repro.core import CompsoCompressor
 from repro.data import make_image_data
 from repro.distributed import SimCluster
 from repro.faults import FaultPlan, LinkDegradation
-from repro.fleet import SharedFabric
 from repro.guard.guard import Guard, GuardConfig
 from repro.kfac_dist import DistributedKfacTrainer
 from repro.models import resnet_proxy
@@ -357,25 +356,6 @@ class TestClosedLoop:
         report = controller.report()
         assert report["active"] == "default"
         assert report["model"]["observations"] > 0
-
-
-class TestFabricHealth:
-    def test_degradation_factor_windows_compound(self):
-        fabric = SharedFabric()
-        fabric.degrade(1.0, 3.0, 2.0)
-        fabric.degrade(2.0, 4.0, 3.0)
-        assert fabric.degradation_factor(0.5) == 1.0
-        assert fabric.degradation_factor(1.5) == 2.0
-        assert fabric.degradation_factor(2.5) == 6.0
-        assert fabric.degradation_factor(3.5) == 3.0
-        assert fabric.degradation_factor(4.0) == 1.0
-
-    def test_health_hook_steers_decisions(self):
-        controller = AutotuneConfig(initial="default", warmup=0, min_dwell=1).build()
-        controller.bind(health=lambda step: (2.0, 8.0))
-        assert controller._network_factors(0) == (2.0, 8.0)
-        controller.bind(health=lambda step: 3.0)
-        assert controller._network_factors(0) == (3.0, 3.0)
 
 
 class TestCli:

@@ -424,7 +424,13 @@ _CONTRACT_NAMES = (
 #: A trainer's durable state is declared too (DESIGN.md decision 23): every
 #: trainer answers ``restore_latest``, and there is one way to save.
 _DURABLE_NAMES = "checkpoint_store|restore_latest|save_state|restore_state|_last_checkpoint"
-_PROBE = re.compile(rf'(getattr|hasattr)\([^,]+, *"({_CONTRACT_NAMES}|{_DURABLE_NAMES})"')
+#: And so are the run's collaborators: a guard has a ``config`` and an
+#: ``autotune_veto``, a trainer a ``compressor``, a fleet job's cluster the
+#: timing track's ``_plane``.
+_COLLABORATOR_NAMES = "autotune_veto|config|compressor|_plane"
+_PROBE = re.compile(
+    rf'(getattr|hasattr)\([^,]+, *"({_CONTRACT_NAMES}|{_DURABLE_NAMES}|{_COLLABORATOR_NAMES})"'
+)
 _TYPE_TEST = re.compile(
     r"isinstance\(.*\b(" + "|".join(cls.__name__ for cls in CLASSES) + r")\b"
 )
@@ -456,10 +462,15 @@ def test_the_probe_lint_sees_what_it_looks_for():
         'store = getattr(trainer, "checkpoint_store", None)\n'
         'if hasattr(trainer, "restore_state"):\n'
         'checkpoint = getattr(trainer, "_last_checkpoint", None)\n'
+        'config = getattr(guard, "config", None)\n'
+        'compressor = getattr(trainer, "compressor", None)\n'
+        'veto = getattr(guard, "autotune_veto", None)\n'
+        'plane = getattr(self.cluster, "_plane", None)\n'
+        'compressor_name = getattr(args, "compressor_name", None)\n'
     )
     assert [hit.split(":")[1] for hit in _probes(_SRC / "guard" / "x.py", bad)] == [
-        "1", "2", "4", "5", "7", "8", "9",
+        "1", "2", "4", "5", "7", "8", "9", "10", "11", "12", "13",
     ]
     assert [hit.split(":")[1] for hit in _probes(_SRC / "core" / "x.py", bad)] == [
-        "1", "2", "5", "7", "8", "9",
+        "1", "2", "5", "7", "8", "9", "10", "11", "12", "13",
     ]

@@ -1,0 +1,162 @@
+"""The knob lint: a config field or keyword parameter exists because something sets it.
+
+Each default is declared once, in the class that uses it (DESIGN.md decision
+26).  A field of a run-assembly config, or a parameter of a run-assembly
+constructor, that no call site sets only re-declares that default — and the
+ledger manifest would record it as if a run had chosen it.  This lint parses
+every call site (``src/``, ``benchmarks/``, ``examples/``, ``perfbench/``,
+``tests/`` and the Python blocks of ``ci.yml``) and fails on any knob none of
+them sets.  A ``**`` expansion sets the keys of a dict literal and nothing
+else; ``dataclasses.replace`` sets nothing, because the call does not say
+which class it copies.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+import textwrap
+from pathlib import Path
+
+_ROOT = Path(__file__).resolve().parent.parent
+_CALL_SITE_DIRS = ("src", "benchmarks", "examples", "perfbench", "tests")
+_CI = _ROOT / ".github" / "workflows" / "ci.yml"
+
+#: (defining module, class, method).  ``None`` as the method means the class
+#: is a dataclass whose fields are the knobs; a method's knobs are its
+#: parameters, and ``__init__``'s are set by calling the class.
+KNOBS: tuple[tuple[str, str, str | None], ...] = (
+    ("src/repro/guard/guard.py", "GuardConfig", None),
+    ("src/repro/autotune/controller.py", "AutotuneConfig", None),
+    ("src/repro/xray/analyzer.py", "XrayConfig", None),
+    ("src/repro/obsv/ledger.py", "LedgerConfig", None),
+    ("src/repro/fleet/job.py", "JobSpec", None),
+    ("src/repro/kfac_dist/trainer.py", "DistributedKfacTrainer", "__init__"),
+    ("src/repro/train/trainer.py", "DistributedSgdTrainer", "__init__"),
+    ("src/repro/fleet/scheduler.py", "FleetScheduler", "__init__"),
+    ("src/repro/store/store.py", "CheckpointStore", "__init__"),
+    ("src/repro/store/store.py", "CheckpointStore", "save"),
+    ("src/repro/store/store.py", "CheckpointStore", "load_latest"),
+    ("src/repro/runtime/engine.py", "StreamRuntime", "__init__"),
+    ("src/repro/runtime/compute.py", "ComputeModel", None),
+    ("src/repro/faults/recovery.py", "ReliableChannel", "__init__"),
+    ("src/repro/guard/watchdog.py", "CollectiveWatchdog", "__init__"),
+)
+
+
+def knobs_of(tree: ast.Module, cls: str, method: str | None) -> list[str]:
+    """The settable names of ``cls`` (fields) or of ``cls.method`` (parameters)."""
+    node = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls)
+    if method is None:
+        return [
+            s.target.id
+            for s in node.body
+            if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+        ]
+    fn = next(n for n in node.body if isinstance(n, ast.FunctionDef) and n.name == method)
+    return [a.arg for a in fn.args.args[1:] + fn.args.kwonlyargs]
+
+
+def _dict_keys(node: ast.expr) -> list[str]:
+    """Keys a ``**`` expansion sets: those of a dict literal, else none."""
+    if isinstance(node, ast.Dict):
+        return [k.value for k in node.keys if isinstance(k, ast.Constant)]
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "dict":
+        return [k.arg for k in node.keywords if k.arg is not None]
+    return []
+
+
+def calls_by_callee(tree: ast.AST) -> dict[str, list[ast.Call]]:
+    """Every call in ``tree``, grouped by the name it calls."""
+    out: dict[str, list[ast.Call]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name):
+                out.setdefault(node.func.id, []).append(node)
+            elif isinstance(node.func, ast.Attribute):
+                out.setdefault(node.func.attr, []).append(node)
+    return out
+
+
+def set_names(calls: list[ast.Call], positional: list[str]) -> set[str]:
+    """Names ``calls`` set, by keyword, by a resolvable ``**`` expansion or
+    by position (``positional`` in order)."""
+    found: set[str] = set()
+    for node in calls:
+        for i, arg in enumerate(node.args):
+            if isinstance(arg, ast.Starred):
+                break
+            if i < len(positional):
+                found.add(positional[i])
+        for kw in node.keywords:
+            found.update([kw.arg] if kw.arg is not None else _dict_keys(kw.value))
+    return found
+
+
+def _callee(cls: str, method: str | None) -> str:
+    return cls if method in (None, "__init__") else method
+
+
+def _sources() -> dict[str, ast.Module]:
+    """Every call site that mentions a knob's callee, parsed."""
+    wanted = re.compile("|".join(sorted({_callee(cls, m) for _, cls, m in KNOBS})))
+    texts = {
+        str(path.relative_to(_ROOT)): path.read_text()
+        for d in _CALL_SITE_DIRS
+        for path in sorted((_ROOT / d).rglob("*.py"))
+    }
+    # ci.yml's inline Python (heredoc blocks) is a call site too.
+    for i, block in enumerate(re.findall(r"<<'EOF'\n(.*?)\n\s*EOF", _CI.read_text(), re.S)):
+        texts[f"ci.yml#{i}"] = textwrap.dedent(block)
+    return {where: ast.parse(text) for where, text in texts.items() if wanted.search(text)}
+
+
+def setters(sources: dict[str, ast.Module]) -> dict[tuple[str, str], list[str]]:
+    """``(owner, knob)`` → the files that set it, for every knob in :data:`KNOBS`."""
+    calls = {where: calls_by_callee(tree) for where, tree in sources.items()}
+    out: dict[tuple[str, str], list[str]] = {}
+    for module, cls, method in KNOBS:
+        names = knobs_of(sources[module], cls, method)
+        callee = _callee(cls, method)
+        owner = cls if callee == cls else f"{cls}.{method}"
+        for name in names:
+            out[(owner, name)] = []
+        for where, by_callee in calls.items():
+            for name in set_names(by_callee.get(callee, []), names):
+                out[(owner, name)].append(where)
+    return out
+
+
+def test_every_knob_is_set_by_a_call_site():
+    unset = sorted(f"{owner}({knob}=)" for (owner, knob), where in setters(_sources()).items()
+                   if not where)
+    assert unset == [], "knobs no call site sets; delete them: " + ", ".join(unset)
+
+
+def test_the_knob_lint_sees_what_it_looks_for():
+    defining = ast.parse(
+        "class Config:\n"
+        "    a: int = 1\n"
+        "    b: int = 2\n"
+        "    c: int = 3\n"
+        "    d: int = 4\n"
+        "    e: int = 5\n"
+        "class Engine:\n"
+        "    def __init__(self, x, *, y=1, z=2):\n"
+        "        pass\n"
+    )
+    calls = ast.parse(
+        "Config(0)\n"  # a, by position
+        "cfg.Config(b=1)\n"  # b, by keyword through an attribute
+        "Config(**{'c': 1})\n"  # c, a dict literal expanded
+        "Config(**dict(d=1))\n"
+        "Config(**options)\n"  # unresolvable: sets nothing
+        "Other(e=1)\n"  # another callee
+        "replace(cfg, e=1)\n"  # the copied class is unknown
+        "Engine(cluster, *rest, y=0)\n"
+    )
+    assert knobs_of(defining, "Config", None) == ["a", "b", "c", "d", "e"]
+    assert knobs_of(defining, "Engine", "__init__") == ["x", "y", "z"]
+    by_callee = calls_by_callee(calls)
+    assert set_names(by_callee["Config"], ["a", "b", "c", "d", "e"]) == {"a", "b", "c", "d"}
+    assert set_names(by_callee["Engine"], ["x", "y", "z"]) == {"x", "y"}

@@ -252,7 +252,7 @@ class TestLedgerIntegration:
         path = tmp_path / "run.ledger"
         _run(ledger=path)
         ledger = load_ledger(path)
-        assert ledger.manifest["xray"] == {"tol": 1e-12, "top_segments": 5}
+        assert ledger.manifest["xray"] == {"top_segments": 5}
         for step in ledger.steps:
             xr = step["xray"]
             assert xr["critpath_s"] == pytest.approx(xr["elapsed_s"], abs=IDENTITY_TOL)
