@@ -25,8 +25,7 @@ Decision loop, per step:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.autotune.cost_model import (
     AlphaBetaEstimator,
@@ -39,28 +38,30 @@ from repro.telemetry import SIM_TRACK, get_metrics, get_tracer
 
 __all__ = ["AutotuneConfig", "AutotuneController", "as_autotune"]
 
+#: Candidate pinned while the guard's breaker vetoes the controller.
+_SAFE = "identity"
+#: The fidelity gate: a candidate whose worst-case relative point error
+#: (``eb_f + eb_q``) exceeds it is never chosen.
+_MAX_ERROR = 0.05
+#: The collective category whose clock charges feed the alpha-beta fit:
+#: the K-FAC trainer's preconditioned-gradient broadcast.
+_CATEGORY = "kfac_allgather"
+
 
 @dataclass
 class AutotuneConfig:
-    """Declarative configuration for the online autotuner.
+    """Declarative configuration for the online autotuner over
+    :data:`~repro.autotune.types.DEFAULT_MENU`.
 
     ``initial`` names the menu entry that *describes the compressor the
     trainer was constructed with* — the controller never mutates
     anything until a decision fires, which is what keeps a
     never-firing controller bit-identical to the plain run.
-    ``max_error`` is the fidelity gate: candidates whose worst-case
-    relative point error (``eb_f + eb_q``) exceeds it are never chosen.
     """
 
-    menu: tuple[CandidateConfig, ...] = DEFAULT_MENU
     initial: str = "default"
-    #: Candidate pinned while the guard's breaker vetoes the controller;
-    #: defaults to ``"identity"`` if present, else the tightest bounds.
-    safe: str | None = None
-    max_error: float = 0.05
     warmup: int = 2
     min_dwell: int = 3
-    min_improvement: float = 0.1
     seed: int = 0
 
     def build(self) -> "AutotuneController":
@@ -77,34 +78,12 @@ class AutotuneController:
 
     def __init__(self, config: AutotuneConfig):
         self.config = c = config
-        names = [cand.name for cand in c.menu]
-        if len(set(names)) != len(names):
-            raise ValueError(f"menu candidate names must be unique, got {names}")
-        by_name = {cand.name: cand for cand in c.menu}
+        by_name = {cand.name: cand for cand in DEFAULT_MENU}
         if c.initial not in by_name:
-            raise ValueError(f"initial {c.initial!r} is not in the menu {names}")
-        safe = c.safe
-        if safe is None:
-            safe = (
-                "identity"
-                if "identity" in by_name
-                else min(c.menu, key=lambda cand: (cand.error_bound, cand.name)).name
-            )
-        if safe not in by_name:
-            raise ValueError(f"safe {safe!r} is not in the menu {names}")
-        if c.max_error <= 0:
-            raise ValueError(f"max_error must be > 0, got {c.max_error}")
-        for cand in (by_name[c.initial], by_name[safe]):
-            if cand.error_bound > c.max_error:
-                raise ValueError(
-                    f"candidate {cand.name!r} violates max_error={c.max_error}"
-                )
+            raise ValueError(f"initial {c.initial!r} is not in the menu {list(by_name)}")
         self._by_name = by_name
-        self.safe_name = safe
         self.active: CandidateConfig = by_name[c.initial]
-        self.policy = HysteresisPolicy(
-            warmup=c.warmup, min_dwell=c.min_dwell, min_improvement=c.min_improvement
-        )
+        self.policy = HysteresisPolicy(warmup=c.warmup, min_dwell=c.min_dwell)
         self.model = CostModel(AlphaBetaEstimator())
         #: Append-only decision timeline (the obsv ledger keeps a cursor).
         self.decisions: list[Decision] = []
@@ -119,24 +98,11 @@ class AutotuneController:
         self._cluster = None
         self._guard = None
         self._compressor = None
-        self._category = "kfac_allgather"
 
     # -- wiring ----------------------------------------------------------------
 
-    def bind(
-        self,
-        *,
-        cluster=None,
-        guard=None,
-        compressor=None,
-        category: str | None = None,
-    ) -> "AutotuneController":
-        """Attach the run's subsystems (None leaves a binding as-is).
-
-        ``category`` is the collective category whose clock charges feed
-        the alpha-beta fit (``kfac_allgather`` for the K-FAC trainer,
-        ``grad_allreduce`` for SGD).
-        """
+    def bind(self, *, cluster=None, guard=None, compressor=None) -> "AutotuneController":
+        """Attach the run's subsystems (None leaves a binding as-is)."""
         if cluster is not None:
             self._cluster = cluster
             self._last_breakdown = dict(cluster.breakdown())
@@ -144,8 +110,6 @@ class AutotuneController:
             self._guard = guard
         if compressor is not None:
             self._compressor = compressor
-        if category is not None:
-            self._category = category
         return self
 
     # -- data-path hooks ---------------------------------------------------------
@@ -172,7 +136,7 @@ class AutotuneController:
         if self._cluster is None:
             return 0.0
         bd = dict(self._cluster.breakdown())
-        delta = bd.get(self._category, 0.0) - self._last_breakdown.get(self._category, 0.0)
+        delta = bd.get(_CATEGORY, 0.0) - self._last_breakdown.get(_CATEGORY, 0.0)
         self._last_breakdown = bd
         return max(delta, 0.0)
 
@@ -198,8 +162,8 @@ class AutotuneController:
 
         Called by the trainer after the update is applied and before the
         obsv ledger records the step.  ``n_messages`` is the number of
-        collective launches the step's payload travelled in (layer count
-        for K-FAC's per-layer broadcast, bucket count for SGD).
+        collective launches the step's payload travelled in (the layer
+        count of K-FAC's per-layer broadcast).
         """
         step = int(step)
         n_layers = max(int(n_messages), 1)
@@ -211,7 +175,7 @@ class AutotuneController:
             # clean-fabric property; predictions scale them back in.
             self.model.estimator.observe(n_layers * lat, travelled * bw, comm)
         if sample is not None and not self._probed:
-            self.model.probe(sample, self.config.menu, seed=self.config.seed)
+            self.model.probe(sample, DEFAULT_MENU, seed=self.config.seed)
             self._probed = True
         if not self.active.is_identity and wire_bytes > 0 and dense_bytes > 0:
             self.model.update_cr(self.active.name, dense_bytes / wire_bytes)
@@ -228,7 +192,7 @@ class AutotuneController:
         if guard is not None and guard.autotune_veto():
             if not self._veto_active:
                 self._veto_active = True
-                safe = self._by_name[self.safe_name]
+                safe = self._by_name[_SAFE]
                 frm = self.active.name
                 self._apply(safe, step)
                 self._record(
@@ -257,8 +221,8 @@ class AutotuneController:
                 lat_factor=lat,
                 bw_factor=bw,
             )
-            for cand in self.config.menu
-            if cand.error_bound <= self.config.max_error
+            for cand in DEFAULT_MENU
+            if cand.error_bound <= _MAX_ERROR
         }
         t_active = predictions.get(self.active.name)
         if t_active is None:
@@ -327,17 +291,11 @@ class AutotuneController:
         """JSON-safe config description for the ledger manifest."""
         c = self.config
         return {
-            "menu": [cand.to_dict() for cand in c.menu],
             "initial": c.initial,
-            "safe": self.safe_name,
-            "max_error": round6(c.max_error),
             "warmup": c.warmup,
             "min_dwell": c.min_dwell,
-            "min_improvement": round6(c.min_improvement)
-            if math.isfinite(c.min_improvement)
-            else "inf",
             "seed": c.seed,
-            "category": self._category,
+            "category": _CATEGORY,
         }
 
     def report(self) -> dict:

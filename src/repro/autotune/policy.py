@@ -23,10 +23,9 @@ class HysteresisPolicy:
     warmup: int = 2
     #: Minimum steps between configuration changes.
     min_dwell: int = 3
-    #: Required relative predicted improvement, e.g. 0.1 = 10%.
-    #: ``float("inf")`` makes the policy never fire (useful for the
-    #: bit-identity tests).
-    min_improvement: float = 0.1
+    #: Required relative predicted improvement, 0.1 = 10% (a class
+    #: constant, not a field: no run chooses it).
+    min_improvement = 0.1
 
     def __post_init__(self):
         if self.warmup < 0 or self.min_dwell < 1:
@@ -34,8 +33,6 @@ class HysteresisPolicy:
                 f"warmup must be >= 0 and min_dwell >= 1, got "
                 f"warmup={self.warmup}, min_dwell={self.min_dwell}"
             )
-        if self.min_improvement < 0:
-            raise ValueError(f"min_improvement must be >= 0, got {self.min_improvement}")
 
     def ready(self, step: int, last_change: int) -> bool:
         """May a decision fire at ``step``? ``last_change`` < 0 = never moved."""

@@ -52,10 +52,6 @@ class SimClock:
         total = sum(self.categories.values())
         return self.categories.get(category, 0.0) / total if total > 0 else 0.0
 
-    def reset(self) -> None:
-        self.now = 0.0
-        self.categories.clear()
-
 
 class VirtualClockPlane:
     """All per-rank clocks of a timing-track cluster, stored sparsely.
@@ -147,13 +143,6 @@ class VirtualClockPlane:
     def breakdown(self) -> dict[str, float]:
         return dict(self.categories)
 
-    def reset(self) -> None:
-        self.base = 0.0
-        self.skew.clear()
-        self.categories.clear()
-        self.lead_seconds.clear()
-        self.barrier_wait_s = 0.0
-
 
 class VirtualClock:
     """Per-rank adapter with the :class:`SimClock` interface, backed by a
@@ -190,6 +179,3 @@ class VirtualClock:
     def fraction(self, category: str) -> float:
         total = sum(self.plane.categories.values())
         return self.plane.categories.get(category, 0.0) / total if total > 0 else 0.0
-
-    def reset(self) -> None:
-        self.plane.reset()

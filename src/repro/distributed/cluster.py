@@ -295,18 +295,15 @@ class SimCluster:
 
     # -- time plane helpers --------------------------------------------------
 
-    def _fault_extras(self, op: str, seconds: float, review=None) -> dict[int, float]:
+    def _fault_extras(self, op: str, seconds: float) -> dict[int, float]:
         """Per-rank straggler/jitter stalls drawn for one collective.
 
         The worst stall is charged to :attr:`fault_delay_seconds`; the
-        caller stretches the clocks.  ``review`` (the runtime's watchdog)
-        sits between draw and charge: it may re-draw the map or raise.
+        caller stretches the clocks.
         """
         if self.faults is None:
             return {}
         extras = self.faults.collective_extras(op, seconds, [r.rank for r in self.ranks])
-        if review is not None and extras:
-            extras = review(extras)
         if extras:
             self.fault_delay_seconds += max(extras.values())
         return extras
@@ -469,13 +466,6 @@ class SimCluster:
             for cat, t in r.clock.breakdown().items():
                 out[cat] = out.get(cat, 0.0) + t / self.world_size
         return out
-
-    def reset_clocks(self) -> None:
-        if self._plane is not None:
-            self._plane.reset()
-            return
-        for r in self.ranks:
-            r.clock.reset()
 
     # -- collective pricing ---------------------------------------------------
 

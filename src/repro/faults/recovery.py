@@ -61,16 +61,11 @@ class TransferReport:
 class ReliableChannel:
     """Checksummed broadcast with capped-exponential-backoff retransmits."""
 
-    def __init__(
-        self,
-        cluster: "SimCluster",
-        *,
-        max_retries: int = 3,
-    ):
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+    #: Retransmits after the first attempt before a transfer is unrecoverable.
+    max_retries = 3
+
+    def __init__(self, cluster: "SimCluster"):
         self.cluster = cluster
-        self.max_retries = max_retries
 
     def broadcast(
         self,

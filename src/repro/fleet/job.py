@@ -10,9 +10,9 @@ jobs in simulated-time order.
 Jobs have a failure lifecycle (``waiting -> running -> done``, with
 crash/preempt excursions back to ``waiting`` and a terminal ``failed``):
 
-* the job checkpoints every ``JobSpec.checkpoint_every`` completed
-  steps via the trainer's atomic exact-resume checkpoint (model, K-FAC
-  eigen state, momentum, adaptive bounds, SR RNG);
+* the job checkpoints after every completed step via the trainer's
+  atomic exact-resume checkpoint (model, K-FAC eigen state, momentum,
+  adaptive bounds, SR RNG);
 * a :class:`~repro.faults.plan.JobCrash` in the job's fault plan raises
   :class:`JobCrashed` at the scheduled iteration — the scheduler rolls
   the job back to its checkpoint and requeues it with backoff;
@@ -73,9 +73,6 @@ class JobSpec:
     #: Latency SLO: the job should finish within ``deadline`` fleet
     #: seconds of its arrival.  ``None`` means no SLO.
     deadline: float | None = None
-    #: Checkpoint every N completed steps (0 disables checkpointing;
-    #: a crashed job then restarts from step 0).
-    checkpoint_every: int = 1
     #: Per-job fault schedule.  Crashes are interpreted by the fleet
     #: scheduler; everything else by the job's own SimCluster (which
     #: rejects data-plane faults on the timing track).
@@ -98,8 +95,6 @@ class JobSpec:
             raise ValueError(
                 f"job {self.name!r}: deadline must be > 0 seconds past arrival"
             )
-        if self.checkpoint_every < 0:
-            raise ValueError(f"job {self.name!r}: checkpoint_every must be >= 0")
 
 
 class FleetJob:
@@ -389,7 +384,7 @@ class FleetJob:
             self.state = "done"
             self.end = self.now
             self._finalize_ledger()
-        elif self.spec.checkpoint_every and self.steps_done % self.spec.checkpoint_every == 0:
+        else:
             self.checkpoint()
         return loss
 

@@ -134,6 +134,11 @@ class FleetResult:
 class FleetScheduler:
     """Run a set of :class:`JobSpec` jobs over one shared fabric."""
 
+    #: Restart backoff after a crash: ``min(base * 2**restarts, cap)``
+    #: fleet seconds.
+    backoff_base = 1e-3
+    backoff_cap = 8e-3
+
     def __init__(
         self,
         specs: list[JobSpec],
@@ -144,8 +149,6 @@ class FleetScheduler:
         store_dir: str | Path | None = None,
         max_concurrent: int | None = None,
         retry_budget: int = 3,
-        backoff_base: float = 1e-3,
-        backoff_cap: float = 8e-3,
         fabric_degradations: list[tuple[float, float, float]] | None = None,
     ):
         if not specs:
@@ -157,15 +160,8 @@ class FleetScheduler:
             raise ValueError(f"max_concurrent must be >= 1, got {max_concurrent}")
         if retry_budget < 0:
             raise ValueError(f"retry_budget must be >= 0, got {retry_budget}")
-        if backoff_base <= 0.0 or backoff_cap < backoff_base:
-            raise ValueError(
-                f"need 0 < backoff_base <= backoff_cap, got "
-                f"{backoff_base} / {backoff_cap}"
-            )
         self.max_concurrent = max_concurrent
         self.retry_budget = retry_budget
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.fabric = SharedFabric()
         for start, stop, factor in fabric_degradations or []:
             self.fabric.degrade(start, stop, factor)

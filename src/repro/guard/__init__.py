@@ -13,8 +13,6 @@ those into a detected verdict with an ordered remediation path:
   detection;
 * :mod:`repro.guard.policy` — the compression circuit breaker and the
   declarative verdict→remediation rule engine;
-* :mod:`repro.guard.watchdog` — simulated-clock deadlines and retries
-  for in-flight collectives on a :class:`~repro.runtime.StreamRuntime`;
 * :mod:`repro.guard.guard` — the :class:`Guard` facade trainers accept
   via ``guard=GuardConfig(...)``;
 * :mod:`repro.guard.scenario` — the seeded chaos-vs-guard comparison
@@ -44,14 +42,12 @@ from repro.guard.sentinels import (
     safe_eigen,
     scan_tensor,
 )
-from repro.guard.watchdog import CollectiveWatchdog, WatchdogTimeoutError
 
 __all__ = [
     "BREAKER_CLOSED",
     "BREAKER_HALF_OPEN",
     "BREAKER_OPEN",
     "CircuitBreaker",
-    "CollectiveWatchdog",
     "DEFAULT_RULES",
     "DivergenceDetector",
     "Guard",
@@ -61,7 +57,6 @@ __all__ = [
     "HealthReport",
     "PolicyEngine",
     "ScanResult",
-    "WatchdogTimeoutError",
     "as_guard",
     "contract_error",
     "factor_health",

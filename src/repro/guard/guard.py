@@ -20,6 +20,7 @@ changes the data path after a verdict has fired.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,6 @@ from repro.guard.health import DivergenceDetector, HealthReport
 from repro.guard.policy import BREAKER_CLOSED, CircuitBreaker, GuardContext, PolicyEngine
 from repro.guard.sentinels import contract_error, scan_tensor
 from repro.guard.sentinels import safe_eigen as _safe_eigen
-from repro.guard.watchdog import CollectiveWatchdog
 from repro.telemetry import SIM_TRACK, get_metrics, get_tracer
 
 __all__ = ["GuardConfig", "Guard", "as_guard"]
@@ -36,21 +36,11 @@ __all__ = ["GuardConfig", "Guard", "as_guard"]
 
 @dataclass
 class GuardConfig:
-    """Declarative guard configuration: the settings a run chooses.
-
-    Every other threshold is the default of the class that uses it
-    (:class:`DivergenceDetector`, :class:`PolicyEngine`,
-    :func:`scan_tensor`, :func:`safe_eigen`, :func:`contract_error`,
-    :class:`CollectiveWatchdog`).  The watchdog stays off unless a
-    deadline is given (it needs a :class:`StreamRuntime` to attach to).
-    """
-
-    #: Error-feedback residual-norm limit (None disables the sentinel).
-    ef_residual_limit: float | None = None
-    breaker_cooldown: int = 3
-    breaker_reclose_after: int = 2
-    #: Collective watchdog deadline in simulated seconds (None disables).
-    watchdog_deadline: float | None = None
+    """Turns the guard on.  No run chooses a threshold, so it has no
+    fields: each one is a constant of the class that uses it
+    (:class:`DivergenceDetector`, :class:`CircuitBreaker`,
+    :class:`PolicyEngine`, :func:`scan_tensor`, :func:`safe_eigen`,
+    :func:`contract_error`)."""
 
     def build(self) -> "Guard":
         return Guard(self)
@@ -62,12 +52,9 @@ class Guard:
     def __init__(self, config: GuardConfig):
         self.config = config
         self.detector = DivergenceDetector()
-        self.breaker = CircuitBreaker(
-            cooldown=config.breaker_cooldown, reclose_after=config.breaker_reclose_after
-        )
+        self.breaker = CircuitBreaker()
         self.policy = PolicyEngine(self.breaker)
         self.ctx = GuardContext()
-        self.watchdog: CollectiveWatchdog | None = None
         self.verdict_counts: dict[str, int] = {}
         self.reports: list[HealthReport] = []
         self._iteration = 0
@@ -86,14 +73,6 @@ class Guard:
         if cluster is not None:
             self.ctx.cluster = cluster
         return self
-
-    def attach_runtime(self, runtime) -> None:
-        """Install the collective watchdog on a StreamRuntime, if armed."""
-        if runtime is None or self.config.watchdog_deadline is None:
-            return
-        if self.watchdog is None:
-            self.watchdog = CollectiveWatchdog(deadline_seconds=self.config.watchdog_deadline)
-        runtime.watchdog = self.watchdog
 
     # -- verdict plumbing ------------------------------------------------------
 
@@ -201,13 +180,11 @@ class Guard:
             self._emit("contract_violation", {"layer": layer, "error_over_bound": ratio})
 
     def check_ef(self, compressor) -> None:
-        """Error-feedback residual-norm sentinel."""
-        limit = self.config.ef_residual_limit
-        if limit is None:
-            return
+        """Error-feedback residual sentinel: a non-finite residual norm
+        means the carried error is already poisoned."""
         value = None if compressor is None else compressor.residual_norm()
-        if value is not None and value > limit:
-            self._emit("ef_residual", {"residual_norm": value, "limit": limit})
+        if value is not None and not math.isfinite(value):
+            self._emit("ef_residual", {"residual_norm": value})
 
     def safe_eigen(self, kfac, idx: int) -> None:
         """Guarded eigendecomposition with escalating-damping retries."""
@@ -251,7 +228,7 @@ class Guard:
 
     def report(self) -> dict:
         """JSON-friendly summary of everything the guard saw and did."""
-        out = {
+        return {
             "verdicts": dict(self.verdict_counts),
             "remediations": [a.to_dict() for a in self.timeline],
             "breaker": {
@@ -260,13 +237,6 @@ class Guard:
                 "transitions": [list(tr) for tr in self.breaker.transitions],
             },
         }
-        if self.watchdog is not None:
-            out["watchdog"] = {
-                "retries": self.watchdog.retries,
-                "timeouts": self.watchdog.timeouts,
-                "events": list(self.watchdog.events),
-            }
-        return out
 
 
 def as_guard(guard: GuardConfig | None) -> Guard | None:

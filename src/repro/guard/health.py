@@ -9,9 +9,7 @@ discrete verdicts the policy engine can act on:
 * ``loss_spike`` — loss jumped far above its recent median, the classic
   signature of a poisoned update or an error bound that became unsafe
   as training tightened (the paper's Alg. 1 rationale);
-* ``grad_spike`` — gradient norm exploded relative to its window;
-* ``plateau`` — no meaningful improvement across the window (reported
-  for observability; the default policy does not remediate it).
+* ``grad_spike`` — gradient norm exploded relative to its window.
 
 Pure observation: ``observe`` never mutates training state and consumes
 no randomness, so an always-healthy guarded run is bit-identical to an
@@ -44,6 +42,12 @@ class HealthReport:
 
 #: Steps in each rolling baseline window.
 _WINDOW = 8
+#: Finite observations folded in before a spike verdict may fire.
+_WARMUP = 3
+#: A loss above this multiple of its window's median is a ``loss_spike``.
+_SPIKE_FACTOR = 3.0
+#: A gradient norm above this multiple of its window's median is a ``grad_spike``.
+_GRAD_SPIKE_FACTOR = 10.0
 
 
 def _median(values: list[float]) -> float:
@@ -56,25 +60,9 @@ def _median(values: list[float]) -> float:
 class DivergenceDetector:
     """Rolling windows over loss and gradient norm with spike verdicts."""
 
-    def __init__(
-        self,
-        *,
-        warmup: int = 3,
-        spike_factor: float = 3.0,
-        grad_spike_factor: float = 10.0,
-        plateau_window: int = 0,
-        plateau_tol: float = 1e-3,
-    ):
-        if spike_factor <= 1.0 or grad_spike_factor <= 1.0:
-            raise ValueError("spike factors must be > 1")
-        self.warmup = warmup
-        self.spike_factor = spike_factor
-        self.grad_spike_factor = grad_spike_factor
-        self.plateau_window = plateau_window
-        self.plateau_tol = plateau_tol
+    def __init__(self):
         self._losses: deque[float] = deque(maxlen=_WINDOW)
         self._grads: deque[float] = deque(maxlen=_WINDOW)
-        self._all_losses: list[float] = []
 
     def observe(self, iteration: int, loss: float, grad_norm: float) -> HealthReport:
         """Fold one step's scalars in; return the verdicts they trigger.
@@ -92,27 +80,15 @@ class DivergenceDetector:
         if report.verdicts:
             return report
 
-        if len(self._losses) >= self.warmup:
+        if len(self._losses) >= _WARMUP:
             med = _median(list(self._losses))
-            if med > 0 and report.loss > self.spike_factor * med:
+            if med > 0 and report.loss > _SPIKE_FACTOR * med:
                 report.verdicts.append("loss_spike")
                 report.detail["loss_over_median"] = report.loss / med
             gmed = _median(list(self._grads))
-            if gmed > 0 and report.grad_norm > self.grad_spike_factor * gmed:
+            if gmed > 0 and report.grad_norm > _GRAD_SPIKE_FACTOR * gmed:
                 report.verdicts.append("grad_spike")
                 report.detail["grad_over_median"] = report.grad_norm / gmed
-        if (
-            not report.verdicts
-            and self.plateau_window
-            and len(self._all_losses) >= 2 * self.plateau_window
-        ):
-            earlier = min(
-                self._all_losses[-2 * self.plateau_window : -self.plateau_window]
-            )
-            recent = min(self._all_losses[-self.plateau_window :])
-            if earlier > 0 and recent >= earlier * (1.0 - self.plateau_tol):
-                report.verdicts.append("plateau")
-                report.detail["improvement"] = 1.0 - recent / earlier
 
         # Spiky steps stay out of the baseline windows too: a divergence
         # burst must not ratchet the median up and normalise itself.
@@ -120,5 +96,4 @@ class DivergenceDetector:
             self._losses.append(report.loss)
         if "grad_spike" not in report.verdicts:
             self._grads.append(report.grad_norm)
-        self._all_losses.append(report.loss)
         return report

@@ -67,11 +67,12 @@ class CircuitBreaker:
     every transition is recorded in :attr:`transitions`.
     """
 
-    def __init__(self, *, cooldown: int = 3, reclose_after: int = 2):
-        if cooldown < 1 or reclose_after < 1:
-            raise ValueError("cooldown and reclose_after must be >= 1")
-        self.cooldown = cooldown
-        self.reclose_after = reclose_after
+    #: Iterations the breaker stays open after a trip.
+    cooldown = 3
+    #: Consecutive clean half-open iterations that close it again.
+    reclose_after = 2
+
+    def __init__(self):
         self.state = BREAKER_CLOSED
         self.trips = 0
         #: (iteration, from_state, to_state) history.
@@ -149,8 +150,7 @@ class GuardAction:
 #: Iterations a ``tighten_bounds`` remediation holds the conservative bounds.
 _DEGRADE_ITERATIONS = 3
 
-#: Verdict kind -> ordered remediations (mildest first).  ``plateau`` is
-#: observe-only by default: it is a tuning signal, not a fault.
+#: Verdict kind -> ordered remediations (mildest first).
 DEFAULT_RULES: dict[str, tuple[str, ...]] = {
     "nonfinite_payload": ("tighten_bounds", "trip_breaker"),
     "decode_failure": ("trip_breaker", "rollback"),
@@ -160,8 +160,6 @@ DEFAULT_RULES: dict[str, tuple[str, ...]] = {
     "loss_spike": ("tighten_bounds", "escalate_damping", "rollback"),
     "grad_spike": ("tighten_bounds", "trip_breaker", "rollback"),
     "loss_nan": ("rollback", "trip_breaker"),
-    "watchdog_timeout": ("trip_breaker",),
-    "plateau": (),
 }
 
 

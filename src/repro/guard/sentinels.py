@@ -50,8 +50,12 @@ class ScanResult:
         return self.n_nonfinite == 0 and self.n_oversized == 0
 
 
-def scan_tensor(x: np.ndarray, *, abs_limit: float = 1e6) -> ScanResult:
-    """Scan ``x`` for NaN/Inf and entries beyond ``abs_limit``; scrub both.
+#: Magnitude beyond which :func:`scan_tensor` treats a finite entry as corrupt.
+_ABS_LIMIT = 1e6
+
+
+def scan_tensor(x: np.ndarray) -> ScanResult:
+    """Scan ``x`` for NaN/Inf and entries beyond :data:`_ABS_LIMIT`; scrub both.
 
     A single bit flip in a float32 exponent turns an O(1) gradient into
     an O(1e30) one — finite, so ``np.nan_to_num`` never sees it, but
@@ -63,7 +67,7 @@ def scan_tensor(x: np.ndarray, *, abs_limit: float = 1e6) -> ScanResult:
     finite = np.isfinite(x)
     n_nonfinite = int(x.size - int(finite.sum()))
     with np.errstate(invalid="ignore"):
-        oversized = finite & (np.abs(x) > abs_limit)
+        oversized = finite & (np.abs(x) > _ABS_LIMIT)
     n_oversized = int(oversized.sum())
     if n_nonfinite == 0 and n_oversized == 0:
         max_abs = float(np.abs(x).max()) if x.size else 0.0

@@ -359,42 +359,34 @@ class KfacIterationModel:
             compression=comp_overhead,
         )
 
-    def record_trace(
-        self,
-        tracer,
-        compression: CompressionSpec | None = None,
-        *,
-        factor_ratio: float = 1.0,
-        rank: int = 0,
-    ) -> IterationBreakdown:
-        """Compute :meth:`breakdown` and emit it as sim-track spans.
+    def record_trace(self, tracer) -> IterationBreakdown:
+        """Compute the uncompressed :meth:`breakdown` and emit it as
+        sim-track spans.
 
-        One span per Fig. 1 category, laid out sequentially on ``rank``'s
+        One span per Fig. 1 category, laid out sequentially on rank 0's
         timeline starting at the tracer's cursor.  Downstream consumers
         (the Fig. 1 bench, `repro trace` summaries) read the numbers back
         from the tracer, so the figure and the trace share one source.
         """
         from repro.telemetry import SIM_TRACK
 
-        bd = self.breakdown(compression, factor_ratio=factor_ratio)
+        bd = self.breakdown()
+        start = tracer.cursor(SIM_TRACK, 0)
         parts = [
-            ("fwd_bwd", "fwd_bwd", bd.fwd_bwd),
-            ("kfac_compute", "kfac_compute", bd.kfac_compute),
-            ("kfac_allreduce", "kfac_allreduce", bd.kfac_allreduce),
-            ("kfac_allgather", "kfac_allgather", bd.kfac_allgather),
-            ("others", "others", bd.others),
+            ("fwd_bwd", bd.fwd_bwd),
+            ("kfac_compute", bd.kfac_compute),
+            ("kfac_allreduce", bd.kfac_allreduce),
+            ("kfac_allgather", bd.kfac_allgather),
+            ("others", bd.others),
         ]
-        if bd.compression > 0:
-            parts.append(("compression", "compression", bd.compression))
-        start = tracer.cursor(SIM_TRACK, rank)
-        for name, category, seconds in parts:
+        for category, seconds in parts:
             tracer.add_span(
-                name,
+                category,
                 category,
                 seconds,
                 start=start,
                 track=SIM_TRACK,
-                rank=rank,
+                rank=0,
                 nodes=self.n_nodes,
                 world=self.world,
             )

@@ -40,8 +40,9 @@ from repro.faults.recovery import ReliableChannel
 from repro.kfac_dist.assignment import assign_layers, eig_cost
 from repro.optim.kfac import Kfac
 from repro.runtime.bucketing import Bucketer
+from repro.runtime.engine import StreamRuntime
 from repro.telemetry import get_metrics
-from repro.train.step import StepScaffold
+from repro.train.step import Schedule, StepScaffold
 from repro.train.trainer import TrainHistory
 from repro.util.triangle import mirror_upper, pack_upper, triangle_size
 
@@ -52,7 +53,7 @@ class DistributedKfacTrainer(StepScaffold):
     """Data-parallel K-FAC training with compressed gradient allgather.
 
     ``runtime``, ``guard``, ``obsv``, ``autotune`` and ``xray`` are
-    documented at :meth:`StepScaffold._bind_collaborators`.
+    documented at :meth:`_bind_collaborators`.
     """
 
     def __init__(
@@ -63,9 +64,7 @@ class DistributedKfacTrainer(StepScaffold):
         *,
         lr: float = 0.05,
         lr_schedule=None,
-        damping: float = 1e-2,
         inv_update_freq: int = 10,
-        kl_clip: float = 1e-3,
         compressor: GradientCompressor | None = None,
         factor_compressor: GradientCompressor | None = None,
         checkpoint_every: int = 0,
@@ -75,7 +74,7 @@ class DistributedKfacTrainer(StepScaffold):
         reliable_channel: bool = True,
         obsv=None,
         autotune=None,
-        xray=None,
+        xray: bool = False,
     ):
         if checkpoint_every > 0 and checkpoint_store is None:
             raise ValueError(
@@ -90,13 +89,7 @@ class DistributedKfacTrainer(StepScaffold):
         #: section 7 future work; see repro.core.factor_compression).
         self.factor_compressor = factor_compressor
         self.factor_ratios: list[float] = []
-        self.kfac = Kfac(
-            model,
-            lr=lr,
-            damping=damping,
-            inv_update_freq=inv_update_freq,
-            kl_clip=kl_clip,
-        )
+        self.kfac = Kfac(model, lr=lr, inv_update_freq=inv_update_freq)
         self._assign_owners()
         self.t = 0
         self.history = TrainHistory()
@@ -122,17 +115,58 @@ class DistributedKfacTrainer(StepScaffold):
         #: seals, falling back to the newest verified generation on
         #: damage.  ``None`` keeps nothing durable.
         self.checkpoint_store = checkpoint_store
-        self._bind_collaborators(
-            kind="kfac",
-            category="kfac_allgather",
-            runtime=runtime,
-            guard=guard,
-            obsv=obsv,
-            autotune=autotune,
-            xray=xray,
-            kfac=self.kfac,
-            factor_compressor=factor_compressor,
+        self._bind_collaborators(runtime, guard, obsv, autotune, xray)
+
+    def _bind_collaborators(self, runtime, guard, obsv, autotune, xray: bool) -> None:
+        """Normalise and bind the optional collaborators, each seeing the
+        ones bound before it.  ``None`` (``False`` for ``xray``) for any of
+        them is bit-identical to a trainer that never had it: they read
+        trainer state and never consume the training RNG.
+
+        * ``runtime`` — :class:`repro.runtime.StreamRuntime` scheduling
+          the step's collectives; ``None`` is the blocking schedule.
+        * ``guard`` — :class:`repro.guard.GuardConfig`: payload
+          sentinels, divergence detection, self-healing remediation and
+          the compression circuit breaker.
+        * ``autotune`` — :class:`repro.autotune.AutotuneConfig`:
+          closed-loop retuning of the compression stack on the
+          ``kfac_allgather`` broadcast; owns its own probe RNG.
+        * ``xray`` — per-step critical-path attribution over the spans.
+        * ``obsv`` — :class:`repro.obsv.LedgerConfig`: the run ledger
+          folding metrics, span digests, overlap accounting, guard
+          events and the above into one artifact.
+        """
+        from repro.autotune.controller import as_autotune
+        from repro.guard.guard import as_guard
+        from repro.obsv.ledger import as_ledger
+        from repro.xray import XrayAnalyzer
+
+        cluster, compressor = self.cluster, self.compressor
+        self.runtime = runtime
+        self._schedule = (
+            Schedule(StreamRuntime(cluster, overlap=False), None)
+            if runtime is None
+            else Schedule(runtime, runtime.bucket_bytes)
         )
+        self.guard = as_guard(guard)
+        if self.guard is not None:
+            self.guard.bind(compressor=compressor, kfac=self.kfac, trainer=self, cluster=cluster)
+        self.autotune = as_autotune(autotune)
+        if self.autotune is not None:
+            self.autotune.bind(cluster=cluster, guard=self.guard, compressor=compressor)
+        self.xray = XrayAnalyzer().bind(cluster=cluster) if xray else None
+        self.obsv = as_ledger(obsv)
+        if self.obsv is not None:
+            self.obsv.bind(
+                kind="kfac",
+                cluster=cluster,
+                runtime=runtime,
+                guard=self.guard,
+                compressor=compressor,
+                factor_compressor=self.factor_compressor,
+                autotune=self.autotune,
+                xray=self.xray,
+            )
 
     def _assign_owners(self) -> None:
         """Greedy LPT assignment of layers to the current world's ranks."""
@@ -369,16 +403,19 @@ class DistributedKfacTrainer(StepScaffold):
             m.gauge("train.lr").set(self.kfac.lr)
             if original > 0:
                 m.histogram("train.step_compression_ratio").observe(original / max(wire, 1.0))
+        if self.autotune is not None:
+            # Decide *before* the ledger folds the step so the decision
+            # lands in the step record that produced it; a retune takes
+            # effect from the next iteration's compression.
+            self.autotune.end_step(
+                step=self.t,
+                wire_bytes=wire,
+                dense_bytes=original,
+                n_messages=len(layer_wire),
+                sample=precond[min(precond)] if precond and self.autotune.wants_sample else None,
+            )
         self._observe_step(
-            mean_loss,
-            self.kfac.lr,
-            wire=wire,
-            dense=original,
-            n_messages=len(layer_wire),
-            sample=precond[min(precond)] if precond else None,
-            wire_bytes=wire,
-            dense_bytes=original,
-            layers=layer_wire,
+            mean_loss, self.kfac.lr, wire_bytes=wire, dense_bytes=original, layers=layer_wire
         )
         self.t += 1
         self.kfac.t = self.t

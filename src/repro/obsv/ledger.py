@@ -132,12 +132,6 @@ class LedgerConfig:
     path: str | Path
     #: Free-form annotation stored in the manifest.
     note: str = ""
-    #: Also append each record to disk as it is produced, leaving a
-    #: parseable-prefix crash artifact if the process dies mid-run
-    #: (:func:`fsck_ledger` repairs its truncated tail).  ``close()``
-    #: still rewrites the file atomically from the buffer, so a
-    #: *completed* streamed ledger is byte-identical to a buffered one.
-    stream: bool = False
 
     def build(self) -> "LedgerWriter":
         return LedgerWriter(self)
@@ -186,7 +180,6 @@ class LedgerWriter:
         }
         self._steps: list[dict] = []
         self._closed = False
-        self._stream_started = False
         # Bound observability sources (all optional).
         self._compressor = None
         self._cluster = None
@@ -237,15 +230,9 @@ class LedgerWriter:
             self._manifest["runtime"] = {
                 "overlap": runtime.overlap,
                 "n_comm_streams": runtime.n_comm_streams,
-                "bucket_bytes": runtime.bucket_bytes,
             }
         if guard is not None:
-            guarded: dict = {"enabled": True}
-            for key, value in sorted(vars(guard.config).items()):
-                scalar = _scalarize(value)
-                if scalar is not None or value is None:
-                    guarded[key] = scalar
-            self._manifest["guard"] = guarded
+            self._manifest["guard"] = {"enabled": True}
         if autotune is not None:
             self._manifest["autotune"] = autotune.describe()
         if xray is not None:
@@ -384,24 +371,7 @@ class LedgerWriter:
         for key, value in extra.items():
             record[key] = _scalarize(value)
         self._steps.append(record)
-        if self.config.stream:
-            self._stream_flush(record)
         return record
-
-    def _stream_flush(self, record: dict) -> None:
-        """Append one record to the on-disk crash artifact (stream mode).
-
-        The first flush truncates — a writer restarted after a crash
-        must not append a second manifest after a dead segment's steps.
-        The manifest is written as of the first step; fields merged
-        later reach the file at :meth:`close`, which rewrites it whole.
-        """
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a" if self._stream_started else "w") as fh:
-            if not self._stream_started:
-                fh.write(json.dumps({"manifest": self._manifest}) + "\n")
-            fh.write(json.dumps(record) + "\n")
-        self._stream_started = True
 
     # -- finalisation ----------------------------------------------------------
 
@@ -431,8 +401,8 @@ class LedgerWriter:
         lines.extend(json.dumps(r) for r in self._steps)
         lines.append(json.dumps({"final": self._final_record(final_metric)}))
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        # Atomic replace: a crash mid-close must not tear a streamed
-        # crash artifact that was still parseable.
+        # Atomic replace: a crash mid-close leaves the previous file, never
+        # a torn one.
         tmp = self.path.with_name(f".{self.path.name}.tmp.{os.getpid()}")
         try:
             tmp.write_text("\n".join(lines) + "\n")

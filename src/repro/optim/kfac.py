@@ -86,30 +86,22 @@ class LayerFactors:
 class Kfac:
     """Single-worker K-FAC; also the per-rank engine for distributed K-FAC."""
 
-    def __init__(
-        self,
-        model: Module,
-        lr: float = 0.1,
-        *,
-        damping: float = 1e-3,
-        factor_decay: float = 0.95,
-        inv_update_freq: int = 10,
-        momentum: float = 0.9,
-        weight_decay: float = 0.0,
-        kl_clip: float = 1e-3,
-    ):
-        if not 0 < factor_decay <= 1:
-            raise ValueError("factor_decay must be in (0, 1]")
+    #: Tikhonov damping ``gamma`` of Eq. 2; the guard's
+    #: ``escalate_damping`` remediation raises it on one instance mid-run.
+    damping = 1e-2
+    #: Running-average decay of the Kronecker factors (Eq. 1).
+    factor_decay = 0.95
+    #: Momentum of the update, for K-FAC and first-order parameters alike.
+    momentum = 0.9
+    #: KAISA's KL-clip bound on ``lr^2 * <precond, grad>``.
+    kl_clip = 1e-3
+
+    def __init__(self, model: Module, lr: float = 0.1, *, inv_update_freq: int = 10):
         if inv_update_freq < 1:
             raise ValueError("inv_update_freq must be >= 1")
         self.model = model
         self.lr = lr
-        self.damping = damping
-        self.factor_decay = factor_decay
         self.inv_update_freq = inv_update_freq
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.kl_clip = kl_clip
         self.layers: list[KfacLayerMixin] = model.kfac_layers()
         self.state: dict[int, LayerFactors] = {i: LayerFactors() for i in range(len(self.layers))}
         self._layer_dims: list[tuple[int, int]] = []
@@ -186,26 +178,6 @@ class Kfac:
         np.clip(st.vA, 0.0, None, out=st.vA)
         np.clip(st.vG, 0.0, None, out=st.vG)
 
-    def eigen_flat(self, idx: int) -> np.ndarray:
-        """Serialised eigendecomposition (for broadcast in KAISA mode)."""
-        st = self.state[idx]
-        if not st.ready:
-            raise RuntimeError(f"eigendecomposition for layer {idx} not computed")
-        return np.concatenate([st.QA.ravel(), st.vA, st.QG.ravel(), st.vG]).astype(np.float32)
-
-    def set_eigen_flat(self, idx: int, flat: np.ndarray) -> None:
-        st = self.state[idx]
-        da = st.A.shape[0]
-        dg = st.G.shape[0]
-        pos = 0
-        st.QA = flat[pos : pos + da * da].reshape(da, da).astype(np.float64)
-        pos += da * da
-        st.vA = flat[pos : pos + da].astype(np.float64)
-        pos += da
-        st.QG = flat[pos : pos + dg * dg].reshape(dg, dg).astype(np.float64)
-        pos += dg * dg
-        st.vG = flat[pos : pos + dg].astype(np.float64)
-
     # -- stage 3: preconditioning ----------------------------------------------
 
     def precondition(self, idx: int) -> np.ndarray:
@@ -224,8 +196,6 @@ class Kfac:
 
     def _kl_scale(self, precond: list[np.ndarray], raw: list[np.ndarray]) -> float:
         """KAISA-style KL clipping: bound lr^2 * <precond, raw>."""
-        if self.kl_clip <= 0:
-            return 1.0
         vg = sum(float((p * r).sum()) for p, r in zip(precond, raw)) * self.lr**2
         if vg <= self.kl_clip or vg <= 0:
             return 1.0
@@ -237,18 +207,11 @@ class Kfac:
         nu = self._kl_scale(list(preconditioned.values()), raw)
         for idx, pgrad in preconditioned.items():
             st = self.state[idx]
-            update = nu * pgrad
-            if self.weight_decay:
-                layer = self.layers[idx]
-                wflat = layer.weight.data.reshape(update.shape[0], -1)
-                update = update.copy()
-                update[:, : wflat.shape[1]] += self.weight_decay * wflat
-            if self.momentum:
-                if st.momentum_buf is None:
-                    st.momentum_buf = np.zeros_like(update)
-                st.momentum_buf *= self.momentum
-                st.momentum_buf += update
-                update = st.momentum_buf
+            if st.momentum_buf is None:
+                st.momentum_buf = np.zeros_like(pgrad)
+            st.momentum_buf *= self.momentum
+            st.momentum_buf += nu * pgrad
+            update = st.momentum_buf
             layer = self.layers[idx]
             layer.set_kfac_weight_grad(update)
             layer.weight.data -= self.lr * layer.weight.grad
@@ -256,14 +219,9 @@ class Kfac:
                 layer.bias.data -= self.lr * layer.bias.grad
         # First-order update for non-K-FAC parameters.
         for p, buf in zip(self.other_params, self._other_momentum):
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            if self.momentum:
-                buf *= self.momentum
-                buf += g
-                g = buf
-            p.data -= self.lr * g
+            buf *= self.momentum
+            buf += p.grad
+            p.data -= self.lr * buf
 
     # -- composed single-worker step ---------------------------------------------
 

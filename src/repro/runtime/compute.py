@@ -31,14 +31,13 @@ class ComputeModel:
     #: Effective training throughput, FLOP/s.  ``None`` uses half the
     #: A100's tensor-core peak.
     train_flops: float | None = None
-    #: Backward costs this multiple of forward (the usual 2x).
-    backward_factor: float = 2.0
+    #: Backward costs this multiple of forward (the usual 2x; a class
+    #: constant, not a field).
+    backward_factor = 2.0
 
     def __post_init__(self) -> None:
         if self.train_flops is not None and self.train_flops <= 0:
             raise ValueError(f"train_flops must be positive, got {self.train_flops}")
-        if self.backward_factor < 0:
-            raise ValueError(f"backward_factor must be >= 0, got {self.backward_factor}")
 
     @property
     def throughput(self) -> float:

@@ -42,7 +42,6 @@ never waited.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -151,6 +150,9 @@ class StreamRuntime:
     the bit-identical equivalence guarantee rests on.
     """
 
+    #: Size of a gradient bucket and of a coalesced factor message.
+    bucket_bytes = 1 << 22
+
     def __init__(
         self,
         cluster: "SimCluster",
@@ -158,22 +160,13 @@ class StreamRuntime:
         overlap: bool = True,
         n_comm_streams: int = 2,
         compute: ComputeModel | None = None,
-        bucket_bytes: int = 1 << 22,
     ):
         if n_comm_streams < 1:
             raise ValueError(f"need at least one comm stream, got {n_comm_streams}")
-        if bucket_bytes < 1:
-            raise ValueError(f"bucket_bytes must be positive, got {bucket_bytes}")
         self.cluster = cluster
         self.overlap = overlap
         self.n_comm_streams = int(n_comm_streams)
         self.compute = compute
-        self.bucket_bytes = int(bucket_bytes)
-        #: Optional deadline/retry policy (duck-typed; see
-        #: :class:`repro.guard.watchdog.CollectiveWatchdog`).  Consulted
-        #: only when a waited handle drew fault extras, so ``None`` and
-        #: an idle watchdog are both bit-identical to the base runtime.
-        self.watchdog = None
         #: (rank id, stream index >= 1) -> busy-until time.
         self._busy: dict[tuple[int, int], float] = {}
         #: Per-rank queues of posted-but-unmatched collective signatures.
@@ -280,9 +273,7 @@ class StreamRuntime:
 
     def _wait(self, handle: CollectiveHandle) -> list:
         cluster = self.cluster
-        watchdog = self.watchdog
-        review = None if watchdog is None else partial(watchdog.review, self, handle)
-        extras = cluster._fault_extras(handle.op, handle.seconds, review)
+        extras = cluster._fault_extras(handle.op, handle.seconds)
         tracer = get_tracer()
         world = max(len(cluster.ranks), 1)
         transfer_spans = []  # per-rank comm-stream legs, rank order

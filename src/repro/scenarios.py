@@ -334,7 +334,7 @@ def build(s: Scenario, out=None, checkpoint_dir=None):
             LedgerConfig(out, note=s.note.format(name=s.name, eb=s.eb)) if out is not None else None
         ),
         autotune=autotune,
-        xray=True if s.xray else None,
+        xray=s.xray,
     )
 
 

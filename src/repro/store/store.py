@@ -213,8 +213,8 @@ def _is_gen_file(path: Path) -> bool:
 class CheckpointStore:
     """Sealed multi-generation checkpoint store for one job.
 
-    ``keep`` bounds retention (newest ``keep`` generations survive; older
-    files are deleted only *after* the manifest no longer references
+    :attr:`keep` bounds retention (newest ``keep`` generations survive;
+    older files are deleted only *after* the manifest no longer references
     them).  ``hooks_factory(save_index)`` — typically
     :meth:`repro.faults.storage.StorageFaultController.hooks_for` — maps
     the store's monotone save counter to an injection callback for that
@@ -222,18 +222,17 @@ class CheckpointStore:
     sequence fault-free.
     """
 
+    #: Generations retained after each save.
+    keep = 3
+
     def __init__(
         self,
         root: str | Path,
         *,
-        keep: int = 3,
         hooks_factory: Callable[[int], Callable[[str, Path], None] | None] | None = None,
     ):
-        if keep < 1:
-            raise ValueError(f"keep must be >= 1, got {keep}")
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.keep = keep
         self.hooks_factory = hooks_factory
         #: Monotone count of save() calls on this instance — the save
         #: index storage fault entries are addressed by.

@@ -27,10 +27,8 @@ from contextlib import contextmanager
 from typing import NamedTuple
 
 from repro.telemetry.export import (
-    MetricsLog,
     category_fractions,
     chrome_trace,
-    load_metrics_jsonl,
     metrics_jsonl,
     summary_table,
     write_chrome_trace,
@@ -67,7 +65,6 @@ __all__ = [
     "Gauge",
     "HOST_TRACK",
     "Histogram",
-    "MetricsLog",
     "MetricsRegistry",
     "NULL_METRICS",
     "NULL_TRACER",
@@ -81,7 +78,6 @@ __all__ = [
     "chrome_trace",
     "get_metrics",
     "get_tracer",
-    "load_metrics_jsonl",
     "metrics_jsonl",
     "session",
     "set_metrics",

@@ -17,7 +17,6 @@ Three output formats:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.telemetry.metrics import MetricsRegistry
@@ -25,10 +24,8 @@ from repro.telemetry.tracer import SIM_TRACK, Tracer
 from repro.util.tables import format_table
 
 __all__ = [
-    "MetricsLog",
     "category_fractions",
     "chrome_trace",
-    "load_metrics_jsonl",
     "metrics_jsonl",
     "summary_table",
     "write_chrome_trace",
@@ -172,57 +169,6 @@ def write_metrics_jsonl(registry: MetricsRegistry, path: str | Path) -> Path:
     path = Path(path)
     path.write_text(metrics_jsonl(registry))
     return path
-
-
-@dataclass
-class MetricsLog:
-    """A parsed metrics JSONL dump (see :func:`load_metrics_jsonl`).
-
-    ``steps`` holds the raw per-step records in file order; ``final`` is
-    the trailing ``{"final": true, "metrics": [...]}`` record.  Records
-    keep their original key and label ordering (JSON objects preserve
-    insertion order), so :meth:`dumps` reproduces the exported text
-    byte-for-byte — the lossless round-trip the regression tests assert.
-    """
-
-    steps: list[dict] = field(default_factory=list)
-    final: dict = field(default_factory=dict)
-
-    def dumps(self) -> str:
-        """Re-serialise exactly as :func:`metrics_jsonl` wrote it."""
-        lines = [json.dumps(record) for record in self.steps]
-        lines.append(json.dumps(self.final))
-        return "\n".join(lines) + "\n"
-
-    def final_metrics(self) -> list[dict]:
-        return list(self.final.get("metrics", []))
-
-    def series(self, name: str, *, key: str = "value") -> list[tuple[int, object]]:
-        """Per-step ``(step, value)`` trajectory of one instrument."""
-        out: list[tuple[int, object]] = []
-        for record in self.steps:
-            for m in record.get("metrics", []):
-                if m.get("name") == name:
-                    out.append((record["step"], m.get(key)))
-        return out
-
-
-def load_metrics_jsonl(path: str | Path) -> MetricsLog:
-    """Parse a :func:`write_metrics_jsonl` dump back into records.
-
-    The reader is strict about the contract the writer keeps: every line
-    is one JSON object, per-step records carry ``step``, and the last
-    line is the ``final`` record.
-    """
-    text = Path(path).read_text()
-    records = [json.loads(line) for line in text.splitlines() if line.strip()]
-    if not records or not records[-1].get("final"):
-        raise ValueError(f"{path}: missing trailing final record")
-    steps = records[:-1]
-    for r in steps:
-        if "step" not in r:
-            raise ValueError(f"{path}: per-step record without 'step': {r}")
-    return MetricsLog(steps=steps, final=records[-1])
 
 
 def category_fractions(tracer: Tracer, *, track: str = SIM_TRACK) -> dict[str, float]:

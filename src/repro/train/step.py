@@ -8,8 +8,8 @@ differs in simulated time alone, and ``runtime=None`` is the blocking
 schedule of that same body, not a second path (DESIGN.md decision 13).
 
 :class:`StepScaffold` is what the first-order and the K-FAC trainer had
-verbatim in common: collaborator wiring, sharding, the bucketed gradient
-allreduce, the end-of-step observer order and the ``train`` loop.
+verbatim in common: sharding, the bucketed gradient allreduce, the
+end-of-step observer order and the ``train`` loop.
 """
 
 from __future__ import annotations
@@ -46,89 +46,23 @@ class StepScaffold:
     """Base of the data-parallel trainers: everything around the step body.
 
     A subclass sets ``model``, ``task``, ``cluster``, ``compressor``,
-    ``t`` and ``history``, calls :meth:`_bind_collaborators`, and
-    implements ``_step(global_idx, tracer)``.
+    ``t``, ``history`` and ``_schedule``, binds whichever collaborators it
+    has, and implements ``_step(global_idx, tracer)``.
     """
 
     #: Periodic checkpointing belongs to trainers that define
     #: ``save_state``; ``checkpoint_every = 0`` never saves.
     checkpoint_every = 0
     checkpoint_store = None
+    #: The collaborators only the K-FAC trainer binds
+    #: (:meth:`~repro.kfac_dist.DistributedKfacTrainer._bind_collaborators`);
+    #: ``None`` is a trainer that never had one.
+    runtime = guard = autotune = xray = obsv = None
 
     def restore_latest(self):
         """Restore the newest durable checkpoint and return its
         generation; a trainer with nothing durable has none (``None``)."""
         return None
-
-    def _bind_collaborators(
-        self,
-        *,
-        kind: str,
-        category: str,
-        runtime,
-        guard,
-        obsv,
-        autotune,
-        xray=None,
-        kfac=None,
-        factor_compressor=None,
-    ) -> None:
-        """Normalise and bind the optional collaborators, each seeing the
-        ones bound before it.  ``None`` (the default) for any of them is
-        bit-identical to a trainer that never had it: they read trainer
-        state and never consume the training RNG.
-
-        * ``runtime`` — :class:`repro.runtime.StreamRuntime` scheduling
-          the step's collectives; ``None`` is the blocking schedule.
-        * ``guard`` — :class:`repro.guard.GuardConfig`: payload
-          sentinels, divergence detection, self-healing remediation and
-          the compression circuit breaker.
-        * ``autotune`` — :class:`repro.autotune.AutotuneConfig`:
-          closed-loop retuning of the compression stack on ``category``;
-          owns its own probe RNG.
-        * ``xray`` — :class:`repro.xray.XrayConfig`, an analyzer or
-          ``True``: per-step critical-path attribution over the spans
-          (the K-FAC trainer only).
-        * ``obsv`` — :class:`repro.obsv.LedgerConfig`: the run ledger
-          folding metrics, span digests, overlap accounting, guard
-          events and the above into one artifact.
-        """
-        from repro.autotune.controller import as_autotune
-        from repro.guard.guard import as_guard
-        from repro.obsv.ledger import as_ledger
-        from repro.xray import as_xray
-
-        cluster, compressor = self.cluster, self.compressor
-        self.runtime = runtime
-        self._schedule = (
-            Schedule(StreamRuntime(cluster, overlap=False), None)
-            if runtime is None
-            else Schedule(runtime, runtime.bucket_bytes)
-        )
-        self.guard = as_guard(guard)
-        if self.guard is not None:
-            self.guard.bind(compressor=compressor, kfac=kfac, trainer=self, cluster=cluster)
-            self.guard.attach_runtime(runtime)
-        self.autotune = as_autotune(autotune)
-        if self.autotune is not None:
-            self.autotune.bind(
-                cluster=cluster, guard=self.guard, compressor=compressor, category=category
-            )
-        self.xray = as_xray(xray)
-        if self.xray is not None:
-            self.xray.bind(cluster=cluster)
-        self.obsv = as_ledger(obsv)
-        if self.obsv is not None:
-            self.obsv.bind(
-                kind=kind,
-                cluster=cluster,
-                runtime=runtime,
-                guard=self.guard,
-                compressor=compressor,
-                factor_compressor=factor_compressor,
-                autotune=self.autotune,
-                xray=self.xray,
-            )
 
     # -- one training iteration ------------------------------------------------
 
@@ -241,34 +175,12 @@ class StepScaffold:
         reduced = self.guard.scan(reduced, what="grad_allreduce")
         return reduced, float(np.linalg.norm(reduced))
 
-    def _observe_step(
-        self,
-        loss: float,
-        lr: float,
-        *,
-        wire: float,
-        dense: float,
-        n_messages: int,
-        sample,
-        **ledger_step,
-    ) -> None:
-        """The end-of-step observer order: autotune, metrics, xray, ledger.
+    def _observe_step(self, loss: float, lr: float, **ledger_step) -> None:
+        """The end-of-step observer order: metrics, xray, ledger.
 
-        ``wire`` / ``dense`` / ``n_messages`` / ``sample`` are what the
-        autotuner observes; ``ledger_step`` is what the ledger records
-        beyond loss and learning rate.
+        ``ledger_step`` is what the ledger records beyond loss and
+        learning rate.
         """
-        if self.autotune is not None:
-            # Decide *before* the ledger folds the step so the decision
-            # lands in the step record that produced it; a retune takes
-            # effect from the next iteration's compression.
-            self.autotune.end_step(
-                step=self.t,
-                wire_bytes=wire,
-                dense_bytes=dense,
-                n_messages=n_messages,
-                sample=sample if self.autotune.wants_sample else None,
-            )
         m = get_metrics()
         if m.enabled:
             m.gauge("train.loss").set(loss)

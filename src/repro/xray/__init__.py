@@ -12,11 +12,11 @@ compares two runs' records and names the segment that regressed.
 
 Everything here is a pure function of the recorded spans: enabling
 xray never mutates clocks, consumes randomness, or changes a run's
-numerics, and ``xray=None`` stays bit-identical to a build without
+numerics, and ``xray=False`` stays bit-identical to a build without
 this package.
 """
 
-from repro.xray.analyzer import XrayAnalyzer, XrayConfig, as_xray
+from repro.xray.analyzer import XrayAnalyzer
 from repro.xray.attribute import attribute_regression
 from repro.xray.critical import PathSegment, critical_path
 from repro.xray.graph import COMM_OPS, StepGraph, build_step_graph, is_comm
@@ -27,8 +27,6 @@ __all__ = [
     "PathSegment",
     "StepGraph",
     "XrayAnalyzer",
-    "XrayConfig",
-    "as_xray",
     "attribute_regression",
     "build_step_graph",
     "critical_path",

@@ -1,12 +1,12 @@
 """The xray analyzer: per-step critical-path attribution records.
 
 ``XrayAnalyzer`` rides the same passive-observer contract as the ledger
-writer and the autotune controller: trainers construct it from the
-``xray=`` kwarg, ``bind`` attaches the cluster/runtime, and the trainer
+writer and the autotune controller: the K-FAC trainer constructs it for
+``xray=True``, ``bind`` attaches the cluster, and the trainer
 calls :meth:`end_step` once per iteration *before* the ledger folds the
 step, so the attribution record lands in the step that produced it.
 The analyzer only reads tracer/cluster state and never consumes
-randomness — ``xray=None`` (the default) is bit-identical to a build
+randomness — ``xray=False`` (the default) is bit-identical to a build
 without this subsystem.
 
 Every record is a pure function of ``(seed, config)``: the span stream
@@ -17,44 +17,13 @@ aggregation below iterates in sorted key order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.xray.critical import PathSegment, critical_path
 from repro.xray.graph import build_step_graph, is_comm
 
-__all__ = ["XrayConfig", "XrayAnalyzer", "as_xray"]
+__all__ = ["XrayAnalyzer"]
 
-
-@dataclass(frozen=True)
-class XrayConfig:
-    """Configuration for the causal-trace analyzer.
-
-    ``top_segments`` caps the per-step "longest segments" list stored
-    in the ledger.
-    """
-
-    top_segments: int = 5
-
-    def build(self) -> "XrayAnalyzer":
-        return XrayAnalyzer(self)
-
-    def describe(self) -> dict:
-        return {"top_segments": self.top_segments}
-
-
-def as_xray(xray) -> "XrayAnalyzer | None":
-    """Normalise a trainer's ``xray=`` argument to an analyzer.
-
-    Accepts ``None`` (disabled), ``True`` (default config), an
-    :class:`XrayConfig`, or an already-built :class:`XrayAnalyzer`.
-    """
-    if xray is None:
-        return None
-    if xray is True:
-        return XrayConfig().build()
-    if isinstance(xray, XrayConfig):
-        return xray.build()
-    return xray
+#: Length of each step record's "longest segments" list.
+_TOP_SEGMENTS = 5
 
 
 def _clip(span, t0: float, t1: float) -> float:
@@ -65,8 +34,7 @@ def _clip(span, t0: float, t1: float) -> float:
 class XrayAnalyzer:
     """Builds one critical-path attribution record per training step."""
 
-    def __init__(self, config: XrayConfig | None = None):
-        self.config = config if config is not None else XrayConfig()
+    def __init__(self):
         self.records: list[dict] = []
         self._cluster = None
         self._t_prev = 0.0
@@ -75,7 +43,8 @@ class XrayAnalyzer:
         self._pending: dict | None = None
 
     def describe(self) -> dict:
-        return self.config.describe()
+        """The ledger manifest's ``xray`` section: no run chooses a setting."""
+        return {}
 
     def bind(self, *, cluster=None) -> "XrayAnalyzer":
         """Attach the run's cluster (the sim clock source)."""
@@ -181,7 +150,7 @@ class XrayAnalyzer:
         hidden = hidden_total / n_lanes
         top = sorted(
             segments, key=lambda s: (-s.seconds, s.start, str(s.rank), s.name)
-        )[: self.config.top_segments]
+        )[:_TOP_SEGMENTS]
         return {
             "step": int(step),
             "elapsed_s": graph.elapsed,

@@ -18,6 +18,7 @@ from repro.autotune import (
     codec_seconds,
     modelled_extra_seconds,
 )
+from repro.autotune.controller import _MAX_ERROR, _SAFE
 from repro.cli import main
 from repro.core import CompsoCompressor
 from repro.data import make_image_data
@@ -27,8 +28,7 @@ from repro.guard.guard import Guard, GuardConfig
 from repro.kfac_dist import DistributedKfacTrainer
 from repro.models import resnet_proxy
 from repro.obsv import autotune_timeline, LedgerConfig, load_ledger, run_report, summarize
-from repro.optim import Sgd
-from repro.train import ClassificationTask, DistributedSgdTrainer
+from repro.train import ClassificationTask
 
 ITERS = 8
 
@@ -125,19 +125,21 @@ class TestCandidateConfig:
 
 class TestHysteresisPolicy:
     def test_warmup_and_dwell(self):
-        p = HysteresisPolicy(warmup=2, min_dwell=3, min_improvement=0.1)
+        p = HysteresisPolicy(warmup=2, min_dwell=3)
         assert not p.ready(1, -1)
         assert p.ready(2, -1)
         assert not p.ready(4, 2)
         assert p.ready(5, 2)
 
     def test_improvement_band(self):
-        p = HysteresisPolicy(warmup=0, min_dwell=1, min_improvement=0.1)
+        p = HysteresisPolicy(warmup=0, min_dwell=1)
+        assert p.min_improvement == 0.1
         assert p.should_switch(1.0, 0.85)
         assert not p.should_switch(1.0, 0.95)
 
-    def test_infinite_improvement_never_switches(self):
-        p = HysteresisPolicy(warmup=0, min_dwell=1, min_improvement=float("inf"))
+    def test_infinite_improvement_never_switches(self, monkeypatch):
+        monkeypatch.setattr(HysteresisPolicy, "min_improvement", float("inf"))
+        p = HysteresisPolicy(warmup=0, min_dwell=1)
         assert not p.should_switch(1.0, 1e-12)
 
     def test_invalid_rejected(self):
@@ -199,25 +201,18 @@ class TestCostModel:
 
 
 class TestControllerValidation:
-    def test_duplicate_names_rejected(self):
-        menu = (CandidateConfig(name="a"), CandidateConfig(name="a", eb_f=1e-3))
-        with pytest.raises(ValueError, match="unique"):
-            AutotuneConfig(menu=menu, initial="a").build()
-
     def test_unknown_initial_rejected(self):
         with pytest.raises(ValueError, match="initial"):
             AutotuneConfig(initial="nope").build()
 
-    def test_unknown_safe_rejected(self):
-        with pytest.raises(ValueError, match="safe"):
-            AutotuneConfig(safe="nope").build()
-
     def test_initial_must_satisfy_max_error(self):
-        with pytest.raises(ValueError, match="max_error"):
-            AutotuneConfig(initial="aggressive", max_error=1e-3).build()
+        """Any menu entry may be the initial or the safe candidate, so the
+        whole menu sits inside the fidelity gate."""
+        assert [c.name for c in DEFAULT_MENU if c.error_bound > _MAX_ERROR] == []
 
     def test_safe_defaults_to_identity(self):
-        assert AutotuneConfig().build().safe_name == "identity"
+        safe = next(c for c in DEFAULT_MENU if c.name == _SAFE)
+        assert safe.is_identity
 
 
 class FakeBreakerGuard:
@@ -266,12 +261,10 @@ class TestBreakerVeto:
 
 
 class TestBitIdentity:
-    def test_none_and_never_firing_controller_identical(self):
+    def test_none_and_never_firing_controller_identical(self, monkeypatch):
         base_tr, base_cl = _run_kfac(autotune=None, channels=4)
-        idle_tr, idle_cl = _run_kfac(
-            autotune=AutotuneConfig(initial="default", min_improvement=float("inf")),
-            channels=4,
-        )
+        monkeypatch.setattr(HysteresisPolicy, "min_improvement", float("inf"))
+        idle_tr, idle_cl = _run_kfac(autotune=AutotuneConfig(initial="default"), channels=4)
         assert np.array_equal(_params(base_tr.model), _params(idle_tr.model))
         assert base_tr.history.losses == idle_tr.history.losses
         assert base_cl.time == idle_cl.time
@@ -338,24 +331,6 @@ class TestClosedLoop:
         md = run_report(load_ledger(path)).markdown()
         assert "## Autotune decisions" in md
         assert "retune" in md
-
-    def test_sgd_trainer_observes(self):
-        model = resnet_proxy(n_classes=4, channels=8, rng=1)
-        trainer = DistributedSgdTrainer(
-            model,
-            _task(),
-            Sgd(model.parameters(), lr=0.05, momentum=0.9),
-            SimCluster(1, 4, seed=0),
-            compressor=CompsoCompressor(4e-3, 4e-3, seed=0),
-            autotune=AutotuneConfig(initial="default", min_improvement=float("inf")),
-        )
-        trainer.train(iterations=5, batch_size=32, eval_every=5)
-        controller = trainer.autotune
-        assert controller.model.estimator.n_observations > 0
-        assert controller.model.cr["identity"] == 1.0
-        report = controller.report()
-        assert report["active"] == "default"
-        assert report["model"]["observations"] > 0
 
 
 class TestCli:

@@ -96,12 +96,6 @@ class TestSimClock:
         with pytest.raises(ValueError):
             SimClock().advance(-1.0)
 
-    def test_reset(self):
-        c = SimClock()
-        c.advance(1.0, "a")
-        c.reset()
-        assert c.now == 0.0 and c.breakdown() == {}
-
 
 class TestSimCluster:
     def test_allreduce_sums(self):
@@ -209,8 +203,3 @@ class TestSimCluster:
         assert cl.world_size == 8
         assert cl.network is PLATFORM2.network
 
-    def test_reset_clocks(self):
-        cl = SimCluster(1, 2)
-        cl.allreduce([np.ones(10), np.ones(10)])
-        cl.reset_clocks()
-        assert cl.time == 0.0

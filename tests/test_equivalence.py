@@ -30,7 +30,7 @@ def test_world1_matches_single_worker():
     _, model_b = _make()
 
     # Single-worker path.
-    kfac = Kfac(model_a, lr=0.05, damping=1e-2, inv_update_freq=3, kl_clip=1e-3)
+    kfac = Kfac(model_a, lr=0.05, inv_update_freq=3)
     losses_a = []
     rng = np.random.default_rng(7)
     batches = [rng.integers(0, task.n, 32) for _ in range(8)]
@@ -49,9 +49,7 @@ def test_world1_matches_single_worker():
         task,
         SimCluster(1, 1, seed=0),
         lr=0.05,
-        damping=1e-2,
         inv_update_freq=3,
-        kl_clip=1e-3,
     )
     losses_b = [trainer.step(idx) for idx in batches]
 
@@ -83,7 +81,7 @@ def test_world4_matches_world1_on_same_global_batch():
     def run(world):
         model = build()
         tr = DistributedKfacTrainer(
-            model, task, SimCluster(1, world, seed=0), lr=0.05, damping=1e-2, inv_update_freq=3
+            model, task, SimCluster(1, world, seed=0), lr=0.05, inv_update_freq=3
         )
         return [tr.step(idx) for idx in batches]
 

@@ -119,7 +119,7 @@ def test_statistics_over_zero_samples_fail_naming_the_layer(rng):
 
 
 def test_running_averages_stay_float64(rng):
-    kfac = Kfac(nn.Sequential(nn.Linear(4, 3, rng=1)), factor_decay=0.5)
+    kfac = Kfac(nn.Sequential(nn.Linear(4, 3, rng=1)))
     first = np.full((5, 5), 1.0, dtype=np.float32)
     kfac.accumulate_factors(0, first, first[:3, :3])
     st = kfac.state[0]
@@ -128,7 +128,7 @@ def test_running_averages_stay_float64(rng):
     # 0.1 is not a float32: folded at float32 width the average would be off by 1e-9.
     kfac.accumulate_factors(0, np.full((5, 5), 0.1, np.float32), np.zeros((3, 3), np.float32))
     assert st.A.dtype == np.float64
-    assert st.A[0, 0] == 0.5 * 1.0 + 0.5 * float(np.float32(0.1))
+    assert st.A[0, 0] == 0.95 * 1.0 + (1 - 0.95) * float(np.float32(0.1))
 
 
 # -- one definition of the triangle --------------------------------------------
@@ -243,7 +243,7 @@ def test_world1_factors_equal_single_worker_bit_for_bit():
     _, dist_model = _task_and_model()
     idx = np.random.default_rng(7).integers(0, task.n, 32)
 
-    kfac = Kfac(single_model, lr=0.05, damping=1e-2, inv_update_freq=3)
+    kfac = Kfac(single_model, lr=0.05, inv_update_freq=3)
     x, y = task.batch(idx)
     _, dl = task.loss_and_grad(single_model(x), y)
     kfac.zero_grad()
@@ -251,7 +251,7 @@ def test_world1_factors_equal_single_worker_bit_for_bit():
     kfac.step()
 
     trainer = DistributedKfacTrainer(
-        dist_model, task, SimCluster(1, 1, seed=0), lr=0.05, damping=1e-2, inv_update_freq=3
+        dist_model, task, SimCluster(1, 1, seed=0), lr=0.05, inv_update_freq=3
     )
     trainer.step(idx)
     assert len(kfac.state) == len(trainer.kfac.state) > 0

@@ -61,10 +61,10 @@ def _run(kind, ranks, *, track="timing", payloads=None, overlap=False, use_rt=Fa
         else None
     )
     comp = CompsoCompressor(4e-3, 4e-3, seed=0)
-    if kind == "sgd":
+    if kind == "sgd":  # the SGD trainer has no runtime: it is always blocking
+        assert rt is None
         trainer = DistributedSgdTrainer(
-            model, _task(), Sgd(model.parameters(), lr=0.05), cluster,
-            compressor=comp, runtime=rt,
+            model, _task(), Sgd(model.parameters(), lr=0.05), cluster, compressor=comp
         )
     else:
         trainer = DistributedKfacTrainer(
@@ -86,7 +86,7 @@ class TestRepresentativeEquivalence:
         assert np.array_equal(p_rep, p_full)
         assert c_rep.time == c_full.time
 
-    @pytest.mark.parametrize("kind", ["sgd", "kfac"])
+    @pytest.mark.parametrize("kind", ["kfac"])
     def test_overlapped_bit_identical(self, kind):
         p_rep, c_rep = _run(kind, 8, payloads="representative", use_rt=True, overlap=True)
         p_full, c_full = _run(kind, 8, payloads="full", use_rt=True, overlap=True)
@@ -212,14 +212,11 @@ class TestVirtualClockPlane:
         # Mean wait = top - mean(skew) = 2.0 - 0.75
         assert plane.breakdown()["wait"] == pytest.approx(1.25)
 
-    def test_advance_all_and_reset(self):
+    def test_advance_all(self):
         plane = VirtualClockPlane(2)
         plane.advance_all(1.5, "comm")
         assert plane.max_now == 1.5
         assert plane.breakdown() == {"comm": 1.5}
-        plane.reset()
-        assert plane.max_now == 0.0
-        assert plane.breakdown() == {}
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

@@ -102,11 +102,9 @@ class TestJobSpecValidation:
         with pytest.raises(ValueError, match="arrival"):
             JobSpec("j", world_size=8, iterations=1, arrival=-0.1)
 
-    def test_rejects_bad_deadline_and_checkpoint_every(self):
+    def test_rejects_bad_deadline(self):
         with pytest.raises(ValueError, match="deadline"):
             JobSpec("j", world_size=8, iterations=1, deadline=0.0)
-        with pytest.raises(ValueError, match="checkpoint_every"):
-            JobSpec("j", world_size=8, iterations=1, checkpoint_every=-1)
 
     def test_duplicate_names_raise(self):
         specs = [_solo("same"), _solo("same")]
@@ -119,17 +117,15 @@ class TestJobSpecValidation:
             FleetScheduler(specs, max_concurrent=0)
         with pytest.raises(ValueError, match="retry_budget"):
             FleetScheduler(specs, retry_budget=-1)
-        with pytest.raises(ValueError, match="backoff"):
-            FleetScheduler(specs, backoff_base=1e-3, backoff_cap=1e-4)
 
 
 class TestCrashRestart:
     def test_restart_resumes_from_checkpoint_bit_identical(self):
-        # Checkpoint every 2 steps, crash at iteration 3: one completed
-        # step is rolled back and re-run from the restored checkpoint.
+        # A job checkpoints after every step, so a crash at iteration 3
+        # restores the checkpoint of step 3 and loses only the backoff.
         # Exact-resume checkpoints make the finished trajectory
         # bit-identical to the run that never crashed.
-        crash = _solo(fault_plan=FaultPlan().add_crash(iteration=3), checkpoint_every=2)
+        crash = _solo(fault_plan=FaultPlan().add_crash(iteration=3))
         clean = _solo()
         s_crash = FleetScheduler([crash])
         s_clean = FleetScheduler([clean])
@@ -142,7 +138,7 @@ class TestCrashRestart:
         np.testing.assert_array_equal(
             _params(s_crash.jobs[0].trainer.model), _params(s_clean.jobs[0].trainer.model)
         )
-        # One step of sim time was rolled back, plus backoff.
+        # The restart's backoff is lost time.
         assert r_crash.time_lost_s > 0.0
         assert r_crash.fleet_end > r_clean.fleet_end
         assert r_crash.goodput < 1.0
@@ -191,16 +187,17 @@ class TestCrashRestart:
 
     def test_backoff_is_capped_exponential(self):
         plan = FaultPlan()
-        for it in (1, 2, 3):
+        for it in (1, 2, 3, 4, 5):
             plan.add_crash(iteration=it)
-        spec = _solo(fault_plan=plan)
-        sched = FleetScheduler([spec], retry_budget=3, backoff_base=1e-3, backoff_cap=1.5e-3)
+        spec = JobSpec("solo", world_size=8, iterations=6, batch_size=32, fault_plan=plan)
+        sched = FleetScheduler([spec], retry_budget=5)
         report = sched.run().by_name("solo")
         assert report.state == "done"
-        assert report.restarts == 3
-        # Backoffs: 1e-3, then capped at 1.5e-3 twice.
+        assert report.restarts == 5
+        # Backoffs: 1e-3 doubling to the 8e-3 cap, which the last two hit.
+        assert (sched.backoff_base, sched.backoff_cap) == (1e-3, 8e-3)
         job = sched.jobs[0]
-        assert job.backoff_total == pytest.approx(1e-3 + 1.5e-3 + 1.5e-3)
+        assert job.backoff_total == pytest.approx((1 + 2 + 4 + 8 + 8) * 1e-3)
 
 
 class TestPreemption:

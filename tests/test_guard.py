@@ -1,4 +1,4 @@
-"""repro.guard: sentinels, divergence detection, policy engine, watchdog."""
+"""repro.guard: sentinels, divergence detection, policy engine."""
 
 from dataclasses import replace
 
@@ -17,23 +17,21 @@ from repro.guard import (
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
     CircuitBreaker,
-    CollectiveWatchdog,
     DivergenceDetector,
     Guard,
     GuardConfig,
     PolicyEngine,
-    WatchdogTimeoutError,
     contract_error,
     factor_health,
     scan_tensor,
 )
+from repro.guard.health import _WINDOW
 from repro.guard.policy import GuardContext
 from repro.guard.sentinels import safe_eigen
 from repro.kfac_dist import DistributedKfacTrainer
 from repro.models import resnet_proxy
 from repro.optim import FactorNumericsError, Sgd
 from repro.optim.kfac import Kfac
-from repro.runtime import StreamRuntime
 from repro.store import CheckpointStore, Generation
 from repro.telemetry.export import chrome_trace
 from repro.train import ClassificationTask, DistributedSgdTrainer
@@ -84,7 +82,7 @@ class TestScanTensor:
     def test_oversized_scrubbed(self):
         """A finite-but-absurd value (exponent bit flip) is caught too."""
         x = np.array([1.0, 1e30, -2.0], dtype=np.float32)
-        result = scan_tensor(x, abs_limit=1e6)
+        result = scan_tensor(x)
         assert result.n_oversized == 1 and result.n_nonfinite == 0
         assert np.array_equal(result.values, [1.0, 0.0, -2.0])
 
@@ -161,36 +159,44 @@ class TestDivergenceDetector:
         assert report.verdicts == ["loss_nan"]
 
     def test_loss_spike_after_warmup(self):
-        det = DivergenceDetector(warmup=3, spike_factor=3.0)
+        det = DivergenceDetector()  # warmup 3, spike factor 3
         for t in range(4):
             assert det.observe(t, 1.0, 1.0).ok
         report = det.observe(4, 10.0, 1.0)
         assert "loss_spike" in report.verdicts
 
     def test_no_spike_during_warmup(self):
-        det = DivergenceDetector(warmup=3)
+        det = DivergenceDetector()
         assert det.observe(0, 1.0, 1.0).ok
         assert det.observe(1, 100.0, 1.0).ok  # not enough baseline yet
 
     def test_grad_spike(self):
-        det = DivergenceDetector(warmup=2, grad_spike_factor=10.0)
+        det = DivergenceDetector()  # grad spike factor 10
         for t in range(3):
             det.observe(t, 1.0, 1.0)
         assert "grad_spike" in det.observe(3, 1.0, 50.0).verdicts
 
     def test_spikes_do_not_ratchet_baseline(self):
         """A divergence burst must not normalise itself into the median."""
-        det = DivergenceDetector(warmup=3, spike_factor=3.0)
+        det = DivergenceDetector()
         for t in range(4):
             det.observe(t, 1.0, 1.0)
         for t in range(4, 8):
             assert "loss_spike" in det.observe(t, 10.0, 1.0).verdicts
 
     def test_plateau(self):
-        det = DivergenceDetector(plateau_window=3, plateau_tol=1e-3)
-        for t in range(10):
-            report = det.observe(t, 1.0, 1.0)
-        assert "plateau" in report.verdicts
+        """A flat loss is healthy: no verdict, however long it lasts."""
+        det = DivergenceDetector()
+        assert all(det.observe(t, 1.0, 1.0).ok for t in range(50))
+
+    def test_memory_is_bounded_by_the_window(self):
+        """Every guarded run observes every step, so nothing the detector
+        keeps may grow with the run."""
+        det = DivergenceDetector()
+        for t in range(10_000):
+            det.observe(t, 1.0 + (t % 7) * 1e-3, 1.0)
+        sizes = {name: len(v) for name, v in vars(det).items() if hasattr(v, "__len__")}
+        assert sizes and max(sizes.values()) <= _WINDOW, sizes
 
 
 # -- circuit breaker ----------------------------------------------------------
@@ -198,39 +204,43 @@ class TestDivergenceDetector:
 
 class TestCircuitBreaker:
     def test_full_cycle_closed_open_halfopen_closed(self):
-        b = CircuitBreaker(cooldown=2, reclose_after=2)
+        b = CircuitBreaker()
+        assert (b.cooldown, b.reclose_after) == (3, 2)
         assert b.state == BREAKER_CLOSED and b.allows_compression
         assert b.trip(3)
         assert b.state == BREAKER_OPEN and not b.allows_compression
         b.end_iteration(4, clean=True)
-        assert b.state == BREAKER_OPEN  # cooldown not elapsed
         b.end_iteration(5, clean=True)
-        assert b.state == BREAKER_HALF_OPEN and b.allows_compression
+        assert b.state == BREAKER_OPEN  # cooldown not elapsed
         b.end_iteration(6, clean=True)
-        assert b.state == BREAKER_HALF_OPEN  # one good, needs two
+        assert b.state == BREAKER_HALF_OPEN and b.allows_compression
         b.end_iteration(7, clean=True)
+        assert b.state == BREAKER_HALF_OPEN  # one good, needs two
+        b.end_iteration(8, clean=True)
         assert b.state == BREAKER_CLOSED
         assert b.transitions == [
             (3, "closed", "open"),
-            (5, "open", "half_open"),
-            (7, "half_open", "closed"),
+            (6, "open", "half_open"),
+            (8, "half_open", "closed"),
         ]
 
     def test_dirty_halfopen_reopens(self):
-        b = CircuitBreaker(cooldown=1, reclose_after=1)
+        b = CircuitBreaker()
         b.trip(0)
-        b.end_iteration(1, clean=True)
+        for t in range(1, 4):
+            b.end_iteration(t, clean=True)
         assert b.state == BREAKER_HALF_OPEN
-        b.end_iteration(2, clean=False)
+        b.end_iteration(4, clean=False)
         assert b.state == BREAKER_OPEN
         assert b.trips == 2
 
     def test_trip_while_open_rearms_cooldown(self):
-        b = CircuitBreaker(cooldown=2, reclose_after=1)
+        b = CircuitBreaker()
         assert b.trip(0)
         b.end_iteration(1, clean=True)
-        assert not b.trip(2)  # already open: not a new trip
-        b.end_iteration(3, clean=True)
+        b.end_iteration(2, clean=True)
+        assert not b.trip(3)  # already open: not a new trip
+        b.end_iteration(4, clean=True)
         assert b.state == BREAKER_OPEN  # cooldown was re-armed
         assert b.trips == 1
 
@@ -298,106 +308,6 @@ class TestPolicyEngine:
         assert kfac.damping == pytest.approx(1.0)  # 1e-2 * cap 100
 
 
-# -- watchdog -----------------------------------------------------------------
-
-
-class _StubFaults:
-    def __init__(self, stalls):
-        self.stalls = list(stalls)
-
-    def collective_extras(self, op, seconds, ranks):
-        stall = self.stalls.pop(0) if self.stalls else 0.0
-        return {ranks[0]: stall} if stall else {}
-
-
-class _StubRank:
-    def __init__(self, rank):
-        self.rank = rank
-
-
-class _StubCluster:
-    def __init__(self, stalls):
-        self.faults = _StubFaults(stalls)
-        self.ranks = [_StubRank(0), _StubRank(1)]
-        self.time = 0.0
-        self.backoffs = []
-
-    def advance_all(self, seconds, category):
-        self.backoffs.append((seconds, category))
-        self.time += seconds
-
-
-class _StubRuntime:
-    def __init__(self, stalls):
-        self.cluster = _StubCluster(stalls)
-
-    def pending_report(self):
-        return "  rank 0: posted=[-] awaiting-wait=[#1 allreduce (grad, 10.0us)]"
-
-
-class _StubHandle:
-    op = "allreduce"
-    seconds = 1e-5
-    seq = 1
-
-    def describe(self):
-        return "#1 allreduce (grad, 10.0us)"
-
-
-class TestWatchdog:
-    def test_within_deadline_passes_through(self):
-        wd = CollectiveWatchdog(deadline_seconds=1.0)
-        rt = _StubRuntime([])
-        extras = {0: 1e-6}
-        assert wd.review(rt, _StubHandle(), extras) is extras
-        assert wd.retries == 0
-
-    def test_retry_clears_transient_stall(self):
-        """First draw stalls past the deadline; the re-issue is clean."""
-        wd = CollectiveWatchdog(deadline_seconds=1e-4, max_retries=2)
-        rt = _StubRuntime(stalls=[0.0])  # the redraw after backoff: clean
-        out = wd.review(rt, _StubHandle(), {0: 1.0})
-        assert out == {}
-        assert wd.retries == 1 and wd.timeouts == 0
-        assert rt.cluster.backoffs[0][1] == "watchdog_backoff"
-
-    def test_exhausted_retries_raise_with_report(self):
-        wd = CollectiveWatchdog(deadline_seconds=1e-4, max_retries=2)
-        rt = _StubRuntime(stalls=[1.0, 1.0])  # every redraw stalls again
-        with pytest.raises(WatchdogTimeoutError) as ei:
-            wd.review(rt, _StubHandle(), {0: 1.0})
-        msg = str(ei.value)
-        assert "deadline" in msg and "rank 0" in msg and "awaiting-wait" in msg
-        assert ei.value.report  # the per-rank dump rides on the exception
-        assert wd.timeouts == 1
-
-    def test_streamruntime_integration_deterministic_straggler(self):
-        """A deterministic straggler re-stalls every retry -> timeout."""
-        plan = FaultPlan(seed=0)
-        plan.add_straggler(1, start=0, slowdown=50.0)
-        plan.validate(4)
-        cluster = SimCluster(1, 4, seed=0, fault_plan=plan)
-        cluster.begin_iteration(0)
-        rt = StreamRuntime(cluster, overlap=True)
-        rt.watchdog = CollectiveWatchdog(deadline_seconds=1e-9, max_retries=1)
-        rng = np.random.default_rng(0)
-        h = rt.iallreduce(
-            [rng.standard_normal(1 << 12).astype(np.float32) for _ in range(4)],
-            average=True,
-        )
-        with pytest.raises(WatchdogTimeoutError) as ei:
-            h.wait()
-        assert "rank" in str(ei.value)
-
-    def test_guard_config_installs_watchdog_on_runtime(self):
-        cluster = SimCluster(1, 2, seed=0)
-        rt = StreamRuntime(cluster, overlap=True)
-        guard = GuardConfig(watchdog_deadline=1e-3).build()
-        guard.attach_runtime(rt)
-        assert isinstance(rt.watchdog, CollectiveWatchdog)
-        assert rt.watchdog.deadline_seconds == 1e-3
-
-
 # -- guard facade + trainer integration ---------------------------------------
 
 
@@ -414,16 +324,17 @@ class TestGuardedTraining:
         plan = FaultPlan(seed=0)
         plan.add_corruption(0.7, start=2, stop=6, n_bits=4, ops=("broadcast",))
         plan.validate(4)
-        guard = GuardConfig(breaker_cooldown=2, breaker_reclose_after=1)
         tr = _kfac_trainer(
             seed=0,
-            guard=guard,
+            guard=GuardConfig(),
             plan=plan,
             reliable_channel=False,
             checkpoint_store=CheckpointStore(tmp_path),
             checkpoint_every=2,
         )
-        tr.train(iterations=10, batch_size=32, seed=0)
+        # 12 steps: the breaker's 3-step cool-down and 2-step probation
+        # fit after the corruption window.
+        tr.train(iterations=12, batch_size=32, seed=0)
         report = tr.guard.report()
         assert np.isfinite(tr.history.losses[-1])
         assert np.isfinite(_params(tr.model)).all()
@@ -465,6 +376,8 @@ class TestGuardedTraining:
             assert f"remediate:{action.action}" in trace_names
 
     def test_sgd_trainer_scrubs_corrupt_gradient(self):
+        """The SGD trainer has no guard; under a corruption plan its run
+        stays finite, and with nothing durable there is no rollback."""
         plan = FaultPlan(seed=0)
         plan.add_corruption(1.0, start=1, stop=3, n_bits=4, ops=("allgather",))
         plan.validate(2)
@@ -472,30 +385,11 @@ class TestGuardedTraining:
         task = ClassificationTask(data)
         cluster = SimCluster(1, 2, seed=0, fault_plan=plan)
         model = resnet_proxy(n_classes=3, channels=8, rng=1)
-        tr = DistributedSgdTrainer(
-            model, task, Sgd(model.parameters(), lr=0.05), cluster,
-            guard=GuardConfig(),
-        )
+        tr = DistributedSgdTrainer(model, task, Sgd(model.parameters(), lr=0.05), cluster)
         tr.train(iterations=5, batch_size=16, seed=0)
         assert np.isfinite(tr.history.losses[-1])
         assert np.isfinite(_params(model)).all()
-        assert tr.restore_latest() is None  # nothing durable: a rollback is skipped
-
-    def test_sgd_guarded_healthy_bit_identical(self):
-        def run(guard):
-            data = make_image_data(120, n_classes=3, size=8, noise=1.0, seed=0)
-            task = ClassificationTask(data)
-            cluster = SimCluster(1, 2, seed=0)
-            model = resnet_proxy(n_classes=3, channels=8, rng=1)
-            comp = CompsoCompressor(4e-3, 4e-3, seed=0)
-            tr = DistributedSgdTrainer(
-                model, task, Sgd(model.parameters(), lr=0.05), cluster,
-                compressor=comp, guard=guard,
-            )
-            tr.train(iterations=5, batch_size=16, seed=0)
-            return _params(model)
-
-        assert np.array_equal(run(None), run(GuardConfig()))
+        assert tr.restore_latest() is None
 
     def test_rollback_on_nan_loss(self, tmp_path):
         guard = Guard(GuardConfig())

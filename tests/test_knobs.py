@@ -1,14 +1,19 @@
-"""The knob lint: a config field or keyword parameter exists because something sets it.
+"""The knob lint: a config field or keyword parameter exists because a run sets it.
 
-Each default is declared once, in the class that uses it (DESIGN.md decision
-26).  A field of a run-assembly config, or a parameter of a run-assembly
-constructor, that no call site sets only re-declares that default — and the
-ledger manifest would record it as if a run had chosen it.  This lint parses
-every call site (``src/``, ``benchmarks/``, ``examples/``, ``perfbench/``,
-``tests/`` and the Python blocks of ``ci.yml``) and fails on any knob none of
-them sets.  A ``**`` expansion sets the keys of a dict literal and nothing
-else; ``dataclasses.replace`` sets nothing, because the call does not say
-which class it copies.
+Each default is declared once, in the class that uses it (DESIGN.md decisions
+26 and 27).  A field of a run-assembly config, or a parameter of a
+run-assembly constructor, that no run sets only re-declares that default —
+and the ledger manifest would record it as if a run had chosen it.  This lint
+parses every call site (``src/``, ``benchmarks/``, ``examples/``,
+``perfbench/`` and the Python blocks of ``ci.yml``; tests are not callers) and
+fails on any knob none of them sets.  Three forms set a knob besides a plain
+call:
+
+* a ``**`` expansion sets the keys of a dict literal and nothing else;
+* ``dataclasses.replace(x, k=...)`` sets ``k`` on a dataclass of
+  :data:`KNOBS` only in a file that imports or defines that class;
+* a ``repro`` subcommand's ``--flag`` (declared in ``build_parser``) sets the
+  knob of the same name on the classes its ``cmd_*`` function constructs.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import textwrap
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parent.parent
-_CALL_SITE_DIRS = ("src", "benchmarks", "examples", "perfbench", "tests")
+_CALL_SITE_DIRS = ("src", "benchmarks", "examples", "perfbench")
 _CI = _ROOT / ".github" / "workflows" / "ci.yml"
 
 #: (defining module, class, method).  ``None`` as the method means the class
@@ -27,8 +32,10 @@ _CI = _ROOT / ".github" / "workflows" / "ci.yml"
 #: parameters, and ``__init__``'s are set by calling the class.
 KNOBS: tuple[tuple[str, str, str | None], ...] = (
     ("src/repro/guard/guard.py", "GuardConfig", None),
+    ("src/repro/guard/policy.py", "CircuitBreaker", "__init__"),
+    ("src/repro/guard/health.py", "DivergenceDetector", "__init__"),
     ("src/repro/autotune/controller.py", "AutotuneConfig", None),
-    ("src/repro/xray/analyzer.py", "XrayConfig", None),
+    ("src/repro/autotune/policy.py", "HysteresisPolicy", None),
     ("src/repro/obsv/ledger.py", "LedgerConfig", None),
     ("src/repro/fleet/job.py", "JobSpec", None),
     ("src/repro/kfac_dist/trainer.py", "DistributedKfacTrainer", "__init__"),
@@ -40,7 +47,11 @@ KNOBS: tuple[tuple[str, str, str | None], ...] = (
     ("src/repro/runtime/engine.py", "StreamRuntime", "__init__"),
     ("src/repro/runtime/compute.py", "ComputeModel", None),
     ("src/repro/faults/recovery.py", "ReliableChannel", "__init__"),
-    ("src/repro/guard/watchdog.py", "CollectiveWatchdog", "__init__"),
+    ("src/repro/optim/kfac.py", "Kfac", "__init__"),
+    ("src/repro/kfac_dist/timing.py", "KfacIterationModel", "breakdown"),
+    ("src/repro/kfac_dist/timing.py", "KfacIterationModel", "record_trace"),
+    ("src/repro/kfac_dist/timing.py", "KfacIterationModel", "end_to_end_speedup"),
+    ("src/repro/kfac_dist/timing.py", "KfacIterationModel", "factor_allreduce_time"),
 )
 
 
@@ -93,6 +104,59 @@ def set_names(calls: list[ast.Call], positional: list[str]) -> set[str]:
     return found
 
 
+def replaced_names(tree: ast.AST, fields: list[str]) -> set[str]:
+    """Names the ``replace(x, k=...)`` calls in ``tree`` set on a class of
+    ``fields``: only a call whose keywords are all fields can copy one,
+    since ``replace`` raises on any other name."""
+    calls = [
+        node for node in calls_by_callee(tree).get("replace", [])
+        if {kw.arg for kw in node.keywords} <= set(fields)
+    ]
+    return set_names(calls, [])
+
+
+def names_class(tree: ast.Module, cls: str) -> bool:
+    """Does ``tree`` import or define ``cls``?"""
+    return any(
+        (isinstance(n, ast.ClassDef) and n.name == cls)
+        or (isinstance(n, ast.ImportFrom) and any(a.name == cls for a in n.names))
+        for n in ast.walk(tree)
+    )
+
+
+def flag_setters(tree: ast.Module) -> dict[str, set[str]]:
+    """Callee → knob names the CLI flags of ``build_parser`` in ``tree`` set.
+
+    In ``build_parser`` a run of ``add_argument("--flag")`` calls belongs to
+    the ``set_defaults(func=cmd_x)`` that ends it; each flag, with dashes
+    as underscores, sets that name on every class ``cmd_x`` calls.
+    """
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    parser = functions.get("build_parser")
+    if parser is None:
+        return {}
+    calls = sorted(
+        (n for n in ast.walk(parser) if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)),
+        key=lambda n: (n.lineno, n.col_offset),
+    )
+    out: dict[str, set[str]] = {}
+    flags: list[str] = []
+    for node in calls:
+        if node.func.attr == "add_argument":
+            flags += [
+                a.value[2:].replace("-", "_")
+                for a in node.args
+                if isinstance(a, ast.Constant) and str(a.value).startswith("--")
+            ]
+        elif node.func.attr == "set_defaults":
+            for kw in node.keywords:
+                if kw.arg == "func" and isinstance(kw.value, ast.Name) and kw.value.id in functions:
+                    for callee in calls_by_callee(functions[kw.value.id]):
+                        out.setdefault(callee, set()).update(flags)
+            flags = []
+    return out
+
+
 def _callee(cls: str, method: str | None) -> str:
     return cls if method in (None, "__init__") else method
 
@@ -114,6 +178,7 @@ def _sources() -> dict[str, ast.Module]:
 def setters(sources: dict[str, ast.Module]) -> dict[tuple[str, str], list[str]]:
     """``(owner, knob)`` → the files that set it, for every knob in :data:`KNOBS`."""
     calls = {where: calls_by_callee(tree) for where, tree in sources.items()}
+    flags = {where: flag_setters(tree) for where, tree in sources.items()}
     out: dict[tuple[str, str], list[str]] = {}
     for module, cls, method in KNOBS:
         names = knobs_of(sources[module], cls, method)
@@ -122,7 +187,11 @@ def setters(sources: dict[str, ast.Module]) -> dict[tuple[str, str], list[str]]:
         for name in names:
             out[(owner, name)] = []
         for where, by_callee in calls.items():
-            for name in set_names(by_callee.get(callee, []), names):
+            found = set_names(by_callee.get(callee, []), names)
+            found |= flags[where].get(callee, set())
+            if method is None and names_class(sources[where], cls):
+                found |= replaced_names(sources[where], names)
+            for name in sorted(found & set(names)):
                 out[(owner, name)].append(where)
     return out
 
@@ -152,7 +221,6 @@ def test_the_knob_lint_sees_what_it_looks_for():
         "Config(**dict(d=1))\n"
         "Config(**options)\n"  # unresolvable: sets nothing
         "Other(e=1)\n"  # another callee
-        "replace(cfg, e=1)\n"  # the copied class is unknown
         "Engine(cluster, *rest, y=0)\n"
     )
     assert knobs_of(defining, "Config", None) == ["a", "b", "c", "d", "e"]
@@ -160,3 +228,33 @@ def test_the_knob_lint_sees_what_it_looks_for():
     by_callee = calls_by_callee(calls)
     assert set_names(by_callee["Config"], ["a", "b", "c", "d", "e"]) == {"a", "b", "c", "d"}
     assert set_names(by_callee["Engine"], ["x", "y", "z"]) == {"x", "y"}
+
+
+def test_replace_sets_a_knob_only_where_its_class_is_named():
+    importing = ast.parse(
+        "from repro.cfg import Config\n"
+        "replace(cfg, e=1)\n"
+        "replace(scenario, d=0, guard=False)\n"  # guard is no field: not a Config
+    )
+    elsewhere = ast.parse("from repro.other import Scenario\nreplace(s, e=0)\n")
+    assert replaced_names(importing, ["d", "e"]) == {"e"} and names_class(importing, "Config")
+    assert not names_class(elsewhere, "Config")
+    assert names_class(ast.parse("class Config:\n    e: int = 5\n"), "Config")
+
+
+def test_a_cli_flag_sets_the_knob_its_command_constructs():
+    cli = ast.parse(
+        "def cmd_run(args):\n"
+        "    return Engine(cluster, **_given(args, 'y'))\n"
+        "def cmd_other(args):\n"
+        "    return Other()\n"
+        "def build_parser():\n"
+        "    p = sub.add_parser('run')\n"
+        "    p.add_argument('--y', type=int)\n"
+        "    p.set_defaults(func=cmd_run)\n"
+        "    p = sub.add_parser('other')\n"
+        "    p.add_argument('--z', type=int)\n"
+        "    p.set_defaults(func=cmd_other)\n"
+    )
+    got = flag_setters(cli)
+    assert got["Engine"] == {"y"} and "z" not in got["Engine"]

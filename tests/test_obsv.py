@@ -32,9 +32,8 @@ from repro.obsv import (
     summarize,
 )
 from repro.obsv.ledger import SCHEMA_VERSION
-from repro.optim import Sgd
 from repro.runtime import ComputeModel, StreamRuntime
-from repro.train import ClassificationTask, DistributedSgdTrainer
+from repro.train import ClassificationTask
 
 ITERS = 5
 
@@ -156,24 +155,6 @@ class TestLedger:
         step = ledger.steps[0]
         assert "metrics" not in step and "spans" not in step
         assert step["loss"] > 0
-
-    def test_sgd_trainer_writes_ledger(self, tmp_path):
-        path = tmp_path / "sgd.ledger"
-        task = _task()
-        model = resnet_proxy(n_classes=4, channels=4, rng=3)
-        tr = DistributedSgdTrainer(
-            model,
-            task,
-            Sgd(model.parameters(), lr=0.05, momentum=0.9),
-            SimCluster(1, 4, seed=0),
-            compressor=CompsoCompressor(4e-3, 4e-3, seed=0),
-            obsv=LedgerConfig(path),
-        )
-        tr.train(iterations=ITERS, batch_size=32, eval_every=ITERS)
-        ledger = load_ledger(path)
-        assert ledger.manifest["kind"] == "sgd"
-        assert len(ledger.steps) == ITERS
-        assert all(s["cr"] > 1.0 for s in ledger.steps)
 
     def test_load_rejects_newer_schema(self, tmp_path):
         p = tmp_path / "future.ledger"

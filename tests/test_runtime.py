@@ -396,15 +396,11 @@ class TestComputeModel:
     def test_validation(self):
         with pytest.raises(ValueError):
             ComputeModel(train_flops=0.0)
-        with pytest.raises(ValueError):
-            ComputeModel(backward_factor=-1.0)
 
     def test_runtime_validation(self):
         cluster = SimCluster(1, 2)
         with pytest.raises(ValueError):
             StreamRuntime(cluster, n_comm_streams=0)
-        with pytest.raises(ValueError):
-            StreamRuntime(cluster, bucket_bytes=0)
 
 
 class TestBucketing:

@@ -16,9 +16,8 @@ from repro.distributed import SLINGSHOT10, SimCluster
 from repro.faults import FaultPlan
 from repro.kfac_dist import DistributedKfacTrainer
 from repro.models import resnet_proxy
-from repro.optim import Sgd
 from repro.runtime import ComputeModel, StreamRuntime
-from repro.train import ClassificationTask, DistributedSgdTrainer
+from repro.train import ClassificationTask
 
 ITERS = 4
 #: Tiny-proxy throughput so modelled compute is on the comm scale.
@@ -36,29 +35,6 @@ def _params(model):
 def _cluster(ranks=16, **kw):
     gpus = min(ranks, 4)
     return SimCluster(ranks // gpus, gpus, seed=0, network=SLINGSHOT10, **kw)
-
-
-def run_sgd(overlap, *, runtime=True, compressor=False, ranks=16):
-    cluster = _cluster(ranks)
-    model = resnet_proxy(n_classes=5, channels=8, rng=3)
-    rt = (
-        StreamRuntime(
-            cluster, overlap=overlap, compute=ComputeModel(train_flops=FLOPS),
-            bucket_bytes=2048,
-        )
-        if runtime
-        else None
-    )
-    tr = DistributedSgdTrainer(
-        model,
-        _task(),
-        Sgd(model.parameters(), lr=0.05),
-        cluster,
-        compressor=CompsoCompressor(4e-3, 4e-3, seed=0) if compressor else None,
-        runtime=rt,
-    )
-    tr.train(iterations=ITERS, batch_size=64)
-    return tr, cluster, rt
 
 
 def run_kfac(overlap, *, runtime=True, compressor=True, ranks=16, fault_plan=None):
@@ -80,28 +56,6 @@ def run_kfac(overlap, *, runtime=True, compressor=True, ranks=16, fault_plan=Non
     )
     tr.train(iterations=ITERS, batch_size=64)
     return tr, cluster, rt
-
-
-class TestSgdEquivalence:
-    def test_bit_identical_and_faster(self):
-        tb, cb, _ = run_sgd(False)
-        to, co, rt = run_sgd(True)
-        assert np.array_equal(_params(tb.model), _params(to.model))
-        assert tb.history.losses == to.history.losses
-        assert co.time < cb.time
-        assert rt.hidden_comm_seconds() > 0.0
-
-    def test_matches_seed_path(self):
-        """runtime=None (the pre-runtime trainer) computes the same model;
-        it just lacks the compute-model clock charges."""
-        ts, _, _ = run_sgd(False, runtime=False)
-        tb, _, _ = run_sgd(False)
-        assert np.array_equal(_params(ts.model), _params(tb.model))
-
-    def test_compressed_path_identical(self):
-        tb, _, _ = run_sgd(False, compressor=True)
-        to, _, _ = run_sgd(True, compressor=True)
-        assert np.array_equal(_params(tb.model), _params(to.model))
 
 
 class TestKfacEquivalence:

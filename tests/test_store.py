@@ -96,9 +96,10 @@ class TestStoreLifecycle:
         assert is_store(tmp_path)
 
     def test_retention_trims_manifest_before_deleting_files(self, tmp_path):
-        store = CheckpointStore(tmp_path, keep=2)
-        _fill(store, [1, 2, 3])
-        assert [g.gen for g in store.generations()] == [2, 3]
+        store = CheckpointStore(tmp_path)
+        assert store.keep == 3
+        _fill(store, [1, 2, 3, 4])
+        assert [g.gen for g in store.generations()] == [2, 3, 4]
         assert not (tmp_path / "gen-00000001.npz").exists()
         assert any(ev.kind == "retention" for ev in store.events)
         # Retention is normal operation, not damage.
@@ -429,29 +430,22 @@ class TestLedgerFsck:
 
 class TestStreamMode:
     def test_killed_stream_is_a_repairable_crash_artifact(self, tmp_path):
+        """A ledger cut after its step lines — what a writer killed while
+        streaming records to disk leaves — is repaired from the steps."""
         p = tmp_path / "run.ledger"
-        w = LedgerConfig(p, stream=True).build()
+        w = LedgerConfig(p).build()
         w.bind(kind="test")
         w.record_step(0, loss=1.0)
         w.record_step(1, loss=0.5)
-        # The process dies here: no close(), no final record.
+        w.close()
+        lines = p.read_text().splitlines(keepends=True)
+        p.write_text("".join(lines[:-1]))  # the final record never landed
         result = fsck_ledger(p, repair=True)
         assert result.status == "repaired" and result.synthesized_final
         ledger = load_ledger(p)
         assert len(ledger.steps) == 2
         assert ledger.final["final_loss"] == 0.5
         assert ledger.final["repaired"] is True
-
-    def test_completed_stream_is_byte_identical_to_buffered(self, tmp_path):
-        def run(path, stream):
-            w = LedgerConfig(path, stream=stream).build()
-            w.bind(kind="test")
-            for i in range(3):
-                w.record_step(i, loss=1.0 / (i + 1))
-            w.close()
-            return load_ledger(path).digest()
-
-        assert run(tmp_path / "a.ledger", True) == run(tmp_path / "b.ledger", False)
 
 
 class TestDiffGating:

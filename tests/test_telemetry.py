@@ -26,7 +26,6 @@ from repro.telemetry import (
     chrome_trace,
     get_metrics,
     get_tracer,
-    load_metrics_jsonl,
     metrics_jsonl,
     summary_table,
     write_metrics_jsonl,
@@ -286,25 +285,20 @@ class TestMetrics:
         m.record_step(1, sim_time=0.5)
         path = write_metrics_jsonl(m, tmp_path / "metrics.jsonl")
         original = path.read_text()
-        log = load_metrics_jsonl(path)
-        # Byte-exact export -> load -> export round trip.
-        assert log.dumps() == original == metrics_jsonl(m)
-        assert [r["step"] for r in log.steps] == [0, 1]
-        assert log.final["final"] is True
-        assert any(f["name"] == "cr" for f in log.final_metrics())
-        assert log.series("train.loss") == [(0, 0.5), (1, 0.5)]
-        # And the re-serialised file loads identically once more.
-        (tmp_path / "again.jsonl").write_text(log.dumps())
-        assert load_metrics_jsonl(tmp_path / "again.jsonl").dumps() == original
-
-    def test_load_jsonl_rejects_malformed(self, tmp_path):
-        p = tmp_path / "bad.jsonl"
-        p.write_text('{"step": 0}\n')  # no final record
-        with pytest.raises(ValueError):
-            load_metrics_jsonl(p)
-        p.write_text('{"loss": 1.0}\n{"final": true}\n')  # step without "step"
-        with pytest.raises(ValueError):
-            load_metrics_jsonl(p)
+        assert original == metrics_jsonl(m)
+        records = [json.loads(line) for line in original.splitlines()]
+        # Byte-exact export -> parse -> export round trip: JSON objects
+        # keep their key and label order.
+        assert "\n".join(json.dumps(r) for r in records) + "\n" == original
+        *steps, final = records
+        assert [r["step"] for r in steps] == [0, 1]
+        assert final["final"] is True
+        assert any(f["name"] == "cr" for f in final["metrics"])
+        loss = [
+            (r["step"], f["value"]) for r in steps for f in r["metrics"]
+            if f["name"] == "train.loss"
+        ]
+        assert loss == [(0, 0.5), (1, 0.5)]
 
 
 class TestInstrumentation:

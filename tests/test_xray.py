@@ -29,8 +29,6 @@ from repro.train import ClassificationTask
 from repro.xray import (
     COMM_OPS,
     XrayAnalyzer,
-    XrayConfig,
-    as_xray,
     attribute_regression,
     build_step_graph,
     critical_path,
@@ -213,11 +211,18 @@ class TestIdentity:
 
 class TestAnalyzer:
     def test_as_xray_normalisation(self):
-        assert as_xray(None) is None
-        assert isinstance(as_xray(True), XrayAnalyzer)
-        assert as_xray(XrayConfig(top_segments=3)).config.top_segments == 3
-        analyzer = XrayAnalyzer()
-        assert as_xray(analyzer) is analyzer
+        """``xray=`` is a switch: ``True`` builds the analyzer, which no run
+        configures, so its manifest section is empty."""
+
+        def trainer(xray):
+            return DistributedKfacTrainer(
+                resnet_proxy(n_classes=4, channels=4, rng=3), _task(), SimCluster(1, 2),
+                xray=xray,
+            )
+
+        assert trainer(False).xray is None
+        analyzer = trainer(True).xray
+        assert isinstance(analyzer, XrayAnalyzer) and analyzer.describe() == {}
 
     def test_disabled_without_tracer_session(self):
         analyzer = XrayAnalyzer().bind(cluster=SimCluster(1, 2, seed=0))
@@ -252,7 +257,7 @@ class TestLedgerIntegration:
         path = tmp_path / "run.ledger"
         _run(ledger=path)
         ledger = load_ledger(path)
-        assert ledger.manifest["xray"] == {"top_segments": 5}
+        assert ledger.manifest["xray"] == {}
         for step in ledger.steps:
             xr = step["xray"]
             assert xr["critpath_s"] == pytest.approx(xr["elapsed_s"], abs=IDENTITY_TOL)
