@@ -10,7 +10,6 @@ from repro.compression.base import (
     METADATA_BYTES,
     CompressedTensor,
     GradientCompressor,
-    IdentityCompressor,
 )
 from repro.compression.cocktail import CocktailSgdCompressor
 from repro.compression.error_feedback import ErrorFeedback
@@ -31,7 +30,6 @@ from repro.compression.topk import TopKCompressor, topk_mask
 __all__ = [
     "CompressedTensor",
     "GradientCompressor",
-    "IdentityCompressor",
     "METADATA_BYTES",
     "QsgdCompressor",
     "SzCompressor",

@@ -68,10 +68,6 @@ class Bounds:
         if self.eb_q < 0:
             raise ValueError(f"quantisation bound eb_q must be >= 0, got {self.eb_q}")
 
-    @property
-    def filtering(self) -> bool:
-        return self.eb_f > 0
-
 
 class GradientCompressor(ABC):
     """Lossy gradient compressor: float32 tensor <-> wire bytes."""
@@ -159,16 +155,3 @@ class GradientCompressor(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
-
-
-class IdentityCompressor(GradientCompressor):
-    """No-compression baseline: stores raw float32 bytes."""
-
-    name = "none"
-
-    def compress(self, x: np.ndarray) -> CompressedTensor:
-        x = np.asarray(x, dtype=np.float32)
-        return CompressedTensor({"raw": x.tobytes()}, x.shape)
-
-    def decompress(self, ct: CompressedTensor) -> np.ndarray:
-        return np.frombuffer(ct.segments["raw"], dtype=np.float32).reshape(ct.shape).copy()

@@ -9,7 +9,7 @@ SR-based design is unbiased and does not need it.
 
 We implement EF as a wrapper so the trade-off is measurable: it repairs
 biased compressors (e.g. Top-k, which silently drops mass) at the cost
-of ``memory_overhead_bytes`` of state per wrapped tensor stream.
+of one float32 residual per wrapped tensor stream.
 """
 
 from __future__ import annotations
@@ -88,9 +88,3 @@ class ErrorFeedback(GradientCompressor):
             keys = json.loads(str(state["residual_keys"][()]))
             residuals = [state[f"residual/{i}"] for i in range(len(keys))]
             self._residuals = {(k, r.shape): r for k, r in zip(keys, residuals)}
-
-    @property
-    def memory_overhead_bytes(self) -> int:
-        """Bytes of residual state currently held — the cost the paper
-        cites as the reason to avoid EF."""
-        return sum(r.nbytes for r in self._residuals.values())

@@ -85,13 +85,6 @@ class QuantizedTensor:
     def dequantize(self) -> np.ndarray:
         return (self.codes.astype(np.float32) * np.float32(self.scale)).reshape(self.shape)
 
-    @property
-    def n_levels(self) -> int:
-        """Number of distinct code values actually used."""
-        if self.codes.size == 0:
-            return 0
-        return int(self.codes.max()) - int(self.codes.min()) + 1
-
 
 class BitBudgetQuantizer:
     """QSGD-style n-bit quantisation (Eq. 3 normalisation + rounding).

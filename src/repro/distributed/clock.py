@@ -47,11 +47,6 @@ class SimClock:
         """Copy of the per-category time totals."""
         return dict(self.categories)
 
-    def fraction(self, category: str) -> float:
-        """Share of total accumulated time spent in ``category``."""
-        total = sum(self.categories.values())
-        return self.categories.get(category, 0.0) / total if total > 0 else 0.0
-
 
 class VirtualClockPlane:
     """All per-rank clocks of a timing-track cluster, stored sparsely.
@@ -175,7 +170,3 @@ class VirtualClock:
 
     def breakdown(self) -> dict[str, float]:
         return self.plane.breakdown()
-
-    def fraction(self, category: str) -> float:
-        total = sum(self.plane.categories.values())
-        return self.plane.categories.get(category, 0.0) / total if total > 0 else 0.0

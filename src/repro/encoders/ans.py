@@ -472,13 +472,6 @@ def _decode_rows(streams: list[_Stream]) -> list[bytes]:
     return result
 
 
-def _decode_lanes(
-    states: np.ndarray, words: np.ndarray, qfreq: np.ndarray, n: int, item_size: int = 1
-) -> bytes:
-    """One frame on ``states.size`` lanes: :func:`_decode_rows` of that frame alone."""
-    return _decode_rows([_Stream(None, states, words, qfreq, n, item_size, 0)])[0]
-
-
 def _check_end(used: int, available: int, at_start_state: bool) -> None:
     if used != available:
         raise EncodeError(f"ans: {available - used} words left over")

@@ -90,14 +90,6 @@ class StorageFaultController:
     def is_empty(self) -> bool:
         return not self.entries
 
-    def pending(self, save_index: int) -> list:
-        """Entries scheduled for ``save_index`` that have not fired yet."""
-        return [
-            e
-            for i, e in enumerate(self.entries)
-            if e.save_index == save_index and i not in self._fired
-        ]
-
     def hooks_for(self, save_index: int):
         """The injection callback for one save sequence (or None if inert)."""
         if not any(e.save_index == save_index for e in self.entries):

@@ -118,7 +118,3 @@ class SharedFabric:
         self._windows = [w for w in self._windows if w[1] > frontier]
         self._degradations = [d for d in self._degradations if d[1] > frontier]
         return before - len(self._windows)
-
-    @property
-    def n_windows(self) -> int:
-        return len(self._windows)

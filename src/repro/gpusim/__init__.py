@@ -8,7 +8,7 @@ encoder saturation bandwidths calibrated against Table 2).
 
 from repro.gpusim.device import A100, H100, DeviceModel
 from repro.gpusim.encoder_perf import ENCODER_PERF, EncoderPerf, TABLE2_CALIBRATION
-from repro.gpusim.kernels import PIPELINES, KernelPipeline, pipeline_throughput
+from repro.gpusim.kernels import PIPELINES, KernelPipeline
 
 __all__ = [
     "A100",
@@ -19,5 +19,4 @@ __all__ = [
     "TABLE2_CALIBRATION",
     "KernelPipeline",
     "PIPELINES",
-    "pipeline_throughput",
 ]

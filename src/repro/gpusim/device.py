@@ -53,10 +53,6 @@ class DeviceModel:
         flops = 2.0 * dim**3
         return flops / (0.2 * self.fp32_flops) + 20 * self.launch_overhead
 
-    def matmul_time(self, m: int, n: int, k: int) -> float:
-        """Dense (m x k) @ (k x n) at 60% of tensor-core peak."""
-        return 2.0 * m * n * k / (0.6 * self.tensor_flops) + self.launch_overhead
-
 
 #: NVIDIA A100-40GB (the paper's GPU): 1.555 TB/s HBM2e, 19.5 TF FP32.
 A100 = DeviceModel("a100", mem_bw=1.555e12, launch_overhead=4e-6, fp32_flops=19.5e12)

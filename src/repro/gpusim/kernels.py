@@ -26,7 +26,7 @@ from repro.gpusim.device import A100, DeviceModel
 from repro.gpusim.encoder_perf import ENCODER_PERF
 from repro.telemetry import DEVICE_TRACK, get_tracer
 
-__all__ = ["KernelPipeline", "PIPELINES", "pipeline_throughput"]
+__all__ = ["KernelPipeline", "PIPELINES"]
 
 
 def _trace_kernels(op: str, pipeline: str, nbytes: float, stages: list[tuple[str, float]]) -> None:
@@ -191,8 +191,3 @@ PIPELINES: dict[str, KernelPipeline] = {
         encoded_fraction=0.22,
     ),
 }
-
-
-def pipeline_throughput(name: str, nbytes: float, device: DeviceModel = A100) -> float:
-    """Convenience wrapper: compression GB/s for a named pipeline."""
-    return PIPELINES[name].throughput(nbytes, device)

@@ -60,18 +60,6 @@ class MemoryEstimate:
             + self.workspace
         )
 
-    def breakdown_gb(self) -> dict[str, float]:
-        return {
-            "weights": self.weights / 1e9,
-            "gradients": self.gradients / 1e9,
-            "optimizer_state": self.optimizer_state / 1e9,
-            "activations": self.activations / 1e9,
-            "kfac_factors": self.kfac_factors / 1e9,
-            "kfac_eigen": self.kfac_eigen / 1e9,
-            "workspace": self.workspace / 1e9,
-            "total": self.total / 1e9,
-        }
-
 
 def _output_elements(layer: LayerShape) -> float:
     """Per-sample output activation count, derived from the FLOP count.

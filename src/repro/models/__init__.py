@@ -4,12 +4,10 @@ from repro.models.catalogs import (
     MODEL_CATALOGS,
     LayerShape,
     bert_large_catalog,
-    catalog_param_count,
     gpt_neo_125m_catalog,
     maskrcnn_catalog,
     resnet50_catalog,
 )
-from repro.models.resnet import BasicBlock, MiniResNet, mini_resnet
 from repro.models.squad import SpanQaModel
 from repro.models.proxies import (
     DetectionProxy,
@@ -27,15 +25,11 @@ __all__ = [
     "maskrcnn_catalog",
     "bert_large_catalog",
     "gpt_neo_125m_catalog",
-    "catalog_param_count",
     "resnet_proxy",
     "maskrcnn_proxy",
     "bert_proxy",
     "gpt_proxy",
     "DetectionProxy",
-    "MiniResNet",
-    "BasicBlock",
-    "mini_resnet",
     "SpanQaModel",
     "TransformerLM",
     "TransformerBlock",

@@ -23,7 +23,6 @@ __all__ = [
     "bert_large_catalog",
     "gpt_neo_125m_catalog",
     "MODEL_CATALOGS",
-    "catalog_param_count",
 ]
 
 
@@ -157,7 +156,3 @@ MODEL_CATALOGS = {
     "bert-large": bert_large_catalog,
     "gpt-neo-125m": gpt_neo_125m_catalog,
 }
-
-
-def catalog_param_count(layers: list[LayerShape]) -> int:
-    return sum(l.grad_elems for l in layers)

@@ -1,16 +1,15 @@
 """NumPy neural-network substrate with K-FAC statistics capture."""
 
-from repro.nn.activations import GELU, ReLU, Sigmoid, Tanh
+from repro.nn.activations import GELU, ReLU
 from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.container import Residual, Sequential
-from repro.nn.conv import Conv2d, col2im, im2col
+from repro.nn.conv import Conv2d, col2im
 from repro.nn.embedding import Embedding
 from repro.nn.linear import Linear
-from repro.nn.losses import mse_loss, smooth_l1_loss, softmax_cross_entropy
+from repro.nn.losses import smooth_l1_loss, softmax_cross_entropy
 from repro.nn.module import KfacLayerMixin, Module, Parameter
 from repro.nn.norm import BatchNorm2d, LayerNorm
-from repro.nn.pooling import AvgPool2d, Flatten, GlobalAvgPool2d, MaxPool2d
-from repro.nn.regularization import Dropout, GroupNorm
+from repro.nn.pooling import GlobalAvgPool2d, MaxPool2d
 
 __all__ = [
     "Module",
@@ -18,25 +17,17 @@ __all__ = [
     "KfacLayerMixin",
     "Linear",
     "Conv2d",
-    "im2col",
     "col2im",
     "ReLU",
     "GELU",
-    "Tanh",
-    "Sigmoid",
     "LayerNorm",
     "BatchNorm2d",
-    "Dropout",
-    "GroupNorm",
     "Sequential",
     "Residual",
     "Embedding",
     "MultiHeadSelfAttention",
-    "AvgPool2d",
     "MaxPool2d",
     "GlobalAvgPool2d",
-    "Flatten",
     "softmax_cross_entropy",
-    "mse_loss",
     "smooth_l1_loss",
 ]

@@ -7,7 +7,7 @@ import numpy as np
 from repro.nn._select import keep_where
 from repro.nn.module import Module
 
-__all__ = ["ReLU", "GELU", "Tanh", "Sigmoid"]
+__all__ = ["ReLU", "GELU"]
 
 
 class ReLU(Module):
@@ -39,21 +39,3 @@ class GELU(Module):
         dinner = self._C * (1.0 + 3 * 0.044715 * x**2)
         dtanh = (1.0 - t**2) * dinner
         return grad_out * (0.5 * (1.0 + t) + 0.5 * x * dtanh)
-
-
-class Tanh(Module):
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._y = np.tanh(x)
-        return self._y
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return grad_out * (1.0 - self._y**2)
-
-
-class Sigmoid(Module):
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._y = 1.0 / (1.0 + np.exp(-x))
-        return self._y
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return grad_out * self._y * (1.0 - self._y)

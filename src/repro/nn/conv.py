@@ -33,7 +33,7 @@ import numpy as np
 from repro.nn.module import KfacLayerMixin, Module, Parameter
 from repro.util.seeding import spawn_rng
 
-__all__ = ["Conv2d", "im2col", "col2im"]
+__all__ = ["Conv2d", "col2im"]
 
 
 def _out_shape(h: int, w: int, kh: int, kw: int, stride: int, pad: int) -> tuple[int, int]:
@@ -86,11 +86,6 @@ def _patch_buffer(
     return buf
 
 
-def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    """(N, C, H, W) -> (N, out_h, out_w, C*kh*kw) patch matrix."""
-    return _patch_buffer(x, kh, kw, stride, pad, 0)
-
-
 def col2im(
     cols: np.ndarray,
     x_shape: tuple[int, int, int, int],
@@ -99,7 +94,8 @@ def col2im(
     stride: int,
     pad: int,
 ) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter-add patches back to (N, C, H, W)."""
+    """Adjoint of :func:`_patch_buffer` with no extra columns: scatter-add
+    patches back to (N, C, H, W)."""
     n, c, h, w = x_shape
     oh, ow = _out_shape(h, w, kh, kw, stride, pad)
     if cols.size != n * oh * ow * c * kh * kw:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["softmax_cross_entropy", "mse_loss", "smooth_l1_loss"]
+__all__ = ["softmax_cross_entropy", "smooth_l1_loss"]
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -43,14 +43,6 @@ def softmax_cross_entropy(
     grad[rows, safe_targets] -= 1.0
     grad *= keep[:, None] / n_eff
     return loss, grad.reshape(logits.shape).astype(np.float32)
-
-
-def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared error over all elements."""
-    diff = pred - target
-    n = diff.size
-    loss = float((diff**2).mean())
-    return loss, (2.0 / n) * diff.astype(np.float32)
 
 
 def smooth_l1_loss(pred: np.ndarray, target: np.ndarray, beta: float = 1.0) -> tuple[float, np.ndarray]:

@@ -7,31 +7,7 @@ import numpy as np
 from repro.nn._select import keep_where
 from repro.nn.module import Module
 
-__all__ = ["AvgPool2d", "MaxPool2d", "GlobalAvgPool2d", "Flatten"]
-
-
-class AvgPool2d(Module):
-    """Non-overlapping average pooling with window ``k``."""
-
-    def __init__(self, k: int):
-        super().__init__()
-        if k <= 0:
-            raise ValueError("pool size must be positive")
-        self.k = k
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        n, c, h, w = x.shape
-        k = self.k
-        if h % k or w % k:
-            raise ValueError(f"spatial dims ({h},{w}) not divisible by pool {k}")
-        self._in_shape = x.shape
-        return x.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        k = self.k
-        g = grad_out / (k * k)
-        g = np.repeat(np.repeat(g, k, axis=2), k, axis=3)
-        return g
+__all__ = ["MaxPool2d", "GlobalAvgPool2d"]
 
 
 class MaxPool2d(Module):
@@ -90,14 +66,3 @@ class GlobalAvgPool2d(Module):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         n, c, h, w = self._in_shape
         return np.broadcast_to(grad_out[:, :, None, None] / (h * w), self._in_shape).copy()
-
-
-class Flatten(Module):
-    """Flatten all non-batch dims."""
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._in_shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return grad_out.reshape(self._in_shape)

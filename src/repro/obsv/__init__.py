@@ -24,7 +24,6 @@ from repro.obsv.analytics import (
     guard_timeline,
     loss_series,
     overlap_summary,
-    per_layer_cr,
     span_totals,
     summarize,
     xray_timeline,
@@ -78,7 +77,6 @@ __all__ = [
     "loss_series",
     "overlap_summary",
     "parse_tolerance",
-    "per_layer_cr",
     "run_report",
     "span_totals",
     "summarize",

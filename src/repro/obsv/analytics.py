@@ -16,7 +16,6 @@ __all__ = [
     "guard_timeline",
     "loss_series",
     "overlap_summary",
-    "per_layer_cr",
     "series",
     "span_totals",
     "summarize",
@@ -42,15 +41,6 @@ def bound_series(ledger: RunLedger) -> list[dict]:
     return [
         {"step": r["step"], **r["bounds"]} for r in ledger.steps if "bounds" in r
     ]
-
-
-def per_layer_cr(ledger: RunLedger) -> dict[int, list[float]]:
-    """Per-layer compression-ratio trajectories from step ``layers`` triples."""
-    out: dict[int, list[float]] = {}
-    for r in ledger.steps:
-        for layer, wire, dense in r.get("layers", []):
-            out.setdefault(int(layer), []).append(float(dense) / max(float(wire), 1.0))
-    return out
 
 
 def guard_timeline(ledger: RunLedger) -> list[dict]:

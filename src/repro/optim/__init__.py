@@ -1,19 +1,13 @@
 """Optimizers and learning-rate schedules."""
 
 from repro.optim.kfac import FactorNumericsError, Kfac, LayerFactors
-from repro.optim.schedulers import ConstantLr, SmoothLr, StepLr
-from repro.optim.sgd import Adam, Lamb, Sgd
-from repro.optim.shampoo import Shampoo
+from repro.optim.schedulers import StepLr
+from repro.optim.sgd import Sgd
 
 __all__ = [
     "Sgd",
-    "Adam",
-    "Lamb",
-    "Shampoo",
     "FactorNumericsError",
     "Kfac",
     "LayerFactors",
     "StepLr",
-    "SmoothLr",
-    "ConstantLr",
 ]

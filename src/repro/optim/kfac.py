@@ -15,8 +15,8 @@ The API is deliberately granular — ``accumulate_factors`` /
 distributed KAISA trainer (``repro.kfac_dist``) interleaves these stages
 with collectives: factors are allreduced, eigendecompositions are
 computed by the layer's assigned rank only, and preconditioned gradients
-are allgathered (optionally compressed by COMPSO).  ``step()`` composes
-the stages for single-worker use.
+are allgathered (optionally compressed by COMPSO).  A single worker runs
+the same stages on a one-rank ``SimCluster``.
 
 Widths (DESIGN.md decision 17): a factor *statistic* is formed in the
 dtype the layer captured — float32, as KAISA forms it — because
@@ -223,29 +223,9 @@ class Kfac:
             buf += p.grad
             p.data -= self.lr * buf
 
-    # -- composed single-worker step ---------------------------------------------
-
-    def step(self) -> None:
-        """Full K-FAC iteration on one worker (no communication)."""
-        for idx in range(len(self.layers)):
-            A, G = self.local_factors(idx)
-            self.accumulate_factors(idx, A, G)
-            if self.t % self.inv_update_freq == 0 or not self.state[idx].ready:
-                self.compute_eigen(idx)
-        precond = {idx: self.precondition(idx) for idx in range(len(self.layers))}
-        self.apply(precond)
-        self.t += 1
-
-    def zero_grad(self) -> None:
-        self.model.zero_grad()
-
     # -- sizes used by the communication model -------------------------------------
 
     def layer_dims(self, idx: int) -> tuple[int, int]:
         """``(in_features [+1 with bias], out_features)`` of layer ``idx`` —
         the sides of its A and G factors."""
         return self._layer_dims[idx]
-
-    def gradient_sizes(self) -> list[int]:
-        """Per-layer preconditioned-gradient element counts (allgather payload)."""
-        return [in_f * out_f for in_f, out_f in self._layer_dims]

@@ -1,25 +1,15 @@
 """Learning-rate schedules.
 
-The paper's adaptive compression keys off the LR schedule family:
-**StepLR** (ResNet-50 / Mask R-CNN) decays at fixed milestones;
-**SmoothLR** (BERT / GPT cosine schedules) decays every iteration after a
-warmup.  Both expose ``lr_at(iteration)`` so the compression schedule and
-the optimizer can share one source of truth.
+The paper's adaptive compression keys off the LR schedule family; a
+**StepLR** schedule (ResNet-50 / Mask R-CNN) decays at fixed milestones,
+and ``lr_at(iteration)`` lets the compression schedule and the optimizer
+share one source of truth.  The **SmoothLR** family needs no LR object:
+``repro.core.adaptive.SmoothLrSchedule`` stages its bounds by iteration.
 """
 
 from __future__ import annotations
 
-import math
-
-__all__ = ["StepLr", "SmoothLr", "ConstantLr"]
-
-
-class ConstantLr:
-    def __init__(self, base_lr: float):
-        self.base_lr = base_lr
-
-    def lr_at(self, iteration: int) -> float:
-        return self.base_lr
+__all__ = ["StepLr"]
 
 
 class StepLr:
@@ -35,35 +25,3 @@ class StepLr:
     def lr_at(self, iteration: int) -> float:
         drops = sum(1 for m in self.milestones if iteration >= m)
         return self.base_lr * self.gamma**drops
-
-    @property
-    def first_drop(self) -> int:
-        """Iteration of the first decay — COMPSO's aggressive/conservative pivot."""
-        return self.milestones[0] if self.milestones else 0
-
-
-class SmoothLr:
-    """Linear warmup then cosine decay to ``min_lr``."""
-
-    def __init__(
-        self,
-        base_lr: float,
-        total_iterations: int,
-        warmup: int = 0,
-        min_lr: float = 0.0,
-    ):
-        if total_iterations <= 0:
-            raise ValueError("total_iterations must be positive")
-        if warmup >= total_iterations:
-            raise ValueError("warmup must be shorter than the schedule")
-        self.base_lr = base_lr
-        self.total_iterations = total_iterations
-        self.warmup = warmup
-        self.min_lr = min_lr
-
-    def lr_at(self, iteration: int) -> float:
-        if self.warmup and iteration < self.warmup:
-            return self.base_lr * (iteration + 1) / self.warmup
-        progress = (iteration - self.warmup) / max(self.total_iterations - self.warmup, 1)
-        progress = min(max(progress, 0.0), 1.0)
-        return self.min_lr + 0.5 * (self.base_lr - self.min_lr) * (1 + math.cos(math.pi * progress))

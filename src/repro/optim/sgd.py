@@ -1,4 +1,4 @@
-"""First-order optimizers: SGD with momentum, Adam, LAMB."""
+"""First-order optimizer: SGD with momentum."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.nn.module import Parameter
 
-__all__ = ["Sgd", "Adam", "Lamb"]
+__all__ = ["Sgd"]
 
 
 class Sgd:
@@ -39,61 +39,3 @@ class Sgd:
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
-
-
-class Adam:
-    """Adam (Kingma & Ba, 2014) with bias correction."""
-
-    def __init__(
-        self,
-        params: list[Parameter],
-        lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
-        self.params = list(params)
-        self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
-        self._t = 0
-
-    def _update_moments(self, p: Parameter, m: np.ndarray, v: np.ndarray) -> np.ndarray:
-        g = p.grad
-        if self.weight_decay:
-            g = g + self.weight_decay * p.data
-        m *= self.beta1
-        m += (1 - self.beta1) * g
-        v *= self.beta2
-        v += (1 - self.beta2) * g * g
-        mhat = m / (1 - self.beta1**self._t)
-        vhat = v / (1 - self.beta2**self._t)
-        return mhat / (np.sqrt(vhat) + self.eps)
-
-    def step(self) -> None:
-        self._t += 1
-        for p, m, v in zip(self.params, self._m, self._v):
-            p.data -= self.lr * self._update_moments(p, m, v)
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
-
-class Lamb(Adam):
-    """LAMB (You et al., 2019): layer-wise trust-ratio-scaled Adam.
-
-    The SGD-family baseline the paper uses for BERT-large pre-training.
-    """
-
-    def step(self) -> None:
-        self._t += 1
-        for p, m, v in zip(self.params, self._m, self._v):
-            update = self._update_moments(p, m, v)
-            w_norm = float(np.linalg.norm(p.data))
-            u_norm = float(np.linalg.norm(update))
-            trust = w_norm / u_norm if w_norm > 0 and u_norm > 0 else 1.0
-            p.data -= self.lr * trust * update

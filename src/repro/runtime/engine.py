@@ -118,17 +118,6 @@ class CollectiveHandle:
         """Whether this handle has been waited (results materialised)."""
         return self._completed
 
-    def test(self) -> bool:
-        """True when a ``wait`` would not advance any clock.
-
-        Straggler/jitter extras are only drawn at wait time, so ``test``
-        answers for the fault-free completion estimate.
-        """
-        if self._completed:
-            return True
-        end = self.start + self.seconds
-        return all(r.clock.now >= end for r in self._engine.cluster.ranks)
-
     def wait(self) -> list:
         """Settle the transfer: charge exposed time, return per-rank results."""
         if self._completed:
@@ -178,18 +167,6 @@ class StreamRuntime:
         self._exposed: dict[str, float] = {}
 
     # -- posting / matching --------------------------------------------------
-
-    def post(self, rank: int, op: str, *, category: str | None = None, nbytes: float = 0.0) -> None:
-        """Low-level per-rank posting (diagnostics/testing).
-
-        The high-level ``i*`` collectives post for every live rank and
-        match immediately; ``post`` lets a single rank announce an
-        operation on its own, which is how mismatches are provoked and
-        detected.
-        """
-        self._posted.setdefault(rank, []).append(
-            (op, category if category is not None else op, int(round(nbytes)))
-        )
 
     def _post_all(self, sig: _Sig) -> None:
         for r in self.cluster.ranks:

@@ -487,7 +487,3 @@ class CheckpointStore:
             f"{self.root}: no generation passed verification "
             f"({len(gens)} candidate(s), all quarantined)"
         )
-
-    def latest(self) -> Generation | None:
-        gens = self.generations(quiet=True)
-        return gens[-1] if gens else None

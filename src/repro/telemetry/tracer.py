@@ -307,24 +307,6 @@ class Tracer:
             out = [e for e in out if e.kind == kind]
         return out
 
-    def ordered_spans(
-        self,
-        *,
-        track: str | None = None,
-        rank: int | None = None,
-        category: str | None = None,
-    ) -> list[Span]:
-        """Spans in the documented stable order (see :func:`span_sort_key`).
-
-        This — not raw :meth:`spans` insertion order — is the ordering
-        contract downstream consumers (xray DAG construction, digest
-        writers) should build on: it is a pure function of the recorded
-        span set, independent of collection-time interleaving.
-        """
-        return sorted(
-            self.spans(track=track, rank=rank, category=category), key=span_sort_key
-        )
-
     def spans(
         self,
         *,
@@ -439,9 +421,6 @@ class NullTracer:
         return []
 
     def edges(self, **kwargs) -> list[Edge]:
-        return []
-
-    def ordered_spans(self, **kwargs) -> list[Span]:
         return []
 
     def tracks(self) -> list[str]:

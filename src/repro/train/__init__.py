@@ -8,7 +8,7 @@ from repro.train.tasks import (
     MlmTask,
     SquadTask,
 )
-from repro.train.trainer import DistributedSgdTrainer, TrainHistory, train_single
+from repro.train.trainer import DistributedSgdTrainer, TrainHistory
 
 __all__ = [
     "accuracy",
@@ -20,6 +20,5 @@ __all__ = [
     "MlmTask",
     "SquadTask",
     "TrainHistory",
-    "train_single",
     "DistributedSgdTrainer",
 ]

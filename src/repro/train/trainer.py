@@ -1,10 +1,10 @@
-"""Single-worker and data-parallel SGD training loops.
+"""The data-parallel SGD training loop.
 
 The distributed K-FAC (KAISA) trainer lives in :mod:`repro.kfac_dist`;
-here are the task-agnostic single-worker loop and the first-order
-data-parallel baseline (SGD/LAMB + optional gradient compression, i.e.
-the paper's "SGD+CocktailSGD" configuration); what the two
-data-parallel trainers share is in :mod:`repro.train.step`.
+here is the first-order data-parallel baseline (SGD + optional gradient
+compression, i.e. the paper's "SGD+CocktailSGD" configuration); what the
+two data-parallel trainers share is in :mod:`repro.train.step`.  A single
+worker is either trainer on a one-rank ``SimCluster``.
 """
 
 from __future__ import annotations
@@ -14,13 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.compression.base import GradientCompressor
-from repro.data.loaders import batch_indices
 from repro.distributed.cluster import SimCluster
 from repro.runtime.engine import StreamRuntime
-from repro.telemetry import get_metrics, get_tracer
+from repro.telemetry import get_metrics
 from repro.train.step import Schedule, StepScaffold
 
-__all__ = ["TrainHistory", "train_single", "DistributedSgdTrainer"]
+__all__ = ["TrainHistory", "DistributedSgdTrainer"]
 
 
 @dataclass
@@ -37,40 +36,6 @@ class TrainHistory:
 
     def mean_cr(self) -> float:
         return float(np.mean(self.compression_ratios)) if self.compression_ratios else 1.0
-
-
-def train_single(
-    model,
-    task,
-    optimizer,
-    *,
-    iterations: int,
-    batch_size: int,
-    lr_schedule=None,
-    eval_every: int = 0,
-    seed: int = 0,
-) -> TrainHistory:
-    """Train on one worker; returns the loss/metric history."""
-    history = TrainHistory()
-    tracer = get_tracer()
-    for t, idx in enumerate(batch_indices(task.n, batch_size, iterations=iterations, seed=seed)):
-        if lr_schedule is not None:
-            optimizer.lr = lr_schedule.lr_at(t)
-        x, y = task.batch(idx)
-        with tracer.span("step", "step", step=t):
-            with tracer.span("forward", "forward"):
-                out = model(x)
-                loss, dl = task.loss_and_grad(out, y)
-            optimizer.zero_grad()
-            with tracer.span("backward", "backward"):
-                model.backward(dl)
-            with tracer.span("apply_update", "update"):
-                optimizer.step()
-        history.losses.append(loss)
-        history.lrs.append(optimizer.lr)
-        if eval_every and (t + 1) % eval_every == 0:
-            history.metrics.append((t + 1, task.evaluate(model)))
-    return history
 
 
 class DistributedSgdTrainer(StepScaffold):

@@ -10,7 +10,7 @@ from repro.util.bitpack import (
     unpack_bitmap,
     unpack_uints,
 )
-from repro.util.charts import bar_chart, stacked_bars
+from repro.util.charts import stacked_bars
 from repro.util.checkpoint import (
     SCHEMA_VERSION,
     CheckpointError,
@@ -31,6 +31,5 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "format_table",
-    "bar_chart",
     "stacked_bars",
 ]

@@ -1,36 +1,14 @@
 """ASCII charts for benchmark output.
 
-Renders horizontal bar charts and stacked-percentage bars so the bench
-text files visually resemble the paper's figures.
+Renders stacked-percentage bars so the bench text files visually
+resemble the paper's figures.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-__all__ = ["bar_chart", "stacked_bars"]
-
-
-def bar_chart(
-    labels: Sequence[str],
-    values: Sequence[float],
-    *,
-    width: int = 50,
-    title: str | None = None,
-    unit: str = "",
-) -> str:
-    """Horizontal bar chart, one row per (label, value)."""
-    if len(labels) != len(values):
-        raise ValueError("labels and values must have equal length")
-    if not values:
-        return title or ""
-    vmax = max(max(values), 1e-30)
-    label_w = max(len(l) for l in labels)
-    lines = [title] if title else []
-    for label, value in zip(labels, values):
-        bar = "#" * max(int(round(value / vmax * width)), 0)
-        lines.append(f"{label.ljust(label_w)} |{bar.ljust(width)}| {value:.2f}{unit}")
-    return "\n".join(lines)
+__all__ = ["stacked_bars"]
 
 
 _FILL = "#=+-.~o*x"

@@ -1,4 +1,4 @@
-"""Checkpointing: save/restore model, K-FAC, optimizer, and compressor state.
+"""Checkpointing: save/restore model, K-FAC and compressor state.
 
 Long pre-training runs (the paper's BERT runs take 54 hours) need
 resumable state, and post-fault recovery needs *exact* resumability:
@@ -8,7 +8,6 @@ it.  A checkpoint therefore round-trips, beyond model parameters:
 * K-FAC running factors **and** their eigendecompositions, per-layer
   momentum buffers, the first-order momentum of non-K-FAC parameters,
   and the optimizer step counter;
-* first-order optimizer state (SGD velocity, Adam/LAMB moments);
 * compressor state, whatever its ``state_dict()`` declares: the adaptive
   error-bound schedule position, the stochastic-rounding RNG state and
   error-feedback residuals, so compression decisions after a restore
@@ -122,7 +121,7 @@ class CheckpointError(RuntimeError):
     Raised *before* any state is mutated — schema or world-size
     mismatches, unreadable/torn archives, broken content seals, and
     partial sections must fail the restore loudly up front, not as a
-    cryptic ``KeyError`` halfway through repopulating optimizer state.
+    cryptic ``KeyError`` halfway through repopulating K-FAC state.
     """
 
 
@@ -165,64 +164,6 @@ def content_crc32(arrays: dict[str, np.ndarray]) -> int:
     return _seal(_serialise(arrays))
 
 
-def _collect_optimizer(arrays: dict[str, np.ndarray], optimizer) -> None:
-    velocity = getattr(optimizer, "_velocity", None)
-    if velocity is not None:  # Sgd
-        for i, v in enumerate(velocity):
-            arrays[f"opt/velocity/{i}"] = v
-    if getattr(optimizer, "_m", None) is not None:  # Adam / Lamb
-        for i, (m, v) in enumerate(zip(optimizer._m, optimizer._v)):
-            arrays[f"opt/m/{i}"] = m
-            arrays[f"opt/v/{i}"] = v
-        arrays["opt/t"] = np.array(optimizer._t)
-
-
-def _take(data: dict, key: str, like: np.ndarray) -> np.ndarray:
-    """Fetch an ``opt/*`` section entry, validating presence and shape."""
-    if key not in data:
-        raise CheckpointError(
-            f"checkpoint optimizer state is incomplete: missing {key!r}"
-        )
-    stored = data[key]
-    if stored.shape != like.shape:
-        raise CheckpointError(
-            f"checkpoint optimizer state {key!r} has shape {stored.shape}, "
-            f"expected {like.shape}"
-        )
-    return stored
-
-
-def _restore_optimizer(data, optimizer) -> None:
-    """Restore Sgd velocity or Adam/Lamb moments, loudly.
-
-    A checkpoint saved without optimizer state has *no* ``opt/*`` keys;
-    restoring an optimizer from it is a silent partial restore and
-    raises.  A checkpoint with *some* ``opt/*`` keys must have all of
-    them, with matching shapes — anything else names the offending key.
-    """
-    has_opt = any(k.startswith("opt/") for k in data.keys())
-    velocity = getattr(optimizer, "_velocity", None)
-    moments = getattr(optimizer, "_m", None)
-    if velocity is None and moments is None:
-        return  # optimizer holds no state yet (no step taken): nothing to fill
-    if not has_opt:
-        raise CheckpointError(
-            "checkpoint contains no optimizer state (no 'opt/*' keys) but an "
-            "optimizer was passed to load_checkpoint — refusing a silent "
-            "partial restore"
-        )
-    if velocity is not None:
-        for i in range(len(velocity)):
-            velocity[i][...] = _take(data, f"opt/velocity/{i}", velocity[i])
-    if moments is not None:
-        for i in range(len(moments)):
-            optimizer._m[i][...] = _take(data, f"opt/m/{i}", optimizer._m[i])
-            optimizer._v[i][...] = _take(data, f"opt/v/{i}", optimizer._v[i])
-        if "opt/t" not in data:
-            raise CheckpointError("checkpoint optimizer state is incomplete: missing 'opt/t'")
-        optimizer._t = int(data["opt/t"])
-
-
 def _no_hooks(point: str, path: Path) -> None:
     return None
 
@@ -232,13 +173,12 @@ def save_checkpoint(
     model: Module,
     kfac: Kfac | None = None,
     *,
-    optimizer=None,
     compressor=None,
     world_size: int | None = None,
     step: int | None = None,
     hooks: Callable[[str, Path], None] | None = None,
 ) -> Path:
-    """Atomically write model (+ optional K-FAC/optimizer/compressor) state.
+    """Atomically write model (+ optional K-FAC/compressor) state.
 
     ``world_size`` stamps the archive with the cluster size it was taken
     at; restores can then reject a checkpoint from a differently-sized
@@ -274,8 +214,6 @@ def save_checkpoint(
                 arrays[f"kfac/{idx}/momentum"] = st.momentum_buf
         for i, buf in enumerate(kfac._other_momentum):
             arrays[f"kfac/other_momentum/{i}"] = buf
-    if optimizer is not None:
-        _collect_optimizer(arrays, optimizer)
     if compressor is not None:
         for key, value in compressor.state_dict().items():
             arrays[_COMPRESSOR + key] = value
@@ -522,7 +460,6 @@ def load_checkpoint(
     model: Module,
     kfac: Kfac | None = None,
     *,
-    optimizer=None,
     compressor=None,
     expect_world_size: int | None = None,
     verify: bool | None = None,
@@ -534,13 +471,13 @@ def load_checkpoint(
     (``verify=None``, the default, checks the seal whenever one is
     present; ``verify=True`` additionally *requires* one), the schema
     version is not one this build understands, ``expect_world_size``
-    disagrees with the recorded world size, or any K-FAC/optimizer
-    section is partial or mis-shaped.  Raises ``KeyError`` if the
+    disagrees with the recorded world size, or any K-FAC section is
+    partial or mis-shaped.  Raises ``KeyError`` if the
     checkpoint is missing a parameter the model has, and ``ValueError``
     on parameter shape mismatches — silent partial restores are worse
     than failing loudly.  Archives without ``meta/*`` keys (schema
-    version 1) keep loading; optimizer/compressor keys are likewise
-    optional *as whole sections*.
+    version 1) keep loading; compressor keys are likewise optional *as a
+    whole section*.
 
     Returns the archive's meta dict (schema version, world size, step).
     """
@@ -589,8 +526,6 @@ def load_checkpoint(
         p.data = stored.astype(np.float32)
     if kfac is not None:
         _restore_kfac(data, kfac)
-    if optimizer is not None:
-        _restore_optimizer(data, optimizer)
     if compressor is not None:
         compressor.load_state_dict(
             {k.removeprefix(_COMPRESSOR): v for k, v in data.items() if k.startswith(_COMPRESSOR)}

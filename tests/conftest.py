@@ -61,3 +61,45 @@ def assert_gradcheck(model, x, loss_fn, *, eps=1e-3, tol=5e-3, n_checks=6, seed=
             ana = float(g[i])
             rel = abs(num - ana) / max(abs(num), abs(ana), 1e-3)
             assert rel < tol, f"{name}[{i}]: numeric {num:.6f} vs analytic {ana:.6f}"
+
+
+def kfac_step(kfac):
+    """One single-worker K-FAC iteration: the stages a one-rank trainer runs,
+    with no communication in between (the oracle of the distributed fold)."""
+    for idx in range(len(kfac.layers)):
+        kfac.accumulate_factors(idx, *kfac.local_factors(idx))
+        if kfac.t % kfac.inv_update_freq == 0 or not kfac.state[idx].ready:
+            kfac.compute_eigen(idx)
+    kfac.apply({idx: kfac.precondition(idx) for idx in range(len(kfac.layers))})
+    kfac.t += 1
+
+
+def strided_cnn(n_classes=5, *, rng=4):
+    """A residual conv stack of stride-2 3x3 and 1x1 convs: the conv
+    geometries the model proxies, all stride-1 3x3, never train."""
+    from repro import nn
+
+    c = 8
+    return nn.Sequential(
+        nn.Conv2d(3, c, 3, padding=1, rng=rng),
+        nn.BatchNorm2d(c),
+        nn.ReLU(),
+        nn.Residual(
+            nn.Sequential(
+                nn.Conv2d(c, c, 3, padding=1, rng=rng + 1),
+                nn.BatchNorm2d(c),
+                nn.ReLU(),
+                nn.Conv2d(c, c, 1, rng=rng + 2),
+                nn.BatchNorm2d(c),
+            )
+        ),
+        nn.ReLU(),
+        nn.Conv2d(c, 2 * c, 3, stride=2, padding=1, rng=rng + 3),
+        nn.BatchNorm2d(2 * c),
+        nn.ReLU(),
+        nn.Conv2d(2 * c, 2 * c, 1, stride=2, rng=rng + 4),
+        nn.BatchNorm2d(2 * c),
+        nn.ReLU(),
+        nn.GlobalAvgPool2d(),
+        nn.Linear(2 * c, n_classes, rng=rng + 5),
+    )

@@ -17,8 +17,8 @@ class TestStepLrSchedule:
 
     def test_default_tight_is_sr_only(self):
         s = StepLrSchedule(50)
-        assert s.bounds_at(60).filtering is False
-        assert s.bounds_at(10).filtering is True
+        assert s.bounds_at(60).eb_f == 0
+        assert s.bounds_at(10).eb_f > 0
 
     def test_negative_drop_rejected(self):
         with pytest.raises(ValueError):
@@ -43,8 +43,8 @@ class TestSmoothLrSchedule:
 
     def test_filter_only_in_first_stage(self):
         s = SmoothLrSchedule(1000, z=4)
-        assert s.bounds_at(100).filtering
-        assert not s.bounds_at(400).filtering
+        assert s.bounds_at(100).eb_f > 0
+        assert s.bounds_at(400).eb_f == 0
 
     def test_min_eb_floor(self):
         s = SmoothLrSchedule(10_000, z=100, alpha=0.1, min_eb=1e-5)
@@ -62,10 +62,10 @@ class TestSmoothLrSchedule:
 class TestAdaptiveCompso:
     def test_step_advances_bounds(self):
         ac = AdaptiveCompso(StepLrSchedule(3))
-        assert ac.bounds.filtering
+        assert ac.bounds.eb_f > 0
         for _ in range(3):
             ac.step()
-        assert not ac.bounds.filtering
+        assert ac.bounds.eb_f == 0
         assert ac.inner.eb_f == 0.0
 
     def test_compression_still_bounded_after_transition(self, kfac_like_gradient):

@@ -15,7 +15,7 @@ from repro.cli import main as cli_main
 from repro.core import AdaptiveCompso, StepLrSchedule
 from repro.models import resnet_proxy
 from repro.nn import Linear
-from repro.optim import Sgd
+from repro.optim import Kfac
 from repro.store import CheckpointStore, fsck_store
 from repro.store.fsck import fsck_archive
 from repro.util import checkpoint as ckpt
@@ -29,28 +29,27 @@ from repro.util.checkpoint import (
 from tests.archives import rewrite_archive, vouch_for, write_schema3_archive
 
 
-def _state(seed=0, steps=1):
-    """A model, an optimizer with velocity, and a compressor with RNG state."""
+def _state(seed=0):
+    """A model, its K-FAC factors, and a compressor with RNG state."""
     model = resnet_proxy(n_classes=4, channels=8, rng=seed)
-    opt = Sgd(model.parameters(), lr=0.01, momentum=0.9)
+    kfac = Kfac(model)
     rng = np.random.default_rng(seed)
-    for _ in range(steps):
-        for p in model.parameters():
-            p.grad = rng.standard_normal(p.data.shape).astype(np.float32)
-        opt.step()
-    return model, opt, AdaptiveCompso(StepLrSchedule(4), seed=seed)
+    for idx in range(len(kfac.layers)):
+        a, g = (rng.standard_normal((n, n)) for n in kfac.layer_dims(idx))
+        kfac.accumulate_factors(idx, a @ a.T, g @ g.T)
+    return model, kfac, AdaptiveCompso(StepLrSchedule(4), seed=seed)
 
 
 def _save(path, seed=0, **kw):
-    model, opt, comp = _state(seed)
-    save_checkpoint(path, model, optimizer=opt, compressor=comp, **kw)
-    return model, opt, comp
+    model, kfac, comp = _state(seed)
+    save_checkpoint(path, model, kfac, compressor=comp, **kw)
+    return model, kfac, comp
 
 
 def _restore(path, **kw):
-    model, opt, comp = _state(seed=7)
-    meta = load_checkpoint(path, model, optimizer=opt, compressor=comp, **kw)
-    return model, opt, comp, meta
+    model, kfac, comp = _state(seed=7)
+    meta = load_checkpoint(path, model, kfac, compressor=comp, **kw)
+    return model, kfac, comp, meta
 
 
 def _params(model) -> np.ndarray:
@@ -58,10 +57,10 @@ def _params(model) -> np.ndarray:
 
 
 def _same_state(a, b) -> bool:
-    (ma, oa, ca), (mb, ob, cb) = a, b
+    (ma, ka, ca), (mb, kb, cb) = a, b
     return (
         all(np.array_equal(p.data, q.data) for p, q in zip(ma.parameters(), mb.parameters()))
-        and all(np.array_equal(u, v) for u, v in zip(oa._velocity, ob._velocity))
+        and all(np.array_equal(ka.state[i].A, kb.state[i].A) for i in ka.state)
         and ca.inner._rng.bit_generator.state == cb.inner._rng.bit_generator.state
     )
 
@@ -143,7 +142,7 @@ class TestLegacyLayout:
         assert cli_main(["fsck", str(tmp_path)]) == 0  # `repro fsck` exits clean
         assert "gen 2, step 2, schema 3, sealed" in capsys.readouterr().out
 
-        newest = tmp_path / store.latest().file
+        newest = tmp_path / store.generations(quiet=True)[-1].file
         blob = bytearray(newest.read_bytes())
         blob[len(blob) // 2] ^= 0x01
         newest.write_bytes(bytes(blob))
@@ -173,7 +172,7 @@ class TestRestoreReadsOnce:
         model = resnet_proxy(n_classes=4, channels=8, rng=0)
         for step in (1, 2):
             store.save(model, step=step)
-        newest = store.latest()
+        newest = store.generations(quiet=True)[-1]
         rewrite_archive(
             tmp_path / newest.file,
             mutate=lambda arrays: arrays.update({"meta/step": np.array(9)}),

@@ -1,7 +1,7 @@
 """Atomic checkpointing and exact-trajectory resume.
 
-Archive-level behaviour (atomic writes, the ``.npz`` suffix, optimizer
-state) is exercised through ``save_checkpoint`` / ``load_checkpoint``;
+Archive-level behaviour (atomic writes, the ``.npz`` suffix) is exercised
+through ``save_checkpoint`` / ``load_checkpoint``;
 a trainer's own checkpoints are ``CheckpointStore`` generations, resumed
 with ``restore_latest()``."""
 
@@ -15,7 +15,6 @@ from repro.data.loaders import batch_indices
 from repro.distributed import SimCluster
 from repro.kfac_dist import DistributedKfacTrainer
 from repro.models import resnet_proxy
-from repro.optim import Adam, Sgd
 from repro.store import CheckpointStore
 from repro.train import ClassificationTask
 from repro.util.checkpoint import _read_all, load_checkpoint, save_checkpoint
@@ -74,41 +73,6 @@ class TestAtomicSave:
         save_checkpoint(tmp_path / "b.npz", tr.model, tr.kfac)
         assert (tmp_path / "a.npz").exists()
         assert (tmp_path / "b.npz").exists() and not (tmp_path / "b.npz.npz").exists()
-
-
-class TestOptimizerRoundTrip:
-    def _model_and_grad(self, seed=0):
-        model = resnet_proxy(n_classes=4, channels=8, rng=seed)
-        data = make_image_data(64, n_classes=4, size=8, noise=0.6, seed=seed)
-        task = ClassificationTask(data)
-        x, y = task.batch(np.arange(32))
-        out = model(x)
-        _, dl = task.loss_and_grad(out, y)
-        model.zero_grad()
-        model.backward(dl)
-        return model
-
-    @pytest.mark.parametrize("opt_cls", [Sgd, Adam])
-    def test_momentum_state_round_trips(self, tmp_path, opt_cls):
-        model = self._model_and_grad()
-        opt = opt_cls(model.parameters(), lr=0.01)
-        opt.step()
-        save_checkpoint(tmp_path / "c", model, optimizer=opt)
-
-        model2 = self._model_and_grad()
-        opt2 = opt_cls(model2.parameters(), lr=0.01)
-        opt2.step()  # allocate state buffers, values to be overwritten
-        load_checkpoint(tmp_path / "c", model2, optimizer=opt2)
-        assert np.array_equal(_params(model), _params(model2))
-        if opt_cls is Sgd:
-            for a, b in zip(opt._velocity, opt2._velocity):
-                assert np.array_equal(a, b)
-        else:
-            assert opt2._t == opt._t
-            for a, b in zip(opt._m, opt2._m):
-                assert np.array_equal(a, b)
-            for a, b in zip(opt._v, opt2._v):
-                assert np.array_equal(a, b)
 
 
 class TestExactResume:

@@ -64,10 +64,11 @@ def _frame(ct):
 
 
 def test_the_discovery_finds_at_least_the_ten_compressors_of_pr_24():
+    # The tenth, IdentityCompressor, left src/ because no run built it.
     assert {cls.__name__ for cls in CLASSES} >= {
         "AdaptiveCompso", "CocktailSgdCompressor", "CompsoCompressor", "ErrorFeedback",
-        "FactorCompressor", "IdentityCompressor", "OkTopkCompressor", "QsgdCompressor",
-        "SzCompressor", "TopKCompressor",
+        "FactorCompressor", "OkTopkCompressor", "QsgdCompressor", "SzCompressor",
+        "TopKCompressor",
     }
 
 
@@ -118,7 +119,7 @@ def test_error_feedback_over_a_plain_compressor_has_only_its_residuals(cls):
     assert sorted(ef.state_dict()) == sorted(
         ["residual/0", "residual_keys", *RESUMABLE.get(cls, [])]
     )
-    assert ef.reset() == 1 and ef.memory_overhead_bytes == 0
+    assert ef.reset() == 1 and sum(r.nbytes for r in ef._residuals.values()) == 0
 
 
 # -- forwarding -------------------------------------------------------------------
@@ -241,7 +242,7 @@ def test_bounds_are_the_ones_in_force():
     compso = CompsoCompressor(2e-3, 3e-3)
     assert compso.bounds == Bounds(2e-3, 3e-3) == Bounds(*_bounds_at_the_parent(compso))
     compso.set_bounds(0.0, 1e-3)
-    assert compso.bounds == Bounds(0.0, 1e-3) and not compso.bounds.filtering
+    assert compso.bounds == Bounds(0.0, 1e-3) and compso.bounds.eb_f == 0
 
     adaptive = _build(AdaptiveCompso)
     seen = []
@@ -250,7 +251,7 @@ def test_bounds_are_the_ones_in_force():
             adaptive.degrade(2)
         assert adaptive.bounds == Bounds(*_bounds_at_the_parent(adaptive)), iteration
         assert adaptive.bounds == adaptive.inner.bounds
-        seen.append((adaptive.degraded, adaptive.bounds.filtering))
+        seen.append((adaptive.degraded, adaptive.bounds.eb_f > 0))
         adaptive.step()
     # loose, two degraded iterations, the scheduled drop at 3
     assert seen == [(False, True), (True, False), (True, False)] + [(False, False)] * 5
@@ -367,7 +368,7 @@ def test_a_partial_state_leaves_the_rest_alone():
     ef = ErrorFeedback(_compso(0))
     ef.compress(_gradient())
     ef.load_state_dict({})
-    assert ef.memory_overhead_bytes > 0
+    assert sum(r.nbytes for r in ef._residuals.values()) > 0
 
 
 def test_error_feedback_refuses_to_save_a_key_it_could_not_restore():

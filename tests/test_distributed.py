@@ -77,12 +77,6 @@ class TestSimClock:
         assert c.now == 6.0
         assert c.breakdown() == {"a": 4.0, "b": 2.0}
 
-    def test_fraction(self):
-        c = SimClock()
-        c.advance(1.0, "a")
-        c.advance(3.0, "b")
-        assert c.fraction("b") == pytest.approx(0.75)
-
     def test_sync_to_only_forward(self):
         c = SimClock()
         c.advance(5.0, "x")

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.compression import CompressedTensor, IdentityCompressor, SzCompressor
+from repro.compression import CompressedTensor, SzCompressor
 from repro.core import CompsoCompressor
 from repro.core.perf_model import ProfiledStats
 from repro.distributed import SimCluster
 from repro.encoders import get_encoder
 from repro.gpusim import H100, A100, PIPELINES
 from repro.kfac_dist.timing import CompressionSpec
-from repro.optim import SmoothLr
 
 
 class TestAbsoluteModeCompressors:
@@ -77,18 +76,10 @@ class TestMiscApi:
     def test_profiled_stats_ratio_guard(self):
         assert ProfiledStats(100, 0, 1, 1, 0.5).ratio == 1.0
 
-    def test_smooth_lr_min_lr_floor(self):
-        s = SmoothLr(1.0, 100, min_lr=0.05)
-        assert s.lr_at(99) >= 0.05
-
     def test_compression_spec_factory(self):
         spec = CompressionSpec.compso(20.0)
         assert spec.pipeline.name == "compso-cuda"
         assert spec.aggregation == 4
-
-    def test_identity_compressor_is_exact(self, rng):
-        x = rng.standard_normal(100).astype(np.float32)
-        assert np.array_equal(IdentityCompressor().roundtrip(x), x)
 
     def test_cluster_single_rank_collectives(self):
         cl = SimCluster(1, 1)

@@ -20,16 +20,22 @@ from repro.encoders import (
 )
 from repro.encoders import ans
 from repro.encoders.ans import (
-    _decode_lanes,
+    _decode_rows,
     _decode_scalar,
     _encode_lanes,
     _encode_scalar,
     _lanes,
+    _Stream,
     quantize_freqs,
 )
 from repro.encoders.huffman import code_lengths
 
 ALL = list_encoders()
+
+
+def _decode_lanes(states, words, qfreq, n, item_size=1):
+    """One frame on ``states.size`` lanes: the row decoder on that frame alone."""
+    return _decode_rows([_Stream(None, states, words, qfreq, n, item_size, 0)])[0]
 
 
 @pytest.mark.parametrize("name", ALL)

@@ -16,6 +16,7 @@ from repro.kfac_dist import DistributedKfacTrainer
 from repro.models import resnet_proxy
 from repro.optim import Kfac
 from repro.train import ClassificationTask
+from tests.conftest import kfac_step
 
 
 def _make(seed_model=3):
@@ -38,9 +39,9 @@ def test_world1_matches_single_worker():
         x, y = task.batch(idx)
         out = model_a(x)
         loss, dl = task.loss_and_grad(out, y)
-        kfac.zero_grad()
+        model_a.zero_grad()
         model_a.backward(dl)
-        kfac.step()
+        kfac_step(kfac)
         losses_a.append(loss)
 
     # Distributed path, world size 1, identical batches.

@@ -10,7 +10,7 @@ is true of it now:
     2e-6 x max|A| of the float64 product written out here as the oracle;
 (b) exchanging upper triangles and mirroring afterwards equals
     exchanging the squares, bit for bit;
-(c) the distributed fold equals single-worker ``Kfac.step()``'s;
+(c) the distributed fold equals single-worker K-FAC's (``tests.conftest.kfac_step``);
 (d) the executed factor bytes equal the analytic model's triangle;
 (e) training cannot tell: the loss sequences of
     ``test_nn_layers.test_training_digest_is_pinned``'s three runs stay
@@ -34,11 +34,12 @@ from repro.core import CompsoCompressor, FactorCompressor
 from repro.data import make_detection_data, make_image_data
 from repro.distributed import SimCluster
 from repro.kfac_dist import DistributedKfacTrainer
-from repro.models import DetectionProxy, mini_resnet, resnet_proxy
+from repro.models import DetectionProxy, resnet_proxy
 from repro.models.catalogs import LayerShape
 from repro.optim import Kfac
 from repro.runtime import Bucketer, StreamRuntime
 from repro.train import ClassificationTask, DetectionTask
+from tests.conftest import kfac_step, strided_cnn
 
 
 def _triangle():
@@ -246,9 +247,9 @@ def test_world1_factors_equal_single_worker_bit_for_bit():
     kfac = Kfac(single_model, lr=0.05, inv_update_freq=3)
     x, y = task.batch(idx)
     _, dl = task.loss_and_grad(single_model(x), y)
-    kfac.zero_grad()
+    single_model.zero_grad()
     single_model.backward(dl)
-    kfac.step()
+    kfac_step(kfac)
 
     trainer = DistributedKfacTrainer(
         dist_model, task, SimCluster(1, 1, seed=0), lr=0.05, inv_update_freq=3
@@ -356,13 +357,13 @@ _PARENT_LOSSES = {
         3.685226321220398, 2.894540011882782, 2.5737521052360535,
         2.0942269265651703, 1.6894994676113129,
     ],
-    "mini_resnet": [
-        3.14432156085968, 2.405426025390625, 1.604823112487793,
-        0.8129457831382751, 0.45134681463241577,
-    ],
     "resnet_proxy": [
         1.677733063697815, 1.5536243915557861, 1.0020261406898499,
         0.5772645175457001, 0.42313557863235474,
+    ],
+    "strided_cnn": [
+        1.804654598236084, 1.5922292470932007, 1.226346731185913,
+        1.072621762752533, 0.7951512038707733,
     ],
 }
 
@@ -377,7 +378,7 @@ def _losses(name):
         model = (
             resnet_proxy(n_classes=5, channels=8, rng=3)
             if name == "resnet_proxy"
-            else mini_resnet(n_classes=5, rng=4)
+            else strided_cnn(n_classes=5, rng=4)
         )
     trainer = DistributedKfacTrainer(
         model,

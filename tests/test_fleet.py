@@ -276,7 +276,7 @@ class TestSharedFabric:
         fabric.acquire("a", "allreduce", 0.0, 1.0)
         fabric.acquire("a", "allreduce", 5.0, 1.0)
         assert fabric.prune(3.0) == 1
-        assert fabric.n_windows == 1
+        assert len(fabric._windows) == 1
 
     def test_register_validation(self):
         fabric = SharedFabric()

@@ -1,5 +1,4 @@
-"""Infrastructure extensions: new collectives, NN layers, Shampoo,
-checkpointing, CLI."""
+"""Infrastructure extensions: new collectives, checkpointing, CLI."""
 
 import io
 from contextlib import redirect_stdout
@@ -9,20 +8,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import nn
 from repro.cli import main as cli_main
 from repro.data import make_image_data
 from repro.distributed import (
     SLINGSHOT10,
+    SimCluster,
     allreduce_time,
     alltoall_time,
     hierarchical_allreduce_time,
 )
+from repro.kfac_dist import DistributedKfacTrainer
 from repro.models import resnet_proxy
-from repro.optim import Kfac, Sgd, Shampoo
-from repro.train import ClassificationTask, train_single
+from repro.optim import Kfac
+from repro.train import ClassificationTask
 from repro.util import load_checkpoint, save_checkpoint
-from tests.conftest import assert_gradcheck
 
 
 class TestNewCollectives:
@@ -49,108 +48,6 @@ class TestNewCollectives:
         assert hierarchical_allreduce_time(SLINGSHOT10, 8, 0, 4) == 0.0
 
 
-class TestDropoutGroupNorm:
-    def test_dropout_eval_is_identity(self, rng):
-        d = nn.Dropout(0.5)
-        d.eval()
-        x = rng.standard_normal((5, 6)).astype(np.float32)
-        assert np.array_equal(d(x), x)
-
-    def test_dropout_preserves_expectation(self, rng):
-        d = nn.Dropout(0.3)
-        x = np.ones((200, 200), dtype=np.float32)
-        y = d(x)
-        assert abs(float(y.mean()) - 1.0) < 0.02  # inverted scaling
-
-    def test_dropout_backward_uses_same_mask(self, rng):
-        d = nn.Dropout(0.5)
-        x = rng.standard_normal((10, 10)).astype(np.float32)
-        y = d(x)
-        g = d.backward(np.ones_like(x))
-        assert np.array_equal(g == 0, y == 0)
-
-    def test_dropout_invalid_p(self):
-        with pytest.raises(ValueError):
-            nn.Dropout(1.0)
-
-    def test_groupnorm_normalises_groups(self, rng):
-        gn = nn.GroupNorm(2, 8)
-        x = rng.standard_normal((4, 8, 5, 5)).astype(np.float32) * 3 + 2
-        y = gn(x)
-        grp = y.reshape(4, 2, -1)
-        assert np.allclose(grp.mean(axis=2), 0.0, atol=1e-4)
-        assert np.allclose(grp.std(axis=2), 1.0, atol=1e-2)
-
-    def test_groupnorm_gradcheck(self, rng):
-        x = rng.standard_normal((4, 4, 4, 4))
-        t = rng.integers(0, 3, 4)
-        model = nn.Sequential(
-            nn.Conv2d(4, 4, 3, padding=1, rng=1),
-            nn.GroupNorm(2, 4),
-            nn.GlobalAvgPool2d(),
-            nn.Linear(4, 3, rng=2),
-        )
-        assert_gradcheck(model, x, lambda y: nn.softmax_cross_entropy(y, t), tol=1e-2)
-
-    def test_groupnorm_divisibility(self):
-        with pytest.raises(ValueError):
-            nn.GroupNorm(3, 8)
-
-
-class TestShampoo:
-    def test_converges_on_classification(self, rng):
-        n, d, c = 300, 12, 4
-        W = rng.standard_normal((c, d))
-        X = rng.standard_normal((n, d)).astype(np.float32)
-        y = (X @ W.T).argmax(1)
-        model = nn.Sequential(nn.Linear(d, 16, rng=1), nn.Tanh(), nn.Linear(16, c, rng=2))
-        opt = Shampoo(model.parameters(), lr=0.05)
-        losses = []
-        for _ in range(60):
-            idx = rng.integers(0, n, 64)
-            out = model(X[idx])
-            loss, dl = nn.softmax_cross_entropy(out, y[idx])
-            opt.zero_grad()
-            model.backward(dl)
-            opt.step()
-            losses.append(loss)
-        assert np.mean(losses[-10:]) < np.mean(losses[:5]) * 0.5
-
-    def test_beats_plain_sgd_on_ill_conditioned_problem(self, rng):
-        # Anisotropic quadratic (condition number ~1e4): full-matrix
-        # preconditioning converges faster than SGD at a matched LR.
-        d = 20
-        scales = np.logspace(-2, 0, d)
-        X = (rng.standard_normal((400, d)) * scales).astype(np.float32)
-        w_true = rng.standard_normal(d).astype(np.float32)
-        y = (X @ w_true)[:, None]
-
-        def train(opt_factory):
-            model = nn.Sequential(nn.Linear(d, 1, bias=False, rng=1))
-            opt = opt_factory(model)
-            for _ in range(120):
-                out = model(X)
-                loss, dl = nn.mse_loss(out, y)
-                opt.zero_grad()
-                model.backward(dl)
-                opt.step()
-            return loss
-
-        shampoo_loss = train(lambda m: Shampoo(m.parameters(), lr=0.05, update_freq=2))
-        sgd_loss = train(lambda m: Sgd(m.parameters(), lr=0.05, momentum=0.9))
-        assert shampoo_loss < sgd_loss
-
-    def test_vector_params_use_diagonal(self, rng):
-        model = nn.Sequential(nn.Linear(4, 3, rng=1))  # has a bias vector
-        opt = Shampoo(model.parameters(), lr=0.1)
-        assert "diag" in opt._state[1]
-        assert "L" in opt._state[0]
-
-    def test_invalid_freq(self):
-        with pytest.raises(ValueError):
-            Shampoo([], update_freq=0)
-
-
 class TestCheckpoint:
     def test_roundtrip_parameters(self, tmp_path, rng):
         model = resnet_proxy(n_classes=4, channels=8, rng=1)
@@ -167,8 +64,9 @@ class TestCheckpoint:
         data = make_image_data(100, n_classes=3, size=8, seed=0)
         task = ClassificationTask(data)
         model = resnet_proxy(n_classes=3, channels=8, rng=1)
-        kfac = Kfac(model, lr=0.05, inv_update_freq=2)
-        train_single(model, task, kfac, iterations=4, batch_size=16)
+        trainer = DistributedKfacTrainer(model, task, SimCluster(1, 1, seed=0), inv_update_freq=2)
+        trainer.train(iterations=4, batch_size=16)
+        kfac = trainer.kfac
         path = tmp_path / "ckpt.npz"
         save_checkpoint(path, model, kfac)
         model2 = resnet_proxy(n_classes=3, channels=8, rng=99)

@@ -107,7 +107,7 @@ class TestPaperClaims:
         adaptive = AdaptiveCompso(SmoothLrSchedule(24, z=4))
         _, h = _train_kfac(adaptive)
         _, base = _train_kfac(None)
-        assert not adaptive.bounds.filtering  # ended conservative
+        assert adaptive.bounds.eb_f == 0  # ended conservative
         assert h.final_metric() >= base.final_metric() - 6.0
 
     def test_deterministic_replay(self):

@@ -1,4 +1,4 @@
-"""Deeper integration scenarios: mini-ResNet under distributed K-FAC,
+"""Deeper integration scenarios: the residual CNN proxy under distributed K-FAC,
 factor compression end to end, checkpoint/resume mid-training, and
 determinism across the full pipeline."""
 
@@ -9,9 +9,8 @@ from repro.core import AdaptiveCompso, CompsoCompressor, FactorCompressor, StepL
 from repro.data import make_image_data
 from repro.distributed import SimCluster
 from repro.kfac_dist import DistributedKfacTrainer
-from repro.models import mini_resnet
-from repro.optim import Kfac
-from repro.train import ClassificationTask, train_single
+from repro.models import resnet_proxy
+from repro.train import ClassificationTask
 from repro.util import load_checkpoint, save_checkpoint
 
 
@@ -21,10 +20,10 @@ def _task(seed=0):
 
 class TestMiniResNetDistributed:
     def test_kfac_compso_on_residual_network(self):
-        """The full pipeline on a model with projection shortcuts and
-        realistic layer-size diversity."""
+        """The full pipeline on a model with a residual block and conv and
+        linear layers of several sizes."""
         task = _task()
-        model = mini_resnet(5, "small", rng=3)
+        model = resnet_proxy(5, 8, rng=3)
         tr = DistributedKfacTrainer(
             model,
             task,
@@ -41,7 +40,7 @@ class TestMiniResNetDistributed:
 
     def test_all_kfac_layers_owned_and_preconditioned(self):
         task = _task()
-        model = mini_resnet(5, "deep", rng=3)
+        model = resnet_proxy(5, 16, rng=3)
         tr = DistributedKfacTrainer(model, task, SimCluster(1, 4, seed=0), lr=0.05)
         tr.train(iterations=2, batch_size=32)
         assert len(tr.owners) == len(model.kfac_layers())
@@ -55,16 +54,16 @@ class TestCheckpointResume:
         resumed model must be at least as good as the 10-iter one and the
         restored factors must let K-FAC keep converging."""
         task = _task()
-        model = mini_resnet(5, "small", rng=3)
-        kfac = Kfac(model, lr=0.05, inv_update_freq=5)
-        h1 = train_single(model, task, kfac, iterations=10, batch_size=64, eval_every=10, seed=0)
+        model = resnet_proxy(5, 8, rng=3)
+        tr1 = DistributedKfacTrainer(model, task, SimCluster(1, 1, seed=0), inv_update_freq=5)
+        h1 = tr1.train(iterations=10, batch_size=64, eval_every=10, seed=0)
         path = tmp_path / "mid.npz"
-        save_checkpoint(path, model, kfac)
+        save_checkpoint(path, model, tr1.kfac)
 
-        model2 = mini_resnet(5, "small", rng=999)  # different init
-        kfac2 = Kfac(model2, lr=0.05, inv_update_freq=5)
-        load_checkpoint(path, model2, kfac2)
-        h2 = train_single(model2, task, kfac2, iterations=10, batch_size=64, eval_every=10, seed=1)
+        model2 = resnet_proxy(5, 8, rng=999)  # different init
+        tr2 = DistributedKfacTrainer(model2, task, SimCluster(1, 1, seed=0), inv_update_freq=5)
+        load_checkpoint(path, model2, tr2.kfac)
+        h2 = tr2.train(iterations=10, batch_size=64, eval_every=10, seed=1)
         assert h2.losses[0] <= h1.losses[0]  # starts from the trained state
         assert h2.final_metric() >= h1.final_metric() - 5.0
 
@@ -75,7 +74,7 @@ class TestDeterminism:
 
         def run():
             task = _task()
-            model = mini_resnet(5, "small", rng=3)
+            model = resnet_proxy(5, 8, rng=3)
             cluster = SimCluster(1, 4, seed=0)
             tr = DistributedKfacTrainer(
                 model, task, cluster, lr=0.05, inv_update_freq=5,
@@ -95,7 +94,7 @@ class TestDeterminism:
 
         def run(seed):
             task = _task()
-            model = mini_resnet(5, "small", rng=3)
+            model = resnet_proxy(5, 8, rng=3)
             tr = DistributedKfacTrainer(
                 model, task, SimCluster(1, 2, seed=0), lr=0.05, inv_update_freq=5,
                 compressor=CompsoCompressor(4e-3, 4e-3, seed=seed),

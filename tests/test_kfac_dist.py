@@ -103,7 +103,7 @@ class TestDistributedTrainer:
         tr = DistributedKfacTrainer(model, task, cluster, lr=0.05, compressor=ac)
         tr.train(iterations=6, batch_size=32)
         assert ac.iteration == 6
-        assert not ac.bounds.filtering  # switched to conservative
+        assert ac.bounds.eb_f == 0  # switched to conservative
 
     def test_owners_cover_all_layers(self, trained_pair):
         tr = trained_pair[0]

@@ -1,4 +1,6 @@
-"""The knob lint: a config field or keyword parameter exists because a run sets it.
+"""Two lints of one rule, tests are not callers: a config field or keyword
+parameter exists because a run sets it, and a definition because a run
+reaches it.
 
 Each default is declared once, in the class that uses it (DESIGN.md decisions
 26 and 27).  A field of a run-assembly config, or a parameter of a
@@ -14,13 +16,28 @@ call:
   :data:`KNOBS` only in a file that imports or defines that class;
 * a ``repro`` subcommand's ``--flag`` (declared in ``build_parser``) sets the
   knob of the same name on the classes its ``cmd_*`` function constructs.
+
+The definitions lint (DESIGN.md decision 27(f)) walks the same call sites
+and fails on any function, class or method under ``src/repro/`` whose name
+no reached code mentions: an identifier or a non-docstring string constant,
+outside the definition's own body, import lines and ``__all__``.  Code
+inside an unreached definition reaches nothing, so the lint follows chains
+of dead helpers to their end.  perfbench's trace targets count as mentions
+(``perfbench.layers`` is imported, so ``f"StreamRuntime.i{op}"`` resolves).
+Only dunder methods are exempt.  Matching is by name, so the lint
+under-reports: a method shares its liveness with every attribute of the
+same name.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
+import importlib
 import re
+import sys
 import textwrap
+from collections import defaultdict
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -161,9 +178,9 @@ def _callee(cls: str, method: str | None) -> str:
     return cls if method in (None, "__init__") else method
 
 
+@functools.cache
 def _sources() -> dict[str, ast.Module]:
-    """Every call site that mentions a knob's callee, parsed."""
-    wanted = re.compile("|".join(sorted({_callee(cls, m) for _, cls, m in KNOBS})))
+    """Every call site, parsed."""
     texts = {
         str(path.relative_to(_ROOT)): path.read_text()
         for d in _CALL_SITE_DIRS
@@ -172,7 +189,7 @@ def _sources() -> dict[str, ast.Module]:
     # ci.yml's inline Python (heredoc blocks) is a call site too.
     for i, block in enumerate(re.findall(r"<<'EOF'\n(.*?)\n\s*EOF", _CI.read_text(), re.S)):
         texts[f"ci.yml#{i}"] = textwrap.dedent(block)
-    return {where: ast.parse(text) for where, text in texts.items() if wanted.search(text)}
+    return {where: ast.parse(text) for where, text in texts.items()}
 
 
 def setters(sources: dict[str, ast.Module]) -> dict[tuple[str, str], list[str]]:
@@ -189,7 +206,7 @@ def setters(sources: dict[str, ast.Module]) -> dict[tuple[str, str], list[str]]:
         for where, by_callee in calls.items():
             found = set_names(by_callee.get(callee, []), names)
             found |= flags[where].get(callee, set())
-            if method is None and names_class(sources[where], cls):
+            if method is None and "replace" in by_callee and names_class(sources[where], cls):
                 found |= replaced_names(sources[where], names)
             for name in sorted(found & set(names)):
                 out[(owner, name)].append(where)
@@ -200,6 +217,94 @@ def test_every_knob_is_set_by_a_call_site():
     unset = sorted(f"{owner}({knob}=)" for (owner, knob), where in setters(_sources()).items()
                    if not where)
     assert unset == [], "knobs no call site sets; delete them: " + ", ".join(unset)
+
+
+_DEFINES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_WORD = re.compile(r"[\w.:]+")
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _children(node: ast.AST) -> list[ast.AST]:
+    """Child nodes that can mention a name: no docstring, import or ``__all__``."""
+    body = getattr(node, "body", None)
+    docstring = body[0] if (
+        isinstance(node, (ast.Module, *_DEFINES)) and body and isinstance(body[0], ast.Expr)
+        and isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str)
+    ) else None
+    return [
+        c for c in ast.iter_child_nodes(node)
+        if c is not docstring and not isinstance(c, (ast.Import, ast.ImportFrom)) and not (
+            isinstance(c, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+            and any(isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in (c.targets if isinstance(c, ast.Assign) else [c.target]))
+        )
+    ]
+
+
+def _walk(node: ast.AST, where: str, prefix: str | None, chain: tuple[int, ...],
+          defs: list, mentions: list) -> None:
+    """Append ``(name, chain)`` to ``mentions`` for each name under ``node``;
+    ``chain`` holds the indices in ``defs`` of the definitions it sits in.
+    Where ``prefix`` is not ``None`` (module and class level), a definition
+    is appended to ``defs`` as ``(where, qualified name, name, parent)``."""
+    for child in _children(node):
+        if isinstance(child, _DEFINES):
+            if prefix is None:  # a local function: part of the one around it
+                _walk(child, where, None, chain, defs, mentions)
+                continue
+            defs.append((where, prefix + child.name, child.name, chain[-1] if chain else None))
+            inner = prefix + child.name + "." if isinstance(child, ast.ClassDef) else None
+            _walk(child, where, inner, (*chain, len(defs) - 1), defs, mentions)
+            continue
+        if isinstance(child, ast.Name):
+            mentions.append((child.id, chain))
+        elif isinstance(child, ast.Attribute):
+            mentions.append((child.attr, chain))
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str) \
+                and _WORD.fullmatch(child.value):
+            mentions.extend((word, chain) for word in re.split(r"[.:]", child.value))
+        _walk(child, where, prefix, chain, defs, mentions)
+
+
+def unreached(sources: dict[str, ast.Module], targets: tuple[str, ...] = ()) -> list[str]:
+    """``file:qualified.name`` of every definition under ``src/repro/`` that
+    no reached code mentions, outermost only; ``targets`` are trace targets
+    (``module:Class.attr``) that count as mentions."""
+    defs: list[tuple[str, str, str, int | None]] = []
+    mentions: list[tuple[str, tuple[int, ...]]] = []
+    for where, tree in sources.items():
+        _walk(tree, where, "" if where.startswith("src/repro/") else None, (), defs, mentions)
+    mentions += [(word, ()) for t in targets for word in re.split(r"[.:]", t)]
+    by_name: dict[str, list[frozenset[int]]] = defaultdict(list)
+    for name, chain in mentions:
+        by_name[name].append(frozenset(chain))
+    live: set[int] = set()
+    grown = True
+    while grown:  # reachability from code outside src/ definitions
+        grown = False
+        for i, (_, _, name, parent) in enumerate(defs):
+            if i in live or (parent is not None and parent not in live):
+                continue
+            if _is_dunder(name) or any(i not in chain and chain <= live for chain in by_name[name]):
+                live.add(i)
+                grown = True
+    dead = set(range(len(defs))) - live
+    return sorted(f"{where}:{qualname}" for i, (where, qualname, _, parent) in enumerate(defs)
+                  if i in dead and parent not in dead)
+
+
+def _trace_targets() -> tuple[str, ...]:
+    if str(_ROOT) not in sys.path:
+        sys.path.insert(0, str(_ROOT))
+    return tuple(target for target, _, _ in importlib.import_module("perfbench.layers")._TARGETS)
+
+
+def test_every_definition_is_reached_by_a_call_site():
+    dead = unreached(_sources(), _trace_targets())
+    assert dead == [], "definitions no run reaches; delete them: " + ", ".join(dead)
 
 
 def test_the_knob_lint_sees_what_it_looks_for():
@@ -258,3 +363,49 @@ def test_a_cli_flag_sets_the_knob_its_command_constructs():
     )
     got = flag_setters(cli)
     assert got["Engine"] == {"y"} and "z" not in got["Engine"]
+
+
+def test_the_definitions_lint_sees_what_it_looks_for():
+    module = ast.parse(
+        '"""A docstring that names planted() keeps nothing."""\n'
+        "__all__ = ['used', 'planted', 'reexported', 'Runtime']\n"
+        "def used():\n"
+        "    return _helper()\n"
+        "def _helper():\n"
+        "    return 1\n"
+        "def planted():\n"
+        "    return _only_planted()\n"
+        "def _only_planted():\n"  # reached only from a dead definition
+        "    return planted()\n"
+        "def reexported():\n"
+        "    pass\n"
+        "class Runtime:\n"
+        "    def __init__(self):\n"  # dunders are exempt
+        "        pass\n"
+        "    def iallgather(self):\n"
+        "        pass\n"
+        "    def ibroadcast(self):\n"
+        "        pass\n"
+    )
+    sources = {
+        "src/repro/pkg/mod.py": module,
+        "src/repro/pkg/__init__.py": ast.parse(
+            "from repro.pkg.mod import Runtime, planted, reexported, used\n"
+            "__all__ = ['Runtime', 'planted', 'reexported', 'used']\n"
+        ),
+        "examples/run.py": ast.parse("from repro.pkg import Runtime, used\nused()\nRuntime()\n"),
+    }
+    targets = tuple(f"repro.pkg.mod:Runtime.i{op}" for op in ("allgather",))
+    assert unreached(sources, targets) == [
+        "src/repro/pkg/mod.py:Runtime.ibroadcast",
+        "src/repro/pkg/mod.py:_only_planted",
+        "src/repro/pkg/mod.py:planted",
+        "src/repro/pkg/mod.py:reexported",
+    ]
+    assert unreached(sources) == [
+        "src/repro/pkg/mod.py:Runtime.iallgather",
+        "src/repro/pkg/mod.py:Runtime.ibroadcast",
+        "src/repro/pkg/mod.py:_only_planted",
+        "src/repro/pkg/mod.py:planted",
+        "src/repro/pkg/mod.py:reexported",
+    ]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.losses import mse_loss, smooth_l1_loss, softmax_cross_entropy
+from repro.nn.losses import smooth_l1_loss, softmax_cross_entropy
 from repro.train.metrics import accuracy, predict_spans, span_em_f1
 
 
@@ -65,17 +65,6 @@ class TestCrossEntropy:
 
 
 class TestRegressionLosses:
-    def test_mse_zero_at_target(self, rng):
-        x = rng.standard_normal((3, 4))
-        loss, grad = mse_loss(x, x.copy())
-        assert loss == 0.0
-        assert np.all(grad == 0)
-
-    def test_mse_gradient_direction(self):
-        loss, grad = mse_loss(np.array([2.0]), np.array([1.0]))
-        assert loss == pytest.approx(1.0)
-        assert grad[0] == pytest.approx(2.0)
-
     def test_smooth_l1_quadratic_region(self):
         loss, grad = smooth_l1_loss(np.array([0.5]), np.array([0.0]))
         assert loss == pytest.approx(0.125)

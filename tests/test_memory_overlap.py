@@ -1,5 +1,7 @@
 """Memory model (the PipeFisher argument) and communication overlap."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.distributed import PLATFORM1
@@ -21,7 +23,7 @@ class TestMemoryModel:
         for name, fn in MODEL_CATALOGS.items():
             b = MODEL_TIMING_PROFILES[name].per_gpu_batch
             est = estimate_kfac_memory(fn(), per_gpu_batch=b)
-            assert fits_on(est, "a100-40gb"), (name, est.breakdown_gb())
+            assert fits_on(est, "a100-40gb"), (name, est)
 
     def test_memory_scales_with_batch(self):
         small = estimate_kfac_memory(resnet50_catalog(), per_gpu_batch=8)
@@ -36,9 +38,8 @@ class TestMemoryModel:
 
     def test_breakdown_sums(self):
         est = estimate_kfac_memory(resnet50_catalog(), per_gpu_batch=32)
-        bd = est.breakdown_gb()
-        parts = sum(v for k, v in bd.items() if k != "total")
-        assert parts == pytest.approx(bd["total"])
+        parts = sum(getattr(est, f.name) for f in fields(est))
+        assert parts == pytest.approx(est.total)
 
     def test_unknown_gpu_rejected(self):
         est = estimate_kfac_memory(resnet50_catalog(), per_gpu_batch=8)

@@ -1,60 +1,40 @@
-"""Mini-ResNet model, Ok-topk sparsifier, and ASCII chart helpers."""
+"""The mini-ResNet run's model, Ok-topk sparsifier, and ASCII chart helpers."""
 
 import numpy as np
 import pytest
 
-from repro import nn
 from repro.compression import OkTopkCompressor
 from repro.core import AdaptiveCompso, StepLrSchedule
 from repro.data import make_image_data
-from repro.models import mini_resnet
+from repro.distributed import SimCluster
+from repro.models import resnet_proxy
 from repro.optim import Sgd
-from repro.train import ClassificationTask, train_single
-from repro.util import bar_chart, stacked_bars
-from tests.conftest import assert_gradcheck
+from repro.train import ClassificationTask, DistributedSgdTrainer
+from repro.util import stacked_bars
 
 
 class TestMiniResNet:
+    """The model a ``mini-resnet`` run builds (``repro.scenarios``)."""
+
     def test_forward_shapes(self, rng):
-        m = mini_resnet(7, "small", rng=1)
+        m = resnet_proxy(7, 8, rng=1)
         y = m(rng.standard_normal((3, 3, 8, 8)).astype(np.float32))
         assert y.shape == (3, 7)
 
-    def test_deep_configuration_downsamples(self, rng):
-        m = mini_resnet(4, "deep", rng=1)
-        y = m(rng.standard_normal((2, 3, 16, 16)).astype(np.float32))
-        assert y.shape == (2, 4)
-        # Three stages double channels twice: head input = 4x stem.
-        assert m.head.in_features == 64
-
-    def test_projection_shortcuts_created(self):
-        m = mini_resnet(4, "deep", rng=1)
-        projections = [b for b in m.blocks if b.shortcut is not None]
-        assert len(projections) == 2  # first block of stages 2 and 3
-
-    def test_gradcheck(self, rng):
-        m = mini_resnet(3, "small", rng=1)
-        x = rng.standard_normal((2, 3, 8, 8))
-        t = rng.integers(0, 3, 2)
-        assert_gradcheck(m, x, lambda y: nn.softmax_cross_entropy(y, t), tol=2e-2, n_checks=3)
-
     def test_layer_size_diversity(self):
         """The property that motivates COMPSO's layer aggregation."""
-        m = mini_resnet(10, "deep", rng=1)
+        m = resnet_proxy(10, 16, rng=1)
         sizes = [l.weight.size for l in m.kfac_layers()]
         assert max(sizes) / min(sizes) > 10
 
     def test_trains(self):
         data = make_image_data(300, n_classes=4, size=8, noise=0.4, seed=0)
         task = ClassificationTask(data)
-        m = mini_resnet(4, "small", rng=1)
+        m = resnet_proxy(4, 8, rng=1)
         opt = Sgd(m.parameters(), lr=0.05, momentum=0.9)
-        h = train_single(m, task, opt, iterations=30, batch_size=32, eval_every=30)
+        trainer = DistributedSgdTrainer(m, task, opt, SimCluster(1, 1, seed=0))
+        h = trainer.train(iterations=30, batch_size=32, eval_every=30)
         assert h.final_metric() > 55.0
-
-    def test_unknown_depth(self):
-        with pytest.raises(ValueError):
-            mini_resnet(4, "enormous")
 
 
 class TestOkTopk:
@@ -141,21 +121,6 @@ class TestOkTopk:
 
 
 class TestCharts:
-    def test_bar_chart_scales_to_max(self):
-        out = bar_chart(["a", "b"], [10.0, 5.0], width=10)
-        lines = out.splitlines()
-        assert lines[0].count("#") == 10
-        assert lines[1].count("#") == 5
-
-    def test_bar_chart_title_and_unit(self):
-        out = bar_chart(["x"], [1.0], title="T", unit="GB/s")
-        assert out.startswith("T\n")
-        assert "GB/s" in out
-
-    def test_bar_chart_length_mismatch(self):
-        with pytest.raises(ValueError):
-            bar_chart(["a"], [1.0, 2.0])
-
     def test_stacked_bars_rows_full_width(self):
         out = stacked_bars(["r1"], {"x": [30.0], "y": [70.0]}, width=40)
         bar_line = out.splitlines()[-1]

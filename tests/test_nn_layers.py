@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from repro import nn
-from tests.conftest import assert_gradcheck
+from repro.nn.conv import _patch_buffer
+from tests.conftest import assert_gradcheck, strided_cnn
+
+
+def _im2col(x, kh, kw, stride, pad):
+    """(N, C, H, W) -> (N, out_h, out_w, C*kh*kw): the conv's patch buffer
+    with no bias column."""
+    return _patch_buffer(x, kh, kw, stride, pad, 0)
 
 
 def _ce_loss(targets):
@@ -108,19 +115,19 @@ class TestConv2d:
 
     def test_im2col_col2im_adjoint(self, rng):
         """col2im must be the exact adjoint of im2col."""
-        from repro.nn.conv import col2im, im2col
+        from repro.nn.conv import col2im
 
         x = rng.standard_normal((2, 3, 7, 7))
-        cols = im2col(x, 3, 3, 2, 1)
+        cols = _im2col(x, 3, 3, 2, 1)
         u = rng.standard_normal(cols.shape)
         v = rng.standard_normal(x.shape)
-        lhs = (im2col(v, 3, 3, 2, 1) * u).sum()
+        lhs = (_im2col(v, 3, 3, 2, 1) * u).sum()
         rhs = (col2im(u, v.shape, 3, 3, 2, 1) * v).sum()
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
 class TestActivations:
-    @pytest.mark.parametrize("act", [nn.GELU, nn.Tanh, nn.Sigmoid])
+    @pytest.mark.parametrize("act", [nn.GELU])
     def test_gradcheck_smooth(self, rng, act):
         x = rng.standard_normal((6, 5))
         t = rng.integers(0, 3, 6)
@@ -192,13 +199,6 @@ class TestPooling:
         assert g.sum() == 4
         assert g[0, 0, 1, 1] == 1  # position of 5
 
-    def test_avgpool_backward_uniform(self):
-        ap = nn.AvgPool2d(2)
-        x = np.ones((1, 1, 4, 4), dtype=np.float32)
-        ap(x)
-        g = ap.backward(np.ones((1, 1, 2, 2), dtype=np.float32))
-        assert np.allclose(g, 0.25)
-
     def test_pool_requires_divisible_dims(self):
         with pytest.raises(ValueError):
             nn.MaxPool2d(3)(np.ones((1, 1, 4, 4)))
@@ -210,15 +210,15 @@ class TestContainers:
         t = rng.integers(0, 3, 5)
         model = nn.Sequential(
             nn.Linear(6, 6, rng=1),
-            nn.Residual(nn.Sequential(nn.Linear(6, 6, rng=2), nn.Tanh())),
+            nn.Residual(nn.Sequential(nn.Linear(6, 6, rng=2), nn.GELU())),
             nn.Linear(6, 3, rng=3),
         )
         assert_gradcheck(model, x, _ce_loss(t))
 
     def test_sequential_indexing(self):
-        s = nn.Sequential(nn.ReLU(), nn.Tanh())
+        s = nn.Sequential(nn.ReLU(), nn.GELU())
         assert len(s) == 2
-        assert isinstance(s[1], nn.Tanh)
+        assert isinstance(s[1], nn.GELU)
 
     def test_parameter_discovery_recursive(self):
         model = nn.Sequential(nn.Linear(3, 4), nn.Residual(nn.Sequential(nn.Linear(4, 4))))
@@ -434,14 +434,14 @@ def _conv_cases():
 class TestBitIdentity:
     @pytest.mark.parametrize("layout", _LAYOUTS)
     def test_im2col_col2im(self, rng, layout):
-        from repro.nn.conv import col2im, im2col
+        from repro.nn.conv import col2im
 
         for k, stride, pad, n, c, h, w in _conv_cases():
             what = f"k={k} stride={stride} pad={pad} x=({n},{c},{h},{w}) {layout}"
             x = _sprinkle(rng, rng.standard_normal((n, c, h, w)).astype(np.float32))
             x = _as_layout(x, layout)
             want = _ref_im2col(x, k, k, stride, pad)
-            _assert_same(im2col(x, k, k, stride, pad), want, what)
+            _assert_same(_im2col(x, k, k, stride, pad), want, what)
             cols = _sprinkle(rng, rng.standard_normal(want.shape).astype(np.float32))
             with np.errstate(invalid="ignore"):
                 _assert_same(
@@ -451,12 +451,12 @@ class TestBitIdentity:
                 )
 
     def test_im2col_keeps_dtype_and_rectangular_kernels(self, rng):
-        from repro.nn.conv import col2im, im2col
+        from repro.nn.conv import col2im
 
         x = rng.standard_normal((2, 3, 6, 7))
         for kh, kw, stride, pad in ((2, 3, 1, 1), (3, 1, 2, 0), (1, 4, 1, 2)):
             want = _ref_im2col(x, kh, kw, stride, pad)
-            _assert_same(im2col(x, kh, kw, stride, pad), want)
+            _assert_same(_im2col(x, kh, kw, stride, pad), want)
             _assert_same(
                 col2im(want, x.shape, kh, kw, stride, pad),
                 _ref_col2im(want, x.shape, kh, kw, stride, pad),
@@ -608,16 +608,16 @@ class TestBitIdentity:
 
 class TestGeometryValidation:
     def test_kernel_larger_than_padded_input(self):
-        from repro.nn.conv import col2im, im2col
+        from repro.nn.conv import col2im
 
         x = np.zeros((1, 1, 3, 3), dtype=np.float32)
         with pytest.raises(ValueError, match=r"kernel 5x5 .* input 3x3 .* padding 0"):
-            im2col(x, 5, 5, 1, 0)
+            _im2col(x, 5, 5, 1, 0)
         with pytest.raises(ValueError, match=r"kernel 7x7 .* input 3x3 .* padding 1"):
             nn.Conv2d(1, 2, 7, padding=1, rng=0)(x)
         with pytest.raises(ValueError, match="kernel"):
             col2im(np.zeros((1, 1, 1, 25), dtype=np.float32), (1, 1, 3, 3), 5, 5, 1, 0)
-        assert im2col(x, 5, 5, 1, 1).shape == (1, 1, 1, 25)
+        assert _im2col(x, 5, 5, 1, 1).shape == (1, 1, 1, 25)
 
     def test_col2im_rejects_mismatched_cols(self):
         from repro.nn.conv import col2im
@@ -648,14 +648,18 @@ class TestGeometryValidation:
 # Re-pinned once since, for float32 K-FAC factor statistics: no repro.nn
 # file changed, and tests/test_factor_exchange.py holds the same three
 # runs' losses to within 1e-3 of those at c3bf950 (measured: 2e-6).
+#
+# ``strided_cnn`` took the place of a residual model that left ``src/``
+# because no run built it; its digest was printed the same way at ca648ca,
+# the commit before, so this file's change moved no pin.
 
 _PINNED_RUNS = {
     # Sequential: residual block, stride-1 3x3 convs, two pools.
     "resnet_proxy": "94f8f8f8f4c92741e40c99c9d8956e7249b8868e94db7ccd90133c4bb71bbda5",
     # Module with a shared trunk, two linear heads and a split gradient.
     "detection_proxy": "6d8d9423dc97d354423b80c6d45b21b7569046ae252c1257fe0821cb53bd990d",
-    # Residual stages with stride-2 3x3 and 1x1 projection convs, no pooling.
-    "mini_resnet": "722e55e08ce675fd4ab175f3cecd09cae70b4746d3269c413e02e9d760774cc0",
+    # Residual block with a 1x1 conv, stride-2 3x3 and 1x1 convs, no max pooling.
+    "strided_cnn": "4cb2dae68a335402f7e6f8ce68aac7dc6aa7b81be545f45cccdd6d861d3d7752",
 }
 
 
@@ -666,7 +670,7 @@ def _trained_digest(name):
     from repro.data import make_detection_data, make_image_data
     from repro.distributed import SimCluster
     from repro.kfac_dist import DistributedKfacTrainer
-    from repro.models import DetectionProxy, mini_resnet, resnet_proxy
+    from repro.models import DetectionProxy, resnet_proxy
     from repro.train import ClassificationTask, DetectionTask
 
     if name == "detection_proxy":
@@ -677,7 +681,7 @@ def _trained_digest(name):
         if name == "resnet_proxy":
             model = resnet_proxy(n_classes=5, channels=8, rng=3)
         else:
-            model = mini_resnet(n_classes=5, rng=4)
+            model = strided_cnn(n_classes=5, rng=4)
     trainer = DistributedKfacTrainer(
         model,
         task,

@@ -27,7 +27,6 @@ from repro.obsv import (
     load_ledger,
     loss_series,
     parse_tolerance,
-    per_layer_cr,
     run_report,
     summarize,
 )
@@ -217,7 +216,7 @@ class TestAnalytics:
         assert 0.0 <= s["hidden_fraction"] <= 1.0
         assert s["guard_remediations"] == 0 and s["breaker_trips"] == 0
         assert len(loss_series(ledger)) == ITERS
-        assert len(per_layer_cr(ledger)) > 1
+        assert len({r[0] for step in ledger.steps for r in step.get("layers", [])}) > 1
         assert guard_timeline(ledger) == []
 
     def test_bound_series_tracks_adaptive_schedule(self, tmp_path):

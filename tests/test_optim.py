@@ -1,10 +1,11 @@
-"""First-order optimizers, LR schedules, and the K-FAC optimizer."""
+"""The SGD optimizer, the StepLR schedule, and the K-FAC optimizer."""
 
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.optim import Adam, ConstantLr, Kfac, Lamb, Sgd, SmoothLr, StepLr
+from repro.optim import Kfac, Sgd, StepLr
+from tests.conftest import kfac_step
 
 
 def _quadratic_problem(rng, n=200, d=10):
@@ -15,13 +16,19 @@ def _quadratic_problem(rng, n=200, d=10):
     return X, y[:, None], w_true
 
 
+def _mse(pred, target):
+    """Mean squared error and its gradient."""
+    diff = pred - target
+    return float((diff**2).mean()), (2.0 / diff.size) * diff.astype(np.float32)
+
+
 def _run(optimizer_factory, rng, iters=200):
     X, y, w_true = _quadratic_problem(rng)
     model = nn.Sequential(nn.Linear(10, 1, bias=False, rng=1))
     opt = optimizer_factory(model)
     for _ in range(iters):
         out = model(X)
-        loss, dl = nn.mse_loss(out, y)
+        loss, dl = _mse(out, y)
         opt.zero_grad()
         model.backward(dl)
         opt.step()
@@ -32,14 +39,6 @@ class TestFirstOrder:
     def test_sgd_converges(self, rng):
         loss, _ = _run(lambda m: Sgd(m.parameters(), lr=0.05, momentum=0.9), rng)
         assert loss < 1e-3
-
-    def test_adam_converges(self, rng):
-        loss, _ = _run(lambda m: Adam(m.parameters(), lr=0.05), rng)
-        assert loss < 1e-3
-
-    def test_lamb_converges(self, rng):
-        loss, _ = _run(lambda m: Lamb(m.parameters(), lr=0.02), rng)
-        assert loss < 1e-2
 
     def test_momentum_accelerates(self, rng):
         loss_mom, _ = _run(lambda m: Sgd(m.parameters(), lr=0.02, momentum=0.9), rng, iters=50)
@@ -67,32 +66,10 @@ class TestSchedulers:
         assert s.lr_at(0) == 1.0
         assert s.lr_at(10) == pytest.approx(0.1)
         assert s.lr_at(25) == pytest.approx(0.01)
-        assert s.first_drop == 10
 
     def test_step_lr_requires_sorted_milestones(self):
         with pytest.raises(ValueError):
             StepLr(1.0, [20, 10])
-
-    def test_smooth_lr_warmup_then_cosine(self):
-        s = SmoothLr(1.0, total_iterations=100, warmup=10)
-        assert s.lr_at(0) < s.lr_at(9)
-        assert s.lr_at(9) == pytest.approx(1.0)
-        assert s.lr_at(55) == pytest.approx(0.5, abs=0.02)
-        assert s.lr_at(99) < 0.01
-
-    def test_smooth_lr_monotone_after_warmup(self):
-        s = SmoothLr(1.0, 200, warmup=20)
-        lrs = [s.lr_at(t) for t in range(20, 200)]
-        assert all(a >= b for a, b in zip(lrs, lrs[1:]))
-
-    def test_constant(self):
-        assert ConstantLr(0.3).lr_at(12345) == 0.3
-
-    def test_smooth_validation(self):
-        with pytest.raises(ValueError):
-            SmoothLr(1.0, 0)
-        with pytest.raises(ValueError):
-            SmoothLr(1.0, 10, warmup=10)
 
 
 class TestKfac:
@@ -101,7 +78,7 @@ class TestKfac:
         W = rng.standard_normal((c, d))
         X = rng.standard_normal((n, d)).astype(np.float32)
         y = (X @ W.T).argmax(1)
-        model = nn.Sequential(nn.Linear(d, 24, rng=2), nn.Tanh(), nn.Linear(24, c, rng=3))
+        model = nn.Sequential(nn.Linear(d, 24, rng=2), nn.GELU(), nn.Linear(24, c, rng=3))
         return model, X, y
 
     def _train_kfac(self, model, X, y, rng, iters=50):
@@ -111,9 +88,9 @@ class TestKfac:
             idx = rng.integers(0, len(y), 64)
             out = model(X[idx])
             loss, dl = nn.softmax_cross_entropy(out, y[idx])
-            opt.zero_grad()
+            model.zero_grad()
             model.backward(dl)
-            opt.step()
+            kfac_step(opt)
             losses.append(loss)
         return losses
 
@@ -185,9 +162,14 @@ class TestKfac:
         assert np.allclose(gamma.data, before - 0.1)  # momentum's first step is the gradient
 
     def test_gradient_sizes(self):
+        """A layer's preconditioned gradient (the allgather payload) has
+        the element count of its two factor sides."""
         model = nn.Sequential(nn.Linear(4, 3, rng=1), nn.ReLU(), nn.Linear(3, 2, bias=False, rng=2))
         opt = Kfac(model)
-        assert opt.gradient_sizes() == [3 * 5, 2 * 3]
+        dims = [opt.layer_dims(i) for i in range(2)]
+        assert dims == [(5, 3), (3, 2)]
+        params = [sum(p.data.size for p in layer.parameters()) for layer in model.kfac_layers()]
+        assert [a * g for a, g in dims] == params == [3 * 5, 2 * 3]
 
     def test_invalid_config(self):
         model = nn.Sequential(nn.Linear(2, 2))

@@ -90,7 +90,7 @@ class TestStoreLifecycle:
         gens = store.generations()
         assert [g.gen for g in gens] == [1, 2]
         assert [g.step for g in gens] == [1, 2]
-        assert store.latest().gen == 2
+        assert store.generations(quiet=True)[-1].gen == 2
         assert (tmp_path / "gen-00000001.npz").exists()
         assert (tmp_path / MANIFEST_NAME).exists()
         assert is_store(tmp_path)
@@ -132,7 +132,7 @@ class TestCorruptionFallback:
     def test_truncated_newest_falls_back_one_generation(self, tmp_path):
         store = CheckpointStore(tmp_path)
         _, snaps = _fill(store, [1, 2])
-        path = tmp_path / store.latest().file
+        path = tmp_path / store.generations(quiet=True)[-1].file
         with open(path, "r+b") as fh:
             fh.truncate(path.stat().st_size // 2)
 
@@ -151,7 +151,7 @@ class TestCorruptionFallback:
     def test_flipped_byte_fails_the_file_seal(self, tmp_path):
         store = CheckpointStore(tmp_path)
         _, snaps = _fill(store, [1, 2])
-        _flip_byte(tmp_path / store.latest().file)
+        _flip_byte(tmp_path / store.generations(quiet=True)[-1].file)
 
         reader = CheckpointStore(tmp_path)
         fresh = _model(seed=5)
@@ -162,7 +162,7 @@ class TestCorruptionFallback:
         """Even a manifest that vouches for the damaged bytes can't pass it."""
         store = CheckpointStore(tmp_path)
         _fill(store, [1, 2])
-        newest = store.latest()
+        newest = store.generations(quiet=True)[-1]
         path = tmp_path / newest.file
         # Tamper with decoded content while keeping the stale seal, then
         # re-seal the *manifest* over the damaged file: the file CRC now
@@ -190,7 +190,7 @@ class TestCorruptionFallback:
     def test_missing_generation_file_is_an_event_not_a_crash(self, tmp_path):
         store = CheckpointStore(tmp_path)
         _, snaps = _fill(store, [1, 2])
-        (tmp_path / store.latest().file).unlink()
+        (tmp_path / store.generations(quiet=True)[-1].file).unlink()
         reader = CheckpointStore(tmp_path)
         fresh = _model(seed=5)
         assert reader.load_latest(fresh).step == 1
@@ -211,7 +211,7 @@ class TestCorruptionFallback:
     def test_summary_counts_are_deterministic_fields_only(self, tmp_path):
         store = CheckpointStore(tmp_path)
         _fill(store, [1, 2])
-        _flip_byte(tmp_path / store.latest().file)
+        _flip_byte(tmp_path / store.generations(quiet=True)[-1].file)
         reader = CheckpointStore(tmp_path)
         reader.load_latest(_model(seed=5))
         summary = reader.summary()
@@ -328,7 +328,7 @@ class TestFsckStore:
     def test_scan_reports_and_repair_quarantines(self, tmp_path):
         store = CheckpointStore(tmp_path)
         _fill(store, [1, 2])
-        _flip_byte(tmp_path / store.latest().file)
+        _flip_byte(tmp_path / store.generations(quiet=True)[-1].file)
 
         scan = {v.path: v for v in fsck_store(tmp_path)}
         assert scan[str(tmp_path / "gen-00000002.npz")].status == "corrupt"

@@ -12,6 +12,7 @@ from repro.data import (
     make_squad_data,
 )
 from repro.distributed import SimCluster
+from repro.kfac_dist import DistributedKfacTrainer
 from repro.models import bert_proxy, gpt_proxy, maskrcnn_proxy, resnet_proxy
 from repro.models.squad import SpanQaModel
 from repro.optim import Sgd, StepLr
@@ -22,8 +23,12 @@ from repro.train import (
     LmTask,
     MlmTask,
     SquadTask,
-    train_single,
 )
+
+
+def _one_worker(model, task, opt, **train):
+    """One worker: the data-parallel trainer on a one-rank cluster."""
+    return DistributedSgdTrainer(model, task, opt, SimCluster(1, 1, seed=0)).train(**train)
 
 
 class TestTrainSingle:
@@ -32,7 +37,7 @@ class TestTrainSingle:
         task = ClassificationTask(data)
         model = resnet_proxy(n_classes=4, channels=8, rng=1)
         opt = Sgd(model.parameters(), lr=0.05, momentum=0.9)
-        h = train_single(model, task, opt, iterations=40, batch_size=64, eval_every=40)
+        h = _one_worker(model, task, opt, iterations=40, batch_size=64, eval_every=40)
         assert h.losses[-1] < h.losses[0]
         assert h.final_metric() > 50.0
 
@@ -40,11 +45,9 @@ class TestTrainSingle:
         data = make_image_data(100, n_classes=3, size=8, seed=0)
         task = ClassificationTask(data)
         model = resnet_proxy(n_classes=3, channels=8, rng=1)
-        opt = Sgd(model.parameters(), lr=1.0)
-        h = train_single(
-            model, task, opt, iterations=10, batch_size=10,
-            lr_schedule=StepLr(0.5, [5], gamma=0.1),
-        )
+        h = DistributedKfacTrainer(
+            model, task, SimCluster(1, 1, seed=0), lr=1.0, lr_schedule=StepLr(0.5, [5], gamma=0.1)
+        ).train(iterations=10, batch_size=10)
         assert h.lrs[0] == 0.5
         assert h.lrs[-1] == pytest.approx(0.05)
 
@@ -53,7 +56,7 @@ class TestTrainSingle:
         task = DetectionTask(data)
         model = maskrcnn_proxy(n_classes=4, n_boxes=2, rng=1)
         opt = Sgd(model.parameters(), lr=0.05, momentum=0.9)
-        h = train_single(model, task, opt, iterations=40, batch_size=32, eval_every=40)
+        h = _one_worker(model, task, opt, iterations=40, batch_size=32, eval_every=40)
         assert h.losses[-1] < h.losses[0]
 
     def test_lm_task_learns(self):
@@ -61,7 +64,7 @@ class TestTrainSingle:
         task = LmTask(data)
         model = gpt_proxy(vocab=16, dim=16, n_layers=1, max_seq=8, rng=1)
         opt = Sgd(model.parameters(), lr=0.3, momentum=0.9)
-        h = train_single(model, task, opt, iterations=50, batch_size=32)
+        h = _one_worker(model, task, opt, iterations=50, batch_size=32)
         assert h.losses[-1] < h.losses[0] * 0.9
 
     def test_mlm_task_learns(self):
@@ -70,7 +73,7 @@ class TestTrainSingle:
         task = MlmTask(mlm)
         model = bert_proxy(vocab=16, dim=16, n_layers=1, max_seq=8, rng=1)
         opt = Sgd(model.parameters(), lr=0.3, momentum=0.9)
-        h = train_single(model, task, opt, iterations=50, batch_size=32)
+        h = _one_worker(model, task, opt, iterations=50, batch_size=32)
         assert h.losses[-1] < h.losses[0]
 
     def test_squad_task_learns_spans(self):
@@ -78,7 +81,7 @@ class TestTrainSingle:
         task = SquadTask(data)
         model = SpanQaModel(vocab=24, dim=24, n_layers=2, max_seq=16, rng=1)
         opt = Sgd(model.parameters(), lr=0.2, momentum=0.9)
-        h = train_single(model, task, opt, iterations=120, batch_size=64, eval_every=120)
+        h = _one_worker(model, task, opt, iterations=120, batch_size=64, eval_every=120)
         em, f1 = h.final_metric()
         assert f1 > 40.0  # far above the random-span baseline
         assert em <= f1

@@ -472,7 +472,7 @@ class TestTracerContracts:
                 spans = spans[::-1]
             for name, rank, start in spans:
                 t.add_span(name, "c", 1.0, start=start, rank=rank)
-            return [(s.name, s.rank, s.start) for s in t.ordered_spans()]
+            return [(s.name, s.rank, s.start) for s in sorted(t.spans(), key=span_sort_key)]
 
         assert build(False) == build(True)
         assert build(False) == [("a", 0, 0.0), ("c", 0, 2.0), ("b", 1, 1.0)]
@@ -481,7 +481,7 @@ class TestTracerContracts:
         t = Tracer()
         first = t.add_span("op", "c", 1.0, start=0.0)
         second = t.add_span("op", "c", 1.0, start=0.0)
-        ordered = t.ordered_spans()
+        ordered = sorted(t.spans(), key=span_sort_key)
         assert [s.id for s in ordered] == [first.id, second.id]
 
 
