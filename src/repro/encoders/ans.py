@@ -32,16 +32,22 @@ consumes in exactly that order.  Every lane starts at ``2**16``, so a
 decoder that does not arrive back there read a damaged stream.
 
 ``K`` is the encoder's choice, written into the frame (:func:`_lanes`).
-A row of ``K`` symbols costs one round of NumPy calls whatever ``K`` is,
-so rows plus lanes is least at ``K = isqrt(symbols)``; every lane also
-flushes a 4-byte state, so ``K`` is capped at 1/32 of the coded size the
-histogram predicts, in bytes of states (a frame that codes to little
-cannot afford many lanes), and at ``_MAX_LANES``.  Where that leaves
-fewer than ``_ROW_LANES`` lanes the frame has a single lane — the same
-format, run by a plain Python loop, which is faster than rows that
+A row costs one round of NumPy calls whatever its width — about 5 us to
+encode and 9 us to decode, against 10 and 9 ns per symbol — so time
+wants few rows, while bytes want few lanes: every lane flushes a 4-byte
+state, about 3 bytes net of the words it saves.  :func:`_lane_cap`
+settles the trade by size: ``isqrt(symbols)`` below ``2**16`` symbols,
+and from there ``symbols // 256``, so a large frame keeps 256 rows and
+pays about 3/256 of a byte per symbol for its lanes, up to the 4 095
+lanes the 12-bit field holds.  ``K`` is also capped at 1/32 of the
+coded size the histogram predicts, in bytes of states (a frame that
+codes to little cannot afford many lanes), and, from ``2**16`` symbols,
+at what still leaves the frame shorter than its input.  Where that
+leaves fewer than ``_ROW_LANES`` lanes the frame has a single lane — the
+same format, run by a plain Python loop, which is faster than rows that
 narrow.  The budget and where exactly rows start to pay are the
 encoder's business: the decoder re-derives nothing and decodes any ``K``
-from 1 to ``min(isqrt(symbols), _MAX_LANES)``.
+from 1 to ``_lane_cap(symbols)``.
 
 The frames of one call share their rows.  ``encode_many`` /
 ``decode_many`` place the lanes of every multi-lane frame of the call
@@ -83,13 +89,13 @@ Payload (after the 5-byte frame of :class:`Encoder`), little-endian::
     u16 * W  renormalisation words
 
 The decoder checks every field before it uses it: item size 1 or 2 and
-dividing the frame length, ``K`` within ``[1, min(isqrt(symbols),
-_MAX_LANES)]``, the last alphabet bit set and the
-bitmap padding clear, at most ``2**12`` items present, ``w`` within
-``[1, 14]`` and the table's padding clear, the table's sum, the word
-stream's parity and length, every lane's end state — and, last, the
-checksum of what it decoded: rANS re-synchronises, so a damaged word can
-garble a stretch of symbols and still bring every lane home.
+dividing the frame length, ``K`` within ``[1, _lane_cap(symbols)]``,
+the last alphabet bit set and the bitmap padding clear, at most
+``2**12`` items present, ``w`` within ``[1, 14]`` and the table's
+padding clear, the table's sum, the word stream's parity and length,
+every lane's end state — and, last, the checksum of what it decoded:
+rANS re-synchronises, so a damaged word can garble a stretch of symbols
+and still bring every lane home.
 """
 
 from __future__ import annotations
@@ -117,7 +123,6 @@ _RANS_L = 1 << 16  # lower bound of the normalised state interval; every lane st
 # kernel x > (f << 18) - 1, whose right-hand side wraps to 2**32 - 1.
 _EMIT_SHIFT = 32 - _PROB_BITS
 
-_MAX_LANES = 1024
 # Rows narrower than this lose to the scalar loop, so it is also what a
 # row costs in loop symbols (_row_cost).  Measured here: a row costs the
 # encoder 4.5 us and the decoder 7.3 us whatever it codes, a symbol of
@@ -132,20 +137,42 @@ _BLOCK_SYMBOLS = 1 << 15
 # Byte histograms of at least this many bytes count byte pairs: on a 2-core
 # x86-64 host, pairs take 0.62 ms and bytes 0.94 ms at 2**19, and they meet near 2**17.
 _PAIR_HISTOGRAM_BYTES = 1 << 17
-# K <= 1024 leaves the top of its u16 field free: item size - 1 lives
+# K < 2**12 leaves the top of its u16 field free: item size - 1 lives
 # there, so a frame of 1-byte symbols starts with the bare lane count.
 _ITEM_SHIFT = 12
 _LANE_MASK = (1 << _ITEM_SHIFT) - 1
+# Rows every frame of 2**16 symbols or more keeps (_lane_cap).  Measured on
+# a 2-core x86-64 host over 2**20 2-byte items: a row costs the encoder
+# 5.0 us and the decoder 8.8 us, a symbol 9.8 and 9.1 ns, so at 1 024
+# lanes the rows are a third of encoding and half of decoding.  Of the
+# floors 256, 512 and 1 024, 256 is the fastest and still costs the codec
+# workloads under 1 % of their bytes in lane states.
+_MIN_ROWS = 256
 # Every present symbol takes at least one of the 2**14 probability slots
 # whatever its count; past a quarter of the scale that floor costs more
 # than a wider symbol saves.
 _MAX_SYMBOLS = _PROB_SCALE >> 2
 
 
-def _lanes(symbols: int, predicted: int) -> int:
-    """Lanes the encoder gives a frame of ``symbols`` symbols that it predicts
-    will code to ``predicted`` bytes (lane states not counted)."""
-    lanes = min(isqrt(symbols), _MAX_LANES, predicted >> _LANE_BUDGET_SHIFT)
+def _lane_cap(symbols: int) -> int:
+    """The most lanes a frame of ``symbols`` symbols has: ``isqrt(symbols)``
+    below ``_MIN_ROWS**2`` symbols, ``symbols // _MIN_ROWS`` from there (the
+    larger of the two either side), and never more than the ``K`` field holds."""
+    return min(max(isqrt(symbols), symbols // _MIN_ROWS), _LANE_MASK)
+
+
+def _lanes(symbols: int, predicted: int, n: int) -> int:
+    """Lanes the encoder gives a frame of ``symbols`` symbols in ``n`` bytes that
+    it predicts will code to ``predicted`` bytes (lane states not counted).
+
+    From ``_MIN_ROWS**2`` symbols, where the cap passes ``isqrt(symbols)``, the
+    lanes are also held to the most whose states leave the frame shorter than
+    its ``n`` bytes.  A frame that ``isqrt(symbols)`` lanes (at most 1 024, the
+    cap before) left coded keeps at least those, so no frame is stored raw only
+    because its lanes got wider."""
+    lanes = min(_lane_cap(symbols), predicted >> _LANE_BUDGET_SHIFT)
+    if symbols >= _MIN_ROWS**2:
+        lanes = min(lanes, (n - predicted - 1) >> 2)
     return lanes if lanes >= _ROW_LANES else 1
 
 
@@ -541,7 +568,7 @@ def _plan(symbols: np.ndarray, counts: np.ndarray, data: bytes) -> _Plan | None:
     width = int(table.max() - 1).bit_length()
     bits = float((occurring * (_PROB_BITS - np.log2(table))).sum())
     predicted = fixed + _table_bytes(table.size, width) + int(bits / 8)
-    lanes = _lanes(symbols.size, predicted)
+    lanes = _lanes(symbols.size, predicted, n)
     if predicted + 4 * lanes >= n:
         return None
     head = b"".join(
@@ -598,11 +625,12 @@ def _pool(plans: list[_Plan]) -> list[_Plan]:
 
     The call keeps the lanes its frames bought (``sum(K)``, a loop frame
     counting one) and spends them on the fewest rows ``R`` that fit every
-    frame at ``ceil(symbols / R)`` lanes, none past ``min(isqrt(symbols),
-    _MAX_LANES)``.  A frame those lanes would leave no shorter than its raw
-    bytes keeps its own.  The call takes that layout only when it costs
-    less than the frames' own lanes (:func:`_row_cost`); otherwise every
-    plan is returned as it was.
+    frame at ``ceil(symbols / R)`` lanes, none past :func:`_lane_cap` (so a
+    call with a frame of ``2**16`` symbols or more keeps 256 rows or more).
+    A frame those lanes would leave no shorter than its raw bytes keeps its
+    own.  The call takes that layout only when it costs less than the
+    frames' own lanes (:func:`_row_cost`); otherwise every plan is returned
+    as it was.
     """
     if len(plans) < 2:
         return plans
@@ -610,7 +638,7 @@ def _pool(plans: list[_Plan]) -> list[_Plan]:
     own = [p.lanes for p in plans]
     budget = sum(own)
     # The frames' own lanes fit in ``hi`` rows; no frame fits in fewer than ``lo``.
-    lo = max(-(-n // min(isqrt(n), _MAX_LANES)) for n in sizes)
+    lo = max(-(-n // _lane_cap(n)) for n in sizes)
     hi = max(-(-n // k) for n, k in zip(sizes, own))
     while lo < hi:
         mid = (lo + hi) // 2
@@ -644,7 +672,7 @@ def _read(payload: bytes, n: int, index: int | None) -> _Stream:
     if item_size not in (1, 2) or n % item_size:
         raise EncodeError(f"ans: item size {item_size} declared for a {n}-byte frame")
     count = n // item_size
-    if not 1 <= lanes <= min(isqrt(count), _MAX_LANES):
+    if not 1 <= lanes <= _lane_cap(count):
         raise EncodeError(f"ans: {lanes} lanes declared for {count} symbols")
     if item_size == 1:
         alphabet, check_at = 256, 2

@@ -461,7 +461,6 @@ def load_checkpoint(
     kfac: Kfac | None = None,
     *,
     compressor=None,
-    expect_world_size: int | None = None,
     verify: bool | None = None,
 ) -> dict:
     """Restore state written by :func:`save_checkpoint` in place.
@@ -470,8 +469,7 @@ def load_checkpoint(
     the archive is unreadable or torn, its content seal does not match
     (``verify=None``, the default, checks the seal whenever one is
     present; ``verify=True`` additionally *requires* one), the schema
-    version is not one this build understands, ``expect_world_size``
-    disagrees with the recorded world size, or any K-FAC section is
+    version is not one this build understands, or any K-FAC section is
     partial or mis-shaped.  Raises ``KeyError`` if the
     checkpoint is missing a parameter the model has, and ``ValueError``
     on parameter shape mismatches — silent partial restores are worse
@@ -501,18 +499,6 @@ def load_checkpoint(
             raise CheckpointError(
                 f"{_final_path(path)}: content seal mismatch "
                 f"(stored crc32 {stored_crc:#010x}, actual {actual:#010x})"
-            )
-    if expect_world_size is not None:
-        stored_world = meta.get("world_size")
-        if stored_world is None:
-            raise CheckpointError(
-                f"checkpoint records no world size (schema version {version}) "
-                f"but the caller requires world_size={expect_world_size}"
-            )
-        if stored_world != expect_world_size:
-            raise CheckpointError(
-                f"checkpoint was taken at world_size={stored_world}, "
-                f"cannot restore into world_size={expect_world_size}"
             )
     for name, p in model.named_parameters():
         key = f"param/{name}"

@@ -105,8 +105,8 @@ class TestLegacyLayout:
 
         meta = verify_checkpoint(old)
         assert meta["schema_version"] == 3 and meta["sealed"] and meta["step"] == 5
-        *restored, meta = _restore(old, verify=True, expect_world_size=2)
-        assert meta["schema_version"] == 3
+        *restored, meta = _restore(old, verify=True)
+        assert meta["schema_version"] == 3 and meta["world_size"] == 2
         assert _same_state(saved, tuple(restored))
 
         verdict = fsck_archive(old)

@@ -1,7 +1,6 @@
 """Lossless encoder round trips, frame behaviour, and CR ordering."""
 
 import hashlib
-import itertools
 from math import isqrt
 
 import numpy as np
@@ -24,6 +23,7 @@ from repro.encoders.ans import (
     _decode_scalar,
     _encode_lanes,
     _encode_scalar,
+    _lane_cap,
     _lanes,
     _Stream,
     quantize_freqs,
@@ -153,17 +153,34 @@ def _with_bytes(blob, at, new):
 
 
 def _encode_recording_lanes(data, item_size=1, forced=None):
-    """``(blob, calls)``: the frame and every ``(symbols, predicted)`` the encoder asked
-    :func:`_lanes` about; ``forced`` answers in its place."""
+    """``(blob, calls)``: the frame and every ``(symbols, predicted, n)`` the encoder
+    asked :func:`_lanes` about; ``forced`` (a lane count, or a rule called with those
+    arguments) answers in its place."""
     calls = []
 
-    def spy(symbols, predicted):
-        calls.append((symbols, predicted))
-        return _lanes(symbols, predicted) if forced is None else forced
+    def spy(symbols, predicted, n):
+        calls.append((symbols, predicted, n))
+        if forced is None:
+            return _lanes(symbols, predicted, n)
+        return forced(symbols, predicted, n) if callable(forced) else forced
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ans, "_lanes", spy)
         return RansEncoder().encode(data, item_size), calls
+
+
+def _old_lanes(symbols, predicted, n):
+    """The lane rule before frames of 2**16 symbols or more could pass ``isqrt``
+    (f847707): ``isqrt(symbols)`` lanes, at most 1024, states at most 1/32 of
+    the predicted bytes, one lane under 32.  Oracle for what a wider ``K`` costs."""
+    lanes = min(isqrt(symbols), 1024, predicted >> 7)
+    return lanes if lanes >= 32 else 1
+
+
+def _cap(symbols):
+    """The lane cap spelled out: ``isqrt`` below 2**16 symbols, 256 rows from there,
+    at most the 4 095 lanes of the 12-bit ``K`` field."""
+    return min(max(isqrt(symbols), symbols // 256), 4095)
 
 
 def _encode_lanes_per_row(symbols, qfreq, lanes):
@@ -213,33 +230,106 @@ class TestAnsLanes:
     """The lane-interleaved kernel: frames past ``test_ans_roundtrip_property``'s 4 KB."""
 
     # Large frames (where the 2 KiB-per-lane policy once changed its mind; now
-    # interior points of the sqrt rule) and the 1024-lane cap at 1024**2 symbols.
-    BOUNDARIES = [48 << 11, 49 << 11, 1024 << 11]
+    # interior points of the 256-row rule), the old 1024-lane cap at 1024**2
+    # symbols, 2**16 symbols (where 256 rows overtake isqrt) and 4095 * 256
+    # symbols (where the 12-bit K field caps the lanes).
+    BOUNDARIES = [48 << 11, 49 << 11, 1024 << 11, 1024**2, 1 << 16, 4095 * 256]
 
     def test_lane_policy(self):
-        # sqrt(symbols) lanes ...
-        assert _lanes(1024, 1 << 20) == 32 and _lanes(10**6, 1 << 30) == 1000
-        assert _lanes(97_968, 1 << 20) == 312 and _lanes(97_969, 1 << 20) == 313
-        # ... at most 1024 ...
-        assert _lanes(1024**2 - 1, 1 << 30) == 1023
-        assert _lanes(1024**2, 1 << 30) == _lanes(1 << 40, 1 << 40) == 1024
+        big = 1 << 40  # frame bytes: nowhere near storing raw
+        # sqrt(symbols) lanes below 2**16 symbols ...
+        assert _lanes(1024, 1 << 20, big) == 32 and _lanes(60_000, 1 << 30, big) == 244
+        assert _lane_cap(65_535) == _lanes(65_535, 1 << 30, big) == 255
+        # ... then symbols // 256: every frame keeps at least 256 rows ...
+        assert _lane_cap(65_536) == _lanes(65_536, 1 << 30, big) == 256 == _lane_cap(65_791)
+        assert _lanes(97_791, 1 << 20, big) == 381 and _lanes(97_792, 1 << 20, big) == 382
+        assert _lanes(10**6, 1 << 30, big) == 3906
+        # ... at most 4095, all the 12-bit K field holds ...
+        assert _lanes(4095 * 256 - 1, 1 << 30, big) == 4094
+        assert _lanes(4095 * 256, 1 << 30, big) == _lanes(1 << 40, 1 << 39, big) == 4095
         # ... whose 4-byte states take at most 1/32 of the predicted coded bytes ...
-        assert _lanes(1 << 22, 1 << 15) == 256 and _lanes(1 << 22, (1 << 15) - 1) == 255
-        assert _lanes(10**6, 448) == 1  # a bitmap that codes to nearly nothing
+        assert _lanes(1 << 22, 1 << 15, big) == 256 and _lanes(1 << 22, (1 << 15) - 1, big) == 255
+        assert _lanes(10**6, 448, big) == 1  # a bitmap that codes to nearly nothing
+        # ... and, past isqrt, leave the frame shorter than its n bytes: never fewer
+        # than the old rule's lanes where those did (1024 at 4 097 bytes to spare) ...
+        n = 1 << 20
+        assert _lanes(n, n - 20_001, n) == 4095 and _lanes(n, n - 8_001, n) == 2000
+        assert _lanes(n, n - 4_097, n) == 1024 == _old_lanes(n, n - 4_097, n)
+        assert _lanes(n, n - 4_096, n) == 1023  # the old rule's 1024 stored it raw
+        assert _lanes(60_000, 59_000, 60_000) == 244  # below 2**16: the old rule, raw
         # ... and one scalar lane where rows would be narrower than the loop is fast.
-        assert _lanes(1023, 1 << 20) == 1  # isqrt is 31
-        assert _lanes(1 << 20, 4095) == 1 and _lanes(1 << 20, 4096) == 32
-        assert _lanes(0, 0) == _lanes(1, 1) == 1
+        assert _lanes(1023, 1 << 20, big) == 1  # isqrt is 31
+        assert _lanes(1 << 20, 4095, big) == 1 and _lanes(1 << 20, 4096, big) == 32
+        assert _lanes(n, n - 100, n) == 1  # 24 lanes would fit
+        assert _lanes(0, 0, 0) == _lanes(1, 1, 1) == 1
+        # The cap never falls below the old one, so every frame it wrote decodes.
+        for m in (*range(1, 70_000, 7), *range(1 << 20, (1 << 20) + 300), 1 << 30):
+            assert min(isqrt(m), 1024) <= _lane_cap(m) == _cap(m)
 
-    @pytest.mark.parametrize("n", [b + d for b in BOUNDARIES + [1024**2] for d in (-1, 0, 1)])
+    @pytest.mark.parametrize("n", [b + d for b in BOUNDARIES for d in (-1, 0, 1)])
     def test_roundtrip_at_policy_boundaries(self, rng, n):
         enc = RansEncoder()
         data = _gradient_bytes(rng, n).tobytes()
         blob = enc.encode(data)
         assert blob[0] == 1 and len(blob) < 0.8 * n  # coded, not the raw fallback
-        # Nowhere near the byte budget: 5.4 bits a byte leave room for sqrt(n) lanes.
-        assert int.from_bytes(blob[5:7], "little") == min(isqrt(n), 1024)
+        # Nowhere near the byte budget: 5.4 bits a byte leave room for the cap's lanes.
+        assert int.from_bytes(blob[5:7], "little") == min(max(isqrt(n), n // 256), 4095)
         assert enc.decode(blob) == data
+
+    @pytest.mark.parametrize("n", [(1 << 16) + 777, 1 << 20, (1 << 21) + 3])
+    def test_frames_on_the_old_lane_count_still_decode(self, rng, n):
+        """A frame written under the old cap, ``min(isqrt(n), 1024)`` lanes through the
+        row kernel, decodes: its ``K`` is within the new cap."""
+        data = _gradient_bytes(rng, n).tobytes()
+        blob, _ = _encode_recording_lanes(data, forced=min(isqrt(n), 1024))
+        assert _Fields(blob).lanes == min(isqrt(n), 1024) < _lane_cap(n)
+        assert RansEncoder().decode(blob) == data
+
+    @pytest.mark.parametrize("n", [(1 << 16) - 1, 1 << 16, 4095 * 256 - 1])
+    def test_one_lane_past_the_cap_is_rejected(self, rng, n):
+        """``_lane_cap(n) + 1`` lanes, on a frame coded at the cap itself: an error that
+        names the field, before anything is decoded."""
+        blob = RansEncoder().encode(_gradient_bytes(rng, n).tobytes())
+        assert _Fields(blob).lanes == _lane_cap(n)
+        lie = _with_bytes(blob, 5, (_lane_cap(n) + 1).to_bytes(2, "little"))
+        with pytest.raises(EncodeError, match=f"{_lane_cap(n) + 1} lanes declared for {n} symbols"):
+            RansEncoder().decode(lie)
+
+    @given(
+        st.integers(min_value=1 << 16, max_value=1 << 21),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([0.5, 4.0, 30.0, 90.0, "near-uniform"]),
+        st.sampled_from([1, 2]),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_wider_lanes_never_store_a_frame_raw(self, symbols, seed, spread, item_size):
+        """Against the old rule as oracle, from 2**16 to 2**21 symbols: a frame is stored
+        raw only if the old rule stored it raw, a frame that gains no lane is the old
+        frame, and one that does grows by the 4 bytes of each lane it gained, give or
+        take its word count.  Each lane's last state holds a fraction of a word, close to
+        uniform over its 16 bits, so dealing the symbols out over other lanes moves the
+        words by about ``sqrt(lanes / 12)`` either way (and by half a word per gained lane
+        down, on average): one gained lane at 2**16 symbols can cost 30 bytes, not 4.
+        The slack is six of those standard deviations."""
+        rng = np.random.default_rng(seed)
+        if spread == "near-uniform":  # bytes that code within a few lane states of their length
+            data = _spread_symbols(rng, 4097, (symbols * item_size + 1) // 2)[: symbols * item_size]
+        elif item_size == 2:
+            data = _code_items(rng, symbols, 20 * spread, 2000)
+        else:
+            data = _gradient_bytes(rng, symbols, spread).tobytes()
+        new, _ = _encode_recording_lanes(data, item_size)
+        old, _ = _encode_recording_lanes(data, item_size, forced=_old_lanes)
+        assert RansEncoder().decode(new) == data
+        if new[0] == 0:
+            assert old[0] == 0
+        elif old[0] == 1:
+            lanes, old_lanes = _Fields(new).lanes, _Fields(old).lanes
+            assert lanes >= old_lanes
+            if lanes == old_lanes:
+                assert new == old
+            words = 6 * np.sqrt((lanes + old_lanes) / 12)
+            assert len(new) - len(old) <= 4 * (lanes - old_lanes) + 2 * words
 
     def test_roundtrip_across_the_loop_row_boundary(self, rng):
         enc = RansEncoder()
@@ -274,10 +364,10 @@ class TestAnsLanes:
         if blob[0] == 0:
             return  # stored raw
         fields = _Fields(blob)
-        symbols, predicted = calls[-1]
-        assert symbols == fields.symbols
-        expected = min(isqrt(symbols), 1024, predicted >> 7)
-        assert fields.lanes == _lanes(symbols, predicted) == (expected if expected >= 32 else 1)
+        symbols, predicted, n_bytes = calls[-1]
+        assert symbols == fields.symbols and n_bytes == len(data)
+        expected = min(_cap(symbols), predicted >> 7)
+        assert fields.lanes == _lanes(*calls[-1]) == (expected if expected >= 32 else 1)
         if fields.lanes > 1:
             assert 32 * 4 * fields.lanes <= predicted
         # All of the frame but its header and lane states is what was predicted.
@@ -295,9 +385,9 @@ class TestAnsLanes:
 
     @pytest.mark.parametrize("forced", [0, 2, 31, 71, 1025])
     def test_lying_lane_count_is_rejected(self, rng, forced):
-        """No lane at all, more than 1024, more than ``isqrt(symbols)``: 71 for the
-        frame's 5000 symbols, and 2 and 31 for a length rewritten to the most
-        symbols that are still too few for them (at 5000 both are in range)."""
+        """No lane at all, more than the cap (``isqrt(symbols)`` below 2**16 symbols):
+        71 and 1025 for the frame's 5000 symbols, and 2 and 31 for a length rewritten
+        to the most symbols that are still too few for them (at 5000 both are in range)."""
         n = forced**2 - 1 if forced in (2, 31) else 5000
         blob = RansEncoder().encode(_gradient_bytes(rng, 5000).tobytes())
         lie = _with_bytes(_with_bytes(blob, 1, n.to_bytes(4, "little")), 5, forced.to_bytes(2, "little"))
@@ -427,15 +517,19 @@ class TestAnsItems:
         sizes = (1_023, 3_000, 5_000, 40_000)
         assert [_Fields(enc.encode(_code_items(rng, n), 2)).lanes for n in sizes] == [1, 1, 41, 200]
 
-    # Large frames (boundaries of the old 2 KiB-per-lane policy, now interior points)
-    # and the 1024-lane cap at 1024**2 items; +-1 item around each.
-    @pytest.mark.parametrize("n", [b + d for b in (36 << 11, 37 << 11, 1024 << 11) for d in (-2, 0, 2)])
+    # Large frames (boundaries of the old 2 KiB-per-lane policy, now interior points),
+    # the old 1024-lane cap at 1024**2 items, 2**16 items (where 256 rows overtake
+    # isqrt) and 4095 * 256 items (where the K field caps the lanes); +-1 item around each.
+    @pytest.mark.parametrize(
+        "n", [b + d for b in (36 << 11, 37 << 11, 1024 << 11, 1 << 17, 4095 << 9) for d in (-2, 0, 2)]
+    )
     def test_roundtrip_at_policy_boundaries(self, rng, n):
         enc = RansEncoder()
         data = _code_items(rng, n // 2)
         blob = enc.encode(data, 2)
         assert _item_size_of(blob) == 2 and len(blob) < 0.6 * n
-        assert int.from_bytes(blob[5:7], "little") & 0xFFF == min(isqrt(n // 2), 1024)
+        items = n // 2
+        assert int.from_bytes(blob[5:7], "little") & 0xFFF == min(max(isqrt(items), items // 256), 4095)
         assert int.from_bytes(blob[7:9], "little") == max(np.frombuffer(data, ">u2"))
         assert enc.decode(blob) == data
 
@@ -639,11 +733,16 @@ class TestAnsItems:
             frames.append(rng.integers(0, 256, n, dtype=np.uint8).tobytes())
             frames.append(bytes([7]) * n)
             for data in frames:
-                by_bytes.update(enc.encode(data))
+                blob = enc.encode(data)
+                assert enc.decode(blob) == data
+                by_bytes.update(blob)
             for spread, span in ((0.5, 500), (60.0, 500), (3000.0, 1 << 16)):
-                by_items.update(enc.encode(_code_items(rng, n, spread, span), 2))
-        assert by_bytes.hexdigest() == "0e29967f1084d23f73bd351bc2100c8d530105b1d4c9741f3c7c990eb3d0a7a6"
-        assert by_items.hexdigest() == "661f4f0453194c5efc163dc62f421bc0ec6bc2a03f1d61393eb6dd8e83e46859"
+                data = _code_items(rng, n, spread, span)
+                blob = enc.encode(data, 2)
+                assert enc.decode(blob) == data
+                by_items.update(blob)
+        assert by_bytes.hexdigest() == "7942d391141c3c8df782962944e0849056f23e39a74bfcec8ba78449d1e1af08"
+        assert by_items.hexdigest() == "7a98009e3f3dfd85d0e0297c24e6633f206d0e923f4e5a9abae617c2dd743244"
 
     def test_entropy_floor_skips_only_frames_the_full_prediction_rejects(self):
         """``_plan`` gives up on the entropy of the histogram, before it builds a table.
@@ -795,7 +894,11 @@ class TestAnsMany:
 
     @given(
         st.lists(
-            st.tuples(st.integers(1, 20_000), st.integers(0, 2**16), st.integers(1, 64)),
+            st.tuples(
+                st.one_of(st.integers(1, 20_000), st.integers(60_000, 1 << 21)),
+                st.integers(0, 2**16),
+                st.integers(1, 64),
+            ),
             min_size=2,
             max_size=4,
         )
@@ -804,23 +907,23 @@ class TestAnsMany:
     def test_pooled_rows_are_the_fewest_the_lanes_buy(self, shapes):
         """``_pool`` against the rule spelled out, with the row count found by search:
         the fewest rows ``R`` at which ``ceil(n / R)`` lanes per frame, none past
-        ``min(isqrt(n), 1024)``, total at most the frames' own lanes; a frame whose
+        the cap (``isqrt(n)``, 256 rows from 2**16 symbols, 4095), total at most the
+        frames' own lanes; a frame whose
         payload on those lanes would not stay under its raw bytes keeps its own ``K``;
         and the layout only if it costs fewer rows, a loop symbol counting 1/32 of one."""
         plans = []
         for n, draw, slack in shapes:
-            top = min(isqrt(n), 1024)
+            top = _cap(n)
             own = 1 if top < 32 or draw % 3 == 0 else 32 + draw % (top - 31)
             predicted = max(0, n - 4 * own - slack)
             plans.append(ans._Plan(np.zeros(n, np.uint8), None, own, predicted, b""))
         sizes = [n for n, _, _ in shapes]
         own = [p.lanes for p in plans]
-        rows = next(
-            r
-            for r in itertools.count(1)
-            if sum(-(-n // r) for n in sizes) <= sum(own)
-            and all(-(-n // r) <= min(isqrt(n), 1024) for n in sizes)
-        )
+        # Every row count up to the frames' own, which fits: the first that fits.
+        r = np.arange(1, max(-(-n // k) for n, k in zip(sizes, own)) + 1)
+        lanes_at = [-(-n // r) for n in sizes]
+        fits = (sum(lanes_at) <= sum(own)) & np.all([k <= _cap(n) for k, n in zip(lanes_at, sizes)], axis=0)
+        rows = int(r[fits.argmax()])
         spread = [
             p.lanes if p.predicted + 4 * -(-n // rows) >= n else -(-n // rows) for p, n in zip(plans, sizes)
         ]
@@ -831,6 +934,27 @@ class TestAnsMany:
 
         expected = spread if cost(spread) < cost(own) else own
         assert [p.lanes for p in ans._pool(plans)] == expected
+
+    def test_pooled_lanes_stay_under_the_cap(self):
+        """A shared call of frames past 2**16 symbols, in which a dense tensor's bitmap
+        alone would set the row count: pooling re-lanes every frame, the bitmap onto
+        more lanes and the codes onto fewer, past the old 1024-lane cap.  No blob
+        declares more lanes than the cap allows, and the call decodes."""
+        rng = np.random.default_rng(2032)
+        frames = [
+            (_code_items(rng, 1_040_000), 2),
+            (np.packbits(rng.random(8 * 130_000) < 0.011).tobytes(), 1),
+            (_gradient_bytes(rng, 70_000).tobytes(), 1),
+            (_code_items(rng, 300_000), 2),
+        ]
+        enc = RansEncoder()
+        blobs = enc.encode_many(frames)
+        alone = [enc.encode(data, item_size) for data, item_size in frames]
+        fields = [_Fields(b) for b in blobs]
+        assert _call_rows(blobs) < max(map(_frame_rows, alone))  # pooled
+        assert fields[1].lanes > _Fields(alone[1]).lanes and fields[0].lanes > 1024
+        assert all(f.lanes <= _lane_cap(f.symbols) for f in fields)
+        assert enc.decode_many(blobs) == [data for data, _ in frames]
 
     @pytest.mark.parametrize(
         "shapes",

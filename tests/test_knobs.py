@@ -46,8 +46,9 @@ _CI = _ROOT / ".github" / "workflows" / "ci.yml"
 
 #: (defining module, class, method).  ``None`` as the method means the class
 #: is a dataclass whose fields are the knobs; a method's knobs are its
-#: parameters, and ``__init__``'s are set by calling the class.
-KNOBS: tuple[tuple[str, str, str | None], ...] = (
+#: parameters, and ``__init__``'s are set by calling the class.  ``None`` as
+#: the class means the method is a module-level function.
+KNOBS: tuple[tuple[str, str | None, str | None], ...] = (
     ("src/repro/guard/guard.py", "GuardConfig", None),
     ("src/repro/guard/policy.py", "CircuitBreaker", "__init__"),
     ("src/repro/guard/health.py", "DivergenceDetector", "__init__"),
@@ -69,11 +70,16 @@ KNOBS: tuple[tuple[str, str, str | None], ...] = (
     ("src/repro/kfac_dist/timing.py", "KfacIterationModel", "record_trace"),
     ("src/repro/kfac_dist/timing.py", "KfacIterationModel", "end_to_end_speedup"),
     ("src/repro/kfac_dist/timing.py", "KfacIterationModel", "factor_allreduce_time"),
+    ("src/repro/util/checkpoint.py", None, "load_checkpoint"),
 )
 
 
-def knobs_of(tree: ast.Module, cls: str, method: str | None) -> list[str]:
-    """The settable names of ``cls`` (fields) or of ``cls.method`` (parameters)."""
+def knobs_of(tree: ast.Module, cls: str | None, method: str | None) -> list[str]:
+    """The settable names of ``cls`` (fields), of ``cls.method`` or of the
+    module-level function ``method`` (parameters)."""
+    if cls is None:
+        fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == method)
+        return [a.arg for a in fn.args.args + fn.args.kwonlyargs]
     node = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls)
     if method is None:
         return [
@@ -174,7 +180,7 @@ def flag_setters(tree: ast.Module) -> dict[str, set[str]]:
     return out
 
 
-def _callee(cls: str, method: str | None) -> str:
+def _callee(cls: str | None, method: str | None) -> str:
     return cls if method in (None, "__init__") else method
 
 
@@ -200,7 +206,7 @@ def setters(sources: dict[str, ast.Module]) -> dict[tuple[str, str], list[str]]:
     for module, cls, method in KNOBS:
         names = knobs_of(sources[module], cls, method)
         callee = _callee(cls, method)
-        owner = cls if callee == cls else f"{cls}.{method}"
+        owner = cls if callee == cls else method if cls is None else f"{cls}.{method}"
         for name in names:
             out[(owner, name)] = []
         for where, by_callee in calls.items():
@@ -318,6 +324,8 @@ def test_the_knob_lint_sees_what_it_looks_for():
         "class Engine:\n"
         "    def __init__(self, x, *, y=1, z=2):\n"
         "        pass\n"
+        "def load(path, model=None, *, strict=None):\n"
+        "    pass\n"
     )
     calls = ast.parse(
         "Config(0)\n"  # a, by position
@@ -327,12 +335,15 @@ def test_the_knob_lint_sees_what_it_looks_for():
         "Config(**options)\n"  # unresolvable: sets nothing
         "Other(e=1)\n"  # another callee
         "Engine(cluster, *rest, y=0)\n"
+        "load(p, m)\n"  # a module-level function: no self to skip
     )
     assert knobs_of(defining, "Config", None) == ["a", "b", "c", "d", "e"]
     assert knobs_of(defining, "Engine", "__init__") == ["x", "y", "z"]
+    assert knobs_of(defining, None, "load") == ["path", "model", "strict"]
     by_callee = calls_by_callee(calls)
     assert set_names(by_callee["Config"], ["a", "b", "c", "d", "e"]) == {"a", "b", "c", "d"}
     assert set_names(by_callee["Engine"], ["x", "y", "z"]) == {"x", "y"}
+    assert set_names(by_callee["load"], ["path", "model", "strict"]) == {"path", "model"}
 
 
 def test_replace_sets_a_knob_only_where_its_class_is_named():
