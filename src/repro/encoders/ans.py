@@ -36,16 +36,19 @@ A row costs one round of NumPy calls whatever its width — about 5 us to
 encode and 9 us to decode, against 10 and 9 ns per symbol — so time
 wants few rows, while bytes want few lanes: every lane flushes a 4-byte
 state, about 3 bytes net of the words it saves.  :func:`_lane_cap`
-settles the trade by size: ``isqrt(symbols)`` below ``2**16`` symbols,
-and from there ``symbols // 256``, so a large frame keeps 256 rows and
-pays about 3/256 of a byte per symbol for its lanes, up to the 4 095
+settles the trade by size: ``isqrt(symbols)`` below ``2**14`` symbols,
+and from there ``symbols // 128``, so a large frame keeps 128 rows and
+pays about 3/128 of a byte per symbol for its lanes, up to the 4 095
 lanes the 12-bit field holds.  ``K`` is also capped at 1/32 of the
 coded size the histogram predicts, in bytes of states (a frame that
-codes to little cannot afford many lanes), and, from ``2**16`` symbols,
-at what still leaves the frame shorter than its input.  Where that
-leaves fewer than ``_ROW_LANES`` lanes the frame has a single lane — the
-same format, run by a plain Python loop, which is faster than rows that
-narrow.  The budget and where exactly rows start to pay are the
+codes to little cannot afford many lanes), and, from ``2**14`` symbols,
+at what still leaves the frame shorter than its input.  The two caps
+meet: 2-byte codes at 1.03-1.05 coded bytes per symbol afford about
+``symbols / 124`` lanes, so the row floor binds them, while bytes at 5.4
+bits afford about ``symbols / 180`` and keep the rows the budget leaves.
+Where that leaves fewer than ``_ROW_LANES`` lanes the frame has a single
+lane — the same format, run by a plain Python loop, which is faster than
+rows that narrow.  The budget and where exactly rows start to pay are the
 encoder's business: the decoder re-derives nothing and decodes any ``K``
 from 1 to ``_lane_cap(symbols)``.
 
@@ -141,13 +144,16 @@ _PAIR_HISTOGRAM_BYTES = 1 << 17
 # there, so a frame of 1-byte symbols starts with the bare lane count.
 _ITEM_SHIFT = 12
 _LANE_MASK = (1 << _ITEM_SHIFT) - 1
-# Rows every frame of 2**16 symbols or more keeps (_lane_cap).  Measured on
-# a 2-core x86-64 host over 2**20 2-byte items: a row costs the encoder
-# 5.0 us and the decoder 8.8 us, a symbol 9.8 and 9.1 ns, so at 1 024
-# lanes the rows are a third of encoding and half of decoding.  Of the
-# floors 256, 512 and 1 024, 256 is the fastest and still costs the codec
-# workloads under 1 % of their bytes in lane states.
-_MIN_ROWS = 256
+# Rows every frame of _MIN_ROWS**2 = 2**14 symbols or more keeps (_lane_cap).
+# Measured on a 2-core x86-64 host over 2**20 2-byte items: a row costs the
+# encoder 5.0 us and the decoder 8.8 us, a symbol 9.8 and 9.1 ns, so at
+# 1 024 lanes the rows are a third of encoding and half of decoding.  Of the
+# floors 128, 256, 512 and 1 024, 128 is the fastest and still costs the
+# codec workloads under 1 % of their bytes in lane states (0.41 % of
+# codec_dense's ratio against 256).  Fewer rows would outrun the budget
+# below: 2-byte codes at 1.03-1.05 coded bytes per symbol afford about
+# symbols / 124 lanes, so 128 is where the 1/32 budget takes over.
+_MIN_ROWS = 128
 # Every present symbol takes at least one of the 2**14 probability slots
 # whatever its count; past a quarter of the scale that floor costs more
 # than a wider symbol saves.
@@ -626,7 +632,7 @@ def _pool(plans: list[_Plan]) -> list[_Plan]:
     The call keeps the lanes its frames bought (``sum(K)``, a loop frame
     counting one) and spends them on the fewest rows ``R`` that fit every
     frame at ``ceil(symbols / R)`` lanes, none past :func:`_lane_cap` (so a
-    call with a frame of ``2**16`` symbols or more keeps 256 rows or more).
+    call with a frame of ``2**14`` symbols or more keeps 128 rows or more).
     A frame those lanes would leave no shorter than its raw bytes keeps its
     own.  The call takes that layout only when it costs less than the
     frames' own lanes (:func:`_row_cost`); otherwise every plan is returned

@@ -177,10 +177,21 @@ def _old_lanes(symbols, predicted, n):
     return lanes if lanes >= 32 else 1
 
 
-def _cap(symbols):
-    """The lane cap spelled out: ``isqrt`` below 2**16 symbols, 256 rows from there,
-    at most the 4 095 lanes of the 12-bit ``K`` field."""
-    return min(max(isqrt(symbols), symbols // 256), 4095)
+def _cap(symbols, rows=128):
+    """The lane cap spelled out: ``isqrt`` below ``rows**2`` symbols, ``rows`` rows from
+    there, at most the 4 095 lanes of the 12-bit ``K`` field.  ``rows=256`` is 994cad6's."""
+    return min(max(isqrt(symbols), symbols // rows), 4095)
+
+
+def _lanes_at_256_rows(symbols, predicted, n):
+    """The lane rule of 994cad6, before frames of 2**14 symbols or more kept 128 rows:
+    ``_cap(symbols, 256)``, states at most 1/32 of the predicted bytes, from 2**16
+    symbols short of storing the frame raw, one lane under 32.  Oracle for what the
+    lower floor costs."""
+    lanes = min(_cap(symbols, 256), predicted >> 7)
+    if symbols >= 1 << 16:
+        lanes = min(lanes, (n - predicted - 1) >> 2)
+    return lanes if lanes >= 32 else 1
 
 
 def _encode_lanes_per_row(symbols, qfreq, lanes):
@@ -230,23 +241,25 @@ class TestAnsLanes:
     """The lane-interleaved kernel: frames past ``test_ans_roundtrip_property``'s 4 KB."""
 
     # Large frames (where the 2 KiB-per-lane policy once changed its mind; now
-    # interior points of the 256-row rule), the old 1024-lane cap at 1024**2
-    # symbols, 2**16 symbols (where 256 rows overtake isqrt) and 4095 * 256
-    # symbols (where the 12-bit K field caps the lanes).
-    BOUNDARIES = [48 << 11, 49 << 11, 1024 << 11, 1024**2, 1 << 16, 4095 * 256]
+    # interior points of the 128-row rule), the old 1024-lane cap at 1024**2
+    # symbols, 2**16 and 4095 * 256 symbols (where 994cad6's 256 rows overtook
+    # isqrt and met the K field), 16 512 symbols (where 128 rows overtake isqrt)
+    # and 4095 * 128 symbols (where the 12-bit K field caps the lanes).
+    BOUNDARIES = [48 << 11, 49 << 11, 1024 << 11, 1024**2, 1 << 16, 4095 * 256, 16_512, 4095 * 128]
 
     def test_lane_policy(self):
         big = 1 << 40  # frame bytes: nowhere near storing raw
-        # sqrt(symbols) lanes below 2**16 symbols ...
-        assert _lanes(1024, 1 << 20, big) == 32 and _lanes(60_000, 1 << 30, big) == 244
-        assert _lane_cap(65_535) == _lanes(65_535, 1 << 30, big) == 255
-        # ... then symbols // 256: every frame keeps at least 256 rows ...
-        assert _lane_cap(65_536) == _lanes(65_536, 1 << 30, big) == 256 == _lane_cap(65_791)
-        assert _lanes(97_791, 1 << 20, big) == 381 and _lanes(97_792, 1 << 20, big) == 382
-        assert _lanes(10**6, 1 << 30, big) == 3906
+        # sqrt(symbols) lanes below 2**14 symbols ...
+        assert _lanes(1024, 1 << 20, big) == 32 and _lanes(15_000, 1 << 30, big) == 122
+        assert _lane_cap(16_383) == _lanes(16_383, 1 << 30, big) == 127
+        # ... then symbols // 128: every frame keeps at least 128 rows ...
+        assert _lane_cap(16_384) == _lanes(16_384, 1 << 30, big) == 128 == _lane_cap(16_511)
+        assert _lane_cap(16_512) == 129 and _lanes(60_000, 1 << 30, big) == 468
+        assert _lanes(97_791, 1 << 20, big) == 763 and _lanes(97_792, 1 << 20, big) == 764
+        assert _lanes(500_000, 1 << 30, big) == 3906
         # ... at most 4095, all the 12-bit K field holds ...
-        assert _lanes(4095 * 256 - 1, 1 << 30, big) == 4094
-        assert _lanes(4095 * 256, 1 << 30, big) == _lanes(1 << 40, 1 << 39, big) == 4095
+        assert _lanes(4095 * 128 - 1, 1 << 30, big) == 4094
+        assert _lanes(4095 * 128, 1 << 30, big) == _lanes(1 << 40, 1 << 39, big) == 4095
         # ... whose 4-byte states take at most 1/32 of the predicted coded bytes ...
         assert _lanes(1 << 22, 1 << 15, big) == 256 and _lanes(1 << 22, (1 << 15) - 1, big) == 255
         assert _lanes(10**6, 448, big) == 1  # a bitmap that codes to nearly nothing
@@ -256,55 +269,61 @@ class TestAnsLanes:
         assert _lanes(n, n - 20_001, n) == 4095 and _lanes(n, n - 8_001, n) == 2000
         assert _lanes(n, n - 4_097, n) == 1024 == _old_lanes(n, n - 4_097, n)
         assert _lanes(n, n - 4_096, n) == 1023  # the old rule's 1024 stored it raw
-        assert _lanes(60_000, 59_000, 60_000) == 244  # below 2**16: the old rule, raw
+        # ... from 2**14 symbols on: below, the budget alone (raw at 16 000 + 4 * 125 bytes).
+        assert _lanes(16_383, 16_000, 16_383) == 125 and _lanes(16_384, 16_001, 16_384) == 95
         # ... and one scalar lane where rows would be narrower than the loop is fast.
         assert _lanes(1023, 1 << 20, big) == 1  # isqrt is 31
         assert _lanes(1 << 20, 4095, big) == 1 and _lanes(1 << 20, 4096, big) == 32
         assert _lanes(n, n - 100, n) == 1  # 24 lanes would fit
         assert _lanes(0, 0, 0) == _lanes(1, 1, 1) == 1
-        # The cap never falls below the old one, so every frame it wrote decodes.
+        # The cap never falls below the old ones, so every frame they wrote decodes.
         for m in (*range(1, 70_000, 7), *range(1 << 20, (1 << 20) + 300), 1 << 30):
-            assert min(isqrt(m), 1024) <= _lane_cap(m) == _cap(m)
+            assert min(isqrt(m), 1024) <= _cap(m, 256) <= _lane_cap(m) == _cap(m)
 
     @pytest.mark.parametrize("n", [b + d for b in BOUNDARIES for d in (-1, 0, 1)])
     def test_roundtrip_at_policy_boundaries(self, rng, n):
-        enc = RansEncoder()
+        """Bytes at 5.4 bits each leave the budget about ``n / 180`` lanes: under 994cad6's
+        ``n // 256`` the cap bound, under ``n // 128`` the budget does until the K field
+        takes over.  (A byte frame that codes at all never reaches ``n // 128`` lanes:
+        that needs ``predicted >= n``.)  So ``K`` is the rule spelled out on the size
+        the encoder predicted; the fit to ``n`` bytes is far off at 70 % of them."""
         data = _gradient_bytes(rng, n).tobytes()
-        blob = enc.encode(data)
+        blob, calls = _encode_recording_lanes(data)
         assert blob[0] == 1 and len(blob) < 0.8 * n  # coded, not the raw fallback
-        # Nowhere near the byte budget: 5.4 bits a byte leave room for the cap's lanes.
-        assert int.from_bytes(blob[5:7], "little") == min(max(isqrt(n), n // 256), 4095)
-        assert enc.decode(blob) == data
-
-    @pytest.mark.parametrize("n", [(1 << 16) + 777, 1 << 20, (1 << 21) + 3])
-    def test_frames_on_the_old_lane_count_still_decode(self, rng, n):
-        """A frame written under the old cap, ``min(isqrt(n), 1024)`` lanes through the
-        row kernel, decodes: its ``K`` is within the new cap."""
-        data = _gradient_bytes(rng, n).tobytes()
-        blob, _ = _encode_recording_lanes(data, forced=min(isqrt(n), 1024))
-        assert _Fields(blob).lanes == min(isqrt(n), 1024) < _lane_cap(n)
+        assert _Fields(blob).lanes == min(_cap(n), calls[-1][1] >> 7)
         assert RansEncoder().decode(blob) == data
 
-    @pytest.mark.parametrize("n", [(1 << 16) - 1, 1 << 16, 4095 * 256 - 1])
+    @pytest.mark.parametrize("n", [(1 << 16) + 777, 1 << 20, (1 << 21) + 3, 20_000, 40_000])
+    def test_frames_on_the_old_lane_count_still_decode(self, rng, n):
+        """A frame written under either old cap, ``min(isqrt(n), 1024)`` lanes or 994cad6's
+        ``_cap(n, 256)``, through the row kernel, decodes: its ``K`` is within the new cap."""
+        data = _gradient_bytes(rng, n).tobytes()
+        for old in (min(isqrt(n), 1024), _cap(n, 256)):
+            blob, _ = _encode_recording_lanes(data, forced=old)
+            assert _Fields(blob).lanes == old <= _lane_cap(n)
+            assert RansEncoder().decode(blob) == data
+
+    @pytest.mark.parametrize("n", [(1 << 14) - 1, 16_512, (1 << 16) - 1, 1 << 16, 4095 * 128 - 1])
     def test_one_lane_past_the_cap_is_rejected(self, rng, n):
-        """``_lane_cap(n) + 1`` lanes, on a frame coded at the cap itself: an error that
-        names the field, before anything is decoded."""
-        blob = RansEncoder().encode(_gradient_bytes(rng, n).tobytes())
+        """``_lane_cap(n) + 1`` lanes, on a frame coded at the cap itself (forced: from
+        2**14 symbols the budget holds a byte frame under it): an error that names the
+        field, before anything is decoded."""
+        blob, _ = _encode_recording_lanes(_gradient_bytes(rng, n).tobytes(), forced=_lane_cap(n))
         assert _Fields(blob).lanes == _lane_cap(n)
         lie = _with_bytes(blob, 5, (_lane_cap(n) + 1).to_bytes(2, "little"))
         with pytest.raises(EncodeError, match=f"{_lane_cap(n) + 1} lanes declared for {n} symbols"):
             RansEncoder().decode(lie)
 
     @given(
-        st.integers(min_value=1 << 16, max_value=1 << 21),
+        st.integers(min_value=1 << 14, max_value=1 << 21),
         st.integers(min_value=0, max_value=2**32 - 1),
         st.sampled_from([0.5, 4.0, 30.0, 90.0, "near-uniform"]),
         st.sampled_from([1, 2]),
     )
     @settings(max_examples=12, deadline=None)
     def test_wider_lanes_never_store_a_frame_raw(self, symbols, seed, spread, item_size):
-        """Against the old rule as oracle, from 2**16 to 2**21 symbols: a frame is stored
-        raw only if the old rule stored it raw, a frame that gains no lane is the old
+        """Against 994cad6's rule as oracle, from 2**14 to 2**21 symbols: a frame is stored
+        raw only if that rule stored it raw, a frame that gains no lane is the old
         frame, and one that does grows by the 4 bytes of each lane it gained, give or
         take its word count.  Each lane's last state holds a fraction of a word, close to
         uniform over its 16 bits, so dealing the symbols out over other lanes moves the
@@ -319,7 +338,7 @@ class TestAnsLanes:
         else:
             data = _gradient_bytes(rng, symbols, spread).tobytes()
         new, _ = _encode_recording_lanes(data, item_size)
-        old, _ = _encode_recording_lanes(data, item_size, forced=_old_lanes)
+        old, _ = _encode_recording_lanes(data, item_size, forced=_lanes_at_256_rows)
         assert RansEncoder().decode(new) == data
         if new[0] == 0:
             assert old[0] == 0
@@ -367,6 +386,8 @@ class TestAnsLanes:
         symbols, predicted, n_bytes = calls[-1]
         assert symbols == fields.symbols and n_bytes == len(data)
         expected = min(_cap(symbols), predicted >> 7)
+        if symbols >= 1 << 14:  # and short of storing the frame raw
+            expected = min(expected, (n_bytes - predicted - 1) >> 2)
         assert fields.lanes == _lanes(*calls[-1]) == (expected if expected >= 32 else 1)
         if fields.lanes > 1:
             assert 32 * 4 * fields.lanes <= predicted
@@ -385,7 +406,7 @@ class TestAnsLanes:
 
     @pytest.mark.parametrize("forced", [0, 2, 31, 71, 1025])
     def test_lying_lane_count_is_rejected(self, rng, forced):
-        """No lane at all, more than the cap (``isqrt(symbols)`` below 2**16 symbols):
+        """No lane at all, more than the cap (``isqrt(symbols)`` below 2**14 symbols):
         71 and 1025 for the frame's 5000 symbols, and 2 and 31 for a length rewritten
         to the most symbols that are still too few for them (at 5000 both are in range)."""
         n = forced**2 - 1 if forced in (2, 31) else 5000
@@ -512,24 +533,34 @@ class TestAnsItems:
                 assert fields.item_size == (2 if item_size == 2 else 1)
                 assert calls[-1][0] == fields.symbols == len(data) // fields.item_size
                 assert fields.lanes == _lanes(*calls[-1])
-        # Items at 7.9 bits each: the loop under 32**2 of them or 4 KiB coded, then sqrt.
+        # Items at 7.9 bits each: the loop under 32**2 of them or 4 KiB coded, then sqrt,
+        # then from 2**14 of them 128 rows.
         enc = RansEncoder()
         sizes = (1_023, 3_000, 5_000, 40_000)
-        assert [_Fields(enc.encode(_code_items(rng, n), 2)).lanes for n in sizes] == [1, 1, 41, 200]
+        assert [_Fields(enc.encode(_code_items(rng, n), 2)).lanes for n in sizes] == [1, 1, 41, 312]
 
     # Large frames (boundaries of the old 2 KiB-per-lane policy, now interior points),
-    # the old 1024-lane cap at 1024**2 items, 2**16 items (where 256 rows overtake
-    # isqrt) and 4095 * 256 items (where the K field caps the lanes); +-1 item around each.
+    # the old 1024-lane cap at 1024**2 items, 2**16 and 4095 * 256 items (994cad6's
+    # turns), 16 512 items (where 128 rows overtake isqrt) and 4095 * 128 items
+    # (where the K field caps the lanes); +-1 item around each.
     @pytest.mark.parametrize(
-        "n", [b + d for b in (36 << 11, 37 << 11, 1024 << 11, 1 << 17, 4095 << 9) for d in (-2, 0, 2)]
+        "n",
+        [
+            b + d
+            for b in (36 << 11, 37 << 11, 1024 << 11, 1 << 17, 4095 << 9, 16_512 << 1, 4095 << 8)
+            for d in (-2, 0, 2)
+        ],
     )
     def test_roundtrip_at_policy_boundaries(self, rng, n):
+        """Items at 7.9 bits each, plus their table, leave the budget within a few lanes
+        of the cap's ``items // 128``, either side: ``K`` is the rule spelled out on the
+        size the encoder predicted (the cap at 16 512 items, the budget at 4095 * 128)."""
         enc = RansEncoder()
         data = _code_items(rng, n // 2)
-        blob = enc.encode(data, 2)
+        blob, calls = _encode_recording_lanes(data, 2)
         assert _item_size_of(blob) == 2 and len(blob) < 0.6 * n
         items = n // 2
-        assert int.from_bytes(blob[5:7], "little") & 0xFFF == min(max(isqrt(items), items // 256), 4095)
+        assert int.from_bytes(blob[5:7], "little") & 0xFFF == min(_cap(items), calls[-1][1] >> 7)
         assert int.from_bytes(blob[7:9], "little") == max(np.frombuffer(data, ">u2"))
         assert enc.decode(blob) == data
 
@@ -721,28 +752,27 @@ class TestAnsItems:
     def test_byte_frames_are_the_parents(self):
         """They no longer are: the frame of 8654adf had no checksum, a ``u16`` table and a lane
         count derived from its length.  What is pinned is the one format that replaced it,
-        for the byte frames that test pinned and for the same sizes as items."""
+        for the byte frames that test pinned and for the same sizes as items, in two
+        digests: frames under 2**14 symbols, which no lane rule since 994cad6 has moved,
+        and the larger ones, whose lanes follow ``_MIN_ROWS``."""
         rng = np.random.default_rng(1509)
         enc = RansEncoder()
-        by_bytes, by_items = hashlib.sha256(), hashlib.sha256()
+        small, large = hashlib.sha256(), hashlib.sha256()
         for n in (1, 2, 39, 40, 270, 3000, 98_303, 98_304, 200_001, 2_100_000):
             frames = [
-                np.clip(rng.normal(128, spread, n), 0, 255).astype(np.uint8).tobytes()
+                (np.clip(rng.normal(128, spread, n), 0, 255).astype(np.uint8).tobytes(), 1)
                 for spread in (0.5, 4.0, 30.0)
             ]
-            frames.append(rng.integers(0, 256, n, dtype=np.uint8).tobytes())
-            frames.append(bytes([7]) * n)
-            for data in frames:
-                blob = enc.encode(data)
+            frames.append((rng.integers(0, 256, n, dtype=np.uint8).tobytes(), 1))
+            frames.append((bytes([7]) * n, 1))
+            shapes = ((0.5, 500), (60.0, 500), (3000.0, 1 << 16))
+            frames += [(_code_items(rng, n, spread, span), 2) for spread, span in shapes]
+            for data, item_size in frames:
+                blob = enc.encode(data, item_size)
                 assert enc.decode(blob) == data
-                by_bytes.update(blob)
-            for spread, span in ((0.5, 500), (60.0, 500), (3000.0, 1 << 16)):
-                data = _code_items(rng, n, spread, span)
-                blob = enc.encode(data, 2)
-                assert enc.decode(blob) == data
-                by_items.update(blob)
-        assert by_bytes.hexdigest() == "7942d391141c3c8df782962944e0849056f23e39a74bfcec8ba78449d1e1af08"
-        assert by_items.hexdigest() == "7a98009e3f3dfd85d0e0297c24e6633f206d0e923f4e5a9abae617c2dd743244"
+                (small if n < 1 << 14 else large).update(blob)
+        assert small.hexdigest() == "1686bcbc60b67680fa4d74e916694f22136fa945ff0ce288401cc5b734306c5e"
+        assert large.hexdigest() == "f8bcb227a8875f097d5a1f03a413c762addcfca97314fb43e03fcbf233a7ca98"
 
     def test_entropy_floor_skips_only_frames_the_full_prediction_rejects(self):
         """``_plan`` gives up on the entropy of the histogram, before it builds a table.
@@ -907,7 +937,7 @@ class TestAnsMany:
     def test_pooled_rows_are_the_fewest_the_lanes_buy(self, shapes):
         """``_pool`` against the rule spelled out, with the row count found by search:
         the fewest rows ``R`` at which ``ceil(n / R)`` lanes per frame, none past
-        the cap (``isqrt(n)``, 256 rows from 2**16 symbols, 4095), total at most the
+        the cap (``isqrt(n)``, 128 rows from 2**14 symbols, 4095), total at most the
         frames' own lanes; a frame whose
         payload on those lanes would not stay under its raw bytes keeps its own ``K``;
         and the layout only if it costs fewer rows, a loop symbol counting 1/32 of one."""
