@@ -144,7 +144,7 @@ class FleetScheduler:
         specs: list[JobSpec],
         *,
         ledger_dir: str | Path | None = None,
-        # Ignored; perfbench's fleet_scale passes it until ROADMAP.md item 3a drops both.
+        # Ignored; perfbench's fleet_scale passes it until ROADMAP.md item 4 drops both.
         checkpoint_dir: str | Path | None = None,
         store_dir: str | Path | None = None,
         max_concurrent: int | None = None,

@@ -101,6 +101,17 @@ and the runtime section ``bucket_bytes``.  Checked the same way against
 3cdbb09 (EXPERIMENTS.md "PR 30"): exactly those keys stripped, every line
 equal.  The three first-order pins went with the SGD trainer's runtime,
 guard and ledger.
+
+Re-pinned for the ANS lane rule that buys lanes at 1/16 of the coded
+bytes and keeps 64 rows from 2**12 symbols: the ``autotune-smoke`` ledger
+alone moved, because its K-FAC layers' frames are the only ones here
+large enough to gain lanes.  Leaf by leaf against the same run at
+f3f76be, only the per-layer wire bytes, ``cr`` / ``mean_cr``, the byte,
+ratio and ``comm.seconds`` metrics, sim time, the ``kfac_allgather`` span
+times and the autotuner's fitted ``alpha`` / ``beta`` / predictions
+moved; losses, steps, verdicts and both autotune decisions are
+identical.  Every other ledger, configuration and document held without
+a re-pin, under ``PYTHONHASHSEED=1`` and with two BLAS threads too.
 """
 
 import hashlib

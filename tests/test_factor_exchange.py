@@ -309,7 +309,7 @@ def _kfac_allreduce_bytes(trainer, idx):
 
 
 def test_executed_factor_bytes_equal_the_analytic_triangle():
-    """ROADMAP item 4a, first cell: the executed trainer and the models
+    """ROADMAP item 2, first cell: the executed trainer and the models
     that price it agree on what a factor exchange ships.  The model is
     ``kfac_train``'s; the full squares at float64 were 2 102 720 B."""
     tri = _triangle()
