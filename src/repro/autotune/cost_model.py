@@ -49,9 +49,11 @@ class AlphaBetaEstimator:
     count is constant and payload sizes move slowly).
     """
 
-    def __init__(self, alpha0: float = 5e-5, beta0: float = 1e-9):
-        self.alpha0 = float(alpha0)
-        self.beta0 = float(beta0)
+    #: The priors: seconds per message and per byte.
+    alpha0 = 5e-5
+    beta0 = 1e-9
+
+    def __init__(self):
         # Normal-equation sums, seeded with the two prior points
         # (m=1, B=0, t=alpha0) and (m=0, B=1e6, t=beta0*1e6).
         self._s_mm = 1.0
@@ -173,7 +175,6 @@ class CostModel:
         candidates: tuple[CandidateConfig, ...],
         *,
         seed: int,
-        probe_elements: int = _PROBE_ELEMENTS,
     ) -> None:
         """Fill CR estimates by compressing ``sample`` under each candidate.
 
@@ -191,7 +192,7 @@ class CostModel:
             set_tracer,
         )
 
-        chunk = np.asarray(sample, dtype=np.float32).ravel()[: max(int(probe_elements), 1)]
+        chunk = np.asarray(sample, dtype=np.float32).ravel()[:_PROBE_ELEMENTS]
         prev_metrics, prev_tracer = get_metrics(), get_tracer()
         set_metrics(NULL_METRICS)
         set_tracer(NULL_TRACER)

@@ -29,6 +29,12 @@ from repro.core.compso import CompsoCompressor
 
 __all__ = ["FidelityBudget", "TuneResult", "autotune_bounds"]
 
+#: The filter bounds tried, and the quantisation bounds each one's
+#: geometric bisection of ``_REFINE_STEPS`` probes searches between.
+_EB_F_GRID = (0.0, 1e-3, 2e-3, 4e-3, 8e-3, 1.6e-2, 3.2e-2)
+_EB_Q_RANGE = (1e-4, 1e-1)
+_REFINE_STEPS = 8
+
 
 @dataclass(frozen=True)
 class FidelityBudget:
@@ -96,16 +102,13 @@ def autotune_bounds(
     grads: list[np.ndarray],
     *,
     budget: FidelityBudget | None = None,
-    eb_f_grid: tuple[float, ...] = (0.0, 1e-3, 2e-3, 4e-3, 8e-3, 1.6e-2, 3.2e-2),
-    eb_q_range: tuple[float, float] = (1e-4, 1e-1),
-    refine_steps: int = 8,
     encoder: str = "ans",
     seed: int = 0,
 ) -> TuneResult:
     """Search (eb_f, eb_q) maximising CR under the fidelity budget.
 
     For each candidate filter bound, binary-search the largest feasible
-    quantisation bound in ``eb_q_range`` (feasibility is monotone in
+    quantisation bound in ``_EB_Q_RANGE`` (feasibility is monotone in
     eb_q for fixed eb_f) and record the achieved ratio; return the best
     feasible pair.  Raises ``ValueError`` if even the tightest probe is
     infeasible — the budget is unachievable on this data.
@@ -113,12 +116,10 @@ def autotune_bounds(
     if not grads:
         raise ValueError("autotune_bounds needs at least one sample gradient")
     budget = budget if budget is not None else FidelityBudget()
-    lo_q, hi_q = eb_q_range
-    if lo_q <= 0 or hi_q <= lo_q:
-        raise ValueError(f"invalid eb_q_range {eb_q_range}")
+    lo_q, hi_q = _EB_Q_RANGE
     trace: list[tuple[float, float, float, bool]] = []
     best: TuneResult | None = None
-    for eb_f in eb_f_grid:
+    for eb_f in _EB_F_GRID:
         # Feasibility at the tight end: if the tightest eb_q already
         # violates the budget, this filter bound is too aggressive.
         comp = CompsoCompressor(eb_f, lo_q, encoder=encoder, seed=seed)
@@ -127,7 +128,7 @@ def autotune_bounds(
             continue
         lo, hi = lo_q, hi_q
         best_q = lo_q
-        for _ in range(refine_steps):
+        for _ in range(_REFINE_STEPS):
             mid = float(np.sqrt(lo * hi))  # geometric bisection
             comp = CompsoCompressor(eb_f, mid, encoder=encoder, seed=seed)
             ok = budget.admits(*_fidelity(grads, comp))

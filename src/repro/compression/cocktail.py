@@ -23,6 +23,9 @@ from repro.util.seeding import restore_rng_state, rng_state_array, spawn_rng
 
 __all__ = ["CocktailSgdCompressor"]
 
+#: Top-k is taken over a random pool of this many times ``k`` candidates.
+_CANDIDATE_FACTOR = 2.0
+
 
 class CocktailSgdCompressor(GradientCompressor):
     """Random-sample top-k sparsification + SR quantisation + rANS."""
@@ -32,16 +35,12 @@ class CocktailSgdCompressor(GradientCompressor):
         density: float = 0.2,
         bits: int = 8,
         *,
-        candidate_factor: float = 2.0,
         seed: int | np.random.Generator | None = 0,
     ):
         if not 0 < density <= 1:
             raise ValueError(f"density must be in (0, 1], got {density}")
-        if candidate_factor < 1.0:
-            raise ValueError("candidate_factor must be >= 1")
         self.density = density
         self.bits = bits
-        self.candidate_factor = candidate_factor
         self.name = f"cocktail-{int(density * 100)}pct-{bits}bit"
         self._rng = spawn_rng(seed)
         self._quantizer = BitBudgetQuantizer(bits, "sr", seed=spawn_rng(seed, 1))
@@ -67,7 +66,7 @@ class CocktailSgdCompressor(GradientCompressor):
         with tracer.span("compress", "compress", compressor=self.name, nbytes=x.nbytes):
             with tracer.span("select", "compress.filter"):
                 k = max(1, int(round(self.density * n))) if n else 0
-                pool = min(n, int(round(self.candidate_factor * k)))
+                pool = min(n, int(round(_CANDIDATE_FACTOR * k)))
                 if pool < n:
                     candidates = self._rng.choice(n, size=pool, replace=False)
                     sub_mask = topk_mask(flat[candidates], k)

@@ -10,7 +10,7 @@ LR-adaptive bounds.
 
 This implementation keeps the per-tensor semantics: a magnitude
 threshold is fitted to hit the target density from a value sample, then
-reused for ``reestimate_every`` calls with a multiplicative correction
+reused for ``_REESTIMATE_EVERY`` calls with a multiplicative correction
 when the realised density drifts.
 """
 
@@ -25,6 +25,11 @@ from repro.util.seeding import restore_rng_state, rng_state_array, spawn_rng
 
 __all__ = ["OkTopkCompressor"]
 
+#: Calls between two threshold estimates.
+_REESTIMATE_EVERY = 32
+#: Magnitudes sampled per estimate.
+_SAMPLE_SIZE = 4096
+
 
 class OkTopkCompressor(GradientCompressor):
     """Threshold sparsifier with periodic threshold re-estimation."""
@@ -33,17 +38,11 @@ class OkTopkCompressor(GradientCompressor):
         self,
         density: float = 0.05,
         *,
-        reestimate_every: int = 32,
-        sample_size: int = 4096,
         seed: int | np.random.Generator | None = 0,
     ):
         if not 0 < density <= 1:
             raise ValueError(f"density must be in (0, 1], got {density}")
-        if reestimate_every < 1:
-            raise ValueError("reestimate_every must be >= 1")
         self.density = density
-        self.reestimate_every = reestimate_every
-        self.sample_size = sample_size
         self.name = f"oktopk-{density:g}"
         self._rng = spawn_rng(seed)
         self._threshold: float | None = None
@@ -51,14 +50,14 @@ class OkTopkCompressor(GradientCompressor):
 
     def _estimate_threshold(self, mags: np.ndarray) -> float:
         n = mags.size
-        sample = mags if n <= self.sample_size else self._rng.choice(mags, self.sample_size)
+        sample = mags if n <= _SAMPLE_SIZE else self._rng.choice(mags, _SAMPLE_SIZE)
         return float(np.quantile(sample, 1.0 - self.density))
 
     def compress(self, x: np.ndarray) -> CompressedTensor:
         x = np.asarray(x, dtype=np.float32)
         flat = x.ravel()
         mags = np.abs(flat)
-        if self._threshold is None or self._calls % self.reestimate_every == 0:
+        if self._threshold is None or self._calls % _REESTIMATE_EVERY == 0:
             self._threshold = self._estimate_threshold(mags)
         self._calls += 1
         mask = mags >= self._threshold

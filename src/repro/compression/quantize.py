@@ -125,16 +125,19 @@ class ErrorBoundedQuantizer:
 
     The step is chosen per rounding mode so that ``|err| <= eb`` always
     holds: RN has half-step worst case (step = 2*eb) while SR/P0.5 have
-    full-step worst case (step = eb).  ``relative=True`` scales ``eb`` by
-    the tensor's max magnitude (cuSZ's "relative to value range" mode).
+    full-step worst case (step = eb).  With :attr:`relative` ``eb`` is
+    scaled by the tensor's max magnitude (cuSZ's "relative to value range"
+    mode).
     """
+
+    #: Every run bounds relative to the value range; ``False`` is absolute.
+    relative = True
 
     def __init__(
         self,
         eb: float,
         mode: str = "sr",
         *,
-        relative: bool = True,
         seed: int | np.random.Generator | None = 0,
     ):
         if eb <= 0:
@@ -143,7 +146,6 @@ class ErrorBoundedQuantizer:
             raise ValueError(f"mode must be one of {sorted(ROUNDING_MODES)}, got {mode!r}")
         self.eb = float(eb)
         self.mode = mode
-        self.relative = relative
         self._rng = spawn_rng(seed)
 
     def step_for(self, x: np.ndarray) -> float:

@@ -31,11 +31,13 @@ _ESCAPE = 255
 class SzCompressor(GradientCompressor):
     """cuSZ stand-in: RN prequantisation + Lorenzo deltas + Huffman."""
 
-    def __init__(self, eb: float = 4e-3, *, relative: bool = True):
+    #: Every run bounds relative to the value range; ``False`` is absolute.
+    relative = True
+
+    def __init__(self, eb: float = 4e-3):
         if eb <= 0:
             raise ValueError(f"error bound must be positive, got {eb}")
         self.eb = float(eb)
-        self.relative = relative
         self.name = f"sz-{eb:g}"
         self._encoder = HuffmanEncoder()
 

@@ -27,39 +27,32 @@ from repro.core.compso import CompsoCompressor
 
 __all__ = ["Bounds", "StepLrSchedule", "SmoothLrSchedule", "AdaptiveCompso"]
 
+#: The aggressive stage's bounds (filter + SR at 4E-3), both schedules' first.
+_LOOSE = Bounds(4e-3, 4e-3)
+#: StepLR's conservative stage: SR only.
+_TIGHT = Bounds(0.0, 4e-3)
+#: SmoothLR never decays the SR bound below this.
+_MIN_EB = 1e-5
+#: :meth:`AdaptiveCompso.degrade`'s near-lossless mode: filter off, tight SR.
+_FALLBACK = Bounds(0.0, 1e-4)
+
 
 class StepLrSchedule:
     """Aggressive until the first LR drop, conservative afterwards."""
 
-    def __init__(
-        self,
-        first_lr_drop: int,
-        *,
-        loose: Bounds = Bounds(4e-3, 4e-3),
-        tight: Bounds = Bounds(0.0, 4e-3),
-    ):
+    def __init__(self, first_lr_drop: int):
         if first_lr_drop < 0:
             raise ValueError("first_lr_drop must be >= 0")
         self.first_lr_drop = first_lr_drop
-        self.loose = loose
-        self.tight = tight
 
     def bounds_at(self, iteration: int) -> Bounds:
-        return self.loose if iteration < self.first_lr_drop else self.tight
+        return _LOOSE if iteration < self.first_lr_drop else _TIGHT
 
 
 class SmoothLrSchedule:
     """``z`` equal stages; bounds decay by ``alpha`` per stage after stage 0."""
 
-    def __init__(
-        self,
-        total_iterations: int,
-        z: int = 4,
-        *,
-        loose: Bounds = Bounds(4e-3, 4e-3),
-        alpha: float = 0.5,
-        min_eb: float = 1e-5,
-    ):
+    def __init__(self, total_iterations: int, z: int = 4, *, alpha: float = 0.5):
         if total_iterations <= 0:
             raise ValueError("total_iterations must be positive")
         if z <= 0:
@@ -68,9 +61,7 @@ class SmoothLrSchedule:
             raise ValueError("alpha must be in (0, 1]")
         self.total_iterations = total_iterations
         self.z = z
-        self.loose = loose
         self.alpha = alpha
-        self.min_eb = min_eb
         self.stage_length = math.ceil(total_iterations / z)
 
     def stage_at(self, iteration: int) -> int:
@@ -82,8 +73,8 @@ class SmoothLrSchedule:
         # The filter is only active in the aggressive (first) stage; later
         # stages tighten the SR bound, matching the paper's 4E-3 -> 2E-3
         # staged refinement on BERT-large.
-        eb_q = max(self.loose.eb_q * decay, self.min_eb)
-        eb_f = self.loose.eb_f if stage == 0 else 0.0
+        eb_q = max(_LOOSE.eb_q * decay, _MIN_EB)
+        eb_f = _LOOSE.eb_f if stage == 0 else 0.0
         return Bounds(eb_f, eb_q)
 
 
@@ -103,14 +94,10 @@ class AdaptiveCompso(GradientCompressor):
         *,
         encoder: str = "ans",
         seed: int | np.random.Generator | None = 0,
-        fallback: Bounds = Bounds(0.0, 1e-4),
     ):
-        if fallback.eb_q <= 0:
-            raise ValueError("fallback eb_q must be > 0")
         self.schedule = schedule
         self.inner = CompsoCompressor(encoder=encoder, seed=seed)
         self.iteration = 0
-        self.fallback = fallback
         self._degraded_until = 0
         self.name = f"compso-adaptive-{encoder}"
         self._apply(0)
@@ -118,7 +105,7 @@ class AdaptiveCompso(GradientCompressor):
     def _apply(self, iteration: int) -> Bounds:
         if iteration < self._degraded_until:
             scheduled = self.schedule.bounds_at(iteration)
-            b = Bounds(self.fallback.eb_f, min(self.fallback.eb_q, scheduled.eb_q))
+            b = Bounds(_FALLBACK.eb_f, min(_FALLBACK.eb_q, scheduled.eb_q))
         else:
             b = self.schedule.bounds_at(iteration)
         # eb_f == 0 disables filtering inside CompsoCompressor.

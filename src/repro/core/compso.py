@@ -167,13 +167,16 @@ def _scatter(values: np.ndarray, bitmap: bytes, n: int) -> np.ndarray:
 class CompsoCompressor(GradientCompressor):
     """Filter + bitmap + stochastic rounding + lossless encoder."""
 
+    #: Every run bounds relative to the tensor's max magnitude; ``False``
+    #: makes ``eb_f`` / ``eb_q`` absolute.
+    relative = True
+
     def __init__(
         self,
         eb_f: float = 4e-3,
         eb_q: float = 4e-3,
         *,
         encoder: str = "ans",
-        relative: bool = True,
         rounding: str = "sr",
         seed: int | np.random.Generator | None = 0,
     ):
@@ -185,7 +188,6 @@ class CompsoCompressor(GradientCompressor):
             raise ValueError(f"rounding must be one of {sorted(ROUNDING_MODES)}")
         self.eb_f = float(eb_f)
         self.eb_q = float(eb_q)
-        self.relative = relative
         self.rounding = rounding
         self.encoder_name = encoder
         self._encoder = get_encoder(encoder)

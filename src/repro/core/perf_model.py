@@ -32,11 +32,16 @@ from repro.core.layer_aggregation import LayerAggregator
 from repro.distributed.collectives import allgather_time
 from repro.distributed.network import NetworkSpec
 from repro.encoders.registry import NVCOMP_CANDIDATES
-from repro.gpusim.device import A100, DeviceModel
+from repro.gpusim.device import A100
 from repro.gpusim.encoder_perf import ENCODER_INPUT_FRACTION, ENCODER_PERF
-from repro.gpusim.kernels import PIPELINES, KernelPipeline
+from repro.gpusim.kernels import PIPELINES
 
 __all__ = ["CommLookupTable", "ProfiledStats", "PerformanceModel"]
+
+#: The offline sweep: message sizes 1 KB .. 1 GB, and GPU counts, on 4-GPU nodes.
+_SIZES = np.logspace(3, 9, 25)
+_GPU_COUNTS = (4, 8, 16, 32, 64, 128, 256)
+_GPUS_PER_NODE = 4
 
 
 class CommLookupTable:
@@ -48,24 +53,12 @@ class CommLookupTable:
     log-space interpolation.
     """
 
-    def __init__(
-        self,
-        network: NetworkSpec,
-        gpus_per_node: int = 4,
-        *,
-        sizes: np.ndarray | None = None,
-        gpu_counts: tuple[int, ...] = (4, 8, 16, 32, 64, 128, 256),
-    ):
+    def __init__(self, network: NetworkSpec):
         self.network = network
-        self.gpus_per_node = gpus_per_node
-        self.sizes = (
-            sizes if sizes is not None else np.logspace(3, 9, 25)  # 1 KB .. 1 GB
-        )
-        self.gpu_counts = gpu_counts
         self.table: dict[int, np.ndarray] = {}
-        for p in gpu_counts:
+        for p in _GPU_COUNTS:
             tput = np.array(
-                [s / max(allgather_time(network, p, s / p, gpus_per_node), 1e-12) for s in self.sizes]
+                [s / max(allgather_time(network, p, s / p, _GPUS_PER_NODE), 1e-12) for s in _SIZES]
             )
             self.table[p] = tput
 
@@ -73,11 +66,11 @@ class CommLookupTable:
         """Interpolated aggregate throughput (bytes/s) for total payload."""
         if p <= 1:
             return float("inf")
-        counts = np.array(self.gpu_counts)
+        counts = np.array(_GPU_COUNTS)
         p_key = int(counts[np.argmin(np.abs(counts - p))])
         tput = self.table[p_key]
-        log_n = np.log10(max(nbytes, self.sizes[0]))
-        return float(np.interp(log_n, np.log10(self.sizes), tput))
+        log_n = np.log10(max(nbytes, _SIZES[0]))
+        return float(np.interp(log_n, np.log10(_SIZES), tput))
 
     def time(self, p: int, nbytes: float) -> float:
         if nbytes <= 0 or p <= 1:
@@ -103,21 +96,10 @@ class ProfiledStats:
 class PerformanceModel:
     """Eq. 5 with the offline-online mechanism and its two decisions."""
 
-    def __init__(
-        self,
-        network: NetworkSpec,
-        world_size: int,
-        gpus_per_node: int = 4,
-        *,
-        pipeline: KernelPipeline | None = None,
-        device: DeviceModel = A100,
-    ):
+    def __init__(self, network: NetworkSpec, world_size: int):
         self.network = network
         self.world_size = world_size
-        self.gpus_per_node = gpus_per_node
-        self.pipeline = pipeline if pipeline is not None else PIPELINES["compso-cuda"]
-        self.device = device
-        self.lookup = CommLookupTable(network, gpus_per_node)
+        self.lookup = CommLookupTable(network)
 
     # -- Eq. 5 ------------------------------------------------------------------
 
@@ -167,13 +149,12 @@ class PerformanceModel:
         for _ in range(k):
             sizes.append(sum(compressor.group_nbytes(g) for g in agg.aggregate(list(grads))))
         L_c = float(np.mean(sizes))
+        pipeline = PIPELINES["compso-cuda"]
         t_comp = sum(
-            self.pipeline.compress_time(b, self.device)
-            for b in agg.group_bytes([g.size for g in grads])
+            pipeline.compress_time(b, A100) for b in agg.group_bytes([g.size for g in grads])
         )
         t_decomp = sum(
-            self.pipeline.decompress_time(b, self.device)
-            for b in agg.group_bytes([g.size for g in grads])
+            pipeline.decompress_time(b, A100) for b in agg.group_bytes([g.size for g in grads])
         )
         return ProfiledStats(
             L_o=L_o,
@@ -206,7 +187,6 @@ class PerformanceModel:
         grads: list[np.ndarray],
         compso,
         *,
-        candidates: tuple[str, ...] = NVCOMP_CANDIDATES,
         aggregation: int = 4,
     ) -> tuple[str, dict[str, tuple[float, float]]]:
         """Pick the encoder with the best (size, modelled-throughput) trade.
@@ -219,7 +199,7 @@ class PerformanceModel:
         results: dict[str, tuple[float, float]] = {}
         original_encoder = compso.encoder_name
         group_bytes = agg.group_bytes([g.size for g in grads])
-        for name in candidates:
+        for name in NVCOMP_CANDIDATES:
             compso.set_encoder(name)
             L_c = sum(compso.group_nbytes(g) for g in agg.aggregate(list(grads)))
             perf = ENCODER_PERF[name]

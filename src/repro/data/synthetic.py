@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 MASK_TOKEN = 1  # reserved; 0 is padding/ignore
+#: SQuAD proxy: the question tokens, the last ids of the vocabulary.
+_N_MARKERS = 4
 
 
 @dataclass
@@ -120,10 +122,11 @@ class MlmBatch:
     targets: np.ndarray  # (n, seq) original ids at masked positions, 0 elsewhere
 
 
-def make_mlm_batches(ds: LmDataset, mask_prob: float = 0.15, seed: int = 0) -> MlmBatch:
-    """BERT-style masking: targets are 0 (ignored) except at masked slots."""
+def make_mlm_batches(ds: LmDataset, seed: int = 0) -> MlmBatch:
+    """BERT-style masking of 15 % of the tokens: targets are 0 (ignored)
+    except at masked slots."""
     rng = spawn_rng(seed)
-    mask = rng.random(ds.ids.shape) < mask_prob
+    mask = rng.random(ds.ids.shape) < 0.15
     # Ensure at least one masked token per sequence.
     none_masked = ~mask.any(axis=1)
     mask[none_masked, 0] = True
@@ -140,22 +143,21 @@ class SquadDataset:
     vocab: int
 
 
-def make_squad_data(
-    n: int, seq: int = 24, vocab: int = 32, n_markers: int = 4, seed: int = 0
-) -> SquadDataset:
+def make_squad_data(n: int, seq: int = 24, vocab: int = 32, seed: int = 0) -> SquadDataset:
     """Extractive-QA proxy: find the span of the question-indicated marker.
 
-    Position 0 holds a "question" token q in [vocab-n_markers, vocab);
+    Position 0 holds a "question" token q, one of the last ``_N_MARKERS``
+    ids of the vocabulary;
     somewhere in the body a contiguous run of the token q appears (the
     answer); distractor runs of *other* markers are inserted so the model
     must condition on the question.
     """
     rng = spawn_rng(seed)
-    body_vocab = vocab - n_markers
+    body_vocab = vocab - _N_MARKERS
     if body_vocab < 4:
         raise ValueError("vocab too small for the marker alphabet")
     ids = rng.integers(2, body_vocab, (n, seq)).astype(np.int64)
-    markers = vocab - n_markers + rng.integers(0, n_markers, n)
+    markers = vocab - _N_MARKERS + rng.integers(0, _N_MARKERS, n)
     starts = np.empty(n, dtype=np.int64)
     ends = np.empty(n, dtype=np.int64)
     for i in range(n):
@@ -166,7 +168,7 @@ def make_squad_data(
         starts[i] = s
         ends[i] = s + span_len - 1
         # One distractor run of a different marker, if it fits elsewhere.
-        other = vocab - n_markers + int(rng.integers(0, n_markers))
+        other = vocab - _N_MARKERS + int(rng.integers(0, _N_MARKERS))
         if other != markers[i]:
             ds_len = int(rng.integers(1, 3))
             cand = int(rng.integers(1, seq - ds_len))

@@ -101,11 +101,11 @@ class SimRank:
 
     __slots__ = ("rank", "node", "clock", "_rng", "_seed")
 
-    def __init__(self, rank: int, node: int, clock, rng=None, *, seed: int = 0):
+    def __init__(self, rank: int, node: int, clock, *, seed: int = 0):
         self.rank = rank
         self.node = node
         self.clock = clock
-        self._rng = rng
+        self._rng: np.random.Generator | None = None
         self._seed = seed
 
     @property
@@ -128,7 +128,6 @@ class SimCluster:
         seed: int = 0,
         fault_plan: FaultPlan | None = None,
         track: str = "convergence",
-        payloads: str | None = None,
     ):
         if platform is not None:
             network = platform.network
@@ -137,21 +136,11 @@ class SimCluster:
         _require_positive_int("gpus_per_node", gpus_per_node)
         if track not in ("convergence", "timing"):
             raise ValueError(f"track must be 'convergence' or 'timing', got {track!r}")
-        if payloads is None:
-            payloads = "full" if track == "convergence" else "representative"
-        if payloads not in ("full", "representative"):
-            raise ValueError(f"payloads must be 'full' or 'representative', got {payloads!r}")
-        if track == "convergence" and payloads == "representative":
-            raise ValueError(
-                "representative payloads require track='timing': the convergence "
-                "track's contract is full per-rank payloads, bit-identical to MPI"
-            )
         self.platform = platform
         self._network = network if network is not None else PLATFORM1.network
         self.n_nodes = n_nodes
         self.gpus_per_node = gpus_per_node
         self.track = track
-        self.payloads = payloads
         world = n_nodes * gpus_per_node
         self._plane: VirtualClockPlane | None = (
             VirtualClockPlane(world) if track == "timing" else None
@@ -231,8 +220,9 @@ class SimCluster:
 
     @property
     def representative(self) -> bool:
-        """True when collectives return :class:`RepView`s, not per-rank lists."""
-        return self.payloads == "representative"
+        """True when collectives return :class:`RepView`s, not per-rank lists:
+        on the timing track."""
+        return self.track == "timing"
 
     @property
     def network(self) -> NetworkSpec:

@@ -188,14 +188,15 @@ def _lanes(symbols: int, predicted: int, n: int) -> int:
     return lanes if lanes >= _ROW_LANES else 1
 
 
-def quantize_freqs(freq: np.ndarray, scale: int = _PROB_SCALE) -> np.ndarray:
-    """Scale frequencies to sum exactly to ``scale``, keeping present symbols >= 1."""
+def quantize_freqs(freq: np.ndarray) -> np.ndarray:
+    """Scale frequencies to sum exactly to ``_PROB_SCALE``, keeping present
+    symbols >= 1."""
     freq = np.asarray(freq, dtype=np.int64)
     total = int(freq.sum())
     if total == 0:
         raise ValueError("cannot quantise an empty frequency table")
-    scaled = np.maximum((freq * scale) // total, (freq > 0).astype(np.int64))
-    diff = scale - int(scaled.sum())
+    scaled = np.maximum((freq * _PROB_SCALE) // total, (freq > 0).astype(np.int64))
+    diff = _PROB_SCALE - int(scaled.sum())
     if diff != 0:
         # Adjust symbols with the most headroom, one unit each per sweep
         # over the symbols in descending order, never dropping below 1.
@@ -360,11 +361,6 @@ def _encode_rows(
         cols = (slice(0, rows), slice(start, end))
         out[j] = x[start:end].copy(), np.compress(emitted[cols].ravel(), low[cols].ravel())
     return out
-
-
-def _encode_lanes(symbols: np.ndarray, qfreq: np.ndarray, lanes: int) -> tuple[np.ndarray, np.ndarray]:
-    """``lanes`` interleaved states over one frame: :func:`_encode_rows` of that frame alone."""
-    return _encode_rows([(symbols, qfreq, lanes)])[0]
 
 
 class _Stream(NamedTuple):
@@ -801,11 +797,7 @@ class RansEncoder(Encoder):
 
     def _encode_payload(self, data: bytes, item_size: int) -> bytes:
         plan = _plan_frame(data, item_size)
-        if plan is None:
-            return data
-        if plan.lanes == 1:
-            return _payload(plan, *_encode_scalar(plan.symbols, plan.qfreq))
-        return _payload(plan, *_encode_lanes(plan.symbols, plan.qfreq, plan.lanes))
+        return data if plan is None else _payloads([plan])[0]
 
     def encode_many(self, frames: list[tuple[bytes | np.ndarray, int]]) -> list[bytes]:
         raws = [(self._items(data, item_size), item_size) for data, item_size in frames]
@@ -822,10 +814,7 @@ class RansEncoder(Encoder):
         return [data if p is None else next(coded) for (data, _), p in zip(frames, plans)]
 
     def _decode_payload(self, payload: bytes, n: int) -> bytes:
-        s = _read(payload, n, None)
-        if s.states.size == 1:
-            return _checked(s, _decode_scalar(s.states, s.words, s.qfreq, s.count, s.item_size))
-        return _checked(s, _decode_rows([s])[0])
+        return _decode_payloads([(None, payload, n)])[0]
 
     def decode_many(self, blobs: list[bytes]) -> list[bytes]:
         if sum(_on_rows(blob) for blob in blobs) < 2:

@@ -27,16 +27,11 @@ class BitcompEncoder(Encoder):
 
     name = "bitcomp"
 
-    def __init__(self, block_size: int = _BLOCK):
-        if block_size <= 0:
-            raise ValueError("block_size must be positive")
-        self.block_size = block_size
-
     def _encode_payload(self, data: bytes, item_size: int) -> bytes:
         u8 = as_u8(data)
-        parts = [struct.pack("<I", self.block_size)]
-        for start in range(0, u8.size, self.block_size):
-            block = u8[start : start + self.block_size]
+        parts = [struct.pack("<I", _BLOCK)]
+        for start in range(0, u8.size, _BLOCK):
+            block = u8[start : start + _BLOCK]
             width = required_width(int(block.max())) if block.size else 1
             packed = pack_uints(block, width)
             parts.append(struct.pack("<BH", width, len(packed)))

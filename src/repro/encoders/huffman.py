@@ -25,11 +25,11 @@ __all__ = ["HuffmanEncoder", "code_lengths"]
 _MAX_LEN = 15  # maximum code length; decode table is 2**15 entries
 
 
-def code_lengths(freq: np.ndarray, max_len: int = _MAX_LEN) -> np.ndarray:
-    """Huffman code lengths for symbol frequencies, limited to ``max_len``.
+def code_lengths(freq: np.ndarray) -> np.ndarray:
+    """Huffman code lengths for symbol frequencies, limited to ``_MAX_LEN``.
 
     Uses the classic heap construction; if the resulting tree is deeper
-    than ``max_len`` the frequencies are repeatedly halved (floor at 1)
+    than ``_MAX_LEN`` the frequencies are repeatedly halved (floor at 1)
     and the tree rebuilt — a standard, slightly suboptimal limiter.
     """
     freq = np.asarray(freq, dtype=np.int64)
@@ -56,7 +56,7 @@ def code_lengths(freq: np.ndarray, max_len: int = _MAX_LEN) -> np.ndarray:
                 lengths[s] += 1
             heapq.heappush(heap, (w1 + w2, counter, s1 + s2))
             counter += 1
-        if lengths.max() <= max_len:
+        if lengths.max() <= _MAX_LEN:
             return lengths
         work = np.maximum(work // 2, 1) * (freq > 0)
 
@@ -101,6 +101,11 @@ class HuffmanEncoder(Encoder):
             raise EncodeError("huffman: truncated header")
         (total_bits,) = struct.unpack_from("<I", payload, 0)
         lengths = np.frombuffer(payload[4 : 4 + 256], dtype=np.uint8).astype(np.int32)
+        # A damaged table must fail here, before it sizes the decode table.
+        if int(lengths.max()) > _MAX_LEN:
+            raise EncodeError(f"huffman: code length table holds {int(lengths.max())} > {_MAX_LEN}")
+        if int(np.sum(1 << (_MAX_LEN - lengths[lengths > 0]))) > 1 << _MAX_LEN:
+            raise EncodeError("huffman: code length table breaks the Kraft inequality")
         codes = _canonical_codes(lengths)
         max_len = int(lengths.max()) if lengths.any() else 1
         # Flat decode table: any max_len-bit window starting with a code

@@ -1,8 +1,7 @@
 """Encoder registry: the candidate vector COMPSO selects from (section 4.4).
 
 Mirrors the paper's eight nvCOMP candidates.  ``get_encoder`` constructs a
-fresh instance per call (encoders are stateless, but this keeps callers
-free to mutate configuration such as block sizes).
+fresh instance per call; encoders are stateless and take no settings.
 """
 
 from __future__ import annotations

@@ -304,10 +304,9 @@ class FaultPlan:
         self.degradations.append(LinkDegradation(start, stop, latency_factor, bandwidth_factor))
         return self
 
-    def add_jitter(
-        self, sigma: float, *, start: int = 0, stop: int | None = None, rank: int | None = None
-    ) -> "FaultPlan":
-        self.jitters.append(Jitter(sigma, start, stop, rank))
+    def add_jitter(self, sigma: float, *, start: int = 0) -> "FaultPlan":
+        """Jitter every rank from ``start`` on."""
+        self.jitters.append(Jitter(sigma, start))
         return self
 
     def add_corruption(
@@ -322,8 +321,9 @@ class FaultPlan:
         self.corruptions.append(PayloadCorruption(probability, start, stop, n_bits, ops))
         return self
 
-    def add_drop(self, rank: int, *, iteration: int, op: str = "allreduce") -> "FaultPlan":
-        self.drops.append(DroppedContribution(rank, iteration, op))
+    def add_drop(self, rank: int, *, iteration: int) -> "FaultPlan":
+        """Drop ``rank``'s contribution to the allreduces of ``iteration``."""
+        self.drops.append(DroppedContribution(rank, iteration))
         return self
 
     def add_failure(
@@ -345,16 +345,14 @@ class FaultPlan:
         self.crashes.append(JobCrash(iteration))
         return self
 
-    def add_bit_rot(self, *, save_index: int, n_bytes: int = 1) -> "FaultPlan":
-        """Flip bytes in the ``save_index``-th durable save, at rest."""
-        self.storage.append(BitRot(save_index, n_bytes))
+    def add_bit_rot(self, *, save_index: int) -> "FaultPlan":
+        """Flip a byte in the ``save_index``-th durable save, at rest."""
+        self.storage.append(BitRot(save_index))
         return self
 
-    def add_torn_write(
-        self, *, save_index: int, keep_fraction: float = 0.5
-    ) -> "FaultPlan":
+    def add_torn_write(self, *, save_index: int) -> "FaultPlan":
         """Tear the ``save_index``-th save's temp file before publish."""
-        self.storage.append(TornWrite(save_index, keep_fraction))
+        self.storage.append(TornWrite(save_index))
         return self
 
     def add_save_crash(self, *, save_index: int, point: str) -> "FaultPlan":

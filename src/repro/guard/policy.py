@@ -149,6 +149,12 @@ class GuardAction:
 
 #: Iterations a ``tighten_bounds`` remediation holds the conservative bounds.
 _DEGRADE_ITERATIONS = 3
+#: ``escalate_damping`` multiplies K-FAC's damping by this, up to the cap
+#: factor times the damping it first saw.
+_DAMPING_FACTOR = 10.0
+_DAMPING_CAP_FACTOR = 1e4
+#: Iterations before the same (verdict, action) may fire again.
+_ACTION_COOLDOWN = 2
 
 #: Verdict kind -> ordered remediations (mildest first).
 DEFAULT_RULES: dict[str, tuple[str, ...]] = {
@@ -166,18 +172,8 @@ DEFAULT_RULES: dict[str, tuple[str, ...]] = {
 class PolicyEngine:
     """Applies the rule table; owns the breaker and the action timeline."""
 
-    def __init__(
-        self,
-        breaker: CircuitBreaker,
-        *,
-        damping_factor: float = 10.0,
-        damping_cap_factor: float = 1e4,
-        action_cooldown: int = 2,
-    ):
+    def __init__(self, breaker: CircuitBreaker):
         self.breaker = breaker
-        self.damping_factor = damping_factor
-        self.damping_cap_factor = damping_cap_factor
-        self.action_cooldown = action_cooldown
         self.timeline: list[GuardAction] = []
         #: (verdict, action) -> iteration it last fired, for cool-downs.
         self._last_fired: dict[tuple[str, str], int] = {}
@@ -211,11 +207,11 @@ class PolicyEngine:
             return None
         if self._initial_damping is None:
             self._initial_damping = float(kfac.damping)
-        cap = self._initial_damping * self.damping_cap_factor
+        cap = self._initial_damping * _DAMPING_CAP_FACTOR
         if kfac.damping >= cap:
             return None
         before = float(kfac.damping)
-        kfac.damping = min(before * self.damping_factor, cap)
+        kfac.damping = min(before * _DAMPING_FACTOR, cap)
         return {"from": before, "to": float(kfac.damping)}
 
     def _apply_rollback(self, ctx: GuardContext) -> dict | None:
@@ -237,12 +233,12 @@ class PolicyEngine:
         A remediation is skipped when its handle is unavailable in
         ``ctx`` (no compressor to degrade, no checkpoint to roll back
         to) or when it already fired for this verdict within
-        ``action_cooldown`` iterations — recurrence then escalates to
+        ``_ACTION_COOLDOWN`` iterations — recurrence then escalates to
         the next entry instead of re-spamming the same fix.
         """
         for action in DEFAULT_RULES.get(verdict, ()):
             last = self._last_fired.get((verdict, action))
-            if last is not None and iteration - last < self.action_cooldown:
+            if last is not None and iteration - last < _ACTION_COOLDOWN:
                 continue
             if action == "tighten_bounds":
                 applied = self._apply_tighten_bounds(ctx)

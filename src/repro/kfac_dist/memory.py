@@ -25,6 +25,15 @@ from repro.models.catalogs import LayerShape
 
 __all__ = ["MemoryEstimate", "estimate_kfac_memory", "fits_on"]
 
+#: Extra per-layer tensors kept for backward besides the layer outputs
+#: (normalisation statistics, activation-function inputs), as a multiple of
+#: them; 2.0 reproduces measured fp32 footprints within ~2x for both CNNs
+#: and transformers.
+_ACTIVATION_MULTIPLIER = 2.0
+#: Share of a GPU's memory kept for the CUDA context, fragmentation and
+#: comm buffers.
+_RESERVE_FRACTION = 0.1
+
 #: Common GPU memory capacities, bytes.
 GPU_MEMORY = {
     "p100-16gb": 16e9,
@@ -72,27 +81,15 @@ def _output_elements(layer: LayerShape) -> float:
     return layer.fwd_flops / (2.0 * fan_in)
 
 
-def estimate_kfac_memory(
-    catalog: list[LayerShape],
-    *,
-    per_gpu_batch: int,
-    bytes_per_param: float = 4.0,
-    activation_multiplier: float = 2.0,
-    momentum: bool = True,
-) -> MemoryEstimate:
-    """Estimate one worker's memory for K-FAC training of ``catalog``.
-
-    ``activation_multiplier`` covers the extra per-layer tensors kept for
-    backward besides the layer outputs (normalisation statistics,
-    activation-function inputs); 2.0 reproduces measured fp32 footprints
-    within ~2x for both CNNs and transformers.
-    """
+def estimate_kfac_memory(catalog: list[LayerShape], *, per_gpu_batch: int) -> MemoryEstimate:
+    """Estimate one worker's memory for fp32 K-FAC training of ``catalog``,
+    with a momentum buffer."""
     params = sum(l.grad_elems for l in catalog)
-    weights = params * bytes_per_param
+    weights = params * 4.0
     gradients = params * 4.0
-    optimizer_state = params * 4.0 if momentum else 0.0
+    optimizer_state = params * 4.0
     act_elems = sum(_output_elements(l) for l in catalog) * per_gpu_batch
-    activations = act_elems * 4.0 * activation_multiplier
+    activations = act_elems * 4.0 * _ACTIVATION_MULTIPLIER
     factor_elems = sum(l.factor_elems for l in catalog)
     kfac_factors = factor_elems * 4.0
     kfac_eigen = factor_elems * 4.0 + sum((l.in_f + l.out_f) * 4.0 for l in catalog)
@@ -103,11 +100,11 @@ def estimate_kfac_memory(
     )
 
 
-def fits_on(estimate: MemoryEstimate, gpu: str, *, reserve_fraction: float = 0.1) -> bool:
+def fits_on(estimate: MemoryEstimate, gpu: str) -> bool:
     """Whether the footprint fits the named GPU, keeping a reserve for
     CUDA context, fragmentation and comm buffers."""
     try:
         capacity = GPU_MEMORY[gpu]
     except KeyError:
         raise KeyError(f"unknown GPU {gpu!r}; known: {sorted(GPU_MEMORY)}") from None
-    return estimate.total <= capacity * (1.0 - reserve_fraction)
+    return estimate.total <= capacity * (1.0 - _RESERVE_FRACTION)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.distributed.network import Platform
-from repro.gpusim.device import A100, DeviceModel
+from repro.gpusim.device import A100
 from repro.kfac_dist.timing import TimingProfile
 from repro.models.catalogs import LayerShape
 
@@ -63,7 +63,6 @@ class PipeFisherModel:
         stages: int = 4,
         microbatches: int = 8,
         profile: TimingProfile,
-        device: DeviceModel = A100,
     ):
         if stages < 2:
             raise ValueError("a pipeline needs at least 2 stages")
@@ -74,7 +73,6 @@ class PipeFisherModel:
         self.stages = stages
         self.microbatches = microbatches
         self.profile = profile
-        self.device = device
         # Split layers into contiguous stages balanced by forward FLOPs.
         self.stage_layers = self._split_by_flops()
 
@@ -106,7 +104,7 @@ class PipeFisherModel:
 
     def _stage_kfac_work(self, layers: list[LayerShape]) -> float:
         """Per-iteration K-FAC seconds a stage must fit into its bubbles."""
-        dev = self.device
+        dev = A100
         p = self.profile
         stats = sum(
             2.0 * (l.in_f**2 + l.out_f**2) * p.stat_samples / (0.6 * dev.tensor_flops)

@@ -92,48 +92,19 @@ class IterationBreakdown:
             "others": (self.others + self.compression) / t,
         }
 
-    def overlapped_total(
-        self,
-        *,
-        measured_overlap: float | None = None,
-        assumed_overlap: float | None = None,
-    ) -> float:
+    def overlapped_total(self, *, assumed_overlap: float) -> float:
         """Iteration time when part of the K-FAC communication hides under
-        computation (KAISA's cross-layer overlap, section 2.2).
-
-        Exactly one of the two keywords must be given:
-
-        ``measured_overlap``
-            The scheduler-measured hidden fraction of issued comm time,
-            i.e. :meth:`repro.runtime.StreamRuntime.hidden_fraction`.
-            ``comm * (1 - measured_overlap)`` stays exposed — the
-            fraction is a property of the comm itself, so no capacity
-            cap applies.
-
-        ``assumed_overlap``
-            The legacy hand-waved constant (previously the positional
-            ``overlap_fraction``): up to ``assumed_overlap * (fwd_bwd +
-            kfac_compute)`` of the comm time disappears behind compute.
-            Kept for reproducing old numbers; prefer running a
-            :class:`~repro.runtime.StreamRuntime` and passing what it
-            measured.
+        computation (KAISA's cross-layer overlap, section 2.2): up to
+        ``assumed_overlap * (fwd_bwd + kfac_compute)`` of the comm time
+        disappears behind compute.  The executed alternative is a
+        :class:`~repro.runtime.StreamRuntime`, whose
+        :meth:`~repro.runtime.StreamRuntime.hidden_fraction` measures it.
         """
-        if (measured_overlap is None) == (assumed_overlap is None):
-            raise ValueError(
-                "pass exactly one of measured_overlap= (from "
-                "StreamRuntime.hidden_fraction()) or assumed_overlap= "
-                "(the legacy constant)"
-            )
+        if not 0.0 <= assumed_overlap <= 1.0:
+            raise ValueError(f"assumed_overlap must be in [0, 1], got {assumed_overlap}")
         comm = self.kfac_allgather + self.kfac_allreduce
-        if measured_overlap is not None:
-            if not 0.0 <= measured_overlap <= 1.0:
-                raise ValueError(f"measured_overlap must be in [0, 1], got {measured_overlap}")
-            exposed_comm = comm * (1.0 - measured_overlap)
-        else:
-            if not 0.0 <= assumed_overlap <= 1.0:
-                raise ValueError(f"assumed_overlap must be in [0, 1], got {assumed_overlap}")
-            hideable = assumed_overlap * (self.fwd_bwd + self.kfac_compute)
-            exposed_comm = max(comm - hideable, 0.0)
+        hideable = assumed_overlap * (self.fwd_bwd + self.kfac_compute)
+        exposed_comm = max(comm - hideable, 0.0)
         return self.fwd_bwd + self.kfac_compute + exposed_comm + self.others + self.compression
 
 
@@ -310,21 +281,12 @@ class KfacIterationModel:
         )
         return comp + decomp
 
-    def others_time(self, measured_grad_overlap: float | None = None) -> float:
-        """DDP gradient-allreduce residue plus fixed overhead.
-
-        ``measured_grad_overlap`` substitutes a scheduler-measured hidden
-        fraction (``StreamRuntime.overlap_stats()['grad_allreduce']``)
-        for the profile's assumed ``grad_overlap`` constant.
-        """
+    def others_time(self) -> float:
+        """DDP gradient-allreduce residue, under the profile's assumed
+        ``grad_overlap``, plus fixed overhead."""
         net = self.platform.network
         grad_ar = allreduce_time(net, self.world, self.grad_bytes, self.platform.gpus_per_node)
-        overlap = (
-            measured_grad_overlap
-            if measured_grad_overlap is not None
-            else self.profile.grad_overlap
-        )
-        residue = (1.0 - overlap) * grad_ar
+        residue = (1.0 - self.profile.grad_overlap) * grad_ar
         return residue + self.profile.fixed_overhead_frac * self.fwd_bwd_time()
 
     # -- composed ------------------------------------------------------------------
@@ -393,15 +355,14 @@ class KfacIterationModel:
             start += seconds
         return bd
 
-    def comm_speedup(self, compression: CompressionSpec, *, include_overhead: bool = False) -> float:
-        """Allgather speedup from compression (Fig. 7 excludes overhead)."""
+    def comm_speedup(self, compression: CompressionSpec) -> float:
+        """Allgather speedup from compression, (de)compression excluded as in
+        Fig. 7."""
         base = self.allgather_time_for(self.grad_bytes)
         n_groups = -(-len(self.catalog) // compression.aggregation)
         comp = self.allgather_time_for(
             self.grad_bytes / compression.ratio, n_messages=n_groups
         )
-        if include_overhead:
-            comp += self.compression_overhead(compression)
         return base / comp
 
     def end_to_end_speedup(

@@ -63,10 +63,13 @@ class DetectionProxy(Module):
     detection loss in :mod:`repro.train.metrics` splits the two heads.
     """
 
-    def __init__(self, n_classes: int = 8, n_boxes: int = 4, channels: int = 16, *, rng=0):
+    #: The trunk's first width; the second is twice it.
+    channels = 16
+
+    def __init__(self, n_classes: int = 8, n_boxes: int = 4, *, rng=0):
         super().__init__()
         rng = spawn_rng(rng)
-        c = channels
+        c = self.channels
         self.trunk = Sequential(
             Conv2d(3, c, 3, padding=1, rng=spawn_rng(rng, 0)),
             BatchNorm2d(c),

@@ -19,6 +19,9 @@ from repro.util.seeding import spawn_rng
 
 __all__ = ["SpanQaModel"]
 
+#: Attention heads per block.
+_HEADS = 4
+
 
 class SpanQaModel(Module):
     """(N, T) token ids -> (N, T, 2) start/end span logits."""
@@ -27,7 +30,6 @@ class SpanQaModel(Module):
         self,
         vocab: int = 32,
         dim: int = 32,
-        heads: int = 4,
         n_layers: int = 2,
         max_seq: int = 32,
         *,
@@ -38,7 +40,7 @@ class SpanQaModel(Module):
         self.embed = Embedding(vocab, dim, rng=spawn_rng(rng, 0))
         self.pos = Parameter(spawn_rng(rng, 1).normal(0.0, 0.02, (max_seq, dim)))
         self.blocks = [
-            TransformerBlock(dim, heads, 4 * dim, causal=False, rng=spawn_rng(rng, 2 + i))
+            TransformerBlock(dim, _HEADS, 4 * dim, causal=False, rng=spawn_rng(rng, 2 + i))
             for i in range(n_layers)
         ]
         self.ln_f = LayerNorm(dim)

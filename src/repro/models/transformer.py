@@ -55,7 +55,6 @@ class TransformerLM(Module):
         vocab: int,
         dim: int = 32,
         heads: int = 4,
-        ffn: int | None = None,
         n_layers: int = 2,
         max_seq: int = 64,
         *,
@@ -64,11 +63,10 @@ class TransformerLM(Module):
     ):
         super().__init__()
         rng = spawn_rng(rng)
-        ffn = ffn if ffn is not None else 4 * dim
         self.embed = Embedding(vocab, dim, rng=spawn_rng(rng, 0))
         self.pos = Parameter(spawn_rng(rng, 1).normal(0.0, 0.02, (max_seq, dim)))
         self.blocks = [
-            TransformerBlock(dim, heads, ffn, causal=causal, rng=spawn_rng(rng, 2 + i))
+            TransformerBlock(dim, heads, 4 * dim, causal=causal, rng=spawn_rng(rng, 2 + i))
             for i in range(n_layers)
         ]
         self.ln_f = LayerNorm(dim)

@@ -18,10 +18,11 @@ from repro.util.seeding import spawn_rng
 __all__ = ["MultiHeadSelfAttention"]
 
 
-def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    z = x - x.max(axis=axis, keepdims=True)
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis."""
+    z = x - x.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class MultiHeadSelfAttention(Module):

@@ -115,7 +115,14 @@ def col2im(
 
 
 class Conv2d(Module, KfacLayerMixin):
-    """Stride/padding 2D convolution, weight (out_c, in_c, kh, kw)."""
+    """Padded 2D convolution, weight (out_c, in_c, kh, kw).
+
+    Every model's convolutions step one pixel and have a bias; the strided
+    geometry and the bias-less branches serve layers a test built with
+    another ``stride`` or whose ``bias`` it set to ``None``.
+    """
+
+    stride = 1
 
     def __init__(
         self,
@@ -123,9 +130,7 @@ class Conv2d(Module, KfacLayerMixin):
         out_channels: int,
         kernel_size: int,
         *,
-        stride: int = 1,
         padding: int = 0,
-        bias: bool = True,
         rng: np.random.Generator | int | None = 0,
     ):
         super().__init__()
@@ -134,11 +139,10 @@ class Conv2d(Module, KfacLayerMixin):
         fan_in = in_channels * k * k
         bound = float(np.sqrt(6.0 / fan_in))
         self.weight = Parameter(rng.uniform(-bound, bound, (out_channels, in_channels, k, k)))
-        self.bias = Parameter(np.zeros(out_channels)) if bias else None
+        self.bias: Parameter | None = Parameter(np.zeros(out_channels))
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = k
-        self.stride = stride
         self.padding = padding
         self._rows: np.ndarray | None = None
         self._cols: np.ndarray | None = None

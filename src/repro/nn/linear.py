@@ -11,21 +11,24 @@ __all__ = ["Linear"]
 
 
 class Linear(Module, KfacLayerMixin):
-    """y = x @ W.T + b, with Kaiming-uniform init."""
+    """y = x @ W.T + b, with Kaiming-uniform init.
+
+    Every model's layers have a bias; the bias-less branches serve layers
+    whose ``bias`` a test set to ``None``.
+    """
 
     def __init__(
         self,
         in_features: int,
         out_features: int,
         *,
-        bias: bool = True,
         rng: np.random.Generator | int | None = 0,
     ):
         super().__init__()
         rng = spawn_rng(rng)
         bound = float(np.sqrt(6.0 / in_features))
         self.weight = Parameter(rng.uniform(-bound, bound, (out_features, in_features)))
-        self.bias = Parameter(np.zeros(out_features)) if bias else None
+        self.bias: Parameter | None = Parameter(np.zeros(out_features))
         self.in_features = in_features
         self.out_features = out_features
         self._x: np.ndarray | None = None

@@ -45,12 +45,13 @@ def softmax_cross_entropy(
     return loss, grad.reshape(logits.shape).astype(np.float32)
 
 
-def smooth_l1_loss(pred: np.ndarray, target: np.ndarray, beta: float = 1.0) -> tuple[float, np.ndarray]:
-    """Huber / smooth-L1, the box-regression loss of detection heads."""
+def smooth_l1_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """Huber / smooth-L1 with its knee at 1, the box-regression loss of
+    detection heads."""
     diff = pred - target
     absd = np.abs(diff)
-    quad = absd < beta
-    losses = np.where(quad, 0.5 * diff**2 / beta, absd - 0.5 * beta)
+    quad = absd < 1.0
+    losses = np.where(quad, 0.5 * diff**2, absd - 0.5)
     n = diff.size
-    grad = np.where(quad, diff / beta, np.sign(diff)) / n
+    grad = np.where(quad, diff, np.sign(diff)) / n
     return float(losses.mean()), grad.astype(np.float32)

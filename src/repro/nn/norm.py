@@ -10,21 +10,25 @@ from repro.nn.module import Module, Parameter
 
 __all__ = ["LayerNorm", "BatchNorm2d"]
 
+#: Both norms' variance floor.
+_EPS = 1e-5
+#: BatchNorm2d's running-statistics update rate.
+_MOMENTUM = 0.1
+
 
 class LayerNorm(Module):
     """Normalise over the last dimension."""
 
-    def __init__(self, dim: int, eps: float = 1e-5):
+    def __init__(self, dim: int):
         super().__init__()
         self.gamma = Parameter(np.ones(dim))
         self.beta = Parameter(np.zeros(dim))
-        self.eps = eps
         self.dim = dim
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         mu = x.mean(axis=-1, keepdims=True)
         var = x.var(axis=-1, keepdims=True)
-        self._inv_std = 1.0 / np.sqrt(var + self.eps)
+        self._inv_std = 1.0 / np.sqrt(var + _EPS)
         self._xhat = (x - mu) * self._inv_std
         return self.gamma.data * self._xhat + self.beta.data
 
@@ -43,12 +47,10 @@ class LayerNorm(Module):
 class BatchNorm2d(Module):
     """Per-channel batch normalisation for (N, C, H, W) tensors."""
 
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, channels: int):
         super().__init__()
         self.gamma = Parameter(np.ones(channels))
         self.beta = Parameter(np.zeros(channels))
-        self.eps = eps
-        self.momentum = momentum
         self.running_mean = np.zeros(channels, dtype=np.float32)
         self.running_var = np.ones(channels, dtype=np.float32)
 
@@ -63,12 +65,12 @@ class BatchNorm2d(Module):
             xc = x - mu[None, :, None, None]
             var = np.square(xc).sum(axis=(0, 2, 3))
             np.true_divide(var, np.intp(m), out=var, casting="unsafe")
-            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mu
-            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
+            self.running_mean = (1 - _MOMENTUM) * self.running_mean + _MOMENTUM * mu
+            self.running_var = (1 - _MOMENTUM) * self.running_var + _MOMENTUM * var
         else:
             mu, var = self.running_mean, self.running_var
             xc = x - mu[None, :, None, None]
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + _EPS)
         self._inv_std = inv_std
         self._xhat = np.multiply(xc, inv_std[None, :, None, None], out=xc)
         y = self.gamma.data[None, :, None, None] * self._xhat

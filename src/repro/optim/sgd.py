@@ -10,19 +10,15 @@ __all__ = ["Sgd"]
 
 
 class Sgd:
-    """SGD with (optionally Nesterov-free) momentum and weight decay."""
+    """SGD with (Nesterov-free) momentum and weight decay."""
 
-    def __init__(
-        self,
-        params: list[Parameter],
-        lr: float = 0.1,
-        momentum: float = 0.9,
-        weight_decay: float = 0.0,
-    ):
+    #: Every run trains without weight decay.
+    weight_decay = 0.0
+
+    def __init__(self, params: list[Parameter], lr: float = 0.1, momentum: float = 0.9):
         self.params = list(params)
         self.lr = lr
         self.momentum = momentum
-        self.weight_decay = weight_decay
         self._velocity = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:

@@ -328,8 +328,8 @@ class StreamRuntime:
 
     def hidden_fraction(self) -> float:
         """Share of issued comm time that hid under other work — the
-        scheduler-measured value :meth:`IterationBreakdown.overlapped_total`
-        accepts as ``measured_overlap``."""
+        executed counterpart of :meth:`IterationBreakdown.overlapped_total`'s
+        assumed overlap."""
         total = self.hidden_comm_seconds() + self.exposed_comm_seconds()
         return self.hidden_comm_seconds() / total if total > 0 else 0.0
 

@@ -4,9 +4,11 @@ Everything this reproduction reports is a handful of named
 configurations of one small proxy job, and this module owns them
 (DESIGN.md decision 16): a :class:`Scenario` is one training run as
 frozen data, :data:`SCENARIOS` the registered ones, :func:`build` the
-only place outside ``FleetJob._build`` that constructs a
-``DistributedKfacTrainer``, :data:`FAULT_PLANS` the fault plans a
-scenario can name, and :data:`FLEETS` the job mixes ``repro fleet`` runs.
+``DistributedKfacTrainer`` every ``repro`` command trains (the fleet's
+jobs are built by ``FleetJob._build``; ten benches, three examples and
+perfbench's ``kfac_train`` construct their own), :data:`FAULT_PLANS` the
+fault plans a scenario can name, and :data:`FLEETS` the job mixes
+``repro fleet`` runs.
 A command-line flag is ``dataclasses.replace`` on a registered entry; a
 committed ``benchmarks/out/baselines/<baseline>.ledger`` is named by the
 entry that must reproduce it; two runs that differ in one stated thing

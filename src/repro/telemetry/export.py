@@ -171,9 +171,9 @@ def write_metrics_jsonl(registry: MetricsRegistry, path: str | Path) -> Path:
     return path
 
 
-def category_fractions(tracer: Tracer, *, track: str = SIM_TRACK) -> dict[str, float]:
-    """Share of total top-level span time per category on one track."""
-    totals = tracer.category_totals(track=track)
+def category_fractions(tracer: Tracer) -> dict[str, float]:
+    """Share of total top-level span time per category on the sim track."""
+    totals = tracer.category_totals()
     grand = sum(totals.values())
     if grand <= 0:
         return {k: 0.0 for k in totals}

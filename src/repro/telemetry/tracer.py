@@ -340,35 +340,21 @@ class Tracer:
         """Sorted stream indices with at least one span on ``track``."""
         return sorted({s.stream for s in self.spans(track=track)})
 
-    def category_totals(
-        self,
-        *,
-        track: str = SIM_TRACK,
-        rank: int | None = None,
-        depth: int = 0,
-        stream: int | None = 0,
-    ) -> dict[str, float]:
+    def category_totals(self, *, track: str = SIM_TRACK, depth: int = 0) -> dict[str, float]:
         """Total span seconds per category at one nesting depth of a track.
 
         Summing a single depth (default: top level) means nested child
-        spans never double-count their parents' time.  With ``rank=None``
-        the totals are the *mean across ranks* present on the track — the
-        same convention as ``SimCluster.breakdown()``.
+        spans never double-count their parents' time.  The totals are the
+        *mean across ranks* present on the track — the same convention as
+        ``SimCluster.breakdown()``.
 
-        ``stream`` defaults to 0 (the compute stream, i.e. the rank's
-        ``SimClock`` timeline) so sim-track totals keep reconciling
-        exactly with ``SimCluster.breakdown()`` even when comm-stream
-        spans from :mod:`repro.runtime` are present; pass ``stream=None``
-        to aggregate every lane.
+        Only stream 0 (the compute stream, i.e. the rank's ``SimClock``
+        timeline) counts, so sim-track totals keep reconciling exactly with
+        ``SimCluster.breakdown()`` even when comm-stream spans from
+        :mod:`repro.runtime` are present.
         """
-        spans = [s for s in self.spans(track=track) if s.depth == depth]
-        if stream is not None:
-            spans = [s for s in spans if s.stream == stream]
-        if rank is not None:
-            spans = [s for s in spans if s.rank == rank]
-            n_ranks = 1
-        else:
-            n_ranks = max(len({s.rank for s in spans}), 1)
+        spans = [s for s in self.spans(track=track) if s.depth == depth and s.stream == 0]
+        n_ranks = max(len({s.rank for s in spans}), 1)
         out: dict[str, float] = {}
         for s in spans:
             out[s.category] = out.get(s.category, 0.0) + s.duration / n_ranks

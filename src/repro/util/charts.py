@@ -12,13 +12,14 @@ __all__ = ["stacked_bars"]
 
 
 _FILL = "#=+-.~o*x"
+#: Characters per bar.
+_WIDTH = 60
 
 
 def stacked_bars(
     labels: Sequence[str],
     series: dict[str, Sequence[float]],
     *,
-    width: int = 60,
     title: str | None = None,
 ) -> str:
     """Stacked 100%-style bars (one row per label) from named series.
@@ -37,12 +38,12 @@ def stacked_bars(
     for row, label in enumerate(labels):
         total = sum(series[n][row] for n in names)
         if total <= 0:
-            lines.append(f"{label.ljust(label_w)} |{' ' * width}|")
+            lines.append(f"{label.ljust(label_w)} |{' ' * _WIDTH}|")
             continue
         cells: list[str] = []
         for i, n in enumerate(names):
-            seg = int(round(series[n][row] / total * width))
+            seg = int(round(series[n][row] / total * _WIDTH))
             cells.append(_FILL[i % len(_FILL)] * seg)
-        bar = "".join(cells)[:width].ljust(width)
+        bar = "".join(cells)[:_WIDTH].ljust(_WIDTH)
         lines.append(f"{label.ljust(label_w)} |{bar}|")
     return "\n".join(lines)

@@ -35,9 +35,10 @@ def spawn_rng(seed: int | np.random.Generator | None, *key: int) -> np.random.Ge
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-def rng_for_rank(seed: int, rank: int, *, stream: int = 0) -> np.random.Generator:
-    """Generator for a simulated rank; distinct per (rank, stream)."""
-    return spawn_rng(seed, rank, stream)
+def rng_for_rank(seed: int, rank: int) -> np.random.Generator:
+    """Generator for a simulated rank; distinct per rank (spawn key
+    ``(rank, 0)``)."""
+    return spawn_rng(seed, rank, 0)
 
 
 def rng_state_array(rng: np.random.Generator) -> np.ndarray:

@@ -74,6 +74,49 @@ def kfac_step(kfac):
     kfac.t += 1
 
 
+def strided_conv2d(*args, stride=2, **kwargs):
+    """A ``Conv2d`` of another stride: every model's convolutions step one
+    pixel, so only tests reach the strided geometry (DESIGN.md decision
+    27(c))."""
+    from repro import nn
+
+    return type("StridedConv2d", (nn.Conv2d,), {"stride": stride})(*args, **kwargs)
+
+
+def without_bias(layer):
+    """``layer`` (a ``Linear`` or ``Conv2d``) with its bias removed: every
+    model's layers have one, so only tests reach the bias-less branches."""
+    layer.bias = None
+    return layer
+
+
+def absolute(cls):
+    """``cls`` with absolute error bounds; every run's are relative to the
+    value range."""
+    return type(f"Absolute{cls.__name__}", (cls,), {"relative": False})
+
+
+def narrow_detection_proxy(**kwargs):
+    """``DetectionProxy`` with a 6-channel trunk, small enough for pins."""
+    from repro.models import DetectionProxy
+
+    class NarrowDetectionProxy(DetectionProxy):
+        channels = 6
+
+    return NarrowDetectionProxy(**kwargs)
+
+
+def full_payloads(cls):
+    """``cls`` (a ``SimCluster``) moving full per-rank payloads on the timing
+    track, as the convergence track does: the oracle for its representative
+    ones."""
+
+    class FullPayloads(cls):
+        representative = False
+
+    return FullPayloads
+
+
 def strided_cnn(n_classes=5, *, rng=4):
     """A residual conv stack of stride-2 3x3 and 1x1 convs: the conv
     geometries the model proxies, all stride-1 3x3, never train."""
@@ -94,10 +137,10 @@ def strided_cnn(n_classes=5, *, rng=4):
             )
         ),
         nn.ReLU(),
-        nn.Conv2d(c, 2 * c, 3, stride=2, padding=1, rng=rng + 3),
+        strided_conv2d(c, 2 * c, 3, padding=1, rng=rng + 3),
         nn.BatchNorm2d(2 * c),
         nn.ReLU(),
-        nn.Conv2d(2 * c, 2 * c, 1, stride=2, rng=rng + 4),
+        strided_conv2d(2 * c, 2 * c, 1, rng=rng + 4),
         nn.BatchNorm2d(2 * c),
         nn.ReLU(),
         nn.GlobalAvgPool2d(),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import adaptive
 from repro.core.adaptive import AdaptiveCompso, Bounds, SmoothLrSchedule, StepLrSchedule
 from repro.core.layer_aggregation import LayerAggregator
 
@@ -10,10 +11,10 @@ from repro.core.layer_aggregation import LayerAggregator
 class TestStepLrSchedule:
     def test_loose_before_drop_tight_after(self):
         s = StepLrSchedule(first_lr_drop=100)
-        assert s.bounds_at(0) == s.loose
-        assert s.bounds_at(99) == s.loose
-        assert s.bounds_at(100) == s.tight
-        assert s.bounds_at(10_000) == s.tight
+        assert s.bounds_at(0) == adaptive._LOOSE
+        assert s.bounds_at(99) == adaptive._LOOSE
+        assert s.bounds_at(100) == adaptive._TIGHT
+        assert s.bounds_at(10_000) == adaptive._TIGHT
 
     def test_default_tight_is_sr_only(self):
         s = StepLrSchedule(50)
@@ -47,7 +48,7 @@ class TestSmoothLrSchedule:
         assert s.bounds_at(400).eb_f == 0
 
     def test_min_eb_floor(self):
-        s = SmoothLrSchedule(10_000, z=100, alpha=0.1, min_eb=1e-5)
+        s = SmoothLrSchedule(10_000, z=100, alpha=0.1)
         assert s.bounds_at(9999).eb_q == 1e-5
 
     def test_validation(self):

@@ -112,6 +112,15 @@ times and the autotuner's fitted ``alpha`` / ``beta`` / predictions
 moved; losses, steps, verdicts and both autotune decisions are
 identical.  Every other ledger, configuration and document held without
 a re-pin, under ``PYTHONHASHSEED=1`` and with two BLAS threads too.
+
+Re-pinned for the defaulted parameters no run set, which became the
+constants every run passes (DESIGN.md decision 27(g)): a compressor's
+``relative`` is now a class constant, not an attribute of the instance,
+so it left ``manifest.compressor.params`` (and the ``inner`` compressor's)
+of all six ledgers and all six configurations.  Each was recorded at
+4b93212 and at the change; with exactly that key stripped from the older
+manifest, the two are equal line for line, and every step and final line
+is byte-identical (EXPERIMENTS.md "PR 35").  No result document moved.
 """
 
 import hashlib
@@ -278,12 +287,12 @@ CONFIGURATIONS = {
 
 #: Ledger digests of CONFIGURATIONS (see the module docstring for their provenance).
 PINNED = {
-    "kfac-blocking-guard-xray": "f7ff750a957a107f41d2bafe19c9a76b23a1891c91ed0edcfaecb5c909c4a6e4",
-    "kfac-reliable-faults-none": "e2e187bb17e8af3d30487afc02307c717a9fc7f0fd3989dbc412c39f6a8b7e54",
-    "kfac-reliable-faults-overlapped": "9306e0eb889267f707e8dbbd419826e01315ee3c20f93ce68b3122326b708705",
-    "kfac-guard-remediates-none": "c634d4f1475f958080a9b9a715798b8e8fc4eaeede9c656ec6e761343319282e",
-    "kfac-guard-remediates-blocking": "9ee53069bcfd0c4bc264e474fd858adbcde4337f9ff171278ad26951140eeded",
-    "kfac-guard-remediates-overlapped": "c3f698c5409919ab38254aba461732f6c6218de22a5eddd2de0463fa5d8ed69b",
+    "kfac-blocking-guard-xray": "8306540501a04201a54b486cd31a40a64f7090a2b4568f6eac2af6a2e51c6ff0",
+    "kfac-reliable-faults-none": "85357fa2b4d5ee6beed85e20f1b635b58c1ec68bea8441b8174c9cd324e0471e",
+    "kfac-reliable-faults-overlapped": "da017bd601b8eebfc514cd63c8d8ef1cfbe16dd7dd5d4ecdac3827e843c0e887",
+    "kfac-guard-remediates-none": "314f6fa339bac72efd65e29c7264a15dabf0b641a066652d90f697d3b10cde7f",
+    "kfac-guard-remediates-blocking": "9ac6a5cad59df033fbe1c32acff150fac783ef12a5d7c0080f0ccef503e50e4f",
+    "kfac-guard-remediates-overlapped": "30b2d2285d9bfae7ca3f478d66f1d6f4a22a5a70ec34a0eeb2dde97366ba104f",
 }
 
 

@@ -20,8 +20,16 @@ from repro.compression import (
     GradientCompressor,
     OkTopkCompressor,
     QsgdCompressor,
+    oktopk,
 )
-from repro.core import AdaptiveCompso, Bounds, CompsoCompressor, FactorCompressor, StepLrSchedule
+from repro.core import (
+    AdaptiveCompso,
+    Bounds,
+    CompsoCompressor,
+    FactorCompressor,
+    StepLrSchedule,
+    adaptive,
+)
 from repro.data import make_image_data
 from repro.distributed import SimCluster
 from repro.kfac_dist import DistributedKfacTrainer
@@ -221,7 +229,7 @@ def test_steering_reaches_the_compressor_behind_error_feedback():
     assert ef.set_bounds(1e-3, 2e-3) == Bounds(1e-3, 2e-3) == ef.inner.bounds
     assert ef.set_encoder("huffman") == "huffman" == ef.inner.inner.encoder_name
     assert ef.step() == ef.inner.bounds and ef.inner.iteration == 1
-    assert ef.degrade(2) == ef.inner.fallback and ef.inner.degraded
+    assert ef.degrade(2) == adaptive._FALLBACK and ef.inner.degraded
 
 
 # -- bounds -----------------------------------------------------------------------
@@ -233,7 +241,7 @@ def _bounds_at_the_parent(comp):
     if isinstance(comp, AdaptiveCompso):
         scheduled = comp.schedule.bounds_at(comp.iteration)
         if comp.iteration < comp._degraded_until:
-            return comp.fallback.eb_f, min(comp.fallback.eb_q, scheduled.eb_q)
+            return adaptive._FALLBACK.eb_f, min(adaptive._FALLBACK.eb_q, scheduled.eb_q)
         return scheduled.eb_f, scheduled.eb_q
     return float(comp.eb_f), float(comp.eb_q)
 
@@ -263,10 +271,10 @@ def test_bounds_are_the_ones_in_force():
 def test_bounds_add_no_public_instance_attribute():
     """``describe_compressor`` scrapes ``vars()`` into the pinned manifest."""
     assert sorted(k for k in vars(CompsoCompressor()) if not k.startswith("_")) == [
-        "eb_f", "eb_q", "encoder_name", "name", "relative", "rounding",
+        "eb_f", "eb_q", "encoder_name", "name", "rounding",
     ]
     assert sorted(k for k in vars(_build(AdaptiveCompso)) if not k.startswith("_")) == [
-        "fallback", "inner", "iteration", "name", "schedule",
+        "inner", "iteration", "name", "schedule",
     ]
     assert sorted(k for k in vars(_build(ErrorFeedback)) if not k.startswith("_")) == [
         "inner", "name",
@@ -295,9 +303,7 @@ def _draw(comp):
 
 
 def _oktopk(seed):
-    # A small sample and a short period, so the next frames depend on the
-    # saved threshold, call count and generator alike.
-    return OkTopkCompressor(0.05, reestimate_every=2, sample_size=1024, seed=seed)
+    return OkTopkCompressor(0.05, seed=seed)
 
 
 def _mid_schedule(comp):
@@ -338,13 +344,17 @@ _STATEFUL = {
     "cocktail": (lambda seed: CocktailSgdCompressor(seed=seed), _draw),
     "oktopk": (_oktopk, _draw),
     "qsgd": (lambda seed: QsgdCompressor(seed=seed), _draw),
-    "factor": (lambda seed: FactorCompressor(seed=seed), _draw),
+    "factor": (lambda seed: FactorCompressor(), _draw),
     "ef(qsgd)": _behind_error_feedback(lambda seed: QsgdCompressor(seed=seed), _draw),
 }
 
 
 @pytest.mark.parametrize("name", _STATEFUL)
-def test_state_round_trip_makes_the_next_frames_identical(name):
+def test_state_round_trip_makes_the_next_frames_identical(name, monkeypatch):
+    # Ok-topk: a small sample and a short period, so the next frames depend
+    # on the saved threshold, call count and generator alike.
+    monkeypatch.setattr(oktopk, "_REESTIMATE_EVERY", 2)
+    monkeypatch.setattr(oktopk, "_SAMPLE_SIZE", 1024)
     make, use = _STATEFUL[name]
     used, fresh = make(0), make(99)
     use(used)

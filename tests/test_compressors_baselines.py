@@ -8,6 +8,7 @@ from repro.compression import (
     QsgdCompressor,
     SzCompressor,
     TopKCompressor,
+    cocktail,
     topk_mask,
 )
 
@@ -127,16 +128,13 @@ class TestCocktail:
         r = CocktailSgdCompressor(0.2, 8).ratio(kfac_like_gradient)
         assert 10 < r < 30
 
-    def test_kept_values_approximately_preserved(self, rng):
+    def test_kept_values_approximately_preserved(self, rng, monkeypatch):
+        monkeypatch.setattr(cocktail, "_CANDIDATE_FACTOR", 10)
         x = rng.standard_normal(5000).astype(np.float32)
-        out = CocktailSgdCompressor(0.5, 8, candidate_factor=10).roundtrip(x)
+        out = CocktailSgdCompressor(0.5, 8).roundtrip(x)
         kept = out != 0
         err = np.abs(out[kept] - x[kept]).max()
         assert err <= np.abs(x).max() / 127 * 1.1
-
-    def test_candidate_factor_validation(self):
-        with pytest.raises(ValueError):
-            CocktailSgdCompressor(0.2, candidate_factor=0.5)
 
     def test_deterministic_given_seed(self, rng):
         x = rng.standard_normal(5000).astype(np.float32)

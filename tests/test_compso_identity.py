@@ -37,6 +37,7 @@ from repro.util.bitpack import (
 )
 from repro.util.seeding import spawn_rng
 from repro.util.triangle import mirror_upper, pack_upper, triangle_size
+from tests.conftest import absolute
 
 # -- the parent's bodies ------------------------------------------------------
 
@@ -211,6 +212,16 @@ class _HeadCompso(CompsoCompressor):
         return outputs
 
 
+def _bounds(cls, relative):
+    """``cls`` with relative error bounds, as every run's, or absolute ones."""
+    return cls if relative else absolute(cls)
+
+
+def _rounding(cls, mode):
+    """``cls`` rounding by ``mode``; every run's factors round by SR."""
+    return type(f"{mode}{cls.__name__}", (cls,), {"rounding": mode})
+
+
 class _HeadFactor(FactorCompressor):
     def compress(self, x):
         x = np.asarray(x, dtype=np.float32)
@@ -313,8 +324,8 @@ class TestBitIdentity:
         for eb_f, eb_q in itertools.product(_EB_F, _EB_Q):
             eb_q *= 1 if relative else 4
             what = f"{rounding} relative={relative} eb_f={eb_f} eb_q={eb_q}"
-            new = CompsoCompressor(eb_f, eb_q, relative=relative, rounding=rounding, seed=7)
-            old = _HeadCompso(eb_f, eb_q, relative=relative, rounding=rounding, seed=7)
+            new = _bounds(CompsoCompressor, relative)(eb_f, eb_q, rounding=rounding, seed=7)
+            old = _bounds(_HeadCompso, relative)(eb_f, eb_q, rounding=rounding, seed=7)
             for x in tensors:
                 where = f"{what} n={x.size}"
                 got, want = new.compress(x), old.compress(x)
@@ -349,8 +360,8 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("rounding", ["sr", "rn", "p05"])
     def test_factor_compressor(self, rng, rounding):
-        new = FactorCompressor(1e-3, rounding=rounding, seed=3)
-        old = _HeadFactor(1e-3, rounding=rounding, seed=3)
+        new = _rounding(FactorCompressor, rounding)(1e-3)
+        old = _rounding(_HeadFactor, rounding)(1e-3)
         for d in (1, 2, 17, 64):
             a = rng.standard_normal((4 * d, d)).astype(np.float32)
             x = a.T @ a / np.float32(4 * d)
@@ -674,7 +685,7 @@ class TestNonFinite:
     def test_compress(self, rng, value, where, n, eb_f, relative):
         x = rng.standard_normal(n).astype(np.float32)
         x[{"first": 0, "middle": n // 2, "last": n - 1}[where]] = value
-        c = CompsoCompressor(eb_f, 4e-3, relative=relative, seed=5)
+        c = _bounds(CompsoCompressor, relative)(eb_f, 4e-3, seed=5)
         with pytest.raises(ValueError, match=f"compso-ans: non-finite .* {n} elements"):
             c.compress(x)
         _next_draw_is_a_fresh_twins(c, CompsoCompressor(eb_f, 4e-3, seed=5))
@@ -696,10 +707,10 @@ class TestNonFinite:
         a = rng.standard_normal((20, 5)).astype(np.float32)
         x = a.T @ a
         x[position] = x[position[::-1]] = value
-        c = FactorCompressor(1e-3, seed=5)
+        c = FactorCompressor(1e-3)
         with pytest.raises(ValueError, match="factor-ans: non-finite .* 5 x 5 factor"):
             c.compress(x)
-        _next_draw_is_a_fresh_twins(c, FactorCompressor(1e-3, seed=5))
+        _next_draw_is_a_fresh_twins(c, FactorCompressor(1e-3))
 
     def test_the_largest_finite_values_still_compress(self):
         big = np.finfo(np.float32).max

@@ -10,23 +10,24 @@ from repro.distributed import SimCluster
 from repro.encoders import get_encoder
 from repro.gpusim import H100, A100, PIPELINES
 from repro.kfac_dist.timing import CompressionSpec
+from tests.conftest import absolute
 
 
 class TestAbsoluteModeCompressors:
     def test_compso_absolute_bounds(self, rng):
         x = (rng.standard_normal(5000) * 100).astype(np.float32)
-        c = CompsoCompressor(0.0, 0.5, relative=False)
+        c = absolute(CompsoCompressor)(0.0, 0.5)
         assert np.abs(c.roundtrip(x) - x).max() <= 0.5 * 1.0001
 
     def test_compso_absolute_filter(self, rng):
         x = rng.standard_normal(5000).astype(np.float32)
-        c = CompsoCompressor(0.5, 0.1, relative=False)
+        c = absolute(CompsoCompressor)(0.5, 0.1)
         out = c.roundtrip(x)
         assert np.all(out[np.abs(x) < 0.5] == 0)
 
     def test_sz_absolute_bound(self, rng):
         x = (rng.standard_normal(5000) * 7).astype(np.float32)
-        c = SzCompressor(0.25, relative=False)
+        c = absolute(SzCompressor)(0.25)
         assert np.abs(c.roundtrip(x) - x).max() <= 0.25 * 1.0001
 
 

@@ -22,7 +22,7 @@ from repro.encoders import ans
 from repro.encoders.ans import (
     _decode_rows,
     _decode_scalar,
-    _encode_lanes,
+    _encode_rows,
     _encode_scalar,
     _lane_cap,
     _lanes,
@@ -198,7 +198,7 @@ def _lanes_at_128_rows(symbols, predicted, n):
 
 def _encode_lanes_per_row(symbols, qfreq, lanes):
     """The row kernel as it was before the table gathers moved out of the loop
-    (8654adf): three fancy indexes and a cast per row.  Oracle for ``_encode_lanes``."""
+    (8654adf): three fancy indexes and a cast per row.  Oracle for ``_encode_rows`` on one frame."""
     n = symbols.size
     rows = -(-n // lanes)
     comp = (1 << 14) - qfreq
@@ -449,7 +449,7 @@ class TestAnsLanes:
             "constant": lambda: np.full(n, 77, dtype=np.uint8),
         }[stream]()
         qfreq = quantize_freqs(np.bincount(u8, minlength=256))
-        states, words = _encode_lanes(u8, qfreq, lanes)
+        states, words = _encode_rows([(u8, qfreq, lanes)])[0]
         assert states.dtype == np.uint32 and states.size == lanes
         assert _decode_lanes(states, words, qfreq, n) == u8.tobytes()
 
@@ -467,7 +467,7 @@ class TestAnsLanes:
             np.full(n, 9, dtype=np.uint8),
         ):
             qfreq = quantize_freqs(np.bincount(sym))
-            states, words = _encode_lanes(sym, qfreq, lanes)
+            states, words = _encode_rows([(sym, qfreq, lanes)])[0]
             oracle_states, oracle_words = _encode_lanes_per_row(sym, qfreq, lanes)
             assert states.tobytes() == oracle_states.tobytes()
             assert words.tobytes() == oracle_words.tobytes()
@@ -476,7 +476,7 @@ class TestAnsLanes:
         # Its frequency equals the scale: freq << 18 would overflow 32 bits.
         sym = np.full(200_000, 0x2A, dtype=np.uint8)
         qfreq = quantize_freqs(np.bincount(sym, minlength=256))
-        states, words = _encode_lanes(sym, qfreq, 97)
+        states, words = _encode_rows([(sym, qfreq, 97)])[0]
         assert words.size == 0 and _decode_lanes(states, words, qfreq, sym.size) == sym.tobytes()
         # As a frame it codes to a header: too little to pay for a second lane.
         enc = RansEncoder()
@@ -489,7 +489,7 @@ class TestAnsLanes:
         u8 = _gradient_bytes(rng, n, spread=3.0)
         qfreq = quantize_freqs(np.bincount(u8, minlength=256))
         s_state, s_words = _encode_scalar(u8, qfreq)
-        k_state, k_words = _encode_lanes(u8, qfreq, 1)
+        k_state, k_words = _encode_rows([(u8, qfreq, 1)])[0]
         assert s_state.tobytes() == k_state.tobytes()
         assert s_words.tobytes() == k_words.tobytes()
         assert _decode_scalar(s_state, s_words, qfreq, n) == u8.tobytes()
@@ -604,7 +604,7 @@ class TestAnsItems:
         qfreq = quantize_freqs(np.bincount(sym))
         wire = sym.astype(">u2").tobytes()
         for symbols in (sym, np.frombuffer(wire, ">u2")):  # either byte order in
-            states, words = _encode_lanes(symbols, qfreq, lanes)
+            states, words = _encode_rows([(symbols, qfreq, lanes)])[0]
             assert states.dtype == np.uint32 and states.size == lanes
             assert _decode_lanes(states, words, qfreq, n, 2) == wire
 
@@ -614,7 +614,7 @@ class TestAnsItems:
         sym = np.frombuffer(wire, ">u2")
         qfreq = quantize_freqs(np.bincount(sym))
         s_state, s_words = _encode_scalar(sym, qfreq)
-        k_state, k_words = _encode_lanes(sym, qfreq, 1)
+        k_state, k_words = _encode_rows([(sym, qfreq, 1)])[0]
         assert s_state.tobytes() == k_state.tobytes()
         assert s_words.tobytes() == k_words.tobytes()
         assert _decode_scalar(s_state, s_words, qfreq, n, 2) == wire
@@ -1020,7 +1020,8 @@ class TestAnsMany:
         encode_rows, encode_scalar = ans._encode_rows, ans._encode_scalar
 
         def spy_rows(coded):
-            rows.append(max(-(-symbols.size // lanes) for symbols, _, lanes in coded))
+            if coded:  # a call of single-lane frames only runs no kernel
+                rows.append(max(-(-symbols.size // lanes) for symbols, _, lanes in coded))
             return encode_rows(coded)
 
         def spy_scalar(symbols, qfreq):
@@ -1236,13 +1237,35 @@ class TestHuffmanInternals:
         for i in range(40):
             freq[i] = a
             a, b = b, a + b
-        assert code_lengths(freq, max_len=15).max() <= 15
+        assert code_lengths(freq).max() <= 15
 
     def test_more_frequent_symbols_get_shorter_codes(self, rng):
         freq = np.ones(256, dtype=np.int64)
         freq[0] = 10**6
         lengths = code_lengths(freq)
         assert lengths[0] == lengths[lengths > 0].min()
+
+    def test_every_flip_of_the_length_table_is_an_encode_error(self):
+        """A damaged length table used to raise ``OverflowError`` building
+        codes, or size a ``1 << length`` decode table; it is now checked
+        first.  A flip that leaves a valid table may still decode to wrong
+        bytes: that is the frame checksum's job (ROADMAP item 3)."""
+        rng = np.random.default_rng(0)
+        zeros, rest = np.zeros(700, np.uint8), np.arange(1, 201, dtype=np.uint8)
+        data = rng.permutation(np.concatenate([zeros, rest])).tobytes()
+        enc = HuffmanEncoder()
+        blob = enc.encode(data)
+        assert blob[0] == 1  # coded: the payload opens with its table
+        table = 5 + 4  # after the frame header and the payload's bit count
+        for pos in range(table, table + 256):
+            for bit in range(8):
+                damaged = bytearray(blob)
+                damaged[pos] ^= 1 << bit
+                for decode in (enc.decode, lambda b: enc.decode_many([b])):
+                    try:
+                        decode(bytes(damaged))
+                    except EncodeError:
+                        pass
 
 
 class TestEliasGamma:

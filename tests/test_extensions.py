@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.compression import ErrorFeedback, QsgdCompressor, TopKCompressor
-from repro.autotune import FidelityBudget, autotune_bounds
+from repro.autotune import FidelityBudget, autotune_bounds, offline
 from repro.core import CompsoCompressor, FactorCompressor
 from repro.data import make_image_data
 from repro.distributed import PLATFORM1, SimCluster
@@ -49,12 +49,11 @@ class TestAutotune:
         default_cr = CompsoCompressor(4e-3, 4e-3).ratio(kfac_like_gradient)
         assert res.ratio > default_cr
 
-    def test_impossible_budget_raises(self, kfac_like_gradient):
+    def test_impossible_budget_raises(self, kfac_like_gradient, monkeypatch):
+        monkeypatch.setattr(offline, "_EB_F_GRID", (1e-2,))
         with pytest.raises(ValueError):
             autotune_bounds(
-                [kfac_like_gradient],
-                budget=FidelityBudget(min_cosine=1.0, max_rel_l2=0.0),
-                eb_f_grid=(1e-2,),
+                [kfac_like_gradient], budget=FidelityBudget(min_cosine=1.0, max_rel_l2=0.0)
             )
 
     def test_empty_input_rejected(self):

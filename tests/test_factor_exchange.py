@@ -34,12 +34,18 @@ from repro.core import CompsoCompressor, FactorCompressor
 from repro.data import make_detection_data, make_image_data
 from repro.distributed import SimCluster
 from repro.kfac_dist import DistributedKfacTrainer
-from repro.models import DetectionProxy, resnet_proxy
+from repro.models import resnet_proxy
 from repro.models.catalogs import LayerShape
 from repro.optim import Kfac
 from repro.runtime import Bucketer, StreamRuntime
 from repro.train import ClassificationTask, DetectionTask
-from tests.conftest import kfac_step, strided_cnn
+from tests.conftest import (
+    kfac_step,
+    narrow_detection_proxy,
+    strided_cnn,
+    strided_conv2d,
+    without_bias,
+)
 
 
 def _triangle():
@@ -57,16 +63,16 @@ def _triangle():
 #: matrix is the GEMV operand ``Conv2d`` keeps apart.
 _STAT_CASES = {
     "conv-bias": (lambda: nn.Conv2d(3, 4, 3, padding=1, rng=1), (2, 3, 6, 6)),
-    "conv-nobias": (lambda: nn.Conv2d(3, 4, 3, padding=1, bias=False, rng=1), (2, 3, 6, 6)),
-    "conv-stride2": (lambda: nn.Conv2d(3, 5, 3, stride=2, padding=1, rng=2), (3, 3, 7, 5)),
+    "conv-nobias": (lambda: without_bias(nn.Conv2d(3, 4, 3, padding=1, rng=1)), (2, 3, 6, 6)),
+    "conv-stride2": (lambda: strided_conv2d(3, 5, 3, padding=1, rng=2), (3, 3, 7, 5)),
     "conv-batch1": (lambda: nn.Conv2d(3, 4, 3, padding=1, rng=1), (1, 3, 5, 5)),
     "conv-one-out-channel": (lambda: nn.Conv2d(3, 1, 3, padding=1, rng=1), (2, 3, 5, 5)),
-    "conv-one-column-patch": (lambda: nn.Conv2d(1, 4, 1, bias=False, rng=1), (2, 1, 4, 4)),
+    "conv-one-column-patch": (lambda: without_bias(nn.Conv2d(1, 4, 1, rng=1)), (2, 1, 4, 4)),
     "conv-kfac-train-shape": (lambda: nn.Conv2d(32, 32, 3, padding=1, rng=1), (16, 32, 8, 8)),
     "linear-bias": (lambda: nn.Linear(7, 5, rng=1), (6, 7)),
-    "linear-nobias": (lambda: nn.Linear(7, 5, bias=False, rng=1), (6, 7)),
+    "linear-nobias": (lambda: without_bias(nn.Linear(7, 5, rng=1)), (6, 7)),
     "linear-seq": (lambda: nn.Linear(7, 5, rng=1), (3, 4, 7)),
-    "linear-seq-nobias": (lambda: nn.Linear(7, 5, bias=False, rng=1), (3, 4, 7)),
+    "linear-seq-nobias": (lambda: without_bias(nn.Linear(7, 5, rng=1)), (3, 4, 7)),
     "linear-batch1": (lambda: nn.Linear(7, 5, rng=1), (1, 7)),
     "linear-one-out": (lambda: nn.Linear(7, 1, rng=1), (6, 7)),
 }
@@ -171,7 +177,7 @@ def test_factor_compressor_frame_is_the_parents(rng):
     decoded matrix: both digests were printed by this test at c3bf950."""
     a = rng.standard_normal((40, 17)).astype(np.float32)
     factor = a.T @ a / 40
-    fc = FactorCompressor(1e-3, seed=0)
+    fc = FactorCompressor(1e-3)
     ct = fc.compress(factor)
     frame = hashlib.sha256(bytes(ct.segments["codes"]))
     frame.update(repr(sorted(ct.meta.items())).encode())
@@ -337,7 +343,7 @@ def test_factor_compressor_still_sets_the_wire_bytes():
         ClassificationTask(data),
         SimCluster(1, 2, seed=0),
         lr=0.05,
-        factor_compressor=FactorCompressor(1e-3, seed=0),
+        factor_compressor=FactorCompressor(1e-3),
     )
     tri = _triangle()
     dense = sum(
@@ -372,7 +378,7 @@ def _losses(name):
     """The runs of ``test_nn_layers.test_training_digest_is_pinned``."""
     if name == "detection_proxy":
         task = DetectionTask(make_detection_data(96, n_classes=4, n_boxes=2, size=8, seed=2))
-        model = DetectionProxy(n_classes=4, n_boxes=2, channels=6, rng=5)
+        model = narrow_detection_proxy(n_classes=4, n_boxes=2, rng=5)
     else:
         task = ClassificationTask(make_image_data(96, n_classes=5, size=8, noise=0.5, seed=1))
         model = (

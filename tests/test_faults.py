@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.core import AdaptiveCompso, Bounds, CompsoCompressor, StepLrSchedule
+from repro.core import AdaptiveCompso, CompsoCompressor, StepLrSchedule, adaptive
 from repro.data import make_image_data
 from repro.distributed import SimCluster
 from repro.distributed.collectives import broadcast_time, reduce_scatter_time
@@ -21,6 +21,7 @@ from repro.faults import (
     seal,
     verify,
 )
+from repro.faults.plan import Jitter
 from repro.kfac_dist import DistributedKfacTrainer
 from repro.models import resnet_proxy
 from repro.train import ClassificationTask
@@ -308,7 +309,7 @@ class TestCorruptionRecovery:
 
 class TestGracefulDegradation:
     def test_degrade_tightens_bounds_then_lapses(self):
-        ac = AdaptiveCompso(StepLrSchedule(10), fallback=Bounds(0.0, 1e-4))
+        ac = AdaptiveCompso(StepLrSchedule(10))
         assert ac.bounds.eb_f > 0  # loose phase
         ac.degrade(iterations=2)
         assert ac.degraded
@@ -352,7 +353,7 @@ class TestGracefulDegradation:
         assert guard.verdict_counts == {"ef_residual": 2}
         assert [a.action for a in guard.timeline] == ["reset_ef", "tighten_bounds"]
         assert ef.inner.degraded and ef.inner.inner.bounds.eb_f == 0
-        assert guard.timeline[-1].detail["eb_q"] == ef.inner.fallback.eb_q
+        assert guard.timeline[-1].detail["eb_q"] == adaptive._FALLBACK.eb_q
 
 
 class TestDeterminism:
@@ -363,11 +364,11 @@ class TestDeterminism:
             plan = (
                 FaultPlan(seed=11)
                 .add_straggler(1, start=1, stop=4, slowdown=2.0)
-                .add_jitter(5e-5, start=0, stop=5)
                 .add_corruption(0.3, start=1, stop=5, n_bits=2)
                 .add_drop(2, iteration=3)
                 .add_failure(3, iteration=4)
             )
+            plan.jitters.append(Jitter(5e-5, start=0, stop=5))
             tr = _tiny_trainer(plan, seed=2)
             tr.train(iterations=6, batch_size=32)
             params = np.concatenate([p.data.ravel() for p in tr.model.parameters()])

@@ -37,6 +37,7 @@ from repro.optim import Sgd
 from repro.runtime import ComputeModel, StreamRuntime
 from repro.scenarios import FLEETS
 from repro.train import ClassificationTask, DistributedSgdTrainer
+from tests.conftest import full_payloads
 
 ITERS = 3
 FLOPS = 5e7
@@ -50,9 +51,9 @@ def _params(model):
     return np.concatenate([p.data.ravel() for p in model.parameters()])
 
 
-def _run(kind, ranks, *, track="timing", payloads=None, overlap=False, use_rt=False):
-    cluster = SimCluster.from_world_size(
-        ranks, min(ranks, 4), seed=0, network=SLINGSHOT10, track=track, payloads=payloads
+def _run(kind, ranks, *, track="timing", full=False, overlap=False, use_rt=False):
+    cluster = (full_payloads(SimCluster) if full else SimCluster).from_world_size(
+        ranks, min(ranks, 4), seed=0, network=SLINGSHOT10, track=track
     )
     model = resnet_proxy(n_classes=5, channels=8, rng=3)
     rt = (
@@ -81,15 +82,15 @@ class TestRepresentativeEquivalence:
     @pytest.mark.parametrize("ranks", [4, 8, 16])
     @pytest.mark.parametrize("kind", ["sgd", "kfac"])
     def test_blocking_bit_identical(self, kind, ranks):
-        p_rep, c_rep = _run(kind, ranks, payloads="representative")
-        p_full, c_full = _run(kind, ranks, payloads="full")
+        p_rep, c_rep = _run(kind, ranks)
+        p_full, c_full = _run(kind, ranks, full=True)
         assert np.array_equal(p_rep, p_full)
         assert c_rep.time == c_full.time
 
     @pytest.mark.parametrize("kind", ["kfac"])
     def test_overlapped_bit_identical(self, kind):
-        p_rep, c_rep = _run(kind, 8, payloads="representative", use_rt=True, overlap=True)
-        p_full, c_full = _run(kind, 8, payloads="full", use_rt=True, overlap=True)
+        p_rep, c_rep = _run(kind, 8, use_rt=True, overlap=True)
+        p_full, c_full = _run(kind, 8, full=True, use_rt=True, overlap=True)
         assert np.array_equal(p_rep, p_full)
         assert c_rep.time == c_full.time
 
@@ -184,10 +185,6 @@ class TestValidation:
     def test_rejects_unknown_track(self):
         with pytest.raises(ValueError, match="track"):
             SimCluster(1, 4, track="sideways")
-
-    def test_rejects_representative_on_convergence(self):
-        with pytest.raises(ValueError, match="representative"):
-            SimCluster(1, 4, payloads="representative")
 
     def test_timing_rejects_data_plane_faults(self):
         plan = FaultPlan(corruptions=[PayloadCorruption(probability=0.5)])

@@ -25,6 +25,7 @@ from repro.guard import (
     factor_health,
     scan_tensor,
 )
+from repro.guard import policy
 from repro.guard.health import _WINDOW
 from repro.guard.policy import GuardContext
 from repro.guard.sentinels import safe_eigen
@@ -263,9 +264,10 @@ class _StubTrainer:
 
 
 class TestPolicyEngine:
-    def test_escalates_down_the_rule_list(self):
+    def test_escalates_down_the_rule_list(self, monkeypatch):
         """Recurring verdicts escalate: tighten, then trip the breaker."""
-        engine = PolicyEngine(CircuitBreaker(), action_cooldown=5)
+        monkeypatch.setattr(policy, "_ACTION_COOLDOWN", 5)
+        engine = PolicyEngine(CircuitBreaker())
         comp = AdaptiveCompso(StepLrSchedule(4), seed=0)
         ctx = GuardContext(compressor=comp)
         first = engine.handle("contract_violation", {}, ctx, 10)
@@ -296,11 +298,10 @@ class TestPolicyEngine:
         action = engine.handle("loss_nan", {}, ctx, 7)
         assert action.action == "trip_breaker"  # nothing to roll back to: next remediation
 
-    def test_damping_escalation_is_capped(self):
-        engine = PolicyEngine(
-            CircuitBreaker(), damping_factor=10.0, damping_cap_factor=100.0,
-            action_cooldown=1,
-        )
+    def test_damping_escalation_is_capped(self, monkeypatch):
+        monkeypatch.setattr(policy, "_DAMPING_CAP_FACTOR", 100.0)
+        monkeypatch.setattr(policy, "_ACTION_COOLDOWN", 1)
+        engine = PolicyEngine(CircuitBreaker())
         kfac = type("K", (), {"damping": 1e-2})()
         ctx = GuardContext(kfac=kfac)
         for it in range(5):

@@ -206,13 +206,6 @@ class TestTimingModel:
             s = m.comm_speedup(spec)
             assert 6.0 < s < 22.0, (name, s)
 
-    def test_overhead_reduces_speedup(self):
-        m = KfacIterationModel(
-            resnet50_catalog(), PLATFORM1, 16, profile=MODEL_TIMING_PROFILES["resnet50"]
-        )
-        spec = CompressionSpec.compso(22.0)
-        assert m.comm_speedup(spec, include_overhead=True) < m.comm_speedup(spec)
-
     def test_pytorch_pipeline_worse_end_to_end(self):
         """GPU optimisation matters: a slow compressor erodes the gain."""
         m = KfacIterationModel(

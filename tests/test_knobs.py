@@ -3,19 +3,32 @@ parameter exists because a run sets it, and a definition because a run
 reaches it.
 
 Each default is declared once, in the class that uses it (DESIGN.md decisions
-26 and 27).  A field of a run-assembly config, or a parameter of a
-run-assembly constructor, that no run sets only re-declares that default —
-and the ledger manifest would record it as if a run had chosen it.  This lint
-parses every call site (``src/``, ``benchmarks/``, ``examples/``,
-``perfbench/`` and the Python blocks of ``ci.yml``; tests are not callers) and
-fails on any knob none of them sets.  Three forms set a knob besides a plain
-call:
+26 and 27).  A field of a run-assembly config, or a defaulted parameter of
+any function or method under ``src/repro/``, that no run sets only
+re-declares that default — and the ledger manifest would record it as if a
+run had chosen it.  This lint parses every call site (``src/``,
+``benchmarks/``, ``examples/``, ``perfbench/`` and the Python blocks of
+``ci.yml``; tests are not callers) and fails on any knob none of them sets,
+naming it as ``file:line owner(knob=)``.  Three forms set a knob besides a
+plain call, by keyword or position:
 
 * a ``**`` expansion sets the keys of a dict literal and nothing else;
 * ``dataclasses.replace(x, k=...)`` sets ``k`` on a dataclass of
   :data:`KNOBS` only in a file that imports or defines that class;
 * a ``repro`` subcommand's ``--flag`` (declared in ``build_parser``) sets the
   knob of the same name on the classes its ``cmd_*`` function constructs.
+
+Three rules (DESIGN.md decision 27(g)), each with a self-test below:
+
+* keywords given to a function that forwards its ``**kwargs`` count for the
+  function it forwards them to; ``cls(...)`` in a classmethod calls its
+  class, and ``super().__init__(...)`` the bases of the class it is in;
+* a name a call site uses as a value, not as a call's callee, exempts every
+  signature of that name: the lint cannot see how a value is called, so it
+  under-reports there;
+* a perfbench trace target that no call site calls, and the entry point a
+  ``__main__`` module calls (its arguments are the command line), are
+  signatures no run owns.
 
 The definitions lint (DESIGN.md decision 27(f)) walks the same call sites
 and fails on any function, class or method under ``src/repro/`` whose name
@@ -38,57 +51,77 @@ import re
 import sys
 import textwrap
 from collections import defaultdict
+from dataclasses import dataclass
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parent.parent
 _CALL_SITE_DIRS = ("src", "benchmarks", "examples", "perfbench")
 _CI = _ROOT / ".github" / "workflows" / "ci.yml"
 
-#: (defining module, class, method).  ``None`` as the method means the class
-#: is a dataclass whose fields are the knobs; a method's knobs are its
-#: parameters, and ``__init__``'s are set by calling the class.  ``None`` as
-#: the class means the method is a module-level function.
-KNOBS: tuple[tuple[str, str | None, str | None], ...] = (
-    ("src/repro/guard/guard.py", "GuardConfig", None),
-    ("src/repro/guard/policy.py", "CircuitBreaker", "__init__"),
-    ("src/repro/guard/health.py", "DivergenceDetector", "__init__"),
-    ("src/repro/autotune/controller.py", "AutotuneConfig", None),
-    ("src/repro/autotune/policy.py", "HysteresisPolicy", None),
-    ("src/repro/obsv/ledger.py", "LedgerConfig", None),
-    ("src/repro/fleet/job.py", "JobSpec", None),
-    ("src/repro/kfac_dist/trainer.py", "DistributedKfacTrainer", "__init__"),
-    ("src/repro/train/trainer.py", "DistributedSgdTrainer", "__init__"),
-    ("src/repro/fleet/scheduler.py", "FleetScheduler", "__init__"),
-    ("src/repro/store/store.py", "CheckpointStore", "__init__"),
-    ("src/repro/store/store.py", "CheckpointStore", "save"),
-    ("src/repro/store/store.py", "CheckpointStore", "load_latest"),
-    ("src/repro/runtime/engine.py", "StreamRuntime", "__init__"),
-    ("src/repro/runtime/compute.py", "ComputeModel", None),
-    ("src/repro/faults/recovery.py", "ReliableChannel", "__init__"),
-    ("src/repro/optim/kfac.py", "Kfac", "__init__"),
-    ("src/repro/kfac_dist/timing.py", "KfacIterationModel", "breakdown"),
-    ("src/repro/kfac_dist/timing.py", "KfacIterationModel", "record_trace"),
-    ("src/repro/kfac_dist/timing.py", "KfacIterationModel", "end_to_end_speedup"),
-    ("src/repro/kfac_dist/timing.py", "KfacIterationModel", "factor_allreduce_time"),
-    ("src/repro/util/checkpoint.py", None, "load_checkpoint"),
+#: (defining module, dataclass): run-assembly configs whose fields are knobs.
+#: Every defaulted parameter of a function or method under ``src/repro/`` is
+#: a knob too; :func:`signatures` finds those.
+KNOBS: tuple[tuple[str, str], ...] = (
+    ("src/repro/guard/guard.py", "GuardConfig"),
+    ("src/repro/autotune/controller.py", "AutotuneConfig"),
+    ("src/repro/autotune/policy.py", "HysteresisPolicy"),
+    ("src/repro/obsv/ledger.py", "LedgerConfig"),
+    ("src/repro/fleet/job.py", "JobSpec"),
+    ("src/repro/runtime/compute.py", "ComputeModel"),
 )
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-def knobs_of(tree: ast.Module, cls: str | None, method: str | None) -> list[str]:
-    """The settable names of ``cls`` (fields), of ``cls.method`` or of the
-    module-level function ``method`` (parameters)."""
-    if cls is None:
-        fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == method)
-        return [a.arg for a in fn.args.args + fn.args.kwonlyargs]
+
+def fields_of(tree: ast.Module, cls: str) -> list[str]:
+    """The field names of the dataclass ``cls`` defined in ``tree``."""
     node = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls)
-    if method is None:
-        return [
-            s.target.id
-            for s in node.body
-            if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
-        ]
-    fn = next(n for n in node.body if isinstance(n, ast.FunctionDef) and n.name == method)
-    return [a.arg for a in fn.args.args[1:] + fn.args.kwonlyargs]
+    return [
+        s.target.id
+        for s in node.body
+        if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+    ]
+
+
+@dataclass(frozen=True)
+class Signature:
+    """A function or method with defaulted parameters, as calls see it."""
+
+    where: str
+    line: int
+    owner: str  # ``f``, ``Class`` (its ``__init__``) or ``Class.method``
+    callee: str  # the name a call uses: the class for ``__init__``
+    positional: tuple[str, ...]  # parameters a positional argument fills, in order
+    defaulted: tuple[str, ...]
+
+
+def _decorated(fn: ast.AST, name: str) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == name for d in fn.decorator_list)
+
+
+def _signature(fn: ast.FunctionDef, where: str, cls: str | None) -> Signature:
+    args = fn.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    defaulted = positional[len(positional) - len(args.defaults):] + [
+        a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+    ]
+    if cls is not None and not _decorated(fn, "staticmethod"):
+        positional = positional[1:]
+    callee = cls if cls is not None and fn.name == "__init__" else fn.name
+    owner = fn.name if cls is None else callee if callee == cls else f"{cls}.{fn.name}"
+    return Signature(where, fn.lineno, owner, callee, tuple(positional), tuple(defaulted))
+
+
+def signatures(tree: ast.Module, where: str) -> list[Signature]:
+    """Every module-level function and method in ``tree`` with a defaulted
+    parameter, in line order."""
+    found = [_signature(n, where, None) for n in tree.body if isinstance(n, _FUNCTIONS)]
+    found += [
+        _signature(fn, where, node.name)
+        for node in tree.body if isinstance(node, ast.ClassDef)
+        for fn in node.body if isinstance(fn, _FUNCTIONS)
+    ]
+    return sorted((s for s in found if s.defaulted), key=lambda s: s.line)
 
 
 def _dict_keys(node: ast.expr) -> list[str]:
@@ -100,15 +133,52 @@ def _dict_keys(node: ast.expr) -> list[str]:
     return []
 
 
+def _base_names(cls: ast.ClassDef) -> list[str]:
+    return [b.id if isinstance(b, ast.Name) else b.attr
+            for b in cls.bases if isinstance(b, (ast.Name, ast.Attribute))]
+
+
+def _callees(func: ast.expr, cls: ast.ClassDef | None, alias: str | None) -> list[str]:
+    """The names a call of ``func`` calls.  ``alias`` is a classmethod's
+    first parameter, which names ``cls``; ``super().__init__`` calls the
+    bases of ``cls``."""
+    if isinstance(func, ast.Name):
+        return [cls.name if func.id == alias else func.id]
+    if not isinstance(func, ast.Attribute):
+        return []
+    if func.attr == "__init__" and cls is not None and isinstance(func.value, ast.Call) \
+            and isinstance(func.value.func, ast.Name) and func.value.func.id == "super":
+        return _base_names(cls)
+    return [func.attr]
+
+
+def calls_in(tree: ast.AST) -> list[tuple[str, ast.Call, ast.AST | None]]:
+    """``(callee, call, innermost function around it)`` for every call in
+    ``tree``."""
+    out: list[tuple[str, ast.Call, ast.AST | None]] = []
+
+    def visit(node, cls, fn, alias):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child, fn, None)
+            elif isinstance(child, _FUNCTIONS):
+                first = child.args.args[0].arg if child.args.args else None
+                method_alias = first if _decorated(child, "classmethod") else None
+                visit(child, cls, child, method_alias if node is cls else alias)
+            else:
+                if isinstance(child, ast.Call):
+                    out.extend((name, child, fn) for name in _callees(child.func, cls, alias))
+                visit(child, cls, fn, alias)
+
+    visit(tree, tree if isinstance(tree, ast.ClassDef) else None, None, None)
+    return out
+
+
 def calls_by_callee(tree: ast.AST) -> dict[str, list[ast.Call]]:
     """Every call in ``tree``, grouped by the name it calls."""
     out: dict[str, list[ast.Call]] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            if isinstance(node.func, ast.Name):
-                out.setdefault(node.func.id, []).append(node)
-            elif isinstance(node.func, ast.Attribute):
-                out.setdefault(node.func.attr, []).append(node)
+    for callee, node, _ in calls_in(tree):
+        out.setdefault(callee, []).append(node)
     return out
 
 
@@ -125,6 +195,79 @@ def set_names(calls: list[ast.Call], positional: list[str]) -> set[str]:
         for kw in node.keywords:
             found.update([kw.arg] if kw.arg is not None else _dict_keys(kw.value))
     return found
+
+
+def forwarded(sources: dict[str, ast.Module]) -> dict[str, set[str]]:
+    """Callee → keyword names calls give it through a function that forwards
+    its ``**kwargs`` to it: the keywords of each call of that function that
+    are not its own parameters, transitively."""
+    forwards: list[tuple[str, set[str], str]] = []  # (forwarder, its own params, target)
+    calls: dict[str, list[ast.Call]] = defaultdict(list)
+    for tree in sources.values():
+        for callee, node, fn in calls_in(tree):
+            calls[callee].append(node)
+            kwarg = fn.args.kwarg if fn is not None else None
+            if kwarg is not None and any(
+                kw.arg is None and isinstance(kw.value, ast.Name) and kw.value.id == kwarg.arg
+                for kw in node.keywords
+            ):
+                args = fn.args
+                own = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                forwards.append((fn.name, own, callee))
+    out: dict[str, set[str]] = defaultdict(set)
+    grown = True
+    while grown:
+        grown = False
+        for name, own, target in forwards:
+            given = (set_names(calls.get(name, []), []) | out[name]) - own
+            if not given <= out[target]:
+                out[target] |= given
+                grown = True
+    return out
+
+
+def value_names(tree: ast.AST) -> set[str]:
+    """Names ``tree`` uses as a value rather than as a call's callee: the
+    lint cannot see how a value is called.  The object of an attribute, an
+    annotation and a base class are not values."""
+    skip: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            skip.add(id(node.func))
+        elif isinstance(node, ast.Attribute):
+            skip.add(id(node.value))
+        elif isinstance(node, ast.ClassDef):
+            skip.update(id(n) for b in node.bases for n in ast.walk(b))
+        for hint in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if hint is not None:
+                skip.update(id(n) for n in ast.walk(hint))
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        and id(node) not in skip
+    }
+
+
+def _module_file(module: str) -> str:
+    return "src/" + module.replace(".", "/") + ".py"
+
+
+def entry_points(sources: dict[str, ast.Module]) -> set[tuple[str, str]]:
+    """``(file, function)`` a ``__main__`` module under ``src/repro/`` imports
+    and calls: the program's entry point, whose arguments are the command
+    line."""
+    out: set[tuple[str, str]] = set()
+    for where, tree in sources.items():
+        if not (where.startswith("src/repro/") and where.endswith("__main__.py")):
+            continue
+        called = calls_by_callee(tree)
+        out.update(
+            (_module_file(node.module), alias.name)
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module
+            for alias in node.names if alias.name in called
+        )
+    return out
 
 
 def replaced_names(tree: ast.AST, fields: list[str]) -> set[str]:
@@ -180,10 +323,6 @@ def flag_setters(tree: ast.Module) -> dict[str, set[str]]:
     return out
 
 
-def _callee(cls: str | None, method: str | None) -> str:
-    return cls if method in (None, "__init__") else method
-
-
 @functools.cache
 def _sources() -> dict[str, ast.Module]:
     """Every call site, parsed."""
@@ -198,31 +337,71 @@ def _sources() -> dict[str, ast.Module]:
     return {where: ast.parse(text) for where, text in texts.items()}
 
 
-def setters(sources: dict[str, ast.Module]) -> dict[tuple[str, str], list[str]]:
-    """``(owner, knob)`` → the files that set it, for every knob in :data:`KNOBS`."""
-    calls = {where: calls_by_callee(tree) for where, tree in sources.items()}
-    flags = {where: flag_setters(tree) for where, tree in sources.items()}
-    out: dict[tuple[str, str], list[str]] = {}
-    for module, cls, method in KNOBS:
-        names = knobs_of(sources[module], cls, method)
-        callee = _callee(cls, method)
-        owner = cls if callee == cls else method if cls is None else f"{cls}.{method}"
-        for name in names:
-            out[(owner, name)] = []
-        for where, by_callee in calls.items():
-            found = set_names(by_callee.get(callee, []), names)
-            found |= flags[where].get(callee, set())
-            if method is None and "replace" in by_callee and names_class(sources[where], cls):
-                found |= replaced_names(sources[where], names)
-            for name in sorted(found & set(names)):
-                out[(owner, name)].append(where)
+def _target_path(target: str) -> tuple[str, str]:
+    """``module:Class.attr`` → ``(file, Class.attr)``."""
+    module, qualname = target.split(":")
+    return _module_file(module), qualname
+
+
+def unset_fields(sources: dict[str, ast.Module]) -> list[str]:
+    """``file:line Class(field=)`` for every field of a :data:`KNOBS`
+    dataclass that no call site sets."""
+    out: list[str] = []
+    for module, cls in KNOBS:
+        names = fields_of(sources[module], cls)
+        found: set[str] = set()
+        for where, tree in sources.items():
+            by_callee = calls_by_callee(tree)
+            found |= set_names(by_callee.get(cls, []), names) | flag_setters(tree).get(cls, set())
+            if "replace" in by_callee and names_class(tree, cls):
+                found |= replaced_names(tree, names)
+        line = next(n.lineno for n in sources[module].body
+                    if isinstance(n, ast.ClassDef) and n.name == cls)
+        out += [f"{module}:{line} {cls}({name}=)" for name in names if name not in found]
     return out
 
 
+def unset_parameters(sources: dict[str, ast.Module], targets: tuple[str, ...] = ()) -> list[str]:
+    """``file:line owner(param=)`` for every defaulted parameter under
+    ``src/repro/`` that no call site sets.
+
+    Three kinds of signature are exempt: one whose name a call site uses as
+    a value, a trace target (of ``targets``) that no call site calls, and an
+    entry point.
+    """
+    by_file = {where: calls_by_callee(tree) for where, tree in sources.items()}
+    flags = {where: flag_setters(tree) for where, tree in sources.items()}
+    through = forwarded(sources)
+    values = set().union(*map(value_names, sources.values()))
+    called = set().union(*by_file.values())
+    exempt = entry_points(sources) | {
+        path for path in map(_target_path, targets) if path[1].split(".")[-1] not in called
+    }
+    out: list[str] = []
+    for where, tree in sources.items():
+        if not where.startswith("src/repro/"):
+            continue
+        for sig in signatures(tree, where):
+            if sig.callee in values or (where, sig.owner) in exempt:
+                continue
+            found = set(through.get(sig.callee, ()))
+            for other, by_callee in by_file.items():
+                found |= set_names(by_callee.get(sig.callee, []), list(sig.positional))
+                found |= flags[other].get(sig.callee, set())
+            out += [f"{where}:{sig.line} {sig.owner}({name}=)"
+                    for name in sig.defaulted if name not in found]
+    return out
+
+
+def _trace_targets() -> tuple[str, ...]:
+    if str(_ROOT) not in sys.path:
+        sys.path.insert(0, str(_ROOT))
+    return tuple(target for target, _, _ in importlib.import_module("perfbench.layers")._TARGETS)
+
+
 def test_every_knob_is_set_by_a_call_site():
-    unset = sorted(f"{owner}({knob}=)" for (owner, knob), where in setters(_sources()).items()
-                   if not where)
-    assert unset == [], "knobs no call site sets; delete them: " + ", ".join(unset)
+    missing = unset_fields(_sources()) + unset_parameters(_sources(), _trace_targets())
+    assert missing == [], "knobs no call site sets; delete them:\n" + "\n".join(missing)
 
 
 _DEFINES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -302,12 +481,6 @@ def unreached(sources: dict[str, ast.Module], targets: tuple[str, ...] = ()) -> 
                   if i in dead and parent not in dead)
 
 
-def _trace_targets() -> tuple[str, ...]:
-    if str(_ROOT) not in sys.path:
-        sys.path.insert(0, str(_ROOT))
-    return tuple(target for target, _, _ in importlib.import_module("perfbench.layers")._TARGETS)
-
-
 def test_every_definition_is_reached_by_a_call_site():
     dead = unreached(_sources(), _trace_targets())
     assert dead == [], "definitions no run reaches; delete them: " + ", ".join(dead)
@@ -324,6 +497,11 @@ def test_the_knob_lint_sees_what_it_looks_for():
         "class Engine:\n"
         "    def __init__(self, x, *, y=1, z=2):\n"
         "        pass\n"
+        "    @staticmethod\n"
+        "    def pack(data, width=8):\n"  # no self to skip
+        "        pass\n"
+        "    def run(self):\n"  # nothing defaulted: not a signature
+        "        pass\n"
         "def load(path, model=None, *, strict=None):\n"
         "    pass\n"
     )
@@ -336,14 +514,105 @@ def test_the_knob_lint_sees_what_it_looks_for():
         "Other(e=1)\n"  # another callee
         "Engine(cluster, *rest, y=0)\n"
         "load(p, m)\n"  # a module-level function: no self to skip
+        "Engine.pack(b, 4)\n"
     )
-    assert knobs_of(defining, "Config", None) == ["a", "b", "c", "d", "e"]
-    assert knobs_of(defining, "Engine", "__init__") == ["x", "y", "z"]
-    assert knobs_of(defining, None, "load") == ["path", "model", "strict"]
+    assert fields_of(defining, "Config") == ["a", "b", "c", "d", "e"]
+    sigs = {s.owner: s for s in signatures(defining, "src/repro/m.py")}
+    assert sorted(sigs) == ["Engine", "Engine.pack", "load"]
+    assert (sigs["Engine"].callee, sigs["Engine"].positional, sigs["Engine"].defaulted) == (
+        "Engine", ("x",), ("y", "z"))
+    assert (sigs["load"].positional, sigs["load"].defaulted) == (
+        ("path", "model"), ("model", "strict"))
     by_callee = calls_by_callee(calls)
     assert set_names(by_callee["Config"], ["a", "b", "c", "d", "e"]) == {"a", "b", "c", "d"}
-    assert set_names(by_callee["Engine"], ["x", "y", "z"]) == {"x", "y"}
-    assert set_names(by_callee["load"], ["path", "model", "strict"]) == {"path", "model"}
+    assert set_names(by_callee["Engine"], ["x"]) == {"x", "y"}
+    assert set_names(by_callee["load"], ["path", "model"]) == {"path", "model"}
+    assert set_names(by_callee["pack"], ["data", "width"]) == {"data", "width"}
+    sources = {"src/repro/m.py": defining, "examples/run.py": calls}
+    assert unset_parameters(sources) == [
+        "src/repro/m.py:8 Engine(z=)", "src/repro/m.py:15 load(strict=)"]
+
+
+def _unset_in(module: str, calls: str, targets: tuple[str, ...] = ()) -> list[str]:
+    """``owner(param=)`` hits of a one-module package and one caller."""
+    sources = {"src/repro/pkg/mod.py": ast.parse(module), "examples/run.py": ast.parse(calls)}
+    return sorted(hit.split(" ", 1)[1] for hit in unset_parameters(sources, targets))
+
+
+def test_a_name_used_as_a_value_exempts_every_signature_of_that_name():
+    module = (
+        "def nearest(v, rng=None):\n"
+        "    pass\n"
+        "def stochastic(v, rng=None):\n"
+        "    pass\n"
+        "MODES = {'rn': nearest}\n"
+        "class Engine:\n"
+        "    def on_step(self, step, verbose=False):\n"
+        "        pass\n"
+        "    def run(self, hook=None):\n"
+        "        pass\n"
+    )
+    calls = (
+        "MODES['rn'](v)\n"  # a call the lint cannot see: nearest is a value
+        "stochastic(v)\n"
+        "engine = Engine()\n"
+        "engine.run(hook=engine.on_step)\n"  # a bound method as a callback
+        "def hinted(e: Engine) -> Engine:\n"  # an annotation is no value
+        "    return e\n"
+    )
+    assert _unset_in(module, calls) == ["stochastic(rng=)"]
+    assert value_names(ast.parse(calls)) >= {"MODES", "on_step"}
+    assert "Engine" not in value_names(ast.parse("Engine.build(x)\nclass C(Engine):\n    pass\n"))
+
+
+def test_keywords_reach_the_function_a_kwargs_forwarder_calls():
+    module = (
+        "class Base:\n"
+        "    def __init__(self, n, *, seed=0, name=''):\n"
+        "        pass\n"
+        "class Cluster(Base):\n"
+        "    def __init__(self, n, *, track='a', mode=None):\n"
+        "        super().__init__(n, seed=1)\n"  # a call of the bases
+        "    @classmethod\n"
+        "    def from_world(cls, world, **kwargs):\n"
+        "        return cls(world, **kwargs)\n"  # a call of the class
+    )
+    calls = "Cluster.from_world(8, track='b')\n"
+    assert _unset_in(module, calls) == ["Base(name=)", "Cluster(mode=)"]
+    assert forwarded({"m": ast.parse(module), "c": ast.parse(calls)})["Cluster"] == {"track"}
+
+
+def test_a_trace_target_no_call_site_calls_is_exempt():
+    module = (
+        "class Cluster:\n"
+        "    def allreduce(self, x, *, average=False):\n"
+        "        pass\n"
+        "    def broadcast(self, x, *, root=0):\n"
+        "        pass\n"
+        "    def allgather(self, x, *, nbytes=None):\n"
+        "        pass\n"
+    )
+    calls = "cluster.broadcast(x)\n"
+    targets = ("repro.pkg.mod:Cluster.allreduce", "repro.pkg.mod:Cluster.broadcast")
+    # broadcast is a target that a run calls, so the run owns its signature.
+    assert _unset_in(module, calls, targets) == [
+        "Cluster.allgather(nbytes=)", "Cluster.broadcast(root=)"]
+
+
+def test_the_entry_points_arguments_are_the_command_line():
+    sources = {
+        "src/repro/cli.py": ast.parse(
+            "def main(argv=None):\n"
+            "    pass\n"
+            "def report(path, verbose=False):\n"
+            "    pass\n"
+        ),
+        "src/repro/__main__.py": ast.parse(
+            "import sys\nfrom repro.cli import main\nsys.exit(main())\n"),
+        "examples/run.py": ast.parse("from repro.cli import report\nreport('x')\n"),
+    }
+    assert entry_points(sources) == {("src/repro/cli.py", "main")}
+    assert unset_parameters(sources) == ["src/repro/cli.py:3 report(verbose=)"]
 
 
 def test_replace_sets_a_knob_only_where_its_class_is_named():

@@ -79,7 +79,7 @@ class TestOverlap:
         with pytest.raises(ValueError):
             breakdown.overlapped_total(assumed_overlap=1.5)
         with pytest.raises(ValueError):
-            breakdown.overlapped_total(measured_overlap=-0.1)
+            breakdown.overlapped_total(assumed_overlap=-0.1)
 
     def test_positional_fraction_rejected(self, breakdown):
         """The hand-waved constant must now be named explicitly."""
@@ -87,17 +87,9 @@ class TestOverlap:
             breakdown.overlapped_total(0.5)
 
     def test_exactly_one_mode_required(self, breakdown):
-        with pytest.raises(ValueError):
+        """The assumed overlap is the one mode, and it must be named."""
+        with pytest.raises(TypeError):
             breakdown.overlapped_total()
-        with pytest.raises(ValueError):
-            breakdown.overlapped_total(measured_overlap=0.4, assumed_overlap=0.5)
-
-    def test_measured_overlap_scales_comm(self, breakdown):
-        comm = breakdown.kfac_allgather + breakdown.kfac_allreduce
-        full = breakdown.overlapped_total(measured_overlap=0.0)
-        half = breakdown.overlapped_total(measured_overlap=0.5)
-        assert full == pytest.approx(breakdown.total)
-        assert full - half == pytest.approx(0.5 * comm)
 
     def test_compression_still_wins_under_overlap(self):
         """Even with generous overlap, compression shortens the exposed
@@ -110,12 +102,3 @@ class TestOverlap:
         base = m.breakdown().overlapped_total(assumed_overlap=0.5)
         comp = m.breakdown(CompressionSpec.compso(22.0)).overlapped_total(assumed_overlap=0.5)
         assert comp < base
-
-    def test_measured_grad_overlap_in_others(self):
-        m = KfacIterationModel(
-            resnet50_catalog(), PLATFORM1, 16, profile=MODEL_TIMING_PROFILES["resnet50"]
-        )
-        assert m.others_time(measured_grad_overlap=1.0) < m.others_time()
-        assert m.others_time(measured_grad_overlap=m.profile.grad_overlap) == pytest.approx(
-            m.others_time()
-        )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.compression import OkTopkCompressor
+from repro.compression import OkTopkCompressor, oktopk
 from repro.core import AdaptiveCompso, StepLrSchedule
 from repro.data import make_image_data
 from repro.distributed import SimCluster
@@ -44,16 +44,18 @@ class TestOkTopk:
         ct = c.compress(x)
         assert 0.05 < ct.meta["k"] / x.size < 0.2
 
-    def test_threshold_reused_between_reestimates(self, rng):
-        c = OkTopkCompressor(0.1, reestimate_every=10, seed=0)
+    def test_threshold_reused_between_reestimates(self, rng, monkeypatch):
+        monkeypatch.setattr(oktopk, "_REESTIMATE_EVERY", 10)
+        c = OkTopkCompressor(0.1, seed=0)
         x = rng.standard_normal(10_000).astype(np.float32)
         c.compress(x)
         t0 = c._threshold
         c.compress(x * 1.01)
         assert c._threshold == t0  # no re-estimate yet
 
-    def test_threshold_reestimated_on_schedule(self, rng):
-        c = OkTopkCompressor(0.1, reestimate_every=2, seed=0)
+    def test_threshold_reestimated_on_schedule(self, rng, monkeypatch):
+        monkeypatch.setattr(oktopk, "_REESTIMATE_EVERY", 2)
+        c = OkTopkCompressor(0.1, seed=0)
         a = rng.standard_normal(10_000).astype(np.float32)
         b = (rng.standard_normal(10_000) * 100).astype(np.float32)
         c.compress(a)
@@ -62,8 +64,9 @@ class TestOkTopk:
         c.compress(b)
         assert c._threshold != t0
 
-    def test_drift_correction_caps_density(self, rng):
-        c = OkTopkCompressor(0.05, reestimate_every=1000, seed=0)
+    def test_drift_correction_caps_density(self, rng, monkeypatch):
+        monkeypatch.setattr(oktopk, "_REESTIMATE_EVERY", 1000)
+        c = OkTopkCompressor(0.05, seed=0)
         small = (rng.standard_normal(20_000) * 0.01).astype(np.float32)
         c.compress(small)
         # Now a tensor where nearly everything exceeds the stale threshold.
@@ -116,21 +119,19 @@ class TestOkTopk:
     def test_validation(self):
         with pytest.raises(ValueError):
             OkTopkCompressor(0.0)
-        with pytest.raises(ValueError):
-            OkTopkCompressor(0.1, reestimate_every=0)
 
 
 class TestCharts:
     def test_stacked_bars_rows_full_width(self):
-        out = stacked_bars(["r1"], {"x": [30.0], "y": [70.0]}, width=40)
+        out = stacked_bars(["r1"], {"x": [30.0], "y": [70.0]})
         bar_line = out.splitlines()[-1]
         inner = bar_line.split("|")[1]
-        assert len(inner) == 40
-        assert inner.count("#") == 12  # 30% of 40
+        assert len(inner) == 60
+        assert inner.count("#") == 18  # 30% of 60
 
     def test_stacked_bars_zero_row(self):
-        out = stacked_bars(["r"], {"x": [0.0]}, width=10)
-        assert "|          |" in out
+        out = stacked_bars(["r"], {"x": [0.0]})
+        assert "|" + " " * 60 + "|" in out
 
     def test_stacked_bars_series_mismatch(self):
         with pytest.raises(ValueError):

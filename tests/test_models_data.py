@@ -158,7 +158,7 @@ class TestSyntheticData:
 
     def test_mlm_masking(self):
         ds = make_lm_data(100, seq=20, seed=0)
-        mlm = make_mlm_batches(ds, mask_prob=0.15, seed=1)
+        mlm = make_mlm_batches(ds, seed=1)
         masked = mlm.inputs == 1
         assert masked.any(axis=1).all()  # every sequence has a mask
         assert np.array_equal(mlm.targets[masked] > 0, np.ones(masked.sum(), dtype=bool))
@@ -174,7 +174,7 @@ class TestSyntheticData:
 
     def test_squad_vocab_validation(self):
         with pytest.raises(ValueError):
-            make_squad_data(10, vocab=6, n_markers=4)
+            make_squad_data(10, vocab=6)
 
 
 class TestSharding:

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.nn import norm
 from repro.nn.conv import _patch_buffer
-from tests.conftest import assert_gradcheck, strided_cnn
+from tests.conftest import (
+    assert_gradcheck,
+    narrow_detection_proxy,
+    strided_cnn,
+    strided_conv2d,
+    without_bias,
+)
 
 
 def _im2col(x, kh, kw, stride, pad):
@@ -69,7 +76,7 @@ class TestLinear:
         assert gx.shape == x.shape
 
     def test_no_bias(self, rng):
-        lin = nn.Linear(5, 3, bias=False, rng=1)
+        lin = without_bias(nn.Linear(5, 3, rng=1))
         x = rng.standard_normal((4, 5)).astype(np.float32)
         lin(x)
         lin.backward(np.ones((4, 3), dtype=np.float32))
@@ -83,19 +90,19 @@ class TestConv2d:
         x = rng.standard_normal((3, 2, 8, 8))
         t = rng.integers(0, 3, 3)
         model = nn.Sequential(
-            nn.Conv2d(2, 4, 3, stride=stride, padding=padding, rng=1),
+            strided_conv2d(2, 4, 3, stride=stride, padding=padding, rng=1),
             nn.GlobalAvgPool2d(),
             nn.Linear(4, 3, rng=2),
         )
         assert_gradcheck(model, x, _ce_loss(t))
 
     def test_output_shape(self, rng):
-        conv = nn.Conv2d(3, 8, 3, stride=2, padding=1, rng=1)
+        conv = strided_conv2d(3, 8, 3, padding=1, rng=1)
         y = conv(rng.standard_normal((2, 3, 16, 16)).astype(np.float32))
         assert y.shape == (2, 8, 8, 8)
 
     def test_matches_direct_convolution(self, rng):
-        conv = nn.Conv2d(1, 1, 3, padding=0, bias=False, rng=1)
+        conv = without_bias(nn.Conv2d(1, 1, 3, padding=0, rng=1))
         x = rng.standard_normal((1, 1, 5, 5)).astype(np.float32)
         y = conv(x)
         w = conv.weight.data[0, 0]
@@ -381,12 +388,12 @@ def _ref_batchnorm_forward(bn, x):
     if bn.training:
         mu = x.mean(axis=(0, 2, 3))
         var = x.var(axis=(0, 2, 3))
-        running_mean = (1 - bn.momentum) * bn.running_mean + bn.momentum * mu
-        running_var = (1 - bn.momentum) * bn.running_var + bn.momentum * var
+        running_mean = (1 - norm._MOMENTUM) * bn.running_mean + norm._MOMENTUM * mu
+        running_var = (1 - norm._MOMENTUM) * bn.running_var + norm._MOMENTUM * var
     else:
         mu, var = bn.running_mean, bn.running_var
         running_mean, running_var = mu, var
-    inv_std = 1.0 / np.sqrt(var + bn.eps)
+    inv_std = 1.0 / np.sqrt(var + norm._EPS)
     xhat = (x - mu[None, :, None, None]) * inv_std[None, :, None, None]
     out = bn.gamma.data[None, :, None, None] * xhat + bn.beta.data[None, :, None, None]
     return out, xhat, inv_std, running_mean, running_var
@@ -468,9 +475,11 @@ class TestBitIdentity:
         finite = np.array([-0.0, 0.0, 1.0, -1.0], dtype=np.float32)
         for k, stride, pad, n, c, h, w in _conv_cases():
             what = f"k={k} stride={stride} pad={pad} x=({n},{c},{h},{w}) {layout} bias={bias}"
-            conv = nn.Conv2d(c, 4, k, stride=stride, padding=pad, bias=bias, rng=k + stride)
+            conv = strided_conv2d(c, 4, k, stride=stride, padding=pad, rng=k + stride)
             if bias:
                 conv.bias.data[...] = rng.standard_normal(4)
+            else:
+                without_bias(conv)
             x = rng.standard_normal((n, c, h, w)).astype(np.float32)
             x = _as_layout(_sprinkle(rng, x, finite), layout)
             cols, want_y = _ref_conv_forward(conv, x)
@@ -670,12 +679,12 @@ def _trained_digest(name):
     from repro.data import make_detection_data, make_image_data
     from repro.distributed import SimCluster
     from repro.kfac_dist import DistributedKfacTrainer
-    from repro.models import DetectionProxy, resnet_proxy
+    from repro.models import resnet_proxy
     from repro.train import ClassificationTask, DetectionTask
 
     if name == "detection_proxy":
         task = DetectionTask(make_detection_data(96, n_classes=4, n_boxes=2, size=8, seed=2))
-        model = DetectionProxy(n_classes=4, n_boxes=2, channels=6, rng=5)
+        model = narrow_detection_proxy(n_classes=4, n_boxes=2, rng=5)
     else:
         task = ClassificationTask(make_image_data(96, n_classes=5, size=8, noise=0.5, seed=1))
         if name == "resnet_proxy":

@@ -5,7 +5,7 @@ import pytest
 
 from repro import nn
 from repro.optim import Kfac, Sgd, StepLr
-from tests.conftest import kfac_step
+from tests.conftest import kfac_step, without_bias
 
 
 def _quadratic_problem(rng, n=200, d=10):
@@ -24,7 +24,7 @@ def _mse(pred, target):
 
 def _run(optimizer_factory, rng, iters=200):
     X, y, w_true = _quadratic_problem(rng)
-    model = nn.Sequential(nn.Linear(10, 1, bias=False, rng=1))
+    model = nn.Sequential(without_bias(nn.Linear(10, 1, rng=1)))
     opt = optimizer_factory(model)
     for _ in range(iters):
         out = model(X)
@@ -46,8 +46,9 @@ class TestFirstOrder:
         assert loss_mom < loss_plain
 
     def test_weight_decay_shrinks_weights(self, rng):
-        _, m1 = _run(lambda m: Sgd(m.parameters(), lr=0.01, weight_decay=0.5), rng, iters=100)
-        _, m2 = _run(lambda m: Sgd(m.parameters(), lr=0.01, weight_decay=0.0), rng, iters=100)
+        decaying = type("DecayingSgd", (Sgd,), {"weight_decay": 0.5})
+        _, m1 = _run(lambda m: decaying(m.parameters(), lr=0.01), rng, iters=100)
+        _, m2 = _run(lambda m: Sgd(m.parameters(), lr=0.01), rng, iters=100)
         n1 = np.linalg.norm(m1.parameters()[0].data)
         n2 = np.linalg.norm(m2.parameters()[0].data)
         assert n1 < n2
@@ -113,7 +114,7 @@ class TestKfac:
 
     def test_identity_factors_reduce_to_scaled_gradient(self, rng):
         """With A = G = I the preconditioner is 1/(1+damping) * I."""
-        model = nn.Sequential(nn.Linear(4, 3, bias=False, rng=1))
+        model = nn.Sequential(without_bias(nn.Linear(4, 3, rng=1)))
         opt = Kfac(model, lr=0.1)
         opt.damping = 0.5  # as the guard's escalate_damping sets it
         layer = model.kfac_layers()[0]
@@ -131,7 +132,7 @@ class TestKfac:
         assert np.allclose(opt.state[0].A, 1.1)  # 0.95*1 + 0.05*3
 
     def test_kl_clip_bounds_update(self, rng):
-        model = nn.Sequential(nn.Linear(4, 3, bias=False, rng=1))
+        model = nn.Sequential(without_bias(nn.Linear(4, 3, rng=1)))
         opt = Kfac(model, lr=1.0)
         opt.damping = 1e-8
         layer = model.kfac_layers()[0]
@@ -164,7 +165,7 @@ class TestKfac:
     def test_gradient_sizes(self):
         """A layer's preconditioned gradient (the allgather payload) has
         the element count of its two factor sides."""
-        model = nn.Sequential(nn.Linear(4, 3, rng=1), nn.ReLU(), nn.Linear(3, 2, bias=False, rng=2))
+        model = nn.Sequential(nn.Linear(4, 3, rng=1), nn.ReLU(), without_bias(nn.Linear(3, 2, rng=2)))
         opt = Kfac(model)
         dims = [opt.layer_dims(i) for i in range(2)]
         assert dims == [(5, 3), (3, 2)]

@@ -34,8 +34,8 @@ class TestCommLookupTable:
         assert lut.time(1, 1e9) == 0.0
 
     def test_nearest_gpu_count(self):
-        lut = CommLookupTable(SLINGSHOT10, gpu_counts=(8, 64))
-        # p=60 snaps to 64's column.
+        lut = CommLookupTable(SLINGSHOT10)
+        # p=60 snaps to 64's column, not 32's.
         assert lut.throughput(60, 1e7) == lut.throughput(64, 1e7)
 
 
@@ -84,9 +84,7 @@ class TestProfiling:
     def test_choose_encoder_returns_candidate(self, grads):
         pm = PerformanceModel(SLINGSHOT10, world_size=64)
         c = CompsoCompressor(4e-3, 4e-3)
-        best, results = pm.choose_encoder(
-            grads, c, candidates=("ans", "bitcomp", "zstd"), aggregation=4
-        )
+        best, results = pm.choose_encoder(grads, c, aggregation=4)
         assert best in results
         assert c.encoder_name == "ans"  # restored after probing
 

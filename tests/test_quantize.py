@@ -13,6 +13,7 @@ from repro.compression.quantize import (
     round_p05,
     round_stochastic,
 )
+from tests.conftest import absolute
 
 
 class TestRoundingModes:
@@ -115,21 +116,21 @@ class TestErrorBoundedQuantizer:
     @pytest.mark.parametrize("mode", ["rn", "sr", "p05"])
     def test_bound_holds_absolute(self, mode, rng):
         x = (rng.standard_normal(20_000) * 3).astype(np.float32)
-        q = ErrorBoundedQuantizer(1e-2, mode, relative=False)
+        q = absolute(ErrorBoundedQuantizer)(1e-2, mode)
         err = np.abs(q.roundtrip(x) - x)
         assert err.max() <= 1e-2 * 1.0001
 
     @pytest.mark.parametrize("mode", ["rn", "sr"])
     def test_bound_holds_relative(self, mode, kfac_like_gradient):
         x = kfac_like_gradient
-        q = ErrorBoundedQuantizer(4e-3, mode, relative=True)
+        q = ErrorBoundedQuantizer(4e-3, mode)
         err = np.abs(q.roundtrip(x) - x)
         assert err.max() <= 4e-3 * np.abs(x).max() * 1.0001
 
     def test_rn_uses_double_step(self, rng):
         x = rng.standard_normal(1000).astype(np.float32)
-        q_rn = ErrorBoundedQuantizer(1e-2, "rn", relative=False)
-        q_sr = ErrorBoundedQuantizer(1e-2, "sr", relative=False)
+        q_rn = absolute(ErrorBoundedQuantizer)(1e-2, "rn")
+        q_sr = absolute(ErrorBoundedQuantizer)(1e-2, "sr")
         assert q_rn.step_for(x) == pytest.approx(2 * q_sr.step_for(x))
 
     def test_invalid_bound(self):
@@ -141,5 +142,5 @@ class TestErrorBoundedQuantizer:
     def test_bound_property(self, eb):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(2000).astype(np.float32)
-        q = ErrorBoundedQuantizer(eb, "sr", relative=False, seed=rng)
+        q = absolute(ErrorBoundedQuantizer)(eb, "sr", seed=rng)
         assert np.abs(q.roundtrip(x) - x).max() <= eb * 1.0001

@@ -16,6 +16,7 @@ from repro.runtime import (
 )
 from repro.telemetry import SIM_TRACK
 from repro.telemetry.export import chrome_trace
+from tests.conftest import full_payloads
 
 
 def make_pair(overlap=True, **kw):
@@ -45,7 +46,7 @@ def _canon(value, inputs):
 #: per-rank payloads, so its rows are fed one array world times.
 CLUSTERS = {
     "convergence": lambda **kw: SimCluster(1, 4, seed=0, **kw),
-    "timing-full": lambda **kw: SimCluster(1, 4, seed=0, track="timing", payloads="full", **kw),
+    "timing-full": lambda **kw: full_payloads(SimCluster)(1, 4, seed=0, track="timing", **kw),
     "timing-representative": lambda **kw: SimCluster(1, 4, seed=0, track="timing", **kw),
 }
 
@@ -506,9 +507,8 @@ class TestTelemetryStreams:
             rt.ibroadcast(per_rank(1)[0], root=1, category="kfac_allgather").wait()
             rt.assert_quiesced()
             breakdown = cluster.breakdown()
-        totals = t.tracer.category_totals(track=SIM_TRACK)  # stream 0 default
+        totals = t.tracer.category_totals(track=SIM_TRACK)  # stream 0 only
         for cat, sec in breakdown.items():
             assert totals.get(cat, 0.0) == pytest.approx(sec, abs=1e-12)
-        # stream=None additionally sees the comm lanes.
-        all_lanes = t.tracer.category_totals(track=SIM_TRACK, stream=None)
-        assert all_lanes["allreduce"] >= totals.get("allreduce", 0.0)
+        # The comm lanes carry spans the compute-lane totals leave out.
+        assert any(s.stream != 0 and s.category == "allreduce" for s in t.tracer.spans())

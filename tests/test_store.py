@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import BitRot, FaultPlan
 from repro.faults.storage import StorageCrash, StorageFaultController
 from repro.models import resnet_proxy
 from repro.obsv.ledger import LedgerConfig, fsck_ledger, load_ledger
@@ -275,7 +275,7 @@ class TestCrashConsistency:
 
     def test_seeded_bit_rot_is_replayable(self, tmp_path):
         def rot(root):
-            plan = FaultPlan(seed=3).add_bit_rot(save_index=1, n_bytes=2)
+            plan = FaultPlan(seed=3, storage=[BitRot(save_index=1, n_bytes=2)])
             controller = StorageFaultController(plan)
             store = CheckpointStore(root, hooks_factory=controller.hooks_for)
             _fill(store, [1, 2])
