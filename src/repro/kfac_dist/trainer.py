@@ -4,14 +4,16 @@ Implements the five-step workflow of paper Fig. 2 on the simulated
 cluster, with KAISA's refinements (section 2.2):
 
 1. per-rank covariance computation from local shards (float32, the
-   width of the captured activations);
+   width of the captured activations), each shard's Grams begun on the
+   host pool while the next shard runs;
 2. factor **allreduce** (category ``kfac_allreduce``): a factor is
    symmetric, so each rank's message is the float32 upper triangle
    (diagonal included) of ``A`` and ``G`` — the bytes the analytic
    ``KfacIterationModel`` prices — reduced, then mirrored once per layer
    and folded into the float64 running averages;
 3. **eigendecomposition** of each layer by its assigned owner rank only
-   (greedy LPT assignment, category ``kfac_compute``);
+   (greedy LPT assignment, category ``kfac_compute``), the owners' calls
+   side by side on the host pool;
 4. preconditioned-gradient computation on the owner;
 5. eager per-layer **allgather** of preconditioned gradients (category
    ``kfac_allgather``), optionally *compressed* — this is the payload
@@ -203,18 +205,25 @@ class DistributedKfacTrainer(StepScaffold):
         return super().step(global_idx)
 
     def _local_shard_pass(self, shards: list[np.ndarray], tracer):
-        """Per-shard forward/backward; collect grads and K-FAC factors."""
+        """Per-shard forward/backward; collect grads and K-FAC factors.
+
+        A shard's factor Grams begin as soon as its backward ends and are
+        collected after the last shard, so on the host pool they run under
+        the next shard's forward and backward.
+        """
+        kfac = self.kfac
         losses: list[float] = []
         per_rank_grads: list[np.ndarray] = []
         per_rank_other: list[np.ndarray] = []
-        per_rank_factors: list[list[tuple[np.ndarray, np.ndarray]]] = []
+        started = []
         for _, loss in self._backward_per_shard(shards, tracer):
+            started.append(kfac.start_factors())
             losses.append(loss)
             per_rank_grads.append(self._kfac_flat_grads())
             per_rank_other.append(self._other_flat_grad())
-            per_rank_factors.append(
-                [self.kfac.local_factors(i) for i in range(len(self.kfac.layers))]
-            )
+        per_rank_factors = [
+            [kfac.local_factors(i, shard) for i in range(len(kfac.layers))] for shard in started
+        ]
         if self.cluster.is_timing:
             # Timing track: the single representative shard stands in for
             # every rank (factors are shared read-only; copy=False).
@@ -279,10 +288,13 @@ class DistributedKfacTrainer(StepScaffold):
             )
 
         # Step 3: owner-rank eigendecomposition on the refresh schedule.
+        # Every due layer's eigh begins at once; the loop commits them in
+        # layer order, so failures and guard events come out as inline.
         refresh = self.t % self.kfac.inv_update_freq == 0
+        due = [i for i in range(n_layers) if refresh or not self.kfac.state[i].ready]
         with tracer.span("eigendecomposition", "inverse", refresh=refresh):
-            for i in range(n_layers):
-                if refresh or not self.kfac.state[i].ready:
+            with self.kfac.eigen_batch(due):
+                for i in due:
                     if guard is not None:
                         guard.safe_eigen(self.kfac, i)
                     else:

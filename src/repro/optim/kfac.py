@@ -10,8 +10,9 @@ with Kronecker factors accumulated as running averages (Eq. 1)
 
 from the statistics the NN substrate captures on every K-FAC layer.
 
-The API is deliberately granular — ``accumulate_factors`` /
-``compute_eigen`` / ``precondition`` / ``apply`` — because the
+The API is deliberately granular — ``start_factors`` /
+``local_factors`` / ``accumulate_factors`` / ``compute_eigen`` /
+``precondition`` / ``apply`` — because the
 distributed KAISA trainer (``repro.kfac_dist``) interleaves these stages
 with collectives: factors are allreduced, eigendecompositions are
 computed by the layer's assigned rank only, and preconditioned gradients
@@ -28,17 +29,92 @@ saw.  ``accumulate_factors`` is where the one up-cast happens.
 
 Parameters not owned by K-FAC layers (norms, embeddings) take the plain
 SGD-with-momentum update, as distributed K-FAC implementations do.
+
+Host threads (DESIGN.md decision 28).  KAISA spreads the per-layer
+linear algebra over the layers' owner ranks; here every owner runs in
+one process, so the factor Grams and the refresh's ``eigh`` calls go to
+one host worker pool, sized to the CPUs the process may run on (none
+with one CPU).  The pool runs only NumPy's BLAS/LAPACK calls, which
+release the GIL, on arrays no one writes any more: a shard's captured
+``last_a`` / ``last_g`` (:meth:`Kfac.start_factors`) and a layer's
+running factors (:meth:`Kfac.eigen_batch`).  Every result is committed
+on the calling thread, in layer order, by :meth:`Kfac.local_factors`
+and :meth:`Kfac.compute_eigen`, so a pooled run is bit-identical to an
+inline one, failures included.  A group of calls whose largest is below
+:data:`POOL_MIN_MADDS` multiply-adds runs inline, where the results are
+wanted: there the hand-off costs more than the overlap saves.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.nn.module import KfacLayerMixin, Module, Parameter
 
-__all__ = ["FactorNumericsError", "Kfac", "LayerFactors"]
+__all__ = ["FactorNumericsError", "Kfac", "LayerFactors", "POOL_MIN_MADDS"]
+
+#: Multiply-adds from which a group of calls goes to the host pool: one
+#: shard's factor Grams (``n * d**2`` for an ``(n, d)`` statistic), or the
+#: ``eigh`` calls of one refresh or one layer (``d**3`` for a ``d x d``
+#: factor).  The group's largest call decides, and the small calls ride
+#: along.  A pooled call costs ≈ 50 µs of hand-off on a 2-vCPU host:
+#: ``fleet_scale``'s and ``repro record``'s groups (largest an ``eigh`` of
+#: 73, 0.39 M, or a 128 x 73 Gram, 0.68 M) lose by it; ``kfac_train``'s
+#: (1 024 x 289 Grams, 86 M; ``eigh`` of 289, 24 M) gain (DESIGN.md
+#: decision 28(c)).
+POOL_MIN_MADDS = 2**21
+
+
+@functools.cache
+def _host_pool() -> ThreadPoolExecutor | None:
+    """The worker pool, one thread per CPU this process may run on;
+    ``None`` on one CPU, where every call runs inline."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return ThreadPoolExecutor(cpus, thread_name_prefix="kfac-host") if cpus > 1 else None
+
+
+def _pool_for(largest: int) -> ThreadPoolExecutor | None:
+    """The pool for a group whose largest call is ``largest``
+    multiply-adds; ``None``: run the group inline."""
+    return _host_pool() if largest >= POOL_MIN_MADDS else None
+
+
+def _products(stats: list[np.ndarray]) -> list[np.ndarray]:
+    return [x.T @ x for x in stats]
+
+
+class _ShardGrams:
+    """One shard's factor statistics, on their way to ``x.T @ x / n``.
+
+    A pooled shard's products go to the pool as one task: each task hands
+    the GIL back and forth with the calling thread, which is running the
+    next shard meanwhile, so a shard pays for that once.  Otherwise each
+    product is formed when collected, and its statistic dropped then.
+    """
+
+    def __init__(self, stats: list[np.ndarray]):
+        self._rows = [x.shape[0] for x in stats]
+        pool = _pool_for(max((x.shape[0] * x.shape[1] ** 2 for x in stats), default=0))
+        self._task = None if pool is None else pool.submit(_products, stats)
+        self._stats = stats if pool is None else None
+
+    def gram(self, i: int) -> np.ndarray:
+        """The Gram of statistic ``i``, waiting for the pool if need be."""
+        if self._task is not None:
+            product = self._task.result()[i]
+        else:
+            x, self._stats[i] = self._stats[i], None
+            product = x.T @ x
+        return product / self._rows[i]
 
 
 class FactorNumericsError(RuntimeError):
@@ -118,28 +194,42 @@ class Kfac:
         ]
         self._other_momentum = [np.zeros_like(p.data) for p in self.other_params]
         self.t = 0
+        #: ``eigh`` calls begun by :meth:`eigen_batch`, by layer: the
+        #: factors they read, then their two calls (``None``: inline).
+        self._eigen_started: dict[int, tuple] = {}
 
     # -- stage 1: local factor statistics -------------------------------------
 
-    def local_factors(self, idx: int) -> tuple[np.ndarray, np.ndarray]:
-        """This worker's (A, G) contribution for layer ``idx`` (Eq. 1).
+    def start_factors(self) -> _ShardGrams:
+        """Begin this worker's (A, G) contribution for every layer from
+        the statistics the layers captured in the last backward (Eq. 1).
+
+        It holds the captured arrays themselves, not the layers, whose
+        attributes the next backward replaces; collect each layer's pair
+        with :meth:`local_factors`.
+        """
+        stats = []
+        for idx, layer in enumerate(self.layers):
+            a, g = layer.last_a, layer.last_g
+            if a is None or g is None:
+                raise RuntimeError("no captured statistics; run forward+backward first")
+            if a.shape[0] == 0:
+                raise RuntimeError(
+                    f"K-FAC layer {idx} captured statistics over zero samples; "
+                    "its factors would be 0/0"
+                )
+            stats += [a, g]
+        return _ShardGrams(stats)
+
+    def local_factors(self, idx: int, started: _ShardGrams) -> tuple[np.ndarray, np.ndarray]:
+        """This worker's (A, G) contribution for layer ``idx``, from one
+        :meth:`start_factors` result.
 
         Formed in the dtype the layer captured (float32): ``a.T @ a`` is
         one BLAS ``syrk`` whose mirrored result is symmetric bit for bit,
         and within 2e-6 of the largest entry of the float64 product.
         """
-        layer = self.layers[idx]
-        a, g = layer.last_a, layer.last_g
-        if a is None or g is None:
-            raise RuntimeError("no captured statistics; run forward+backward first")
-        if a.shape[0] == 0:
-            raise RuntimeError(
-                f"K-FAC layer {idx} captured statistics over zero samples; "
-                "its factors would be 0/0"
-            )
-        A = a.T @ a / a.shape[0]
-        G = g.T @ g / g.shape[0]
-        return A, G
+        return started.gram(2 * idx), started.gram(2 * idx + 1)
 
     def accumulate_factors(self, idx: int, A: np.ndarray, G: np.ndarray) -> None:
         """Fold (possibly allreduced) factors into the running averages,
@@ -156,6 +246,35 @@ class Kfac:
 
     # -- stage 2: eigendecomposition -------------------------------------------
 
+    def _begin_eigen(self, layers: list[int]) -> dict[int, tuple]:
+        """Each listed layer's factors and their two ``eigh`` calls, begun
+        on the pool if the largest reaches :data:`POOL_MIN_MADDS`; a
+        ``None`` call runs inline when committed."""
+        factors = {idx: (self.state[idx].A, self.state[idx].G) for idx in layers}
+        largest = max((m.shape[0] ** 3 for pair in factors.values() for m in pair), default=0)
+        pool = _pool_for(largest)
+        if pool is None:
+            return {idx: (A, G, None, None) for idx, (A, G) in factors.items()}
+        return {
+            idx: (A, G, pool.submit(np.linalg.eigh, A), pool.submit(np.linalg.eigh, G))
+            for idx, (A, G) in factors.items()
+        }
+
+    @contextmanager
+    def eigen_batch(self, layers: list[int]):
+        """Begin every listed layer's ``eigh`` calls now; inside the
+        block, :meth:`compute_eigen` commits them.
+
+        A layer whose factors were replaced since (the guard's repair)
+        is decomposed afresh, so what is committed is what an inline
+        call on the current factors returns.
+        """
+        self._eigen_started = self._begin_eigen(layers)
+        try:
+            yield
+        finally:
+            self._eigen_started = {}
+
     def compute_eigen(self, idx: int) -> None:
         """Eigendecompose the running factors of layer ``idx``.
 
@@ -166,9 +285,13 @@ class Kfac:
         st = self.state[idx]
         if st.A is None or st.G is None:
             raise RuntimeError(f"factors for layer {idx} not accumulated yet")
+        started = self._eigen_started.pop(idx, None)
+        if started is None or started[0] is not st.A or started[1] is not st.G:
+            started = self._begin_eigen([idx])[idx]
+        _, _, eigh_a, eigh_g = started
         try:
-            vA, QA = np.linalg.eigh(st.A)
-            vG, QG = np.linalg.eigh(st.G)
+            vA, QA = np.linalg.eigh(st.A) if eigh_a is None else eigh_a.result()
+            vG, QG = np.linalg.eigh(st.G) if eigh_g is None else eigh_g.result()
         except np.linalg.LinAlgError as exc:
             raise FactorNumericsError(idx, f"eigh did not converge ({exc})") from exc
         if not (np.isfinite(vA).all() and np.isfinite(vG).all()):
