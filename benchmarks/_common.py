@@ -11,9 +11,24 @@ factors, crossovers — is asserted where the paper states one.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
+from repro.scenarios import Scenario
+
 OUT_DIR = Path(__file__).parent / "out"
+
+#: The K-FAC run most benches train (``repro.scenarios.run``): four ranks
+#: on one node, batches of 64, eigenbases refreshed every fifth step, the
+#: task metric taken after the last step.  A bench states what its run
+#: changes as ``replace`` on it.
+KFAC_RUN = Scenario(
+    name="bench", nodes=1, gpus_per_node=4, iterations=16, batch_size=64, inv_update_freq=5,
+    evaluate=True,
+)
+#: The classification task the accuracy ablations train (fig03, fig05,
+#: ablation_adaptive): eight classes under heavy noise.
+HARD_RESNET = replace(KFAC_RUN, samples=600, n_classes=8, noise=1.0)
 
 
 def emit(name: str, text: str, *, data: dict | None = None) -> None:

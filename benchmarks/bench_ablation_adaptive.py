@@ -13,16 +13,13 @@ Two parts:
   training at the accuracy-safe setting.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
-from benchmarks._common import emit
+from benchmarks._common import HARD_RESNET, emit
+from repro import scenarios
 from repro.core import AdaptiveCompso, CompsoCompressor, StepLrSchedule
-from repro.data import make_image_data
-from repro.distributed import SimCluster
-from repro.kfac_dist import DistributedKfacTrainer
-from repro.models import resnet_proxy
-from repro.optim import StepLr
-from repro.train import ClassificationTask
 from repro.util.seeding import spawn_rng
 from repro.util.tables import format_table
 
@@ -30,21 +27,11 @@ ITERS = 24
 PIVOT = 12
 
 
-def _train(compressor, seed=0):
-    data = make_image_data(600, n_classes=8, size=8, noise=1.0, seed=0)
-    task = ClassificationTask(data)
-    model = resnet_proxy(n_classes=8, channels=8, rng=3)
-    tr = DistributedKfacTrainer(
-        model,
-        task,
-        SimCluster(1, 4, seed=seed),
-        lr=0.05,
-        inv_update_freq=5,
-        lr_schedule=StepLr(0.05, [PIVOT], gamma=0.1),
-        compressor=compressor,
+def _train(compressor):
+    trainer, _ = scenarios.run(
+        replace(HARD_RESNET, iterations=ITERS, lr_drop=PIVOT, compressor=compressor)
     )
-    h = tr.train(iterations=ITERS, batch_size=64, eval_every=ITERS, seed=seed)
-    return h.final_metric()
+    return trainer.history.final_metric()
 
 
 def _catalog_payload(seed=11, n=500_000):
@@ -57,9 +44,12 @@ def _catalog_payload(seed=11, n=500_000):
 def run_experiment():
     acc_rows = [
         ["no compression", _train(None)],
-        ["adaptive (filter->SR @ LR drop)", _train(AdaptiveCompso(StepLrSchedule(PIVOT)))],
-        ["fixed aggressive (filter+SR)", _train(CompsoCompressor(4e-3, 4e-3))],
-        ["fixed conservative (SR only)", _train(CompsoCompressor(0.0, 4e-3))],
+        [
+            "adaptive (filter->SR @ LR drop)",
+            _train(lambda s: AdaptiveCompso(StepLrSchedule(s.lr_drop))),
+        ],
+        ["fixed aggressive (filter+SR)", _train(lambda s: CompsoCompressor(4e-3, 4e-3))],
+        ["fixed conservative (SR only)", _train(lambda s: CompsoCompressor(0.0, 4e-3))],
     ]
     # Stage-wise CR of the schedule on catalog-sized gradients.
     x = _catalog_payload()

@@ -47,32 +47,21 @@ def _run_fleet(world: int):
     return result, time.perf_counter() - start
 
 
-def _run_single(world: int, eb: float | None):
-    from repro.core import CompsoCompressor
-    from repro.data import make_image_data
-    from repro.distributed import SLINGSHOT10, SimCluster
-    from repro.kfac_dist import DistributedKfacTrainer
-    from repro.models import resnet_proxy
-    from repro.train import ClassificationTask
+def _run_single(world: int, compressed: bool):
+    from repro import scenarios
 
-    cluster = SimCluster.from_world_size(
-        world, 4, seed=0, network=SLINGSHOT10, track="timing"
+    trainer, _ = scenarios.run(
+        scenarios.Scenario(
+            name="fleet-single", nodes=world // 4, gpus_per_node=4, iterations=3, batch_size=64,
+            compressor=scenarios.compso if compressed else None, track="timing",
+        )
     )
-    trainer = DistributedKfacTrainer(
-        resnet_proxy(n_classes=5, channels=8, rng=3),
-        ClassificationTask(make_image_data(256, n_classes=5, size=8, noise=0.5, seed=0)),
-        cluster,
-        lr=0.05,
-        inv_update_freq=2,
-        compressor=CompsoCompressor(eb, eb, seed=0) if eb is not None else None,
-    )
-    trainer.train(iterations=3, batch_size=64)
-    return cluster
+    return trainer.cluster
 
 
 def run_experiment():
     fleets = {w: _run_fleet(w) for w in WORLDS}
-    singles = {w: {"comp": _run_single(w, 4e-3), "dense": _run_single(w, None)} for w in WORLDS}
+    singles = {w: {"comp": _run_single(w, True), "dense": _run_single(w, False)} for w in WORLDS}
     return fleets, singles
 
 

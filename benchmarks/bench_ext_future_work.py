@@ -8,24 +8,27 @@
    additional modelled end-to-end speedup, and the accuracy check.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from benchmarks._common import emit
+from repro import scenarios
 from repro.autotune import FidelityBudget, autotune_bounds
 from repro.core import CompsoCompressor, FactorCompressor
-from repro.data import make_image_data
-from repro.distributed import PLATFORM1, SimCluster
-from repro.kfac_dist import (
-    CompressionSpec,
-    DistributedKfacTrainer,
-    KfacIterationModel,
-    MODEL_TIMING_PROFILES,
-)
-from repro.models import resnet_proxy
+from repro.distributed import PLATFORM1
+from repro.kfac_dist import CompressionSpec, KfacIterationModel, MODEL_TIMING_PROFILES
 from repro.models.catalogs import MODEL_CATALOGS
-from repro.train import ClassificationTask
+from repro.scenarios import Scenario
 from repro.util.seeding import spawn_rng
 from repro.util.tables import format_table
+
+
+#: The accuracy run factor compression is judged on, with and without it.
+FACTOR_RUN = Scenario(
+    name="factor-compression", nodes=1, gpus_per_node=4, iterations=18, batch_size=64,
+    samples=400, noise=0.45, inv_update_freq=5, evaluate=True, compressor=scenarios.compso,
+)
 
 
 def _grad_sample(seed=3, n=300_000):
@@ -53,18 +56,11 @@ def autotune_part():
 def factor_part():
     # Real training with factor compression: accuracy + measured factor CR.
     def train(factor_comp):
-        data = make_image_data(400, n_classes=5, size=8, noise=0.45, seed=0)
-        task = ClassificationTask(data)
-        model = resnet_proxy(n_classes=5, channels=8, rng=3)
-        tr = DistributedKfacTrainer(
-            model, task, SimCluster(1, 4, seed=0), lr=0.05, inv_update_freq=5,
-            compressor=CompsoCompressor(4e-3, 4e-3), factor_compressor=factor_comp,
-        )
-        h = tr.train(iterations=18, batch_size=64, eval_every=18)
-        return h.final_metric(), tr
+        trainer, _ = scenarios.run(replace(FACTOR_RUN, factor_compressor=factor_comp))
+        return trainer.history.final_metric(), trainer
 
     acc_base, _ = train(None)
-    acc_fc, tr_fc = train(FactorCompressor(1e-3))
+    acc_fc, tr_fc = train(lambda s: FactorCompressor(1e-3))
     factor_cr = float(np.mean(tr_fc.factor_ratios))
     # Modelled end-to-end effect per model.
     rows = []

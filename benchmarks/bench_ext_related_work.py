@@ -8,18 +8,16 @@
    paper cites for avoiding EF (section 6 "Quantization methods").
 """
 
+from dataclasses import replace
+
 import numpy as np
 
-from benchmarks._common import emit
+from benchmarks._common import KFAC_RUN, emit
+from repro import scenarios
 from repro.compression import ErrorFeedback, OkTopkCompressor, TopKCompressor
 from repro.core import AdaptiveCompso, StepLrSchedule
-from repro.data import make_image_data
-from repro.distributed import SimCluster
-from repro.kfac_dist import DistributedKfacTrainer
 from repro.kfac_dist.memory import estimate_kfac_memory
-from repro.models import resnet_proxy
 from repro.models.catalogs import MODEL_CATALOGS
-from repro.train import ClassificationTask
 from repro.util.seeding import spawn_rng
 from repro.util.tables import format_table
 
@@ -56,20 +54,15 @@ def ef_part():
     """Train the proxy with a biased sparsifier, with and without EF."""
 
     def train(compressor):
-        data = make_image_data(500, n_classes=5, size=8, noise=0.45, seed=0)
-        task = ClassificationTask(data)
-        model = resnet_proxy(n_classes=5, channels=8, rng=3)
-        tr = DistributedKfacTrainer(
-            model, task, SimCluster(1, 4, seed=0), lr=0.05, inv_update_freq=5,
-            compressor=compressor,
+        trainer, _ = scenarios.run(
+            replace(KFAC_RUN, samples=500, noise=0.45, iterations=20, compressor=compressor)
         )
-        h = tr.train(iterations=20, batch_size=64, eval_every=20)
+        h = trainer.history
         return h.losses[-1], h.final_metric()
 
     base_loss, base_acc = train(None)
-    topk_loss, topk_acc = train(TopKCompressor(0.05))
-    ef = ErrorFeedback(TopKCompressor(0.05))
-    ef_loss, ef_acc = train(ef)
+    topk_loss, topk_acc = train(lambda s: TopKCompressor(0.05))
+    ef_loss, ef_acc = train(lambda s: ErrorFeedback(TopKCompressor(0.05)))
     # EF memory cost at real-model scale: one residual buffer = one
     # gradient-sized tensor per worker.
     mem_rows = []
@@ -78,7 +71,7 @@ def ef_part():
         grad_gb = sum(l.grad_bytes for l in cat) / 1e9
         total_gb = estimate_kfac_memory(cat, per_gpu_batch=8).total / 1e9
         mem_rows.append([name, grad_gb, 100 * grad_gb / total_gb])
-    return (base_loss, base_acc, topk_loss, topk_acc, ef_loss, ef_acc, ef), mem_rows
+    return (base_loss, base_acc, topk_loss, topk_acc, ef_loss, ef_acc), mem_rows
 
 
 def run_experiment():
@@ -86,7 +79,7 @@ def run_experiment():
 
 
 def test_ext_related_work(benchmark):
-    adapt_rows, ((base_loss, base_acc, topk_loss, topk_acc, ef_loss, ef_acc, ef), mem_rows) = (
+    adapt_rows, ((base_loss, base_acc, topk_loss, topk_acc, ef_loss, ef_acc), mem_rows) = (
         benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     )
     out = format_table(

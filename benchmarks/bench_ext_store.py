@@ -32,6 +32,9 @@ from pathlib import Path
 import numpy as np
 
 from benchmarks._common import OUT_DIR, emit
+from repro import scenarios
+from repro.core import AdaptiveCompso, StepLrSchedule
+from repro.scenarios import Scenario
 from repro.util.tables import format_table
 
 #: Steps of the direct-trainer scenario; saves land after steps 2 and 4
@@ -55,34 +58,20 @@ _PRE_COMMIT_POINTS = frozenset(
 )
 
 
-def _make_trainer(store=None, seed=0):
-    from repro.core import AdaptiveCompso, StepLrSchedule
-    from repro.data import make_image_data
-    from repro.distributed import SimCluster
-    from repro.kfac_dist import DistributedKfacTrainer
-    from repro.models import resnet_proxy
-    from repro.train import ClassificationTask
-
-    data = make_image_data(200, n_classes=4, size=8, noise=0.6, seed=seed)
-    task = ClassificationTask(data)
-    cluster = SimCluster(1, 2, seed=seed)
-    model = resnet_proxy(n_classes=4, channels=8, rng=seed + 3)
-    compressor = AdaptiveCompso(StepLrSchedule(4), seed=seed)
-    return DistributedKfacTrainer(
-        model,
-        task,
-        cluster,
-        lr=0.05,
-        inv_update_freq=3,
-        compressor=compressor,
-        checkpoint_store=store,
-    )
+#: The direct-trainer run every sweep replays, step by step.
+RUN = Scenario(
+    name="store-sweep", nodes=1, gpus_per_node=2, iterations=TOTAL_STEPS, batch_size=16,
+    samples=200, n_classes=4, noise=0.6, inv_update_freq=3,
+    compressor=lambda s: AdaptiveCompso(StepLrSchedule(4), seed=s.job_seed),
+)
 
 
-def _batches(seed=0):
+def _batches():
     from repro.data.loaders import batch_indices
 
-    return list(batch_indices(200, 16, iterations=TOTAL_STEPS, seed=seed))
+    return list(
+        batch_indices(RUN.samples, RUN.batch_size, iterations=RUN.iterations, seed=RUN.seed)
+    )
 
 
 def _params(model) -> np.ndarray:
@@ -93,7 +82,7 @@ def _baseline(root: Path) -> np.ndarray:
     """The uninterrupted run: same step/save cadence, no faults."""
     from repro.store import CheckpointStore
 
-    tr = _make_trainer(CheckpointStore(root))
+    tr = scenarios.build(RUN, store=CheckpointStore(root))
     for i, idx in enumerate(_batches(), start=1):
         tr.step(idx)
         if i in SAVE_AT:
@@ -113,7 +102,7 @@ def _crash_at(root: Path, point: str):
     plan = FaultPlan().add_save_crash(save_index=CRASH_SAVE_INDEX, point=point)
     controller = StorageFaultController(plan)
     store = CheckpointStore(root, hooks_factory=controller.hooks_for)
-    tr = _make_trainer(store)
+    tr = scenarios.build(RUN, store=store)
     batches = _batches()
     crashed = False
     for i, idx in enumerate(batches, start=1):
@@ -129,7 +118,7 @@ def _crash_at(root: Path, point: str):
     # The "restart": a fresh store and trainer over the same directory,
     # as a rebooted process would see it.
     store2 = CheckpointStore(root)
-    tr2 = _make_trainer(store2)
+    tr2 = scenarios.build(RUN, store=store2)
     gen = tr2.restore_latest()
     restored = gen.step if gen is not None else 0
     for i, idx in enumerate(batches, start=1):

@@ -7,27 +7,27 @@ does not — verified here on real K-FAC proxy gradients *and* synthetic
 uniform/normal data, plus the P0.5-vs-SR accuracy experiment.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from scipy import stats as sps
 
-from benchmarks._common import emit
+from benchmarks._common import HARD_RESNET, emit
+from repro import scenarios
 from repro.compression.quantize import round_nearest, round_p05, round_stochastic
 from repro.core.compso import CompsoCompressor
-from repro.data import make_image_data
-from repro.distributed import SimCluster
-from repro.kfac_dist import DistributedKfacTrainer
-from repro.models import resnet_proxy
-from repro.train import ClassificationTask
+from repro.scenarios import Scenario
 from repro.util.tables import format_table
 
 
 def _kfac_gradients():
     """Real K-FAC preconditioned gradients from a short proxy run."""
-    data = make_image_data(300, n_classes=5, size=8, noise=0.45, seed=0)
-    task = ClassificationTask(data)
-    model = resnet_proxy(n_classes=5, channels=8, rng=3)
-    tr = DistributedKfacTrainer(model, task, SimCluster(1, 2, seed=0), lr=0.05)
-    tr.train(iterations=5, batch_size=32)
+    tr, _ = scenarios.run(
+        Scenario(
+            name="fig05-gradients", nodes=1, gpus_per_node=2, iterations=5, samples=300,
+            noise=0.45, inv_update_freq=10,
+        )
+    )
     return np.concatenate(
         [tr.kfac.precondition(i).ravel() for i in range(len(tr.kfac.layers))]
     )
@@ -54,18 +54,12 @@ def _p05_accuracy_drop():
     over seeds because proxy-scale accuracy deltas are noisy."""
 
     def train(rounding, seed):
-        data = make_image_data(600, n_classes=8, size=8, noise=1.0, seed=0)
-        task = ClassificationTask(data)
-        model = resnet_proxy(n_classes=8, channels=8, rng=3)
-        comp = None
-        if rounding is not None:
-            comp = CompsoCompressor(0.0, 0.5, rounding=rounding, seed=seed)
-        tr = DistributedKfacTrainer(
-            model, task, SimCluster(1, 4, seed=seed), lr=0.05, inv_update_freq=5,
-            compressor=comp,
-        )
-        h = tr.train(iterations=16, batch_size=64, eval_every=16, seed=seed)
-        return h.final_metric()
+        def compressor(s):  # each training seed draws its own rounding stream
+            return CompsoCompressor(0.0, 0.5, rounding=rounding, seed=s.seed)
+
+        run = replace(HARD_RESNET, seed=seed, compressor=compressor if rounding else None)
+        trainer, _ = scenarios.run(run)
+        return trainer.history.final_metric()
 
     seeds = range(3)
     return {

@@ -11,69 +11,60 @@ detection (Mask R-CNN proxy, loss metric), and causal LM (GPT proxy,
 loss metric).
 """
 
-import numpy as np
+from dataclasses import replace
 
-from benchmarks._common import emit
+from benchmarks._common import KFAC_RUN, emit
+from repro import scenarios
 from repro.compression import CocktailSgdCompressor, QsgdCompressor, SzCompressor
 from repro.core import CompsoCompressor
-from repro.data import make_detection_data, make_image_data, make_lm_data
 from repro.distributed import SimCluster
-from repro.kfac_dist import DistributedKfacTrainer
-from repro.models import gpt_proxy, maskrcnn_proxy, resnet_proxy
 from repro.optim import Sgd
-from repro.train import ClassificationTask, DetectionTask, DistributedSgdTrainer, LmTask
+from repro.train import DistributedSgdTrainer
 from repro.util.tables import format_table
 
 ITERS = 24
 
-
-def _setup(workload):
-    if workload == "resnet":
-        data = make_image_data(500, n_classes=5, size=8, noise=0.45, seed=0)
-        return ClassificationTask(data), lambda: resnet_proxy(n_classes=5, channels=8, rng=3), 0.05, "acc%"
-    if workload == "maskrcnn":
-        data = make_detection_data(400, n_classes=5, n_boxes=2, noise=0.4, seed=0)
-        return DetectionTask(data), lambda: maskrcnn_proxy(n_classes=5, n_boxes=2, rng=3), 0.05, "loss"
-    data = make_lm_data(400, seq=9, vocab=24, concentration=0.05, seed=0)
-    return LmTask(data), lambda: gpt_proxy(vocab=24, dim=16, n_layers=1, max_seq=8, rng=3), 0.1, "loss"
+_FIG06 = replace(KFAC_RUN, iterations=ITERS, samples=400, noise=0.4)
+#: workload -> (its run, the name of its final metric)
+WORKLOADS = {
+    "resnet": (replace(_FIG06, samples=500, noise=0.45), "acc%"),
+    "maskrcnn": (replace(_FIG06, model="mini-detection"), "loss"),
+    "gpt": (replace(_FIG06, model="mini-gpt"), "loss"),
+}
 
 
 def _run_kfac(workload, compressor):
-    task, model_fn, lr, _ = _setup(workload)
-    tr = DistributedKfacTrainer(
-        model_fn(), task, SimCluster(1, 4, seed=0), lr=lr, inv_update_freq=5,
-        compressor=compressor,
-    )
-    h = tr.train(iterations=ITERS, batch_size=64, eval_every=ITERS)
-    return h
+    trainer, _ = scenarios.run(replace(WORKLOADS[workload][0], compressor=compressor))
+    return trainer.history
 
 
 def _run_sgd_cocktail(workload):
-    task, model_fn, lr, _ = _setup(workload)
-    model = model_fn()
-    opt = Sgd(model.parameters(), lr=lr, momentum=0.9)
+    s = WORKLOADS[workload][0]
+    proxy = scenarios.MODELS[s.model]
+    task, model = proxy.make(s)
+    opt = Sgd(model.parameters(), lr=proxy.lr, momentum=0.9)
     tr = DistributedSgdTrainer(
-        model, task, opt, SimCluster(1, 4, seed=0),
+        model, task, opt, SimCluster(s.nodes, s.gpus_per_node),
         compressor=CocktailSgdCompressor(0.2, 8),
     )
-    return tr.train(iterations=ITERS, batch_size=64, eval_every=ITERS)
+    return tr.train(iterations=s.iterations, batch_size=s.batch_size, eval_every=s.iterations)
 
 
 CONFIGS = [
-    ("kfac (no comp.)", lambda: None),
-    ("kfac+cusz", lambda: SzCompressor(4e-3)),
-    ("kfac+qsgd", lambda: QsgdCompressor(8)),
-    ("kfac+cocktail", lambda: CocktailSgdCompressor(0.2, 8)),
-    ("kfac+compso", lambda: CompsoCompressor(4e-3, 4e-3)),
+    ("kfac (no comp.)", None),
+    ("kfac+cusz", lambda s: SzCompressor(4e-3)),
+    ("kfac+qsgd", lambda s: QsgdCompressor(8)),
+    ("kfac+cocktail", lambda s: CocktailSgdCompressor(0.2, 8)),
+    ("kfac+compso", lambda s: CompsoCompressor(4e-3, 4e-3)),
 ]
 
 
 def run_experiment():
     results = {}
-    for workload in ("resnet", "maskrcnn", "gpt"):
+    for workload in WORKLOADS:
         per = {}
         for name, factory in CONFIGS:
-            per[name] = _run_kfac(workload, factory())
+            per[name] = _run_kfac(workload, factory)
         per["sgd+cocktail"] = _run_sgd_cocktail(workload)
         results[workload] = per
     return results
@@ -90,7 +81,7 @@ def test_fig6_convergence(benchmark):
     results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     blocks = []
     for workload, per in results.items():
-        metric_name = _setup(workload)[3]
+        metric_name = WORKLOADS[workload][1]
         rows = [
             [name, h.losses[0], h.losses[-1], h.final_metric()]
             for name, h in per.items()

@@ -16,12 +16,9 @@ under compute) it is strictly faster.
 import numpy as np
 
 from benchmarks._common import emit
-from repro.data import make_image_data
-from repro.distributed import SLINGSHOT10, SLINGSHOT11, SimCluster
-from repro.kfac_dist import DistributedKfacTrainer
-from repro.models import resnet_proxy
-from repro.runtime import ComputeModel, StreamRuntime
-from repro.train import ClassificationTask
+from repro import scenarios
+from repro.distributed import SLINGSHOT10, SLINGSHOT11
+from repro.scenarios import Scenario
 from repro.util.tables import format_table
 
 RANKS = (2, 4, 8, 16, 32, 64)
@@ -34,20 +31,17 @@ TRAIN_FLOPS = 5e7
 
 
 def _run(network, ranks: int, overlap: bool):
-    data = make_image_data(200, n_classes=5, size=8, noise=0.4, seed=0)
-    task = ClassificationTask(data)
     gpus = 4 if ranks >= 4 else ranks
-    cluster = SimCluster(ranks // gpus, gpus, seed=0, network=network)
-    model = resnet_proxy(n_classes=5, channels=8, rng=3)
-    rt = StreamRuntime(
-        cluster, overlap=overlap, compute=ComputeModel(train_flops=TRAIN_FLOPS)
+    trainer, _ = scenarios.run(
+        Scenario(
+            name="runtime-overlap", nodes=ranks // gpus, gpus_per_node=gpus,
+            iterations=ITERATIONS, batch_size=4 * ranks, samples=200, noise=0.4,
+            schedule="overlapped" if overlap else "blocking", train_flops=TRAIN_FLOPS,
+            network=network,
+        )
     )
-    trainer = DistributedKfacTrainer(
-        model, task, cluster, lr=0.05, inv_update_freq=2, runtime=rt
-    )
-    trainer.train(iterations=ITERATIONS, batch_size=4 * ranks)
-    params = np.concatenate([p.data.ravel() for p in model.parameters()])
-    return params, cluster.time, rt
+    params = np.concatenate([p.data.ravel() for p in trainer.model.parameters()])
+    return params, trainer.cluster.time, trainer.runtime
 
 
 def run_experiment():

@@ -7,48 +7,35 @@ noise of the no-compression target (90.44 F1), cuSZ lands below it;
 COMPSO uses the staged 4E-3 -> 2E-3 bound refinement.
 """
 
-from benchmarks._common import emit
+from dataclasses import replace
+
+from benchmarks._common import KFAC_RUN, emit
+from repro import scenarios
 from repro.compression import CocktailSgdCompressor, QsgdCompressor, SzCompressor
 from repro.core import AdaptiveCompso, SmoothLrSchedule
-from repro.data import make_squad_data
 from repro.distributed import SimCluster
-from repro.kfac_dist import DistributedKfacTrainer
-from repro.models.squad import SpanQaModel
 from repro.optim import Sgd
-from repro.train import DistributedSgdTrainer, SquadTask
+from repro.train import DistributedSgdTrainer
 from repro.util.tables import format_table
 
 ITERS = 60
 
-
-def _task():
-    return SquadTask(make_squad_data(600, seq=16, vocab=24, seed=0))
-
-
-def _model():
-    return SpanQaModel(vocab=24, dim=24, n_layers=2, max_seq=16, rng=1)
+SQUAD = replace(KFAC_RUN, model="mini-squad", iterations=ITERS, samples=600)
 
 
 def _run_kfac(compressor):
-    task = _task()
-    tr = DistributedKfacTrainer(
-        _model(), task, SimCluster(1, 4, seed=0), lr=0.1, inv_update_freq=5,
-        compressor=compressor,
-    )
-    h = tr.train(iterations=ITERS, batch_size=64, eval_every=ITERS)
-    em, f1 = h.final_metric()
-    return em, f1
+    trainer, _ = scenarios.run(replace(SQUAD, compressor=compressor))
+    return trainer.history.final_metric()
 
 
 def _run_sgd_cocktail():
-    task = _task()
-    model = _model()
+    task, model = scenarios.MODELS[SQUAD.model].make(SQUAD)
     opt = Sgd(model.parameters(), lr=0.2, momentum=0.9)
     tr = DistributedSgdTrainer(
-        model, task, opt, SimCluster(1, 4, seed=0),
+        model, task, opt, SimCluster(SQUAD.nodes, SQUAD.gpus_per_node),
         compressor=CocktailSgdCompressor(0.2, 8),
     )
-    h = tr.train(iterations=ITERS, batch_size=64, eval_every=ITERS)
+    h = tr.train(iterations=ITERS, batch_size=SQUAD.batch_size, eval_every=ITERS)
     em, f1 = h.final_metric()
     return em, f1
 
@@ -57,14 +44,17 @@ def run_experiment():
     rows = []
     rows.append(["sgd+cocktail", "20% sparsity + 8-bit", *_run_sgd_cocktail()])
     rows.append(["kfac (no comp.)", "(n/a)", *_run_kfac(None)])
-    rows.append(["kfac+cusz", "4E-3 relative", *_run_kfac(SzCompressor(4e-3))])
-    rows.append(["kfac+qsgd", "8-bit quant.", *_run_kfac(QsgdCompressor(8))])
+    rows.append(["kfac+cusz", "4E-3 relative", *_run_kfac(lambda s: SzCompressor(4e-3))])
+    rows.append(["kfac+qsgd", "8-bit quant.", *_run_kfac(lambda s: QsgdCompressor(8))])
     rows.append(
-        ["kfac+cocktail", "20% sparsity + 8-bit", *_run_kfac(CocktailSgdCompressor(0.2, 8))]
+        [
+            "kfac+cocktail", "20% sparsity + 8-bit",
+            *_run_kfac(lambda s: CocktailSgdCompressor(0.2, 8)),
+        ]
     )
     # COMPSO: staged bounds 4E-3 -> 2E-3 across four stages (paper's BERT recipe).
-    adaptive = AdaptiveCompso(SmoothLrSchedule(ITERS, z=4, alpha=0.5))
-    rows.append(["kfac+compso", "iteration-wise adaptive", *_run_kfac(adaptive)])
+    staged = _run_kfac(lambda s: AdaptiveCompso(SmoothLrSchedule(s.iterations, z=4, alpha=0.5)))
+    rows.append(["kfac+compso", "iteration-wise adaptive", *staged])
     return rows
 
 

@@ -10,21 +10,18 @@ Run with:  python examples/autotune_bounds.py
 
 import numpy as np
 
+from repro import scenarios
 from repro.autotune import FidelityBudget, autotune_bounds
 from repro.core import CompsoCompressor
-from repro.data import make_image_data
-from repro.distributed import SimCluster
-from repro.kfac_dist import DistributedKfacTrainer
-from repro.models import resnet_proxy
-from repro.train import ClassificationTask
+from repro.scenarios import Scenario
 
 # --- harvest real K-FAC gradients -------------------------------------------
-task = ClassificationTask(make_image_data(400, n_classes=5, size=8, noise=0.5, seed=0))
-trainer = DistributedKfacTrainer(
-    resnet_proxy(n_classes=5, channels=16, rng=3), task, SimCluster(1, 4, seed=0),
-    lr=0.05, inv_update_freq=5,
+trainer, _ = scenarios.run(
+    Scenario(
+        name="harvest", nodes=1, gpus_per_node=4, iterations=6, batch_size=64, samples=400,
+        channels=16, inv_update_freq=5,
+    )
 )
-trainer.train(iterations=6, batch_size=64)
 grads = [trainer.kfac.precondition(i) for i in range(len(trainer.kfac.layers))]
 print(f"harvested {len(grads)} layer gradients "
       f"({sum(g.nbytes for g in grads) / 1e3:.0f} KB total)")

@@ -7,24 +7,22 @@ exact-match / F1 against the no-compression target.
 Run with:  python examples/squad_finetune.py
 """
 
-from repro.core import AdaptiveCompso, SmoothLrSchedule
-from repro.data import make_squad_data
-from repro.distributed import SimCluster
-from repro.kfac_dist import DistributedKfacTrainer
-from repro.models.squad import SpanQaModel
-from repro.train import SquadTask
+from dataclasses import replace
 
-ITERS = 60
+from repro import scenarios
+from repro.core import AdaptiveCompso, SmoothLrSchedule
+from repro.scenarios import Scenario
+
+#: The span-QA proxy (``mini-squad``) on four ranks, 600 questions.
+RUN = Scenario(
+    name="squad-finetune", nodes=1, gpus_per_node=4, iterations=60, batch_size=64,
+    model="mini-squad", samples=600, inv_update_freq=5,
+)
 
 
 def finetune(compressor, label):
-    task = SquadTask(make_squad_data(600, seq=16, vocab=24, seed=0))
-    model = SpanQaModel(vocab=24, dim=24, n_layers=2, max_seq=16, rng=1)
-    trainer = DistributedKfacTrainer(
-        model, task, SimCluster(1, 4, seed=0), lr=0.1, inv_update_freq=5,
-        compressor=compressor,
-    )
-    history = trainer.train(iterations=ITERS, batch_size=64, eval_every=20)
+    trainer = scenarios.build(replace(RUN, compressor=compressor))
+    history = trainer.train(iterations=RUN.iterations, batch_size=RUN.batch_size, eval_every=20)
     print(f"\n=== {label} ===")
     for it, (em, f1) in history.metrics:
         print(f"  iter {it:3d}: EM {em:5.1f}%  F1 {f1:5.1f}%")
@@ -36,8 +34,10 @@ def finetune(compressor, label):
 target_em, target_f1 = finetune(None, "K-FAC (no compression) — the Table 1 target")
 
 # The paper's BERT recipe: four stages, bounds refined 4E-3 -> 2E-3.
-adaptive = AdaptiveCompso(SmoothLrSchedule(ITERS, z=4, alpha=0.5))
-em, f1 = finetune(adaptive, "K-FAC + COMPSO (staged 4E-3 -> 2E-3)")
+em, f1 = finetune(
+    lambda s: AdaptiveCompso(SmoothLrSchedule(s.iterations, z=4, alpha=0.5)),
+    "K-FAC + COMPSO (staged 4E-3 -> 2E-3)",
+)
 
 print(f"\nF1 delta vs target: {f1 - target_f1:+.2f} "
       f"(paper: COMPSO within ~0.2 of the 90.44 target)")

@@ -8,34 +8,24 @@ ratio, and the simulated communication-time savings.
 Run with:  python examples/train_resnet_kfac_compso.py
 """
 
-from repro.core import AdaptiveCompso, StepLrSchedule
-from repro.data import make_image_data
-from repro.distributed import PLATFORM1, SimCluster
-from repro.kfac_dist import DistributedKfacTrainer
-from repro.models import resnet_proxy
-from repro.optim import StepLr
-from repro.train import ClassificationTask
+from dataclasses import replace
 
-ITERS = 30
-LR_DROP = 15
+from repro import scenarios
+from repro.core import AdaptiveCompso, StepLrSchedule
+from repro.scenarios import Scenario
+
+#: 16 ranks (four nodes of four A100s on Slingshot-10), the rate dropping
+#: tenfold halfway through.
+RUN = Scenario(
+    name="train-resnet", nodes=4, gpus_per_node=4, iterations=30, batch_size=64, samples=800,
+    n_classes=8, noise=0.8, inv_update_freq=5, lr_drop=15,
+)
 
 
 def run(compressor, label):
-    data = make_image_data(800, n_classes=8, size=8, noise=0.8, seed=0)
-    task = ClassificationTask(data)
-    cluster = SimCluster(4, platform=PLATFORM1, seed=0)  # 16 ranks
-    model = resnet_proxy(n_classes=8, channels=8, rng=3)
-    trainer = DistributedKfacTrainer(
-        model,
-        task,
-        cluster,
-        lr=0.05,
-        inv_update_freq=5,
-        lr_schedule=StepLr(0.05, [LR_DROP], gamma=0.1),
-        compressor=compressor,
-    )
-    history = trainer.train(iterations=ITERS, batch_size=64, eval_every=10)
-    comm = cluster.breakdown()
+    trainer = scenarios.build(replace(RUN, compressor=compressor))
+    history = trainer.train(iterations=RUN.iterations, batch_size=RUN.batch_size, eval_every=10)
+    comm = trainer.cluster.breakdown()
     print(f"\n=== {label} ===")
     print(f"loss: {history.losses[0]:.3f} -> {history.losses[-1]:.4f}")
     for it, acc in history.metrics:
@@ -49,7 +39,7 @@ def run(compressor, label):
 
 baseline_allgather = run(None, "K-FAC, no compression")
 compso_allgather = run(
-    AdaptiveCompso(StepLrSchedule(LR_DROP)), "K-FAC + COMPSO (adaptive)"
+    lambda s: AdaptiveCompso(StepLrSchedule(s.lr_drop)), "K-FAC + COMPSO (adaptive)"
 )
 print(f"\nallgather time reduction: {baseline_allgather / compso_allgather:.1f}x")
 print(

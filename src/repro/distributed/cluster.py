@@ -50,7 +50,7 @@ import numpy as np
 
 from repro.distributed.clock import SimClock, VirtualClock, VirtualClockPlane
 from repro.distributed.collectives import COLLECTIVE_COSTS
-from repro.distributed.network import PLATFORM1, NetworkSpec, Platform
+from repro.distributed.network import PLATFORM1, NetworkSpec
 from repro.distributed.plane import RepView, payload_nbytes
 from repro.faults.controller import FaultController
 from repro.faults.plan import FailureEvent, FaultPlan
@@ -124,19 +124,14 @@ class SimCluster:
         gpus_per_node: int = 4,
         *,
         network: NetworkSpec | None = None,
-        platform: Platform | None = None,
         seed: int = 0,
         fault_plan: FaultPlan | None = None,
         track: str = "convergence",
     ):
-        if platform is not None:
-            network = platform.network
-            gpus_per_node = platform.gpus_per_node
         _require_positive_int("n_nodes", n_nodes)
         _require_positive_int("gpus_per_node", gpus_per_node)
         if track not in ("convergence", "timing"):
             raise ValueError(f"track must be 'convergence' or 'timing', got {track!r}")
-        self.platform = platform
         self._network = network if network is not None else PLATFORM1.network
         self.n_nodes = n_nodes
         self.gpus_per_node = gpus_per_node
@@ -189,24 +184,6 @@ class SimCluster:
                         f"{', '.join(supported)}"
                     )
             self.faults = FaultController(fault_plan, world)
-
-    @classmethod
-    def from_world_size(
-        cls, world_size: int, gpus_per_node: int = 4, **kwargs
-    ) -> "SimCluster":
-        """Build a cluster from a total rank count.
-
-        A world smaller than one full node becomes a single partial node;
-        anything else must divide evenly into ``gpus_per_node``-GPU nodes.
-        """
-        _require_positive_int("world_size", world_size)
-        _require_positive_int("gpus_per_node", gpus_per_node)
-        local = min(world_size, gpus_per_node)
-        if world_size % local:
-            raise ValueError(
-                f"world_size {world_size} does not divide into {gpus_per_node}-GPU nodes"
-            )
-        return cls(world_size // local, local, **kwargs)
 
     @property
     def world_size(self) -> int:

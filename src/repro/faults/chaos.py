@@ -70,47 +70,12 @@ class ChaosResult:
         return "\n".join(lines)
 
 
-def _counter_key(name: str, labels: dict) -> str:
-    if not labels:
-        return name
-    inner = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
-    return f"{name}[{inner}]"
-
-
-def _run_once(s: scenarios.Scenario):
-    """One training run of the scenario (faulted or not); returns its
-    measurements."""
-    trainer, sess = scenarios.run(s)
-    task, cluster = trainer.task, trainer.cluster
-    x, y = task.batch(np.arange(task.n))
-    full_loss, _ = task.loss_and_grad(trainer.model(x), y)
-    counters = {
-        _counter_key(m["name"], m["labels"]): m["value"]
-        for m in sess.metrics.snapshot()
-        if m["type"] == "counter" and m["name"].startswith(("faults.", "guard."))
-    }
-    sim_times = [rec["sim_time"] for rec in sess.metrics.steps if "sim_time" in rec]
-    fault_iterations = {
-        ev.get("iteration") for ev in (cluster.faults.events if cluster.faults else [])
-    }
-    return {
-        "loss": float(full_loss),
-        "sim_time": cluster.time,
-        "sim_times": sim_times,
-        "counters": counters,
-        "world_size": cluster.world_size,
-        "fault_iterations": fault_iterations,
-        "steps_done": len(trainer.history.losses),
-        "trainer": trainer,
-    }
-
-
 def run_chaos(s: scenarios.Scenario) -> ChaosResult:
     """Run the scenario and its fault-free twin; compare them."""
     if s.world < 2:
         raise ValueError("chaos scenarios need world_size >= 2")
-    baseline = _run_once(replace(s, faults=None))
-    faulted = _run_once(s)
+    baseline = scenarios.measure(replace(s, faults=None))
+    faulted = scenarios.measure(s)
 
     # Extra simulated seconds spent in iterations where a fault fired:
     # the recovery cost the time plane actually paid.

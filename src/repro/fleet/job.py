@@ -1,8 +1,8 @@
 """One fleet job: a timing-track COMPSO training run on shared fabric.
 
-A :class:`FleetJob` wraps the standard :class:`DistributedKfacTrainer`
-on a representative-rank timing cluster (O(1) payload memory in world
-size — a 16k-rank job costs the same RAM as a 4-rank one), wires the
+A :class:`FleetJob` trains the ``repro.scenarios`` run its spec
+describes, on a representative-rank timing cluster (O(1) payload memory
+in world size — a 16k-rank job costs the same RAM as a 4-rank one), wires the
 cluster's contention hook to the shared :class:`SharedFabric`, and
 exposes single-step execution so the scheduler can interleave tens of
 jobs in simulated-time order.
@@ -85,6 +85,13 @@ class JobSpec:
             raise ValueError(f"job {self.name!r}: iterations must be >= 1")
         if self.batch_size < 1:
             raise ValueError(f"job {self.name!r}: batch_size must be >= 1")
+        if self.world_size < 1:
+            raise ValueError(f"job {self.name!r}: world_size must be >= 1")
+        if self.world_size % min(self.world_size, GPUS_PER_NODE):
+            raise ValueError(
+                f"job {self.name!r}: world_size {self.world_size} does not divide into "
+                f"{GPUS_PER_NODE}-GPU nodes"
+            )
         if self.priority <= 0.0:
             raise ValueError(
                 f"job {self.name!r}: priority must be > 0, got {self.priority!r}"
@@ -157,44 +164,25 @@ class FleetJob:
 
     def _build(self) -> None:
         """(Re)construct cluster, trainer, and ledger for one segment."""
-        from repro.core import CompsoCompressor
-        from repro.data import make_image_data
         from repro.data.loaders import batch_indices
-        from repro.distributed import SLINGSHOT10, SimCluster
-        from repro.kfac_dist import DistributedKfacTrainer
-        from repro.models import resnet_proxy
-        from repro.obsv import LedgerConfig
-        from repro.train import ClassificationTask
+        from repro.scenarios import Scenario, build, compso
 
         spec = self.spec
-        self.cluster = SimCluster.from_world_size(
-            spec.world_size,
-            GPUS_PER_NODE,
-            seed=spec.seed,
-            network=SLINGSHOT10,
-            track="timing",
-            fault_plan=spec.fault_plan,
+        gpus = min(spec.world_size, GPUS_PER_NODE)
+        self.trainer = build(
+            Scenario(
+                name=spec.name, nodes=spec.world_size // gpus, gpus_per_node=gpus,
+                iterations=spec.iterations, batch_size=spec.batch_size,
+                seed=spec.seed, job_seed=spec.seed, compressor=compso,
+                faults=spec.fault_plan, track="timing", note="fleet job={name}",
+            ),
+            self.ledger_path,
+            self.store,
         )
+        self.cluster = self.trainer.cluster
         # Every collective this cluster prices goes through the shared
         # fabric, translated from job-local to fleet time.
         self.cluster.contention = self._price
-        task = ClassificationTask(
-            make_image_data(256, n_classes=5, size=8, noise=0.5, seed=spec.seed)
-        )
-        self.trainer = DistributedKfacTrainer(
-            resnet_proxy(n_classes=5, channels=8, rng=spec.seed + 3),
-            task,
-            self.cluster,
-            lr=0.05,
-            inv_update_freq=2,
-            compressor=CompsoCompressor(4e-3, 4e-3, seed=spec.seed),
-            checkpoint_store=self.store,
-            obsv=(
-                LedgerConfig(self.ledger_path, note=f"fleet job={spec.name}")
-                if self.ledger_path is not None
-                else None
-            ),
-        )
         if self.trainer.obsv is not None:
             self.trainer.obsv.update_manifest(
                 seed=spec.seed,
@@ -203,7 +191,9 @@ class FleetJob:
                 fleet=self._fleet_manifest(),
             )
         self._batches = list(
-            batch_indices(task.n, spec.batch_size, iterations=spec.iterations, seed=spec.seed)
+            batch_indices(
+                self.trainer.task.n, spec.batch_size, iterations=spec.iterations, seed=spec.seed
+            )
         )
 
     def _price(self, op: str, start: float, seconds: float) -> float:

@@ -33,7 +33,6 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 
 from repro import scenarios
-from repro.faults.chaos import _run_once
 
 __all__ = ["GuardRunResult", "run_guard_scenario"]
 
@@ -107,13 +106,13 @@ class GuardRunResult:
 def run_guard_scenario(s: scenarios.Scenario) -> GuardRunResult:
     """Run the scenario (the guarded run under its fault plan), its
     unguarded twin, and a clean reference."""
-    clean = _run_once(replace(s, faults=None, guard=False, checkpoint_every=0))
-    guarded = _run_once(s)
+    clean = scenarios.measure(replace(s, faults=None, guard=False, checkpoint_every=0))
+    guarded = scenarios.measure(s)
 
     unguarded_raised = False
     unguarded_error = ""
     try:
-        unguarded = _run_once(replace(s, guard=False, checkpoint_every=0))
+        unguarded = scenarios.measure(replace(s, guard=False, checkpoint_every=0))
         unguarded_loss = unguarded["loss"]
     except Exception as exc:  # noqa: BLE001 — the crash IS the measurement
         unguarded_raised = True

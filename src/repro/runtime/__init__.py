@@ -9,14 +9,16 @@ issue K-FAC and gradient communication during compute and *measure* the
 hidden fraction, replacing the assumed overlap constants of
 :mod:`repro.kfac_dist.timing`::
 
-    from repro.distributed import SimCluster
-    from repro.runtime import ComputeModel, StreamRuntime
+    from dataclasses import replace
 
-    cluster = SimCluster(4, 4)
-    rt = StreamRuntime(cluster, overlap=True, compute=ComputeModel(train_flops=5e7))
-    trainer = DistributedKfacTrainer(model, task, cluster, runtime=rt)
+    from repro import scenarios
+
+    # ``repro overlap``'s run: ``schedule="overlapped"`` builds the
+    # StreamRuntime, ``train_flops`` its ComputeModel.
+    overlap = scenarios.SCENARIOS["overlap"]["overlap"]
+    trainer = scenarios.build(replace(overlap, nodes=4, iterations=10, batch_size=64))
     trainer.train(iterations=10, batch_size=64)
-    print(rt.hidden_fraction())   # measured, not assumed
+    print(trainer.runtime.hidden_fraction())   # measured, not assumed
 
 The overlapped path is bit-identical to the blocking one — the same
 SimCluster data-plane helpers move the same arrays; only the clocks

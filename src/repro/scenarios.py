@@ -1,14 +1,14 @@
 """The registry of named runs: what ``smoke``, ``mixed`` or ``autotuned-degraded`` *is*.
 
 Everything this reproduction reports is a handful of named
-configurations of one small proxy job, and this module owns them
+configurations of a few small proxy jobs, and this module owns them
 (DESIGN.md decision 16): a :class:`Scenario` is one training run as
-frozen data, :data:`SCENARIOS` the registered ones, :func:`build` the
-``DistributedKfacTrainer`` every ``repro`` command trains (the fleet's
-jobs are built by ``FleetJob._build``; ten benches, three examples and
-perfbench's ``kfac_train`` construct their own), :data:`FAULT_PLANS` the
-fault plans a scenario can name, and :data:`FLEETS` the job mixes
-``repro fleet`` runs.
+frozen data, :data:`MODELS` the proxy workloads it can train,
+:data:`SCENARIOS` the registered runs, :func:`build` the
+``DistributedKfacTrainer`` every ``repro`` command, fleet job, bench and
+example trains (only perfbench's ``kfac_train`` constructs its own),
+:data:`FAULT_PLANS` the fault plans a scenario can name, and
+:data:`FLEETS` the job mixes ``repro fleet`` runs.
 A command-line flag is ``dataclasses.replace`` on a registered entry; a
 committed ``benchmarks/out/baselines/<baseline>.ledger`` is named by the
 entry that must reproduce it; two runs that differ in one stated thing
@@ -19,18 +19,20 @@ from __future__ import annotations
 
 import tempfile
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
+
+import numpy as np
 
 from repro.faults.plan import FaultPlan
 from repro.fleet.job import JobSpec
 
-__all__ = [
-    "MODELS", "Scenario", "SCENARIOS", "FAULT_PLANS", "fault_plan", "build", "run",
-    "Fleet", "FLEETS",
-]
+if TYPE_CHECKING:
+    from repro.distributed import NetworkSpec
 
-#: Proxy workloads small enough to train in seconds.
-MODELS = ("mini-resnet", "mini-detection")
+__all__ = [
+    "Proxy", "MODELS", "Scenario", "SCENARIOS", "FAULT_PLANS", "fault_plan", "build", "run",
+    "measure", "Fleet", "FLEETS",
+]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -63,9 +65,9 @@ class Scenario:
     #: scenario (a flag that moves ``eb`` moves the compressor with it).
     compressor: Callable[[Scenario], object] | None = None
     eb: float = 4e-3
-    #: A key of FAULT_PLANS; the three below are the knobs flags reach
-    #: into the plan.
-    faults: str | None = None
+    #: A key of FAULT_PLANS, or a plan built elsewhere (a fleet job's);
+    #: the three below are the knobs flags reach into a keyed plan.
+    faults: str | FaultPlan | None = None
     latency_factor: float = 4.0
     bandwidth_factor: float = 8.0
     corruption: float = 0.6
@@ -74,6 +76,16 @@ class Scenario:
     reliable_channel: bool = True
     #: ``None`` (no runtime), ``"blocking"`` or ``"overlapped"``.
     schedule: str | None = None
+    #: ``None`` is ``SimCluster``'s default fabric, Slingshot-10.
+    network: NetworkSpec | None = None
+    #: ``"timing"`` trains one representative rank per collective
+    #: (``SimCluster(track=)``): a 4k-rank world in a 4-rank's memory.
+    track: str = "convergence"
+    #: The iteration at which the learning rate drops tenfold (``None``:
+    #: it never does).
+    lr_drop: int | None = None
+    #: Like ``compressor``, for the factor allreduce payload.
+    factor_compressor: Callable[[Scenario], object] | None = None
     streams: int = 2
     train_flops: float = 5e7
     guard: bool = False
@@ -93,6 +105,85 @@ class Scenario:
     @property
     def world(self) -> int:
         return self.nodes * self.gpus_per_node
+
+
+# -- proxy workloads -----------------------------------------------------------
+# Each draws its dataset from ``job_seed`` and its model from a fixed offset
+# of it.  A shape a Scenario field names (samples, classes, noise, width)
+# comes from the scenario; every other shape is the entry's own constant.
+
+
+@dataclass(frozen=True)
+class Proxy:
+    """A proxy workload: ``make(s)`` is its ``(task, model)`` at the
+    scenario's shape and seeds, ``lr`` the rate K-FAC trains it at."""
+
+    make: Callable[[Scenario], tuple]
+    lr: float
+
+
+def _resnet(s: Scenario):
+    from repro.data import make_image_data
+    from repro.models import resnet_proxy
+    from repro.train import ClassificationTask
+
+    data = make_image_data(
+        s.samples, n_classes=s.n_classes, size=8, noise=s.noise, seed=s.job_seed
+    )
+    model = resnet_proxy(n_classes=s.n_classes, channels=s.channels, rng=s.job_seed + 3)
+    return ClassificationTask(data), model
+
+
+def _detection(s: Scenario):
+    from repro.data import make_detection_data
+    from repro.models import maskrcnn_proxy
+    from repro.train import DetectionTask
+
+    data = make_detection_data(
+        s.samples, n_classes=s.n_classes, n_boxes=2, size=16, noise=s.noise, seed=s.job_seed
+    )
+    model = maskrcnn_proxy(n_classes=s.n_classes, n_boxes=2, rng=s.job_seed + 3)
+    return DetectionTask(data), model
+
+
+def _gpt(s: Scenario):
+    from repro.data import make_lm_data
+    from repro.models import gpt_proxy
+    from repro.train import LmTask
+
+    data = make_lm_data(s.samples, seq=9, vocab=24, concentration=0.05, seed=s.job_seed)
+    model = gpt_proxy(vocab=24, dim=16, n_layers=1, max_seq=8, rng=s.job_seed + 3)
+    return LmTask(data), model
+
+
+def _bert(s: Scenario):
+    from repro.data import make_lm_data, make_mlm_batches
+    from repro.models import bert_proxy
+    from repro.train import MlmTask
+
+    lm = make_lm_data(s.samples, seq=12, vocab=24, concentration=0.05, seed=s.job_seed)
+    model = bert_proxy(vocab=24, dim=16, n_layers=1, max_seq=12, rng=s.job_seed + 3)
+    return MlmTask(make_mlm_batches(lm, seed=s.job_seed + 1)), model
+
+
+def _squad(s: Scenario):
+    from repro.data import make_squad_data
+    from repro.models.squad import SpanQaModel
+    from repro.train import SquadTask
+
+    data = make_squad_data(s.samples, seq=16, vocab=24, seed=s.job_seed)
+    model = SpanQaModel(vocab=24, dim=24, n_layers=2, max_seq=16, rng=s.job_seed + 1)
+    return SquadTask(data), model
+
+
+#: Proxy workloads small enough to train in seconds, by ``Scenario.model``.
+MODELS: dict[str, Proxy] = {
+    "mini-resnet": Proxy(_resnet, lr=0.05),
+    "mini-detection": Proxy(_detection, lr=0.05),
+    "mini-gpt": Proxy(_gpt, lr=0.1),
+    "mini-bert": Proxy(_bert, lr=0.1),
+    "mini-squad": Proxy(_squad, lr=0.1),
+}
 
 
 # -- compressors ---------------------------------------------------------------
@@ -182,9 +273,10 @@ FAULT_PLANS: dict[str, Callable[[FaultPlan, Scenario, int], None]] = {
 
 
 def fault_plan(s: Scenario) -> FaultPlan | None:
-    """The scenario's fault plan scaled to its shape, or ``None``."""
-    if s.faults is None:
-        return None
+    """The scenario's fault plan scaled to its shape, the plan it carries,
+    or ``None``."""
+    if s.faults is None or isinstance(s.faults, FaultPlan):
+        return s.faults
     if s.faults not in FAULT_PLANS:
         raise ValueError(f"unknown fault plan {s.faults!r}; choose from {sorted(FAULT_PLANS)}")
     plan = FaultPlan(seed=s.job_seed)
@@ -281,32 +373,23 @@ SCENARIOS: dict[str, dict[str, Scenario]] = {
 # -- building and running ------------------------------------------------------
 
 
-def build(s: Scenario, out=None, checkpoint_dir=None):
+def build(s: Scenario, out=None, store=None):
     """Construct the scenario's trainer; ``out`` is its ledger path,
-    ``checkpoint_dir`` the directory of the store ``checkpoint_every``
-    saves go to."""
+    ``store`` the :class:`~repro.store.CheckpointStore` its checkpoints go to."""
     from repro.autotune import AutotuneConfig
-    from repro.data import make_detection_data, make_image_data
     from repro.distributed import SimCluster
     from repro.guard import GuardConfig
     from repro.kfac_dist import DistributedKfacTrainer
-    from repro.models import maskrcnn_proxy, resnet_proxy
     from repro.obsv import LedgerConfig
+    from repro.optim import StepLr
     from repro.runtime import ComputeModel, StreamRuntime
-    from repro.store import CheckpointStore
-    from repro.train import ClassificationTask, DetectionTask
 
-    cluster = SimCluster(s.nodes, s.gpus_per_node, seed=s.job_seed, fault_plan=fault_plan(s))
-    if s.model == "mini-resnet":
-        task = ClassificationTask(
-            make_image_data(
-                s.samples, n_classes=s.n_classes, size=8, noise=s.noise, seed=s.job_seed
-            )
-        )
-        model = resnet_proxy(n_classes=s.n_classes, channels=s.channels, rng=s.job_seed + 3)
-    else:
-        task = DetectionTask(make_detection_data(s.samples, size=8, seed=s.job_seed))
-        model = maskrcnn_proxy(rng=s.job_seed + 3)
+    cluster = SimCluster(
+        s.nodes, s.gpus_per_node, network=s.network, seed=s.job_seed,
+        fault_plan=fault_plan(s), track=s.track,
+    )
+    proxy = MODELS[s.model]
+    task, model = proxy.make(s)
     runtime = None
     if s.schedule is not None:
         runtime = StreamRuntime(
@@ -324,11 +407,13 @@ def build(s: Scenario, out=None, checkpoint_dir=None):
         model,
         task,
         cluster,
-        lr=0.05,
+        lr=proxy.lr,
+        lr_schedule=StepLr(proxy.lr, [s.lr_drop], gamma=0.1) if s.lr_drop is not None else None,
         inv_update_freq=s.inv_update_freq,
         compressor=s.compressor(s) if s.compressor is not None else None,
+        factor_compressor=s.factor_compressor(s) if s.factor_compressor is not None else None,
         checkpoint_every=s.checkpoint_every,
-        checkpoint_store=CheckpointStore(checkpoint_dir) if s.checkpoint_every else None,
+        checkpoint_store=store,
         runtime=runtime,
         guard=GuardConfig() if s.guard else None,
         reliable_channel=s.reliable_channel,
@@ -344,11 +429,12 @@ def run(s: Scenario, out=None):
     """Train the scenario inside a telemetry session; returns the trainer
     and the (closed, still readable) session."""
     from repro import telemetry
+    from repro.store import CheckpointStore
 
     # Checkpoints (if the scenario takes any) only matter while the run is
     # alive — the guard rolls back to them — so their directory ends with it.
     with tempfile.TemporaryDirectory(prefix="repro-run-") as store_dir:
-        trainer = build(s, out, store_dir)
+        trainer = build(s, out, CheckpointStore(store_dir) if s.checkpoint_every else None)
         with telemetry.session() as session:
             trainer.train(
                 iterations=s.iterations,
@@ -357,6 +443,44 @@ def run(s: Scenario, out=None):
                 seed=s.seed,
             )
     return trainer, session
+
+
+def _counter_key(name: str, labels: dict) -> str:
+    if not labels:
+        return name
+    inner = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
+    return f"{name}[{inner}]"
+
+
+def measure(s: Scenario) -> dict:
+    """Run the scenario (faulted or not) and measure it: full-dataset loss,
+    sim time in total and per step, the ``faults.*`` / ``guard.*``
+    counters, the final world, the iterations a fault fired in, the steps
+    done, and the trainer.  ``repro chaos`` and ``repro guard`` compare
+    runs of this."""
+    trainer, sess = run(s)
+    task, cluster = trainer.task, trainer.cluster
+    x, y = task.batch(np.arange(task.n))
+    full_loss, _ = task.loss_and_grad(trainer.model(x), y)
+    counters = {
+        _counter_key(m["name"], m["labels"]): m["value"]
+        for m in sess.metrics.snapshot()
+        if m["type"] == "counter" and m["name"].startswith(("faults.", "guard."))
+    }
+    sim_times = [rec["sim_time"] for rec in sess.metrics.steps if "sim_time" in rec]
+    fault_iterations = {
+        ev.get("iteration") for ev in (cluster.faults.events if cluster.faults else [])
+    }
+    return {
+        "loss": float(full_loss),
+        "sim_time": cluster.time,
+        "sim_times": sim_times,
+        "counters": counters,
+        "world_size": cluster.world_size,
+        "fault_iterations": fault_iterations,
+        "steps_done": len(trainer.history.losses),
+        "trainer": trainer,
+    }
 
 
 # -- fleets --------------------------------------------------------------------

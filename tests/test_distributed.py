@@ -192,8 +192,3 @@ class TestSimCluster:
         cl = SimCluster(1, 2, seed=3)
         assert not np.array_equal(cl.ranks[0].rng.random(4), cl.ranks[1].rng.random(4))
 
-    def test_platform_construction(self):
-        cl = SimCluster(2, platform=PLATFORM2)
-        assert cl.world_size == 8
-        assert cl.network is PLATFORM2.network
-

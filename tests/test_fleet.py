@@ -52,8 +52,8 @@ def _params(model):
 
 
 def _run(kind, ranks, *, track="timing", full=False, overlap=False, use_rt=False):
-    cluster = (full_payloads(SimCluster) if full else SimCluster).from_world_size(
-        ranks, min(ranks, 4), seed=0, network=SLINGSHOT10, track=track
+    cluster = (full_payloads(SimCluster) if full else SimCluster)(
+        ranks // min(ranks, 4), min(ranks, 4), seed=0, network=SLINGSHOT10, track=track
     )
     model = resnet_proxy(n_classes=5, channels=8, rng=3)
     rt = (
@@ -115,8 +115,8 @@ class TestTimingTrackComposition:
         from repro.guard.guard import GuardConfig
 
         plan = FaultPlan().add_straggler(1, start=0, slowdown=3.0)
-        cluster = SimCluster.from_world_size(
-            8, 4, seed=0, network=SLINGSHOT10, track="timing", fault_plan=plan
+        cluster = SimCluster(
+            2, 4, seed=0, network=SLINGSHOT10, track="timing", fault_plan=plan
         )
         model = resnet_proxy(n_classes=5, channels=8, rng=3)
         rt = StreamRuntime(cluster, overlap=True, compute=ComputeModel(train_flops=FLOPS))
@@ -129,8 +129,8 @@ class TestTimingTrackComposition:
             trainer.train(iterations=ITERS, batch_size=64)
         assert np.all(np.isfinite(_params(model)))
         # The straggler stretched the run past the fault-free twin.
-        clean = SimCluster.from_world_size(
-            8, 4, seed=0, network=SLINGSHOT10, track="timing"
+        clean = SimCluster(
+            2, 4, seed=0, network=SLINGSHOT10, track="timing"
         )
         model2 = resnet_proxy(n_classes=5, channels=8, rng=3)
         rt2 = StreamRuntime(clean, overlap=True, compute=ComputeModel(train_flops=FLOPS))
@@ -178,9 +178,9 @@ class TestValidation:
         with pytest.raises((ValueError, TypeError)):
             SimCluster(n_nodes, gpus)
 
-    def test_from_world_size_rejects_indivisible(self):
+    def test_a_job_world_must_divide_into_nodes(self):
         with pytest.raises(ValueError, match="does not divide"):
-            SimCluster.from_world_size(10, 4)
+            JobSpec("j", world_size=10, iterations=1)
 
     def test_rejects_unknown_track(self):
         with pytest.raises(ValueError, match="track"):

@@ -45,12 +45,12 @@ class TestFaultCapability:
     def test_timing_rejects_corruption_naming_class_and_tracks(self):
         plan = FaultPlan().add_corruption(0.5)
         with pytest.raises(ValueError, match="PayloadCorruption.*timing.*convergence"):
-            SimCluster.from_world_size(8, 4, track="timing", fault_plan=plan)
+            SimCluster(2, 4, track="timing", fault_plan=plan)
 
     def test_timing_rejects_drops_naming_class(self):
         plan = FaultPlan().add_drop(0, iteration=1)
         with pytest.raises(ValueError, match="DroppedContribution.*data-plane"):
-            SimCluster.from_world_size(8, 4, track="timing", fault_plan=plan)
+            SimCluster(2, 4, track="timing", fault_plan=plan)
 
     def test_timing_accepts_time_and_availability_planes(self):
         plan = (
@@ -60,19 +60,19 @@ class TestFaultCapability:
             .add_failure(2, iteration=1)
             .add_crash(iteration=1)
         )
-        cluster = SimCluster.from_world_size(8, 4, track="timing", fault_plan=plan)
+        cluster = SimCluster(2, 4, track="timing", fault_plan=plan)
         assert cluster.faults is not None
 
     def test_convergence_still_accepts_data_plane(self):
         plan = FaultPlan().add_corruption(0.5).add_drop(0, iteration=1)
-        cluster = SimCluster.from_world_size(8, 4, track="convergence", fault_plan=plan)
+        cluster = SimCluster(2, 4, track="convergence", fault_plan=plan)
         assert cluster.faults is not None
 
     def test_crashes_only_plan_is_invisible_to_cluster(self):
         # Crashes are interpreted by the fleet scheduler; the cluster
         # must not grow a controller (which would add checksum traffic).
         plan = FaultPlan().add_crash(iteration=1)
-        cluster = SimCluster.from_world_size(8, 4, track="timing", fault_plan=plan)
+        cluster = SimCluster(2, 4, track="timing", fault_plan=plan)
         assert cluster.faults is None
         assert not plan.is_empty()
         assert plan.is_empty_for_cluster()

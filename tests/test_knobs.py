@@ -9,14 +9,19 @@ re-declares that default — and the ledger manifest would record it as if a
 run had chosen it.  This lint parses every call site (``src/``,
 ``benchmarks/``, ``examples/``, ``perfbench/`` and the Python blocks of
 ``ci.yml``; tests are not callers) and fails on any knob none of them sets,
-naming it as ``file:line owner(knob=)``.  Three forms set a knob besides a
+naming it as ``file:line owner(knob=)``.  Four forms set a knob besides a
 plain call, by keyword or position:
 
 * a ``**`` expansion sets the keys of a dict literal and nothing else;
 * ``dataclasses.replace(x, k=...)`` sets ``k`` on a dataclass of
   :data:`KNOBS` only in a file that imports or defines that class;
 * a ``repro`` subcommand's ``--flag`` (declared in ``build_parser``) sets the
-  knob of the same name on the classes its ``cmd_*`` function constructs.
+  knob of the same name on the classes its ``cmd_*`` function constructs;
+* a ``cmd_*`` function that hands the parsed command line to a call names
+  the fields its flags set (``_scenario(args, "chaos", name, "seed",
+  job_seed="seed")``): a string argument that is a flag of the command sets
+  the field of the same name, a keyword whose value is such a flag sets the
+  keyword's field, on a :data:`KNOBS` class that has all of them as fields.
 
 Three rules (DESIGN.md decision 27(g)), each with a self-test below:
 
@@ -68,6 +73,7 @@ KNOBS: tuple[tuple[str, str], ...] = (
     ("src/repro/obsv/ledger.py", "LedgerConfig"),
     ("src/repro/fleet/job.py", "JobSpec"),
     ("src/repro/runtime/compute.py", "ComputeModel"),
+    ("src/repro/scenarios.py", "Scenario"),
 )
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -290,22 +296,22 @@ def names_class(tree: ast.Module, cls: str) -> bool:
     )
 
 
-def flag_setters(tree: ast.Module) -> dict[str, set[str]]:
-    """Callee → knob names the CLI flags of ``build_parser`` in ``tree`` set.
+def command_flags(tree: ast.Module) -> list[tuple[ast.FunctionDef, list[str]]]:
+    """Each ``cmd_x`` of ``tree`` with the flags ``build_parser`` declares for it.
 
     In ``build_parser`` a run of ``add_argument("--flag")`` calls belongs to
-    the ``set_defaults(func=cmd_x)`` that ends it; each flag, with dashes
-    as underscores, sets that name on every class ``cmd_x`` calls.
+    the ``set_defaults(func=cmd_x)`` that ends it; a flag is named with
+    dashes as underscores.
     """
     functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
     parser = functions.get("build_parser")
     if parser is None:
-        return {}
+        return []
     calls = sorted(
         (n for n in ast.walk(parser) if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)),
         key=lambda n: (n.lineno, n.col_offset),
     )
-    out: dict[str, set[str]] = {}
+    out: dict[str, list[str]] = {}
     flags: list[str] = []
     for node in calls:
         if node.func.attr == "add_argument":
@@ -317,9 +323,40 @@ def flag_setters(tree: ast.Module) -> dict[str, set[str]]:
         elif node.func.attr == "set_defaults":
             for kw in node.keywords:
                 if kw.arg == "func" and isinstance(kw.value, ast.Name) and kw.value.id in functions:
-                    for callee in calls_by_callee(functions[kw.value.id]):
-                        out.setdefault(callee, set()).update(flags)
+                    out.setdefault(kw.value.id, []).extend(flags)
             flags = []
+    return [(functions[name], flags) for name, flags in out.items()]
+
+
+def flag_setters(tree: ast.Module) -> dict[str, set[str]]:
+    """Callee → knob names the CLI flags of ``build_parser`` in ``tree`` set:
+    each flag of a command sets that name on every class its ``cmd_x`` calls."""
+    out: dict[str, set[str]] = {}
+    for fn, flags in command_flags(tree):
+        for callee in calls_by_callee(fn):
+            out.setdefault(callee, set()).update(flags)
+    return out
+
+
+def flags_by_name(tree: ast.Module) -> list[set[str]]:
+    """The field names each call in a ``cmd_x`` of ``tree`` that is handed
+    the parsed command line (``f(args, ...)``) names flags for: a string
+    argument that is a flag of the command names the field of the same name,
+    and a keyword whose string value is such a flag names the field of the
+    keyword (``_scenario(args, "chaos", name, "seed", job_seed="seed")``)."""
+    out: list[set[str]] = []
+    for fn, flags in command_flags(tree):
+        namespace = fn.args.args[0].arg if fn.args.args else None
+        for node in ast.walk(fn):
+            if not (isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Name)
+                    and node.args[0].id == namespace):
+                continue
+            named = {a.value for a in node.args[1:]
+                     if isinstance(a, ast.Constant) and a.value in flags}
+            named |= {kw.arg for kw in node.keywords
+                      if isinstance(kw.value, ast.Constant) and kw.value.value in flags}
+            if named:
+                out.append(named)
     return out
 
 
@@ -343,16 +380,19 @@ def _target_path(target: str) -> tuple[str, str]:
     return _module_file(module), qualname
 
 
-def unset_fields(sources: dict[str, ast.Module]) -> list[str]:
-    """``file:line Class(field=)`` for every field of a :data:`KNOBS`
-    dataclass that no call site sets."""
+def unset_fields(sources: dict[str, ast.Module], knobs=KNOBS) -> list[str]:
+    """``file:line Class(field=)`` for every field of a ``knobs`` dataclass
+    that no call site sets.  Names a command passes by flag
+    (:func:`flags_by_name`) count on a class when all of them are its
+    fields, as ``replace`` requires."""
     out: list[str] = []
-    for module, cls in KNOBS:
+    for module, cls in knobs:
         names = fields_of(sources[module], cls)
         found: set[str] = set()
         for where, tree in sources.items():
             by_callee = calls_by_callee(tree)
             found |= set_names(by_callee.get(cls, []), names) | flag_setters(tree).get(cls, set())
+            found |= set().union(*(n for n in flags_by_name(tree) if n <= set(names)))
             if "replace" in by_callee and names_class(tree, cls):
                 found |= replaced_names(tree, names)
         line = next(n.lineno for n in sources[module].body
@@ -643,6 +683,30 @@ def test_a_cli_flag_sets_the_knob_its_command_constructs():
     )
     got = flag_setters(cli)
     assert got["Engine"] == {"y"} and "z" not in got["Engine"]
+
+
+def test_a_command_sets_the_fields_it_names_by_flag():
+    sources = {
+        "src/repro/cfg.py": ast.parse(
+            "class Run:\n"
+            "    seed: int = 0\n"
+            "    iterations: int = 1\n"
+            "    preset: str = ''\n"
+        ),
+        "src/repro/cli.py": ast.parse(
+            "def cmd_train(args):\n"
+            # "preset" is a field but no flag: a string names a field only
+            # through the flag of the same name.
+            "    return _scenario(args, 'preset', None, 'seed', iterations='iters')\n"
+            "def build_parser():\n"
+            "    p = sub.add_parser('train')\n"
+            "    p.add_argument('--seed', type=int)\n"
+            "    p.add_argument('--iters', type=int)\n"
+            "    p.set_defaults(func=cmd_train)\n"
+        ),
+    }
+    assert flags_by_name(sources["src/repro/cli.py"]) == [{"seed", "iterations"}]
+    assert unset_fields(sources, (("src/repro/cfg.py", "Run"),)) == ["src/repro/cfg.py:1 Run(preset=)"]
 
 
 def test_the_definitions_lint_sees_what_it_looks_for():

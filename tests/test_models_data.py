@@ -1,5 +1,7 @@
 """Model catalogs, proxies, and synthetic datasets."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from repro.models import (
     resnet_proxy,
 )
 from repro.models.squad import SpanQaModel
+from repro.scenarios import MODELS, Scenario, run
 
 
 def _param_count(catalog):
@@ -187,3 +190,29 @@ class TestSharding:
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
             shard(np.arange(10), 4)
+
+
+class TestProxyVocabulary:
+    """Every ``repro.scenarios.MODELS`` entry the benches and examples
+    train, built by ``scenarios.build`` and stepped once on a 1x2 cluster."""
+
+    _TINY = Scenario(
+        name="vocabulary", nodes=1, gpus_per_node=2, iterations=1, batch_size=8, samples=16,
+        evaluate=True,
+    )
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_every_proxy_builds_and_steps(self, model):
+        trainer, _ = run(replace(self._TINY, model=model))
+        h = trainer.history
+        assert len(h.losses) == 1 and np.isfinite(h.losses[0])
+        assert h.metrics and h.metrics[0][0] == 1
+
+    def test_detection_reads_the_data_fields(self):
+        base = replace(self._TINY, model="mini-detection")
+        task, model = MODELS["mini-detection"].make(base)
+        other_task, other_model = MODELS["mini-detection"].make(replace(base, n_classes=3, noise=0.2))
+        assert (task.data.n_classes, model.n_classes) == (base.n_classes, base.n_classes)
+        assert (other_task.data.n_classes, other_model.n_classes) == (3, 3)
+        assert task.data.x.shape[1:] == (3, 16, 16) and task.data.n_boxes == 2
+        assert not np.array_equal(task.data.x, other_task.data.x)
