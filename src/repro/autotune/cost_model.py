@@ -17,11 +17,10 @@ clock — decisions derived from this model are a pure function of
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.autotune.types import CandidateConfig, round6
+from repro.core.layer_aggregation import LayerAggregator
 from repro.gpusim.encoder_perf import ENCODER_INPUT_FRACTION, ENCODER_PERF
 
 __all__ = [
@@ -95,15 +94,15 @@ def codec_seconds(
 ) -> float:
     """Modelled GPU compress+decompress seconds for one step.
 
-    Aggregation batches ``n_layers`` payloads into
-    ``ceil(n_layers / aggregation)`` encoder invocations, amortising the
+    Aggregation batches ``n_layers`` payloads into one encoder
+    invocation per aggregation group, amortising the
     per-invocation overhead that dominates at K-FAC layer sizes
     (paper Table 2 calibration via :data:`ENCODER_PERF`).
     """
     if candidate.is_identity or dense_bytes <= 0:
         return 0.0
     perf = ENCODER_PERF[candidate.encoder]
-    invocations = max(1, math.ceil(n_layers / candidate.aggregation))
+    invocations = max(1, len(LayerAggregator(candidate.aggregation).groups(n_layers)))
     enc_in = dense_bytes * ENCODER_INPUT_FRACTION / invocations
     dec_in = max(wire_bytes, 0.0) / invocations
     return invocations * (perf.compress_time(enc_in) + perf.decompress_time(dec_in))
@@ -113,7 +112,7 @@ def aggregation_credit(
     candidate: CandidateConfig, *, n_layers: int, alpha: float, lat_factor: float = 1.0
 ) -> float:
     """Seconds of per-message launch latency modelled aggregation saves."""
-    invocations = max(1, math.ceil(n_layers / candidate.aggregation))
+    invocations = max(1, len(LayerAggregator(candidate.aggregation).groups(n_layers)))
     return max(n_layers - invocations, 0) * alpha * lat_factor
 
 
@@ -241,7 +240,7 @@ class CostModel:
         alpha, beta = self.estimator.fit()
         cr = self.cr.get(candidate.name, 1.0)
         wire = dense_bytes / max(cr, 1e-9)
-        invocations = max(1, math.ceil(n_layers / candidate.aggregation))
+        invocations = max(1, len(LayerAggregator(candidate.aggregation).groups(n_layers)))
         comm = alpha * invocations * lat_factor + beta * wire * bw_factor
         return comm + codec_seconds(
             candidate, dense_bytes=dense_bytes, wire_bytes=wire, n_layers=n_layers

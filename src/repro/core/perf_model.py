@@ -150,12 +150,9 @@ class PerformanceModel:
             sizes.append(sum(compressor.group_nbytes(g) for g in agg.aggregate(list(grads))))
         L_c = float(np.mean(sizes))
         pipeline = PIPELINES["compso-cuda"]
-        t_comp = sum(
-            pipeline.compress_time(b, A100) for b in agg.group_bytes([g.size for g in grads])
-        )
-        t_decomp = sum(
-            pipeline.decompress_time(b, A100) for b in agg.group_bytes([g.size for g in grads])
-        )
+        group_bytes = agg.group_bytes([g.size for g in grads])
+        t_comp = sum(pipeline.compress_time(b, A100) for b in group_bytes)
+        t_decomp = sum(pipeline.decompress_time(b, A100) for b in group_bytes)
         return ProfiledStats(
             L_o=L_o,
             L_c=L_c,
@@ -193,20 +190,22 @@ class PerformanceModel:
 
         Score = estimated time to compress + communicate + decompress one
         iteration's gradients; returns the winner and per-candidate
-        (compressed_bytes, est_time) for inspection.
+        (compressed_bytes, est_time) for inspection.  ``compso`` is left on
+        the encoder it came with, also when a probe raises.
         """
         agg = LayerAggregator(aggregation)
         results: dict[str, tuple[float, float]] = {}
         original_encoder = compso.encoder_name
-        group_bytes = agg.group_bytes([g.size for g in grads])
-        for name in NVCOMP_CANDIDATES:
-            compso.set_encoder(name)
-            L_c = sum(compso.group_nbytes(g) for g in agg.aggregate(list(grads)))
-            perf = ENCODER_PERF[name]
-            f = ENCODER_INPUT_FRACTION
-            t = sum(perf.compress_time(b * f) + perf.decompress_time(b * f) for b in group_bytes)
-            t += self.lookup.time(self.world_size, L_c)
-            results[name] = (float(L_c), float(t))
-        compso.set_encoder(original_encoder)
+        inputs = [b * ENCODER_INPUT_FRACTION for b in agg.group_bytes([g.size for g in grads])]
+        try:
+            for name in NVCOMP_CANDIDATES:
+                compso.set_encoder(name)
+                L_c = sum(compso.group_nbytes(g) for g in agg.aggregate(list(grads)))
+                perf = ENCODER_PERF[name]
+                t = sum(perf.compress_time(b) + perf.decompress_time(b) for b in inputs)
+                t += self.lookup.time(self.world_size, L_c)
+                results[name] = (float(L_c), float(t))
+        finally:
+            compso.set_encoder(original_encoder)
         best = min(results, key=lambda n: results[n][1])
         return best, results

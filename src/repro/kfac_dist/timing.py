@@ -20,6 +20,12 @@ the platform's network, and the A100 device model:
   (bucketed allreduce overlaps with backward) plus fixed per-iteration
   overhead (data loading, optimizer step).
 
+The communication terms price one step plan (:meth:`KfacIterationModel.plan`,
+message counts from ``LayerAggregator``) through ``COLLECTIVE_COSTS``, the
+table ``SimCluster`` prices the executed trainer with;
+``tests/test_step_plan.py`` holds the two together and names where they
+differ by design (DESIGN.md decision 29).
+
 Constants are calibrated so the no-compression breakdown reproduces
 Fig. 1's 16-node columns; everything else (scaling with nodes, platforms,
 compression) follows from the model.
@@ -27,12 +33,13 @@ compression) follows from the model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.layer_aggregation import LayerAggregator
-from repro.distributed.collectives import allgather_time, allreduce_time
+from repro.distributed.collectives import COLLECTIVE_COSTS
 from repro.distributed.network import Platform
 from repro.gpusim.device import A100, DeviceModel
 from repro.gpusim.kernels import PIPELINES, KernelPipeline
@@ -56,6 +63,19 @@ class CompressionSpec:
     @staticmethod
     def compso(ratio: float, aggregation: int = 4) -> "CompressionSpec":
         return CompressionSpec(ratio, PIPELINES["compso-cuda"], aggregation)
+
+
+class Exchange(NamedTuple):
+    """One collective of a step's plan: the trainer's ``SimCluster``
+    category for it, its ``COLLECTIVE_COSTS`` op and that op's size
+    argument (bytes per rank for an allgather), the eager messages that
+    each pay ``message_overhead``, and the iterations between two."""
+
+    category: str
+    op: str
+    nbytes: float
+    messages: int
+    every: int
 
 
 @dataclass
@@ -121,7 +141,7 @@ class TimingProfile:
     inv_update_freq: int = 100
     #: *Assumed* fraction of the DDP gradient allreduce hidden under
     #: backward.  A :class:`repro.runtime.StreamRuntime` run measures this
-    #: instead — pass its value to :meth:`KfacIterationModel.others_time`.
+    #: instead (``StreamRuntime.hidden_fraction``).
     grad_overlap: float = 0.8
     #: Fixed per-iteration overhead as a fraction of fwd+bwd time.
     fixed_overhead_frac: float = 0.15
@@ -236,42 +256,49 @@ class KfacIterationModel:
         pre = float(per_rank_pre.max())
         return stats + eig + pre
 
-    def factor_allreduce_time(self, factor_ratio: float = 1.0) -> float:
-        """Factor allreduce; factors are symmetric, so the triangle travels.
+    def others_time(self, grad_allreduce: float) -> float:
+        """The priced DDP gradient allreduce's residue under the profile's
+        assumed ``grad_overlap``, plus fixed overhead."""
+        residue = (1.0 - self.profile.grad_overlap) * grad_allreduce
+        return residue + self.profile.fixed_overhead_frac * self.fwd_bwd_time()
 
-        ``factor_ratio`` > 1 models factor compression (paper section 7
-        future work; see :mod:`repro.core.factor_compression`).
-        """
-        net = self.platform.network
-        t = allreduce_time(
-            net,
-            self.world,
-            self.factor_bytes / 2 / factor_ratio,
-            self.platform.gpus_per_node,
-        )
-        return t / self.profile.factor_update_freq
+    # -- the step plan -------------------------------------------------------------
 
-    def allgather_time_for(self, payload_bytes: float, n_messages: int | None = None) -> float:
-        """Preconditioned-gradient exchange for a total payload.
+    def plan(self, compression: CompressionSpec | None, factor_ratio: float) -> list[Exchange]:
+        """One iteration's collectives in the trainer's order.  The factor
+        triangle is priced as ``factor_bytes / 2`` over ``factor_ratio``
+        (factor compression, paper section 7); the preconditioned gradients
+        go as one eager message per aggregation group."""
+        payload = self.grad_bytes
+        aggregation = 1
+        if compression is not None:
+            payload = self.grad_bytes / compression.ratio
+            aggregation = compression.aggregation
+        messages = len(LayerAggregator(aggregation).groups(len(self.catalog)))
+        freq = self.profile.factor_update_freq
+        return [
+            Exchange("grad_allreduce", "allreduce", self.grad_bytes, 0, 1),
+            Exchange("kfac_allreduce", "allreduce", self.factor_bytes / 2 / factor_ratio, 0, freq),
+            Exchange("kfac_allgather", "allgather", payload / self.world, messages, 1),
+        ]
 
-        ``n_messages`` is the number of eager per-layer (or per-aggregate)
-        exchanges; each pays the profile's software overhead.  Defaults to
-        one message per layer (the KAISA baseline).
-        """
-        net = self.platform.network
-        if n_messages is None:
-            n_messages = len(self.catalog)
-        t = allgather_time(
-            net, self.world, payload_bytes / self.world, self.platform.gpus_per_node
-        )
-        return t + n_messages * self.profile.message_overhead
+    def _prices(self, plan: list[Exchange]) -> dict[str, float]:
+        """Seconds per iteration by category: the collective, amortised over
+        its interval, plus every eager message's software overhead."""
+        net, gpn = self.platform.network, self.platform.gpus_per_node
+        return {
+            e.category: COLLECTIVE_COSTS[e.op](net, self.world, e.nbytes, gpn) / e.every
+            + e.messages * self.profile.message_overhead
+            for e in plan
+        }
 
-    def compression_overhead(self, spec: CompressionSpec) -> float:
-        """Per-rank compress-own-share + decompress-everything time."""
+    def _codec_seconds(self, spec: CompressionSpec, factor_ratio: float) -> float:
+        """Per-rank compress-own-share + decompress-everything time, plus
+        the factor payload's when it travels compressed (amortised like
+        its allreduce)."""
         agg = LayerAggregator(spec.aggregation)
-        own_sizes = [
-            l.grad_elems for l, o in zip(self.catalog, self.owners) if o == 0
-        ] or [self.catalog[0].grad_elems]
+        # LPT gives rank 0 the costliest layer first, so it always owns one.
+        own_sizes = [l.grad_elems for l, o in zip(self.catalog, self.owners) if o == 0]
         comp = sum(
             spec.pipeline.compress_time(b, self.device) for b in agg.group_bytes(own_sizes)
         )
@@ -279,15 +306,13 @@ class KfacIterationModel:
         decomp = sum(
             spec.pipeline.decompress_time(b, self.device) for b in agg.group_bytes(all_sizes)
         )
-        return comp + decomp
-
-    def others_time(self) -> float:
-        """DDP gradient-allreduce residue, under the profile's assumed
-        ``grad_overlap``, plus fixed overhead."""
-        net = self.platform.network
-        grad_ar = allreduce_time(net, self.world, self.grad_bytes, self.platform.gpus_per_node)
-        residue = (1.0 - self.profile.grad_overlap) * grad_ar
-        return residue + self.profile.fixed_overhead_frac * self.fwd_bwd_time()
+        seconds = comp + decomp
+        if factor_ratio > 1.0:
+            seconds += (
+                spec.pipeline.compress_time(self.factor_bytes / 2 / self.world, self.device)
+                + spec.pipeline.decompress_time(self.factor_bytes / 2, self.device)
+            ) / self.profile.factor_update_freq
+        return seconds
 
     # -- composed ------------------------------------------------------------------
 
@@ -297,28 +322,16 @@ class KfacIterationModel:
         *,
         factor_ratio: float = 1.0,
     ) -> IterationBreakdown:
-        if compression is None:
-            allgather = self.allgather_time_for(self.grad_bytes)
-            comp_overhead = 0.0
-        else:
-            n_groups = -(-len(self.catalog) // compression.aggregation)
-            allgather = self.allgather_time_for(
-                self.grad_bytes / compression.ratio, n_messages=n_groups
-            )
-            comp_overhead = self.compression_overhead(compression)
-        if factor_ratio > 1.0 and compression is not None:
-            # Factor (de)compression overhead, amortised like the allreduce.
-            comp_overhead += (
-                compression.pipeline.compress_time(self.factor_bytes / 2 / self.world, self.device)
-                + compression.pipeline.decompress_time(self.factor_bytes / 2, self.device)
-            ) / self.profile.factor_update_freq
+        seconds = self._prices(self.plan(compression, factor_ratio))
         return IterationBreakdown(
             fwd_bwd=self.fwd_bwd_time(),
             kfac_compute=self.kfac_compute_time(),
-            kfac_allreduce=self.factor_allreduce_time(factor_ratio),
-            kfac_allgather=allgather,
-            others=self.others_time(),
-            compression=comp_overhead,
+            kfac_allreduce=seconds["kfac_allreduce"],
+            kfac_allgather=seconds["kfac_allgather"],
+            others=self.others_time(seconds["grad_allreduce"]),
+            compression=(
+                0.0 if compression is None else self._codec_seconds(compression, factor_ratio)
+            ),
         )
 
     def record_trace(self, tracer) -> IterationBreakdown:
@@ -358,12 +371,8 @@ class KfacIterationModel:
     def comm_speedup(self, compression: CompressionSpec) -> float:
         """Allgather speedup from compression, (de)compression excluded as in
         Fig. 7."""
-        base = self.allgather_time_for(self.grad_bytes)
-        n_groups = -(-len(self.catalog) // compression.aggregation)
-        comp = self.allgather_time_for(
-            self.grad_bytes / compression.ratio, n_messages=n_groups
-        )
-        return base / comp
+        base = self._prices(self.plan(None, 1.0))["kfac_allgather"]
+        return base / self._prices(self.plan(compression, 1.0))["kfac_allgather"]
 
     def end_to_end_speedup(
         self, compression: CompressionSpec, *, factor_ratio: float = 1.0

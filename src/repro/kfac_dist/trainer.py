@@ -90,6 +90,7 @@ class DistributedKfacTrainer(StepScaffold):
         #: Optional compressor for the factor allreduce payload (paper
         #: section 7 future work; see repro.core.factor_compression).
         self.factor_compressor = factor_compressor
+        #: Per step with a factor compressor: dense triangle bytes / wire bytes.
         self.factor_ratios: list[float] = []
         self.kfac = Kfac(model, lr=lr, inv_update_freq=inv_update_freq)
         self._assign_owners()
@@ -271,6 +272,10 @@ class DistributedKfacTrainer(StepScaffold):
                 a_flat, wire_bytes = self._factor_payload(i, per_rank_factors)
                 bucketer.add(i, a_flat, wire_nbytes=wire_bytes)
             reduced_factors = bucketer.wait()
+        if self.factor_compressor is not None:
+            self.factor_ratios.append(
+                sum(r.nbytes for r in reduced_factors.values()) / bucketer.wire_bytes
+            )
 
         with tracer.span("grad_wait", "comm"):
             reduced, grad_norm = self._reduced_gradient(grad_handles)
@@ -462,18 +467,15 @@ class DistributedKfacTrainer(StepScaffold):
         wire_bytes: float | None = None
         fc = self.factor_compressor
         if fc is not None:
-            original = 0
             wire = 0
             decoded = []
             for pair in pairs:
                 received = []
                 for mat in pair:
                     ct = fc.compress(mat)
-                    original += mat.nbytes
                     wire += ct.nbytes
                     received.append(fc.decompress(ct))
                 decoded.append(received)
-            self.factor_ratios.append(original / max(wire, 1))
             wire_bytes = float(wire) / len(pairs)
             pairs = decoded
         flats = [

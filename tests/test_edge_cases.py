@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.compression import CompressedTensor, SzCompressor
-from repro.core import CompsoCompressor
+from repro.core import CompsoCompressor, PerformanceModel
 from repro.core.perf_model import ProfiledStats
-from repro.distributed import SimCluster
+from repro.distributed import SLINGSHOT10, SimCluster
 from repro.encoders import get_encoder
 from repro.gpusim import H100, A100, PIPELINES
 from repro.kfac_dist.timing import CompressionSpec
@@ -56,6 +56,14 @@ class TestTinyAndDegenerateInputs:
         x = -np.abs(rng.standard_normal(2000)).astype(np.float32) - 0.1
         out = CompsoCompressor(0.0, 4e-3).roundtrip(x)
         assert np.all(out < 0)
+
+    def test_choose_encoder_restores_the_encoder_when_a_probe_raises(self, rng):
+        grads = [rng.standard_normal(4000).astype(np.float32) for _ in range(3)]
+        grads[1][17] = np.nan
+        c = CompsoCompressor(4e-3, 4e-3, encoder="bitcomp")
+        with pytest.raises(ValueError):
+            PerformanceModel(SLINGSHOT10, 16).choose_encoder(grads, c)
+        assert c.encoder_name == "bitcomp"
 
     def test_compressed_tensor_scalar_shape(self):
         ct = CompressedTensor({"raw": b"1234"}, ())
