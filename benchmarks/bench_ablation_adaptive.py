@@ -20,6 +20,7 @@ import numpy as np
 from benchmarks._common import HARD_RESNET, emit
 from repro import scenarios
 from repro.core import AdaptiveCompso, CompsoCompressor, StepLrSchedule
+from repro.data.synthetic import kfac_like_gradient
 from repro.util.seeding import spawn_rng
 from repro.util.tables import format_table
 
@@ -34,13 +35,6 @@ def _train(compressor):
     return trainer.history.final_metric()
 
 
-def _catalog_payload(seed=11, n=500_000):
-    rng = spawn_rng(seed)
-    small = rng.standard_normal(n) * 1e-4
-    big = rng.standard_normal(n) * np.exp(rng.standard_normal(n)) * 5e-2
-    return np.where(rng.random(n) < 0.12, big, small).astype(np.float32)
-
-
 def run_experiment():
     acc_rows = [
         ["no compression", _train(None)],
@@ -52,7 +46,7 @@ def run_experiment():
         ["fixed conservative (SR only)", _train(lambda s: CompsoCompressor(0.0, 4e-3))],
     ]
     # Stage-wise CR of the schedule on catalog-sized gradients.
-    x = _catalog_payload()
+    x = kfac_like_gradient(spawn_rng(11), 500_000)
     adaptive = AdaptiveCompso(StepLrSchedule(PIVOT))
     crs = []
     for t in range(ITERS):

@@ -9,10 +9,9 @@ the model-chosen factor matches the sweep's optimum.
 
 import zlib
 
-import numpy as np
-
 from benchmarks._common import emit
 from repro.core import CompsoCompressor, PerformanceModel
+from repro.data.synthetic import catalog_gradients
 from repro.distributed import PLATFORM1
 from repro.kfac_dist import CompressionSpec, KfacIterationModel, MODEL_TIMING_PROFILES
 from repro.models.catalogs import MODEL_CATALOGS
@@ -37,12 +36,7 @@ def run_experiment():
         rows.append([model, *speedups])
         # Performance-model decision on catalog-sized gradients.
         rng = spawn_rng(0, zlib.crc32(model.encode()) % 991)
-        grads = []
-        for l in catalog[:16]:
-            n = min(l.grad_elems, 100_000)
-            small = rng.standard_normal(n) * 1e-4
-            big = rng.standard_normal(n) * np.exp(rng.standard_normal(n)) * 5e-2
-            grads.append(np.where(rng.random(n) < 0.12, big, small).astype(np.float32))
+        grads = catalog_gradients(rng, catalog, 16, 100_000)
         pm = PerformanceModel(PLATFORM1.network, world_size=64)
         m_choice, _ = pm.choose_aggregation(
             grads, CompsoCompressor(4e-3, 4e-3), r=0.45, candidates=M_CANDIDATES

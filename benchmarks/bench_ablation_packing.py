@@ -19,7 +19,7 @@ import numpy as np
 
 from benchmarks._common import emit
 from repro.compression import QsgdCompressor
-from repro.compression.quantize import ErrorBoundedQuantizer
+from repro.compression.quantize import quant_step, round_codes
 from repro.core.compso import CompsoCompressor
 from repro.encoders import get_encoder
 from repro.util.bitpack import pack_uints, required_width
@@ -44,8 +44,9 @@ def _coded_rows(x, eb, packings):
     """``[label, bits, packed bytes, ANS-coded bytes]`` per ``(width, item_size, label)``
     that ``packings(minimal_width)`` names, for the SR codes of ``x`` at bound ``eb``."""
     enc = get_encoder("ans")
-    qt = ErrorBoundedQuantizer(eb, "sr", seed=0).quantize(x)
-    shifted = (qt.codes - qt.codes.min()).astype(np.uint64)
+    step = quant_step(float(np.abs(x).max()), "sr", eb=eb)
+    codes = round_codes(x, step, "sr", spawn_rng(0)).astype(np.int32)
+    shifted = (codes - codes.min()).astype(np.uint64)
     minimal = required_width(int(shifted.max()))
     rows = []
     for width, item_size, label in packings(minimal):

@@ -16,6 +16,7 @@ from benchmarks._common import emit
 from repro import scenarios
 from repro.autotune import FidelityBudget, autotune_bounds
 from repro.core import CompsoCompressor, FactorCompressor
+from repro.data.synthetic import kfac_like_gradient
 from repro.distributed import PLATFORM1
 from repro.kfac_dist import CompressionSpec, KfacIterationModel, MODEL_TIMING_PROFILES
 from repro.models.catalogs import MODEL_CATALOGS
@@ -31,15 +32,8 @@ FACTOR_RUN = Scenario(
 )
 
 
-def _grad_sample(seed=3, n=300_000):
-    rng = spawn_rng(seed)
-    small = rng.standard_normal(n) * 1e-4
-    big = rng.standard_normal(n) * np.exp(rng.standard_normal(n)) * 5e-2
-    return np.where(rng.random(n) < 0.12, big, small).astype(np.float32)
-
-
 def autotune_part():
-    grads = [_grad_sample(s) for s in (1, 2)]
+    grads = [kfac_like_gradient(spawn_rng(s), 300_000) for s in (1, 2)]
     default = CompsoCompressor(4e-3, 4e-3)
     default_cr = sum(g.nbytes for g in grads) / sum(default.compress(g).nbytes for g in grads)
     rows = []

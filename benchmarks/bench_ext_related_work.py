@@ -16,6 +16,7 @@ from benchmarks._common import KFAC_RUN, emit
 from repro import scenarios
 from repro.compression import ErrorFeedback, OkTopkCompressor, TopKCompressor
 from repro.core import AdaptiveCompso, StepLrSchedule
+from repro.data.synthetic import kfac_like_gradient
 from repro.kfac_dist.memory import estimate_kfac_memory
 from repro.models.catalogs import MODEL_CATALOGS
 from repro.util.seeding import spawn_rng
@@ -25,15 +26,8 @@ PIVOT = 8
 ITERS = 16
 
 
-def _payload(seed=7, n=400_000):
-    rng = spawn_rng(seed)
-    small = rng.standard_normal(n) * 1e-4
-    big = rng.standard_normal(n) * np.exp(rng.standard_normal(n)) * 5e-2
-    return np.where(rng.random(n) < 0.12, big, small).astype(np.float32)
-
-
 def adaptivity_part():
-    x = _payload()
+    x = kfac_like_gradient(spawn_rng(7), 400_000)
     ok = OkTopkCompressor(0.05, seed=0)
     ac = AdaptiveCompso(StepLrSchedule(PIVOT))
     # The same schedule over a coder that models bytes: what a near-zero

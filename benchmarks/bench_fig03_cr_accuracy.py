@@ -22,6 +22,7 @@ import numpy as np
 from benchmarks._common import HARD_RESNET, KFAC_RUN, emit
 from repro import scenarios
 from repro.compression import QsgdCompressor, SzCompressor
+from repro.data.synthetic import catalog_gradients
 from repro.models.catalogs import bert_large_catalog, resnet50_catalog
 from repro.util.seeding import spawn_rng
 from repro.util.tables import format_table
@@ -37,24 +38,14 @@ SETTINGS = [
 BERT = replace(KFAC_RUN, model="mini-bert", iterations=20, samples=400)
 
 
-def _catalog_gradients(catalog, seed, max_layers=16):
-    rng = spawn_rng(seed)
-    grads = []
-    for l in catalog[:max_layers]:
-        n = min(l.grad_elems, 150_000)
-        small = rng.standard_normal(n) * 1e-4
-        big = rng.standard_normal(n) * np.exp(rng.standard_normal(n)) * 5e-2
-        grads.append(np.where(rng.random(n) < 0.12, big, small).astype(np.float32))
-    return grads
-
-
 def measure_ratios():
     out = {}
     for model, catalog in (
         ("resnet50", resnet50_catalog()),
         ("bert-large", bert_large_catalog()),
     ):
-        grads = _catalog_gradients(catalog, seed=zlib.crc32(model.encode()) % 1009)
+        rng = spawn_rng(zlib.crc32(model.encode()) % 1009)
+        grads = catalog_gradients(rng, catalog, 16, 150_000)
         total = sum(g.nbytes for g in grads)
         out[model] = {
             name: total / sum(factory().compress(g).nbytes for g in grads)

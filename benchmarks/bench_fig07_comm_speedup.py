@@ -13,11 +13,10 @@ model) tops cuSZ (~5-16x) and QSGD (~5-15x).
 
 import zlib
 
-import numpy as np
-
 from benchmarks._common import emit
 from repro.compression import CocktailSgdCompressor, QsgdCompressor, SzCompressor
 from repro.core import CompsoCompressor
+from repro.data.synthetic import catalog_gradients
 from repro.distributed import PLATFORM1, PLATFORM2
 from repro.gpusim import PIPELINES
 from repro.kfac_dist import CompressionSpec, KfacIterationModel, MODEL_TIMING_PROFILES
@@ -35,26 +34,14 @@ COMPRESSORS = {
 NODE_COUNTS = (2, 4, 8, 16)
 
 
-def _sample_gradients(catalog, rng, max_layers=24):
-    """Per-layer synthetic K-FAC gradients at catalog sizes (capped for
-    speed; ratios are size-stable beyond ~100k elements)."""
-    grads = []
-    for l in catalog[:max_layers]:
-        n = min(l.grad_elems, 200_000)
-        small = rng.standard_normal(n) * 1e-4
-        big = rng.standard_normal(n) * np.exp(rng.standard_normal(n)) * 5e-2
-        mask = rng.random(n) < 0.12
-        grads.append(np.where(mask, big, small).astype(np.float32))
-    return grads
-
-
 def measure_ratios():
     """Real compressed sizes per compressor per model."""
     ratios: dict[str, dict[str, float]] = {}
     for model, catalog_fn in MODEL_CATALOGS.items():
         catalog = catalog_fn()
         rng = spawn_rng(0, zlib.crc32(model.encode()) % 1000)
-        grads = _sample_gradients(catalog, rng)
+        # Capped for speed: ratios are size-stable beyond ~100k elements.
+        grads = catalog_gradients(rng, catalog, 24, 200_000)
         total = sum(g.nbytes for g in grads)
         ratios[model] = {}
         for cname, (factory, _, agg) in COMPRESSORS.items():

@@ -18,6 +18,7 @@ import numpy as np
 
 from benchmarks._common import emit
 from repro.core import CompsoCompressor, PerformanceModel
+from repro.data.synthetic import catalog_gradients
 from repro.distributed import PLATFORM1, PLATFORM2
 from repro.gpusim import PIPELINES
 from repro.kfac_dist import CompressionSpec, KfacIterationModel, MODEL_TIMING_PROFILES
@@ -51,12 +52,7 @@ def _choose_aggregation(model_name, catalog, world):
     """COMPSO-p: run the performance model's aggregation decision on
     catalog-sized synthetic gradients."""
     rng = spawn_rng(0, zlib.crc32(model_name.encode()) % 997)
-    grads = []
-    for l in catalog[:16]:
-        n = min(l.grad_elems, 100_000)
-        small = rng.standard_normal(n) * 1e-4
-        big = rng.standard_normal(n) * np.exp(rng.standard_normal(n)) * 5e-2
-        grads.append(np.where(rng.random(n) < 0.12, big, small).astype(np.float32))
+    grads = catalog_gradients(rng, catalog, 16, 100_000)
     pm = PerformanceModel(PLATFORM1.network, world_size=world)
     m, _ = pm.choose_aggregation(grads, CompsoCompressor(4e-3, 4e-3), r=0.45)
     return m

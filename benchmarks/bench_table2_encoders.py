@@ -11,10 +11,9 @@ gradient data; ANS offers the best ratio-throughput combination and is
 the selected encoder.
 """
 
-import numpy as np
-
 from benchmarks._common import emit
 from repro.core import CompsoCompressor, PerformanceModel
+from repro.data.synthetic import catalog_gradients
 from repro.distributed import SLINGSHOT10
 from repro.encoders.registry import NVCOMP_CANDIDATES
 from repro.gpusim import ENCODER_PERF
@@ -24,22 +23,10 @@ from repro.util.seeding import spawn_rng
 from repro.util.tables import format_table
 
 
-def _gradient_sample(catalog, seed, max_layers=16, cap=150_000):
-    rng = spawn_rng(seed)
-    grads = []
-    for l in catalog[:max_layers]:
-        n = min(l.grad_elems, cap)
-        small = rng.standard_normal(n) * 1e-4
-        big = rng.standard_normal(n) * np.exp(rng.standard_normal(n)) * 5e-2
-        mask = rng.random(n) < 0.12
-        grads.append(np.where(mask, big, small).astype(np.float32))
-    return grads
-
-
 def run_experiment():
     datasets = {
-        "resnet50": (_gradient_sample(resnet50_catalog(), 1), RESNET_CHUNK_BYTES),
-        "bert-large": (_gradient_sample(bert_large_catalog(), 2), BERT_CHUNK_BYTES),
+        "resnet50": (catalog_gradients(spawn_rng(1), resnet50_catalog(), 16, 150_000), RESNET_CHUNK_BYTES),
+        "bert-large": (catalog_gradients(spawn_rng(2), bert_large_catalog(), 16, 150_000), BERT_CHUNK_BYTES),
     }
     results = {}
     for model, (grads, chunk) in datasets.items():

@@ -11,20 +11,15 @@ Run with:  python examples/perf_model_explorer.py
 import numpy as np
 
 from repro.core import CompsoCompressor, PerformanceModel
+from repro.data.synthetic import catalog_gradients
 from repro.distributed import PLATFORM1, PLATFORM2
 from repro.kfac_dist import CompressionSpec, KfacIterationModel, MODEL_TIMING_PROFILES
 from repro.models.catalogs import bert_large_catalog
 from repro.util.tables import format_table
 
 # --- synthetic K-FAC gradients at BERT-large layer sizes --------------------
-rng = np.random.default_rng(0)
 catalog = bert_large_catalog()
-grads = []
-for layer in catalog[:24]:
-    n = min(layer.grad_elems, 150_000)
-    small = rng.standard_normal(n) * 1e-4
-    big = rng.standard_normal(n) * np.exp(rng.standard_normal(n)) * 5e-2
-    grads.append(np.where(rng.random(n) < 0.12, big, small).astype(np.float32))
+grads = catalog_gradients(np.random.default_rng(0), catalog, 24, 150_000)
 
 compso = CompsoCompressor(4e-3, 4e-3)
 

@@ -7,13 +7,10 @@ import numpy as np
 
 from repro.compression import QsgdCompressor, SzCompressor
 from repro.core import AdaptiveCompso, CompsoCompressor, StepLrSchedule
+from repro.data.synthetic import kfac_like_gradient
 
 # --- a K-FAC-gradient-like tensor: mostly tiny values, heavy tail --------
-rng = np.random.default_rng(0)
-n = 1 << 20
-small = rng.standard_normal(n) * 1e-4
-big = rng.standard_normal(n) * np.exp(rng.standard_normal(n)) * 5e-2
-grad = np.where(rng.random(n) < 0.12, big, small).astype(np.float32)
+grad = kfac_like_gradient(np.random.default_rng(0), 1 << 20)
 
 # --- basic compression -----------------------------------------------------
 compso = CompsoCompressor(eb_f=4e-3, eb_q=4e-3, encoder="ans")

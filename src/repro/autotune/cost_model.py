@@ -85,6 +85,12 @@ class AlphaBetaEstimator:
         return max(alpha, 0.0), max(beta, 0.0)
 
 
+def _invocations(candidate: CandidateConfig, n_layers: int) -> int:
+    """Encoder invocations (and eager messages) per step: one per
+    aggregation group of ``n_layers`` (the controller passes at least 1)."""
+    return len(LayerAggregator(candidate.aggregation).groups(n_layers))
+
+
 def codec_seconds(
     candidate: CandidateConfig,
     *,
@@ -102,7 +108,7 @@ def codec_seconds(
     if candidate.is_identity or dense_bytes <= 0:
         return 0.0
     perf = ENCODER_PERF[candidate.encoder]
-    invocations = max(1, len(LayerAggregator(candidate.aggregation).groups(n_layers)))
+    invocations = _invocations(candidate, n_layers)
     enc_in = dense_bytes * ENCODER_INPUT_FRACTION / invocations
     dec_in = max(wire_bytes, 0.0) / invocations
     return invocations * (perf.compress_time(enc_in) + perf.decompress_time(dec_in))
@@ -112,7 +118,7 @@ def aggregation_credit(
     candidate: CandidateConfig, *, n_layers: int, alpha: float, lat_factor: float = 1.0
 ) -> float:
     """Seconds of per-message launch latency modelled aggregation saves."""
-    invocations = max(1, len(LayerAggregator(candidate.aggregation).groups(n_layers)))
+    invocations = _invocations(candidate, n_layers)
     return max(n_layers - invocations, 0) * alpha * lat_factor
 
 
@@ -240,7 +246,7 @@ class CostModel:
         alpha, beta = self.estimator.fit()
         cr = self.cr.get(candidate.name, 1.0)
         wire = dense_bytes / max(cr, 1e-9)
-        invocations = max(1, len(LayerAggregator(candidate.aggregation).groups(n_layers)))
+        invocations = _invocations(candidate, n_layers)
         comm = alpha * invocations * lat_factor + beta * wire * bw_factor
         return comm + codec_seconds(
             candidate, dense_bytes=dense_bytes, wire_bytes=wire, n_layers=n_layers

@@ -81,18 +81,13 @@ def cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _synthetic_gradient(rng: np.random.Generator, n: int) -> np.ndarray:
-    """A K-FAC-like mixture: mostly tiny values, 12 % heavy-tailed ones."""
-    small = rng.standard_normal(n) * 1e-4
-    big = rng.standard_normal(n) * np.exp(rng.standard_normal(n)) * 5e-2
-    return np.where(rng.random(n) < 0.12, big, small).astype(np.float32)
-
-
 def cmd_compress(args: argparse.Namespace) -> int:
     if args.input:
         x = np.load(args.input).astype(np.float32)
     else:
-        x = _synthetic_gradient(np.random.default_rng(args.seed), args.size)
+        from repro.data.synthetic import kfac_like_gradient
+
+        x = kfac_like_gradient(np.random.default_rng(args.seed), args.size)
         print(f"(no --input given; using a synthetic {args.size}-element K-FAC-like tensor)")
     comp = _make_compressor(args.compressor, args.seed)
     if args.encoder:
@@ -125,8 +120,10 @@ def _sample_gradients(args: argparse.Namespace) -> list[np.ndarray]:
     synthetic K-FAC-like mixture ``compress`` demos on."""
     if args.input:
         return [np.load(args.input).astype(np.float32)]
+    from repro.data.synthetic import kfac_like_gradient
+
     rng = np.random.default_rng(args.seed)
-    return [_synthetic_gradient(rng, args.size) for _ in range(args.samples)]
+    return [kfac_like_gradient(rng, args.size) for _ in range(args.samples)]
 
 
 def cmd_tune(args: argparse.Namespace) -> int:

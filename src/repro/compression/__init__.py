@@ -17,9 +17,8 @@ from repro.compression.oktopk import OkTopkCompressor
 from repro.compression.qsgd import QsgdCompressor
 from repro.compression.quantize import (
     ROUNDING_MODES,
-    BitBudgetQuantizer,
-    ErrorBoundedQuantizer,
-    QuantizedTensor,
+    quant_step,
+    round_codes,
     round_nearest,
     round_p05,
     round_stochastic,
@@ -38,10 +37,9 @@ __all__ = [
     "OkTopkCompressor",
     "TopKCompressor",
     "topk_mask",
-    "BitBudgetQuantizer",
-    "ErrorBoundedQuantizer",
-    "QuantizedTensor",
     "ROUNDING_MODES",
+    "quant_step",
+    "round_codes",
     "round_nearest",
     "round_stochastic",
     "round_p05",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compression.base import CompressedTensor, GradientCompressor
-from repro.compression.quantize import BitBudgetQuantizer
+from repro.compression.quantize import quant_step, round_codes
 from repro.compression.topk import topk_mask
 from repro.encoders.ans import RansEncoder
 from repro.telemetry import get_tracer
@@ -39,24 +39,26 @@ class CocktailSgdCompressor(GradientCompressor):
     ):
         if not 0 < density <= 1:
             raise ValueError(f"density must be in (0, 1], got {density}")
+        if not 2 <= bits <= 16:
+            raise ValueError(f"bits must be in [2, 16], got {bits}")
         self.density = density
         self.bits = bits
         self.name = f"cocktail-{int(density * 100)}pct-{bits}bit"
         self._rng = spawn_rng(seed)
-        self._quantizer = BitBudgetQuantizer(bits, "sr", seed=spawn_rng(seed, 1))
+        self._quant_rng = spawn_rng(seed, 1)
         self._encoder = RansEncoder()
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {
             "rng": rng_state_array(self._rng),
-            "quantizer_rng": rng_state_array(self._quantizer._rng),
+            "quantizer_rng": rng_state_array(self._quant_rng),
         }
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         if "rng" in state:
             restore_rng_state(self._rng, state["rng"])
         if "quantizer_rng" in state:
-            restore_rng_state(self._quantizer._rng, state["quantizer_rng"])
+            restore_rng_state(self._quant_rng, state["quantizer_rng"])
 
     def compress(self, x: np.ndarray) -> CompressedTensor:
         x = np.asarray(x, dtype=np.float32)
@@ -76,14 +78,16 @@ class CocktailSgdCompressor(GradientCompressor):
                     mask = topk_mask(flat, k)
                 kept = flat[mask]
             with tracer.span("quantise", "compress.quantise"):
-                qt = self._quantizer.quantize(kept)
+                vmax = float(np.abs(kept).max()) if kept.size else 0.0
+                scale = quant_step(vmax, "sr", bits=self.bits)
+                codes = round_codes(kept, scale, "sr", self._quant_rng).astype(np.int32)
                 # Signed codes -> unsigned bytes around the midpoint.
                 offset = 1 << (self.bits - 1)
-                byte_codes = (qt.codes + offset).astype(np.uint8)
+                byte_codes = (codes + offset).astype(np.uint8)
             with tracer.span("encode", "compress.encode", encoder="ans"):
                 bitmap, codes = self._encoder.encode_many([(pack_bitmap(mask), 1), (byte_codes, 1)])
                 segments = {"bitmap": bitmap, "codes": codes}
-        ct = CompressedTensor(segments, x.shape, meta={"scale": qt.scale, "k": int(mask.sum())})
+        ct = CompressedTensor(segments, x.shape, meta={"scale": scale, "k": int(mask.sum())})
         return self._record_compression(x.nbytes, ct)
 
     def decompress(self, ct: CompressedTensor) -> np.ndarray:

@@ -12,18 +12,19 @@ Three rounding modes are studied by the paper:
   the control experiment showing non-determinism alone does not preserve
   accuracy.
 
-On top of these, two quantiser families:
+Every compressor the paper compares quantises by one rule: a step, then
+``values / step`` rounded to integer codes (dequantised as
+``code * step``).  Two functions hold it, and every compressor calls them:
 
-* :class:`BitBudgetQuantizer` — QSGD-style n-bit quantisation of values
-  normalised to the tensor range (Eq. 3).
-* :class:`ErrorBoundedQuantizer` — SZ/COMPSO-style quantisation with a
-  guaranteed pointwise bound ``|dequant(x) - x| <= eb`` (absolute, or
-  relative to the tensor's max magnitude).
+* :func:`quant_step` — the step, from an error bound and the tensor's max
+  magnitude (COMPSO, cuSZ, the factor compressor: ``|dequant(x) - x| <=
+  eb``, absolute or relative to the magnitude) or from a bit budget (QSGD
+  and CocktailSGD: the magnitude maps to ``2**(bits-1) - 1``, Eq. 3).
+* :func:`round_codes` — ``values / step`` rounded through
+  :data:`ROUNDING_MODES`; a zero step gives zero codes and draws nothing.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,9 +35,8 @@ __all__ = [
     "round_stochastic",
     "round_p05",
     "ROUNDING_MODES",
-    "BitBudgetQuantizer",
-    "ErrorBoundedQuantizer",
-    "QuantizedTensor",
+    "quant_step",
+    "round_codes",
 ]
 
 
@@ -74,96 +74,28 @@ ROUNDING_MODES = {
 }
 
 
-@dataclass
-class QuantizedTensor:
-    """Integer codes plus the metadata needed to dequantise them."""
+def quant_step(
+    magnitude: float, mode: str, *, eb: float | None = None, bits: int | None = None
+) -> float:
+    """The quantisation step for a tensor whose max magnitude is ``magnitude``.
 
-    codes: np.ndarray  # int32 codes
-    scale: float  # value represented by one code step
-    shape: tuple[int, ...]
-
-    def dequantize(self) -> np.ndarray:
-        return (self.codes.astype(np.float32) * np.float32(self.scale)).reshape(self.shape)
-
-
-class BitBudgetQuantizer:
-    """QSGD-style n-bit quantisation (Eq. 3 normalisation + rounding).
-
-    Values are scaled so the tensor's max magnitude maps to
-    ``2**(bits-1) - 1`` and rounded with the chosen mode; codes are signed
-    integers in ``[-(2**(bits-1)-1)-1, 2**(bits-1)-1 + 1]`` (SR may round
-    the extreme value outward by one step).
+    With ``bits`` the magnitude maps to the top level ``2**(bits-1) - 1``
+    whatever the mode; SR may round the extreme value one step outward.
+    With ``eb`` the bound is scaled by ``magnitude`` (absolute when it is
+    zero) and the step honours it for ``mode``: SR and P0.5 err by up to a
+    full step (step = eb), RN by half of one (step = 2 * eb).
     """
-
-    def __init__(self, bits: int, mode: str = "sr", *, seed: int | np.random.Generator | None = 0):
-        if not 2 <= bits <= 16:
-            raise ValueError(f"bits must be in [2, 16], got {bits}")
-        if mode not in ROUNDING_MODES:
-            raise ValueError(f"mode must be one of {sorted(ROUNDING_MODES)}, got {mode!r}")
-        self.bits = bits
-        self.mode = mode
-        self._rng = spawn_rng(seed)
-
-    def quantize(self, x: np.ndarray) -> QuantizedTensor:
-        x = np.asarray(x, dtype=np.float32)
-        flat = x.ravel()
-        vmax = float(np.abs(flat).max()) if flat.size else 0.0
-        levels = (1 << (self.bits - 1)) - 1
-        if vmax == 0.0:
-            return QuantizedTensor(np.zeros(flat.size, dtype=np.int32), 0.0, x.shape)
-        scale = vmax / levels
-        codes = ROUNDING_MODES[self.mode](flat / scale, self._rng).astype(np.int32)
-        return QuantizedTensor(codes, scale, x.shape)
-
-    def roundtrip(self, x: np.ndarray) -> np.ndarray:
-        """Quantise then dequantise (the lossy channel seen by training)."""
-        return self.quantize(x).dequantize()
+    if bits is not None:
+        return magnitude / ((1 << (bits - 1)) - 1)
+    step = eb * magnitude if magnitude > 0 else eb
+    return step * 2.0 if mode == "rn" else step
 
 
-class ErrorBoundedQuantizer:
-    """Uniform quantiser with a guaranteed pointwise error bound.
-
-    The step is chosen per rounding mode so that ``|err| <= eb`` always
-    holds: RN has half-step worst case (step = 2*eb) while SR/P0.5 have
-    full-step worst case (step = eb).  With :attr:`relative` ``eb`` is
-    scaled by the tensor's max magnitude (cuSZ's "relative to value range"
-    mode).
-    """
-
-    #: Every run bounds relative to the value range; ``False`` is absolute.
-    relative = True
-
-    def __init__(
-        self,
-        eb: float,
-        mode: str = "sr",
-        *,
-        seed: int | np.random.Generator | None = 0,
-    ):
-        if eb <= 0:
-            raise ValueError(f"error bound must be positive, got {eb}")
-        if mode not in ROUNDING_MODES:
-            raise ValueError(f"mode must be one of {sorted(ROUNDING_MODES)}, got {mode!r}")
-        self.eb = float(eb)
-        self.mode = mode
-        self._rng = spawn_rng(seed)
-
-    def step_for(self, x: np.ndarray) -> float:
-        """Quantisation step honouring the bound for this tensor."""
-        eb = self.eb
-        if self.relative:
-            vmax = float(np.abs(x).max()) if x.size else 0.0
-            eb = self.eb * vmax if vmax > 0 else self.eb
-        return 2.0 * eb if self.mode == "rn" else eb
-
-    def quantize(self, x: np.ndarray) -> QuantizedTensor:
-        x = np.asarray(x, dtype=np.float32)
-        flat = x.ravel()
-        step = self.step_for(flat)
-        if flat.size == 0 or step == 0.0:
-            return QuantizedTensor(np.zeros(flat.size, dtype=np.int32), 0.0, x.shape)
-        codes = ROUNDING_MODES[self.mode](flat / step, self._rng).astype(np.int32)
-        return QuantizedTensor(codes, step, x.shape)
-
-    def roundtrip(self, x: np.ndarray) -> np.ndarray:
-        return self.quantize(x).dequantize()
+def round_codes(
+    values: np.ndarray, step: float, mode: str, rng: np.random.Generator | None
+) -> np.ndarray:
+    """``values / step`` rounded by ``mode``: integer-valued floats, which
+    the caller casts.  A zero step gives zeros and takes no draw."""
+    if step == 0.0:
+        return np.zeros(values.shape, dtype=np.float32)
+    return ROUNDING_MODES[mode](values / step, rng)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compression.base import CompressedTensor, GradientCompressor
+from repro.compression.quantize import quant_step, round_codes
 from repro.encoders.huffman import HuffmanEncoder
 from repro.telemetry import get_tracer
 
@@ -42,11 +43,8 @@ class SzCompressor(GradientCompressor):
         self._encoder = HuffmanEncoder()
 
     def _step(self, x: np.ndarray) -> float:
-        eb = self.eb
-        if self.relative:
-            vmax = float(np.abs(x).max()) if x.size else 0.0
-            eb = self.eb * vmax if vmax > 0 else self.eb
-        return 2.0 * eb
+        vmax = float(np.abs(x).max()) if self.relative and x.size else 0.0
+        return quant_step(vmax, "rn", eb=self.eb)
 
     def compress(self, x: np.ndarray) -> CompressedTensor:
         x = np.asarray(x, dtype=np.float32)
@@ -57,7 +55,7 @@ class SzCompressor(GradientCompressor):
         tracer = get_tracer()
         with tracer.span("compress", "compress", compressor=self.name, nbytes=x.nbytes):
             with tracer.span("prequantise", "compress.quantise"):
-                q = np.rint(flat / step).astype(np.int64)
+                q = round_codes(flat, step, "rn", None).astype(np.int64)
             with tracer.span("lorenzo", "compress.pack"):
                 deltas = np.diff(q, prepend=0)
                 small = np.abs(deltas) <= _RADIUS

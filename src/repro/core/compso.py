@@ -41,7 +41,7 @@ import struct
 import numpy as np
 
 from repro.compression.base import Bounds, CompressedTensor, GradientCompressor
-from repro.compression.quantize import ROUNDING_MODES
+from repro.compression.quantize import ROUNDING_MODES, quant_step, round_codes
 from repro.encoders.base import EncodeError
 from repro.encoders.registry import get_encoder
 from repro.telemetry import get_metrics, get_tracer
@@ -250,9 +250,7 @@ class CompsoCompressor(GradientCompressor):
             raise ValueError(f"{self.name}: non-finite value in a tensor of {n} elements")
         scale = vmax if self.relative and vmax > 0 else 1.0
         threshold = self.eb_f * scale
-        step = self.eb_q * scale
-        if self.rounding == "rn":
-            step *= 2.0  # RN has half-step worst case; keep |err| <= eb_q
+        step = quant_step(scale, self.rounding, eb=self.eb_q)
         if not threshold > 0:
             return bytes((n + 7) // 8), flat, step
         filtered = mag < threshold
@@ -266,9 +264,7 @@ class CompsoCompressor(GradientCompressor):
 
     def _quantize(self, kept: np.ndarray, step: float) -> np.ndarray:
         """Integer-valued float codes of the survivors (:func:`pack_codes` casts them)."""
-        if step == 0.0:
-            return np.zeros(kept.size, dtype=np.float32)
-        return ROUNDING_MODES[self.rounding](kept / step, self._rng)
+        return round_codes(kept, step, self.rounding, self._rng)
 
     # -- the coded segments -------------------------------------------------
 

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from repro.compression.base import CompressedTensor, GradientCompressor
-from repro.compression.quantize import ROUNDING_MODES
+from repro.compression.quantize import quant_step, round_codes
 from repro.core.compso import _dequantize, pack_codes
 from repro.encoders.registry import get_encoder
 from repro.util.seeding import restore_rng_state, rng_state_array, spawn_rng
@@ -67,15 +67,8 @@ class FactorCompressor(GradientCompressor):
             raise ValueError(f"{self.name}: non-finite value in a {d} x {d} factor")
         # Scale to the diagonal magnitude: the damping gamma added before
         # inversion makes errors below eb*max(diag) immaterial.
-        scale = float(np.abs(np.diag(x)).max())
-        step = self.eb * scale if scale > 0 else self.eb
-        if self.rounding == "rn":
-            step *= 2.0
-        if step == 0.0:
-            codes = np.zeros(tri.size, dtype=np.float32)
-        else:
-            codes = ROUNDING_MODES[self.rounding](tri / step, self._rng)
-        packed, cmin, width = pack_codes(codes)
+        step = quant_step(float(np.abs(np.diag(x)).max()), self.rounding, eb=self.eb)
+        packed, cmin, width = pack_codes(round_codes(tri, step, self.rounding, self._rng))
         return CompressedTensor(
             {"codes": self._encoder.encode(packed, width // 8)},
             x.shape,

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.data import synthetic
+
 
 @pytest.fixture
 def rng() -> np.random.Generator:
@@ -17,11 +19,7 @@ def kfac_like_gradient(rng) -> np.ndarray:
     are tiny relative to the max (the regime where COMPSO's 4e-3 relative
     filter reaches the paper's ~22x ratio), plus a heavy-tailed remainder
     with wide dynamic range."""
-    n = 50_000
-    small = rng.standard_normal(n) * 1e-4
-    big = rng.standard_normal(n) * np.exp(rng.standard_normal(n)) * 5e-2
-    mask = rng.random(n) < 0.12
-    return np.where(mask, big, small).astype(np.float32)
+    return synthetic.kfac_like_gradient(rng, 50_000)
 
 
 @pytest.fixture
