@@ -293,14 +293,17 @@ class KfacIterationModel:
         }
 
     def _codec_seconds(self, spec: CompressionSpec, factor_ratio: float) -> float:
-        """Per-rank compress-own-share + decompress-everything time, plus
-        the factor payload's when it travels compressed (amortised like
-        its allreduce)."""
+        """The most loaded rank's compress-own-share time (as
+        :meth:`kfac_compute_time` takes the most loaded rank's solves) +
+        decompress-everything time, plus the factor payload's when it
+        travels compressed (amortised like its allreduce)."""
         agg = LayerAggregator(spec.aggregation)
-        # LPT gives rank 0 the costliest layer first, so it always owns one.
-        own_sizes = [l.grad_elems for l, o in zip(self.catalog, self.owners) if o == 0]
-        comp = sum(
-            spec.pipeline.compress_time(b, self.device) for b in agg.group_bytes(own_sizes)
+        own_sizes: list[list[int]] = [[] for _ in range(self.world)]
+        for l, owner in zip(self.catalog, self.owners):
+            own_sizes[owner].append(l.grad_elems)
+        comp = max(
+            sum(spec.pipeline.compress_time(b, self.device) for b in agg.group_bytes(sizes))
+            for sizes in own_sizes
         )
         all_sizes = [l.grad_elems for l in self.catalog]
         decomp = sum(

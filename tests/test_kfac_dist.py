@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import AdaptiveCompso, CompsoCompressor, StepLrSchedule
+from repro.core.layer_aggregation import LayerAggregator
 from repro.data import make_image_data
 from repro.distributed import PLATFORM1, PLATFORM2, SimCluster
 from repro.gpusim import PIPELINES
@@ -205,6 +206,32 @@ class TestTimingModel:
             )
             s = m.comm_speedup(spec)
             assert 6.0 < s < 22.0, (name, s)
+
+    @pytest.mark.parametrize("name", sorted(MODEL_CATALOGS))
+    def test_codec_term_charges_the_most_loaded_rank(self, name):
+        """Each rank compresses the groups of its own layers; the step waits
+        for the slowest, as ``kfac_compute_time`` waits for the slowest solve."""
+        m = KfacIterationModel(
+            MODEL_CATALOGS[name](), PLATFORM1, 16, profile=MODEL_TIMING_PROFILES[name]
+        )
+        spec = CompressionSpec.compso(22.0, aggregation=4)
+        agg = LayerAggregator(4)
+
+        def compress(sizes):
+            return sum(spec.pipeline.compress_time(b, m.device) for b in agg.group_bytes(sizes))
+
+        per_rank = [
+            compress([l.grad_elems for l, o in zip(m.catalog, m.owners) if o == rank])
+            for rank in range(m.world)
+        ]
+        decompress = sum(
+            spec.pipeline.decompress_time(b, m.device)
+            for b in agg.group_bytes([l.grad_elems for l in m.catalog])
+        )
+        assert m.breakdown(spec).compression == max(per_rank) + decompress
+        if name == "bert-large":
+            # LPT hands rank 0 the costliest layer, not the costliest groups.
+            assert max(per_rank) > 1.8 * per_rank[0]
 
     def test_pytorch_pipeline_worse_end_to_end(self):
         """GPU optimisation matters: a slow compressor erodes the gain."""
