@@ -39,8 +39,10 @@ class CocktailSgdCompressor(GradientCompressor):
     ):
         if not 0 < density <= 1:
             raise ValueError(f"density must be in (0, 1], got {density}")
-        if not 2 <= bits <= 16:
-            raise ValueError(f"bits must be in [2, 16], got {bits}")
+        if not 2 <= bits <= 8:
+            raise ValueError(
+                f"bits must be in [2, 8]: codes are stored one byte each, got {bits}"
+            )
         self.density = density
         self.bits = bits
         self.name = f"cocktail-{int(density * 100)}pct-{bits}bit"

@@ -4,8 +4,8 @@ Implements the five-step workflow of paper Fig. 2 on the simulated
 cluster, with KAISA's refinements (section 2.2):
 
 1. per-rank covariance computation from local shards (float32, the
-   width of the captured activations), each shard's Grams begun on the
-   host pool while the next shard runs;
+   width of the captured activations), each shard's Grams formed in the
+   shard lane that ran it, right after its backward;
 2. factor **allreduce** (category ``kfac_allreduce``): a factor is
    symmetric, so each rank's message is the float32 upper triangle
    (diagonal included) of ``A`` and ``G`` — the bytes the analytic
@@ -19,8 +19,10 @@ cluster, with KAISA's refinements (section 2.2):
    ``kfac_allgather``), optionally *compressed* — this is the payload
    COMPSO targets.
 
-One shared model evaluates every rank's shard sequentially, which is
-numerically identical to synchronized replicas; compression is applied
+The shards run in lanes side by side on the host's CPUs, lane 0 on the
+trainer's model and the others on replicas that alias its parameters
+(:mod:`repro.train.step`), which is numerically identical to one model
+running every shard in turn; compression is applied
 exactly once per layer by its owner, and every rank applies the same
 decompressed update, matching the paper's observation that K-FAC's
 allgather pattern avoids ring-allreduce error propagation.
@@ -178,14 +180,16 @@ class DistributedKfacTrainer(StepScaffold):
 
     # -- gradient helpers -------------------------------------------------------
 
-    def _other_flat_grad(self) -> np.ndarray:
-        if not self.kfac.other_params:
-            return np.zeros(0, dtype=np.float32)
-        return np.concatenate([p.grad.ravel() for p in self.kfac.other_params])
-
-    def _kfac_flat_grads(self) -> np.ndarray:
-        return np.concatenate(
-            [self.kfac.layers[i].kfac_weight_grad().ravel() for i in range(len(self.kfac.layers))]
+    def _shard_outputs(self, lane) -> tuple[np.ndarray, np.ndarray, list]:
+        """The shard's flat K-FAC-layer gradients, its flat other
+        gradients and its factor Grams (which release the statistics)."""
+        kfac = self.kfac
+        layers = [lane.twin(layer) for layer in kfac.layers]
+        other = [lane.twin(p).grad.ravel() for p in kfac.other_params]
+        return (
+            np.concatenate([layer.kfac_weight_grad().ravel() for layer in layers]),
+            np.concatenate(other) if other else np.zeros(0, dtype=np.float32),
+            kfac.local_factors(layers),
         )
 
     def _set_kfac_flat_grads(self, flat: np.ndarray) -> None:
@@ -206,25 +210,13 @@ class DistributedKfacTrainer(StepScaffold):
         return super().step(global_idx)
 
     def _local_shard_pass(self, shards: list[np.ndarray], tracer):
-        """Per-shard forward/backward; collect grads and K-FAC factors.
-
-        A shard's factor Grams begin as soon as its backward ends and are
-        collected after the last shard, so on the host pool they run under
-        the next shard's forward and backward.
-        """
-        kfac = self.kfac
-        losses: list[float] = []
-        per_rank_grads: list[np.ndarray] = []
-        per_rank_other: list[np.ndarray] = []
-        started = []
-        for _, loss in self._backward_per_shard(shards, tracer):
-            started.append(kfac.start_factors())
-            losses.append(loss)
-            per_rank_grads.append(self._kfac_flat_grads())
-            per_rank_other.append(self._other_flat_grad())
-        per_rank_factors = [
-            [kfac.local_factors(i, shard) for i in range(len(kfac.layers))] for shard in started
-        ]
+        """Per-shard forward/backward, in lanes; collect losses, grads
+        and K-FAC factors in shard order."""
+        done = self._backward_per_shard(shards, tracer)
+        losses = [s.loss for s in done]
+        per_rank_grads, per_rank_other, per_rank_factors = (
+            [s.outputs[k] for s in done] for k in range(3)
+        )
         if self.cluster.is_timing:
             # Timing track: the single representative shard stands in for
             # every rank (factors are shared read-only; copy=False).

@@ -88,7 +88,6 @@ class DetectionProxy(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         feat = self.trunk(x)
-        self._feat = feat
         return np.concatenate([self.cls_head(feat), self.box_head(feat)], axis=1)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

@@ -20,7 +20,8 @@ class ReLU(Module):
         return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return keep_where(self._mask, grad_out)
+        mask, self._mask = self._mask, None
+        return keep_where(mask, grad_out)
 
 
 class GELU(Module):
@@ -36,6 +37,7 @@ class GELU(Module):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         x, t = self._x, self._tanh
+        self._x = self._tanh = None
         dinner = self._C * (1.0 + 3 * 0.044715 * x**2)
         dtanh = (1.0 - t**2) * dinner
         return grad_out * (0.5 * (1.0 + t) + 0.5 * x * dtanh)

@@ -73,7 +73,7 @@ class MultiHeadSelfAttention(Module):
         return self.wo(self._merge(ctx))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        q, k, v, attn, scale = self._cache
+        (q, k, v, attn, scale), self._cache = self._cache, None
         d_ctx = self._split(self.wo.backward(grad_out))
         d_attn = np.einsum("nhtd,nhsd->nhts", d_ctx, v)
         d_v = np.einsum("nhts,nhtd->nhsd", attn, d_ctx)

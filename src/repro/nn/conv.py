@@ -173,7 +173,8 @@ class Conv2d(Module, KfacLayerMixin):
         return y.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        cols = self._cols
+        cols, rows = self._cols, self._rows
+        self._cols = self._rows = None
         if cols is None or self._x_shape is None:
             raise RuntimeError("backward called before forward")
         patch = cols.shape[1]
@@ -189,7 +190,7 @@ class Conv2d(Module, KfacLayerMixin):
         if self.training:
             # K-FAC conv statistics: spatial locations are samples.  Scale
             # g by the batch size (not locations) to undo the loss mean.
-            self.last_a = self._rows
+            self.last_a = rows
             self.last_g = g * n
         w2 = self.weight.data.reshape(self.out_channels, patch)
         grad_cols = (g @ w2).reshape(n, oh, ow, patch)

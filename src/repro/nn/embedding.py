@@ -28,8 +28,9 @@ class Embedding(Module):
         return self.weight.data[ids]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        flat_ids = self._ids.ravel()
+        ids, self._ids = self._ids, None
+        flat_ids = ids.ravel()
         flat_grad = grad_out.reshape(-1, self.dim)
         np.add.at(self.weight.grad, flat_ids, flat_grad)
         # Token ids have no gradient.
-        return np.zeros_like(self._ids, dtype=np.float32)
+        return np.zeros_like(ids, dtype=np.float32)

@@ -47,7 +47,7 @@ class Linear(Module, KfacLayerMixin):
         g2 = grad_out.reshape(-1, self.out_features)
         # One copy: astype detaches a view, and skips a reshape's own copy.
         g2 = g2.astype(np.float32, copy=np.may_share_memory(g2, grad_out))
-        x2 = self._x
+        x2, self._x = self._x, None
         if x2 is None:
             raise RuntimeError("backward called before forward")
         self.weight.grad += g2.T @ x2

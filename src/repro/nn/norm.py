@@ -34,6 +34,7 @@ class LayerNorm(Module):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         xhat, inv_std = self._xhat, self._inv_std
+        self._xhat = self._inv_std = None
         d = self.dim
         reduce_axes = tuple(range(grad_out.ndim - 1))
         self.gamma.grad += (grad_out * xhat).sum(axis=reduce_axes)
@@ -53,6 +54,9 @@ class BatchNorm2d(Module):
         self.beta = Parameter(np.zeros(channels))
         self.running_mean = np.zeros(channels, dtype=np.float32)
         self.running_var = np.ones(channels, dtype=np.float32)
+        #: ``(mean, var)`` of the last training-mode batch, as folded into
+        #: the running statistics; ``None`` after an eval-mode forward.
+        self.batch_stats: tuple[np.ndarray, np.ndarray] | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         m = x.shape[0] * x.shape[2] * x.shape[3]
@@ -65,10 +69,11 @@ class BatchNorm2d(Module):
             xc = x - mu[None, :, None, None]
             var = np.square(xc).sum(axis=(0, 2, 3))
             np.true_divide(var, np.intp(m), out=var, casting="unsafe")
-            self.running_mean = (1 - _MOMENTUM) * self.running_mean + _MOMENTUM * mu
-            self.running_var = (1 - _MOMENTUM) * self.running_var + _MOMENTUM * var
+            self.batch_stats = (mu, var)
+            self.fold_batch_stats(mu, var)
         else:
             mu, var = self.running_mean, self.running_var
+            self.batch_stats = None
             xc = x - mu[None, :, None, None]
         inv_std = 1.0 / np.sqrt(var + _EPS)
         self._inv_std = inv_std
@@ -77,17 +82,19 @@ class BatchNorm2d(Module):
         y += self.beta.data[None, :, None, None]
         return y
 
+    def fold_batch_stats(self, mean: np.ndarray, var: np.ndarray) -> None:
+        """Fold one batch's per-channel statistics into the running ones."""
+        self.running_mean = (1 - _MOMENTUM) * self.running_mean + _MOMENTUM * mean
+        self.running_var = (1 - _MOMENTUM) * self.running_var + _MOMENTUM * var
+
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        xhat = self._xhat
+        xhat, inv_std = self._xhat, self._inv_std
+        self._xhat = self._inv_std = None
         self.gamma.grad += (grad_out * xhat).sum(axis=(0, 2, 3))
         self.beta.grad += grad_out.sum(axis=(0, 2, 3))
         if not self.training:
-            return (
-                grad_out
-                * self.gamma.data[None, :, None, None]
-                * self._inv_std[None, :, None, None]
-            )
+            return grad_out * self.gamma.data[None, :, None, None] * inv_std[None, :, None, None]
         gx = grad_out * self.gamma.data[None, :, None, None]
         mean_gx = gx.mean(axis=(0, 2, 3), keepdims=True)
         mean_gx_xhat = (gx * xhat).mean(axis=(0, 2, 3), keepdims=True)
-        return self._inv_std[None, :, None, None] * (gx - mean_gx - xhat * mean_gx_xhat)
+        return inv_std[None, :, None, None] * (gx - mean_gx - xhat * mean_gx_xhat)

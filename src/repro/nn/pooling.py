@@ -25,6 +25,7 @@ class MaxPool2d(Module):
         if k <= 0:
             raise ValueError("pool size must be positive")
         self.k = k
+        self._argmax: np.ndarray | None = None
 
     def _slabs(self, x: np.ndarray) -> list[np.ndarray]:
         k = self.k
@@ -50,9 +51,12 @@ class MaxPool2d(Module):
         return np.ascontiguousarray(best)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        argmax, self._argmax = self._argmax, None
+        if argmax is None:
+            raise RuntimeError("backward called before forward")
         grad_in = np.empty(self._in_shape, dtype=grad_out.dtype)
         for t, slab in enumerate(self._slabs(grad_in)):
-            keep_where(self._argmax == t, grad_out, out=slab)
+            keep_where(argmax == t, grad_out, out=slab)
         return grad_in
 
 

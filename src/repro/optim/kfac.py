@@ -10,9 +10,9 @@ with Kronecker factors accumulated as running averages (Eq. 1)
 
 from the statistics the NN substrate captures on every K-FAC layer.
 
-The API is deliberately granular — ``start_factors`` /
-``local_factors`` / ``accumulate_factors`` / ``compute_eigen`` /
-``precondition`` / ``apply`` — because the
+The API is deliberately granular — ``local_factors`` /
+``accumulate_factors`` / ``compute_eigen`` / ``precondition`` /
+``apply`` — because the
 distributed KAISA trainer (``repro.kfac_dist``) interleaves these stages
 with collectives: factors are allreduced, eigendecompositions are
 computed by the layer's assigned rank only, and preconditioned gradients
@@ -31,90 +31,46 @@ Parameters not owned by K-FAC layers (norms, embeddings) take the plain
 SGD-with-momentum update, as distributed K-FAC implementations do.
 
 Host threads (DESIGN.md decision 28).  KAISA spreads the per-layer
-linear algebra over the layers' owner ranks; here every owner runs in
-one process, so the factor Grams and the refresh's ``eigh`` calls go to
-one host worker pool, sized to the CPUs the process may run on (none
-with one CPU).  The pool runs only NumPy's BLAS/LAPACK calls, which
-release the GIL, on arrays no one writes any more: a shard's captured
-``last_a`` / ``last_g`` (:meth:`Kfac.start_factors`) and a layer's
-running factors (:meth:`Kfac.eigen_batch`).  Every result is committed
-on the calling thread, in layer order, by :meth:`Kfac.local_factors`
-and :meth:`Kfac.compute_eigen`, so a pooled run is bit-identical to an
-inline one, failures included.  A group of calls whose largest is below
-:data:`POOL_MIN_MADDS` multiply-adds runs inline, where the results are
+linear algebra over the ranks; here every rank runs in one process.  A
+shard's factor Grams are formed by :meth:`Kfac.local_factors` in the lane
+that ran the shard (:mod:`repro.train.step`), right after its backward,
+and the call releases the captured ``last_a`` / ``last_g``.  A refresh's
+``eigh`` calls go to the host pool (:func:`repro.util.host.pool`): the
+pool runs only LAPACK, which releases the GIL, on a layer's running
+factors, which no one writes any more (:meth:`Kfac.eigen_batch`).  Every
+result is committed on the calling thread, in layer order, by
+:meth:`Kfac.compute_eigen`, so a pooled refresh is bit-identical to an
+inline one, failures included.  A refresh whose largest ``eigh`` is
+below :data:`POOL_MIN_MADDS` multiply-adds runs inline, where the results are
 wanted: there the hand-off costs more than the overlap saves.
 """
 
 from __future__ import annotations
 
-import functools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.nn.module import KfacLayerMixin, Module, Parameter
+from repro.util import host
 
 __all__ = ["FactorNumericsError", "Kfac", "LayerFactors", "POOL_MIN_MADDS"]
 
-#: Multiply-adds from which a group of calls goes to the host pool: one
-#: shard's factor Grams (``n * d**2`` for an ``(n, d)`` statistic), or the
-#: ``eigh`` calls of one refresh or one layer (``d**3`` for a ``d x d``
-#: factor).  The group's largest call decides, and the small calls ride
-#: along.  A pooled call costs ≈ 50 µs of hand-off on a 2-vCPU host:
-#: ``fleet_scale``'s and ``repro record``'s groups (largest an ``eigh`` of
-#: 73, 0.39 M, or a 128 x 73 Gram, 0.68 M) lose by it; ``kfac_train``'s
-#: (1 024 x 289 Grams, 86 M; ``eigh`` of 289, 24 M) gain (DESIGN.md
-#: decision 28(c)).
+#: Multiply-adds from which the ``eigh`` calls of one refresh or one layer
+#: (``d**3`` for a ``d x d`` factor) go to the host pool.  The group's
+#: largest call decides, and the small calls ride along.  A pooled call
+#: costs ≈ 50 µs of hand-off on a 2-vCPU host: ``fleet_scale``'s and
+#: ``repro record``'s refreshes (largest an ``eigh`` of 73, 0.39 M) lose by
+#: it; ``kfac_train``'s (``eigh`` of 289, 24 M) gain (DESIGN.md decision
+#: 28(c)).
 POOL_MIN_MADDS = 2**21
 
 
-@functools.cache
-def _host_pool() -> ThreadPoolExecutor | None:
-    """The worker pool, one thread per CPU this process may run on;
-    ``None`` on one CPU, where every call runs inline."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return ThreadPoolExecutor(cpus, thread_name_prefix="kfac-host") if cpus > 1 else None
-
-
-def _pool_for(largest: int) -> ThreadPoolExecutor | None:
-    """The pool for a group whose largest call is ``largest``
+def _pool_for(largest: int):
+    """The host pool for a group whose largest call is ``largest``
     multiply-adds; ``None``: run the group inline."""
-    return _host_pool() if largest >= POOL_MIN_MADDS else None
-
-
-def _products(stats: list[np.ndarray]) -> list[np.ndarray]:
-    return [x.T @ x for x in stats]
-
-
-class _ShardGrams:
-    """One shard's factor statistics, on their way to ``x.T @ x / n``.
-
-    A pooled shard's products go to the pool as one task: each task hands
-    the GIL back and forth with the calling thread, which is running the
-    next shard meanwhile, so a shard pays for that once.  Otherwise each
-    product is formed when collected, and its statistic dropped then.
-    """
-
-    def __init__(self, stats: list[np.ndarray]):
-        self._rows = [x.shape[0] for x in stats]
-        pool = _pool_for(max((x.shape[0] * x.shape[1] ** 2 for x in stats), default=0))
-        self._task = None if pool is None else pool.submit(_products, stats)
-        self._stats = stats if pool is None else None
-
-    def gram(self, i: int) -> np.ndarray:
-        """The Gram of statistic ``i``, waiting for the pool if need be."""
-        if self._task is not None:
-            product = self._task.result()[i]
-        else:
-            x, self._stats[i] = self._stats[i], None
-            product = x.T @ x
-        return product / self._rows[i]
+    return host.pool() if largest >= POOL_MIN_MADDS else None
 
 
 class FactorNumericsError(RuntimeError):
@@ -200,16 +156,22 @@ class Kfac:
 
     # -- stage 1: local factor statistics -------------------------------------
 
-    def start_factors(self) -> _ShardGrams:
-        """Begin this worker's (A, G) contribution for every layer from
-        the statistics the layers captured in the last backward (Eq. 1).
+    def local_factors(
+        self, layers: list[KfacLayerMixin]
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """This worker's (A, G) contribution for every layer (Eq. 1), from
+        the statistics ``layers`` captured in their last backward.
 
-        It holds the captured arrays themselves, not the layers, whose
-        attributes the next backward replaces; collect each layer's pair
-        with :meth:`local_factors`.
+        ``layers`` are :attr:`layers` or their counterparts in a lane's
+        replica of the model.  Each pair is formed in the dtype the layer
+        captured (float32): ``a.T @ a`` is one BLAS ``syrk`` whose
+        mirrored result is symmetric bit for bit, and within 2e-6 of the
+        largest entry of the float64 product.  The captured arrays are
+        released as their pair is formed: they are a shard's largest
+        buffers, and nothing reads them after.
         """
-        stats = []
-        for idx, layer in enumerate(self.layers):
+        factors = []
+        for idx, layer in enumerate(layers):
             a, g = layer.last_a, layer.last_g
             if a is None or g is None:
                 raise RuntimeError("no captured statistics; run forward+backward first")
@@ -218,18 +180,9 @@ class Kfac:
                     f"K-FAC layer {idx} captured statistics over zero samples; "
                     "its factors would be 0/0"
                 )
-            stats += [a, g]
-        return _ShardGrams(stats)
-
-    def local_factors(self, idx: int, started: _ShardGrams) -> tuple[np.ndarray, np.ndarray]:
-        """This worker's (A, G) contribution for layer ``idx``, from one
-        :meth:`start_factors` result.
-
-        Formed in the dtype the layer captured (float32): ``a.T @ a`` is
-        one BLAS ``syrk`` whose mirrored result is symmetric bit for bit,
-        and within 2e-6 of the largest entry of the float64 product.
-        """
-        return started.gram(2 * idx), started.gram(2 * idx + 1)
+            layer.last_a = layer.last_g = None
+            factors.append((a.T @ a / a.shape[0], g.T @ g / g.shape[0]))
+        return factors
 
     def accumulate_factors(self, idx: int, A: np.ndarray, G: np.ndarray) -> None:
         """Fold (possibly allreduced) factors into the running averages,

@@ -10,19 +10,42 @@ schedule of that same body, not a second path (DESIGN.md decision 13).
 :class:`StepScaffold` is what the first-order and the K-FAC trainer had
 verbatim in common: sharding, the bucketed gradient allreduce, the
 end-of-step observer order and the ``train`` loop.
+
+Shard lanes (DESIGN.md decision 28).  In Fig. 2 step 1 every rank runs
+its shard's forward and backward at the same time; here the shards run
+in *lanes*, one per CPU this process may run on and at most one per
+shard, each lane a contiguous block of shards in shard order.  Lane 0 is
+the calling thread on the trainer's model.  Every other lane runs on the
+host pool (:func:`repro.util.host.pool`) on a replica of the model,
+deep-copied once, whose parameters alias the master's arrays and whose
+mode follows the master's from the start of every step.  A lane reduces
+each shard to what the step needs (:meth:`StepScaffold._shard_outputs`)
+right after its backward, and every layer releases the forward cache its
+backward consumed, so a lane holds one shard's buffers at a time.  The
+calling thread then takes the shards in shard order: it folds the
+replicas' BatchNorm batch statistics into the master's running ones and
+records the replicas' host spans, whose nesting the tracer keeps per
+thread.  So a run in lanes is bit-identical to a run in one lane, which
+is what the timing track's one shard and a one-CPU host run.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import copy
+from concurrent.futures import wait
+from contextlib import contextmanager
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from repro.data.loaders import batch_indices, shard
 from repro.distributed.plane import map_payloads
+from repro.nn.module import Module
+from repro.nn.norm import BatchNorm2d
 from repro.runtime.bucketing import split_bounds
 from repro.runtime.engine import CollectiveHandle, StreamRuntime
 from repro.telemetry import get_metrics, get_tracer
+from repro.util import host
 
 __all__ = ["Schedule", "StepScaffold"]
 
@@ -40,6 +63,77 @@ class Schedule(NamedTuple):
     #: broadcast is received (decoded, checked) before the next layer is
     #: compressed — a guard remediation it triggers already applies there.
     bucket_bytes: int | None
+
+
+def _lanes(n_shards: int) -> int:
+    """How many lanes a pass over ``n_shards`` shards runs in."""
+    return min(n_shards, host.cpus())
+
+
+class _Shard(NamedTuple):
+    """What the step keeps of one shard's forward and backward."""
+
+    loss: float
+    #: What :meth:`StepScaffold._shard_outputs` read off the lane's layers.
+    outputs: Any
+    #: Each BatchNorm layer's ``batch_stats``, in the master's module order.
+    norm_stats: list
+
+
+class _Lane:
+    """The model one lane computes on: the master itself, or a replica
+    whose objects ``twins`` maps the master's to (by ``id``)."""
+
+    def __init__(self, master: Module, model: Module, twins: dict | None):
+        self.master = master
+        self.model = model
+        self._twins = twins
+        self.norms = [m for m in master.modules() if isinstance(m, BatchNorm2d)]
+
+    @classmethod
+    def replicate(cls, master: Module) -> "_Lane":
+        # The parameter arrays are aliased at every sync: copy none of them.
+        model = copy.deepcopy(master, {id(p.data): p.data for p in master.parameters()})
+        twins = {id(a): b for a, b in zip(master.modules(), model.modules())}
+        twins.update((id(p), q) for p, q in zip(master.parameters(), model.parameters()))
+        return cls(master, model, twins)
+
+    def twin(self, obj):
+        """This lane's counterpart of a module or parameter of the master."""
+        return obj if self._twins is None else self._twins[id(obj)]
+
+    def sync(self) -> None:
+        """Alias the master's parameter arrays and running statistics and
+        take its modes: ``load_checkpoint`` rebinds ``Parameter.data``,
+        ``task.evaluate`` flips ``training``."""
+        for p in self.master.parameters():
+            self.twin(p).data = p.data
+        for m in self.master.modules():
+            self.twin(m).training = m.training
+        for bn in self.norms:
+            twin = self.twin(bn)
+            twin.running_mean, twin.running_var = bn.running_mean, bn.running_var
+
+
+class _SpanLog:
+    """Host spans a lane off the calling thread measured, kept for the
+    calling thread to record: the tracer nests spans per thread."""
+
+    def __init__(self, tracer):
+        self._now = tracer.host_now
+        self._spans: list[tuple] = []
+
+    @contextmanager
+    def span(self, name: str, category: str, **attrs):
+        start = self._now()
+        yield
+        self._spans.append((name, category, start, self._now(), attrs))
+
+    def replay(self, tracer) -> None:
+        for name, category, start, end, attrs in self._spans:
+            # The span's clock reads back the two times the lane measured.
+            with tracer.span(name, category, clock=iter((start, end)).__next__, **attrs):
+                pass
 
 
 class StepScaffold:
@@ -71,19 +165,63 @@ class StepScaffold:
         with tracer.span("step", "step", step=self.t):
             return self._step(global_idx, tracer)
 
-    def _backward_per_shard(self, shards: list[np.ndarray], tracer):
-        """Forward/backward each rank's shard in turn on the one shared
-        model; yields ``(rank, loss)`` while that shard's gradients are
-        the ones the parameters hold."""
-        for r, idx in enumerate(shards):
-            self.model.zero_grad()
-            x, y = self.task.batch(idx)
-            with tracer.span("forward", "forward", shard=r):
-                out = self.model(x)
-                loss, dl = self.task.loss_and_grad(out, y)
-            with tracer.span("backward", "backward", shard=r):
-                self.model.backward(dl)
-            yield r, loss
+    #: Lane 0 (the master model) and the replicas built so far.
+    _shard_lanes: list[_Lane] | None = None
+
+    def _shard_outputs(self, lane: _Lane):
+        """What the step needs of one shard, read off ``lane``'s layers
+        right after the shard's backward (on the lane's thread)."""
+        raise NotImplementedError
+
+    def _backward_per_shard(self, shards: list[np.ndarray], tracer) -> list[_Shard]:
+        """Forward/backward every rank's shard, in lanes; returns the
+        shards in shard order."""
+        n_lanes = _lanes(len(shards))
+        if self._shard_lanes is None:
+            self._shard_lanes = [_Lane(self.model, self.model, None)]
+        while len(self._shard_lanes) < n_lanes:
+            self._shard_lanes.append(_Lane.replicate(self.model))
+        lanes = self._shard_lanes[:n_lanes]
+        numbered = list(enumerate(shards))
+        blocks = [
+            numbered[k * len(shards) // n_lanes : (k + 1) * len(shards) // n_lanes]
+            for k in range(n_lanes)
+        ]
+        logs = [_SpanLog(tracer) for _ in lanes[1:]]
+        futures = []
+        for lane, block, log in zip(lanes[1:], blocks[1:], logs):
+            lane.sync()
+            futures.append(host.pool().submit(self._run_lane, lane, block, log))
+        try:
+            done = self._run_lane(lanes[0], blocks[0], tracer)
+        finally:
+            wait(futures)
+        # In lane order, so the lowest failing lane raises, as its first
+        # failing shard would have in one lane.
+        for lane, future, log in zip(lanes[1:], futures, logs):
+            for s in future.result():
+                for bn, stats in zip(lane.norms, s.norm_stats):
+                    if stats is not None:
+                        bn.fold_batch_stats(*stats)
+                done.append(s)
+            log.replay(tracer)
+        return done
+
+    def _run_lane(self, lane: _Lane, block: list[tuple[int, np.ndarray]], spans) -> list[_Shard]:
+        """One lane's shards, in order; ``spans`` opens its host spans."""
+        model, task = lane.model, self.task
+        done = []
+        for r, idx in block:
+            model.zero_grad()
+            x, y = task.batch(idx)
+            with spans.span("forward", "forward", shard=r):
+                out = model(x)
+                loss, dl = task.loss_and_grad(out, y)
+            with spans.span("backward", "backward", shard=r):
+                model.backward(dl)
+            stats = [lane.twin(bn).batch_stats for bn in lane.norms]
+            done.append(_Shard(loss, self._shard_outputs(lane), stats))
+        return done
 
     @staticmethod
     def _scatter_grads(params, flat: np.ndarray) -> None:

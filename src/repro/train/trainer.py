@@ -41,12 +41,13 @@ class TrainHistory:
 class DistributedSgdTrainer(StepScaffold):
     """Data-parallel first-order training on the simulated cluster.
 
-    One shared model evaluates every rank's shard (identical math to
-    per-rank replicas); per-rank gradients are optionally compressed
-    before the (simulated) allreduce, reproducing the SGD+CocktailSGD
-    baseline.  The gradient travels as one whole-gradient barrier
-    allreduce per step; the trainer has none of the K-FAC trainer's
-    collaborators (runtime, guard, ledger, autotune, xray).
+    The shards run in lanes (:mod:`repro.train.step`; identical math to
+    one model running every shard); per-rank gradients are optionally
+    compressed, in rank order, before the (simulated) allreduce,
+    reproducing the SGD+CocktailSGD baseline.  The gradient travels as
+    one whole-gradient barrier allreduce per step; the trainer has none
+    of the K-FAC trainer's collaborators (runtime, guard, ledger,
+    autotune, xray).
     """
 
     def __init__(
@@ -67,8 +68,9 @@ class DistributedSgdTrainer(StepScaffold):
         self.history = TrainHistory()
         self._schedule = Schedule(StreamRuntime(cluster, overlap=False), None)
 
-    def _flat_grad(self) -> np.ndarray:
-        return np.concatenate([p.grad.ravel() for p in self.model.parameters()])
+    def _shard_outputs(self, lane) -> np.ndarray:
+        """The shard's flat gradient."""
+        return np.concatenate([lane.twin(p).grad.ravel() for p in self.model.parameters()])
 
     def _local_grads(
         self, shards: list[np.ndarray], tracer
@@ -77,8 +79,7 @@ class DistributedSgdTrainer(StepScaffold):
         per_rank_grads: list[np.ndarray] = []
         losses: list[float] = []
         compressor = self.compressor
-        for _, loss in self._backward_per_shard(shards, tracer):
-            g = self._flat_grad()
+        for loss, g, _ in self._backward_per_shard(shards, tracer):
             if compressor is not None:
                 ct = compressor.compress(g)
                 self.history.compression_ratios.append(g.nbytes / ct.nbytes)

@@ -64,9 +64,9 @@ def assert_gradcheck(model, x, loss_fn, *, eps=1e-3, tol=5e-3, n_checks=6, seed=
 def kfac_step(kfac):
     """One single-worker K-FAC iteration: the stages a one-rank trainer runs,
     with no communication in between (the oracle of the distributed fold)."""
-    started = kfac.start_factors()
+    factors = kfac.local_factors(kfac.layers)
     for idx in range(len(kfac.layers)):
-        kfac.accumulate_factors(idx, *kfac.local_factors(idx, started))
+        kfac.accumulate_factors(idx, *factors[idx])
         if kfac.t % kfac.inv_update_freq == 0 or not kfac.state[idx].ready:
             kfac.compute_eigen(idx)
     kfac.apply({idx: kfac.precondition(idx) for idx in range(len(kfac.layers))})

@@ -136,6 +136,13 @@ class TestCocktail:
         err = np.abs(out[kept] - x[kept]).max()
         assert err <= np.abs(x).max() / 127 * 1.1
 
+    @pytest.mark.parametrize("bits", [1, 9, 12, 16])
+    def test_bits_beyond_a_byte_are_refused(self, bits):
+        """Codes travel one byte each: 12 bits used to wrap silently and
+        err by up to 6.8 on N(0, 1) values."""
+        with pytest.raises(ValueError, match=r"\[2, 8\].*one byte"):
+            CocktailSgdCompressor(0.5, bits)
+
     def test_deterministic_given_seed(self, rng):
         x = rng.standard_normal(5000).astype(np.float32)
         a = CocktailSgdCompressor(0.2, 8, seed=9).roundtrip(x)

@@ -102,8 +102,9 @@ def test_statistic_is_float32_symmetric_and_close_to_float64(rng, case, grad_lay
         grad_out = _channels_last(grad_out)
     layer.backward(grad_out)
     kfac = Kfac(nn.Sequential(layer))
-    factors = kfac.local_factors(0, kfac.start_factors())
-    for got, captured in zip(factors, (layer.last_a, layer.last_g)):
+    captured_pair = (layer.last_a, layer.last_g)
+    (factors,) = kfac.local_factors(kfac.layers)
+    for got, captured in zip(factors, captured_pair):
         wide = captured.astype(np.float64)
         oracle = wide.T @ wide / wide.shape[0]
         assert got.dtype == np.float32
@@ -119,10 +120,10 @@ def test_statistics_over_zero_samples_fail_naming_the_layer(rng):
     kfac = Kfac(model)
     x = rng.standard_normal((5, 4)).astype(np.float32)
     model.backward(np.ones_like(model(x)))
-    kfac.start_factors()
+    kfac.local_factors(kfac.layers)
     model.backward(np.ones_like(model(x[:0])))
     with pytest.raises(RuntimeError, match="layer 0 .*zero samples"):
-        kfac.start_factors()
+        kfac.local_factors(kfac.layers)
 
 
 def test_running_averages_stay_float64(rng):
@@ -286,9 +287,7 @@ def test_world4_fold_is_the_mean_of_the_ranks_float32_squares():
         _, dl = task.loss_and_grad(probe(x), y)
         probe.zero_grad()
         probe.backward(dl)
-        started = probe_kfac.start_factors()
-        n_layers = len(probe_kfac.layers)
-        per_rank.append([probe_kfac.local_factors(i, started) for i in range(n_layers)])
+        per_rank.append(probe_kfac.local_factors(probe_kfac.layers))
 
     trainer = DistributedKfacTrainer(model, task, SimCluster(1, 4, seed=0), lr=0.05)
     trainer.step(idx)

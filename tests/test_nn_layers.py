@@ -489,7 +489,7 @@ class TestBitIdentity:
                 _sprinkle(rng, rng.standard_normal(y.shape).astype(np.float32), finite), layout
             )
             wgrad, bgrad, last_a, last_g, gx = _ref_conv_backward(conv, cols, x.shape, grad_out)
-            rows = conv._rows
+            rows, cols_view = conv._rows, conv._cols
             _assert_same(conv.backward(grad_out), gx, what)
             _assert_same(conv.weight.grad, wgrad, what)
             if bias:
@@ -499,7 +499,7 @@ class TestBitIdentity:
             # last_a is forward's buffer: backward allocated and copied nothing.
             assert conv.last_a is rows
             if c * k * k > 1:  # (a one-column patch matrix is a GEMV operand, kept apart)
-                assert np.shares_memory(conv.last_a, conv._cols)
+                assert np.shares_memory(conv.last_a, cols_view)
 
     def test_conv2d_float64_input(self, rng):
         conv = nn.Conv2d(2, 3, 3, padding=1, rng=1)
@@ -532,6 +532,7 @@ class TestBitIdentity:
                 grad_out = _as_layout(
                     _sprinkle(rng, rng.standard_normal(y.shape).astype(np.float32)), g_layout
                 )
+                pool(x)  # backward releases what forward kept
                 _assert_same(
                     pool.backward(grad_out),
                     _ref_maxpool_backward(argmax, shape, k, grad_out),

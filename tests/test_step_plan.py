@@ -259,4 +259,5 @@ def test_catalog_of_a_proxy_is_its_kfac_layers():
     assert [(l.in_f, l.out_f) for l in catalog] == [
         trainer.kfac.layer_dims(i) for i in range(len(trainer.kfac.layers))
     ]
-    assert sum(l.grad_bytes for l in catalog) == 4 * trainer._kfac_flat_grads().size
+    kfac_grads = sum(layer.kfac_weight_grad().size for layer in trainer.kfac.layers)
+    assert sum(l.grad_bytes for l in catalog) == 4 * kfac_grads
