@@ -33,7 +33,8 @@ decoder that does not arrive back there read a damaged stream.
 
 ``K`` is the encoder's choice, written into the frame (:func:`_lanes`).
 A row costs one round of NumPy calls whatever its width — about 5 us to
-encode and 9 us to decode, against 10 and 9 ns per symbol — so time
+encode and 9 us to decode, against 10 and 9 ns per symbol, on the host
+``_ROW_LANES`` names — so time
 wants few rows, while bytes want few lanes: every lane flushes a 4-byte
 state, about 3 bytes net of the words it saves.  :func:`_lane_cap`
 settles the trade by size: ``isqrt(symbols)`` below ``2**12`` symbols,
@@ -129,10 +130,13 @@ _RANS_L = 1 << 16  # lower bound of the normalised state interval; every lane st
 _EMIT_SHIFT = 32 - _PROB_BITS
 
 # Rows narrower than this lose to the scalar loop, so it is also what a
-# row costs in loop symbols (_row_cost).  Measured here: a row costs the
-# encoder 4.5 us and the decoder 7.3 us whatever it codes, a symbol of
-# the loop 0.13 + 0.19 us (bytes) or 0.17 + 0.23 us (items), so the two
-# meet at 37 and 30 lanes.
+# row costs in loop symbols (_row_cost).  On the benchmark's 2-vCPU x86-64
+# host (AVX-512 Xeon, NumPy 2.4) a row cost the encoder 4.5 us and the
+# decoder 7.3 us whatever it codes, a symbol of the loop 0.13 + 0.19 us
+# (bytes) or 0.17 + 0.23 us (items), so the two meet at 37 and 30 lanes.
+# That host's speed swings twofold from minute to minute (a later best of
+# five read 3.8 and 12.9 us a row, 0.19 + 0.30 and 0.20 + 0.25 us a
+# symbol): the crossover holds, the absolute costs do not.
 _ROW_LANES = 32
 # 4 K bytes of lane states <= 1/16 of the predicted coded bytes.  It moves
 # with _MIN_ROWS: under 1/32, 2-byte codes at 1.03-1.05 coded bytes per
@@ -190,41 +194,51 @@ def _lanes(symbols: int, predicted: int, n: int) -> int:
 
 def quantize_freqs(freq: np.ndarray) -> np.ndarray:
     """Scale frequencies to sum exactly to ``_PROB_SCALE``, keeping present
-    symbols >= 1."""
+    symbols >= 1.
+
+    The symbols with the most headroom absorb the rounding, one unit each
+    per sweep over the descending order of ``np.argsort(scaled)``, never
+    below 1.  Each sweep moves a prefix of that order: a shortfall is less
+    than one unit per present symbol, so one sweep covers it, and sweep
+    ``k`` of an excess takes the symbols first scaled to ``k + 2`` or more.
+    """
     freq = np.asarray(freq, dtype=np.int64)
     total = int(freq.sum())
     if total == 0:
         raise ValueError("cannot quantise an empty frequency table")
-    scaled = np.maximum((freq * _PROB_SCALE) // total, (freq > 0).astype(np.int64))
+    scaled = freq * _PROB_SCALE
+    scaled //= total
+    np.maximum(scaled, freq > 0, out=scaled)
     diff = _PROB_SCALE - int(scaled.sum())
-    if diff != 0:
-        # Adjust symbols with the most headroom, one unit each per sweep
-        # over the symbols in descending order, never dropping below 1.
+    if diff:
         order = np.argsort(scaled)[::-1]
-        step = 1 if diff > 0 else -1
-        while diff != 0:
-            movable = order[(scaled[order] + step >= 1) & (freq[order] > 0)]
-            moved = movable[: abs(diff)]
-            scaled[moved] += step
-            diff -= step * moved.size
+        if diff > 0:
+            scaled[order[:diff]] += 1
+        else:
+            ranked, floor = scaled[order], 2
+            while diff:
+                moved = min(int(np.count_nonzero(ranked >= floor)), -diff)
+                if not moved:
+                    raise ValueError("more present symbols than probability slots")
+                scaled[order[:moved]] -= 1
+                diff += moved
+                floor += 1
     return scaled.astype(np.uint32)
 
 
 def _cumulative(qfreq: np.ndarray) -> np.ndarray:
-    cum = np.zeros(qfreq.size, dtype=np.uint32)
-    np.cumsum(qfreq[:-1], out=cum[1:])
+    cum = qfreq.cumsum(dtype=np.uint32)
+    cum -= qfreq
     return cum
 
 
-def _wire_bytes(symbols: np.ndarray) -> bytes:
-    """Decoded symbols as frame bytes: 2-byte symbols are big-endian items."""
-    return symbols.astype(">u2").tobytes() if symbols.itemsize == 2 else symbols.tobytes()
+# The bits of a ``w``-bit table entry, most significant first, at index ``w``.
+_BITS = [1 << np.arange(w - 1, -1, -1, dtype=np.uint32) for w in range(_PROB_BITS + 1)]
 
 
 def _pack_table(values: np.ndarray, width: int) -> bytes:
     """``values`` (each below ``2**width``) back to back, most significant bit first."""
-    shifts = np.arange(width - 1, -1, -1, dtype=np.uint32)
-    return np.packbits((values[:, None] >> shifts & 1).astype(np.uint8)).tobytes()
+    return np.packbits((values[:, None] & _BITS[width]) != 0).tobytes()
 
 
 def _unpack_table(packed: bytes, count: int, width: int) -> np.ndarray:
@@ -232,8 +246,7 @@ def _unpack_table(packed: bytes, count: int, width: int) -> np.ndarray:
     bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))
     if bits[count * width :].any():
         raise EncodeError("ans: frequency table padding bits set")
-    weights = 1 << np.arange(width - 1, -1, -1, dtype=np.uint32)
-    return bits[: count * width].reshape(count, width) @ weights
+    return bits[: count * width].reshape(count, width) @ _BITS[width]
 
 
 # The kernels take the symbols as an integer array (of either byte order)
@@ -404,7 +417,7 @@ def _decode_scalar(
     except IndexError:
         raise EncodeError("ans: word stream ran out") from None
     _check_end(pos, len(w), x == _RANS_L)
-    return _wire_bytes(np.asarray(out))
+    return bytes(out) if item_size == 1 else np.asarray(out).astype(">u2").tobytes()
 
 
 _SLOTS = np.arange(_PROB_SCALE, dtype=np.uint32)
@@ -560,10 +573,14 @@ def _plan(symbols: np.ndarray, counts: np.ndarray, data: bytes) -> _Plan | None:
     """
     n = len(data)
     item_size = symbols.itemsize
-    present = counts > 0
-    occurring = counts[present]
     # All of a coded frame but its table, lane states and words.
     fixed = 2 + 2 * (item_size - 1) + 4 + -(-counts.size // 8) + 1
+    if fixed + 4 >= n:  # no room for even one lane state
+        return None
+    present = counts > 0
+    occurring = counts[present]
+    if occurring.size > _MAX_SYMBOLS:
+        return None
     # The least those can take: the largest of P frequencies that sum to the
     # scale is at least scale / P, there is one lane or more, and no table
     # codes the symbols in fewer bits than their entropy.
@@ -597,11 +614,8 @@ def _plan_frame(data: bytes, item_size: int) -> _Plan | None:
     if item_size == 2:
         items = np.frombuffer(data, dtype=">u2")
         counts = np.bincount(items)
-        few = np.count_nonzero(counts) <= _MAX_SYMBOLS
-        plan = _plan(items, counts, data) if few else None
-        if plan is None:  # too many items, or a table that outweighs them
-            plan = _plan(u8, _byte_counts(counts), data)
-        return plan
+        # Too many items, or a table that outweighs them: the bytes.
+        return _plan(items, counts, data) or _plan(u8, _byte_counts(counts), data)
     # Items of any other size are coded as the bytes they are.
     return _plan(u8, _byte_histogram(u8), data)
 

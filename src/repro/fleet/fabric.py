@@ -17,7 +17,11 @@ bit-identical to running the job alone.
 Windows are recorded in *fleet* time (job arrival offset + job-local
 sim time) and pruned once every live job's clock has moved past them,
 keeping the window list bounded by the number of in-flight transfers
-rather than the length of the run.
+rather than the length of the run.  The windows are kept sorted by end:
+a transfer visits only those that end after it starts, and a prune cuts
+the expired ones off the front.  The overlapping windows are summed in
+the order they were recorded, so every stretched duration is the float
+a scan of all windows in that order gives.
 
 The fabric can also carry *degradation windows* (``degrade``): fleet-time
 intervals during which the whole interconnect runs ``factor``x slower —
@@ -29,6 +33,8 @@ before contention is priced, so degradation and fair sharing compose.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 __all__ = ["SharedFabric"]
 
 
@@ -37,8 +43,11 @@ class SharedFabric:
 
     def __init__(self):
         self._weights: dict[str, float] = {}
-        # (start, end, name, weight) transfer windows in fleet time.
-        self._windows: list[tuple[float, float, str, float]] = []
+        # (end, start, seq, name, weight) transfer windows in fleet time,
+        # sorted by end (and _ends, their ends, with them); seq is the
+        # recording order.
+        self._windows: list[tuple[float, float, int, str, float]] = []
+        self._ends: list[float] = []
         #: Extra seconds each job spent waiting on contention.
         self.contended_seconds: dict[str, float] = {}
         #: Nominal (uncontended) seconds each job put on the wire.
@@ -90,14 +99,19 @@ class SharedFabric:
                 degraded += (d_factor - 1.0) * overlap
         end = start + degraded
         load = own
-        for w_start, w_end, w_name, w_weight in self._windows:
-            if w_name == name:
-                continue
-            overlap = min(end, w_end) - max(start, w_start)
-            if overlap > 0.0:
-                load += w_weight * (overlap / degraded)
+        first = bisect_right(self._ends, start)  # windows ending by ``start`` cannot overlap
+        overlapping = [
+            (seq, w_weight, overlap)
+            for w_end, w_start, seq, w_name, w_weight in self._windows[first:]
+            if w_start < end and w_name != name
+            and (overlap := min(end, w_end) - max(start, w_start)) > 0.0
+        ]
+        for _, w_weight, overlap in sorted(overlapping):
+            load += w_weight * (overlap / degraded)
         slowed = degraded * (load / own)
-        self._windows.append((start, start + slowed, name, own))
+        at = bisect_right(self._ends, start + slowed)
+        self._ends.insert(at, start + slowed)
+        self._windows.insert(at, (start + slowed, start, self.acquisitions, name, own))
         self.nominal_seconds[name] += seconds
         self.degraded_seconds[name] += degraded - seconds
         self.contended_seconds[name] += slowed - degraded
@@ -114,7 +128,7 @@ class SharedFabric:
     def prune(self, frontier: float) -> int:
         """Drop windows ending before ``frontier`` (every live job's
         clock has passed them); returns how many were dropped."""
-        before = len(self._windows)
-        self._windows = [w for w in self._windows if w[1] > frontier]
+        expired = bisect_right(self._ends, frontier)
+        del self._windows[:expired], self._ends[:expired]
         self._degradations = [d for d in self._degradations if d[1] > frontier]
-        return before - len(self._windows)
+        return expired

@@ -52,6 +52,7 @@ from typing import Callable
 from repro.util.checkpoint import (
     SAVE_POINTS,
     CheckpointError,
+    _no_hooks,
     load_checkpoint,
     save_checkpoint,
     verify_checkpoint,
@@ -158,19 +159,14 @@ def file_crc32(path: Path) -> int:
     return crc & 0xFFFFFFFF
 
 
-def _manifest_body_text(generations: list[Generation]) -> str:
+def manifest_text(generations: list[Generation]) -> str:
+    """Canonical sealed manifest document: body + CRC32 seal of the body."""
     body = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "generations": [g.to_json() for g in generations],
     }
-    return json.dumps(body, sort_keys=True, separators=(",", ":"))
-
-
-def manifest_text(generations: list[Generation]) -> str:
-    """Canonical sealed manifest document: body + CRC32 seal of the body."""
-    body = _manifest_body_text(generations)
-    seal = zlib.crc32(body.encode()) & 0xFFFFFFFF
-    return json.dumps({"body": json.loads(body), "seal": seal}, sort_keys=True, indent=1)
+    seal = zlib.crc32(json.dumps(body, sort_keys=True, separators=(",", ":")).encode())
+    return json.dumps({"body": body, "seal": seal}, sort_keys=True, indent=1)
 
 
 def parse_manifest(text: str) -> list[Generation]:
@@ -203,11 +199,8 @@ def _gen_name(gen: int) -> str:
     return f"gen-{gen:08d}.npz"
 
 
-def _is_gen_file(path: Path) -> bool:
-    name = path.name
-    if not (name.startswith("gen-") and name.endswith(".npz")):
-        return False
-    return name[4:-4].isdigit()
+def _is_gen_name(name: str) -> bool:
+    return name.startswith("gen-") and name.endswith(".npz") and name[4:-4].isdigit()
 
 
 class CheckpointStore:
@@ -238,6 +231,8 @@ class CheckpointStore:
         #: index storage fault entries are addressed by.
         self.save_index = 0
         self.events: list[StoreEvent] = []
+        # The manifest text this store last wrote or parsed, and its generations.
+        self._manifest: tuple[str, list[Generation]] = ("", [])
 
     # ------------------------------------------------------------------
     # events
@@ -281,20 +276,23 @@ class CheckpointStore:
         (recorded as a ``manifest_rebuilt`` event unless ``quiet``) —
         the store trusts archives' own seals over a torn index.
         """
-        if not self.manifest_path.exists():
-            return []
         try:
-            return parse_manifest(self.manifest_path.read_text())
+            text = self.manifest_path.read_text()
+            if text != self._manifest[0]:
+                self._manifest = (text, parse_manifest(text))
+        except FileNotFoundError:
+            return []
         except StoreError as exc:
             if not quiet:
                 self._event("manifest_rebuilt", detail=type(exc).__name__)
             return self._scan_generations()
+        return list(self._manifest[1])
 
     def _scan_generations(self) -> list[Generation]:
         """Rebuild the generation list from verified on-disk archives."""
         gens: list[Generation] = []
         for path in sorted(self.root.glob("gen-*.npz")):
-            if not _is_gen_file(path):
+            if not _is_gen_name(path.name):
                 continue
             try:
                 meta = verify_checkpoint(path)
@@ -316,13 +314,14 @@ class CheckpointStore:
         tmp = self.root / f".{MANIFEST_NAME}.tmp.{os.getpid()}"
         hook("manifest:begin", self.manifest_path)
         try:
-            tmp.write_text(text)
+            tmp.write_bytes(text.encode())
             hook("manifest:tmp_written", tmp)
             os.replace(tmp, self.manifest_path)
+            self._manifest = (text, sorted(generations, key=lambda g: g.gen))
             hook("manifest:replaced", self.manifest_path)
-        finally:
-            if tmp.exists():
-                tmp.unlink()
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def _next_gen_number(self, gens: list[Generation]) -> int:
         """Next generation number: past the manifest *and* any on-disk file.
@@ -333,9 +332,9 @@ class CheckpointStore:
         ambiguous to fsck.
         """
         highest = max((g.gen for g in gens), default=0)
-        for path in self.root.glob("gen-*.npz"):
-            if _is_gen_file(path):
-                highest = max(highest, int(path.name[4:-4]))
+        for name in os.listdir(self.root):
+            if _is_gen_name(name):
+                highest = max(highest, int(name[4:-4]))
         return highest + 1
 
     # ------------------------------------------------------------------
@@ -363,14 +362,11 @@ class CheckpointStore:
         hook = None
         if self.hooks_factory is not None:
             hook = self.hooks_factory(save_index)
-        if hook is None:
-            hook = lambda point, path: None  # noqa: E731
 
         gens = self.generations()
         number = self._next_gen_number(gens)
-        final = self.root / _gen_name(number)
-        save_checkpoint(
-            final,
+        final = save_checkpoint(
+            self.root / _gen_name(number),
             model,
             kfac,
             compressor=compressor,
@@ -378,26 +374,24 @@ class CheckpointStore:
             step=step,
             hooks=hook,
         )
-        entry = Generation(
-            gen=number,
-            file=final.name,
-            step=int(step),
-            nbytes=final.stat().st_size,
-            crc32=file_crc32(final),
-        )
+        if hook is None:
+            nbytes, crc = final.nbytes, final.crc32
+        else:
+            # A hook may have torn the file: record the bytes on disk.
+            nbytes, crc = final.stat().st_size, file_crc32(final)
+        entry = Generation(gen=number, file=final.name, step=int(step), nbytes=nbytes, crc32=crc)
         new_gens = gens + [entry]
         kept = new_gens[-self.keep :]
         trimmed = new_gens[: -self.keep] if len(new_gens) > self.keep else []
-        self._write_manifest(kept, hook)
+        self._write_manifest(kept, hook or _no_hooks)
         for old in trimmed:
-            old_path = self.root / old.file
-            if old_path.exists():
-                old_path.unlink()
+            (self.root / old.file).unlink(missing_ok=True)
             self._event("retention", gen=old.gen, step=old.step)
         self._event("save", gen=number, step=int(step))
-        # The at-rest window: the save is fully committed; bit-rot
-        # faults scheduled for this save index strike now.
-        hook("sealed", final)
+        if hook is not None:
+            # The at-rest window: the save is fully committed; bit-rot
+            # faults scheduled for this save index strike now.
+            hook("sealed", final)
         return entry
 
     def _check_file_seal(self, entry: Generation) -> Path:
@@ -481,7 +475,7 @@ class CheckpointStore:
             if survivors != gens:
                 # Damage was found: persist the pruned manifest so the
                 # next reader doesn't re-walk known-bad generations.
-                self._write_manifest(survivors, lambda point, path: None)
+                self._write_manifest(survivors, _no_hooks)
             return entry
         raise StoreError(
             f"{self.root}: no generation passed verification "

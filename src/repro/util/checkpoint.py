@@ -26,7 +26,9 @@ The on-disk layout is this module's decision alone.  An archive is an
 ``.npz`` with two *stored* members: ``index`` — JSON rows of ``[key,
 dtype, shape, offset, length]`` — and ``data``, every section's raw
 bytes back to back.  A save serialises each array once, seals those
-bytes, and writes them in one pass; K-FAC state is mostly float64 noise
+bytes, lays the archive out in memory and writes it in one call, so the
+size and CRC32 of what it wrote come from memory too (the
+:class:`Archive` it returns carries them); K-FAC state is mostly float64 noise
 that deflate shrank by a quarter at five times the cost of the write,
 so nothing is compressed.  Archives written before schema version 4
 (one deflated member per section) still load through the same reader,
@@ -44,6 +46,7 @@ import itertools
 import json
 import math
 import os
+import struct
 import zipfile
 import zlib
 from pathlib import Path
@@ -57,6 +60,7 @@ if TYPE_CHECKING:  # pragma: no cover — annotations only, avoids an
     from repro.optim.kfac import Kfac
 
 __all__ = [
+    "Archive",
     "CheckpointError",
     "SAVE_POINTS",
     "SCHEMA_VERSION",
@@ -131,6 +135,15 @@ def _final_path(path: str | Path) -> Path:
     return path if path.suffix == ".npz" else path.with_name(path.name + ".npz")
 
 
+class Archive(type(Path())):
+    """The path :func:`save_checkpoint` wrote an archive to, with the ``nbytes``
+    and ``crc32`` of the bytes it wrote there.  A save hook that ran after
+    the write (a torn write) may have changed the file since."""
+
+    nbytes: int
+    crc32: int
+
+
 #: One serialised section: key, dtype string, shape, raw C-order bytes.
 _Section = tuple[str, str, tuple[int, ...], bytes]
 
@@ -188,7 +201,8 @@ def save_checkpoint(
 
     ``hooks(point, path)`` is called at each :data:`SAVE_POINTS` stage —
     the storage fault plane uses it to inject crashes and torn writes at
-    deterministic points.  Returns the final archive path.
+    deterministic points.  Returns the final archive path as an
+    :class:`Archive`.
     """
     hook = hooks if hooks is not None else _no_hooks
     arrays: dict[str, np.ndarray] = {"meta/schema_version": np.array(SCHEMA_VERSION)}
@@ -219,34 +233,65 @@ def save_checkpoint(
             arrays[_COMPRESSOR + key] = value
     sections = _serialise(arrays)
     sections += _serialise({_SEAL_KEY: np.array(_seal(sections), dtype=np.uint32)})
+    blob = _archive(sections)
 
     final = _final_path(path)
     tmp = final.with_name(f".{final.stem}.tmp.{os.getpid()}-{next(_TMP_COUNTER)}.npz")
+    final = Archive(final)
     try:
         hook("save:begin", final)
-        _write_archive(tmp, sections)
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
         hook("save:tmp_written", tmp)
         os.replace(tmp, final)
         hook("save:replaced", final)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    final.nbytes, final.crc32 = len(blob), zlib.crc32(blob)
     return final
 
 
-def _write_archive(path: Path, sections: list[_Section]) -> None:
-    """Write ``sections`` as one index and one contiguous stored payload."""
+def _archive(sections: list[_Section]) -> bytes:
+    """The bytes of an archive of ``sections``: one index and one contiguous
+    stored payload, each a flat ``uint8`` ``.npy`` member.
+
+    The zip is the one ``np.savez`` writes for those two arrays — stored
+    members, zip64 local headers, the DOS epoch for every time — laid out
+    here so that the sections go to the file without the copies
+    ``np.savez`` makes of them.  No member may reach 4 GiB (``struct``
+    refuses a central directory size past 32 bits).
+    """
     index, offset = [], 0
     for key, dtype, shape, raw in sections:
         index.append([key, dtype, list(shape), offset, len(raw)])
         offset += len(raw)
-    np.savez(
-        path,
-        **{
-            _INDEX: np.frombuffer(json.dumps(index).encode(), dtype=np.uint8),
-            _DATA: np.frombuffer(b"".join(raw for *_, raw in sections), dtype=np.uint8),
-        },
-    )
+    parts, directory, at = [], [], 0
+    for name, chunks in ((_INDEX, [json.dumps(index).encode()]), (_DATA, [s[3] for s in sections])):
+        # The 128-byte .npy v1.0 header of a flat uint8 array.
+        npy = f"{{'descr': '|u1', 'fortran_order': False, 'shape': ({sum(map(len, chunks))},), }}"
+        chunks.insert(0, b"\x93NUMPY\x01\x00\x76\x00" + npy.ljust(117).encode() + b"\n")
+        crc = 0
+        for chunk in chunks:
+            crc = zlib.crc32(chunk, crc)
+        size = sum(map(len, chunks))
+        member = f"{name}.npy".encode()
+        local = (
+            struct.pack("<4s2B4HL2L2H", b"PK\x03\x04", 45, 0, 0, 0, 0, 0x21, crc,
+                        0xFFFFFFFF, 0xFFFFFFFF, len(member), 20)
+            + member
+            + struct.pack("<2H2Q", 1, 16, size, size)  # the zip64 sizes
+        )
+        directory.append(
+            struct.pack("<4s4B4HL2L5H2L", b"PK\x01\x02", 45, 3, 45, 0, 0, 0, 0, 0x21, crc,
+                        size, size, len(member), 0, 0, 0, 0, 0o600 << 16, at)
+            + member
+        )
+        parts += [local, *chunks]
+        at += len(local) + size
+    central = b"".join(directory)
+    end = struct.pack("<4s4H2LH", b"PK\x05\x06", 0, 0, 2, 2, len(central), at, 0)
+    return b"".join([*parts, central, end])
 
 
 def _member(path: Path, archive, name: str) -> np.ndarray:

@@ -35,7 +35,7 @@ def rewrite_archive(src, dest=None, *, mutate=None, reseal: bool = True) -> Path
         mutate(arrays)
     if reseal:
         _reseal(arrays)
-    ckpt._write_archive(dest, ckpt._serialise(arrays))
+    dest.write_bytes(ckpt._archive(ckpt._serialise(arrays)))
     return dest
 
 

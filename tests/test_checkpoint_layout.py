@@ -7,6 +7,7 @@ The one test file allowed to know that an archive is an ``index`` and a
 
 import json
 import zipfile
+import zlib
 
 import numpy as np
 import pytest
@@ -82,6 +83,27 @@ class TestFlatLayout:
         assert meta.pop("content_crc32") is not None
         assert meta == {"schema_version": 4, "world_size": 2, "step": 3, "sealed": True}
         assert SCHEMA_VERSION == 4
+
+    @pytest.mark.parametrize("size", [0, 1, 9_999, 10_000, 310_000])
+    def test_the_archive_is_the_zip_np_savez_writes(self, tmp_path, size):
+        """Laid out in memory, byte for byte as ``np.savez`` writes the two members."""
+        rng = np.random.default_rng(size)
+        arrays = {"meta/step": np.array(3), "param/w": rng.standard_normal(size // 4, np.float32)}
+        sections = ckpt._serialise(arrays)
+        rows, offset = [], 0
+        for key, dtype, shape, raw in sections:
+            rows.append([key, dtype, list(shape), offset, len(raw)])
+            offset += len(raw)
+        index = np.frombuffer(json.dumps(rows).encode(), np.uint8)
+        data = np.frombuffer(b"".join(raw for *_, raw in sections), np.uint8)
+        np.savez(tmp_path / "np.npz", index=index, data=data)
+        assert ckpt._archive(sections) == (tmp_path / "np.npz").read_bytes()
+
+    def test_a_save_reports_the_bytes_it_wrote(self, tmp_path):
+        archive = save_checkpoint(tmp_path / "c", _state()[0], step=1)
+        assert archive == tmp_path / "c.npz"
+        assert archive.nbytes == archive.stat().st_size
+        assert archive.crc32 == zlib.crc32(archive.read_bytes())
 
     def test_round_trip_is_bit_identical(self, tmp_path):
         saved = _save(tmp_path / "c.npz")

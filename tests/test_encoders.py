@@ -112,6 +112,54 @@ class TestAnsInternals:
         with pytest.raises(ValueError):
             quantize_freqs(np.zeros(256, dtype=np.int64))
 
+    @staticmethod
+    def _sweeps(freq):
+        """``quantize_freqs`` as one sweep over ``np.argsort``'s order per unit
+        step: the reference for the prefixes the function moves at once."""
+        freq = np.asarray(freq, dtype=np.int64)
+        scaled = np.maximum((freq * (1 << 14)) // int(freq.sum()), (freq > 0).astype(np.int64))
+        diff = (1 << 14) - int(scaled.sum())
+        order = np.argsort(scaled)[::-1]
+        step = 1 if diff > 0 else -1
+        sweeps = 0
+        while diff != 0:
+            movable = order[(scaled[order] + step >= 1) & (freq[order] > 0)]
+            moved = movable[: abs(diff)]
+            scaled[moved] += step
+            diff -= step * moved.size
+            sweeps += 1
+        return scaled.astype(np.uint32), sweeps
+
+    def test_quantize_matches_the_sweep_loop(self):
+        rng = np.random.default_rng(41)
+        one = np.zeros(256, dtype=np.int64)
+        one[200] = 7
+        wide = rng.integers(1, 40, 1 << 12)  # every one of 2**12 symbols present
+        few = np.array([3, 0, 1, 1, 0, 9, 1, 2])  # a total far below 2**14
+        many = rng.integers(0, 10**6, 300)  # far above it
+        # 300 singletons each take a slot they are not owed, and only two
+        # symbols can give slots back: one slot each per sweep.
+        singletons = np.array([1] * 300 + [10**6, 10**6])
+        tied = np.array([5] * 40 + [3] * 40 + [0] * 10 + [1] * 7)  # the rounding cuts through ties
+        cases = [one, wide, few, many, singletons, tied]
+        for _ in range(200):
+            size = int(rng.integers(1, 600))
+            counts = rng.geometric(float(rng.uniform(0.01, 0.9)), size) - 1
+            counts[rng.random(size) < rng.uniform(0, 0.8)] = 0
+            counts[int(rng.integers(size))] += 1
+            cases.append(counts * int(rng.choice([1, 3, 1000])))
+        sweeps = []
+        for counts in cases:
+            want, n = self._sweeps(counts)
+            sweeps.append(n)
+            assert np.array_equal(quantize_freqs(counts), want), counts
+        # The cases reach a rounding that needs many sweeps, and one that needs none.
+        assert self._sweeps(singletons)[1] > 100 and 0 in sweeps
+
+    def test_more_present_symbols_than_slots_are_refused(self):
+        with pytest.raises(ValueError, match="more present symbols"):
+            quantize_freqs(np.ones((1 << 14) + 1, dtype=np.int64))
+
     @pytest.mark.parametrize("offset", [0, 1])
     def test_byte_histogram_is_bincount(self, rng, offset):
         """Counted over byte pairs from ``_PAIR_HISTOGRAM_BYTES`` on, bytes below."""
@@ -1111,7 +1159,7 @@ class TestAnsMany:
             assert words.tobytes() == oracle_words.tobytes()
             streams.append(ans._Stream(u, states, words, qfreq, sym.size, sym.itemsize, 0))
         decoded = ans._decode_rows(streams)
-        assert decoded == [ans._wire_bytes(sym) for sym, _, _ in frames]
+        assert decoded == [sym.astype(f">u{sym.itemsize}").tobytes() for sym, _, _ in frames]
 
     @pytest.mark.parametrize("kinds", [("bitmap", "row_items"), ("row_items", "bitmap")])
     @pytest.mark.parametrize("damaged", [0, 1])

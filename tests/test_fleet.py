@@ -286,6 +286,93 @@ class TestSharedFabric:
             fabric.acquire("ghost", "allreduce", 0.0, 1.0)
 
 
+class _ScanFabric:
+    """The fabric as one list scanned whole per transfer: the reference for
+    the indexed windows of :class:`SharedFabric`."""
+
+    def __init__(self):
+        self.weights, self.windows, self.degradations = {}, [], []
+        self.contended_seconds, self.nominal_seconds, self.degraded_seconds = {}, {}, {}
+
+    def register(self, name, weight=1.0):
+        self.weights[name] = float(weight)
+        for seconds in (self.contended_seconds, self.nominal_seconds, self.degraded_seconds):
+            seconds[name] = 0.0
+
+    def degrade(self, start, stop, factor):
+        self.degradations.append((float(start), float(stop), float(factor)))
+
+    def acquire(self, name, op, start, seconds):
+        if seconds <= 0.0:
+            return seconds
+        own = self.weights[name]
+        degraded = seconds
+        for d_start, d_stop, d_factor in self.degradations:
+            overlap = min(start + seconds, d_stop) - max(start, d_start)
+            if overlap > 0.0:
+                degraded += (d_factor - 1.0) * overlap
+        end = start + degraded
+        load = own
+        for w_start, w_end, w_name, w_weight in self.windows:
+            if w_name == name:
+                continue
+            overlap = min(end, w_end) - max(start, w_start)
+            if overlap > 0.0:
+                load += w_weight * (overlap / degraded)
+        slowed = degraded * (load / own)
+        self.windows.append((start, start + slowed, name, own))
+        self.nominal_seconds[name] += seconds
+        self.degraded_seconds[name] += degraded - seconds
+        self.contended_seconds[name] += slowed - degraded
+        return slowed
+
+    def prune(self, frontier):
+        before = len(self.windows)
+        self.windows = [w for w in self.windows if w[1] > frontier]
+        self.degradations = [d for d in self.degradations if d[1] > frontier]
+        return before - len(self.windows)
+
+
+class TestFabricAgainstScan:
+    """Indexed windows price every transfer to the float a whole scan gives."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_sequences_match_the_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        fabric, scan = SharedFabric(), _ScanFabric()
+        names = [f"job{j}" for j in range(int(rng.integers(2, 6)))]
+        for name in names:
+            weight = float(rng.choice([0.5, 1.0, 2.0, 3.0]))
+            fabric.register(name, weight)
+            scan.register(name, weight)
+        # Starts on a coarse grid tie; draws below the running clock come out of order.
+        clock = 0.0
+        for _ in range(300):
+            kind = rng.random()
+            if kind < 0.05:
+                start, length = float(rng.uniform(0, clock + 1)), float(rng.uniform(0.01, 0.5))
+                factor = float(rng.choice([1.0, 1.5, 3.0]))
+                fabric.degrade(start, start + length, factor)
+                scan.degrade(start, start + length, factor)
+            elif kind < 0.15:
+                # Some frontiers fall exactly on a window's end, which the prune drops.
+                frontier = float(clock - rng.uniform(0, 0.5))
+                if scan.windows and rng.random() < 0.5:
+                    frontier = scan.windows[int(rng.integers(len(scan.windows)))][1]
+                assert fabric.prune(frontier) == scan.prune(frontier)
+            else:
+                name = names[int(rng.integers(len(names)))]
+                start = float(rng.choice([round(clock, 1), clock - rng.uniform(0, 0.3), clock]))
+                seconds = float(rng.choice([0.0, -1e-3, rng.uniform(1e-6, 1e-3), rng.uniform(0.01, 0.4)]))
+                assert fabric.acquire(name, "allreduce", start, seconds) == scan.acquire(
+                    name, "allreduce", start, seconds
+                )
+                clock += float(rng.uniform(0, 0.05))
+        assert fabric.nominal_seconds == scan.nominal_seconds
+        assert fabric.degraded_seconds == scan.degraded_seconds
+        assert fabric.contended_seconds == scan.contended_seconds
+
+
 class TestFleetScheduler:
     def test_smoke_preset_completes_with_contention(self, tmp_path):
         result = FleetScheduler(FLEETS["smoke"].jobs(), ledger_dir=tmp_path).run()

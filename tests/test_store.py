@@ -19,7 +19,7 @@ from repro.store import (
     fsck_store,
     is_store,
 )
-from repro.store.store import manifest_text, parse_manifest
+from repro.store.store import file_crc32, manifest_text, parse_manifest
 from repro.util.checkpoint import save_checkpoint, verify_checkpoint
 from tests.archives import rewrite_archive, vouch_for
 
@@ -289,6 +289,64 @@ class TestCrashConsistency:
         log_b, bytes_b = rot(tmp_path / "b")
         assert log_a == log_b  # same plan, same damaged positions
         assert bytes_a == bytes_b
+
+
+def _faulted_reads(root, fault, save_index):
+    """The events of a store whose save ``save_index`` (of three) was torn or
+    rotted and of a fresh reader's ``load_latest``, the step it restored, and
+    fsck's verdicts before that read."""
+    plan = FaultPlan(seed=3)
+    if fault == "torn":
+        plan.add_torn_write(save_index=save_index)
+    else:
+        plan.storage.append(BitRot(save_index=save_index, n_bytes=2))
+    store = CheckpointStore(root, hooks_factory=StorageFaultController(plan).hooks_for)
+    _fill(store, [1, 2, 3])
+    # Which seal catches the damage: the manifest's file CRC, or the archive's own.
+    seals = [(v.kind, v.status, "file CRC" in v.detail) for v in fsck_store(root)]
+    reader = CheckpointStore(root)
+    restored = reader.load_latest(_model(seed=5))
+    events = [(ev.kind, ev.gen, ev.step, ev.detail) for ev in store.events + reader.events]
+    return events, restored.step, seals
+
+
+class TestManifestAgreesWithDisk:
+    """The manifest records the bytes on disk: a healthy save takes them from
+    memory, a save whose fault hook ran re-reads the file."""
+
+    def test_every_healthy_save_records_the_file(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        model = _model()
+        for step in range(1, 6):
+            _nudge(model)
+            entry = store.save(model, step=step)
+            path = tmp_path / entry.file
+            assert entry.crc32 == file_crc32(path)
+            assert entry.nbytes == path.stat().st_size
+            assert store.generations()[-1] == entry == CheckpointStore(tmp_path).generations()[-1]
+
+    # Pinned where every save re-read its file: a torn write is recorded as
+    # torn and caught by the archive's seal, bit rot by the manifest's CRC.
+    SAVES = [("save", g, g, "") for g in (1, 2, 3)]
+    FELL_BACK = [("fallback", 3, 3, "CheckpointError"), ("quarantine", 3, 3, "CheckpointError"),
+                 ("verify_ok", 2, 2, "")]
+
+    @staticmethod
+    def _seals(damaged, by_file_crc):
+        gens = [("generation", "corrupt" if g == damaged else "ok", by_file_crc and g == damaged)
+                for g in (1, 2, 3)]
+        return [("manifest", "ok", False), *gens]
+
+    @pytest.mark.parametrize("fault", ["torn", "rot"])
+    @pytest.mark.parametrize("save_index", [1, 2])
+    def test_faulted_saves_read_back_as_they_did(self, tmp_path, fault, save_index):
+        damaged = save_index + 1
+        events, step, seals = _faulted_reads(tmp_path, fault, save_index)
+        if damaged == 3:
+            assert (events, step) == (self.SAVES + self.FELL_BACK, 2)
+        else:
+            assert (events, step) == (self.SAVES + [("verify_ok", 3, 3, "")], 3)
+        assert seals == self._seals(damaged, by_file_crc=fault == "rot")
 
 
 class TestTmpWriterCollision:
