@@ -22,7 +22,7 @@ The *offline* bound tuner (:func:`autotune_bounds`,
 :class:`FidelityBudget`) lives beside it in :mod:`repro.autotune.offline`.
 """
 
-from repro.autotune.controller import AutotuneConfig, AutotuneController, as_autotune
+from repro.autotune.controller import AutotuneConfig, AutotuneController
 from repro.autotune.cost_model import (
     AlphaBetaEstimator,
     CostModel,
@@ -47,7 +47,6 @@ __all__ = [
     "HysteresisPolicy",
     "TuneResult",
     "aggregation_credit",
-    "as_autotune",
     "autotune_bounds",
     "codec_seconds",
     "modelled_extra_seconds",

@@ -11,7 +11,7 @@ compressors, and mutates the training compressor exclusively through
 
 Decision loop, per step:
 
-1. observe what the clock charged the bound collective category
+1. observe what the clock charged its collective category
    (``SimCluster.breakdown()`` delta) and fold it into the alpha-beta
    fit, normalising out the fabric's current degradation factors;
 2. if the guard's circuit breaker has left the closed state, *veto*:
@@ -36,7 +36,7 @@ from repro.autotune.policy import HysteresisPolicy
 from repro.autotune.types import DEFAULT_MENU, CandidateConfig, Decision, round6
 from repro.telemetry import SIM_TRACK, get_metrics, get_tracer
 
-__all__ = ["AutotuneConfig", "AutotuneController", "as_autotune"]
+__all__ = ["AutotuneConfig", "AutotuneController"]
 
 #: Candidate pinned while the guard's breaker vetoes the controller.
 _SAFE = "identity"
@@ -64,19 +64,16 @@ class AutotuneConfig:
     min_dwell: int = 3
     seed: int = 0
 
-    def build(self) -> "AutotuneController":
-        return AutotuneController(self)
-
-
-def as_autotune(autotune: AutotuneConfig | None) -> "AutotuneController | None":
-    """Normalise a trainer's ``autotune=`` argument to a controller."""
-    return None if autotune is None else autotune.build()
+    def build(self, trainer) -> "AutotuneController":
+        return AutotuneController(self, trainer)
 
 
 class AutotuneController:
-    """Online cost-model controller over the compression stack."""
+    """Online cost-model controller over one trainer's compression stack:
+    it reads the trainer's cluster clock and guard and retunes its
+    compressor."""
 
-    def __init__(self, config: AutotuneConfig):
+    def __init__(self, config: AutotuneConfig, trainer):
         self.config = c = config
         by_name = {cand.name: cand for cand in DEFAULT_MENU}
         if c.initial not in by_name:
@@ -85,7 +82,7 @@ class AutotuneController:
         self.active: CandidateConfig = by_name[c.initial]
         self.policy = HysteresisPolicy(warmup=c.warmup, min_dwell=c.min_dwell)
         self.model = CostModel(AlphaBetaEstimator())
-        #: Append-only decision timeline (the obsv ledger keeps a cursor).
+        #: Append-only decision timeline.
         self.decisions: list[Decision] = []
         #: Modelled codec-minus-aggregation seconds accumulated so far —
         #: the clock-uncharged half of the end-to-end metric.
@@ -93,24 +90,11 @@ class AutotuneController:
         self._probed = False
         self._last_change = -1
         self._veto_active = False
-        self._last_breakdown: dict[str, float] = {}
-        # Bound subsystems (all optional).
-        self._cluster = None
-        self._guard = None
-        self._compressor = None
-
-    # -- wiring ----------------------------------------------------------------
-
-    def bind(self, *, cluster=None, guard=None, compressor=None) -> "AutotuneController":
-        """Attach the run's subsystems (None leaves a binding as-is)."""
-        if cluster is not None:
-            self._cluster = cluster
-            self._last_breakdown = dict(cluster.breakdown())
-        if guard is not None:
-            self._guard = guard
-        if compressor is not None:
-            self._compressor = compressor
-        return self
+        self._cluster = trainer.cluster
+        self._last_breakdown = dict(self._cluster.breakdown())
+        self._guard = trainer.guard
+        self._compressor = trainer.compressor
+        self._decision_cursor = 0
 
     # -- data-path hooks ---------------------------------------------------------
 
@@ -129,12 +113,10 @@ class AutotuneController:
     # -- signals ---------------------------------------------------------------
 
     def _now(self) -> float:
-        return float(self._cluster.time) if self._cluster is not None else 0.0
+        return float(self._cluster.time)
 
     def _observed_comm(self) -> float:
-        """Seconds the bound category charged since the last step."""
-        if self._cluster is None:
-            return 0.0
+        """Seconds its collective category charged since the last step."""
         bd = dict(self._cluster.breakdown())
         delta = bd.get(_CATEGORY, 0.0) - self._last_breakdown.get(_CATEGORY, 0.0)
         self._last_breakdown = bd
@@ -142,9 +124,9 @@ class AutotuneController:
 
     def _network_factors(self) -> tuple[float, float]:
         """(latency, bandwidth) cost multipliers of the fault plane now."""
-        cluster = self._cluster
-        if cluster is not None and cluster.faults is not None:
-            return cluster.faults.network_factors()
+        faults = self._cluster.faults
+        if faults is not None:
+            return faults.network_factors()
         return 1.0, 1.0
 
     # -- decision loop ---------------------------------------------------------
@@ -258,7 +240,7 @@ class AutotuneController:
         )
 
     def _apply(self, candidate: CandidateConfig, step: int) -> None:
-        """Realise a candidate on the bound compressor stack."""
+        """Realise a candidate on the trainer's compressor stack."""
         self.active = candidate
         self._last_change = step
         if candidate.is_identity:
@@ -297,6 +279,12 @@ class AutotuneController:
             "seed": c.seed,
             "category": _CATEGORY,
         }
+
+    def take_step_record(self) -> list | None:
+        """The decisions made since the last call (``None`` if none)."""
+        fresh = [d.to_dict() for d in self.decisions[self._decision_cursor :]]
+        self._decision_cursor = len(self.decisions)
+        return fresh or None
 
     def report(self) -> dict:
         """End-of-run summary folded into the ledger's final record."""

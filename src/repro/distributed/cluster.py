@@ -196,12 +196,6 @@ class SimCluster:
         return self.track == "timing"
 
     @property
-    def representative(self) -> bool:
-        """True when collectives return :class:`RepView`s, not per-rank lists:
-        on the timing track."""
-        return self.track == "timing"
-
-    @property
     def network(self) -> NetworkSpec:
         """The fabric spec, degraded while a degradation window is active."""
         if self.faults is not None:
@@ -485,7 +479,7 @@ class SimCluster:
         independent array buffer, matching what per-rank computation
         would have produced).
         """
-        if self.representative:
+        if self.is_timing:
             return RepView(value, self.world_size)
         if copy and isinstance(value, np.ndarray):
             return [value.copy() for _ in range(self.world_size)]
@@ -494,7 +488,7 @@ class SimCluster:
     def _replicate_result(self, result: np.ndarray):
         """Per-rank copies of a collective's result (shared view when
         representative); also the output half of payload accounting."""
-        if self.representative:
+        if self.is_timing:
             self._note_payload(result.nbytes)
             return RepView(result, self.world_size)
         self._note_payload(result.nbytes * self.world_size)
@@ -597,7 +591,7 @@ class SimCluster:
         # Real MPI allgather copies every contribution into each rank's
         # recvbuf; hand out per-rank copies of array payloads so an
         # in-place mutation on one simulated rank cannot leak into others.
-        if self.representative:
+        if self.is_timing:
             # One gathered row stands in for every rank's recvbuf; the
             # row itself is O(1) when the contributions were identical.
             first = objects.payload if isinstance(objects, RepView) else objects[0]
@@ -677,7 +671,7 @@ class SimCluster:
         # The root keeps its own buffer (MPI semantics); every other rank
         # receives a private copy of array payloads, so in-place edits on
         # one simulated rank cannot alias into the rest.
-        if self.representative:
+        if self.is_timing:
             self._note_payload(float(getattr(obj, "nbytes", 0.0)))
             return RepView(obj, self.world_size)
         self._note_payload(float(getattr(obj, "nbytes", 0.0)) * self.world_size)

@@ -400,11 +400,7 @@ class FleetJob:
         if obsv is None:
             return
         obsv.update_manifest(fleet=self._fleet_manifest())
-        if self.store.abnormal_events():
-            # Damage only: a healthy store leaves nothing in the ledger,
-            # so committed fleet baselines stay valid.
-            obsv.update_manifest(store=self.store.summary())
-        obsv.close()
+        self.trainer.close_ledger()
 
     @property
     def final_loss(self) -> float:

@@ -23,7 +23,7 @@ pre-guard trainer; an enabled guard on a healthy run is too, because
 every sentinel is pure observation until a verdict fires.
 """
 
-from repro.guard.guard import Guard, GuardConfig, as_guard
+from repro.guard.guard import Guard, GuardConfig
 from repro.guard.health import DivergenceDetector, HealthReport
 from repro.guard.policy import (
     BREAKER_CLOSED,
@@ -57,7 +57,6 @@ __all__ = [
     "HealthReport",
     "PolicyEngine",
     "ScanResult",
-    "as_guard",
     "contract_error",
     "factor_health",
     "safe_eigen",

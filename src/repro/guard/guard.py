@@ -31,7 +31,7 @@ from repro.guard.sentinels import contract_error, scan_tensor
 from repro.guard.sentinels import safe_eigen as _safe_eigen
 from repro.telemetry import SIM_TRACK, get_metrics, get_tracer
 
-__all__ = ["GuardConfig", "Guard", "as_guard"]
+__all__ = ["GuardConfig", "Guard"]
 
 
 @dataclass
@@ -42,43 +42,31 @@ class GuardConfig:
     :class:`PolicyEngine`, :func:`scan_tensor`, :func:`safe_eigen`,
     :func:`contract_error`)."""
 
-    def build(self) -> "Guard":
-        return Guard(self)
+    def build(self, trainer) -> "Guard":
+        return Guard(trainer)
 
 
 class Guard:
-    """Runtime guard instance: owns the detector, breaker, and policy."""
+    """Runtime guard of one trainer: owns the detector, breaker, and
+    policy; its remediations act on the trainer's compressor, K-FAC
+    state and checkpoints."""
 
-    def __init__(self, config: GuardConfig):
-        self.config = config
+    def __init__(self, trainer):
         self.detector = DivergenceDetector()
         self.breaker = CircuitBreaker()
         self.policy = PolicyEngine(self.breaker)
-        self.ctx = GuardContext()
+        self.ctx = GuardContext(compressor=trainer.compressor, kfac=trainer.kfac, trainer=trainer)
         self.verdict_counts: dict[str, int] = {}
         self.reports: list[HealthReport] = []
+        self._cluster = trainer.cluster
         self._iteration = 0
         self._step_dirty = False
-
-    # -- wiring ----------------------------------------------------------------
-
-    def bind(self, *, compressor=None, kfac=None, trainer=None, cluster=None) -> "Guard":
-        """Attach the handles remediations act on (None leaves as-is)."""
-        if compressor is not None:
-            self.ctx.compressor = compressor
-        if kfac is not None:
-            self.ctx.kfac = kfac
-        if trainer is not None:
-            self.ctx.trainer = trainer
-        if cluster is not None:
-            self.ctx.cluster = cluster
-        return self
+        self._event_cursor = 0
 
     # -- verdict plumbing ------------------------------------------------------
 
     def _now(self) -> float:
-        cluster = self.ctx.cluster
-        return float(cluster.time) if cluster is not None else 0.0
+        return float(self._cluster.time)
 
     def _emit(self, verdict: str, detail: dict) -> None:
         """Record a verdict and hand it to the policy engine."""
@@ -226,6 +214,19 @@ class Guard:
     def timeline(self):
         return self.policy.timeline
 
+    def describe(self) -> dict:
+        """The ledger manifest's ``guard`` section: no run chooses a setting."""
+        return {"enabled": True}
+
+    def take_step_record(self) -> list | None:
+        """The remediations applied since the last call, each stamped with
+        the breaker state now (``None`` if there were none)."""
+        fresh = [a.to_dict() for a in self.timeline[self._event_cursor :]]
+        self._event_cursor = len(self.timeline)
+        for event in fresh:
+            event["breaker_state"] = self.breaker.state
+        return fresh or None
+
     def report(self) -> dict:
         """JSON-friendly summary of everything the guard saw and did."""
         return {
@@ -237,8 +238,3 @@ class Guard:
                 "transitions": [list(tr) for tr in self.breaker.transitions],
             },
         }
-
-
-def as_guard(guard: GuardConfig | None) -> Guard | None:
-    """Normalise a trainer's ``guard=`` argument to a Guard instance."""
-    return None if guard is None else guard.build()

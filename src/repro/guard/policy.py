@@ -126,7 +126,6 @@ class GuardContext:
     compressor: object | None = None
     kfac: object | None = None
     trainer: object | None = None
-    cluster: object | None = None
 
 
 @dataclass

@@ -49,6 +49,7 @@ from repro.telemetry import get_metrics
 from repro.train.step import Schedule, StepScaffold
 from repro.train.trainer import TrainHistory
 from repro.util.triangle import mirror_upper, pack_upper, triangle_size
+from repro.xray import XrayAnalyzer
 
 __all__ = ["DistributedKfacTrainer"]
 
@@ -56,8 +57,23 @@ __all__ = ["DistributedKfacTrainer"]
 class DistributedKfacTrainer(StepScaffold):
     """Data-parallel K-FAC training with compressed gradient allgather.
 
-    ``runtime``, ``guard``, ``obsv``, ``autotune`` and ``xray`` are
-    documented at :meth:`_bind_collaborators`.
+    Its optional collaborators are each built once, from the trainer
+    (DESIGN.md decision 32).  They read trainer state and never consume
+    the training RNG, so ``None`` (``False`` for ``xray``) for any of them
+    is bit-identical to a trainer that never had it:
+
+    * ``runtime`` — :class:`repro.runtime.StreamRuntime` scheduling the
+      step's collectives; ``None`` is the blocking schedule.
+    * ``guard`` — :class:`repro.guard.GuardConfig`: payload sentinels,
+      divergence detection, self-healing remediation and the compression
+      circuit breaker.
+    * ``autotune`` — :class:`repro.autotune.AutotuneConfig`: closed-loop
+      retuning of the compression stack on the ``kfac_allgather``
+      broadcast; owns its own probe RNG.
+    * ``xray`` — per-step critical-path attribution over the spans.
+    * ``obsv`` — :class:`repro.obsv.LedgerConfig`: the run ledger folding
+      metrics, span digests, overlap accounting and the above into one
+      artifact.
     """
 
     def __init__(
@@ -120,58 +136,18 @@ class DistributedKfacTrainer(StepScaffold):
         #: seals, falling back to the newest verified generation on
         #: damage.  ``None`` keeps nothing durable.
         self.checkpoint_store = checkpoint_store
-        self._bind_collaborators(runtime, guard, obsv, autotune, xray)
-
-    def _bind_collaborators(self, runtime, guard, obsv, autotune, xray: bool) -> None:
-        """Normalise and bind the optional collaborators, each seeing the
-        ones bound before it.  ``None`` (``False`` for ``xray``) for any of
-        them is bit-identical to a trainer that never had it: they read
-        trainer state and never consume the training RNG.
-
-        * ``runtime`` — :class:`repro.runtime.StreamRuntime` scheduling
-          the step's collectives; ``None`` is the blocking schedule.
-        * ``guard`` — :class:`repro.guard.GuardConfig`: payload
-          sentinels, divergence detection, self-healing remediation and
-          the compression circuit breaker.
-        * ``autotune`` — :class:`repro.autotune.AutotuneConfig`:
-          closed-loop retuning of the compression stack on the
-          ``kfac_allgather`` broadcast; owns its own probe RNG.
-        * ``xray`` — per-step critical-path attribution over the spans.
-        * ``obsv`` — :class:`repro.obsv.LedgerConfig`: the run ledger
-          folding metrics, span digests, overlap accounting, guard
-          events and the above into one artifact.
-        """
-        from repro.autotune.controller import as_autotune
-        from repro.guard.guard import as_guard
-        from repro.obsv.ledger import as_ledger
-        from repro.xray import XrayAnalyzer
-
-        cluster, compressor = self.cluster, self.compressor
         self.runtime = runtime
         self._schedule = (
             Schedule(StreamRuntime(cluster, overlap=False), None)
             if runtime is None
             else Schedule(runtime, runtime.bucket_bytes)
         )
-        self.guard = as_guard(guard)
-        if self.guard is not None:
-            self.guard.bind(compressor=compressor, kfac=self.kfac, trainer=self, cluster=cluster)
-        self.autotune = as_autotune(autotune)
-        if self.autotune is not None:
-            self.autotune.bind(cluster=cluster, guard=self.guard, compressor=compressor)
-        self.xray = XrayAnalyzer().bind(cluster=cluster) if xray else None
-        self.obsv = as_ledger(obsv)
-        if self.obsv is not None:
-            self.obsv.bind(
-                kind="kfac",
-                cluster=cluster,
-                runtime=runtime,
-                guard=self.guard,
-                compressor=compressor,
-                factor_compressor=self.factor_compressor,
-                autotune=self.autotune,
-                xray=self.xray,
-            )
+        # Each collaborator reads what it needs off the trainer when it is
+        # built, so it comes after everything it reads.
+        self.guard = None if guard is None else guard.build(self)
+        self.autotune = None if autotune is None else autotune.build(self)
+        self.xray = XrayAnalyzer(cluster) if xray else None
+        self.obsv = None if obsv is None else obsv.build(self)
 
     def _assign_owners(self) -> None:
         """Greedy LPT assignment of layers to the current world's ranks."""

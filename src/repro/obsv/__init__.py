@@ -43,7 +43,6 @@ from repro.obsv.ledger import (
     LedgerFsck,
     LedgerWriter,
     RunLedger,
-    as_ledger,
     describe_compressor,
     fault_plan_digest,
     final_from_steps,
@@ -64,7 +63,6 @@ __all__ = [
     "Report",
     "RunLedger",
     "SCHEMA_VERSION",
-    "as_ledger",
     "autotune_timeline",
     "bound_series",
     "describe_compressor",

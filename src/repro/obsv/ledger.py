@@ -44,7 +44,6 @@ __all__ = [
     "LedgerFsck",
     "LedgerWriter",
     "RunLedger",
-    "as_ledger",
     "describe_compressor",
     "fault_plan_digest",
     "final_from_steps",
@@ -133,13 +132,20 @@ class LedgerConfig:
     #: Free-form annotation stored in the manifest.
     note: str = ""
 
-    def build(self) -> "LedgerWriter":
-        return LedgerWriter(self)
+    def build(self, trainer) -> "LedgerWriter":
+        return LedgerWriter(self, trainer)
 
 
-def as_ledger(obsv: LedgerConfig | None) -> "LedgerWriter | None":
-    """Normalise a trainer's ``obsv=`` argument to a LedgerWriter."""
-    return None if obsv is None else obsv.build()
+def _replace_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` atomically: a crash mid-write leaves the
+    previous file, never a torn one."""
+    tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        if tmp.exists():
+            tmp.unlink()
 
 
 def _digest(durations: list[float]) -> dict:
@@ -160,84 +166,66 @@ def _digest(durations: list[float]) -> dict:
     }
 
 
+#: The collaborators a ledger folds besides the runtime, in the order the
+#: digest hashes their keys: (trainer attribute, step key).  Each answers
+#: ``describe()`` (its manifest section), ``take_step_record()`` and
+#: ``report()`` (its final section), and its manifest and final keys are
+#: its attribute's name; a ``None`` record or report leaves its key out.
+_SECTIONS = (
+    ("guard", "guard_events"),
+    ("autotune", "autotune_events"),
+    ("xray", "xray"),
+)
+
+
 class LedgerWriter:
     """Buffers one run's records and writes the ledger file on close.
 
     The writer is passive: trainers push step scalars into
     :meth:`record_step`, and the writer pulls everything else (metrics,
-    spans, overlap accounting, guard events) from the objects it was
-    :meth:`bind`-ed to.  Buffering in memory keeps the on-disk artifact
-    atomic — a crashed run leaves no half-written ledger behind.
+    spans, overlap accounting, the collaborators' records) from the
+    trainer it was built for.  Buffering in memory keeps the on-disk
+    artifact atomic — a crashed run leaves no half-written ledger behind.
     """
 
-    def __init__(self, config: LedgerConfig):
-        self.config = config
+    def __init__(self, config: LedgerConfig, trainer):
         self.path = Path(config.path)
+        cluster = self._cluster = trainer.cluster
+        runtime = self._runtime = trainer.runtime
+        self._compressor = trainer.compressor
+        self._sections = [
+            (name, step_key, collaborator)
+            for name, step_key in _SECTIONS
+            if (collaborator := getattr(trainer, name)) is not None
+        ]
+        plan = cluster.faults.plan if cluster.faults is not None else None
         self._manifest: dict = {
             "schema_version": SCHEMA_VERSION,
             "created_unix": time.time(),
             "note": config.note,
-        }
-        self._steps: list[dict] = []
-        self._closed = False
-        # Bound observability sources (all optional).
-        self._compressor = None
-        self._cluster = None
-        self._runtime = None
-        self._guard = None
-        self._autotune = None
-        self._xray = None
-        # Cursors into append-only source streams.
-        self._span_cursor = 0
-        self._guard_cursor = 0
-        self._autotune_cursor = 0
-
-    # -- configuration ---------------------------------------------------------
-
-    def bind(
-        self,
-        *,
-        kind: str,
-        cluster=None,
-        runtime=None,
-        guard=None,
-        compressor=None,
-        factor_compressor=None,
-        autotune=None,
-        xray=None,
-    ) -> "LedgerWriter":
-        """Attach the run's subsystems and fill the manifest config."""
-        self._compressor = compressor
-        self._cluster = cluster
-        self._runtime = runtime
-        self._guard = guard
-        self._autotune = autotune
-        self._xray = xray
-        self._manifest["kind"] = kind
-        if cluster is not None:
-            self._manifest["cluster"] = {
+            "kind": "kfac",  # the one trainer that writes a ledger
+            "cluster": {
                 "n_nodes": cluster.n_nodes,
                 "gpus_per_node": cluster.gpus_per_node,
                 "world_size": cluster.world_size,
                 "fabric": cluster.network.name,
-            }
-            plan = cluster.faults.plan if cluster.faults is not None else None
-            self._manifest["fault_plan"] = fault_plan_digest(plan)
-        self._manifest["compressor"] = describe_compressor(compressor)
-        if factor_compressor is not None:
-            self._manifest["factor_compressor"] = describe_compressor(factor_compressor)
+            },
+            "fault_plan": fault_plan_digest(plan),
+            "compressor": describe_compressor(trainer.compressor),
+        }
+        if trainer.factor_compressor is not None:
+            self._manifest["factor_compressor"] = describe_compressor(trainer.factor_compressor)
         if runtime is not None:
             self._manifest["runtime"] = {
                 "overlap": runtime.overlap,
                 "n_comm_streams": runtime.n_comm_streams,
             }
-        if guard is not None:
-            self._manifest["guard"] = {"enabled": True}
-        if autotune is not None:
-            self._manifest["autotune"] = autotune.describe()
-        if xray is not None:
-            self._manifest["xray"] = xray.describe()
-        return self
+        for name, _, collaborator in self._sections:
+            self._manifest[name] = collaborator.describe()
+        self._steps: list[dict] = []
+        self._closed = False
+        # Cursor into the tracer's append-only span stream.
+        self._span_cursor = 0
 
     def update_manifest(self, **fields) -> None:
         """Merge run-level fields (seed, iterations, ...) into the manifest."""
@@ -286,27 +274,6 @@ class LedgerWriter:
             "per_category": rt.overlap_stats(),
         }
 
-    def _capture_guard_events(self) -> list:
-        guard = self._guard
-        if guard is None:
-            return []
-        timeline = guard.timeline
-        fresh = [a.to_dict() for a in timeline[self._guard_cursor :]]
-        self._guard_cursor = len(timeline)
-        if fresh:
-            for event in fresh:
-                event["breaker_state"] = guard.breaker.state
-        return fresh
-
-    def _capture_autotune_events(self) -> list:
-        autotune = self._autotune
-        if autotune is None:
-            return []
-        decisions = autotune.decisions
-        fresh = [d.to_dict() for d in decisions[self._autotune_cursor :]]
-        self._autotune_cursor = len(decisions)
-        return fresh
-
     def _capture_bounds(self) -> dict | None:
         compressor = self._compressor
         bounds = None if compressor is None else compressor.bounds
@@ -343,25 +310,18 @@ class LedgerWriter:
             record["cr"] = float(dense_bytes) / max(float(wire_bytes), 1.0)
         if layers:
             record["layers"] = [[int(i), float(w), float(d)] for i, w, d in layers]
-        if self._cluster is not None:
-            record["sim_time"] = self._cluster.time
-            record["world_size"] = self._cluster.world_size
+        record["sim_time"] = self._cluster.time
+        record["world_size"] = self._cluster.world_size
         bounds = self._capture_bounds()
         if bounds is not None:
             record["bounds"] = bounds
         overlap = self._capture_overlap()
         if overlap is not None:
             record["overlap"] = overlap
-        guard_events = self._capture_guard_events()
-        if guard_events:
-            record["guard_events"] = guard_events
-        autotune_events = self._capture_autotune_events()
-        if autotune_events:
-            record["autotune_events"] = autotune_events
-        if self._xray is not None:
-            xray_record = self._xray.take_step_record()
-            if xray_record is not None:
-                record["xray"] = xray_record
+        for _, step_key, collaborator in self._sections:
+            section = collaborator.take_step_record()
+            if section is not None:
+                record[step_key] = section
         spans = self._capture_spans()
         if spans is not None:
             record["spans"] = spans
@@ -382,14 +342,10 @@ class LedgerWriter:
         overlap = self._capture_overlap()
         if overlap is not None:
             final["overlap"] = overlap
-        if self._guard is not None:
-            final["guard"] = self._guard.report()
-        if self._autotune is not None:
-            final["autotune"] = self._autotune.report()
-        if self._xray is not None:
-            xray_report = self._xray.report()
-            if xray_report is not None:
-                final["xray"] = xray_report
+        for name, _, collaborator in self._sections:
+            report = collaborator.report()
+            if report is not None:
+                final[name] = report
         return final
 
     def close(self, *, final_metric=None) -> Path:
@@ -397,27 +353,10 @@ class LedgerWriter:
         if self._closed:
             return self.path
         self._closed = True
-        lines = [json.dumps({"manifest": self._manifest})]
-        lines.extend(json.dumps(r) for r in self._steps)
-        lines.append(json.dumps({"final": self._final_record(final_metric)}))
+        ledger = RunLedger(self._manifest, self._steps, self._final_record(final_metric))
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        # Atomic replace: a crash mid-close leaves the previous file, never
-        # a torn one.
-        tmp = self.path.with_name(f".{self.path.name}.tmp.{os.getpid()}")
-        try:
-            tmp.write_text("\n".join(lines) + "\n")
-            os.replace(tmp, self.path)
-        finally:
-            if tmp.exists():
-                tmp.unlink()
+        _replace_text(self.path, ledger.text())
         return self.path
-
-    def __enter__(self) -> "LedgerWriter":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False
 
 
 def final_from_steps(steps: list[dict]) -> dict:
@@ -455,17 +394,21 @@ class RunLedger:
     final: dict = field(default_factory=dict)
     path: Path | None = None
 
+    def text(self, manifest: dict | None = None) -> str:
+        """The ledger's JSONL file text, with ``manifest`` in place of
+        :attr:`manifest` when given."""
+        lines = [json.dumps({"manifest": self.manifest if manifest is None else manifest})]
+        lines.extend(json.dumps(r) for r in self.steps)
+        lines.append(json.dumps({"final": self.final}))
+        return "\n".join(lines) + "\n"
+
     def body_text(self) -> str:
         """Canonical body: every line, manifest timestamp excluded.
 
         Two runs with the same seed and configuration produce identical
         body text — this is the determinism contract the tests pin.
         """
-        manifest = {k: v for k, v in self.manifest.items() if k != "created_unix"}
-        lines = [json.dumps({"manifest": manifest})]
-        lines.extend(json.dumps(r) for r in self.steps)
-        lines.append(json.dumps({"final": self.final}))
-        return "\n".join(lines) + "\n"
+        return self.text({k: v for k, v in self.manifest.items() if k != "created_unix"})
 
     def digest(self) -> str:
         """SHA-256 over :meth:`body_text` (volatile fields excluded)."""
@@ -585,14 +528,5 @@ def fsck_ledger(path: str | Path, *, repair: bool = False) -> LedgerFsck:
         if repair:
             backup = path.with_name(path.name + ".pre-fsck")
             backup.write_text(text)
-            lines = [json.dumps({"manifest": manifest})]
-            lines.extend(json.dumps(r) for r in steps)
-            lines.append(json.dumps({"final": final}))
-            tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
-            try:
-                tmp.write_text("\n".join(lines) + "\n")
-                os.replace(tmp, path)
-            finally:
-                if tmp.exists():
-                    tmp.unlink()
+            _replace_text(path, out.ledger.text())
     return out

@@ -140,7 +140,7 @@ class StepScaffold:
     """Base of the data-parallel trainers: everything around the step body.
 
     A subclass sets ``model``, ``task``, ``cluster``, ``compressor``,
-    ``t``, ``history`` and ``_schedule``, binds whichever collaborators it
+    ``t``, ``history`` and ``_schedule``, builds whichever collaborators it
     has, and implements ``_step(global_idx, tracer)``.
     """
 
@@ -148,9 +148,9 @@ class StepScaffold:
     #: ``save_state``; ``checkpoint_every = 0`` never saves.
     checkpoint_every = 0
     checkpoint_store = None
-    #: The collaborators only the K-FAC trainer binds
-    #: (:meth:`~repro.kfac_dist.DistributedKfacTrainer._bind_collaborators`);
-    #: ``None`` is a trainer that never had one.
+    #: The collaborators only the K-FAC trainer builds
+    #: (:class:`~repro.kfac_dist.DistributedKfacTrainer`); ``None`` is a
+    #: trainer that never had one.
     runtime = guard = autotune = xray = obsv = None
 
     def restore_latest(self):
@@ -345,10 +345,14 @@ class StepScaffold:
             if self.checkpoint_every and (t + 1) % self.checkpoint_every == 0:
                 self.save_state()
         if self.obsv is not None:
-            store = self.checkpoint_store
-            if store is not None and store.abnormal_events():
-                # Only damage perturbs the artifact: a healthy store's
-                # ledger stays byte-identical to a store-less run.
-                self.obsv.update_manifest(store=store.summary())
-            self.obsv.close(final_metric=self.history.final_metric())
+            self.close_ledger()
         return self.history
+
+    def close_ledger(self) -> None:
+        """Write the run ledger.  Only damage perturbs the artifact: the
+        store's summary goes in when it saw abnormal events, so a healthy
+        store's ledger stays byte-identical to a store-less run."""
+        store = self.checkpoint_store
+        if store is not None and store.abnormal_events():
+            self.obsv.update_manifest(store=store.summary())
+        self.obsv.close(final_metric=self.history.final_metric())

@@ -1,10 +1,10 @@
 """The xray analyzer: per-step critical-path attribution records.
 
 ``XrayAnalyzer`` rides the same passive-observer contract as the ledger
-writer and the autotune controller: the K-FAC trainer constructs it for
-``xray=True``, ``bind`` attaches the cluster, and the trainer
-calls :meth:`end_step` once per iteration *before* the ledger folds the
-step, so the attribution record lands in the step that produced it.
+writer and the autotune controller: the K-FAC trainer constructs it on
+its cluster for ``xray=True`` and calls :meth:`end_step` once per
+iteration *before* the ledger folds the step, so the attribution record
+lands in the step that produced it.
 The analyzer only reads tracer/cluster state and never consumes
 randomness — ``xray=False`` (the default) is bit-identical to a build
 without this subsystem.
@@ -34,10 +34,10 @@ def _clip(span, t0: float, t1: float) -> float:
 class XrayAnalyzer:
     """Builds one critical-path attribution record per training step."""
 
-    def __init__(self):
+    def __init__(self, cluster):
         self.records: list[dict] = []
-        self._cluster = None
-        self._t_prev = 0.0
+        self._cluster = cluster
+        self._t_prev = cluster.time
         self._span_cursor = 0
         self._edge_cursor = 0
         self._pending: dict | None = None
@@ -45,13 +45,6 @@ class XrayAnalyzer:
     def describe(self) -> dict:
         """The ledger manifest's ``xray`` section: no run chooses a setting."""
         return {}
-
-    def bind(self, *, cluster=None) -> "XrayAnalyzer":
-        """Attach the run's cluster (the sim clock source)."""
-        self._cluster = cluster
-        if cluster is not None:
-            self._t_prev = cluster.time
-        return self
 
     # -- per-step analysis -----------------------------------------------------
 
@@ -65,7 +58,7 @@ class XrayAnalyzer:
         from repro.telemetry import get_tracer
 
         tracer = get_tracer()
-        if self._cluster is None or not tracer.enabled:
+        if not tracer.enabled:
             return None
         t0, t1 = self._t_prev, self._cluster.time
         self._t_prev = t1

@@ -105,15 +105,43 @@ def narrow_detection_proxy(**kwargs):
     return NarrowDetectionProxy(**kwargs)
 
 
+#: The ``SimCluster`` methods that give a payload its per-rank form: a
+#: ``RepView`` on the timing track, a per-rank list on the convergence one.
+_PAYLOAD_FORMS = ("replicate", "_replicate_result", "_allgather_data", "_broadcast_data")
+
+
 def full_payloads(cls):
     """``cls`` (a ``SimCluster``) moving full per-rank payloads on the timing
     track, as the convergence track does: the oracle for its representative
-    ones."""
+    ones.  Only :data:`_PAYLOAD_FORMS` run as on the convergence track;
+    everything else (one shard, the reduction, the clocks) stays timing."""
 
-    class FullPayloads(cls):
-        representative = False
+    def convergent(method):
+        def full(self, *args, **kwargs):
+            self.track = "convergence"
+            try:
+                return method(self, *args, **kwargs)
+            finally:
+                self.track = "timing"
 
-    return FullPayloads
+        return full
+
+    forms = {name: convergent(getattr(cls, name)) for name in _PAYLOAD_FORMS}
+    return type("FullPayloads", (cls,), forms)
+
+
+def tiny_kfac_trainer(**kwargs):
+    """A K-FAC trainer to build collaborators from: a 4-channel proxy on
+    two ranks; ``kwargs`` go to the trainer."""
+    from repro.data import make_image_data
+    from repro.distributed import SimCluster
+    from repro.kfac_dist import DistributedKfacTrainer
+    from repro.models import resnet_proxy
+    from repro.train import ClassificationTask
+
+    task = ClassificationTask(make_image_data(32, n_classes=4, size=8, noise=0.5, seed=0))
+    model = resnet_proxy(n_classes=4, channels=4, rng=3)
+    return DistributedKfacTrainer(model, task, SimCluster(1, 2, seed=0), **kwargs)
 
 
 def strided_cnn(n_classes=5, *, rng=4):

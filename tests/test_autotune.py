@@ -1,6 +1,7 @@
 """The repro.autotune subsystem: closed-loop cost-model autotuner."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,11 +26,12 @@ from repro.core import CompsoCompressor
 from repro.data import make_image_data
 from repro.distributed import SimCluster
 from repro.faults import FaultPlan, LinkDegradation
-from repro.guard.guard import Guard, GuardConfig
+from repro.guard.guard import GuardConfig
 from repro.kfac_dist import DistributedKfacTrainer
 from repro.models import resnet_proxy
 from repro.obsv import autotune_timeline, LedgerConfig, load_ledger, run_report, summarize
 from repro.train import ClassificationTask
+from tests.conftest import tiny_kfac_trainer
 
 ITERS = 8
 
@@ -205,7 +207,7 @@ class TestCostModel:
 class TestControllerValidation:
     def test_unknown_initial_rejected(self):
         with pytest.raises(ValueError, match="initial"):
-            AutotuneConfig(initial="nope").build()
+            tiny_kfac_trainer(autotune=AutotuneConfig(initial="nope"))
 
     def test_initial_must_satisfy_max_error(self):
         """Any menu entry may be the initial or the safe candidate, so the
@@ -228,17 +230,26 @@ class FakeBreakerGuard:
         return self.vetoing
 
 
+def _vetoable_controller(guard):
+    """A controller built from a trainer whose guard is ``guard``."""
+    trainer = SimpleNamespace(
+        cluster=SimCluster(1, 2, seed=0),
+        guard=guard,
+        compressor=CompsoCompressor(4e-3, 4e-3, seed=0),
+    )
+    return AutotuneConfig(initial="default", warmup=0, min_dwell=1).build(trainer)
+
+
 class TestBreakerVeto:
     def test_guard_autotune_veto_follows_breaker(self):
-        guard = Guard(GuardConfig())
+        guard = tiny_kfac_trainer(guard=GuardConfig()).guard
         assert not guard.autotune_veto()
         guard.breaker.trip(0)
         assert guard.autotune_veto()
 
     def test_open_breaker_pins_safe_candidate(self):
-        controller = AutotuneConfig(initial="default", warmup=0, min_dwell=1).build()
         guard = FakeBreakerGuard()
-        controller.bind(guard=guard, compressor=CompsoCompressor(4e-3, 4e-3, seed=0))
+        controller = _vetoable_controller(guard)
         guard.vetoing = True
         for step in range(3):
             controller.end_step(
@@ -250,9 +261,8 @@ class TestBreakerVeto:
         assert controller.active.name == "identity"
 
     def test_new_veto_episode_after_reclose(self):
-        controller = AutotuneConfig(initial="default", warmup=0, min_dwell=1).build()
         guard = FakeBreakerGuard()
-        controller.bind(guard=guard, compressor=CompsoCompressor(4e-3, 4e-3, seed=0))
+        controller = _vetoable_controller(guard)
         guard.vetoing = True
         controller.end_step(step=0, wire_bytes=1e5, dense_bytes=1e6, n_messages=4)
         guard.vetoing = False

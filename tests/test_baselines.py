@@ -8,7 +8,8 @@ or in ``.github/workflows/ci.yml`` to know which run a ledger is — and
 requires the fresh ledger's :meth:`RunLedger.digest` (every field but
 ``manifest.created_unix``) to equal the committed one's.  The second
 pins, as hex digests, configurations no committed ledger covers: the
-blocking K-FAC step under guard + xray, K-FAC behind the checksummed
+blocking K-FAC step under guard + xray, the overlapped one under guard,
+autotune and xray together, K-FAC behind the checksummed
 channel under a fault plan, and K-FAC whose guard remediates in the
 middle of a step — the last two on the schedules they pin
 (``runtime=None``, ``StreamRuntime(overlap=False)``,
@@ -121,6 +122,13 @@ of all six ledgers and all six configurations.  Each was recorded at
 4b93212 and at the change; with exactly that key stripped from the older
 manifest, the two are equal line for line, and every step and final line
 is byte-identical (EXPERIMENTS.md "PR 35").  No result document moved.
+
+``kfac-every-collaborator`` was added when the trainer's collaborators
+became objects built from the trainer and the ledger began folding them
+through one section table: no committed ledger runs autotune together
+with xray or with the overlapped runtime.  Its digest was captured at
+c208b92, before that change, by this method, under the default hash seed
+and again under ``PYTHONHASHSEED=1`` with two BLAS threads (equal).
 """
 
 import hashlib
@@ -213,6 +221,17 @@ def _record_blocking_xray(out):
     assert main(["record", "--preset", "smoke", "--xray", "--no-overlap", "--out", str(out)]) == 0
 
 
+def _record_every_collaborator(out):
+    """The ``autotuned`` run on the overlapped runtime with xray: the one
+    configuration whose ledger folds the runtime, guard, autotune and
+    xray sections together."""
+    from dataclasses import replace
+
+    from repro.scenarios import SCENARIOS, run
+
+    run(replace(SCENARIOS["autotune"]["autotuned"], schedule="overlapped", xray=True), out)
+
+
 def _kfac_reliable_channel(schedule):
     """Corruption, jitter and a straggler; transfers behind the checksummed channel."""
 
@@ -278,6 +297,7 @@ def _kfac_guard_remediates(schedule):
 
 CONFIGURATIONS = {
     "kfac-blocking-guard-xray": _record_blocking_xray,
+    "kfac-every-collaborator": _record_every_collaborator,
     "kfac-reliable-faults-none": _kfac_reliable_channel("none"),
     "kfac-reliable-faults-overlapped": _kfac_reliable_channel("overlapped"),
     "kfac-guard-remediates-none": _kfac_guard_remediates("none"),
@@ -288,6 +308,7 @@ CONFIGURATIONS = {
 #: Ledger digests of CONFIGURATIONS (see the module docstring for their provenance).
 PINNED = {
     "kfac-blocking-guard-xray": "8306540501a04201a54b486cd31a40a64f7090a2b4568f6eac2af6a2e51c6ff0",
+    "kfac-every-collaborator": "92551d7e75c78998b7e5f5a13d267849a6b79977643d3b45e66d9394701e85a0",
     "kfac-reliable-faults-none": "85357fa2b4d5ee6beed85e20f1b635b58c1ec68bea8441b8174c9cd324e0471e",
     "kfac-reliable-faults-overlapped": "da017bd601b8eebfc514cd63c8d8ef1cfbe16dd7dd5d4ecdac3827e843c0e887",
     "kfac-guard-remediates-none": "314f6fa339bac72efd65e29c7264a15dabf0b641a066652d90f697d3b10cde7f",

@@ -331,9 +331,10 @@ class TestGracefulDegradation:
         degrades the compressor *behind* it through the wrapper's forwarding."""
         from repro.compression.error_feedback import ErrorFeedback
         from repro.guard import GuardConfig
+        from tests.conftest import tiny_kfac_trainer
 
         ef = ErrorFeedback(AdaptiveCompso(StepLrSchedule(10)))
-        guard = GuardConfig().build().bind(compressor=ef)
+        guard = tiny_kfac_trainer(compressor=ef, guard=GuardConfig()).guard
         grad = np.linspace(-1.0, 1.0, 4096, dtype=np.float32)
 
         def step(t, *, poison):

@@ -148,7 +148,6 @@ class TestConvergenceTrackUntouched:
         cluster = SimCluster(2, 4, seed=0)
         assert cluster.track == "convergence"
         assert not cluster.is_timing
-        assert not cluster.representative
         out = cluster.allreduce([np.full(4, float(r + 1)) for r in range(8)])
         assert isinstance(out, list) and len(out) == 8
         assert out[0] is not out[1]

@@ -18,7 +18,6 @@ from repro.guard import (
     BREAKER_OPEN,
     CircuitBreaker,
     DivergenceDetector,
-    Guard,
     GuardConfig,
     PolicyEngine,
     contract_error,
@@ -257,6 +256,9 @@ class _StubTrainer:
     def __init__(self, latest=GEN):
         self.latest = latest
         self.restored = []
+        # What a guard built from this trainer reads off it.
+        self.compressor = self.kfac = None
+        self.cluster = SimCluster(1, 2, seed=0)
 
     def restore_latest(self):
         self.restored.append(self.latest)
@@ -393,9 +395,8 @@ class TestGuardedTraining:
         assert tr.restore_latest() is None
 
     def test_rollback_on_nan_loss(self, tmp_path):
-        guard = Guard(GuardConfig())
         trainer = _StubTrainer()
-        guard.bind(trainer=trainer)
+        guard = GuardConfig().build(trainer)
         guard.begin_step(5)
         guard.end_step(loss=float("nan"), grad_norm=1.0)
         assert trainer.restored == [trainer.latest]

@@ -33,6 +33,7 @@ from repro.obsv import (
 from repro.obsv.ledger import SCHEMA_VERSION
 from repro.runtime import ComputeModel, StreamRuntime
 from repro.train import ClassificationTask
+from tests.conftest import tiny_kfac_trainer
 
 ITERS = 5
 
@@ -176,8 +177,7 @@ class TestLedger:
             load_ledger(p)
 
     def test_writer_refuses_after_close(self, tmp_path):
-        w = LedgerConfig(tmp_path / "x.ledger").build()
-        w.bind(kind="test")
+        w = tiny_kfac_trainer(obsv=LedgerConfig(tmp_path / "x.ledger")).obsv
         w.record_step(0, loss=1.0)
         w.close()
         with pytest.raises(LedgerError, match="closed"):

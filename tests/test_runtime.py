@@ -52,10 +52,9 @@ CLUSTERS = {
 
 
 def _payloads(cluster):
-    if cluster.representative:
-        return RepView(per_rank(1)[0], cluster.world_size)
     if cluster.is_timing:
-        return [per_rank(1)[0] for _ in range(cluster.world_size)]
+        # One payload in the per-rank form this cluster gives it.
+        return cluster.replicate(per_rank(1)[0])
     return per_rank(cluster.world_size)
 
 

@@ -22,6 +22,7 @@ from repro.store import (
 from repro.store.store import file_crc32, manifest_text, parse_manifest
 from repro.util.checkpoint import save_checkpoint, verify_checkpoint
 from tests.archives import rewrite_archive, vouch_for
+from tests.conftest import tiny_kfac_trainer
 
 
 def _model(seed=0):
@@ -429,8 +430,7 @@ class TestFsckStore:
 
 
 def _write_ledger(path, n_steps=3):
-    w = LedgerConfig(path).build()
-    w.bind(kind="test")
+    w = tiny_kfac_trainer(obsv=LedgerConfig(path)).obsv
     for i in range(n_steps):
         w.record_step(i, loss=1.0 / (i + 1), wire_bytes=100.0, dense_bytes=400.0)
     w.close()
@@ -491,8 +491,7 @@ class TestStreamMode:
         """A ledger cut after its step lines — what a writer killed while
         streaming records to disk leaves — is repaired from the steps."""
         p = tmp_path / "run.ledger"
-        w = LedgerConfig(p).build()
-        w.bind(kind="test")
+        w = tiny_kfac_trainer(obsv=LedgerConfig(p)).obsv
         w.record_step(0, loss=1.0)
         w.record_step(1, loss=0.5)
         w.close()

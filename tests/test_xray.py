@@ -225,7 +225,7 @@ class TestAnalyzer:
         assert isinstance(analyzer, XrayAnalyzer) and analyzer.describe() == {}
 
     def test_disabled_without_tracer_session(self):
-        analyzer = XrayAnalyzer().bind(cluster=SimCluster(1, 2, seed=0))
+        analyzer = XrayAnalyzer(SimCluster(1, 2, seed=0))
         assert analyzer.end_step(0) is None
         assert analyzer.records == []
         assert analyzer.report() is None
