@@ -85,6 +85,17 @@ class GradientCompressor(ABC):
     def decompress(self, ct: CompressedTensor) -> np.ndarray:
         """Reconstruct a float32 tensor of ``ct.shape``."""
 
+    def compress_each(self, tensors: list[np.ndarray]) -> list[CompressedTensor]:
+        """``compress`` of each tensor, in order: the same frames, the same
+        draws.  A compressor that can share work between tensors overrides
+        it (COMPSO codes every tensor's frames in one encoder call)."""
+        return [self.compress(x) for x in tensors]
+
+    def decompress_each(self, cts: list[CompressedTensor]) -> list[np.ndarray]:
+        """``decompress`` of each frame, in order; raises what the first
+        failing ``decompress`` raises."""
+        return [self.decompress(ct) for ct in cts]
+
     def roundtrip(self, x: np.ndarray) -> np.ndarray:
         """The lossy channel: compress then decompress."""
         return self.decompress(self.compress(x))

@@ -157,6 +157,12 @@ class AdaptiveCompso(GradientCompressor):
     def decompress(self, ct: CompressedTensor) -> np.ndarray:
         return self.inner.decompress(ct)
 
+    def compress_each(self, tensors: list[np.ndarray]) -> list[CompressedTensor]:
+        return self.inner.compress_each(tensors)
+
+    def decompress_each(self, cts: list[CompressedTensor]) -> list[np.ndarray]:
+        return self.inner.decompress_each(cts)
+
     def compress_many(self, tensors: list[np.ndarray]) -> CompressedTensor:
         return self.inner.compress_many(tensors)
 

@@ -281,45 +281,92 @@ class CompsoCompressor(GradientCompressor):
 
     # -- single-tensor path -------------------------------------------------
 
-    def compress(self, x: np.ndarray) -> CompressedTensor:
-        x = np.asarray(x, dtype=np.float32)
-        flat = x.ravel()
+    def _stages(self, x: np.ndarray) -> tuple[dict, list[tuple[bytes, int]]]:
+        """The lossy stages of one tensor: its meta and its two frames to code."""
         tracer = get_tracer()
-        with tracer.span("compress", "compress", compressor=self.name, nbytes=x.nbytes):
-            with tracer.span("filter", "compress.filter"):
-                bitmap, kept, step = self._filter(flat)
-            with tracer.span("quantise", "compress.quantise"):
-                codes = self._quantize(kept, step)
-            with tracer.span("pack", "compress.pack"):
-                packed, cmin, width = pack_codes(codes)
-            with tracer.span("encode", "compress.encode", encoder=self.encoder_name):
-                segments = self._encode_segments((bitmap, 1), (packed, width // 8))
-        meta = {
-            "step": step,
-            "code_min": cmin,
-            "width": width,
-            "n_kept": int(kept.size),
-        }
+        with tracer.span("filter", "compress.filter"):
+            bitmap, kept, step = self._filter(x.ravel())
+        with tracer.span("quantise", "compress.quantise"):
+            codes = self._quantize(kept, step)
+        with tracer.span("pack", "compress.pack"):
+            packed, cmin, width = pack_codes(codes)
+        meta = {"step": step, "code_min": cmin, "width": width, "n_kept": int(kept.size)}
+        return meta, [(bitmap, 1), (packed, width // 8)]
+
+    def _finish(self, x: np.ndarray, meta: dict, blobs: list[bytes]) -> CompressedTensor:
+        """The compressed tensor of ``x`` from its coded frames, booked."""
+        segments = dict(zip(_SEGMENTS, blobs))
         ct = CompressedTensor(segments, x.shape, meta=meta)
         m = get_metrics()
-        if m.enabled and flat.size:
-            m.histogram("compso.filter_hit_rate").observe(1.0 - kept.size / flat.size)
+        if m.enabled and x.size:
+            m.histogram("compso.filter_hit_rate").observe(1.0 - meta["n_kept"] / x.size)
             m.counter("compso.encoded_bytes", segment="bitmap").inc(len(segments["bitmap"]))
             m.counter("compso.encoded_bytes", segment="codes").inc(len(segments["codes"]))
             self._record_compression(x.nbytes, ct)
         return ct
 
+    def _restore(self, ct: CompressedTensor, bitmap: bytes, codestream: bytes) -> np.ndarray:
+        """The tensor of ``ct`` from its decoded bitmap and code streams."""
+        meta = ct.meta
+        values = _dequantize(
+            codestream, int(meta["width"]), int(meta["n_kept"]), int(meta["code_min"]), meta["step"]
+        )
+        return _scatter(values, bitmap, ct.n_elements).reshape(ct.shape)
+
+    def compress(self, x: np.ndarray) -> CompressedTensor:
+        x = np.asarray(x, dtype=np.float32)
+        tracer = get_tracer()
+        with tracer.span("compress", "compress", compressor=self.name, nbytes=x.nbytes):
+            meta, frames = self._stages(x)
+            with tracer.span("encode", "compress.encode", encoder=self.encoder_name):
+                blobs = self._encoder.encode_many(frames)
+        return self._finish(x, meta, blobs)
+
     def decompress(self, ct: CompressedTensor) -> np.ndarray:
         with get_tracer().span("decompress", "decompress", compressor=self.name):
-            bitmap, codestream = self._decode_segments(ct)
-            values = _dequantize(
-                codestream,
-                int(ct.meta["width"]),
-                int(ct.meta["n_kept"]),
-                int(ct.meta["code_min"]),
-                ct.meta["step"],
-            )
-            return _scatter(values, bitmap, ct.n_elements).reshape(ct.shape)
+            return self._restore(ct, *self._decode_segments(ct))
+
+    # -- several tensors, one encoder call ------------------------------------
+
+    def compress_each(self, tensors: list[np.ndarray]) -> list[CompressedTensor]:
+        """``compress`` of each tensor, with every tensor's frames in one encoder call.
+
+        The lossy stages run tensor by tensor in order, so the draws and
+        every frame are those of the per-tensor loop; the encoder codes
+        each tensor's two frames as ``compress`` would (DESIGN.md decision
+        33).  One tensor is ``compress``.
+        """
+        if len(tensors) == 1:
+            return [self.compress(tensors[0])]
+        xs = [np.asarray(x, dtype=np.float32) for x in tensors]
+        tracer = get_tracer()
+        nbytes = sum(x.nbytes for x in xs)
+        with tracer.span(
+            "compress", "compress", compressor=self.name, nbytes=nbytes, n_tensors=len(xs)
+        ):
+            staged = [self._stages(x) for x in xs]
+            with tracer.span("encode", "compress.encode", encoder=self.encoder_name):
+                coded = self._encoder.encode_calls([frames for _, frames in staged])
+        return [self._finish(x, meta, blobs) for x, (meta, _), blobs in zip(xs, staged, coded)]
+
+    def decompress_each(self, cts: list[CompressedTensor]) -> list[np.ndarray]:
+        """``decompress`` of each frame, every frame decoded in one encoder call.
+
+        A shared decode that fails is redone frame by frame, so the error
+        raised is the one the first failing ``decompress`` raises.  One
+        frame is ``decompress``.
+        """
+        if len(cts) == 1:
+            return [self.decompress(cts[0])]
+        try:
+            with get_tracer().span(
+                "decompress", "decompress", compressor=self.name, n_tensors=len(cts)
+            ):
+                blobs = [ct.segments[name] for ct in cts for name in _SEGMENTS]
+                streams = self._encoder.decode_many(blobs)
+                return [self._restore(ct, *streams[2 * k : 2 * k + 2]) for k, ct in enumerate(cts)]
+        except Exception:  # noqa: BLE001 — located and raised by the per-frame loop
+            return super().decompress_each(cts)
 
     # -- aggregated (multi-layer) path ---------------------------------------
 

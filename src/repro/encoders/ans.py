@@ -805,6 +805,10 @@ class RansEncoder(Encoder):
     saves rows; every blob decodes alone.  A call in which fewer than two
     frames can have rows alone shares nothing, and is the per-frame
     ``encode`` / ``decode`` loop it would be for any other encoder.
+    ``encode_calls`` plans and pools each of its calls as ``encode_many``
+    would and then runs every multi-lane frame of all of them in one call
+    of the row kernel: a frame codes to the same bytes beside any others
+    on the same ``K``.
     """
 
     name = "ans"
@@ -814,18 +818,34 @@ class RansEncoder(Encoder):
         return data if plan is None else _payloads([plan])[0]
 
     def encode_many(self, frames: list[tuple[bytes | np.ndarray, int]]) -> list[bytes]:
-        raws = [(self._items(data, item_size), item_size) for data, item_size in frames]
-        if sum(_rows_possible(raw) for raw, _ in raws) < 2:
-            return super().encode_many(raws)
-        coded = iter(self._encode_payloads([frame for frame in raws if frame[0]]))
-        return [self._frame(raw, next(coded) if raw else raw) for raw, _ in raws]
+        return self.encode_calls([frames])[0]
 
-    @staticmethod
-    def _encode_payloads(frames: list[tuple[bytes, int]]) -> list[bytes]:
-        plans = [_plan_frame(data, item_size) for data, item_size in frames]
-        coded = iter(_payloads(_pool([p for p in plans if p is not None])))
-        # A frame that cannot shrink is returned as it is: its blob stores it raw.
-        return [data if p is None else next(coded) for (data, _), p in zip(frames, plans)]
+    def encode_calls(self, calls: list[list[tuple[bytes | np.ndarray, int]]]) -> list[list[bytes]]:
+        calls = [[(self._items(data, size), size) for data, size in frames] for frames in calls]
+        planned = [self._plan_call(frames) for frames in calls]
+        coded = iter(_payloads([p for plans in planned for p in plans if isinstance(p, _Plan)]))
+        # A frame without a plan cannot shrink: its blob stores it raw.
+        return [
+            [
+                p if isinstance(p, bytes) else self._frame(raw, raw if p is None else next(coded))
+                for (raw, _), p in zip(frames, plans)
+            ]
+            for frames, plans in zip(calls, planned)
+        ]
+
+    def _plan_call(self, frames: list[tuple[bytes, int]]) -> list[_Plan | bytes | None]:
+        """Each frame of one call as ``encode_many`` codes it: a plan, ``None``
+        (stored raw) or, for a frame that cannot have rows in a call that
+        shares none, the blob ``encode`` returns.  Plans are pooled only in a
+        call in which two frames or more can have rows."""
+        if sum(_rows_possible(raw) for raw, _ in frames) < 2:
+            return [
+                _plan_frame(raw, size) if _rows_possible(raw) else self.encode(raw, size)
+                for raw, size in frames
+            ]
+        plans = [_plan_frame(raw, size) if raw else None for raw, size in frames]
+        pooled = iter(_pool([p for p in plans if p is not None]))
+        return [None if p is None else next(pooled) for p in plans]
 
     def _decode_payload(self, payload: bytes, n: int) -> bytes:
         return _decode_payloads([(None, payload, n)])[0]

@@ -13,6 +13,8 @@ tables are carried in a header).  ``encode_many`` / ``decode_many`` code
 the frames of one call (COMPSO's bitmap and codes) and return exactly the
 blobs and bytes one call per frame would; an encoder that can share work
 between frames overrides them (ANS runs them as lanes of one kernel).
+``encode_calls`` codes several such calls at once (a training step's
+layers), each list to the blobs ``encode_many`` would return for it.
 """
 
 from __future__ import annotations
@@ -89,6 +91,10 @@ class Encoder(ABC):
     def encode_many(self, frames: list[tuple[bytes | np.ndarray, int]]) -> list[bytes]:
         """Encode each ``(data, item_size)`` of ``frames``: the blobs ``encode`` returns."""
         return [self.encode(data, item_size) for data, item_size in frames]
+
+    def encode_calls(self, calls: list[list[tuple[bytes | np.ndarray, int]]]) -> list[list[bytes]]:
+        """``encode_many`` of each list of ``calls``, blob for blob."""
+        return [self.encode_many(frames) for frames in calls]
 
     def decode(self, blob: bytes) -> bytes:
         n, payload, coded = self._unframe(blob)

@@ -21,6 +21,7 @@ changes the data path after a verdict has fired.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,8 @@ class Guard:
         self.verdict_counts: dict[str, int] = {}
         self.reports: list[HealthReport] = []
         self._cluster = trainer.cluster
+        #: Sim time the verdicts emitted now are stamped at (:meth:`at`).
+        self._stamp: float | None = None
         self._iteration = 0
         self._step_dirty = False
         self._event_cursor = 0
@@ -66,7 +69,17 @@ class Guard:
     # -- verdict plumbing ------------------------------------------------------
 
     def _now(self) -> float:
-        return float(self._cluster.time)
+        return float(self._cluster.time) if self._stamp is None else self._stamp
+
+    @contextmanager
+    def at(self, time: float):
+        """Stamp what is emitted inside at sim ``time``: a payload's checks
+        run after later payloads arrived, and still stamp its own arrival."""
+        self._stamp = float(time)
+        try:
+            yield
+        finally:
+            self._stamp = None
 
     def _emit(self, verdict: str, detail: dict) -> None:
         """Record a verdict and hand it to the policy engine."""
@@ -158,6 +171,23 @@ class Guard:
                 "decode_failure", {"layer": layer, "error": f"{type(exc).__name__}: {exc}"}
             )
             return None
+
+    def safe_decompress_each(self, compressor, cts: list, *, layers: list[int]):
+        """Yield each payload of ``cts`` decoded, in order, ``None`` where
+        decoding failed.
+
+        The payloads are decoded in one ``decompress_each`` call.  If it
+        raises, each is instead decoded by :meth:`safe_decompress` when it
+        is taken, so the verdicts come out where the per-layer loop emits
+        them, between the caller's checks of the layers before and after.
+        """
+        try:
+            decoded = compressor.decompress_each(cts)
+        except Exception:  # noqa: BLE001 — each layer gets its own verdict below
+            for ct, layer in zip(cts, layers):
+                yield self.safe_decompress(compressor, ct, layer=layer)
+            return
+        yield from decoded
 
     def check_contract(self, original: np.ndarray, decoded, compressor, *, layer: int) -> None:
         """Verify the error-bound contract on an (original, decoded) pair."""

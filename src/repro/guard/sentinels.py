@@ -20,6 +20,7 @@ guarded fault-free run stay bit-identical to an unguarded one:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,14 +117,22 @@ def contract_error(original: np.ndarray, decoded: np.ndarray, compressor) -> flo
 
 def factor_health(mat: np.ndarray) -> str | None:
     """None when ``mat`` is eigh-safe (finite, symmetric to 1e-6 of its
-    scale); otherwise a short failure reason."""
-    if not np.isfinite(mat).all():
-        return "non-finite entries"
+    scale); otherwise a short failure reason.
+
+    Two passes on a healthy factor: the largest magnitude, which is
+    non-finite exactly when an entry is (``max`` propagates NaN), and an
+    exact comparison with the transpose, which a running average of
+    mirrored statistics passes; only a factor that fails it pays for the
+    asymmetry arithmetic.
+    """
     scale = float(np.abs(mat).max())
-    if scale > 0.0:
-        asym = float(np.abs(mat - mat.T).max())
-        if asym > 1e-6 * scale:
-            return f"asymmetry {asym:.3e} (scale {scale:.3e})"
+    if not math.isfinite(scale):
+        return "non-finite entries"
+    if np.array_equal(mat, mat.T):
+        return None
+    asym = float(np.abs(mat - mat.T).max())
+    if asym > 1e-6 * scale:
+        return f"asymmetry {asym:.3e} (scale {scale:.3e})"
     return None
 
 

@@ -17,7 +17,9 @@ cluster, with KAISA's refinements (section 2.2):
 4. preconditioned-gradient computation on the owner;
 5. eager per-layer **allgather** of preconditioned gradients (category
    ``kfac_allgather``), optionally *compressed* — this is the payload
-   COMPSO targets.
+   COMPSO targets.  Where the schedule leaves every layer's broadcast in
+   flight, the layers are compressed, and decoded, in one coder call a
+   side, each still its own frames.
 
 The shards run in lanes side by side on the host's CPUs, lane 0 on the
 trainer's model and the others on replicas that alias its parameters
@@ -288,74 +290,97 @@ class DistributedKfacTrainer(StepScaffold):
         compressor = self.compressor if guard is None else guard.active(self.compressor)
         if self.autotune is not None:
             compressor = self.autotune.active_compressor(compressor)
+        # A schedule that receives each broadcast before the next layer is
+        # compressed (and the checksum channel, which settles each transfer
+        # before the next) takes the layers one at a time; otherwise the
+        # step's layers share their coder calls (DESIGN.md decision 33).
+        batched = bucket_bytes is not None and self._channel is None
+        groups = [range(n_layers)] if batched else [[i] for i in range(n_layers)]
         wire = 0.0
         original = 0.0
         layer_wire: list[tuple[int, float, float]] = []
         precond: dict[int, np.ndarray] = {}
-        in_flight: dict[int, tuple] = {}
-        for i in range(n_layers):
-            with tracer.span("precondition", "precondition", layer=i):
-                pg = self.kfac.precondition(i)
-            if cm is not None:
-                self.cluster.advance_rank(
-                    self.owners[i],
-                    cm.precondition_seconds(*self.kfac.layer_dims(i)),
-                    "kfac_compute",
-                )
-            original += pg.nbytes
-            if compressor is not None and self._channel is not None:
-                # The checksum/retry protocol is barrier-synchronous on
-                # every schedule: retries must settle before the next
-                # transfer can be priced, so this transfer never overlaps.
-                precond[i], payload_bytes = self._reliable_allgather(pg, i, tracer)
-            else:
-                payload = pg if compressor is None else compressor.compress(pg)
-                payload_bytes = payload.nbytes
-                with tracer.span("allgather", "comm", layer=i, nbytes=payload_bytes):
-                    handle = rt.ibroadcast(
-                        payload,
-                        root=self.owners[i],
-                        nbytes=payload_bytes,
-                        category="kfac_allgather",
+        in_flight: list[tuple[int, object, np.ndarray]] = []
+        for group in groups:
+            pgs = []
+            for i in group:
+                with tracer.span("precondition", "precondition", layer=i):
+                    pgs.append(self.kfac.precondition(i))
+            payloads = pgs
+            if compressor is not None and self._channel is None:
+                payloads = compressor.compress_each(pgs)
+            for i, pg, payload in zip(group, pgs, payloads):
+                if cm is not None:
+                    self.cluster.advance_rank(
+                        self.owners[i],
+                        cm.precondition_seconds(*self.kfac.layer_dims(i)),
+                        "kfac_compute",
                     )
-                if bucket_bytes is None:
-                    precond[i] = self._receive(handle, pg, compressor, i)
+                original += pg.nbytes
+                if compressor is not None and self._channel is not None:
+                    # The checksum/retry protocol is barrier-synchronous on
+                    # every schedule: retries must settle before the next
+                    # transfer can be priced, so this transfer never overlaps.
+                    precond[i], payload_bytes = self._reliable_allgather(pg, i, tracer)
                 else:
-                    in_flight[i] = (handle, pg)
-            wire += payload_bytes
-            layer_wire.append((i, payload_bytes, pg.nbytes))
+                    payload_bytes = payload.nbytes
+                    with tracer.span("allgather", "comm", layer=i, nbytes=payload_bytes):
+                        handle = rt.ibroadcast(
+                            payload,
+                            root=self.owners[i],
+                            nbytes=payload_bytes,
+                            category="kfac_allgather",
+                        )
+                    if bucket_bytes is None:
+                        precond.update(self._receive([(i, handle, pg)], compressor))
+                    else:
+                        in_flight.append((i, handle, pg))
+                wire += payload_bytes
+                layer_wire.append((i, payload_bytes, pg.nbytes))
         with tracer.span("allgather_wait", "comm"):
-            for i, (handle, owner_pg) in in_flight.items():
-                precond[i] = self._receive(handle, owner_pg, compressor, i)
+            precond.update(self._receive(in_flight, compressor))
         rt.assert_quiesced()
         return self._apply_and_record(
             losses, precond, wire, original, tracer, layer_wire, grad_norm
         )
 
-    def _receive(self, handle, owner_pg: np.ndarray, compressor, layer: int) -> np.ndarray:
-        """Wait for a layer's broadcast and decode it under the guard's sentinels.
+    def _receive(self, in_flight: list[tuple[int, object, np.ndarray]], compressor) -> dict:
+        """Wait for each ``(layer, handle, owner's tensor)`` in order, then
+        decode the payloads under the guard's sentinels.
 
-        Without a guard this is a plain ``decompress`` (nothing at all
-        for a dense payload).  With one, a decode blow-up becomes a
+        Without a guard this is a plain ``decompress_each`` (nothing at all
+        for dense payloads).  With one, a decode blow-up becomes a
         ``decode_failure`` verdict and the layer's update is dropped
-        (zeros); the received tensor is scanned and checked against the
+        (zeros); each received tensor is scanned and checked against the
         active error-bound contract using the owner's original — no
-        re-compression, so no RNG is consumed.
+        re-compression, so no RNG is consumed — before the next layer's
+        verdicts, which are stamped at their own payload's arrival.
         """
-        received = handle.wait()[0]
         guard = self.guard
-        if compressor is None:
+        payloads, arrived = [], []
+        for _, handle, _ in in_flight:
+            payloads.append(handle.wait()[0])
+            arrived.append(self.cluster.time)
+        layers = [i for i, _, _ in in_flight]
+        if compressor is not None:
             if guard is None:
-                return received
-            return guard.scan(received, what="kfac_allgather").reshape(owner_pg.shape)
-        if guard is None:
-            return compressor.decompress(received)
-        decoded = guard.safe_decompress(compressor, received, layer=layer)
-        if decoded is None:
-            return np.zeros_like(owner_pg)
-        decoded = guard.scan(decoded, what="kfac_allgather")
-        guard.check_contract(owner_pg, decoded, compressor, layer=layer)
-        return decoded.reshape(owner_pg.shape)
+                return dict(zip(layers, compressor.decompress_each(payloads)))
+            payloads = guard.safe_decompress_each(compressor, payloads, layers=layers)
+        elif guard is None:
+            return dict(zip(layers, payloads))
+        payloads = iter(payloads)
+        out = {}
+        for (i, _, owner_pg), time in zip(in_flight, arrived):
+            with guard.at(time):
+                decoded = next(payloads)
+                if decoded is None:
+                    out[i] = np.zeros_like(owner_pg)
+                    continue
+                decoded = guard.scan(decoded, what="kfac_allgather")
+                if compressor is not None:
+                    guard.check_contract(owner_pg, decoded, compressor, layer=i)
+            out[i] = decoded.reshape(owner_pg.shape)
+        return out
 
     def _apply_and_record(
         self,

@@ -153,6 +153,8 @@ class Kfac:
         #: ``eigh`` calls begun by :meth:`eigen_batch`, by layer: the
         #: factors they read, then their two calls (``None``: inline).
         self._eigen_started: dict[int, tuple] = {}
+        #: By layer: ``(vG, vA, damping, denominator)`` (:meth:`_denominator`).
+        self._denominators: dict[int, tuple] = {}
 
     # -- stage 1: local factor statistics -------------------------------------
 
@@ -264,9 +266,26 @@ class Kfac:
         if not st.ready:
             return grad.astype(np.float32)
         v1 = st.QG.T @ grad @ st.QA
-        v2 = v1 / (np.outer(st.vG, st.vA) + self.damping)
+        v2 = v1 / self._denominator(idx)
         out = st.QG @ v2 @ st.QA.T
         return out.astype(np.float32)
+
+    def _denominator(self, idx: int) -> np.ndarray:
+        """``v_G v_A^T + gamma`` of layer ``idx``, formed once per
+        eigendecomposition and damping value: the eigenvalue arrays are
+        replaced, never written, once committed, so holding them tells
+        whether the cached one is still theirs."""
+        st = self.state[idx]
+        cached = self._denominators.get(idx)
+        if (
+            cached is None
+            or cached[0] is not st.vG
+            or cached[1] is not st.vA
+            or cached[2] != self.damping
+        ):
+            cached = (st.vG, st.vA, self.damping, np.outer(st.vG, st.vA) + self.damping)
+            self._denominators[idx] = cached
+        return cached[3]
 
     # -- stage 4: update ---------------------------------------------------------
 

@@ -32,6 +32,7 @@ from repro.core import (
 )
 from repro.data import make_image_data
 from repro.distributed import SimCluster
+from repro.encoders import EncodeError, get_encoder, list_encoders
 from repro.kfac_dist import DistributedKfacTrainer
 from repro.models import resnet_proxy
 from repro.store import CheckpointStore
@@ -485,3 +486,125 @@ def test_the_probe_lint_sees_what_it_looks_for():
     assert [hit.split(":")[1] for hit in _probes(_SRC / "core" / "x.py", bad)] == [
         "1", "2", "5", "7", "8", "9", "10", "11", "12", "13",
     ]
+
+
+# -- several tensors at once: compress_each / decompress_each ---------------------
+
+
+def _each_inputs(seed):
+    """Tensors whose COMPSO frames cover every case one shared encoder call
+    meets: empty, one element, all filtered (zeros), raw-stored frames
+    (tiny, and a bitmap that half the elements set at random), single-lane
+    and multi-lane frames, 8-bit (all positive) and 16-bit codes, calls that
+    share rows (both frames large) and calls that have one multi-lane frame.
+    """
+    rng = np.random.default_rng(seed)
+    half = rng.standard_normal(4000)
+    half[rng.random(4000) < 0.5] *= 1e-5
+    tensors = [
+        np.zeros(0),
+        np.array([0.7]),
+        np.zeros(300),
+        half,
+        rng.standard_normal(2000),
+        rng.standard_normal((200, 200)),
+        rng.standard_normal(30000) * np.exp(2 * rng.standard_normal(30000)),
+        rng.random(20000),
+        rng.standard_normal(16),
+        rng.random(500),
+    ]
+    return [t.astype(np.float32) for t in tensors]
+
+
+def _each_lists(cls, seed):
+    """Lists of tensors ``cls`` compresses one by one without raising."""
+    if cls is FactorCompressor:
+        rng = np.random.default_rng(seed)
+        squares = [rng.standard_normal((side + 3, side)) for side in (1, 8, 64, 150)]
+        tensors = [(a.T @ a).astype(np.float32) for a in squares]
+    else:
+        tensors = _each_inputs(seed)
+    fine = []
+    for x in tensors:
+        try:
+            _build(cls).compress(x)
+        except (ValueError, IndexError):  # Ok-topk refuses an empty tensor with IndexError
+            continue
+        fine.append(x)
+    assert len(fine) >= 4
+    return [fine, fine[::-1], fine[-1:], fine[:2], []]
+
+
+def _same_state(a, b):
+    sa, sb = a.state_dict(), b.state_dict()
+    assert sa.keys() == sb.keys()
+    for key in sa:
+        assert np.array_equal(sa[key], sb[key]), key
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_compress_each_is_the_loop_of_compress(cls, seed):
+    """Frame for frame, meta for meta, draw for draw; and ``decompress_each``
+    returns what each ``decompress`` returns."""
+    for tensors in _each_lists(cls, seed):
+        each, loop = _build(cls), _build(cls)
+        cts = each.compress_each(tensors)
+        want = [loop.compress(x) for x in tensors]
+        assert [_frame(ct) for ct in cts] == [_frame(ct) for ct in want]
+        _same_state(each, loop)
+        decoded = each.decompress_each(cts)
+        assert len(decoded) == len(want)
+        for got, ref in zip(decoded, (loop.decompress(ct) for ct in want)):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert np.array_equal(got, ref)
+        probe = tensors[0] if tensors else _square(seed)
+        assert _frame(each.compress(probe)) == _frame(loop.compress(probe))
+
+
+@pytest.mark.parametrize("cls", [CompsoCompressor, AdaptiveCompso], ids=lambda c: c.__name__)
+def test_each_fails_where_the_loop_fails(cls):
+    """A non-finite tensor stops ``compress_each`` where the loop stops,
+    with the draws of the tensors before it spent; a damaged frame makes
+    ``decompress_each`` raise what the first failing ``decompress`` raises."""
+    tensors = _each_inputs(3)
+    poisoned = [*tensors[:5], np.full(64, np.nan, dtype=np.float32), *tensors[5:]]
+    each, loop = _build(cls), _build(cls)
+    with pytest.raises(ValueError) as got:
+        each.compress_each(poisoned)
+    with pytest.raises(ValueError) as want:
+        for x in poisoned:
+            loop.compress(x)
+    assert str(got.value) == str(want.value)
+    _same_state(each, loop)
+    cts = each.compress_each(tensors)
+    for k, segment in ((6, "codes"), (3, "bitmap")):  # the later one damaged first
+        blob = cts[k].segments[segment]
+        cts[k].segments[segment] = blob[:9] + bytes([blob[9] ^ 0x10]) + blob[10:]
+        with pytest.raises(EncodeError) as got:
+            each.decompress_each(cts)
+        with pytest.raises(EncodeError) as want:
+            for ct in cts:
+                loop.decompress(ct)
+        assert str(got.value) == str(want.value) and got.value.segment == want.value.segment
+
+
+@pytest.mark.parametrize("name", list_encoders())
+def test_encode_calls_is_encode_many_list_by_list(name):
+    """Each list of frames codes as ``encode_many`` codes it alone — ANS
+    runs every list's multi-lane frames in one row kernel — and every
+    blob decodes alone."""
+    enc = get_encoder(name)
+    comp = CompsoCompressor(seed=0)
+    calls = [frames for _, frames in (comp._stages(x) for x in _each_inputs(4))]
+    calls += [[], [(b"", 1)], [frames[1] for frames in calls]]
+    blobs = enc.encode_calls(calls)
+    assert blobs == [enc.encode_many(frames) for frames in calls]
+    for frames, coded in zip(calls, blobs):
+        assert [enc.decode(blob) for blob in coded] == [bytes(data) for data, _ in frames]
+    # The calls above hold single-lane, multi-lane and raw frames, and both symbol widths.
+    if name == "ans":
+        lanes = {int.from_bytes(b[5:7], "little") for frames in blobs for b in frames if b[0] == 1}
+        assert {lane & 0xFFF > 1 for lane in lanes} == {True, False}
+        assert {lane >> 12 for lane in lanes} == {0, 1}
+        assert any(b[0] == 0 and len(b) > 5 for frames in blobs for b in frames)

@@ -1,12 +1,13 @@
 """repro.guard: sentinels, divergence detection, policy engine."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.compression import TopKCompressor
+from repro.compression import CompressedTensor, TopKCompressor
 from repro.core import AdaptiveCompso, CompsoCompressor, StepLrSchedule
 from repro.core.adaptive import Bounds
 from repro.data import make_image_data
@@ -32,10 +33,46 @@ from repro.kfac_dist import DistributedKfacTrainer
 from repro.models import resnet_proxy
 from repro.optim import FactorNumericsError, Sgd
 from repro.optim.kfac import Kfac
+from repro.runtime import ComputeModel, StreamRuntime
 from repro.store import CheckpointStore, Generation
 from repro.telemetry.export import chrome_trace
 from repro.train import ClassificationTask, DistributedSgdTrainer
 from tests.archives import rewrite_archive
+
+
+def _unknown_frame_kind(ct):
+    """The payload with its code frame's kind byte set to 7, which no encoder writes."""
+    codes = ct.segments["codes"]
+    return CompressedTensor({**ct.segments, "codes": bytes([7]) + codes[1:]}, ct.shape, dict(ct.meta))
+
+
+def _tenfold_step(ct):
+    """The payload with its quantisation step ten times too large: it decodes,
+    to values far outside the error-bound contract."""
+    return CompressedTensor(dict(ct.segments), ct.shape, {**ct.meta, "step": ct.meta["step"] * 10})
+
+
+class _DamagingRuntime(StreamRuntime):
+    """Counts each step's ``kfac_allgather`` broadcasts (``sent``, from 0)
+    and sends the one ``damages[(step(), sent)]`` names through it."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.sent = -1
+        self.step = lambda: None
+        self.damages = {}
+
+    def ibroadcast(self, obj, root=0, *, nbytes=None, category="broadcast"):
+        if category == "kfac_allgather":
+            self.sent += 1
+            damage = self.damages.get((self.step(), self.sent))
+            if damage is not None:
+                obj = damage(obj)
+        return super().ibroadcast(obj, root, nbytes=nbytes, category=category)
+
+    def assert_quiesced(self):
+        super().assert_quiesced()
+        self.sent = -1
 
 
 def _params(model) -> np.ndarray:
@@ -118,6 +155,57 @@ class TestFactorHealth:
         asym = np.eye(4)
         asym[0, 1] = 5.0
         assert "asymmetry" in factor_health(asym)
+
+    @staticmethod
+    def _six_passes(mat):
+        """``factor_health`` as it read before it took two passes: the oracle."""
+        if not np.isfinite(mat).all():
+            return "non-finite entries"
+        scale = float(np.abs(mat).max())
+        if scale > 0.0:
+            asym = float(np.abs(mat - mat.T).max())
+            if asym > 1e-6 * scale:
+                return f"asymmetry {asym:.3e} (scale {scale:.3e})"
+        return None
+
+    @staticmethod
+    def _factors():
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((40, 9))
+        healthy = a.T @ a / 40
+        yield "healthy", healthy
+        for value in (np.nan, np.inf, -np.inf):
+            for where in ((0, 0), (2, 5)):
+                bad = healthy.copy()
+                bad[where] = value
+                yield f"{value} at {where}", bad
+        scale = float(np.abs(healthy).max())
+        for off in (0.5e-6, 0.999e-6, 1.001e-6, 2e-6, 1.0):
+            skew = healthy.copy()
+            skew[1, 4] += off * scale
+            yield f"asymmetric by {off} of scale", skew
+        yield "all zero", np.zeros((5, 5))
+        mirrored = np.zeros((3, 3))
+        mirrored[0, 2], mirrored[2, 0] = -0.0, 0.0
+        yield "-0.0 mirrored", mirrored
+        signed = healthy.copy()
+        signed[3, 6], signed[6, 3] = 0.0, -0.0
+        yield "-0.0 mirrored beside values", signed
+        for value in (2.5, 0.0, -0.0, np.nan, np.inf):
+            yield f"1x1 {value}", np.array([[value]])
+        yield "float32", healthy.astype(np.float32)
+
+    def test_the_verdicts_are_the_six_pass_ones(self):
+        cases = list(self._factors())
+        assert len(cases) == 21
+        verdicts = set()
+        for name, mat in cases:
+            with np.errstate(all="raise"):
+                got = factor_health(mat)
+            with np.errstate(invalid="ignore"):
+                assert got == self._six_passes(mat), name
+            verdicts.add(None if got is None else got.split()[0])
+        assert verdicts == {None, "non-finite", "asymmetry"}
 
 
 class TestSafeEigen:
@@ -377,6 +465,95 @@ class TestGuardedTraining:
         trace_names = {ev["name"] for ev in doc["traceEvents"] if ev["ph"] == "X"}
         for action in tr.guard.timeline:
             assert f"remediate:{action.action}" in trace_names
+
+    @staticmethod
+    def _damaged_run(damages):
+        """Six overlapped, bucketed, guarded steps with ``damages`` applied
+        to the named broadcasts: the guard-event spans, the guard report,
+        the parameters' digest and the losses."""
+        data = make_image_data(200, n_classes=4, size=8, noise=1.6, seed=0)
+        cluster = SimCluster(2, 2, seed=0)
+        runtime = _DamagingRuntime(cluster, overlap=True, compute=ComputeModel(train_flops=5e7))
+        tr = DistributedKfacTrainer(
+            resnet_proxy(n_classes=4, channels=8, rng=3),
+            ClassificationTask(data),
+            cluster,
+            lr=0.05,
+            inv_update_freq=2,
+            compressor=AdaptiveCompso(StepLrSchedule(4), seed=0),
+            runtime=runtime,
+            guard=GuardConfig(),
+            reliable_channel=False,
+        )
+        runtime.step = lambda: tr.t
+        runtime.damages = damages
+        with telemetry.session() as sess:
+            tr.train(iterations=6, batch_size=32, seed=0)
+            events = [(s.name, s.start) for s in sess.tracer.spans() if s.category == "guard_event"]
+        digest = hashlib.sha256(_params(tr.model).tobytes()).hexdigest()
+        return events, tr.guard.report(), digest, tr.history.losses
+
+    def test_a_damaged_broadcast_in_a_bucketed_step_is_a_decode_failure(self):
+        """Layer 2's broadcast of step 3 arrives with an unknown frame kind
+        under the overlapped, bucketed schedule: that layer alone gets a
+        zero update, the breaker trips, and the rest of the step and the
+        run go on.  Every value below was recorded before the step's layers
+        shared their coder calls."""
+        events, report, digest, losses = self._damaged_run({(3, 2): _unknown_frame_kind})
+        # Stamped at the damaged payload's arrival, not after the step's last one.
+        assert events == [
+            ("verdict:decode_failure", 0.027662286626666664),
+            ("remediate:trip_breaker", 0.027662286626666664),
+            ("breaker:open->half_open", 0.041511199539999995),
+        ]
+        assert report["verdicts"] == {"decode_failure": 1}
+        assert report["remediations"] == [
+            {
+                "iteration": 3,
+                "verdict": "decode_failure",
+                "action": "trip_breaker",
+                "detail": {
+                    "layer": 2,
+                    "error": "EncodeError: ans: unknown frame kind 7",
+                    "cooldown": 3,
+                },
+            }
+        ]
+        assert report["breaker"] == {
+            "state": "half_open",
+            "trips": 1,
+            "transitions": [[3, "closed", "open"], [5, "open", "half_open"]],
+        }
+        assert digest == "05089a236affc6edf58e5de42d523c5c6232e517bdda353425e4bb1f38ea0802"
+        assert losses[3:] == [1.1460042893886566, 0.9379538595676422, 0.9191467016935349]
+
+    def test_a_violation_before_a_decode_failure_keeps_its_place(self):
+        """Layer 1 of step 3 decodes to values far outside the contract and
+        layer 2 does not decode: the contract verdict and its remediation
+        come first, as the per-layer loop emitted them, even though the
+        step decodes its layers in one call.  Recorded as above."""
+        events, report, digest, losses = self._damaged_run(
+            {(3, 1): _tenfold_step, (3, 2): _unknown_frame_kind}
+        )
+        # Layers 3 and 4 are checked against the bounds layer 1 tightened.
+        first, second = 0.027662286626666664, 0.027672796386666663
+        assert events == [
+            ("verdict:contract_violation", first),
+            ("remediate:tighten_bounds", first),
+            ("verdict:decode_failure", first),
+            ("remediate:trip_breaker", first),
+            ("verdict:contract_violation", second),
+            ("verdict:contract_violation", second),
+            ("breaker:open->half_open", 0.041511199539999995),
+        ]
+        assert report["verdicts"] == {"contract_violation": 3, "decode_failure": 1}
+        assert [(r["verdict"], r["action"], r["detail"]["layer"]) for r in report["remediations"]] == [
+            ("contract_violation", "tighten_bounds", 1),
+            ("decode_failure", "trip_breaker", 2),
+        ]
+        assert report["remediations"][0]["detail"]["error_over_bound"] == 899.9999864479787
+        assert digest == "7a48f99c14efad461285dbaaa9c1612046272ad4a1c791b285879e5ca03aa360"
+        assert losses[3:] == [1.1460042893886566, 0.9355925917625427, 0.9235821664333344]
 
     def test_sgd_trainer_scrubs_corrupt_gradient(self):
         """The SGD trainer has no guard; under a corruption plan its run

@@ -124,6 +124,48 @@ class TestKfac:
         pg = opt.precondition(0)
         assert np.allclose(pg, layer.weight.grad / 1.5, atol=1e-5)
 
+    def test_the_cached_denominator_is_the_formula_across_damping_and_refreshes(self, rng):
+        """``precondition`` divides by ``outer(vG, vA) + damping`` formed once
+        per eigendecomposition and damping value; every result is the
+        formula's bit for bit, through a guard ``escalate_damping``, a
+        refresh and a rebuilt eigendecomposition."""
+        from repro.guard.policy import CircuitBreaker, GuardContext, PolicyEngine
+
+        model = nn.Sequential(nn.Linear(6, 5, rng=1), nn.GELU(), nn.Linear(5, 3, rng=2))
+        opt = Kfac(model)
+        engine = PolicyEngine(CircuitBreaker())
+
+        def refresh():
+            for idx in range(2):
+                in_f, out_f = opt.layer_dims(idx)
+                a, g = rng.standard_normal((30, in_f)), rng.standard_normal((30, out_f))
+                opt.accumulate_factors(idx, a.T @ a / 30, g.T @ g / 30)
+                opt.compute_eigen(idx)
+
+        def check():
+            for idx, layer in enumerate(opt.layers):
+                st = opt.state[idx]
+                grad = rng.standard_normal(layer.kfac_weight_grad().shape).astype(np.float32)
+                layer.set_kfac_weight_grad(grad)
+                v1 = st.QG.T @ grad.astype(np.float64) @ st.QA
+                want = st.QG @ (v1 / (np.outer(st.vG, st.vA) + opt.damping)) @ st.QA.T
+                assert np.array_equal(opt.precondition(idx), want.astype(np.float32))
+
+        refresh()
+        check()
+        check()  # the cached denominator
+        first = opt._denominators[0][3]
+        assert engine.handle("eigh_retry", {}, GuardContext(kfac=opt), 0).action == "escalate_damping"
+        assert opt.damping == 0.1
+        check()
+        assert opt._denominators[0][3] is not first
+        refresh()
+        check()
+        st = opt.state[1]
+        st.QA = st.vA = st.QG = st.vG = None  # a dead owner's layer, rebuilt
+        opt.compute_eigen(1)
+        check()
+
     def test_factor_running_average(self):
         model = nn.Sequential(nn.Linear(2, 2, rng=1))
         opt = Kfac(model)
