@@ -57,11 +57,16 @@ class OkTopkCompressor(GradientCompressor):
         x = np.asarray(x, dtype=np.float32)
         flat = x.ravel()
         mags = np.abs(flat)
+        if not flat.size:
+            # Nothing to sample: the threshold, the call count and the
+            # generator stay as they are.
+            return CompressedTensor({"bitmap": pack_bitmap(mags > 0), "values": b""},
+                                    x.shape, meta={"k": 0})
         if self._threshold is None or self._calls % _REESTIMATE_EVERY == 0:
             self._threshold = self._estimate_threshold(mags)
         self._calls += 1
         mask = mags >= self._threshold
-        realised = mask.mean() if flat.size else 0.0
+        realised = mask.mean()
         # Drift detection: when the stale threshold badly misses the
         # target density (value scale shifted), re-estimate immediately —
         # the same trigger-based refresh Ok-topk uses.

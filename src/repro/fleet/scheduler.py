@@ -83,8 +83,8 @@ class JobReport:
     slo_met: bool | None = None
     #: Durable-state events (all zero with a healthy store): restores
     #: that fell back past a damaged newest generation, files quarantined
-    #: (or found missing), and repairs (manifest rebuilds, orphan
-    #: adoptions).
+    #: (or found missing), and repairs (manifest rebuilds; orphan
+    #: adoption is ``repro fsck``'s alone and is not counted).
     store_fallbacks: int = 0
     store_quarantined: int = 0
     store_repairs: int = 0

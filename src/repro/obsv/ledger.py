@@ -416,24 +416,12 @@ class RunLedger:
 
 
 def load_ledger(path: str | Path) -> RunLedger:
-    """Parse and validate a ledger written by :class:`LedgerWriter`."""
-    path = Path(path)
-    records = [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
-    if not records or "manifest" not in records[0]:
-        raise LedgerError(f"{path}: first record must be the manifest")
-    manifest = records[0]["manifest"]
-    version = manifest.get("schema_version")
-    if not isinstance(version, int) or version > SCHEMA_VERSION:
-        raise LedgerError(
-            f"{path}: schema_version {version!r} is newer than supported {SCHEMA_VERSION}"
-        )
-    if len(records) < 2 or "final" not in records[-1]:
-        raise LedgerError(f"{path}: last record must be the final summary")
-    steps = records[1:-1]
-    for r in steps:
-        if "step" not in r:
-            raise LedgerError(f"{path}: step record without 'step': {r}")
-    return RunLedger(manifest=manifest, steps=steps, final=records[-1]["final"], path=path)
+    """A ledger written by :class:`LedgerWriter`, parsed by
+    :func:`fsck_ledger`; :class:`LedgerError` unless fsck finds it ``ok``."""
+    result = fsck_ledger(path)
+    if result.status != "ok":
+        raise LedgerError(f"{path}: {'; '.join(result.problems)}")
+    return result.ledger
 
 
 # -- fsck ----------------------------------------------------------------------
@@ -447,15 +435,14 @@ class LedgerFsck:
     (damage confined to a crash-truncated tail — the repaired ledger is
     in :attr:`ledger`, and written back when ``repair=True``), or
     ``"unrepairable"`` (damage beyond a tail truncation: mid-file
-    corruption, missing manifest).  The synthesized final record is
-    marked ``"repaired": true`` so downstream gating can tell a
-    reconstructed summary from a written one.
+    corruption, missing manifest, a missing or newer schema version).
+    The synthesized final record is marked ``"repaired": true`` so
+    downstream gating can tell a reconstructed summary from a written one.
     """
 
     path: Path
     status: str
     problems: list[str] = field(default_factory=list)
-    dropped_records: int = 0
     synthesized_final: bool = False
     ledger: RunLedger | None = None
 
@@ -469,21 +456,27 @@ def fsck_ledger(path: str | Path, *, repair: bool = False) -> LedgerFsck:
     final summary is re-derived from the surviving steps via
     :func:`final_from_steps`.  Anything else (unparseable record in the
     middle, first record not a manifest) is not crash truncation and is
-    reported ``unrepairable`` rather than guessed at.
+    reported ``unrepairable`` rather than guessed at, as is a manifest
+    whose ``schema_version`` is missing or newer than :data:`SCHEMA_VERSION`.
 
     With ``repair=True`` a repaired ledger is written back atomically
     (the damaged original is kept at ``<name>.pre-fsck``), after which
     :func:`load_ledger` — and thus ``repro report`` / ``repro diff`` —
-    accepts the file.
+    accepts the file.  This is the one parse of a ledger file: ``load_ledger``
+    accepts exactly what it finds ``ok``.
     """
     path = Path(path)
     out = LedgerFsck(path=path, status="ok")
+
+    def unrepairable(problem: str) -> LedgerFsck:
+        out.status = "unrepairable"
+        out.problems.append(problem)
+        return out
+
     try:
         text = path.read_text()
     except OSError as exc:
-        out.status = "unrepairable"
-        out.problems.append(f"unreadable: {exc}")
-        return out
+        return unrepairable(f"unreadable: {exc}")
     raw_lines = [ln for ln in text.splitlines() if ln.strip()]
     records: list[dict] = []
     for i, line in enumerate(raw_lines):
@@ -491,20 +484,20 @@ def fsck_ledger(path: str | Path, *, repair: bool = False) -> LedgerFsck:
             records.append(json.loads(line))
         except ValueError:
             if i == len(raw_lines) - 1:
-                out.dropped_records += 1
                 out.problems.append("torn trailing record dropped")
             else:
-                out.status = "unrepairable"
-                out.problems.append(
+                return unrepairable(
                     f"unparseable record at line {i + 1} of {len(raw_lines)} — "
                     f"mid-file corruption, not a crash-truncated tail"
                 )
-                return out
     if not records or not isinstance(records[0], dict) or "manifest" not in records[0]:
-        out.status = "unrepairable"
-        out.problems.append("first record is not a manifest")
-        return out
+        return unrepairable("first record is not a manifest")
     manifest = records[0]["manifest"]
+    version = manifest.get("schema_version") if isinstance(manifest, dict) else None
+    if not isinstance(version, int):
+        return unrepairable(f"manifest has no integer schema_version ({version!r})")
+    if version > SCHEMA_VERSION:
+        return unrepairable(f"schema_version {version} is newer than supported {SCHEMA_VERSION}")
     body = records[1:]
     final = None
     if body and isinstance(body[-1], dict) and "final" in body[-1]:
@@ -515,7 +508,6 @@ def fsck_ledger(path: str | Path, *, repair: bool = False) -> LedgerFsck:
         if isinstance(r, dict) and "step" in r:
             steps.append(r)
         else:
-            out.dropped_records += 1
             out.problems.append("non-step record dropped")
     if final is None:
         final = final_from_steps(steps)

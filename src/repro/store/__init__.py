@@ -20,7 +20,10 @@ a trusted one:
 * :mod:`repro.store.fsck` — offline scan/repair of stores and obsv run
   ledgers, surfaced as the ``repro fsck`` CLI: per-generation verdicts,
   quarantine of bad files, adoption of verified orphans, and repair of
-  crash-truncated ledger tails.
+  crash-truncated ledger tails.  It keeps no rules of its own: it lists,
+  verifies and rewrites a store through :class:`CheckpointStore` and
+  judges a ledger by :func:`repro.obsv.ledger.fsck_ledger`, the parse
+  ``load_ledger`` accepts ledgers by.
 
 Every verify/fallback/quarantine/repair decision is a typed
 :class:`StoreEvent`, kept on the store (``CheckpointStore.events``,

@@ -6,6 +6,12 @@ directory, a bare ``.npz`` checkpoint archive, a ``.ledger``/``.jsonl``
 run ledger, or a directory of any mix of those — and returns one
 :class:`FsckVerdict` per object examined.
 
+fsck reads and writes through the owners of the state: the generation
+files are the ones :class:`~repro.store.CheckpointStore` lists (any other
+``gen-*.npz`` is no generation and is left alone), a repaired manifest is
+the store's own tmp write plus ``os.replace``, and a ledger's verdict is
+:func:`repro.obsv.ledger.fsck_ledger`'s, the parse ``load_ledger`` uses.
+
 Scan mode (the default) only reads.  Repair mode additionally:
 
 * quarantines generation files that fail either seal (file CRC against
@@ -17,7 +23,8 @@ Scan mode (the default) only reads.  Repair mode additionally:
 * sweeps stray writer temp files;
 * repairs crash-truncated ledgers via
   :func:`repro.obsv.ledger.fsck_ledger` (torn tail dropped, final
-  summary re-synthesized, original kept at ``<name>.pre-fsck``).
+  summary re-synthesized, original kept at ``<name>.pre-fsck``); a
+  ledger of a missing or newer schema version is ``unrepairable``.
 
 Verdict statuses: ``ok``, ``corrupt``, ``missing``, ``orphan``,
 ``quarantined``, ``adopted``, ``rebuilt``, ``repaired``,
@@ -29,15 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.store.store import (
-    MANIFEST_NAME,
-    CheckpointStore,
-    Generation,
-    StoreError,
-    file_crc32,
-    manifest_text,
-    parse_manifest,
-)
+from repro.store.store import MANIFEST_NAME, CheckpointStore, StoreError, parse_manifest
 from repro.util.checkpoint import CheckpointError, verify_checkpoint
 
 __all__ = ["FsckVerdict", "fsck_ledger_file", "fsck_path", "fsck_store", "is_store"]
@@ -79,11 +78,9 @@ class FsckVerdict:
 def is_store(path: str | Path) -> bool:
     """Does ``path`` look like a CheckpointStore directory?"""
     path = Path(path)
-    if not path.is_dir():
-        return False
-    if (path / MANIFEST_NAME).exists():
-        return True
-    return any(path.glob("gen-*.npz"))
+    return path.is_dir() and (
+        (path / MANIFEST_NAME).exists() or bool(CheckpointStore(path)._gen_files())
+    )
 
 
 def _is_ledger_name(path: Path) -> bool:
@@ -112,13 +109,10 @@ def fsck_ledger_file(path: str | Path, *, repair: bool = False) -> FsckVerdict:
 
     path = Path(path)
     result = fsck_ledger(path, repair=repair)
-    if result.status == "ok":
-        return FsckVerdict(str(path), "ledger", "ok")
-    detail = "; ".join(result.problems)
-    if result.status == "unrepairable":
-        return FsckVerdict(str(path), "ledger", "unrepairable", detail)
-    status = "repaired" if repair else "corrupt"
-    return FsckVerdict(str(path), "ledger", status, detail)
+    status = result.status
+    if status == "repaired" and not repair:
+        status = "corrupt"  # repairable, not yet repaired
+    return FsckVerdict(str(path), "ledger", status, "; ".join(result.problems))
 
 
 def _seal_detail(meta: dict) -> str:
@@ -138,114 +132,84 @@ def fsck_store(root: str | Path, *, repair: bool = False) -> list[FsckVerdict]:
     rewritten to exactly the surviving set.
     """
     root = Path(root)
-    verdicts: list[FsckVerdict] = []
     store = CheckpointStore(root)  # event/quarantine machinery; no writes yet
-    manifest_path = root / MANIFEST_NAME
+    on_disk = store._gen_files()
+    verdicts: list[FsckVerdict] = []
 
-    manifest_damaged = False
-    entries: list[Generation] = []
-    if not manifest_path.exists():
-        if any(root.glob("gen-*.npz")):
-            manifest_damaged = True
-            verdicts.append(
-                FsckVerdict(str(manifest_path), "manifest", "missing",
-                            "generation files exist but no manifest")
-            )
+    def note(path, kind: str, status: str, detail: str = "") -> None:
+        verdicts.append(FsckVerdict(str(path), kind, status, detail))
+
+    manifest = store.manifest_path
+    entries, damaged = [], False
+    if not manifest.exists():
+        damaged = bool(on_disk)
+        if damaged:
+            note(manifest, "manifest", "missing", "generation files exist but no manifest")
         else:
-            verdicts.append(
-                FsckVerdict(str(manifest_path), "manifest", "ok", "empty store")
-            )
+            note(manifest, "manifest", "ok", "empty store")
     else:
         try:
-            entries = parse_manifest(manifest_path.read_text())
-            verdicts.append(FsckVerdict(str(manifest_path), "manifest", "ok"))
+            entries = parse_manifest(manifest.read_text())
+            note(manifest, "manifest", "ok")
         except StoreError as exc:
-            manifest_damaged = True
-            verdicts.append(
-                FsckVerdict(str(manifest_path), "manifest",
-                            "rebuilt" if repair else "corrupt", str(exc))
-            )
+            damaged = True
+            note(manifest, "manifest", "rebuilt" if repair else "corrupt", str(exc))
 
-    survivors: list[Generation] = []
-    changed = manifest_damaged
+    # ``changed`` only matters to a repair: every problem below changes the manifest.
+    survivors, changed = [], damaged
     for entry in entries:
         path = root / entry.file
         try:
             meta = store.verify_generation(entry)
         except (FileNotFoundError, CheckpointError) as exc:
-            failure = str(exc)
-        else:
-            survivors.append(entry)
-            verdicts.append(
-                FsckVerdict(str(path), "generation", "ok",
-                            f"gen {entry.gen}, step {entry.step}, {_seal_detail(meta)}")
-            )
-            continue
-        changed = True
-        if repair:
-            dest = store.quarantine(entry, reason="fsck")
-            status = "quarantined" if dest is not None else "missing"
-        else:
-            status = "missing" if not path.exists() else "corrupt"
-        verdicts.append(FsckVerdict(str(path), "generation", status,
-                                    f"gen {entry.gen}: {failure}"))
-
-    known = {e.file for e in entries}
-    for path in sorted(root.glob("gen-*.npz")):
-        if path.name in known:
-            continue
-        try:
-            meta = verify_checkpoint(path)
-        except CheckpointError as exc:
             changed = True
             if repair:
-                number = int(path.name[4:-4])
-                store.quarantine(
-                    Generation(gen=number, file=path.name, step=0, nbytes=0, crc32=0),
-                    reason="fsck-orphan",
-                )
-                status = "quarantined"
+                dest = store.quarantine(entry, reason="fsck")
+                status = "quarantined" if dest is not None else "missing"
             else:
-                status = "corrupt"
-            verdicts.append(FsckVerdict(str(path), "orphan", status, str(exc)))
-            continue
-        entry = Generation(
-            gen=int(path.name[4:-4]),
-            file=path.name,
-            step=int(meta.get("step", 0)),
-            nbytes=path.stat().st_size,
-            crc32=file_crc32(path),
-        )
-        if repair:
-            survivors.append(entry)
-            changed = True
-            verdicts.append(
-                FsckVerdict(str(path), "orphan", "adopted",
-                            f"verified; adopted as gen {entry.gen}, step {entry.step}")
-            )
+                status = "corrupt" if path.exists() else "missing"
+            note(path, "generation", status, f"gen {entry.gen}: {exc}")
         else:
-            verdicts.append(
-                FsckVerdict(str(path), "orphan", "orphan",
-                            "verified but not in manifest (crash before manifest update?)")
-            )
+            survivors.append(entry)
+            note(path, "generation", "ok",
+                 f"gen {entry.gen}, step {entry.step}, {_seal_detail(meta)}")
+
+    known = {e.file for e in entries}
+    for listed in on_disk:
+        if listed.file in known:
+            continue
+        changed = True
+        path = root / listed.file
+        try:
+            entry = store._verified(listed)
+        except CheckpointError as exc:
+            if repair:
+                store.quarantine(listed, reason="fsck-orphan")
+            note(path, "orphan", "quarantined" if repair else "corrupt", str(exc))
+        else:
+            if repair:
+                survivors.append(entry)
+                note(path, "orphan", "adopted",
+                     f"verified; adopted as gen {entry.gen}, step {entry.step}")
+            else:
+                note(path, "orphan", "orphan",
+                     "verified but not in manifest (crash before manifest update?)")
 
     for path in sorted(root.iterdir()):
         if _is_tmp_name(path):
             if repair:
                 path.unlink()
-                verdicts.append(FsckVerdict(str(path), "tmp", "swept"))
+                note(path, "tmp", "swept")
             else:
-                verdicts.append(FsckVerdict(str(path), "tmp", "stray",
-                                            "leftover writer temp file"))
+                note(path, "tmp", "stray", "leftover writer temp file")
 
     if repair and changed:
-        survivors = sorted(survivors, key=lambda g: g.gen)
-        manifest_path.write_text(manifest_text(survivors))
-        if manifest_damaged:
+        store._write_manifest(survivors)
+        if damaged:
             detail = f"rebuilt from {len(survivors)} verified generation(s)"
         else:
             detail = f"rewritten with {len(survivors)} surviving generation(s)"
-        verdicts.append(FsckVerdict(str(manifest_path), "manifest", "repaired", detail))
+        note(manifest, "manifest", "repaired", detail)
     return verdicts
 
 

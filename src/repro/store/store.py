@@ -30,10 +30,10 @@ or the previous committed state is untouched — ``load_latest`` after a
 crash always restores a verified generation.
 
 Every abnormal decision (fallback, quarantine, missing file, manifest
-rebuild, orphan adoption) is a typed :class:`StoreEvent`; the
-deterministic parts (kinds, generation numbers, steps — never CRCs or
-byte offsets, which vary with zip timestamps and the zlib build) feed
-telemetry counters and fleet ledger manifests.  A healthy store emits
+rebuild) is a typed :class:`StoreEvent`; the deterministic parts (kinds,
+generation numbers, steps — never CRCs or byte offsets, which vary with
+zip timestamps and the zlib build) feed telemetry counters and fleet
+ledger manifests.  A healthy store emits
 only ``save`` / ``verify_ok`` events and contributes nothing to the
 ledger, keeping store-backed runs bit-identical to direct-checkpoint
 runs.
@@ -45,7 +45,7 @@ import json
 import os
 import shutil
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -86,9 +86,7 @@ STORE_SAVE_POINTS = SAVE_POINTS + (
 #: Event kinds that indicate the store had to work around damage.
 #: Anything else (``save``, ``verify_ok``, ``retention``) is normal
 #: operation and must not perturb run artifacts.
-ABNORMAL_KINDS = frozenset(
-    {"fallback", "quarantine", "missing", "manifest_rebuilt", "orphan_adopted"}
-)
+ABNORMAL_KINDS = frozenset({"fallback", "quarantine", "missing", "manifest_rebuilt"})
 
 
 class StoreError(RuntimeError):
@@ -130,11 +128,10 @@ class StoreEvent:
     """One durable-state decision, in the order it was made.
 
     ``kind`` is one of: ``save``, ``verify_ok``, ``fallback``,
-    ``quarantine``, ``missing``, ``manifest_rebuilt``,
-    ``orphan_adopted``, ``retention``.  ``detail`` carries only
-    deterministic context (exception class names, file stems) — never
-    CRC values or byte offsets, which depend on zip timestamps and, for
-    schema <= 3 archives, the zlib build.
+    ``quarantine``, ``missing``, ``manifest_rebuilt``, ``retention``.
+    ``detail`` carries only deterministic context (exception class names,
+    file stems) — never CRC values or byte offsets, which depend on zip
+    timestamps and, for schema <= 3 archives, the zlib build.
     """
 
     kind: str
@@ -252,10 +249,8 @@ class CheckpointStore:
             "generations": len(self.generations(quiet=True)),
             "saves": counts.get("save", 0),
             "fallbacks": counts.get("fallback", 0),
-            "quarantined": counts.get("quarantine", 0)
-            + counts.get("missing", 0),
-            "repairs": counts.get("manifest_rebuilt", 0)
-            + counts.get("orphan_adopted", 0),
+            "quarantined": counts.get("quarantine", 0) + counts.get("missing", 0),
+            "repairs": counts.get("manifest_rebuilt", 0),
         }
 
     def abnormal_events(self) -> list[StoreEvent]:
@@ -288,28 +283,36 @@ class CheckpointStore:
             return self._scan_generations()
         return list(self._manifest[1])
 
+    def _gen_files(self) -> list[Generation]:
+        """The directory's generation files in name order, unverified
+        (step, size and CRC zero): the one rule for what a generation
+        file is."""
+        return [
+            Generation(gen=int(name[4:-4]), file=name, step=0, nbytes=0, crc32=0)
+            for name in sorted(os.listdir(self.root))
+            if _is_gen_name(name)
+        ]
+
+    def _verified(self, listed: Generation) -> Generation:
+        """A listed generation file as its archive's seal vouches for it;
+        raises :class:`CheckpointError` (or ``OSError``) if it does not."""
+        path = self.root / listed.file
+        meta = verify_checkpoint(path)
+        return replace(listed, step=int(meta.get("step", 0)),
+                       nbytes=path.stat().st_size, crc32=file_crc32(path))
+
     def _scan_generations(self) -> list[Generation]:
         """Rebuild the generation list from verified on-disk archives."""
         gens: list[Generation] = []
-        for path in sorted(self.root.glob("gen-*.npz")):
-            if not _is_gen_name(path.name):
-                continue
+        for listed in self._gen_files():
             try:
-                meta = verify_checkpoint(path)
+                gens.append(self._verified(listed))
             except (CheckpointError, OSError):
                 continue  # load_latest / fsck will quarantine it
-            gens.append(
-                Generation(
-                    gen=int(path.name[4:-4]),
-                    file=path.name,
-                    step=int(meta.get("step", 0)),
-                    nbytes=path.stat().st_size,
-                    crc32=file_crc32(path),
-                )
-            )
         return sorted(gens, key=lambda g: g.gen)
 
-    def _write_manifest(self, generations: list[Generation], hook) -> None:
+    def _write_manifest(self, generations: list[Generation], hook=_no_hooks) -> None:
+        generations = sorted(generations, key=lambda g: g.gen)
         text = manifest_text(generations)
         tmp = self.root / f".{MANIFEST_NAME}.tmp.{os.getpid()}"
         hook("manifest:begin", self.manifest_path)
@@ -317,7 +320,7 @@ class CheckpointStore:
             tmp.write_bytes(text.encode())
             hook("manifest:tmp_written", tmp)
             os.replace(tmp, self.manifest_path)
-            self._manifest = (text, sorted(generations, key=lambda g: g.gen))
+            self._manifest = (text, generations)
             hook("manifest:replaced", self.manifest_path)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -331,11 +334,7 @@ class CheckpointStore:
         save must not reuse N, or the orphan's identity becomes
         ambiguous to fsck.
         """
-        highest = max((g.gen for g in gens), default=0)
-        for name in os.listdir(self.root):
-            if _is_gen_name(name):
-                highest = max(highest, int(name[4:-4]))
-        return highest + 1
+        return max((g.gen for g in gens + self._gen_files()), default=0) + 1
 
     # ------------------------------------------------------------------
     # save / load
@@ -475,7 +474,7 @@ class CheckpointStore:
             if survivors != gens:
                 # Damage was found: persist the pruned manifest so the
                 # next reader doesn't re-walk known-bad generations.
-                self._write_manifest(survivors, _no_hooks)
+                self._write_manifest(survivors)
             return entry
         raise StoreError(
             f"{self.root}: no generation passed verification "

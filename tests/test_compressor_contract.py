@@ -528,7 +528,7 @@ def _each_lists(cls, seed):
     for x in tensors:
         try:
             _build(cls).compress(x)
-        except (ValueError, IndexError):  # Ok-topk refuses an empty tensor with IndexError
+        except ValueError:
             continue
         fine.append(x)
     assert len(fine) >= 4

@@ -74,6 +74,21 @@ class TestOkTopk:
         ct = c.compress(big)
         assert ct.meta["k"] / big.size < 0.9
 
+    def test_empty_tensor_is_an_empty_frame(self, rng):
+        """An empty tensor compresses to an empty frame and leaves the
+        threshold estimate, the call count and the generator untouched."""
+        c = OkTopkCompressor(0.1, seed=0)
+        c.compress(rng.standard_normal(1_000).astype(np.float32))
+        before = c.state_dict()
+        ct = c.compress(np.zeros(0, np.float32))
+        assert ct.meta["k"] == 0 and ct.shape == (0,)
+        assert c.decompress(ct).shape == (0,)
+        after = c.state_dict()
+        assert all(np.array_equal(before[k], after[k]) for k in before)
+        fresh = OkTopkCompressor(0.1, seed=0)
+        fresh.compress(np.zeros((0, 3), np.float32))
+        assert fresh._threshold is None
+
     def test_kept_values_exact(self, rng):
         c = OkTopkCompressor(0.2, seed=0)
         x = rng.standard_normal(5_000).astype(np.float32)

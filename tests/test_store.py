@@ -1,6 +1,7 @@
 """Durable state: sealed store, corruption fallback, crash sweep, fsck."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from repro.faults.plan import BitRot, FaultPlan
 from repro.faults.storage import StorageCrash, StorageFaultController
 from repro.models import resnet_proxy
-from repro.obsv.ledger import LedgerConfig, fsck_ledger, load_ledger
+from repro.cli import main as cli_main
+from repro.obsv.ledger import SCHEMA_VERSION, LedgerConfig, LedgerError, fsck_ledger, load_ledger
 from repro.store import (
     MANIFEST_NAME,
     STORE_SAVE_POINTS,
@@ -429,6 +431,55 @@ class TestFsckStore:
         assert [g.gen for g in CheckpointStore(tmp_path).generations()] == [1, 2]
 
 
+    def test_stray_gen_names_are_no_generations(self, tmp_path):
+        """``gen-extra.npz`` fails the store's name rule: fsck, like the
+        store, neither adopts nor quarantines it, whatever it holds."""
+        store = CheckpointStore(tmp_path)
+        _fill(store, [1, 2])
+        extra = tmp_path / "gen-extra.npz"
+        notes = tmp_path / "gen-notes.npz"
+        save_checkpoint(extra, _model(), step=7)
+        notes.write_bytes(b"notes")
+        manifest = (tmp_path / MANIFEST_NAME).read_bytes()
+        for repair in (False, True):
+            verdicts = fsck_store(tmp_path, repair=repair)
+            assert all(v.status == "ok" for v in verdicts)
+            assert {v.path for v in verdicts}.isdisjoint({str(extra), str(notes)})
+        assert extra.exists() and notes.exists()
+        assert not (tmp_path / "quarantine").exists()
+        assert (tmp_path / MANIFEST_NAME).read_bytes() == manifest
+        assert [g.gen for g in CheckpointStore(tmp_path).generations()] == [1, 2]
+
+    def test_repair_cut_inside_its_manifest_write_keeps_the_old_manifest(
+        self, tmp_path, monkeypatch
+    ):
+        """A repair killed while its manifest bytes are going to disk leaves
+        the previous manifest byte-identical, and a later repair completes."""
+        store = CheckpointStore(tmp_path)
+        _fill(store, [1])
+        save_checkpoint(tmp_path / "gen-00000002.npz", _model(seed=2), step=2)  # an orphan
+        before = (tmp_path / MANIFEST_NAME).read_bytes()
+
+        class Killed(BaseException):
+            pass
+
+        def torn(path, data, *args, **kwargs):
+            with open(path, "wb" if isinstance(data, bytes) else "w") as fh:
+                fh.write(data[: len(data) // 2])
+            raise Killed(str(path))
+
+        with monkeypatch.context() as m:
+            m.setattr(Path, "write_bytes", torn)
+            m.setattr(Path, "write_text", torn)
+            with pytest.raises(Killed):
+                fsck_store(tmp_path, repair=True)
+        assert (tmp_path / MANIFEST_NAME).read_bytes() == before
+        assert not [p for p in tmp_path.iterdir() if ".tmp." in p.name]
+
+        assert any(v.status == "adopted" for v in fsck_store(tmp_path, repair=True))
+        assert [g.gen for g in CheckpointStore(tmp_path).generations()] == [1, 2]
+
+
 def _write_ledger(path, n_steps=3):
     w = tiny_kfac_trainer(obsv=LedgerConfig(path)).obsv
     for i in range(n_steps):
@@ -479,6 +530,28 @@ class TestLedgerFsck:
         result = fsck_ledger(p, repair=True)
         assert result.status == "unrepairable"
         assert not (tmp_path / "run.ledger.pre-fsck").exists()
+
+    @pytest.mark.parametrize("version", [SCHEMA_VERSION + 1, None])
+    def test_unsupported_schema_version_is_unrepairable(self, tmp_path, version, capsys):
+        """A ledger ``load_ledger`` refuses for its schema version is no
+        ``ok`` to fsck either: ``repro fsck`` exits 1, with or without repair."""
+        p = _write_ledger(tmp_path / "run.ledger")
+        lines = p.read_text().splitlines(keepends=True)
+        head = json.loads(lines[0])
+        if version is None:
+            del head["manifest"]["schema_version"]
+        else:
+            head["manifest"]["schema_version"] = version
+        p.write_text(json.dumps(head) + "\n" + "".join(lines[1:]))
+        before = p.read_bytes()
+        with pytest.raises(LedgerError):
+            load_ledger(p)
+        for repair in (False, True):
+            assert fsck_ledger(p, repair=repair).status == "unrepairable"
+            assert fsck_ledger_file(p, repair=repair).status == "unrepairable"
+        assert cli_main(["fsck", str(p)]) == 1 and cli_main(["fsck", "--repair", str(p)]) == 1
+        assert "unrepairable" in capsys.readouterr().out
+        assert p.read_bytes() == before
 
     def test_missing_manifest_is_unrepairable(self, tmp_path):
         p = tmp_path / "run.ledger"
