@@ -79,6 +79,15 @@ A frame that cannot shrink is not coded (the caller's frame stores it
 raw): the size is predicted from the histogram before the coder runs,
 and from the histogram's entropy before the table is built.
 
+The table carries only what the decoder cannot derive.  Up to ``2**14``
+symbols a frame's counts determine its quantised frequencies
+(:func:`quantize_freqs`, whose rounding breaks ties by symbol, so both
+sides land on the same table), and a count needs fewer bits than a
+frequency scaled up to ``2**14``: such a frame carries its counts, and the
+decoder quantises them as the encoder did.  Above ``2**14`` symbols the
+frequencies are the shorter of the two, and the frame carries them.  The
+frame length says which, so no header field does.
+
 Payload (after the 5-byte frame of :class:`Encoder`), little-endian::
 
     u16      K | (item size - 1) << 12
@@ -86,9 +95,11 @@ Payload (after the 5-byte frame of :class:`Encoder`), little-endian::
     u32      zlib.crc32 of the frame's bytes
     A/8 B    presence bitmap over the alphabet A = largest symbol + 1,
              bit s set when symbol s occurs (32 B for bytes)
-    u8       w, the bits of one table entry: bit_length(max frequency - 1)
-    P*w/8 B  quantised frequency - 1 of each of the P present symbols,
-             w bits each, most significant bit first (sum of frequencies 2**14)
+    u8       w, the bits of one table entry: max(1, bit_length(max entry - 1))
+    P*w/8 B  entry - 1 of each of the P present symbols, w bits each, most
+             significant bit first.  An entry is the symbol's count in a
+             frame of at most 2**14 symbols (entries sum to the symbol
+             count), its quantised frequency above (entries sum to 2**14)
     u32 * K  final lane states
     u16 * W  renormalisation words
 
@@ -96,12 +107,12 @@ The decoder checks every field before it uses it: item size 1 or 2 and
 dividing the frame length, ``K`` within ``[1, _lane_cap(symbols)]``,
 the last alphabet bit set and the bitmap padding clear, at most
 ``2**12`` items present, ``w`` within ``[1, 14]`` and the table's
-padding clear, the table's sum, the word stream's parity and length,
-the frame length against the most symbols its lanes and words can hold
-(:func:`_most_symbols`, before the length sizes any buffer), every
-lane's end state — and, last, the checksum of what it decoded: rANS
-re-synchronises, so a damaged word can garble a stretch of symbols and
-still bring every lane home.
+padding clear, the table's sum (the symbol count or ``2**14``), the word
+stream's parity and length, the frame length against the most symbols
+its lanes and words can hold (:func:`_most_symbols`, before the length
+sizes any buffer), every lane's end state — and, last, the checksum of
+what it decoded: rANS re-synchronises, so a damaged word can garble a
+stretch of symbols and still bring every lane home.
 """
 
 from __future__ import annotations
@@ -197,10 +208,14 @@ def quantize_freqs(freq: np.ndarray) -> np.ndarray:
     symbols >= 1.
 
     The symbols with the most headroom absorb the rounding, one unit each
-    per sweep over the descending order of ``np.argsort(scaled)``, never
-    below 1.  Each sweep moves a prefix of that order: a shortfall is less
-    than one unit per present symbol, so one sweep covers it, and sweep
-    ``k`` of an excess takes the symbols first scaled to ``k + 2`` or more.
+    per sweep over the symbols in descending order of their scaled
+    frequency, never below 1.  Ties go to the smaller symbol first: the
+    order is a rule, not whatever a sort kernel leaves, because a decoder
+    derives a count table's frequencies with this function and must land
+    on the encoder's.  Each sweep moves a prefix of that order: a shortfall
+    is less than one unit per present symbol, so one sweep covers it, and
+    sweep ``k`` of an excess takes the symbols first scaled to ``k + 2`` or
+    more.
     """
     freq = np.asarray(freq, dtype=np.int64)
     total = int(freq.sum())
@@ -211,7 +226,7 @@ def quantize_freqs(freq: np.ndarray) -> np.ndarray:
     np.maximum(scaled, freq > 0, out=scaled)
     diff = _PROB_SCALE - int(scaled.sum())
     if diff:
-        order = np.argsort(scaled)[::-1]
+        order = np.argsort(-scaled, kind="stable")
         if diff > 0:
             scaled[order[:diff]] += 1
         else:
@@ -245,7 +260,7 @@ def _unpack_table(packed: bytes, count: int, width: int) -> np.ndarray:
     """Inverse of :func:`_pack_table`; raises when a padding bit is set."""
     bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))
     if bits[count * width :].any():
-        raise EncodeError("ans: frequency table padding bits set")
+        raise EncodeError("ans: table padding bits set")
     return bits[: count * width].reshape(count, width) @ _BITS[width]
 
 
@@ -553,6 +568,13 @@ def _table_bytes(entries: int, width: int) -> int:
     return -(-entries * width // 8)
 
 
+def _table_sum(symbols: int) -> int:
+    """What the entries of a frame of ``symbols`` symbols' table sum to: its
+    symbol counts up to ``_PROB_SCALE`` symbols, where they determine the
+    quantised frequencies (:func:`quantize_freqs`), those frequencies above."""
+    return min(symbols, _PROB_SCALE)
+
+
 class _Plan(NamedTuple):
     """A frame the coder will run: its symbols, table, lanes and header."""
 
@@ -581,17 +603,20 @@ def _plan(symbols: np.ndarray, counts: np.ndarray, data: bytes) -> _Plan | None:
     occurring = counts[present]
     if occurring.size > _MAX_SYMBOLS:
         return None
-    # The least those can take: the largest of P frequencies that sum to the
-    # scale is at least scale / P, there is one lane or more, and no table
-    # codes the symbols in fewer bits than their entropy.
-    least_width = (-(-_PROB_SCALE // occurring.size) - 1).bit_length()
+    # The least those can take: the largest of P table entries that sum to
+    # _table_sum is at least that sum / P, there is one lane or more, and
+    # no table codes the symbols in fewer bits than their entropy.
+    least_width = (-(-_table_sum(symbols.size) // occurring.size) - 1).bit_length()
     entropy = float((occurring * np.log2(symbols.size / occurring)).sum())
     if fixed + _table_bytes(occurring.size, least_width) + 4 + entropy / 8 >= n:
         return None
-    qfreq = quantize_freqs(counts)
-    table = qfreq[present]
-    width = int(table.max() - 1).bit_length()
-    bits = float((occurring * (_PROB_BITS - np.log2(table))).sum())
+    # The decoder quantises the same P entries when the table holds counts.
+    coded = quantize_freqs(occurring)
+    qfreq = np.zeros(counts.size, dtype=np.uint32)
+    qfreq[present] = coded
+    table = occurring if symbols.size <= _PROB_SCALE else coded
+    width = max(1, int(table.max() - 1).bit_length())
+    bits = float((occurring * (_PROB_BITS - np.log2(coded))).sum())
     predicted = fixed + _table_bytes(table.size, width) + int(bits / 8)
     lanes = _lanes(symbols.size, predicted, n)
     if predicted + 4 * lanes >= n:
@@ -721,14 +746,17 @@ def _read(payload: bytes, n: int, index: int | None) -> _Stream:
     if (len(payload) - states_end) % 2:
         raise EncodeError("ans: odd-sized word stream")
     table = _unpack_table(payload[width_at + 1 : table_end], n_present, width) + 1
-    if int(table.sum()) != _PROB_SCALE:
-        raise EncodeError("ans: invalid frequency table")
+    total = _table_sum(count)
+    if int(table.sum()) != total:
+        kind = "count" if count <= _PROB_SCALE else "frequency"
+        raise EncodeError(f"ans: invalid {kind} table: entries sum to {int(table.sum())}, not {total}")
+    qfreq = np.zeros(alphabet, dtype=np.uint32)
+    # Counts: the frequencies are their quantisation, as the encoder's.
+    qfreq[present] = quantize_freqs(table) if count <= _PROB_SCALE else table
     words = (len(payload) - states_end) // 2
-    if count > _most_symbols(int(table.max()), lanes + words):
+    if count > _most_symbols(int(qfreq.max()), lanes + words):
         # Checked before the decoder reserves its output: a damaged length would size it.
         raise EncodeError(f"ans: {count} symbols declared for {words} words")
-    qfreq = np.zeros(alphabet, dtype=np.uint32)
-    qfreq[present] = table
     return _Stream(
         index,
         np.frombuffer(payload[table_end:states_end], dtype="<u4"),

@@ -129,6 +129,24 @@ through one section table: no committed ledger runs autotune together
 with xray or with the overlapped runtime.  Its digest was captured at
 c208b92, before that change, by this method, under the default hash seed
 and again under ``PYTHONHASHSEED=1`` with two BLAS threads (equal).
+
+Re-pinned, with the six ledgers, when ANS frames of at most 2**14
+symbols began to carry their symbol counts instead of their quantised
+frequencies (DESIGN.md decision 19(h)): four configurations and sixteen
+documents moved; the three ``kfac-guard-remediates-*`` (Huffman) and the
+two ``overlap`` documents did not.  Leaf by leaf against the same runs
+at d2357ff: wire bytes, ``cr`` / ``mean_cr``, the byte and ratio
+metrics, sim time, the overlap split, span and xray times, fleet goodput
+and the autotuner's fitted ``alpha`` / ``beta`` / predictions moved;
+step 4 of ``smoke`` and ``xray-smoke`` records 30 ``kfac_allgather``
+spans where it recorded 27 (three 0.01 us slivers on ranks 1-3 whose
+transfers now end elsewhere against the compute).  Losses, steps,
+verdict kinds, remediations, autotune decisions and restart counts are
+identical, with one byte-driven exception: the seeded corruption of the
+chaos runs draws its flipped bit positions over the payload, so shorter
+payloads move that draw stream — ``chaos-smoke`` detects 285 corruptions
+where it detected 286, and ``chaos-smoke-ci-shape``'s faulted loss moves
+from 0.87247163 to 0.87247181.
 """
 
 import hashlib
@@ -307,10 +325,10 @@ CONFIGURATIONS = {
 
 #: Ledger digests of CONFIGURATIONS (see the module docstring for their provenance).
 PINNED = {
-    "kfac-blocking-guard-xray": "8306540501a04201a54b486cd31a40a64f7090a2b4568f6eac2af6a2e51c6ff0",
-    "kfac-every-collaborator": "92551d7e75c78998b7e5f5a13d267849a6b79977643d3b45e66d9394701e85a0",
-    "kfac-reliable-faults-none": "85357fa2b4d5ee6beed85e20f1b635b58c1ec68bea8441b8174c9cd324e0471e",
-    "kfac-reliable-faults-overlapped": "da017bd601b8eebfc514cd63c8d8ef1cfbe16dd7dd5d4ecdac3827e843c0e887",
+    "kfac-blocking-guard-xray": "c33c3218f1a67e8a6444e492488dc673bfbb59ea5a5bc6ee683cf9f21411655f",
+    "kfac-every-collaborator": "775d712b3fa831d59bf24f60f658798886b6e6585ccf616b113034793c922075",
+    "kfac-reliable-faults-none": "5cfae88f36e2d72366999617bac384765218d6f05bd7c98b5d1e9b04809eacfe",
+    "kfac-reliable-faults-overlapped": "73120bfc37e8882744d138faf8f6a806bc1c6871eb5364e02376af1eb0209903",
     "kfac-guard-remediates-none": "314f6fa339bac72efd65e29c7264a15dabf0b641a066652d90f697d3b10cde7f",
     "kfac-guard-remediates-blocking": "9ac6a5cad59df033fbe1c32acff150fac783ef12a5d7c0080f0ccef503e50e4f",
     "kfac-guard-remediates-overlapped": "30b2d2285d9bfae7ca3f478d66f1d6f4a22a5a70ec34a0eeb2dde97366ba104f",
@@ -345,22 +363,22 @@ DOCUMENTS = {
 
 #: sha256 of each DOCUMENTS entry (see the module docstring for their provenance).
 PINNED_DOCUMENTS = {
-    "chaos-corruption": "5022fe0dcf4bf7bfaf5ba6801eee0b0f2920e26af86e331d5d96c1eb780e407e",
-    "chaos-corruption-ci-shape": "8b62d520c843f1fe62aab02d9ce60c90bf459d1ef9c2f73f7a65092e4e2895fa",
-    "chaos-degraded-link": "834c6fb8588c5c796694b80846037c7de4d76868eb4fe491b37d3cf1a05e9110",
-    "chaos-degraded-link-ci-shape": "12c03acfe7243144e5821ee1bb619ee7ebc4fda87a13cf64e3f03eae91668b62",
-    "chaos-mixed": "f107a250894be76ead382fea284e56746c9874fafaf22d91628e26034549c30a",
-    "chaos-mixed-ci-shape": "31617a19be8a65384fb0c381c924475629f794d0272f4b02328a49f1c0717314",
-    "chaos-rank-loss": "0019cf71925d5baa14e1342dba81dcb8bf73a150055ae5db90ae7f6f1e109308",
-    "chaos-rank-loss-ci-shape": "d702e682577cba0f21ba8c45aaa68b380c13f5294d721f304e75810d968b1b80",
-    "chaos-smoke": "30be7d4c87f23e6f07f28a1ab5c89145eec5a3974df70a8205a69751412c3ef7",
-    "chaos-smoke-ci-shape": "0a3b677cebc21e840060432e16b698201463dacee4345b0abddcfe18efd9339a",
-    "chaos-stragglers": "47c1f5640c1e04d162a159f52a18ccde7ad8fdb74941738e0688d539858fb78d",
-    "chaos-stragglers-ci-shape": "a3ac7b7ccf0deb3bbac025b3fa89338c2e21b161e77d699846fff5f64cf7c1b4",
-    "fleet-chaos-smoke": "fd63db7c40b2b4d024ebb254b9762864e38f3a3534493bf36903da76abaa5e23",
-    "fleet-smoke": "6ba749f82e2283d55112d8ca10de6e7cbf777d7d008ad1f402fe71b74b036b00",
-    "fleet-storage-smoke": "7b5ed891cda3368a3408873c0de944432b1a288f9bc9d9547e2fa30933009807",
-    "guard": "f89a88bebb1f73ca78d224c6fb819a6de3ac6a6c50bf5d3412792c7a1ecff516",
+    "chaos-corruption": "c58e5a0b266c846b8eee6bdd62a6e08229a3245d1d6c0ccf013a55a310ba56f7",
+    "chaos-corruption-ci-shape": "e4c7df8b46fbdf6520046c455f70044bf319bd89d58578688d7d3dde7c242b0d",
+    "chaos-degraded-link": "fcbf7bd8f7721b553f34a293b1a475913873a623ee5d7ffd0eae214b3f7910a6",
+    "chaos-degraded-link-ci-shape": "f298ca4c1c3982dc67c2fd72cc671ff44ab4c7d598d248f63a62e4223b1cb7de",
+    "chaos-mixed": "3bc90997b9f7ae66a04d56e3b74c000cfe83d087722baabcb54e3b382c8ed3bc",
+    "chaos-mixed-ci-shape": "f152c01af57dfac99e0d9aee7bbb5c36df42af7455a2dcb633423dd54175c70d",
+    "chaos-rank-loss": "f34112de5419452b0e8f5e46f9c7bbcabbe4944fc36610a021b4adf37b9980a2",
+    "chaos-rank-loss-ci-shape": "9d39b7d1bed1c9d2e50fae75cb246ebf3dae5a6256946d1847ff8f400a5d92c0",
+    "chaos-smoke": "9065d6ca74b58ad3d37a794b8e754f56d31143cf425f42c535414a4d8f6c02c5",
+    "chaos-smoke-ci-shape": "923fb634099e60ab35724d1539467b4644bedf726bd13d0b0f2e26f15cb409eb",
+    "chaos-stragglers": "b926e32b31dcfce4cd3cb5d392d6ac177277a898636d6777689884d18fbb8805",
+    "chaos-stragglers-ci-shape": "ffad0795912339d23613163a8baab7bab2985f9fc15f027dc42de2d276ed171d",
+    "fleet-chaos-smoke": "d0972d476897e775bfa87ff6460ceca25047f8c5468dde40d5cc033ac30f1057",
+    "fleet-smoke": "ded4c6e94c4230fd67ef449a7b0e491bc555c075295519e15c58b582724b5675",
+    "fleet-storage-smoke": "6fb346e9a214d98da23f0a91e404bcae2b321b102fa1ffc24a3364e3af2de9a6",
+    "guard": "2f51c0b40525540ec03f473cfac2ffaf845c720003f7b248641ff7a1d83de0cf",
     "overlap-ranks4-iters3": "c59d6ce14e39333aae8ce7a1385f1895a2d29628228641714ccd8b06f5dae792",
     "overlap-ranks8": "f06a7d95593aa9a09443497e3dfa30a94a77ef8946c8f0af8f2cef5b3cfe7ed6",
 }

@@ -114,21 +114,24 @@ class TestAnsInternals:
 
     @staticmethod
     def _sweeps(freq):
-        """``quantize_freqs`` as one sweep over ``np.argsort``'s order per unit
-        step: the reference for the prefixes the function moves at once."""
-        freq = np.asarray(freq, dtype=np.int64)
-        scaled = np.maximum((freq * (1 << 14)) // int(freq.sum()), (freq > 0).astype(np.int64))
-        diff = (1 << 14) - int(scaled.sum())
-        order = np.argsort(scaled)[::-1]
+        """``quantize_freqs`` in plain Python, one sweep per unit step over the present
+        symbols in descending order of their scaled frequency, ties to the smaller
+        symbol: the reference for the rule and for the prefixes the function moves at
+        once.  Returns ``(frequencies, sweeps)``."""
+        freq = [int(f) for f in freq]
+        total = sum(freq)
+        scaled = [max(f * (1 << 14) // total, 1) if f else 0 for f in freq]
+        diff = (1 << 14) - sum(scaled)
+        order = sorted((s for s, f in enumerate(freq) if f), key=lambda s: (-scaled[s], s))
         step = 1 if diff > 0 else -1
         sweeps = 0
-        while diff != 0:
-            movable = order[(scaled[order] + step >= 1) & (freq[order] > 0)]
-            moved = movable[: abs(diff)]
-            scaled[moved] += step
-            diff -= step * moved.size
+        while diff:
+            for s in order:
+                if diff and scaled[s] + step >= 1:
+                    scaled[s] += step
+                    diff -= step
             sweeps += 1
-        return scaled.astype(np.uint32), sweeps
+        return np.array(scaled, dtype=np.uint32), sweeps
 
     def test_quantize_matches_the_sweep_loop(self):
         rng = np.random.default_rng(41)
@@ -155,6 +158,23 @@ class TestAnsInternals:
             assert np.array_equal(quantize_freqs(counts), want), counts
         # The cases reach a rounding that needs many sweeps, and one that needs none.
         assert self._sweeps(singletons)[1] > 100 and 0 in sweeps
+
+    def test_ties_go_to_the_smaller_symbol(self):
+        """Small int64 tables full of ties, most of them cut by the rounding: the order
+        is the rule, not a sort kernel's.  NumPy's default ``argsort`` is unstable and
+        picked by CPU, and an AVX-512 kernel orders five-element ties otherwise; a
+        decoder that derives a count table's frequencies must land on the encoder's."""
+        assert quantize_freqs(np.array([1, 1, 1])).tolist() == [5462, 5461, 5461]
+        assert quantize_freqs(np.array([0, 3, 0, 3, 3])).tolist() == [0, 5462, 0, 5461, 5461]
+        rng = np.random.default_rng(47)
+        cut = 0
+        for _ in range(2_000):
+            counts = rng.integers(0, 4, int(rng.integers(3, 17))).astype(np.int64)
+            counts[int(rng.integers(counts.size))] += 1
+            want, _ = self._sweeps(counts)
+            assert quantize_freqs(counts).tolist() == want.tolist(), counts
+            cut += len(set(want[counts == counts.max()].tolist())) > 1
+        assert cut >= 100  # the rounding split a tie, and the rule chose
 
     def test_more_present_symbols_than_slots_are_refused(self):
         with pytest.raises(ValueError, match="more present symbols"):
@@ -603,10 +623,11 @@ class TestAnsItems:
                 assert calls[-1][0] == fields.symbols == len(data) // fields.item_size
                 assert fields.lanes == _lanes(*calls[-1])
         # Items at 7.9 bits each: the loop under 32**2 of them or 2 KiB coded, then sqrt
-        # or the budget, then from 2**12 of them 64 rows.
+        # or the budget, then from 2**12 of them 64 rows.  (3 000 items had 52 lanes while
+        # they carried a quantised table; their count table leaves a budget of 50.)
         enc = RansEncoder()
         sizes = (1_023, 3_000, 5_000, 40_000)
-        assert [_Fields(enc.encode(_code_items(rng, n), 2)).lanes for n in sizes] == [1, 52, 78, 625]
+        assert [_Fields(enc.encode(_code_items(rng, n), 2)).lanes for n in sizes] == [1, 50, 78, 625]
 
     # Large frames (boundaries of the old 2 KiB-per-lane policy, now interior points),
     # the old 1024-lane cap at 1024**2 items, 2**16 and 4095 * 256 items (994cad6's
@@ -775,7 +796,7 @@ class TestAnsItems:
         table[[0, swap]] = table[[swap, 0]]
         lie(at.table_at, ans._pack_table(table, at.width), "ans: ")
         table[0] += 1
-        lie(at.table_at, ans._pack_table(table, at.width), "invalid frequency table")
+        lie(at.table_at, ans._pack_table(table, at.width), "invalid count table: entries sum to 4001")
         for end in (at.width_at, at.width_at + 1, at.states_at - 1, at.words_at - 1):
             with pytest.raises(EncodeError, match="truncated"):
                 enc.decode(blob[:end])
@@ -801,10 +822,11 @@ class TestAnsItems:
             at = _Fields(blob)
             states = np.frombuffer(blob[at.states_at : at.words_at], "<u4")
             words = np.frombuffer(blob[at.words_at :], "<u2").copy()
-            qfreq = np.zeros(at.alphabet, dtype=np.uint32)
+            counts = np.zeros(at.alphabet, dtype=np.int64)
             bitmap = np.frombuffer(blob[at.bitmap_at : at.width_at], np.uint8)
             table = ans._unpack_table(blob[at.table_at : at.states_at], at.present, at.width)
-            qfreq[np.unpackbits(bitmap)[: at.alphabet].astype(bool)] = table + 1
+            counts[np.unpackbits(bitmap)[: at.alphabet].astype(bool)] = table + 1
+            qfreq = quantize_freqs(counts)  # both frames are short enough to carry counts
             for i in range(64):
                 for bit in range(16):
                     words[i] ^= 1 << bit
@@ -840,9 +862,11 @@ class TestAnsItems:
 
     def test_byte_frames_are_the_parents(self):
         """They no longer are: the frame of 8654adf had no checksum, a ``u16`` table and a lane
-        count derived from its length.  What is pinned is the one format that replaced it, on
-        the frames of fewer than 1 024 symbols: ``isqrt`` gives them under 32 lanes, so they
-        run the loop under every lane rule, and their digest is the parent's."""
+        count derived from its length, and the frames of up to 2**14 symbols now carry their
+        symbol counts in place of quantised frequencies.  What is pinned is the format that
+        replaced them, on the frames of fewer than 1 024 symbols: ``isqrt`` gives them under
+        32 lanes, so they run the loop under every lane rule, and their digest moves only
+        with the table."""
         enc = RansEncoder()
         digest = hashlib.sha256()
         for n, data, item_size in self._pinned_frames():
@@ -851,12 +875,14 @@ class TestAnsItems:
             blob = enc.encode(data, item_size)
             assert enc.decode(blob) == data
             digest.update(blob)
-        assert digest.hexdigest() == "2230085dc1fb06cae262e942183c3cfa21abbd12156e7f0c20b4cdfe2cc3195a"
+        assert digest.hexdigest() == "364fc3c95bddc8174ad17ea59f6f6e90e9777bbaa0f6f2062d7d9ab40a8ba60d"
 
     def test_larger_frames_are_pinned(self):
         """The same format on the frames of 1 024 symbols or more, whose lanes follow
         ``_MIN_ROWS`` and ``_LANE_BUDGET_SHIFT``: every one decodes, and the digest moves
-        only with the lane rule."""
+        only with the lane rule and the table.  (When the frames of up to 2**14 symbols
+        took count tables, 5 of the 32 frames above 2**14 symbols moved too: the tie rule
+        of ``quantize_freqs`` cut their rounding elsewhere.)"""
         enc = RansEncoder()
         digest = hashlib.sha256()
         for n, data, item_size in self._pinned_frames():
@@ -864,20 +890,21 @@ class TestAnsItems:
                 blob = enc.encode(data, item_size)
                 assert enc.decode(blob) == data
                 digest.update(blob)
-        assert digest.hexdigest() == "b9d6c98b65f57af2ba14d6a934f723af0b559978e29beeddccb7f6b499790218"
+        assert digest.hexdigest() == "dfb9db914071cd5cfa4fbb544815a52cf4544098b9d69872117fabcacbb04fcd"
 
     def test_entropy_floor_skips_only_frames_the_full_prediction_rejects(self):
         """``_plan`` gives up on the entropy of the histogram, before it builds a table.
         Cross-entropy under any table is at least the entropy, so the frames it skips are
-        frames the prediction from the table (written out here from the payload layout)
-        rejects too — and the prediction still rejects frames the floor lets through."""
+        frames the prediction from the table (written out here from the payload layout:
+        counts up to 2**14 symbols, quantised frequencies above) rejects too — and the
+        prediction still rejects frames the floor lets through."""
         rng = np.random.default_rng(2204)
-        frames = [(rng.integers(0, 256, n, dtype=np.uint8).tobytes(), 1) for n in (40, 300, 5000)]
+        frames = [(rng.integers(0, 256, n, dtype=np.uint8).tobytes(), 1) for n in (40, 300, 5000, 20_000)]
         for spread in (2, 12, 40, 70):
-            frames += [(_gradient_bytes(rng, n, spread).tobytes(), 1) for n in (60, 272, 1100)]
+            frames += [(_gradient_bytes(rng, n, spread).tobytes(), 1) for n in (60, 272, 1100, 20_000)]
         for spread in (2, 20, 60, 150):
             frames += [(_code_items(rng, n, spread), 2) for n in (41, 136, 578, 1100)]
-        frames += [(_spread_symbols(rng, 3000, 6000), 2)]
+        frames += [(_spread_symbols(rng, 3000, 6000), 2), (_spread_symbols(rng, 3000, 20_000), 2)]
         skipped = late = coded = 0
         for data, item_size in frames:
             symbols = np.frombuffer(data, ">u2" if item_size == 2 else np.uint8)
@@ -886,11 +913,13 @@ class TestAnsItems:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(ans, "quantize_freqs", lambda c: built.append(1) or quantize_freqs(c))
                 plan = ans._plan(symbols, counts, data)
-                payload = None if plan is None else ans._payloads([plan])[0]
+                # on one lane, as the layout below counts it
+                payload = None if plan is None else ans._payloads([plan._replace(lanes=1)])[0]
             present = counts > 0
-            table = quantize_freqs(counts)[present]
-            width = int(table.max() - 1).bit_length()
-            bits = float((counts[present] * (14 - np.log2(table))).sum())
+            freqs = quantize_freqs(counts)[present]
+            table = counts[present] if symbols.size <= 1 << 14 else freqs
+            width = max(1, int(table.max() - 1).bit_length())
+            bits = float((counts[present] * (14 - np.log2(freqs))).sum())
             # K, [largest symbol], checksum, bitmap, width, table, one lane, words
             predicted = 2 + 2 * (item_size - 1) + 4 + -(-counts.size // 8) + 1
             predicted += -(-table.size * width // 8) + 4 + int(bits / 8)
@@ -910,6 +939,68 @@ class TestAnsItems:
         assert enc.encode(data, 2) == enc.encode(data)
         with pytest.raises(ValueError):
             enc.encode(data[:-1], 2)
+
+
+class TestAnsCountTable:
+    """Up to 2**14 symbols a frame's table holds its symbol counts, from which the decoder
+    derives the quantised frequencies as the encoder did; above, the frequencies.  The
+    frame length says which, so nothing in the header does."""
+
+    @staticmethod
+    def _table(blob):
+        at = _Fields(blob)
+        return ans._unpack_table(blob[at.table_at : at.states_at], at.present, at.width) + 1
+
+    @pytest.mark.parametrize("n", [(1 << 14) - 1, 1 << 14, (1 << 14) + 1])
+    @pytest.mark.parametrize("item_size", [1, 2])
+    @pytest.mark.parametrize("lanes", [1, 64], ids=["loop", "rows"])
+    def test_roundtrip_either_side_of_the_switch(self, rng, n, item_size, lanes):
+        data = _gradient_bytes(rng, n).tobytes() if item_size == 1 else _code_items(rng, n)
+        blob, _ = _encode_recording_lanes(data, item_size, forced=lanes)
+        at = _Fields(blob)
+        assert (at.item_size, at.symbols, at.lanes) == (item_size, n, lanes)
+        counts = np.bincount(np.frombuffer(data, ">u2" if item_size == 2 else np.uint8))
+        freqs = quantize_freqs(counts)[counts > 0]
+        table = self._table(blob)
+        assert table.tolist() == (counts[counts > 0] if n <= 1 << 14 else freqs).tolist()
+        assert at.width == max(1, int(table.max() - 1).bit_length())
+        if n == 1 << 14:  # the two meanings coincide
+            assert np.array_equal(counts[counts > 0], freqs)
+        assert RansEncoder().decode(blob) == data
+
+    @pytest.mark.parametrize("n", [1_000, 1 << 14, (1 << 14) + 1, 100_000])
+    @pytest.mark.parametrize("item_size", [1, 2])
+    def test_a_one_symbol_frame(self, n, item_size):
+        """Counts ``[n]`` up to 2**14 symbols, the whole scale above: no word on any lane."""
+        data = np.full(n, 7 if item_size == 1 else 300, dtype=">u2" if item_size == 2 else np.uint8).tobytes()
+        enc = RansEncoder()
+        blob = enc.encode(data, item_size)
+        at = _Fields(blob)
+        assert at.item_size == item_size and at.present == 1
+        assert self._table(blob).tolist() == [min(n, 1 << 14)]
+        assert at.width == (min(n, 1 << 14) - 1).bit_length()
+        assert at.words_at == len(blob)
+        assert enc.decode(blob) == data
+
+    @pytest.mark.parametrize("n,item_size", [(3_000, 1), (3_000, 2), (1 << 14, 1), (20_000, 1), (20_000, 2)])
+    def test_a_table_that_does_not_sum_to_its_total_is_rejected(self, rng, n, item_size):
+        """Counts must sum to the frame's symbols, frequencies to 2**14: one entry short
+        of either is an error that names the table, before anything is decoded."""
+        data = _gradient_bytes(rng, n).tobytes() if item_size == 1 else _code_items(rng, n)
+        enc = RansEncoder()
+        blob = enc.encode(data, item_size)
+        at = _Fields(blob)
+        table = self._table(blob)
+        table[int(table.argmax())] -= 1
+        total = min(n, 1 << 14)
+        kind = "count" if n <= 1 << 14 else "frequency"
+        error = f"invalid {kind} table: entries sum to {total - 1}, not {total}"
+        with pytest.raises(EncodeError, match=error):
+            enc.decode(_with_bytes(blob, at.table_at, ans._pack_table(table - 1, at.width)))
+        if n <= 1 << 14:  # a length that stays at or below 2**14 symbols: the counts catch it
+            shorter = _with_bytes(blob, 1, ((n - 1) * item_size).to_bytes(4, "little"))
+            with pytest.raises(EncodeError, match=f"invalid count table: entries sum to {n}, not {n - 1}"):
+                enc.decode(shorter)
 
 
 def _frame_of(kind, n, seed):
@@ -1189,20 +1280,27 @@ class TestAnsMany:
     @pytest.mark.parametrize("bit", [24, 28, 30, 31])
     def test_a_length_no_payload_can_hold_is_rejected_before_decoding(self, bit):
         """A flipped high bit of a blob's ``u32`` length asks for 2**24 to 2**31 more
-        symbols than its words can code: an error that names the count, alone and in a
-        shared call, before any output is reserved for it."""
+        symbols than its words can code: an error, alone and in a shared call, before any
+        output is reserved for it.  A frame of more than 2**14 symbols carries quantised
+        frequencies, which sum to 2**14 at any length, so the length bound is what names
+        the count; a shorter frame carries its counts, and the lie takes the table past
+        2**14 symbols, where its entries read as frequencies that do not sum to 2**14."""
         enc = RansEncoder()
-        pooled = enc.encode_many([_frame_of(kind, 1_000, 2030) for kind in ("bitmap", "row_items")])
+        shapes = (("bitmap", 1_000), ("row_items", 1_000), ("rows", 40_000))
+        pooled = enc.encode_many([_frame_of(kind, n, 2030) for kind, n in shapes])
         blobs = [enc.encode(*_frame_of("scalar", 1_000, 2030)), *pooled]
-        assert [_Fields(b).lanes > 1 for b in blobs] == [False, True, True]
+        assert [_Fields(b).lanes > 1 for b in blobs] == [False, True, True, True]
+        assert [_Fields(b).symbols > 1 << 14 for b in blobs] == [False, False, False, True]
         for damaged, blob in enumerate(blobs):
+            long = _Fields(blob).symbols > 1 << 14
+            error = "symbols declared for" if long else "invalid frequency table"
             n = int.from_bytes(blob[1:5], "little") ^ 1 << bit
             bad = _with_bytes(blob, 1, n.to_bytes(4, "little"))
             tracemalloc.start()
             try:
-                with pytest.raises(EncodeError, match="symbols declared for"):
+                with pytest.raises(EncodeError, match=error):
                     enc.decode(bad)
-                with pytest.raises(EncodeError, match="symbols declared for") as caught:
+                with pytest.raises(EncodeError, match=error) as caught:
                     enc.decode_many([bad if u == damaged else b for u, b in enumerate(blobs)])
                 peak = tracemalloc.get_traced_memory()[1]
             finally:

@@ -498,13 +498,15 @@ class TestGuardedTraining:
         under the overlapped, bucketed schedule: that layer alone gets a
         zero update, the breaker trips, and the rest of the step and the
         run go on.  Every value below was recorded before the step's layers
-        shared their coder calls."""
+        shared their coder calls; the sim stamps were recorded again when
+        short ANS frames began to carry their symbol counts (fewer wire
+        bytes, earlier arrivals)."""
         events, report, digest, losses = self._damaged_run({(3, 2): _unknown_frame_kind})
         # Stamped at the damaged payload's arrival, not after the step's last one.
         assert events == [
-            ("verdict:decode_failure", 0.027662286626666664),
-            ("remediate:trip_breaker", 0.027662286626666664),
-            ("breaker:open->half_open", 0.041511199539999995),
+            ("verdict:decode_failure", 0.027662176866666666),
+            ("remediate:trip_breaker", 0.027662176866666666),
+            ("breaker:open->half_open", 0.04151104082),
         ]
         assert report["verdicts"] == {"decode_failure": 1}
         assert report["remediations"] == [
@@ -536,7 +538,7 @@ class TestGuardedTraining:
             {(3, 1): _tenfold_step, (3, 2): _unknown_frame_kind}
         )
         # Layers 3 and 4 are checked against the bounds layer 1 tightened.
-        first, second = 0.027662286626666664, 0.027672796386666663
+        first, second = 0.027662176866666666, 0.027672637666666666
         assert events == [
             ("verdict:contract_violation", first),
             ("remediate:tighten_bounds", first),
@@ -544,7 +546,7 @@ class TestGuardedTraining:
             ("remediate:trip_breaker", first),
             ("verdict:contract_violation", second),
             ("verdict:contract_violation", second),
-            ("breaker:open->half_open", 0.041511199539999995),
+            ("breaker:open->half_open", 0.04151104082),
         ]
         assert report["verdicts"] == {"contract_violation": 3, "decode_failure": 1}
         assert [(r["verdict"], r["action"], r["detail"]["layer"]) for r in report["remediations"]] == [
