@@ -48,12 +48,12 @@ SGD_ITER_RATIO = {
 NODE_COUNTS = (2, 4, 8, 16)
 
 
-def _choose_aggregation(model_name, catalog, world):
+def _choose_aggregation(model_name, catalog, platform, world):
     """COMPSO-p: run the performance model's aggregation decision on
-    catalog-sized synthetic gradients."""
+    catalog-sized synthetic gradients, over the row's platform network."""
     rng = spawn_rng(0, zlib.crc32(model_name.encode()) % 997)
     grads = catalog_gradients(rng, catalog, 16, 100_000)
-    pm = PerformanceModel(PLATFORM1.network, world_size=world)
+    pm = PerformanceModel(platform.network, world_size=world)
     m, _ = pm.choose_aggregation(grads, CompsoCompressor(4e-3, 4e-3), r=0.45)
     return m
 
@@ -75,7 +75,7 @@ def run_experiment():
                         CompressionSpec(RATIOS["compso"], PIPELINES["compso-cuda"], 4)
                     )
                 )
-                m_p = _choose_aggregation(model, catalog, m.world)
+                m_p = _choose_aggregation(model, catalog, plat, m.world)
                 row.append(
                     m.end_to_end_speedup(
                         CompressionSpec(RATIOS["compso"], PIPELINES["compso-cuda"], m_p)

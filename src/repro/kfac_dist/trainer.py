@@ -550,17 +550,17 @@ class DistributedKfacTrainer(StepScaffold):
 
     # -- checkpointing ---------------------------------------------------------
 
+    def _durable_owners(self) -> dict:
+        """The owners of this trainer's durable state, by archive section."""
+        return {"param": self.model, "kfac": self.kfac, "compressor": self.compressor}
+
     def save_state(self):
         """Commit an atomic full-state checkpoint (model, K-FAC,
         compressor) as a new :attr:`checkpoint_store` generation."""
         if self.checkpoint_store is None:
             raise ValueError("save_state() needs a checkpoint_store")
         return self.checkpoint_store.save(
-            self.model,
-            self.kfac,
-            compressor=self.compressor,
-            world_size=self.cluster.world_size,
-            step=self.t,
+            self._durable_owners(), world_size=self.cluster.world_size, step=self.t
         )
 
     def restore_latest(self):
@@ -577,9 +577,7 @@ class DistributedKfacTrainer(StepScaffold):
         """
         if self.checkpoint_store is None:
             return None
-        gen = self.checkpoint_store.load_latest(
-            self.model, self.kfac, compressor=self.compressor
-        )
+        gen = self.checkpoint_store.load_latest(self._durable_owners())
         if gen is not None:
             self.t = self.kfac.t
         return gen

@@ -83,6 +83,28 @@ class Module:
     def parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters()]
 
+    def state_dict(self) -> dict[str, np.ndarray]:
+        """The parameters by name: what a checkpoint stores of the model."""
+        return {name: p.data for name, p in self.named_parameters()}
+
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Rebind every parameter to its float32 copy of ``state[name]``.
+
+        Raises ``KeyError`` for a parameter ``state`` lacks and
+        ``ValueError`` for one of another shape, before any is rebound.
+        """
+        params = list(self.named_parameters())
+        for name, p in params:
+            if name not in state:
+                raise KeyError(f"state missing parameter {name!r}")
+            if state[name].shape != p.data.shape:
+                raise ValueError(
+                    f"shape mismatch for {name!r}: state {state[name].shape}, "
+                    f"model {p.data.shape}"
+                )
+        for name, p in params:
+            p.data = state[name].astype(np.float32)
+
     def kfac_layers(self) -> list["KfacLayerMixin"]:
         """All K-FAC-capable layers in forward order."""
         return [m for m in self.modules() if isinstance(m, KfacLayerMixin)]

@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from repro.util.durable import replace_file
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -134,18 +135,6 @@ class LedgerConfig:
 
     def build(self, trainer) -> "LedgerWriter":
         return LedgerWriter(self, trainer)
-
-
-def _replace_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` atomically: a crash mid-write leaves the
-    previous file, never a torn one."""
-    tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
 
 
 def _digest(durations: list[float]) -> dict:
@@ -355,7 +344,7 @@ class LedgerWriter:
         self._closed = True
         ledger = RunLedger(self._manifest, self._steps, self._final_record(final_metric))
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        _replace_text(self.path, ledger.text())
+        replace_file(self.path, ledger.text().encode(), None, "ledger")
         return self.path
 
 
@@ -520,5 +509,5 @@ def fsck_ledger(path: str | Path, *, repair: bool = False) -> LedgerFsck:
         if repair:
             backup = path.with_name(path.name + ".pre-fsck")
             backup.write_text(text)
-            _replace_text(path, out.ledger.text())
+            replace_file(path, out.ledger.text().encode(), None, "ledger")
     return out

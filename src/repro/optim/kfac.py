@@ -54,6 +54,7 @@ import numpy as np
 
 from repro.nn.module import KfacLayerMixin, Module, Parameter
 from repro.util import host
+from repro.util.checkpoint import CheckpointError
 
 __all__ = ["FactorNumericsError", "Kfac", "LayerFactors", "POOL_MIN_MADDS"]
 
@@ -65,6 +66,15 @@ __all__ = ["FactorNumericsError", "Kfac", "LayerFactors", "POOL_MIN_MADDS"]
 #: it; ``kfac_train``'s (``eigh`` of 289, 24 M) gain (DESIGN.md decision
 #: 28(c)).
 POOL_MIN_MADDS = 2**21
+
+
+#: A layer's checkpoint sections (:meth:`Kfac.state_dict`) in the groups
+#: that are saved and restored whole, each with the sections it needs
+#: besides its own: the running factors, and their eigendecomposition.
+_SECTION_GROUPS = ((("A", "G", "n_updates"), ()), (("QA", "vA", "QG", "vG"), ("A",)))
+
+#: The :class:`LayerFactors` field a section fills, where its name differs.
+_FIELDS = {"momentum": "momentum_buf"}
 
 
 def _pool_for(largest: int):
@@ -317,6 +327,88 @@ class Kfac:
             buf *= self.momentum
             buf += p.grad
             p.data -= self.lr * buf
+
+    # -- checkpoint state ----------------------------------------------------------
+
+    def state_dict(self) -> dict[str, np.ndarray]:
+        """What an exact resume needs, as named arrays (checkpoint
+        sections): the step counter ``t``; per layer ``<i>/A``, ``G`` and
+        ``n_updates`` once it has factors, ``<i>/QA``, ``vA``, ``QG`` and
+        ``vG`` once it is ready, ``<i>/momentum`` once it has stepped; and
+        ``other_momentum/<j>`` of each first-order parameter.  The
+        eigendecomposition is stored, not recomputed on restore, so a
+        resumed run keeps the exact inverse it was using mid-interval."""
+        state = {"t": np.array(self.t)}
+        for idx, st in self.state.items():
+            if st.A is not None:
+                state.update({f"{idx}/A": st.A, f"{idx}/G": st.G,
+                              f"{idx}/n_updates": np.array(st.n_updates)})
+            if st.ready:
+                state.update({f"{idx}/QA": st.QA, f"{idx}/vA": st.vA,
+                              f"{idx}/QG": st.QG, f"{idx}/vG": st.vG})
+            if st.momentum_buf is not None:
+                state[f"{idx}/momentum"] = st.momentum_buf
+        state.update((f"other_momentum/{j}", buf) for j, buf in enumerate(self._other_momentum))
+        return state
+
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Replace the whole K-FAC state with ``state`` (:meth:`state_dict`'s
+        layout): a layer or buffer without sections starts afresh, and a
+        layer with factors but no eigendecomposition is not ready until the
+        next step computes one.
+
+        Every section is checked against the layer dimensions before
+        anything is assigned: :class:`CheckpointError` names the first one
+        that is missing from its group, mis-shaped or unknown, and leaves
+        this optimiser as it was.
+        """
+        layers: dict[int, dict[str, np.ndarray]] = {idx: {} for idx in self.state}
+        others: dict[int, np.ndarray] = {}
+        other_keys = {f"other_momentum/{j}": j for j in range(len(self.other_params))}
+        for key, value in state.items():
+            head, _, name = key.partition("/")
+            expected = None
+            if key == "t":
+                expected = ()
+            elif key in other_keys:
+                others[other_keys[key]] = value
+                expected = self.other_params[other_keys[key]].shape
+            elif head.isdigit() and int(head) in layers:
+                layers[int(head)][name] = value
+                expected = self._section_shape(int(head), name)
+            if expected is None:
+                raise CheckpointError(f"checkpoint K-FAC state {key!r} names no K-FAC state")
+            if np.shape(value) != expected:
+                raise CheckpointError(
+                    f"checkpoint K-FAC state {key!r} has shape {np.shape(value)}, "
+                    f"expected {expected}"
+                )
+        for idx, sections in layers.items():
+            for names, needs in _SECTION_GROUPS:
+                present = [name for name in names if name in sections]
+                missing = [name for name in names + needs if name not in sections]
+                if present and missing:
+                    raise CheckpointError(
+                        f"checkpoint K-FAC state is incomplete: '{idx}/{present[0]}' "
+                        f"present but '{idx}/{missing[0]}' missing"
+                    )
+        self.t = int(state.get("t", 0))
+        for idx, sections in layers.items():
+            st = self.state[idx] = LayerFactors(
+                **{_FIELDS.get(name, name): value for name, value in sections.items()}
+            )
+            st.n_updates = int(st.n_updates)
+        self._other_momentum = [
+            others.get(j, np.zeros_like(p.data)) for j, p in enumerate(self.other_params)
+        ]
+
+    def _section_shape(self, idx: int, name: str) -> tuple[int, ...] | None:
+        """The shape of layer ``idx``'s section ``name``; ``None``: no such section."""
+        i, o = self.layer_dims(idx)
+        return {
+            "A": (i, i), "G": (o, o), "n_updates": (), "QA": (i, i), "vA": (i,),
+            "QG": (o, o), "vG": (o,), "momentum": (o, i),
+        }.get(name)
 
     # -- sizes used by the communication model -------------------------------------
 

@@ -52,11 +52,11 @@ from typing import Callable
 from repro.util.checkpoint import (
     SAVE_POINTS,
     CheckpointError,
-    _no_hooks,
     load_checkpoint,
     save_checkpoint,
     verify_checkpoint,
 )
+from repro.util.durable import replace_file
 
 __all__ = [
     "CheckpointStore",
@@ -311,20 +311,11 @@ class CheckpointStore:
                 continue  # load_latest / fsck will quarantine it
         return sorted(gens, key=lambda g: g.gen)
 
-    def _write_manifest(self, generations: list[Generation], hook=_no_hooks) -> None:
+    def _write_manifest(self, generations: list[Generation], hooks=None) -> None:
         generations = sorted(generations, key=lambda g: g.gen)
         text = manifest_text(generations)
-        tmp = self.root / f".{MANIFEST_NAME}.tmp.{os.getpid()}"
-        hook("manifest:begin", self.manifest_path)
-        try:
-            tmp.write_bytes(text.encode())
-            hook("manifest:tmp_written", tmp)
-            os.replace(tmp, self.manifest_path)
-            self._manifest = (text, generations)
-            hook("manifest:replaced", self.manifest_path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        replace_file(self.manifest_path, text.encode(), hooks, "manifest")
+        self._manifest = (text, generations)
 
     def _next_gen_number(self, gens: list[Generation]) -> int:
         """Next generation number: past the manifest *and* any on-disk file.
@@ -339,16 +330,10 @@ class CheckpointStore:
     # ------------------------------------------------------------------
     # save / load
 
-    def save(
-        self,
-        model,
-        kfac=None,
-        *,
-        compressor=None,
-        world_size: int | None = None,
-        step: int = 0,
-    ) -> Generation:
-        """Commit a new generation: sealed archive, then sealed manifest.
+    def save(self, owners: dict, *, world_size: int, step: int) -> Generation:
+        """Commit a new generation of ``owners`` (the mapping
+        :func:`~repro.util.checkpoint.save_checkpoint` takes): sealed
+        archive, then sealed manifest.
 
         Runs the full :data:`STORE_SAVE_POINTS` sequence under this
         save's injection hooks.  Retention trims the manifest to the
@@ -365,13 +350,7 @@ class CheckpointStore:
         gens = self.generations()
         number = self._next_gen_number(gens)
         final = save_checkpoint(
-            self.root / _gen_name(number),
-            model,
-            kfac,
-            compressor=compressor,
-            world_size=world_size,
-            step=step,
-            hooks=hook,
+            self.root / _gen_name(number), owners, world_size=world_size, step=step, hooks=hook
         )
         if hook is None:
             nbytes, crc = final.nbytes, final.crc32
@@ -382,7 +361,7 @@ class CheckpointStore:
         new_gens = gens + [entry]
         kept = new_gens[-self.keep :]
         trimmed = new_gens[: -self.keep] if len(new_gens) > self.keep else []
-        self._write_manifest(kept, hook or _no_hooks)
+        self._write_manifest(kept, hook)
         for old in trimmed:
             (self.root / old.file).unlink(missing_ok=True)
             self._event("retention", gen=old.gen, step=old.step)
@@ -431,21 +410,16 @@ class CheckpointStore:
         self._event("quarantine", gen=entry.gen, step=entry.step, detail=reason)
         return dest
 
-    def load_latest(
-        self,
-        model,
-        kfac=None,
-        *,
-        compressor=None,
-    ) -> Generation | None:
-        """Restore the newest *verified* generation; fall back on damage.
+    def load_latest(self, owners: dict) -> Generation | None:
+        """Restore ``owners`` from the newest *verified* generation; fall
+        back on damage.
 
         Walks the manifest newest-first.  Each candidate's file CRC is
-        checked against the manifest, then the archive is materialised
-        once and its content seal checked on that one copy (``verify=True``
-        also refuses an unsealed archive) *before* any state is mutated;
-        a failure emits ``fallback``, quarantines the file, and tries
-        the next-older generation.
+        checked against the manifest, then
+        :func:`~repro.util.checkpoint.load_checkpoint` materialises the
+        archive once, checks its content seal on that one copy and
+        restores every owner or none; a failure emits ``fallback``,
+        quarantines the file, and tries the next-older generation.
         Returns the restored :class:`Generation` (its ``step`` tells the
         caller where to resume), ``None`` for an empty store, and raises
         :class:`StoreError` when generations exist but none verifies.
@@ -456,13 +430,7 @@ class CheckpointStore:
         survivors = list(gens)
         for entry in reversed(gens):
             try:
-                load_checkpoint(
-                    self._check_file_seal(entry),
-                    model,
-                    kfac,
-                    compressor=compressor,
-                    verify=True,
-                )
+                load_checkpoint(self._check_file_seal(entry), owners)
             except (FileNotFoundError, CheckpointError) as exc:
                 self._event(
                     "fallback", gen=entry.gen, step=entry.step, detail=type(exc).__name__

@@ -104,8 +104,8 @@ class _Lane:
 
     def sync(self) -> None:
         """Alias the master's parameter arrays and running statistics and
-        take its modes: ``load_checkpoint`` rebinds ``Parameter.data``,
-        ``task.evaluate`` flips ``training``."""
+        take its modes: a restore (``Module.load_state_dict``) rebinds
+        ``Parameter.data``, ``task.evaluate`` flips ``training``."""
         for p in self.master.parameters():
             self.twin(p).data = p.data
         for m in self.master.modules():

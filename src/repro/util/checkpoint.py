@@ -1,26 +1,25 @@
-"""Checkpointing: save/restore model, K-FAC and compressor state.
+"""Checkpoint archives: the sealed on-disk form of every owner's state.
 
 Long pre-training runs (the paper's BERT runs take 54 hours) need
 resumable state, and post-fault recovery needs *exact* resumability:
 a restore must continue the very trajectory the run was on, not re-warm
-it.  A checkpoint therefore round-trips, beyond model parameters:
+it.  A checkpoint is what its owners declare.  ``save_checkpoint`` takes
+a ``{name: owner}`` mapping (a trainer's names its model, its K-FAC
+optimiser and its compressor) and stores each owner's ``state_dict()``
+under ``"<name>/<key>"``; ``load_checkpoint`` hands each owner its
+sections back through ``load_state_dict()``.  What is in them
+(parameters; K-FAC factors, eigendecompositions and momentum; the
+adaptive bounds and the stochastic-rounding generator) is the owners'
+business, not this module's.
 
-* K-FAC running factors **and** their eigendecompositions, per-layer
-  momentum buffers, the first-order momentum of non-K-FAC parameters,
-  and the optimizer step counter;
-* compressor state, whatever its ``state_dict()`` declares: the adaptive
-  error-bound schedule position, the stochastic-rounding RNG state and
-  error-feedback residuals, so compression decisions after a restore
-  are bit-identical to the uninterrupted run.
-
-Writes are **atomic and sealed**: the ``.npz`` is produced in a
-writer-unique temp file in the same directory and moved into place with
-``os.replace``, so a crash mid-save can never leave a truncated archive
-that poisons recovery — the previous checkpoint survives intact.  Every
-archive carries a content seal (``meta/content_crc32``, a CRC over the
-raw array bytes of every section) computed *before* the bytes hit disk;
-:func:`verify_checkpoint` and ``load_checkpoint(verify=...)`` recompute
-it, so bit-rot at rest is detected before any state is mutated.
+Writes are **atomic and sealed**: the ``.npz`` goes through
+:func:`repro.util.durable.replace_file`, so a crash mid-save can never
+leave a truncated archive that poisons recovery — the previous
+checkpoint survives intact.  Every archive carries a content seal
+(``meta/content_crc32``, a CRC over the raw array bytes of every
+section) computed *before* the bytes hit disk; :func:`verify_checkpoint`
+and :func:`load_checkpoint` recompute it, so bit-rot at rest is detected
+before any state is mutated.
 
 The on-disk layout is this module's decision alone.  An archive is an
 ``.npz`` with two *stored* members: ``index`` — JSON rows of ``[key,
@@ -42,22 +41,17 @@ during save" an enumerable, deterministic test instead of a hope.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-import os
 import struct
 import zipfile
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover — annotations only, avoids an
-    # import cycle now that repro.util re-exports this module's names
-    from repro.nn.module import Module
-    from repro.optim.kfac import Kfac
+from repro.util.durable import replace_file
 
 __all__ = [
     "Archive",
@@ -81,10 +75,6 @@ __all__ = [
 SCHEMA_VERSION = 4
 
 _SEAL_KEY = "meta/content_crc32"
-
-#: Sections a compressor's ``state_dict()`` fills and ``load_state_dict()``
-#: reads back; what is in them is the compressor's business.
-_COMPRESSOR = "compressor/"
 
 #: The two members of a schema >= 4 archive.  No section key can collide
 #: with them: every key the writer has ever produced contains a ``/``.
@@ -112,20 +102,15 @@ _ARCHIVE_ERRORS = (
 #: has not yet run.  Stores extend this sequence with their own points.
 SAVE_POINTS = ("save:begin", "save:tmp_written", "save:replaced")
 
-#: Per-process monotone counter making temp names writer-unique: two
-#: stores checkpointing same-named stems into one directory must never
-#: race on a shared ``.{stem}.tmp.npz`` (a torn ``os.replace`` of the
-#: other writer's half-written file would corrupt both).
-_TMP_COUNTER = itertools.count()
-
 
 class CheckpointError(RuntimeError):
     """A checkpoint archive cannot be restored into this process.
 
-    Raised *before* any state is mutated — schema or world-size
-    mismatches, unreadable/torn archives, broken content seals, and
-    partial sections must fail the restore loudly up front, not as a
-    cryptic ``KeyError`` halfway through repopulating K-FAC state.
+    Raised with every owner as it was: unreadable or torn archives,
+    broken or missing content seals and newer schema versions before any
+    owner is asked, an owner's refusal of its sections (a partial or
+    mis-shaped K-FAC section) after the owners it already restored are
+    put back.
     """
 
 
@@ -177,77 +162,43 @@ def content_crc32(arrays: dict[str, np.ndarray]) -> int:
     return _seal(_serialise(arrays))
 
 
-def _no_hooks(point: str, path: Path) -> None:
-    return None
-
-
 def save_checkpoint(
     path: str | Path,
-    model: Module,
-    kfac: Kfac | None = None,
+    owners: dict,
     *,
-    compressor=None,
-    world_size: int | None = None,
-    step: int | None = None,
-    hooks: Callable[[str, Path], None] | None = None,
-) -> Path:
-    """Atomically write model (+ optional K-FAC/compressor) state.
+    world_size: int,
+    step: int,
+    hooks: Callable[[str, Path], None] | None,
+) -> Archive:
+    """Atomically write every owner's ``state_dict()`` as one sealed archive.
 
-    ``world_size`` stamps the archive with the cluster size it was taken
-    at; restores can then reject a checkpoint from a differently-sized
-    world (layer-ownership tables and per-rank state are world-indexed).
-    ``step`` stamps the training step the archive represents (stores use
-    it to resume from the right batch after a generation fallback).
+    ``owners`` maps a section name to an object with ``state_dict()``
+    (a ``None`` owner is absent); its arrays are stored under
+    ``"<name>/<key>"``.  ``world_size`` stamps the cluster size the
+    archive was taken at, for ``repro fsck`` and a reader of the
+    archive: restores accept any world, because an elastic recovery
+    restores across a shrink.  ``step`` stamps the training step the
+    archive represents (stores use it to resume from the right batch
+    after a generation fallback).
 
     ``hooks(point, path)`` is called at each :data:`SAVE_POINTS` stage —
     the storage fault plane uses it to inject crashes and torn writes at
     deterministic points.  Returns the final archive path as an
     :class:`Archive`.
     """
-    hook = hooks if hooks is not None else _no_hooks
-    arrays: dict[str, np.ndarray] = {"meta/schema_version": np.array(SCHEMA_VERSION)}
-    if world_size is not None:
-        arrays["meta/world_size"] = np.array(int(world_size))
-    if step is not None:
-        arrays["meta/step"] = np.array(int(step))
-    for name, p in model.named_parameters():
-        arrays[f"param/{name}"] = p.data
-    if kfac is not None:
-        arrays["kfac/t"] = np.array(kfac.t)
-        for idx, st in kfac.state.items():
-            if st.A is not None:
-                arrays[f"kfac/{idx}/A"] = st.A
-                arrays[f"kfac/{idx}/G"] = st.G
-                arrays[f"kfac/{idx}/n_updates"] = np.array(st.n_updates)
-            if st.ready:
-                arrays[f"kfac/{idx}/QA"] = st.QA
-                arrays[f"kfac/{idx}/vA"] = st.vA
-                arrays[f"kfac/{idx}/QG"] = st.QG
-                arrays[f"kfac/{idx}/vG"] = st.vG
-            if st.momentum_buf is not None:
-                arrays[f"kfac/{idx}/momentum"] = st.momentum_buf
-        for i, buf in enumerate(kfac._other_momentum):
-            arrays[f"kfac/other_momentum/{i}"] = buf
-    if compressor is not None:
-        for key, value in compressor.state_dict().items():
-            arrays[_COMPRESSOR + key] = value
+    arrays: dict[str, np.ndarray] = {
+        "meta/schema_version": np.array(SCHEMA_VERSION),
+        "meta/world_size": np.array(int(world_size)),
+        "meta/step": np.array(int(step)),
+    }
+    for name, owner in owners.items():
+        if owner is not None:
+            arrays.update((f"{name}/{key}", value) for key, value in owner.state_dict().items())
     sections = _serialise(arrays)
     sections += _serialise({_SEAL_KEY: np.array(_seal(sections), dtype=np.uint32)})
     blob = _archive(sections)
-
-    final = _final_path(path)
-    tmp = final.with_name(f".{final.stem}.tmp.{os.getpid()}-{next(_TMP_COUNTER)}.npz")
-    final = Archive(final)
-    try:
-        hook("save:begin", final)
-        with open(tmp, "wb") as fh:
-            fh.write(blob)
-        hook("save:tmp_written", tmp)
-        os.replace(tmp, final)
-        hook("save:replaced", final)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    final = Archive(_final_path(path))
+    replace_file(final, blob, hooks, "save")
     final.nbytes, final.crc32 = len(blob), zlib.crc32(blob)
     return final
 
@@ -407,6 +358,24 @@ def read_meta(data: dict[str, np.ndarray]) -> dict:
     return meta
 
 
+def _sealed_meta(path: Path, data: dict[str, np.ndarray]) -> dict:
+    """The archive's meta dict once its content seal checks out: the one
+    seal check.  ``sealed`` says whether there was a seal to check;
+    raises :class:`CheckpointError` when the sections do not match it."""
+    meta = read_meta(data)
+    stored = meta.get("content_crc32")
+    meta["sealed"] = stored is not None
+    if stored is not None:
+        actual = content_crc32(data)
+        if actual != stored:
+            raise CheckpointError(
+                f"{path}: content seal mismatch "
+                f"(stored crc32 {stored:#010x}, actual {actual:#010x}) — bit rot "
+                f"or tampering"
+            )
+    return meta
+
+
 def verify_checkpoint(path: str | Path) -> dict:
     """Verify an archive's content seal without restoring anything.
 
@@ -416,149 +385,52 @@ def verify_checkpoint(path: str | Path) -> dict:
     unreadable archive or a seal mismatch; pre-seal archives (schema
     version < 3) verify structurally only, with ``sealed=False``.
     """
-    data = _read_all(_final_path(path))
-    meta = read_meta(data)
-    stored = meta.get("content_crc32")
-    if stored is None:
-        meta["sealed"] = False
-        return meta
-    actual = content_crc32(data)
-    if actual != stored:
-        raise CheckpointError(
-            f"{_final_path(path)}: content seal mismatch "
-            f"(stored crc32 {stored:#010x}, actual {actual:#010x}) — bit rot "
-            f"or tampering"
-        )
-    meta["sealed"] = True
-    return meta
+    path = _final_path(path)
+    return _sealed_meta(path, _read_all(path))
 
 
-def _check_shape(key: str, arr: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    if arr.shape != shape:
-        raise CheckpointError(
-            f"checkpoint K-FAC state {key!r} has shape {arr.shape}, expected {shape}"
-        )
-    return arr
+def load_checkpoint(path: str | Path, owners: dict) -> dict:
+    """Restore each owner from its sections of a sealed archive, or none.
 
-
-def _restore_kfac(data, kfac) -> None:
-    """Restore K-FAC factors with full shape validation.
-
-    Every factor array is validated against the model's layer dimensions
-    before any assignment: A must be (in+bias)², G out², eigenvector/
-    eigenvalue arrays must match their factors, and the momentum buffer
-    must match the layer's gradient shape.  A factor section that is
-    present but incomplete (A without G/n_updates, QA without vG, ...)
-    raises naming the missing key — a half-restored preconditioner is a
-    silently wrong trajectory, not a recovery.
-    """
-    if "kfac/t" in data:
-        kfac.t = int(data["kfac/t"])
-    for idx, st in kfac.state.items():
-        in_f, out_f = kfac.layer_dims(idx)
-        a_key = f"kfac/{idx}/A"
-        if a_key in data:
-            for needed in (f"kfac/{idx}/G", f"kfac/{idx}/n_updates"):
-                if needed not in data:
-                    raise CheckpointError(
-                        f"checkpoint K-FAC state is incomplete: {a_key!r} present "
-                        f"but {needed!r} missing"
-                    )
-            A = _check_shape(a_key, data[a_key], (in_f, in_f))
-            G = _check_shape(f"kfac/{idx}/G", data[f"kfac/{idx}/G"], (out_f, out_f))
-            st.A = A
-            st.G = G
-            st.n_updates = int(data[f"kfac/{idx}/n_updates"])
-            if f"kfac/{idx}/QA" in data:
-                # Saved eigendecomposition: restore verbatim so a resumed
-                # run keeps the exact inverse it was using (recomputing
-                # from A/G would re-warm mid-interval).
-                for needed in (f"kfac/{idx}/vA", f"kfac/{idx}/QG", f"kfac/{idx}/vG"):
-                    if needed not in data:
-                        raise CheckpointError(
-                            f"checkpoint K-FAC state is incomplete: "
-                            f"'kfac/{idx}/QA' present but {needed!r} missing"
-                        )
-                st.QA = _check_shape(f"kfac/{idx}/QA", data[f"kfac/{idx}/QA"], (in_f, in_f))
-                st.vA = _check_shape(f"kfac/{idx}/vA", data[f"kfac/{idx}/vA"], (in_f,))
-                st.QG = _check_shape(f"kfac/{idx}/QG", data[f"kfac/{idx}/QG"], (out_f, out_f))
-                st.vG = _check_shape(f"kfac/{idx}/vG", data[f"kfac/{idx}/vG"], (out_f,))
-            else:
-                kfac.compute_eigen(idx)
-        if f"kfac/{idx}/momentum" in data:
-            st.momentum_buf = _check_shape(
-                f"kfac/{idx}/momentum", data[f"kfac/{idx}/momentum"], (out_f, in_f)
-            )
-    for i in range(len(kfac._other_momentum)):
-        key = f"kfac/other_momentum/{i}"
-        if key in data:
-            if data[key].shape != kfac._other_momentum[i].shape:
-                raise CheckpointError(
-                    f"checkpoint K-FAC state {key!r} has shape {data[key].shape}, "
-                    f"expected {kfac._other_momentum[i].shape}"
-                )
-            kfac._other_momentum[i][...] = data[key]
-
-
-def load_checkpoint(
-    path: str | Path,
-    model: Module,
-    kfac: Kfac | None = None,
-    *,
-    compressor=None,
-    verify: bool | None = None,
-) -> dict:
-    """Restore state written by :func:`save_checkpoint` in place.
-
-    Raises :class:`CheckpointError` — before touching any state — when
-    the archive is unreadable or torn, its content seal does not match
-    (``verify=None``, the default, checks the seal whenever one is
-    present; ``verify=True`` additionally *requires* one), the schema
-    version is not one this build understands, or any K-FAC section is
-    partial or mis-shaped.  Raises ``KeyError`` if the
-    checkpoint is missing a parameter the model has, and ``ValueError``
-    on parameter shape mismatches — silent partial restores are worse
-    than failing loudly.  Archives without ``meta/*`` keys (schema
-    version 1) keep loading; compressor keys are likewise optional *as a
-    whole section*.
+    ``owners`` is the mapping :func:`save_checkpoint` took; each owner
+    gets ``load_state_dict({key: array})`` of its ``"<name>/<key>"``
+    sections (an empty dict when the archive has none).  The archive is
+    read whole and its content seal checked first: an unreadable or torn
+    archive, a seal that does not match, an archive without one, or a
+    schema version newer than this build's raises
+    :class:`CheckpointError` before any owner is asked.  If an owner
+    raises, every owner restored before it is put back through its own
+    ``state_dict()``, so a failed restore leaves all of them as they
+    were.
 
     Returns the archive's meta dict (schema version, world size, step).
     """
-    data = _read_all(_final_path(path))
-    meta = read_meta(data)
+    path = _final_path(path)
+    data = _read_all(path)
+    meta = _sealed_meta(path, data)
     version = meta["schema_version"]
+    if not meta["sealed"]:
+        raise CheckpointError(
+            f"{path}: the archive carries no content seal (schema version {version})"
+        )
     if version > SCHEMA_VERSION:
         raise CheckpointError(
             f"checkpoint schema version {version} is newer than this build's "
             f"{SCHEMA_VERSION}; refusing a partial restore"
         )
-    stored_crc = meta.get("content_crc32")
-    if verify and stored_crc is None:
-        raise CheckpointError(
-            f"{_final_path(path)}: verify=True but the archive carries no "
-            f"content seal (schema version {version})"
-        )
-    if stored_crc is not None and verify is not False:
-        actual = content_crc32(data)
-        if actual != stored_crc:
-            raise CheckpointError(
-                f"{_final_path(path)}: content seal mismatch "
-                f"(stored crc32 {stored_crc:#010x}, actual {actual:#010x})"
-            )
-    for name, p in model.named_parameters():
-        key = f"param/{name}"
-        if key not in data:
-            raise KeyError(f"checkpoint missing parameter {name!r}")
-        stored = data[key]
-        if stored.shape != p.data.shape:
-            raise ValueError(
-                f"shape mismatch for {name!r}: checkpoint {stored.shape}, model {p.data.shape}"
-            )
-        p.data = stored.astype(np.float32)
-    if kfac is not None:
-        _restore_kfac(data, kfac)
-    if compressor is not None:
-        compressor.load_state_dict(
-            {k.removeprefix(_COMPRESSOR): v for k, v in data.items() if k.startswith(_COMPRESSOR)}
-        )
+    sections: dict[str, dict] = {name: {} for name, owner in owners.items() if owner is not None}
+    for key, arr in data.items():
+        name, _, rest = key.partition("/")
+        if name in sections:
+            sections[name][rest] = arr
+    restored = []
+    try:
+        for name, section in sections.items():
+            owner = owners[name]
+            restored.append((owner, owner.state_dict()))
+            owner.load_state_dict(section)
+    except BaseException:
+        for owner, before in reversed(restored):
+            owner.load_state_dict(before)
+        raise
     return meta

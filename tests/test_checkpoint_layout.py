@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
-from repro.core import AdaptiveCompso, StepLrSchedule
+from repro.core import AdaptiveCompso, CompsoCompressor, StepLrSchedule
 from repro.models import resnet_proxy
 from repro.nn import Linear
 from repro.optim import Kfac
@@ -41,15 +41,19 @@ def _state(seed=0):
     return model, kfac, AdaptiveCompso(StepLrSchedule(4), seed=seed)
 
 
-def _save(path, seed=0, **kw):
+def _owners(model, kfac=None, comp=None) -> dict:
+    return {"param": model, "kfac": kfac, "compressor": comp}
+
+
+def _save(path, seed=0, *, world_size=1, step=0):
     model, kfac, comp = _state(seed)
-    save_checkpoint(path, model, kfac, compressor=comp, **kw)
+    save_checkpoint(path, _owners(model, kfac, comp), world_size=world_size, step=step, hooks=None)
     return model, kfac, comp
 
 
-def _restore(path, **kw):
+def _restore(path):
     model, kfac, comp = _state(seed=7)
-    meta = load_checkpoint(path, model, kfac, compressor=comp, **kw)
+    meta = load_checkpoint(path, _owners(model, kfac, comp))
     return model, kfac, comp, meta
 
 
@@ -100,20 +104,67 @@ class TestFlatLayout:
         assert ckpt._archive(sections) == (tmp_path / "np.npz").read_bytes()
 
     def test_a_save_reports_the_bytes_it_wrote(self, tmp_path):
-        archive = save_checkpoint(tmp_path / "c", _state()[0], step=1)
+        archive = save_checkpoint(
+            tmp_path / "c", _owners(_state()[0]), world_size=1, step=1, hooks=None
+        )
         assert archive == tmp_path / "c.npz"
         assert archive.nbytes == archive.stat().st_size
         assert archive.crc32 == zlib.crc32(archive.read_bytes())
 
     def test_round_trip_is_bit_identical(self, tmp_path):
         saved = _save(tmp_path / "c.npz")
-        *restored, _ = _restore(tmp_path / "c.npz", verify=True)
+        *restored, _ = _restore(tmp_path / "c.npz")
         assert _same_state(saved, tuple(restored))
 
     def test_materialised_arrays_are_writable_and_own_their_memory(self, tmp_path):
         _save(tmp_path / "c.npz")
         for arr in ckpt._read_all(tmp_path / "c.npz").values():
             assert arr.flags.writeable and arr.flags.owndata and arr.flags.aligned
+
+
+def _hand_set_state():
+    """Owners holding every kind of section, each array drawn from one
+    seeded generator (no ``eigh``, so no BLAS build moves a byte): layer 0
+    has no state, layer 1 factors only, layer 2 factors and momentum,
+    every later layer factors, eigendecomposition and momentum."""
+    rng = np.random.default_rng(48)
+    model = resnet_proxy(n_classes=4, channels=4, rng=0)
+    model.load_state_dict(
+        {n: rng.standard_normal(p.shape).astype(np.float32) for n, p in model.named_parameters()}
+    )
+    kfac = Kfac(model)
+    state = {"t": np.array(7)}
+    for idx in range(1, len(kfac.layers)):
+        i, o = kfac.layer_dims(idx)
+        state[f"{idx}/A"] = rng.standard_normal((i, i))
+        state[f"{idx}/G"] = rng.standard_normal((o, o))
+        state[f"{idx}/n_updates"] = np.array(idx)
+        if idx >= 2:
+            state[f"{idx}/momentum"] = rng.standard_normal((o, i)).astype(np.float32)
+        if idx >= 3:
+            state.update({f"{idx}/QA": rng.standard_normal((i, i)), f"{idx}/vA": rng.random(i),
+                          f"{idx}/QG": rng.standard_normal((o, o)), f"{idx}/vG": rng.random(o)})
+    for j, p in enumerate(kfac.other_params):
+        state[f"other_momentum/{j}"] = rng.standard_normal(p.shape).astype(np.float32)
+    kfac.load_state_dict(state)
+    comp = CompsoCompressor(4e-3, 2e-3, seed=48)
+    comp.set_bounds(3e-3, 1e-3)
+    return _owners(model, kfac, comp)
+
+
+class TestArchivePin:
+    #: Size and CRC32 of the archive ``_hand_set_state`` saves, as the writer that
+    #: spelled out K-FAC's and the model's sections itself wrote it.
+    PINNED = (56_304, 0xE6A891FF)
+
+    def test_every_section_kind_keeps_its_bytes(self, tmp_path):
+        owners = _hand_set_state()
+        assert {k.split("/")[-1] for k in owners["kfac"].state_dict()} >= {
+            "t", "A", "G", "n_updates", "QA", "vA", "QG", "vG", "momentum", "0"
+        }
+        archive = save_checkpoint(tmp_path / "pin", owners, world_size=4, step=7, hooks=None)
+        assert archive.crc32 == zlib.crc32(archive.read_bytes())
+        assert (archive.nbytes, archive.crc32) == self.PINNED
 
 
 class TestLegacyLayout:
@@ -127,7 +178,7 @@ class TestLegacyLayout:
 
         meta = verify_checkpoint(old)
         assert meta["schema_version"] == 3 and meta["sealed"] and meta["step"] == 5
-        *restored, meta = _restore(old, verify=True)
+        *restored, meta = _restore(old)
         assert meta["schema_version"] == 3 and meta["world_size"] == 2
         assert _same_state(saved, tuple(restored))
 
@@ -151,7 +202,7 @@ class TestLegacyLayout:
         for step in (1, 2, 3):
             for p in model.parameters():
                 p.data += 0.01
-            entry = store.save(model, step=step)
+            entry = store.save(_owners(model), world_size=1, step=step)
             snaps[step] = _params(model)
             if step == 2:
                 write_schema3_archive(tmp_path / entry.file)
@@ -171,7 +222,7 @@ class TestLegacyLayout:
 
         reader = CheckpointStore(tmp_path)
         fresh = resnet_proxy(n_classes=4, channels=8, rng=5)
-        assert reader.load_latest(fresh).step == 2
+        assert reader.load_latest(_owners(fresh)).step == 2
         assert np.array_equal(_params(fresh), snaps[2])
         assert [ev.kind for ev in reader.abnormal_events()] == ["fallback", "quarantine"]
 
@@ -184,7 +235,7 @@ class TestLegacyLayout:
         )
         before = _params(model)
         with pytest.raises(CheckpointError, match="schema version 5 is newer than this build"):
-            load_checkpoint(future, model)
+            load_checkpoint(future, _owners(model))
         assert np.array_equal(before, _params(model))
 
 
@@ -193,7 +244,7 @@ class TestRestoreReadsOnce:
         store = CheckpointStore(tmp_path)
         model = resnet_proxy(n_classes=4, channels=8, rng=0)
         for step in (1, 2):
-            store.save(model, step=step)
+            store.save(_owners(model), world_size=1, step=step)
         newest = store.generations(quiet=True)[-1]
         rewrite_archive(
             tmp_path / newest.file,
@@ -206,7 +257,7 @@ class TestRestoreReadsOnce:
         real = ckpt._read_all
         monkeypatch.setattr(ckpt, "_read_all", lambda path: reads.append(path.name) or real(path))
         reader = CheckpointStore(tmp_path)
-        assert reader.load_latest(model).step == 1
+        assert reader.load_latest(_owners(model)).step == 1
         assert reads == ["gen-00000002.npz", "gen-00000001.npz"]
         assert [ev.kind for ev in reader.events] == ["fallback", "quarantine", "verify_ok"]
 
@@ -282,14 +333,16 @@ class TestIndexValidation:
     @pytest.mark.parametrize("member, marker", [("index", b'"param/'), ("data", None)])
     def test_a_damaged_member_is_named(self, tmp_path, member, marker):
         model = Linear(3, 2, rng=0)
-        path = save_checkpoint(tmp_path / "c.npz", model)
+        path = save_checkpoint(
+            tmp_path / "c.npz", _owners(model), world_size=1, step=0, hooks=None
+        )
         blob = bytearray(path.read_bytes())
         at = blob.find(marker if marker else model.weight.data.tobytes())
         assert at > 0
         blob[at + 1] ^= 0x10
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match=rf"c\.npz: corrupt checkpoint member '{member}'"):
-            load_checkpoint(path, model)
+            load_checkpoint(path, _owners(model))
 
     def test_a_hidden_member_does_not_read_as_an_older_archive(self, tmp_path):
         """One member alone is a damaged schema-4 archive, not an unsealed schema-1 one."""
@@ -304,7 +357,8 @@ class TestEveryBitAndEveryCut:
     @pytest.fixture(scope="class")
     def archive(self, tmp_path_factory):
         model = Linear(2, 2, rng=0)
-        path = save_checkpoint(tmp_path_factory.mktemp("fuzz") / "c.npz", model, step=3)
+        path = tmp_path_factory.mktemp("fuzz") / "c.npz"
+        save_checkpoint(path, _owners(model), world_size=1, step=3, hooks=None)
         return path, path.read_bytes(), {n: p.data.copy() for n, p in model.named_parameters()}
 
     @staticmethod
@@ -312,7 +366,7 @@ class TestEveryBitAndEveryCut:
         path.write_bytes(blob)
         model = Linear(2, 2, rng=1)
         try:
-            meta = load_checkpoint(path, model)
+            meta = load_checkpoint(path, _owners(model))
         except CheckpointError:
             return "refused"
         same = meta.get("step") == 3 and all(

@@ -1,9 +1,9 @@
-"""Atomic checkpointing and exact-trajectory resume.
+"""Atomic checkpointing, exact-trajectory resume, all-or-nothing restores.
 
-Archive-level behaviour (atomic writes, the ``.npz`` suffix) is exercised
-through ``save_checkpoint`` / ``load_checkpoint``;
-a trainer's own checkpoints are ``CheckpointStore`` generations, resumed
-with ``restore_latest()``."""
+Archive-level behaviour (atomic writes, the ``.npz`` suffix, a refused
+restore) is exercised through ``save_checkpoint`` / ``load_checkpoint``
+with the trainer's owners; a trainer's own checkpoints are
+``CheckpointStore`` generations, resumed with ``restore_latest()``."""
 
 import numpy as np
 import pytest
@@ -17,7 +17,9 @@ from repro.kfac_dist import DistributedKfacTrainer
 from repro.models import resnet_proxy
 from repro.store import CheckpointStore
 from repro.train import ClassificationTask
-from repro.util.checkpoint import _read_all, load_checkpoint, save_checkpoint
+from repro.util.checkpoint import CheckpointError, _read_all, load_checkpoint, save_checkpoint
+from tests.archives import rewrite_archive, vouch_for
+from tests.conftest import tiny_kfac_trainer
 
 
 def _make_trainer(seed=0, compressor=None, store=None, **kw):
@@ -40,13 +42,39 @@ def _params(model) -> np.ndarray:
     return np.concatenate([p.data.ravel() for p in model.parameters()])
 
 
+def _owners(tr) -> dict:
+    return {"param": tr.model, "kfac": tr.kfac, "compressor": tr.compressor}
+
+
+def _state(tr) -> dict[str, np.ndarray]:
+    """A copy of everything a checkpoint of ``tr`` would hold."""
+    return {
+        f"{name}/{key}": np.array(value, copy=True)
+        for name, owner in _owners(tr).items()
+        for key, value in owner.state_dict().items()
+    }
+
+
+def _tiny(**kw):
+    return tiny_kfac_trainer(compressor=AdaptiveCompso(StepLrSchedule(4), seed=0), **kw)
+
+
+def _same(a: dict, b: dict) -> bool:
+    return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
+
+
+def _drop_a_factor(arrays):
+    """Layer 3's ``G`` goes; the archive is resealed, so only K-FAC can tell."""
+    del arrays["kfac/3/G"]
+
+
 class TestAtomicSave:
     def test_interrupted_save_preserves_previous_checkpoint(self, tmp_path):
         """A crash mid-write must leave the old checkpoint intact."""
         tr, _ = _make_trainer()
         path = tmp_path / "ckpt.npz"
         tr.train(iterations=2, batch_size=16)
-        save_checkpoint(path, tr.model, tr.kfac, compressor=tr.compressor, step=tr.t)
+        save_checkpoint(path, _owners(tr), world_size=2, step=tr.t, hooks=None)
         good = path.read_bytes()
 
         def torn_write(point, target):
@@ -58,21 +86,59 @@ class TestAtomicSave:
 
         tr.train(iterations=1, batch_size=16)
         with pytest.raises(OSError, match="simulated crash"):
-            save_checkpoint(path, tr.model, tr.kfac, compressor=tr.compressor, hooks=torn_write)
+            save_checkpoint(path, _owners(tr), world_size=2, step=tr.t, hooks=torn_write)
 
         assert path.read_bytes() == good  # previous checkpoint untouched
         assert not list(tmp_path.glob(".*.tmp.*"))  # temp file cleaned up
         tr2, _ = _make_trainer()
-        load_checkpoint(path, tr2.model, tr2.kfac, compressor=tr2.compressor)  # still loads
+        load_checkpoint(path, _owners(tr2))  # still loads
         assert tr2.kfac.t == 2
 
     def test_npz_suffix_appended_once(self, tmp_path):
         tr, _ = _make_trainer()
         tr.train(iterations=1, batch_size=16)
-        save_checkpoint(tmp_path / "a", tr.model, tr.kfac)
-        save_checkpoint(tmp_path / "b.npz", tr.model, tr.kfac)
+        for name in ("a", "b.npz"):
+            save_checkpoint(tmp_path / name, _owners(tr), world_size=2, step=tr.t, hooks=None)
         assert (tmp_path / "a.npz").exists()
         assert (tmp_path / "b.npz").exists() and not (tmp_path / "b.npz.npz").exists()
+
+
+class TestAllOrNothingRestore:
+    """A refused restore leaves every owner as it was, and an accepted one
+    replaces K-FAC's state instead of merging into it."""
+
+    @pytest.mark.parametrize(
+        "mutate, why",
+        [
+            (_drop_a_factor, "'3/A' present but '3/G' missing"),
+            (lambda arrays: arrays.pop("kfac/1/vG"), "'1/QA' present but '1/vG' missing"),
+            (lambda arrays: arrays.update({"kfac/2/A": arrays["kfac/2/A"][:-1]}), "'2/A' has shape"),
+            (lambda arrays: arrays.update({"kfac/9/A": arrays["kfac/0/A"]}), "'9/A' names no"),
+        ],
+    )
+    def test_a_refused_archive_changes_no_owner(self, tmp_path, mutate, why):
+        tr = _tiny()
+        tr.train(iterations=3, batch_size=8)
+        path = save_checkpoint(tmp_path / "c", _owners(tr), world_size=2, step=tr.t, hooks=None)
+        rewrite_archive(path, mutate=mutate)
+        fresh = _tiny()
+        before = _state(fresh)
+        with pytest.raises(CheckpointError, match=why):
+            load_checkpoint(path, _owners(fresh))
+        assert _same(_state(fresh), before)
+
+    def test_a_fallback_restores_the_older_generation_whole(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        tr = _tiny(checkpoint_store=store)
+        clean = _state(tr)
+        tr.save_state()
+        tr.train(iterations=3, batch_size=8)
+        newest = tr.save_state()
+        rewrite_archive(tmp_path / newest.file, mutate=_drop_a_factor)
+        vouch_for(store, newest)
+        assert tr.restore_latest().step == 0
+        assert [ev.kind for ev in store.abnormal_events()] == ["fallback", "quarantine"]
+        assert tr.t == 0 and _same(_state(tr), clean)
 
 
 class TestExactResume:

@@ -599,11 +599,12 @@ class TestBoundsValidation:
 
 
 class TestCheckpointSchema:
-    def _save(self, tmp_path, **kw):
+    def _save(self, tmp_path, world_size=1):
         model = resnet_proxy(n_classes=4, channels=8, rng=0)
         from repro.util.checkpoint import save_checkpoint
 
-        save_checkpoint(tmp_path / "c", model, **kw)
+        owners = {"param": model}
+        save_checkpoint(tmp_path / "c", owners, world_size=world_size, step=0, hooks=None)
         return model
 
     def test_newer_schema_version_rejected(self, tmp_path):
@@ -616,7 +617,7 @@ class TestCheckpointSchema:
             mutate=lambda arrays: arrays.update({"meta/schema_version": np.array(99)}),
         )
         with pytest.raises(CheckpointError, match="schema version 99"):
-            load_checkpoint(tmp_path / "future.npz", model)
+            load_checkpoint(tmp_path / "future.npz", {"param": model})
 
     def test_mutation_free_rejection(self, tmp_path):
         """A rejected restore must not have touched the model."""
@@ -634,7 +635,7 @@ class TestCheckpointSchema:
         for p in model.parameters():
             p.data = p.data + 1.0
         with pytest.raises(CheckpointError, match="content seal mismatch"):
-            load_checkpoint(tmp_path / "rot.npz", model)
+            load_checkpoint(tmp_path / "rot.npz", {"param": model})
         assert np.array_equal(_params(model), before + 1.0)  # untouched by the failed load
 
 

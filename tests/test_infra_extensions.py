@@ -22,6 +22,7 @@ from repro.models import resnet_proxy
 from repro.optim import Kfac
 from repro.train import ClassificationTask
 from repro.util import load_checkpoint, save_checkpoint
+from tests.archives import rewrite_archive
 
 
 class TestNewCollectives:
@@ -52,11 +53,11 @@ class TestCheckpoint:
     def test_roundtrip_parameters(self, tmp_path, rng):
         model = resnet_proxy(n_classes=4, channels=8, rng=1)
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, model)
+        save_checkpoint(path, {"param": model}, world_size=1, step=0, hooks=None)
         reference = [p.data.copy() for p in model.parameters()]
         for p in model.parameters():
             p.data += 1.0
-        load_checkpoint(path, model)
+        load_checkpoint(path, {"param": model})
         for p, ref in zip(model.parameters(), reference):
             assert np.array_equal(p.data, ref)
 
@@ -68,29 +69,31 @@ class TestCheckpoint:
         trainer.train(iterations=4, batch_size=16)
         kfac = trainer.kfac
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, model, kfac)
+        save_checkpoint(path, {"param": model, "kfac": kfac}, world_size=1, step=4, hooks=None)
         model2 = resnet_proxy(n_classes=3, channels=8, rng=99)
         kfac2 = Kfac(model2, lr=0.05)
-        load_checkpoint(path, model2, kfac2)
+        load_checkpoint(path, {"param": model2, "kfac": kfac2})
         assert kfac2.state[0].n_updates == kfac.state[0].n_updates
         assert np.allclose(kfac2.state[0].A, kfac.state[0].A)
-        assert kfac2.state[0].ready  # eigendecomposition recomputed
+        assert np.array_equal(kfac2.state[0].QA, kfac.state[0].QA)  # restored, not recomputed
 
     def test_shape_mismatch_raises(self, tmp_path):
         model = resnet_proxy(n_classes=4, channels=8, rng=1)
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, model)
+        save_checkpoint(path, {"param": model}, world_size=1, step=0, hooks=None)
         other = resnet_proxy(n_classes=5, channels=8, rng=1)
         with pytest.raises(ValueError):
-            load_checkpoint(path, other)
+            load_checkpoint(path, {"param": other})
 
     def test_missing_param_raises(self, tmp_path):
-        import numpy as np2
-
-        path = tmp_path / "ckpt.npz"
-        np2.savez(path, **{"param/nothing": np2.zeros(1)})
-        with pytest.raises(KeyError):
-            load_checkpoint(path, resnet_proxy(rng=1))
+        model = resnet_proxy(rng=1)
+        path = save_checkpoint(
+            tmp_path / "ckpt.npz", {"param": model}, world_size=1, step=0, hooks=None
+        )
+        name = next(model.named_parameters())[0]
+        rewrite_archive(path, mutate=lambda arrays: arrays.pop(f"param/{name}"))
+        with pytest.raises(KeyError, match=name):
+            load_checkpoint(path, {"param": resnet_proxy(rng=1)})
 
 
 class TestCli:

@@ -58,11 +58,12 @@ class TestCheckpointResume:
         tr1 = DistributedKfacTrainer(model, task, SimCluster(1, 1, seed=0), inv_update_freq=5)
         h1 = tr1.train(iterations=10, batch_size=64, eval_every=10, seed=0)
         path = tmp_path / "mid.npz"
-        save_checkpoint(path, model, tr1.kfac)
+        owners = {"param": model, "kfac": tr1.kfac}
+        save_checkpoint(path, owners, world_size=1, step=tr1.t, hooks=None)
 
         model2 = resnet_proxy(5, 8, rng=999)  # different init
         tr2 = DistributedKfacTrainer(model2, task, SimCluster(1, 1, seed=0), inv_update_freq=5)
-        load_checkpoint(path, model2, tr2.kfac)
+        load_checkpoint(path, {"param": model2, "kfac": tr2.kfac})
         h2 = tr2.train(iterations=10, batch_size=64, eval_every=10, seed=1)
         assert h2.losses[0] <= h1.losses[0]  # starts from the trained state
         assert h2.final_metric() >= h1.final_metric() - 5.0

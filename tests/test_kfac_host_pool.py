@@ -187,7 +187,7 @@ def test_odd_shard_count_after_an_elastic_shrink(tmp_path, pool, monkeypatch):
 
 
 def test_restore_between_steps(tmp_path, pool, monkeypatch):
-    """``load_checkpoint`` rebinds every ``Parameter.data``: the replicas
+    """A restore rebinds every ``Parameter.data``: the replicas
     must read the restored arrays, not the ones they were built on."""
 
     def restore(trainer, t):

@@ -31,6 +31,10 @@ def _model(seed=0):
     return resnet_proxy(n_classes=4, channels=8, rng=seed)
 
 
+def _owners(model) -> dict:
+    return {"param": model}
+
+
 def _params(model) -> np.ndarray:
     return np.concatenate([p.data.ravel() for p in model.parameters()])
 
@@ -49,7 +53,7 @@ def _fill(store, steps):
     snaps = {}
     for step in steps:
         _nudge(model)
-        store.save(model, step=step)
+        store.save(_owners(model), world_size=1, step=step)
         snaps[step] = _params(model).copy()
     return model, snaps
 
@@ -112,12 +116,12 @@ class TestStoreLifecycle:
         store = CheckpointStore(tmp_path)
         _, snaps = _fill(store, [1, 2])
         fresh = _model(seed=5)
-        gen = CheckpointStore(tmp_path).load_latest(fresh)
+        gen = CheckpointStore(tmp_path).load_latest(_owners(fresh))
         assert gen.step == 2
         assert np.array_equal(_params(fresh), snaps[2])
 
     def test_empty_store_loads_none(self, tmp_path):
-        assert CheckpointStore(tmp_path).load_latest(_model()) is None
+        assert CheckpointStore(tmp_path).load_latest(_owners(_model())) is None
 
     def test_next_gen_number_skips_orphans(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -125,9 +129,11 @@ class TestStoreLifecycle:
         # A crash between archive replace and manifest replace leaves an
         # orphan the manifest doesn't know about; its number must not be
         # reused by the next save.
-        save_checkpoint(tmp_path / "gen-00000007.npz", _model(), step=9)
+        save_checkpoint(
+            tmp_path / "gen-00000007.npz", _owners(_model()), world_size=1, step=9, hooks=None
+        )
         model = _model()
-        entry = store.save(model, step=2)
+        entry = store.save(_owners(model), world_size=1, step=2)
         assert entry.gen == 8
 
 
@@ -141,7 +147,7 @@ class TestCorruptionFallback:
 
         reader = CheckpointStore(tmp_path)
         fresh = _model(seed=5)
-        gen = reader.load_latest(fresh)
+        gen = reader.load_latest(_owners(fresh))
         assert gen.step == 1
         assert np.array_equal(_params(fresh), snaps[1])
         kinds = [ev.kind for ev in reader.events]
@@ -158,7 +164,7 @@ class TestCorruptionFallback:
 
         reader = CheckpointStore(tmp_path)
         fresh = _model(seed=5)
-        assert reader.load_latest(fresh).step == 1
+        assert reader.load_latest(_owners(fresh)).step == 1
         assert np.array_equal(_params(fresh), snaps[1])
 
     def test_content_seal_catches_what_a_lying_manifest_misses(self, tmp_path):
@@ -179,7 +185,7 @@ class TestCorruptionFallback:
         vouch_for(store, newest)
 
         reader = CheckpointStore(tmp_path)
-        assert reader.load_latest(_model(seed=5)).step == 1
+        assert reader.load_latest(_owners(_model(seed=5))).step == 1
         assert any(ev.kind == "fallback" for ev in reader.events)
 
     def test_all_generations_damaged_raises_store_error(self, tmp_path):
@@ -188,7 +194,7 @@ class TestCorruptionFallback:
         for gen in store.generations():
             _flip_byte(tmp_path / gen.file)
         with pytest.raises(StoreError, match="no generation passed"):
-            CheckpointStore(tmp_path).load_latest(_model(seed=5))
+            CheckpointStore(tmp_path).load_latest(_owners(_model(seed=5)))
 
     def test_missing_generation_file_is_an_event_not_a_crash(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -196,7 +202,7 @@ class TestCorruptionFallback:
         (tmp_path / store.generations(quiet=True)[-1].file).unlink()
         reader = CheckpointStore(tmp_path)
         fresh = _model(seed=5)
-        assert reader.load_latest(fresh).step == 1
+        assert reader.load_latest(_owners(fresh)).step == 1
         assert np.array_equal(_params(fresh), snaps[1])
         assert any(ev.kind == "missing" for ev in reader.events)
 
@@ -206,7 +212,7 @@ class TestCorruptionFallback:
         (tmp_path / MANIFEST_NAME).write_text("{torn garbage")
         reader = CheckpointStore(tmp_path)
         fresh = _model(seed=5)
-        gen = reader.load_latest(fresh)
+        gen = reader.load_latest(_owners(fresh))
         assert gen.step == 2
         assert np.array_equal(_params(fresh), snaps[2])
         assert any(ev.kind == "manifest_rebuilt" for ev in reader.events)
@@ -216,7 +222,7 @@ class TestCorruptionFallback:
         _fill(store, [1, 2])
         _flip_byte(tmp_path / store.generations(quiet=True)[-1].file)
         reader = CheckpointStore(tmp_path)
-        reader.load_latest(_model(seed=5))
+        reader.load_latest(_owners(_model(seed=5)))
         summary = reader.summary()
         assert summary["fallbacks"] == 1 and summary["quarantined"] == 1
         # Events never carry CRC values or byte offsets (zlib builds
@@ -236,16 +242,16 @@ class TestCrashConsistency:
         )
         model = _model()
         _nudge(model)
-        store.save(model, step=1)
+        store.save(_owners(model), world_size=1, step=1)
         committed = _params(model).copy()
         _nudge(model)
         with pytest.raises(StorageCrash, match=point):
-            store.save(model, step=2)
+            store.save(_owners(model), world_size=1, step=2)
         second = _params(model).copy()
 
         # The "reboot": a fresh store over the same directory.
         fresh = _model(seed=5)
-        gen = CheckpointStore(tmp_path).load_latest(fresh)
+        gen = CheckpointStore(tmp_path).load_latest(_owners(fresh))
         assert gen is not None, f"{point}: nothing restorable after crash"
         if point in ("manifest:replaced", "sealed"):
             # The save was fully committed before the crash.
@@ -265,14 +271,14 @@ class TestCrashConsistency:
         )
         model = _model()
         _nudge(model)
-        store.save(model, step=1)
+        store.save(_owners(model), world_size=1, step=1)
         committed = _params(model).copy()
         _nudge(model)
-        store.save(model, step=2)  # tmp torn mid-window; commit completes
+        store.save(_owners(model), world_size=1, step=2)  # tmp torn mid-window; commit completes
 
         fresh = _model(seed=5)
         reader = CheckpointStore(tmp_path)
-        assert reader.load_latest(fresh).step == 1
+        assert reader.load_latest(_owners(fresh)).step == 1
         assert np.array_equal(_params(fresh), committed)
         assert any(ev.kind == "fallback" for ev in reader.events)
 
@@ -308,7 +314,7 @@ def _faulted_reads(root, fault, save_index):
     # Which seal catches the damage: the manifest's file CRC, or the archive's own.
     seals = [(v.kind, v.status, "file CRC" in v.detail) for v in fsck_store(root)]
     reader = CheckpointStore(root)
-    restored = reader.load_latest(_model(seed=5))
+    restored = reader.load_latest(_owners(_model(seed=5)))
     events = [(ev.kind, ev.gen, ev.step, ev.detail) for ev in store.events + reader.events]
     return events, restored.step, seals
 
@@ -322,7 +328,7 @@ class TestManifestAgreesWithDisk:
         model = _model()
         for step in range(1, 6):
             _nudge(model)
-            entry = store.save(model, step=step)
+            entry = store.save(_owners(model), world_size=1, step=step)
             path = tmp_path / entry.file
             assert entry.crc32 == file_crc32(path)
             assert entry.nbytes == path.stat().st_size
@@ -370,9 +376,11 @@ class TestTmpWriterCollision:
                 if len(tmp_names) == 1:
                     # A second writer completes a full save to the same
                     # destination while the first sits in its tmp window.
-                    save_checkpoint(dest, _model(seed=9), step=9, hooks=inner_hook)
+                    save_checkpoint(
+                        dest, _owners(_model(seed=9)), world_size=1, step=9, hooks=inner_hook
+                    )
 
-        save_checkpoint(dest, _model(seed=1), step=1, hooks=outer_hook)
+        save_checkpoint(dest, _owners(_model(seed=1)), world_size=1, step=1, hooks=outer_hook)
         assert len(tmp_names) == 2 and tmp_names[0] != tmp_names[1]
         # The first writer finished last; its content won the replace
         # and is intact (no torn mix of the two writers).
@@ -398,14 +406,16 @@ class TestFsckStore:
         assert (tmp_path / "quarantine" / "gen-00000002.npz").exists()
         # Post-repair the store is healthy again.
         assert all(v.status == "ok" for v in fsck_store(tmp_path))
-        assert CheckpointStore(tmp_path).load_latest(_model(seed=5)).step == 1
+        assert CheckpointStore(tmp_path).load_latest(_owners(_model(seed=5))).step == 1
 
     def test_repair_adopts_verified_orphans(self, tmp_path):
         store = CheckpointStore(tmp_path)
         _fill(store, [1])
         # A crash after archive replace but before the manifest update.
         orphan = _model(seed=2)
-        save_checkpoint(tmp_path / "gen-00000002.npz", orphan, step=2)
+        save_checkpoint(
+            tmp_path / "gen-00000002.npz", _owners(orphan), world_size=1, step=2, hooks=None
+        )
 
         scan = {v.path: v for v in fsck_store(tmp_path)}
         assert scan[str(tmp_path / "gen-00000002.npz")].status == "orphan"
@@ -413,7 +423,7 @@ class TestFsckStore:
         verdicts = fsck_store(tmp_path, repair=True)
         assert any(v.status == "adopted" for v in verdicts)
         fresh = _model(seed=5)
-        gen = CheckpointStore(tmp_path).load_latest(fresh)
+        gen = CheckpointStore(tmp_path).load_latest(_owners(fresh))
         assert gen.gen == 2 and gen.step == 2
         assert np.array_equal(_params(fresh), _params(orphan))
 
@@ -438,7 +448,7 @@ class TestFsckStore:
         _fill(store, [1, 2])
         extra = tmp_path / "gen-extra.npz"
         notes = tmp_path / "gen-notes.npz"
-        save_checkpoint(extra, _model(), step=7)
+        save_checkpoint(extra, _owners(_model()), world_size=1, step=7, hooks=None)
         notes.write_bytes(b"notes")
         manifest = (tmp_path / MANIFEST_NAME).read_bytes()
         for repair in (False, True):
@@ -457,7 +467,8 @@ class TestFsckStore:
         the previous manifest byte-identical, and a later repair completes."""
         store = CheckpointStore(tmp_path)
         _fill(store, [1])
-        save_checkpoint(tmp_path / "gen-00000002.npz", _model(seed=2), step=2)  # an orphan
+        orphan = tmp_path / "gen-00000002.npz"
+        save_checkpoint(orphan, _owners(_model(seed=2)), world_size=1, step=2, hooks=None)
         before = (tmp_path / MANIFEST_NAME).read_bytes()
 
         class Killed(BaseException):
