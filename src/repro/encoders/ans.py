@@ -88,14 +88,36 @@ decoder quantises them as the encoder did.  Above ``2**14`` symbols the
 frequencies are the shorter of the two, and the frame carries them.  The
 frame length says which, so no header field does.
 
+Which symbols occur is an Elias-gamma stream (``repro.encoders.elias``):
+the alphabet as its alternating runs of absent and present symbols.  A
+short frame's alphabet is a few dozen runs over a few hundred symbols, so
+a run takes a few bits where a presence bit per symbol took more
+(fleet_scale, seed 1: 13 347 bytes against 22 844 over one round's
+frames).  A byte frame of up to ``2**14`` symbols continues the stream
+with its counts: one symbol dominates it (a bitmap's zero byte) and the
+rest are rare, so a count of 1 takes one bit, not the width of the
+largest.  Every other frame carries a table of fixed-width entries after
+the stream, of counts up to ``2**14`` symbols and of quantised
+frequencies above.  Gamma-coded counts would be shorter on 2-byte items
+too (7.7 KB over fleet_scale's round), but they would undo what an
+adaptive bound schedule gains by filtering: the filter takes the peak
+out of a code histogram, and a fixed-width table is what charges the
+peak to every entry (EXPERIMENTS.md "PR 49").
+
 Payload (after the 5-byte frame of :class:`Encoder`), little-endian::
 
     u16      K | (item size - 1) << 12
     u16      largest symbol          -- 2-byte items only; bytes: 255 implied
     u32      zlib.crc32 of the frame's bytes
-    A/8 B    presence bitmap over the alphabet A = largest symbol + 1,
-             bit s set when symbol s occurs (32 B for bytes)
-    u8       w, the bits of one table entry: max(1, bit_length(max entry - 1))
+    gamma    Elias-gamma codes, zero bits to the end of the last byte:
+               the runs of the alphabet A = largest symbol + 1, absent and
+               present in turn from symbol 0, the first (absent, so empty
+               when symbol 0 occurs) coded one more than its length; items
+               end on a present run;
+               bytes of up to 2**14 symbols: the count of each present
+               symbol (counts sum to the symbol count)
+    -- every other frame:
+    u8       w, the bits of one entry: max(1, bit_length(max entry - 1))
     P*w/8 B  entry - 1 of each of the P present symbols, w bits each, most
              significant bit first.  An entry is the symbol's count in a
              frame of at most 2**14 symbols (entries sum to the symbol
@@ -104,15 +126,16 @@ Payload (after the 5-byte frame of :class:`Encoder`), little-endian::
     u16 * W  renormalisation words
 
 The decoder checks every field before it uses it: item size 1 or 2 and
-dividing the frame length, ``K`` within ``[1, _lane_cap(symbols)]``,
-the last alphabet bit set and the bitmap padding clear, at most
-``2**12`` items present, ``w`` within ``[1, 14]`` and the table's
-padding clear, the table's sum (the symbol count or ``2**14``), the word
-stream's parity and length, the frame length against the most symbols
-its lanes and words can hold (:func:`_most_symbols`, before the length
-sizes any buffer), every lane's end state — and, last, the checksum of
-what it decoded: rANS re-synchronises, so a damaged word can garble a
-stretch of symbols and still bring every lane home.
+dividing the frame length, ``K`` within ``[1, _lane_cap(symbols)]``, every
+gamma prefix (at most 31 zeros) and the stream's length (within the
+payload, padding clear), the runs summing to ``A`` (ending present for
+items), at most ``2**12`` symbols present, ``w`` within ``[1, 14]`` and
+the table's padding clear, the counts' or frequencies' sum (the symbol
+count or ``2**14``), the word stream's parity and length, the frame length against
+the most symbols its lanes and words can hold (:func:`_most_symbols`,
+before the length sizes any buffer), every lane's end state — and, last,
+the checksum of what it decoded: rANS re-synchronises, so a damaged word
+can garble a stretch of symbols and still bring every lane home.
 """
 
 from __future__ import annotations
@@ -124,6 +147,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.encoders.base import _FRAME_CODED, Encoder, EncodeError
+from repro.encoders.elias import elias_gamma_encode, elias_gamma_read
 
 __all__ = ["RansEncoder", "quantize_freqs"]
 
@@ -575,6 +599,30 @@ def _table_sum(symbols: int) -> int:
     return min(symbols, _PROB_SCALE)
 
 
+def _counted(item_size: int, symbols: int) -> bool:
+    """Whether a frame's counts are gamma codes after its runs: bytes of up
+    to ``_PROB_SCALE`` symbols.  Every other frame carries a ``w``-bit table."""
+    return item_size == 1 and symbols <= _PROB_SCALE
+
+
+# Runs alternate absent, present, ...: the most a 2**16-symbol alphabet has.
+_ALTERNATE = np.arange((1 << 16) + 2) % 2 == 1
+
+
+def _runs(present: np.ndarray) -> np.ndarray:
+    """The alphabet ``[0, present.size)`` as its runs of absent and present
+    symbols in turn: the runs of ``[False, *present]``, so the first is
+    absent and one longer than it is (just the ``False`` when symbol 0 occurs)."""
+    flags = np.zeros(present.size + 1, dtype=bool)
+    flags[1:] = present
+    flips = np.flatnonzero(flags[1:] != flags[:-1])
+    # Where each run starts, and where the last ends (np.diff's prepend / append take 5x as long).
+    bounds = np.empty(flips.size + 2, dtype=np.int64)
+    bounds[0], bounds[-1] = 0, flags.size
+    np.add(flips, 1, out=bounds[1:-1])
+    return bounds[1:] - bounds[:-1]
+
+
 class _Plan(NamedTuple):
     """A frame the coder will run: its symbols, table, lanes and header."""
 
@@ -591,33 +639,41 @@ def _plan(symbols: np.ndarray, counts: np.ndarray, data: bytes) -> _Plan | None:
 
     The size is predicted from the histogram, so a frame that will not
     shrink never reaches the coder — nor, when the entropy of the
-    histogram already says so, the table builder.
+    histogram already says so, the quantiser.
     """
     n = len(data)
     item_size = symbols.itemsize
-    # All of a coded frame but its table, lane states and words.
-    fixed = 2 + 2 * (item_size - 1) + 4 + -(-counts.size // 8) + 1
-    if fixed + 4 >= n:  # no room for even one lane state
+    # K, the largest symbol, the checksum and at least a byte of gamma codes.
+    fixed = 2 + 2 * (item_size - 1) + 4
+    if fixed + 1 + 4 >= n:  # no room for even one lane state
         return None
     present = counts > 0
     occurring = counts[present]
     if occurring.size > _MAX_SYMBOLS:
         return None
-    # The least those can take: the largest of P table entries that sum to
-    # _table_sum is at least that sum / P, there is one lane or more, and
-    # no table codes the symbols in fewer bits than their entropy.
+    counted = _counted(item_size, symbols.size)
+    runs = _runs(present)
+    stream = elias_gamma_encode(np.concatenate((runs, occurring)) if counted else runs)
+    # The least a w-bit table can take: the largest of P entries that sum to
+    # _table_sum is at least that sum / P.
     least_width = (-(-_table_sum(symbols.size) // occurring.size) - 1).bit_length()
+    least = 0 if counted else 1 + _table_bytes(occurring.size, least_width)
+    # There is one lane or more, and no table codes the symbols in fewer bits than their entropy.
     entropy = float((occurring * np.log2(symbols.size / occurring)).sum())
-    if fixed + _table_bytes(occurring.size, least_width) + 4 + entropy / 8 >= n:
+    if fixed + len(stream) + least + 4 + entropy / 8 >= n:
         return None
-    # The decoder quantises the same P entries when the table holds counts.
+    # The decoder quantises the same P counts when the frame carries them.
     coded = quantize_freqs(occurring)
     qfreq = np.zeros(counts.size, dtype=np.uint32)
     qfreq[present] = coded
-    table = occurring if symbols.size <= _PROB_SCALE else coded
-    width = max(1, int(table.max() - 1).bit_length())
+    if counted:
+        table = b""
+    else:
+        entries = occurring if symbols.size <= _PROB_SCALE else coded
+        width = max(1, int(entries.max() - 1).bit_length())
+        table = bytes([width]) + _pack_table(entries - 1, width)
     bits = float((occurring * (_PROB_BITS - np.log2(coded))).sum())
-    predicted = fixed + _table_bytes(table.size, width) + int(bits / 8)
+    predicted = fixed + len(stream) + len(table) + int(bits / 8)
     lanes = _lanes(symbols.size, predicted, n)
     if predicted + 4 * lanes >= n:
         return None
@@ -625,9 +681,8 @@ def _plan(symbols: np.ndarray, counts: np.ndarray, data: bytes) -> _Plan | None:
         (
             b"" if item_size == 1 else (counts.size - 1).to_bytes(2, "little"),
             zlib.crc32(data).to_bytes(4, "little"),
-            np.packbits(present).tobytes(),
-            bytes([width]),
-            _pack_table(table - 1, width),
+            stream,
+            table,
         )
     )
     return _Plan(symbols, qfreq, lanes, predicted, head)
@@ -725,33 +780,49 @@ def _read(payload: bytes, n: int, index: int | None) -> _Stream:
         alphabet, check_at = 256, 2
     else:
         alphabet, check_at = int.from_bytes(payload[2:4], "little") + 1, 4
-    bitmap_at = check_at + 4
-    width_at = bitmap_at + -(-alphabet // 8)
-    if len(payload) <= width_at:
-        raise EncodeError("ans: truncated header")
-    bitmap = np.frombuffer(payload, dtype=np.uint8, count=width_at - bitmap_at, offset=bitmap_at)
-    bits = np.unpackbits(bitmap)
-    present = bits[:alphabet].astype(bool)
-    n_present = int(np.count_nonzero(present))
-    if item_size == 2 and (not present[-1] or bits[alphabet:].any() or n_present > _MAX_SYMBOLS):
+    try:
+        runs, bit = elias_gamma_read(payload, 8 * (check_at + 4), total=alphabet + 1)
+    except EncodeError as exc:
+        raise EncodeError(f"ans: alphabet runs: {exc}") from None
+    if sum(runs) != alphabet + 1:
+        raise EncodeError(f"ans: alphabet runs sum to {sum(runs) - 1}, not {alphabet}")
+    if item_size == 2 and len(runs) % 2:
         # The encoder's alphabet ends on its largest symbol.
-        raise EncodeError("ans: invalid alphabet")
-    width = payload[width_at]
-    if not 1 <= width <= _PROB_BITS:
-        raise EncodeError(f"ans: frequency table of {width}-bit entries")
-    table_end = width_at + 1 + _table_bytes(n_present, width)
+        raise EncodeError("ans: alphabet runs end absent")
+    n_present = sum(runs[1::2])
+    if n_present > _MAX_SYMBOLS:
+        raise EncodeError(f"ans: {n_present} symbols present")
+    counted = _counted(item_size, count)
+    if counted:
+        try:
+            counts, bit = elias_gamma_read(payload, bit, count=n_present)
+        except EncodeError as exc:
+            raise EncodeError(f"ans: symbol counts: {exc}") from None
+        table = np.array(counts)
+    if bit % 8 and payload[bit >> 3] & 0xFF >> bit % 8:
+        raise EncodeError("ans: gamma stream padding bits set")
+    table_at = table_end = -(-bit // 8)
+    if not counted:
+        if len(payload) <= table_at:
+            raise EncodeError("ans: truncated header")
+        width = payload[table_at]
+        if not 1 <= width <= _PROB_BITS:
+            raise EncodeError(f"ans: frequency table of {width}-bit entries")
+        table_end = table_at + 1 + _table_bytes(n_present, width)
     states_end = table_end + 4 * lanes
     if len(payload) < states_end:
         raise EncodeError("ans: truncated header")
     if (len(payload) - states_end) % 2:
         raise EncodeError("ans: odd-sized word stream")
-    table = _unpack_table(payload[width_at + 1 : table_end], n_present, width) + 1
+    if not counted:
+        table = _unpack_table(payload[table_at + 1 : table_end], n_present, width) + 1
     total = _table_sum(count)
     if int(table.sum()) != total:
         kind = "count" if count <= _PROB_SCALE else "frequency"
         raise EncodeError(f"ans: invalid {kind} table: entries sum to {int(table.sum())}, not {total}")
     qfreq = np.zeros(alphabet, dtype=np.uint32)
-    # Counts: the frequencies are their quantisation, as the encoder's.
+    # The runs of [False, *present]; counts: the frequencies are their quantisation, as the encoder's.
+    present = np.repeat(_ALTERNATE[: len(runs)], runs)[1:]
     qfreq[present] = quantize_freqs(table) if count <= _PROB_SCALE else table
     words = (len(payload) - states_end) // 2
     if count > _most_symbols(int(qfreq.max()), lanes + words):
@@ -764,7 +835,7 @@ def _read(payload: bytes, n: int, index: int | None) -> _Stream:
         qfreq,
         count,
         item_size,
-        int.from_bytes(payload[check_at:bitmap_at], "little"),
+        int.from_bytes(payload[check_at : check_at + 4], "little"),
     )
 
 

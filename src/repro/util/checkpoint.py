@@ -70,7 +70,8 @@ __all__ = [
 #: ``meta/world_size``; version 3 added the ``meta/content_crc32`` seal
 #: and the optional ``meta/step`` stamp; version 4 keeps those keys but
 #: stores them as one ``index`` + one ``data`` member instead of one
-#: deflated zip member per key.  Versions 1-3 are read, never written.
+#: deflated zip member per key.  Version 3 is read, never written;
+#: versions 1 and 2 carry no seal and are refused.
 #: Bump on any incompatible key or layout change.
 SCHEMA_VERSION = 4
 
@@ -360,19 +361,30 @@ def read_meta(data: dict[str, np.ndarray]) -> dict:
 
 def _sealed_meta(path: Path, data: dict[str, np.ndarray]) -> dict:
     """The archive's meta dict once its content seal checks out: the one
-    seal check.  ``sealed`` says whether there was a seal to check;
-    raises :class:`CheckpointError` when the sections do not match it."""
+    seal check, so an archive ``verify_checkpoint`` (and with it fsck and
+    the store's manifest rebuild) passes is one ``load_checkpoint`` would
+    restore.  Raises :class:`CheckpointError` when the archive carries no
+    seal (schema version < 3), when its schema version is newer than this
+    build's, or when the sections do not match the seal."""
     meta = read_meta(data)
+    version = meta["schema_version"]
     stored = meta.get("content_crc32")
-    meta["sealed"] = stored is not None
-    if stored is not None:
-        actual = content_crc32(data)
-        if actual != stored:
-            raise CheckpointError(
-                f"{path}: content seal mismatch "
-                f"(stored crc32 {stored:#010x}, actual {actual:#010x}) — bit rot "
-                f"or tampering"
-            )
+    if stored is None:
+        raise CheckpointError(
+            f"{path}: the archive carries no content seal (schema version {version})"
+        )
+    if version > SCHEMA_VERSION:
+        raise CheckpointError(
+            f"{path}: checkpoint schema version {version} is newer than this build's "
+            f"{SCHEMA_VERSION}; refusing a partial restore"
+        )
+    actual = content_crc32(data)
+    if actual != stored:
+        raise CheckpointError(
+            f"{path}: content seal mismatch "
+            f"(stored crc32 {stored:#010x}, actual {actual:#010x}) — bit rot "
+            f"or tampering"
+        )
     return meta
 
 
@@ -380,10 +392,10 @@ def verify_checkpoint(path: str | Path) -> dict:
     """Verify an archive's content seal without restoring anything.
 
     Returns the archive's meta dict (``schema_version``, optional
-    ``world_size``/``step``, ``content_crc32``, plus ``sealed``: whether
-    a seal was present to check).  Raises :class:`CheckpointError` on an
-    unreadable archive or a seal mismatch; pre-seal archives (schema
-    version < 3) verify structurally only, with ``sealed=False``.
+    ``world_size``/``step``, ``content_crc32``).  Raises
+    :class:`CheckpointError` on what :func:`load_checkpoint` refuses
+    before it asks an owner: an unreadable archive, one without a seal
+    (schema version < 3), a newer schema version, or a seal mismatch.
     """
     path = _final_path(path)
     return _sealed_meta(path, _read_all(path))
@@ -408,16 +420,6 @@ def load_checkpoint(path: str | Path, owners: dict) -> dict:
     path = _final_path(path)
     data = _read_all(path)
     meta = _sealed_meta(path, data)
-    version = meta["schema_version"]
-    if not meta["sealed"]:
-        raise CheckpointError(
-            f"{path}: the archive carries no content seal (schema version {version})"
-        )
-    if version > SCHEMA_VERSION:
-        raise CheckpointError(
-            f"checkpoint schema version {version} is newer than this build's "
-            f"{SCHEMA_VERSION}; refusing a partial restore"
-        )
     sections: dict[str, dict] = {name: {} for name, owner in owners.items() if owner is not None}
     for key, arr in data.items():
         name, _, rest = key.partition("/")

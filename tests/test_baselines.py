@@ -325,10 +325,10 @@ CONFIGURATIONS = {
 
 #: Ledger digests of CONFIGURATIONS (see the module docstring for their provenance).
 PINNED = {
-    "kfac-blocking-guard-xray": "c33c3218f1a67e8a6444e492488dc673bfbb59ea5a5bc6ee683cf9f21411655f",
-    "kfac-every-collaborator": "775d712b3fa831d59bf24f60f658798886b6e6585ccf616b113034793c922075",
-    "kfac-reliable-faults-none": "5cfae88f36e2d72366999617bac384765218d6f05bd7c98b5d1e9b04809eacfe",
-    "kfac-reliable-faults-overlapped": "73120bfc37e8882744d138faf8f6a806bc1c6871eb5364e02376af1eb0209903",
+    "kfac-blocking-guard-xray": "c4f0bffc263841b81c748d45f0ec95ff8134b8193926e4bd45a13a2e1f567c9d",
+    "kfac-every-collaborator": "303a1d6d178201f4aa689b5b6bac536e57c5a8cd9b589448629b4abcbe3c88e6",
+    "kfac-reliable-faults-none": "284b002c87bb1ac04e45f9fc1eacbb8c7a81ad1f8712b885fab5bc8235144633",
+    "kfac-reliable-faults-overlapped": "f87b8e25f9a44d4c56b8cebaa4c4d88c87c3747ae9ff804899fef8e41352255f",
     "kfac-guard-remediates-none": "314f6fa339bac72efd65e29c7264a15dabf0b641a066652d90f697d3b10cde7f",
     "kfac-guard-remediates-blocking": "9ac6a5cad59df033fbe1c32acff150fac783ef12a5d7c0080f0ccef503e50e4f",
     "kfac-guard-remediates-overlapped": "30b2d2285d9bfae7ca3f478d66f1d6f4a22a5a70ec34a0eeb2dde97366ba104f",
@@ -363,22 +363,22 @@ DOCUMENTS = {
 
 #: sha256 of each DOCUMENTS entry (see the module docstring for their provenance).
 PINNED_DOCUMENTS = {
-    "chaos-corruption": "c58e5a0b266c846b8eee6bdd62a6e08229a3245d1d6c0ccf013a55a310ba56f7",
-    "chaos-corruption-ci-shape": "e4c7df8b46fbdf6520046c455f70044bf319bd89d58578688d7d3dde7c242b0d",
-    "chaos-degraded-link": "fcbf7bd8f7721b553f34a293b1a475913873a623ee5d7ffd0eae214b3f7910a6",
-    "chaos-degraded-link-ci-shape": "f298ca4c1c3982dc67c2fd72cc671ff44ab4c7d598d248f63a62e4223b1cb7de",
-    "chaos-mixed": "3bc90997b9f7ae66a04d56e3b74c000cfe83d087722baabcb54e3b382c8ed3bc",
-    "chaos-mixed-ci-shape": "f152c01af57dfac99e0d9aee7bbb5c36df42af7455a2dcb633423dd54175c70d",
-    "chaos-rank-loss": "f34112de5419452b0e8f5e46f9c7bbcabbe4944fc36610a021b4adf37b9980a2",
-    "chaos-rank-loss-ci-shape": "9d39b7d1bed1c9d2e50fae75cb246ebf3dae5a6256946d1847ff8f400a5d92c0",
-    "chaos-smoke": "9065d6ca74b58ad3d37a794b8e754f56d31143cf425f42c535414a4d8f6c02c5",
-    "chaos-smoke-ci-shape": "923fb634099e60ab35724d1539467b4644bedf726bd13d0b0f2e26f15cb409eb",
-    "chaos-stragglers": "b926e32b31dcfce4cd3cb5d392d6ac177277a898636d6777689884d18fbb8805",
-    "chaos-stragglers-ci-shape": "ffad0795912339d23613163a8baab7bab2985f9fc15f027dc42de2d276ed171d",
-    "fleet-chaos-smoke": "d0972d476897e775bfa87ff6460ceca25047f8c5468dde40d5cc033ac30f1057",
-    "fleet-smoke": "ded4c6e94c4230fd67ef449a7b0e491bc555c075295519e15c58b582724b5675",
-    "fleet-storage-smoke": "6fb346e9a214d98da23f0a91e404bcae2b321b102fa1ffc24a3364e3af2de9a6",
-    "guard": "2f51c0b40525540ec03f473cfac2ffaf845c720003f7b248641ff7a1d83de0cf",
+    "chaos-corruption": "361de107712368533917bbf3e0564e653075c03ec0ca82629b081112a5810aa3",
+    "chaos-corruption-ci-shape": "b4960905b4bce1b542ae8f502f18c1dee2f81e7b748ec48bbb1465eae49864ea",
+    "chaos-degraded-link": "a91f24c927dd1da783b011f0f4f0d3c780e4b78295e16f904d2f30f3f91816db",
+    "chaos-degraded-link-ci-shape": "0dcebed4400e828bd34b7e47269c9c6b9c5ea35d843c38a17abcefca647dc1d7",
+    "chaos-mixed": "88728ddc16060ed45b0c3d17de4bf8103c1754a1d5d0fc258a6b5cd9ce5d3543",
+    "chaos-mixed-ci-shape": "7d83751e7e896f09202143d426331bfa56fbfdcb81cfdf1dfbf9cd8755a1fe91",
+    "chaos-rank-loss": "06d7cd4cd92129296d5bcb32692de826849511924ae980906ffd350adaddaf48",
+    "chaos-rank-loss-ci-shape": "36e6c30e1e600490b98796a70efadfb8a94b8236f0fce1149f7101081f3ce6d9",
+    "chaos-smoke": "f0183871cbd68d251f54da6204544c27960810acc2890c105e8425c3f149e72f",
+    "chaos-smoke-ci-shape": "2c84c11d5ec2edfdac3a619cee8aad576bc28143a9c67863df1744d8cdae8c8c",
+    "chaos-stragglers": "b6ed33e0379b5e390f51db3c37540029581633e9f3b72ea2783a30e820a8b9be",
+    "chaos-stragglers-ci-shape": "74f2e89adf692201869049d1fab98f6d7f2059a6fb2b06c20dbb593d4d8dbba8",
+    "fleet-chaos-smoke": "4d62a78ebb52ee602ff2d36cccdaab156b965552ccda801b497618561c3ac024",
+    "fleet-smoke": "769ccae2ffaaa041abdbd588ae5fb7e398452e51d7a73cad5ec7e1fa54b1bc98",
+    "fleet-storage-smoke": "2cc48ae9e0589bd4213ef8c8e6f5d9bf04935f1e509d1e4a8d781f8e4d3cbe10",
+    "guard": "c837c2fb165cc694125ac66c3d6b0d1bd90ce4e62d38e3abd89f37ddd572a712",
     "overlap-ranks4-iters3": "c59d6ce14e39333aae8ce7a1385f1895a2d29628228641714ccd8b06f5dae792",
     "overlap-ranks8": "f06a7d95593aa9a09443497e3dfa30a94a77ef8946c8f0af8f2cef5b3cfe7ed6",
 }

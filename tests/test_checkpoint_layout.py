@@ -85,7 +85,7 @@ class TestFlatLayout:
         assert rows[-1][3] + rows[-1][4] == payload.size
         meta = verify_checkpoint(path)
         assert meta.pop("content_crc32") is not None
-        assert meta == {"schema_version": 4, "world_size": 2, "step": 3, "sealed": True}
+        assert meta == {"schema_version": 4, "world_size": 2, "step": 3}
         assert SCHEMA_VERSION == 4
 
     @pytest.mark.parametrize("size", [0, 1, 9_999, 10_000, 310_000])
@@ -177,7 +177,7 @@ class TestLegacyLayout:
             assert "meta/content_crc32" in archive.files and "index" not in archive.files
 
         meta = verify_checkpoint(old)
-        assert meta["schema_version"] == 3 and meta["sealed"] and meta["step"] == 5
+        assert meta["schema_version"] == 3 and meta["step"] == 5
         *restored, meta = _restore(old)
         assert meta["schema_version"] == 3 and meta["world_size"] == 2
         assert _same_state(saved, tuple(restored))

@@ -18,7 +18,8 @@ from repro.encoders import (
     get_encoder,
     list_encoders,
 )
-from repro.encoders import ans
+from repro.encoders import ans, elias
+from repro.encoders.elias import elias_gamma_read
 from repro.encoders.ans import (
     _decode_rows,
     _decode_scalar,
@@ -197,7 +198,12 @@ def _gradient_bytes(rng, n, spread=12.0):
 
 
 class _Fields:
-    """Where the fields of a coded ANS frame lie, read off the layout in ``ans.py``'s docstring."""
+    """Where the fields of a coded ANS frame lie, read off the layout in ``ans.py``'s docstring.
+
+    ``runs`` are the alphabet's runs as the gamma stream codes them (the first one
+    longer than it is), ``counts`` the counts a byte frame of up to 2**14 symbols
+    codes after them; every other frame has ``width_at`` / ``width`` / ``table_at``
+    for its table (counts up to 2**14 symbols, quantised frequencies above)."""
 
     def __init__(self, blob):
         assert blob[0] == 1
@@ -207,14 +213,45 @@ class _Fields:
         self.symbols = int.from_bytes(blob[1:5], "little") // self.item_size
         self.alphabet = int.from_bytes(blob[7:9], "little") + 1 if self.item_size == 2 else 256
         self.check_at = 7 + 2 * (self.item_size - 1)
-        self.bitmap_at = self.check_at + 4
-        self.width_at = self.bitmap_at + -(-self.alphabet // 8)
-        bitmap = np.frombuffer(blob[self.bitmap_at : self.width_at], np.uint8)
-        self.present = int(np.unpackbits(bitmap).sum())
-        self.width = blob[self.width_at]
-        self.table_at = self.width_at + 1
-        self.states_at = self.table_at + -(-self.present * self.width // 8)
+        self.stream_at = self.check_at + 4
+        self.runs, bit = elias_gamma_read(blob, 8 * self.stream_at, total=self.alphabet + 1)
+        self.present = sum(self.runs[1::2])
+        self.counts = None
+        if self.item_size == 1 and self.symbols <= 1 << 14:
+            self.counts, bit = elias_gamma_read(blob, bit, count=self.present)
+        self.stream_bits = bit - 8 * self.stream_at
+        self.stream_end = -(-bit // 8)
+        self.states_at = self.stream_end
+        if self.counts is None:
+            self.width_at = self.stream_end
+            self.width = blob[self.width_at]
+            self.table_at = self.width_at + 1
+            self.states_at = self.table_at + -(-self.present * self.width // 8)
         self.words_at = self.states_at + 4 * self.lanes
+
+    def table(self, blob):
+        """What the frame carries per present symbol: its count up to 2**14 symbols, its
+        quantised frequency above."""
+        if self.counts is not None:
+            return np.array(self.counts)
+        return ans._unpack_table(blob[self.table_at : self.states_at], self.present, self.width) + 1
+
+    def present_mask(self):
+        """Which symbols of the alphabet occur, from the runs."""
+        return np.repeat(np.arange(len(self.runs)) % 2 == 1, self.runs)[1:]
+
+
+def _runs_of(present):
+    """The runs of absent and present symbols the gamma stream codes, spelled out: the
+    runs of ``[False, *present]``, so the first is absent and one longer than it is."""
+    flags = [False, *present.tolist()]
+    runs = [1]
+    for before, this in zip(flags, flags[1:]):
+        if this == before:
+            runs[-1] += 1
+        else:
+            runs.append(1)
+    return runs
 
 
 def _with_bytes(blob, at, new):
@@ -624,10 +661,11 @@ class TestAnsItems:
                 assert fields.lanes == _lanes(*calls[-1])
         # Items at 7.9 bits each: the loop under 32**2 of them or 2 KiB coded, then sqrt
         # or the budget, then from 2**12 of them 64 rows.  (3 000 items had 52 lanes while
-        # they carried a quantised table; their count table leaves a budget of 50.)
+        # they carried a quantised table, 50 with a count table and a presence bitmap; their
+        # alphabet's runs leave a budget of 49.)
         enc = RansEncoder()
         sizes = (1_023, 3_000, 5_000, 40_000)
-        assert [_Fields(enc.encode(_code_items(rng, n), 2)).lanes for n in sizes] == [1, 50, 78, 625]
+        assert [_Fields(enc.encode(_code_items(rng, n), 2)).lanes for n in sizes] == [1, 49, 78, 625]
 
     # Large frames (boundaries of the old 2 KiB-per-lane policy, now interior points),
     # the old 1024-lane cap at 1024**2 items, 2**16 and 4095 * 256 items (994cad6's
@@ -726,9 +764,9 @@ class TestAnsItems:
         assert enc.decode(blob) == data
 
     def test_falls_back_when_the_table_outweighs_the_items(self, rng):
-        # Independent bytes in a short frame: the items' table alone is
-        # longer than the frame, the bytes' is not.
-        data = np.clip(rng.normal(128, 6, 6000), 0, 255).astype(np.uint8).tobytes()
+        # Independent bytes in a short frame: nearly every item is distinct, and
+        # their runs and counts outweigh what coding them saves; the bytes' do not.
+        data = np.clip(rng.normal(128, 30, 6000), 0, 255).astype(np.uint8).tobytes()
         enc = RansEncoder()
         blob = enc.encode(data, 2)
         assert blob[0] == 1 and _item_size_of(blob) == 1 and blob == enc.encode(data)
@@ -764,11 +802,16 @@ class TestAnsItems:
         blob = enc.encode(data, 2)
         at = _Fields(blob)
         field = int.from_bytes(blob[5:7], "little")
-        assert at.lanes == isqrt(4000) == 63 and at.symbols == 4000 and 2 <= at.width <= 14
+        assert at.lanes == isqrt(4000) == 63 and at.symbols == 4000 and len(at.runs) % 2 == 0
 
         def lie(where, new, error):
             with pytest.raises(EncodeError, match=error):
                 enc.decode(_with_bytes(blob, where, new))
+
+        def lie_stream(runs, error):
+            stream = elias_gamma_encode(np.array(runs))
+            with pytest.raises(EncodeError, match=error):
+                enc.decode(blob[: at.stream_at] + stream + blob[at.stream_end :])
 
         for size in (3, 16):
             lie(5, (at.lanes | size - 1 << 12).to_bytes(2, "little"), f"item size {size}")
@@ -779,26 +822,42 @@ class TestAnsItems:
             lie(5, (lanes | field & 0xF000).to_bytes(2, "little"), "ans: ")
         for d in (-9, -8, -1, 1, 8, 9, 300, -at.alphabet + 1):
             lie(7, (at.alphabet - 1 + d).to_bytes(2, "little"), "ans: ")
-        lie(at.bitmap_at, [blob[at.bitmap_at] ^ 0x80], "ans: ")  # a present symbol goes missing
         lie(at.check_at, [blob[at.check_at] ^ 1], "fail the frame check")
+        runs = list(at.runs)
+        # The runs: their sum, the last one present, the most symbols present, their prefixes.
+        lie_stream([*runs[:-1], runs[-1] + 1], f"runs sum to {at.alphabet + 1}, not {at.alphabet}")
+        lie_stream([*runs[:-2], runs[-2] + runs[-1]], "runs end absent")
+        with pytest.raises(EncodeError, match="4097 symbols present"):  # in an alphabet of 4 098
+            stream = elias_gamma_encode(np.array([1, 2048, 1, 2049]))
+            enc.decode(blob[:7] + (4097).to_bytes(2, "little") + blob[9 : at.stream_at] + stream)
+        lie(at.stream_at, bytes(5), "alphabet runs: elias: a prefix of more than 31 zeros")
+        # A valid alphabet that is not this frame's: a present symbol moves into the next hole.
+        moved = next(k for k in range(1, len(runs) - 1, 2) if runs[k] > 1)
+        lie_stream([*runs[:moved], runs[moved] - 1, runs[moved + 1] + 1, *runs[moved + 2 :]], "ans: ")
+        # The count table: its width, its order, its sum.
         for width in (0, 15, 255):
             lie(at.width_at, [width], f"table of {width}-bit entries")
         lie(at.width_at, [at.width - 1], "ans: ")  # a short table: the states are read from its end
         lie(at.width_at, [at.width + 1], "ans: ")
-        # The table's padding bits are clear, and checked (on a table that has some).
-        frames = (enc.encode(_code_items(rng, 4000, spread), 2) for spread in range(20, 60))
-        padded, end = next((b, f.states_at) for b in frames if (f := _Fields(b)).present * f.width % 8)
-        with pytest.raises(EncodeError, match="padding bits set"):
-            enc.decode(_with_bytes(padded, end - 1, [padded[end - 1] | 1]))
-        # A valid table that is not this frame's: two entries swapped, so the sum holds.
-        table = ans._unpack_table(blob[at.table_at : at.states_at], at.present, at.width)
+        table = at.table(blob) - 1
         swap = int(np.flatnonzero(table != table[0])[0])
         table[[0, swap]] = table[[swap, 0]]
         lie(at.table_at, ans._pack_table(table, at.width), "ans: ")
         table[0] += 1
-        lie(at.table_at, ans._pack_table(table, at.width), "invalid count table: entries sum to 4001")
-        for end in (at.width_at, at.width_at + 1, at.states_at - 1, at.words_at - 1):
-            with pytest.raises(EncodeError, match="truncated"):
+        lie(at.table_at, ans._pack_table(table, at.width), "invalid count table: entries sum to 4001, not 4000")
+        # The stream's and the table's padding bits are clear, and checked (where they have some).
+        frames = [enc.encode(_code_items(rng, 4000, spread), 2) for spread in range(20, 60)]
+        padded, f = next((b, f) for b in frames if (f := _Fields(b)).stream_bits % 8)
+        with pytest.raises(EncodeError, match="gamma stream padding bits set"):
+            enc.decode(_with_bytes(padded, f.stream_end - 1, [padded[f.stream_end - 1] | 1]))
+        padded, f = next((b, f) for b in frames if (f := _Fields(b)).present * f.width % 8)
+        with pytest.raises(EncodeError, match="table padding bits set"):
+            enc.decode(_with_bytes(padded, f.states_at - 1, [padded[f.states_at - 1] | 1]))
+        for end in (at.stream_at, at.stream_at + 1, at.stream_end - 1):
+            with pytest.raises(EncodeError, match="truncated stream"):
+                enc.decode(blob[:end])
+        for end in (at.width_at, at.table_at, at.states_at - 1, at.states_at + 1, at.words_at - 1):
+            with pytest.raises(EncodeError, match="truncated header"):
                 enc.decode(blob[:end])
         byte_blob = enc.encode(_gradient_bytes(rng, 4000).tobytes())
         with pytest.raises(EncodeError, match="ans: "):  # bytes read as items
@@ -806,6 +865,67 @@ class TestAnsItems:
         odd = enc.encode(_code_items(rng, 4000) + b"\x00")
         with pytest.raises(EncodeError, match="item size"):  # 2-byte items in an odd-length frame
             enc.decode(blob[:1] + odd[1:5] + blob[5:])
+
+    def test_lying_byte_counts_raise(self):
+        """A byte frame of up to 2**14 symbols codes its counts after its runs: their sum,
+        their order, their prefixes and the stream's padding are checked."""
+        rng = np.random.default_rng(2029)
+        enc = RansEncoder()
+        blob = enc.encode(_gradient_bytes(rng, 4000).tobytes())
+        at = _Fields(blob)
+        assert at.item_size == 1 and at.counts is not None and not hasattr(at, "width")
+        runs, counts = list(at.runs), list(at.counts)
+
+        def lie_stream(counts, error):
+            stream = elias_gamma_encode(np.array(runs + counts))
+            with pytest.raises(EncodeError, match=error):
+                enc.decode(blob[: at.stream_at] + stream + blob[at.stream_end :])
+
+        lie_stream([counts[0] + 1, *counts[1:]], "invalid count table: entries sum to 4001, not 4000")
+        swap = next(k for k, c in enumerate(counts) if c != counts[0])
+        lie_stream([counts[swap], *counts[1:swap], counts[0], *counts[swap + 1 :]], "ans: ")
+        # 48 zero bits from the first byte past the runs.
+        lie = _with_bytes(blob, at.stream_at + len(elias_gamma_encode(np.array(runs))), bytes(6))
+        with pytest.raises(EncodeError, match="symbol counts: elias: a prefix"):
+            enc.decode(lie)
+        frames = (enc.encode(_gradient_bytes(rng, 4000, spread).tobytes()) for spread in range(8, 40))
+        padded, f = next((b, f) for b in frames if (f := _Fields(b)).stream_bits % 8)
+        with pytest.raises(EncodeError, match="gamma stream padding bits set"):
+            enc.decode(_with_bytes(padded, f.stream_end - 1, [padded[f.stream_end - 1] | 1]))
+        for end in (at.stream_at, at.stream_end - 1):
+            with pytest.raises(EncodeError, match="truncated stream"):
+                enc.decode(blob[:end])
+
+    def test_lying_frequency_table_fields_raise(self):
+        """A frame of more than 2**14 symbols carries its quantised frequencies at a width
+        after the gamma stream: the width, the table's padding and its sum are checked."""
+        rng = np.random.default_rng(2028)
+        enc = RansEncoder()
+        blob = enc.encode(_code_items(rng, 20_000), 2)
+        at = _Fields(blob)
+        assert at.counts is None and 2 <= at.width <= 14
+
+        def lie(where, new, error):
+            with pytest.raises(EncodeError, match=error):
+                enc.decode(_with_bytes(blob, where, new))
+
+        for width in (0, 15, 255):
+            lie(at.width_at, [width], f"table of {width}-bit entries")
+        lie(at.width_at, [at.width - 1], "ans: ")  # a short table: the states are read from its end
+        lie(at.width_at, [at.width + 1], "ans: ")
+        table = at.table(blob) - 1
+        swap = int(np.flatnonzero(table != table[0])[0])
+        table[[0, swap]] = table[[swap, 0]]
+        lie(at.table_at, ans._pack_table(table, at.width), "ans: ")
+        table[0] += 1
+        lie(at.table_at, ans._pack_table(table, at.width), "invalid frequency table: entries sum to 16385")
+        frames = (enc.encode(_code_items(rng, 20_000, spread), 2) for spread in range(20, 60))
+        padded, end = next((b, f.states_at) for b in frames if (f := _Fields(b)).present * f.width % 8)
+        with pytest.raises(EncodeError, match="table padding bits set"):
+            enc.decode(_with_bytes(padded, end - 1, [padded[end - 1] | 1]))
+        for end in (at.width_at, at.table_at, at.states_at - 1):
+            with pytest.raises(EncodeError, match="truncated header"):
+                enc.decode(blob[:end])
 
     def test_the_checksum_catches_what_the_lanes_forgive(self):
         """A flipped renormalisation word garbles a stretch of symbols and the lane
@@ -823,9 +943,7 @@ class TestAnsItems:
             states = np.frombuffer(blob[at.states_at : at.words_at], "<u4")
             words = np.frombuffer(blob[at.words_at :], "<u2").copy()
             counts = np.zeros(at.alphabet, dtype=np.int64)
-            bitmap = np.frombuffer(blob[at.bitmap_at : at.width_at], np.uint8)
-            table = ans._unpack_table(blob[at.table_at : at.states_at], at.present, at.width)
-            counts[np.unpackbits(bitmap)[: at.alphabet].astype(bool)] = table + 1
+            counts[at.present_mask()] = at.table(blob)
             qfreq = quantize_freqs(counts)  # both frames are short enough to carry counts
             for i in range(64):
                 for bit in range(16):
@@ -862,11 +980,13 @@ class TestAnsItems:
 
     def test_byte_frames_are_the_parents(self):
         """They no longer are: the frame of 8654adf had no checksum, a ``u16`` table and a lane
-        count derived from its length, and the frames of up to 2**14 symbols now carry their
-        symbol counts in place of quantised frequencies.  What is pinned is the format that
-        replaced them, on the frames of fewer than 1 024 symbols: ``isqrt`` gives them under
-        32 lanes, so they run the loop under every lane rule, and their digest moves only
-        with the table."""
+        count derived from its length, the frames of up to 2**14 symbols now carry their
+        symbol counts in place of quantised frequencies, and the alphabet is an Elias-gamma
+        stream of runs in place of a presence bitmap, which a byte frame's counts continue
+        in place of fixed-width entries.  What
+        is pinned is the format that replaced them, on the frames of fewer than 1 024
+        symbols: ``isqrt`` gives them under 32 lanes, so they run the loop under every lane
+        rule, and their digest moves only with the table."""
         enc = RansEncoder()
         digest = hashlib.sha256()
         for n, data, item_size in self._pinned_frames():
@@ -875,14 +995,16 @@ class TestAnsItems:
             blob = enc.encode(data, item_size)
             assert enc.decode(blob) == data
             digest.update(blob)
-        assert digest.hexdigest() == "364fc3c95bddc8174ad17ea59f6f6e90e9777bbaa0f6f2062d7d9ab40a8ba60d"
+        assert digest.hexdigest() == "2768a648f37846fb1dacfe57d36d207ad9d6c5ebab072cf6841ef4d1c02b0048"
 
     def test_larger_frames_are_pinned(self):
         """The same format on the frames of 1 024 symbols or more, whose lanes follow
         ``_MIN_ROWS`` and ``_LANE_BUDGET_SHIFT``: every one decodes, and the digest moves
         only with the lane rule and the table.  (When the frames of up to 2**14 symbols
         took count tables, 5 of the 32 frames above 2**14 symbols moved too: the tie rule
-        of ``quantize_freqs`` cut their rounding elsewhere.)"""
+        of ``quantize_freqs`` cut their rounding elsewhere.  The gamma stream moved every
+        coded frame's header, and through the lane budget the lanes of some;
+        ``test_only_the_header_moved`` holds what the coder writes.)"""
         enc = RansEncoder()
         digest = hashlib.sha256()
         for n, data, item_size in self._pinned_frames():
@@ -890,14 +1012,34 @@ class TestAnsItems:
                 blob = enc.encode(data, item_size)
                 assert enc.decode(blob) == data
                 digest.update(blob)
-        assert digest.hexdigest() == "dfb9db914071cd5cfa4fbb544815a52cf4544098b9d69872117fabcacbb04fcd"
+        assert digest.hexdigest() == "c9ce807bb122e6ff473d07c6acf93c76ccbefa4565443f16ac562b1938410928"
+
+    def test_only_the_header_moved(self):
+        """The frames of 3 000 to 200 001 symbols, planned on a lane count that only their
+        length sets (so a shorter header cannot move it), carry the states and words of
+        b02ba29, the last commit whose frames carried a presence bitmap and only fixed-width
+        tables: the gamma stream changed the header and nothing the coder writes."""
+
+        def isqrt_lanes(symbols, predicted, n):
+            return isqrt(symbols) if isqrt(symbols) >= 32 else 1
+
+        digest, coded = hashlib.sha256(), 0
+        for n, data, item_size in self._pinned_frames():
+            if 3000 <= n <= 200_001:
+                blob, _ = _encode_recording_lanes(data, item_size, forced=isqrt_lanes)
+                if blob[0] == 1:
+                    digest.update(blob[_Fields(blob).states_at :])
+                    coded += 1
+        assert coded == 27
+        assert digest.hexdigest() == "942de7bff94d1caaca6bb581fc6b2db0b3b5e4f6946ebe146915f1bb367814b9"
 
     def test_entropy_floor_skips_only_frames_the_full_prediction_rejects(self):
-        """``_plan`` gives up on the entropy of the histogram, before it builds a table.
+        """``_plan`` gives up on the entropy of the histogram, before it quantises.
         Cross-entropy under any table is at least the entropy, so the frames it skips are
         frames the prediction from the table (written out here from the payload layout:
-        counts up to 2**14 symbols, quantised frequencies above) rejects too — and the
-        prediction still rejects frames the floor lets through."""
+        the gamma stream of runs, and of a byte frame's counts up to 2**14 symbols; else a
+        table at a width, of counts up to 2**14 symbols, of frequencies above) rejects too — and the prediction still rejects frames the floor
+        lets through.  The prediction's header is the coded frame's to the byte."""
         rng = np.random.default_rng(2204)
         frames = [(rng.integers(0, 256, n, dtype=np.uint8).tobytes(), 1) for n in (40, 300, 5000, 20_000)]
         for spread in (2, 12, 40, 70):
@@ -905,30 +1047,45 @@ class TestAnsItems:
         for spread in (2, 20, 60, 150):
             frames += [(_code_items(rng, n, spread), 2) for n in (41, 136, 578, 1100)]
         frames += [(_spread_symbols(rng, 3000, 6000), 2), (_spread_symbols(rng, 3000, 20_000), 2)]
+        # Near-uniform bytes, 3 % of them zero: the least frequency table the floor
+        # assumes lets them through, the one they need does not.
+        near_rng = np.random.default_rng(2205)
+        near = near_rng.integers(0, 256, 40_000, dtype=np.uint8)
+        near[near_rng.random(near.size) < 0.03] = 0
+        frames.append((near.tobytes(), 1))
         skipped = late = coded = 0
         for data, item_size in frames:
             symbols = np.frombuffer(data, ">u2" if item_size == 2 else np.uint8)
-            counts = np.bincount(symbols)
-            built = []
+            counts = np.bincount(symbols, minlength=256 if item_size == 1 else 0)
+            quantised = []
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(ans, "quantize_freqs", lambda c: built.append(1) or quantize_freqs(c))
+                mp.setattr(ans, "quantize_freqs", lambda c: quantised.append(1) or quantize_freqs(c))
                 plan = ans._plan(symbols, counts, data)
                 # on one lane, as the layout below counts it
                 payload = None if plan is None else ans._payloads([plan._replace(lanes=1)])[0]
             present = counts > 0
             freqs = quantize_freqs(counts)[present]
-            table = counts[present] if symbols.size <= 1 << 14 else freqs
-            width = max(1, int(table.max() - 1).bit_length())
+            runs = _runs_of(present)
+            if item_size == 1 and symbols.size <= 1 << 14:
+                table = 0
+                stream = elias_gamma_encode(np.array(runs + counts[present].tolist()))
+            else:
+                entries = counts[present] if symbols.size <= 1 << 14 else freqs
+                table = 1 + -(-entries.size * max(1, int(entries.max() - 1).bit_length()) // 8)
+                stream = elias_gamma_encode(np.array(runs))
             bits = float((counts[present] * (14 - np.log2(freqs))).sum())
-            # K, [largest symbol], checksum, bitmap, width, table, one lane, words
-            predicted = 2 + 2 * (item_size - 1) + 4 + -(-counts.size // 8) + 1
-            predicted += -(-table.size * width // 8) + 4 + int(bits / 8)
+            # K, [largest symbol], checksum, gamma stream, [width and table]
+            header = 2 + 2 * (item_size - 1) + 4 + len(stream) + table
+            predicted = header + 4 + int(bits / 8)  # one lane, words
             if payload is None:
                 assert predicted >= len(data)
-                skipped += not built
-                late += bool(built)
+                skipped += not quantised
+                late += bool(quantised)
             else:
-                assert built and predicted < len(data) and abs(len(payload) - predicted) < 16
+                assert quantised and predicted < len(data) and abs(len(payload) - predicted) < 16
+                assert plan.predicted == header + int(bits / 8) and len(payload) - header == 4 + 2 * (
+                    (len(payload) - header - 4) // 2
+                )
                 coded += 1
         assert skipped >= 10 and late >= 1 and coded >= 10
 
@@ -946,11 +1103,6 @@ class TestAnsCountTable:
     derives the quantised frequencies as the encoder did; above, the frequencies.  The
     frame length says which, so nothing in the header does."""
 
-    @staticmethod
-    def _table(blob):
-        at = _Fields(blob)
-        return ans._unpack_table(blob[at.table_at : at.states_at], at.present, at.width) + 1
-
     @pytest.mark.parametrize("n", [(1 << 14) - 1, 1 << 14, (1 << 14) + 1])
     @pytest.mark.parametrize("item_size", [1, 2])
     @pytest.mark.parametrize("lanes", [1, 64], ids=["loop", "rows"])
@@ -961,9 +1113,11 @@ class TestAnsCountTable:
         assert (at.item_size, at.symbols, at.lanes) == (item_size, n, lanes)
         counts = np.bincount(np.frombuffer(data, ">u2" if item_size == 2 else np.uint8))
         freqs = quantize_freqs(counts)[counts > 0]
-        table = self._table(blob)
+        table = at.table(blob)
         assert table.tolist() == (counts[counts > 0] if n <= 1 << 14 else freqs).tolist()
-        assert at.width == max(1, int(table.max() - 1).bit_length())
+        assert (at.counts is None) == (item_size == 2 or n > 1 << 14)
+        if at.counts is None:
+            assert at.width == max(1, int(table.max() - 1).bit_length())
         if n == 1 << 14:  # the two meanings coincide
             assert np.array_equal(counts[counts > 0], freqs)
         assert RansEncoder().decode(blob) == data
@@ -971,14 +1125,16 @@ class TestAnsCountTable:
     @pytest.mark.parametrize("n", [1_000, 1 << 14, (1 << 14) + 1, 100_000])
     @pytest.mark.parametrize("item_size", [1, 2])
     def test_a_one_symbol_frame(self, n, item_size):
-        """Counts ``[n]`` up to 2**14 symbols, the whole scale above: no word on any lane."""
-        data = np.full(n, 7 if item_size == 1 else 300, dtype=">u2" if item_size == 2 else np.uint8).tobytes()
+        """Count ``[n]`` up to 2**14 symbols, the whole scale above: no word on any lane."""
+        symbol = 7 if item_size == 1 else 300
+        data = np.full(n, symbol, dtype=">u2" if item_size == 2 else np.uint8).tobytes()
         enc = RansEncoder()
         blob = enc.encode(data, item_size)
         at = _Fields(blob)
         assert at.item_size == item_size and at.present == 1
-        assert self._table(blob).tolist() == [min(n, 1 << 14)]
-        assert at.width == (min(n, 1 << 14) - 1).bit_length()
+        assert at.runs == [symbol + 1, 1] + ([255 - symbol] if item_size == 1 else [])
+        assert at.table(blob).tolist() == [min(n, 1 << 14)]
+        assert at.counts is not None or at.width == (min(n, 1 << 14) - 1).bit_length()
         assert at.words_at == len(blob)
         assert enc.decode(blob) == data
 
@@ -990,17 +1146,84 @@ class TestAnsCountTable:
         enc = RansEncoder()
         blob = enc.encode(data, item_size)
         at = _Fields(blob)
-        table = self._table(blob)
+        table = at.table(blob)
         table[int(table.argmax())] -= 1
         total = min(n, 1 << 14)
         kind = "count" if n <= 1 << 14 else "frequency"
         error = f"invalid {kind} table: entries sum to {total - 1}, not {total}"
+        if at.counts is not None:
+            stream = elias_gamma_encode(np.concatenate((at.runs, table)))
+            damaged = blob[: at.stream_at] + stream + blob[at.stream_end :]
+        else:
+            damaged = _with_bytes(blob, at.table_at, ans._pack_table(table - 1, at.width))
         with pytest.raises(EncodeError, match=error):
-            enc.decode(_with_bytes(blob, at.table_at, ans._pack_table(table - 1, at.width)))
+            enc.decode(damaged)
         if n <= 1 << 14:  # a length that stays at or below 2**14 symbols: the counts catch it
             shorter = _with_bytes(blob, 1, ((n - 1) * item_size).to_bytes(4, "little"))
             with pytest.raises(EncodeError, match=f"invalid count table: entries sum to {n}, not {n - 1}"):
                 enc.decode(shorter)
+
+
+class TestAnsHeaderGrid:
+    """Frames that stress the gamma stream's fields: its runs at either end of the
+    alphabet, its counts at their extremes and either side of 2**14 symbols."""
+
+    @staticmethod
+    def _frames():
+        rng = np.random.default_rng(2049)
+        every_byte = np.concatenate((np.arange(256, dtype=np.uint8), _gradient_bytes(rng, 2744, 20)))
+        one_hole = np.where(every_byte == 77, 78, every_byte).astype(np.uint8)
+        top_item = np.frombuffer(_code_items(rng, 3000), ">u2").copy()
+        top_item[[5, 1700]] = (1 << 16) - 1
+        return {
+            "one byte": (bytes([7]) * 1000, 1),
+            "one item": (np.full(1000, 300, dtype=">u2").tobytes(), 2),
+            "every byte": (every_byte.tobytes(), 1),
+            "one hole": (one_hole.tobytes(), 1),
+            "largest item 2**16 - 1": (top_item.tobytes(), 2),
+            "2**14 bytes": (_gradient_bytes(rng, 1 << 14).tobytes(), 1),
+            "2**14 + 1 items": (_code_items(rng, (1 << 14) + 1), 2),
+            "counts of 1": (_spread_symbols(rng, 300, 900), 2),
+            "a count of 2**14": (bytes([9]) * (1 << 14), 1),
+        }
+
+    @pytest.mark.parametrize("kind", list(_frames.__func__().keys()))
+    def test_round_trip_size_and_damage(self, kind):
+        data, item_size = self._frames()[kind]
+        enc = RansEncoder()
+        blob = enc.encode(data, item_size)
+        at = _Fields(blob)
+        symbols = np.frombuffer(data, ">u2" if item_size == 2 else np.uint8)
+        counts = np.bincount(symbols, minlength=at.alphabet)
+        if kind == "every byte":
+            assert at.runs == [1, 256]
+        if kind == "one hole":
+            assert at.runs == [1, 77, 1, 178]
+        if kind == "largest item 2**16 - 1":
+            assert at.alphabet == 1 << 16 and at.present_mask()[-1]
+        if kind == "counts of 1":
+            assert min(at.table(blob)) == 1
+        if kind == "a count of 2**14":
+            assert at.counts == [1 << 14]
+        assert at.item_size == item_size and (at.counts is None) == (item_size == 2 or symbols.size > 1 << 14)
+        assert enc.decode(blob) == data and enc.decode_many([blob, blob]) == [data, data]
+        # The header is the plan's to the byte, and so is its share of the prediction.
+        plan = ans._plan_frame(data, item_size)
+        qfreq = plan.qfreq[counts > 0]
+        bits = float((counts[counts > 0] * (14 - np.log2(qfreq))).sum())
+        assert blob[7 : at.states_at] == plan.head
+        assert plan.predicted == at.states_at - 5 + int(bits / 8)
+        # No cut and no single flipped bit of the header decodes, nor raises anything else.
+        for cut in range(1, at.states_at):
+            with pytest.raises(EncodeError):
+                enc.decode(blob[:cut])
+            with pytest.raises(EncodeError):
+                enc.decode_many([blob, blob[:cut]])
+        for bit in range(8 * at.states_at):
+            damaged = bytearray(blob)
+            damaged[bit >> 3] ^= 1 << (bit & 7)
+            with pytest.raises(EncodeError):
+                enc.decode(bytes(damaged))
 
 
 def _frame_of(kind, n, seed):
@@ -1283,8 +1506,9 @@ class TestAnsMany:
         symbols than its words can code: an error, alone and in a shared call, before any
         output is reserved for it.  A frame of more than 2**14 symbols carries quantised
         frequencies, which sum to 2**14 at any length, so the length bound is what names
-        the count; a shorter frame carries its counts, and the lie takes the table past
-        2**14 symbols, where its entries read as frequencies that do not sum to 2**14."""
+        the count; a shorter frame carries its counts, and the lie takes it past 2**14
+        symbols, where its gamma stream ends after the runs: the counts that follow read
+        as padding, a width or frequencies, and the header check names them."""
         enc = RansEncoder()
         shapes = (("bitmap", 1_000), ("row_items", 1_000), ("rows", 40_000))
         pooled = enc.encode_many([_frame_of(kind, n, 2030) for kind, n in shapes])
@@ -1293,7 +1517,7 @@ class TestAnsMany:
         assert [_Fields(b).symbols > 1 << 14 for b in blobs] == [False, False, False, True]
         for damaged, blob in enumerate(blobs):
             long = _Fields(blob).symbols > 1 << 14
-            error = "symbols declared for" if long else "invalid frequency table"
+            error = "symbols declared for" if long else "ans: (.*padding bits set|.*frequency table|truncated header)"
             n = int.from_bytes(blob[1:5], "little") ^ 1 << bit
             bad = _with_bytes(blob, 1, n.to_bytes(4, "little"))
             tracemalloc.start()
@@ -1414,6 +1638,30 @@ class TestHuffmanInternals:
                         pass
 
 
+def _gamma_loop(blob, count):
+    """The bit-walking decoder Elias gamma had before it was vectorised: oracle."""
+    bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8)).tolist()
+    out, pos = [], 0
+    for _ in range(count):
+        zeros = 0
+        while pos < len(bits) and bits[pos] == 0:
+            zeros, pos = zeros + 1, pos + 1
+        if pos + zeros + 1 > len(bits):
+            raise EncodeError("truncated")
+        value = 0
+        for _ in range(zeros + 1):
+            value, pos = value << 1 | bits[pos], pos + 1
+        out.append(value)
+    return np.array(out, dtype=np.uint64)
+
+
+def _gamma_bits(values):
+    """Elias gamma spelled out as a string of bits, padded with zeros to whole bytes: oracle."""
+    bits = "".join("0" * (int(v).bit_length() - 1) + format(int(v), "b") for v in values)
+    bits += "0" * (-len(bits) % 8)
+    return int(bits, 2).to_bytes(len(bits) // 8, "big") if bits else b""
+
+
 class TestEliasGamma:
     def test_roundtrip(self, rng):
         v = rng.integers(1, 10_000, 2000).astype(np.uint64)
@@ -1431,6 +1679,8 @@ class TestEliasGamma:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             elias_gamma_encode(np.array([0], dtype=np.uint64))
+        with pytest.raises(ValueError, match="too large"):
+            elias_gamma_encode(np.array([1 << 32], dtype=np.uint64))
 
     def test_truncated_rejected(self):
         blob = elias_gamma_encode(np.array([500, 600], dtype=np.uint64))
@@ -1442,3 +1692,58 @@ class TestEliasGamma:
     def test_roundtrip_property(self, values):
         arr = np.array(values, dtype=np.uint64)
         assert np.array_equal(elias_gamma_decode(elias_gamma_encode(arr), len(values)), arr)
+
+    # below and from the count at which the blocks take over
+    @pytest.mark.parametrize("count", [1, 300, 5_000, elias._BLOCKS_FROM, 70_000])
+    @pytest.mark.parametrize("spread", ["ones", "small", "qsgd", "any"])
+    def test_the_loop_decoder_agrees(self, count, spread):
+        """Values of 1 to 2**32 - 1: the codes the bit-walking encoder wrote, and the values
+        the bit-walking decoder read, sequentially and in blocks."""
+        rng = np.random.default_rng(count)
+        values = {
+            "ones": lambda: np.ones(count, dtype=np.uint64),
+            "small": lambda: rng.integers(1, 4, count).astype(np.uint64),
+            "qsgd": lambda: (np.abs(rng.normal(0, 20, count)) + 1).astype(np.uint64),
+            "any": lambda: rng.integers(1, 1 << 32, count, dtype=np.uint64),
+        }[spread]()
+        blob = elias_gamma_encode(values)
+        assert blob == _gamma_bits(values)
+        decoded = elias_gamma_decode(blob, count)
+        assert decoded.dtype == np.uint64 and np.array_equal(decoded, values)
+        if count <= 5_000:
+            assert np.array_equal(_gamma_loop(blob, count), values)
+        if count >= elias._BLOCKS_FROM:
+            assert np.array_equal(elias._decode_blocks(blob, count), values)
+
+    def test_every_cut_raises(self):
+        rng = np.random.default_rng(2050)
+        values = rng.integers(1, 1 << 20, 60).astype(np.uint64)
+        blob = elias_gamma_encode(values)
+        for cut in range(len(blob)):
+            with pytest.raises(EncodeError, match="truncated"):
+                elias_gamma_decode(blob[:cut], values.size)
+        many = (np.abs(rng.normal(0, 20, elias._BLOCKS_FROM)) + 1).astype(np.uint64)
+        blob = elias_gamma_encode(many)
+        for cut in (1, 2, 7, 100, len(blob) // 2, len(blob) - 1):
+            with pytest.raises(EncodeError, match="truncated"):
+                elias_gamma_decode(blob[: len(blob) - cut], many.size)
+
+    def test_a_prefix_past_31_zeros_raises(self):
+        """31 zeros is the longest prefix a value up to 2**32 - 1 has; 32 or more is a damaged
+        stream, and an error, not an overflow of the value."""
+        largest = elias_gamma_encode(np.array([(1 << 32) - 1, 1], dtype=np.uint64))
+        assert elias_gamma_decode(largest, 2).tolist() == [(1 << 32) - 1, 1]
+        for blob in (bytes(9) + b"\xff" * 10, bytes(4) + b"\xff" * 9):
+            with pytest.raises(EncodeError, match="more than 31 zeros"):
+                elias_gamma_decode(blob, 1)
+        many = elias_gamma_encode(np.ones(elias._BLOCKS_FROM, dtype=np.uint64))
+        with pytest.raises(EncodeError, match="more than 31 zeros"):
+            elias_gamma_decode(many[:1000] + bytes(5) + many[1000:], elias._BLOCKS_FROM)
+
+    def test_a_read_stops_where_its_values_reach_a_total(self):
+        values = [3, 1, 4, 1, 5, 9, 2, 6]
+        blob = elias_gamma_encode(np.array(values))
+        assert elias_gamma_read(blob, total=9) == ([3, 1, 4, 1], 10)
+        assert elias_gamma_read(blob, total=10) == ([3, 1, 4, 1, 5], 15)
+        values, end = elias_gamma_read(blob, 10, count=3)
+        assert values == [5, 9, 2] and end == 10 + 5 + 7 + 3

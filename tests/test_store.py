@@ -1,6 +1,7 @@
 """Durable state: sealed store, corruption fallback, crash sweep, fsck."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from repro.store import (
     is_store,
 )
 from repro.store.store import file_crc32, manifest_text, parse_manifest
-from repro.util.checkpoint import save_checkpoint, verify_checkpoint
+from repro.util.checkpoint import CheckpointError, save_checkpoint, verify_checkpoint
 from tests.archives import rewrite_archive, vouch_for
 from tests.conftest import tiny_kfac_trainer
 
@@ -440,6 +441,46 @@ class TestFsckStore:
         assert not stray.exists()
         assert [g.gen for g in CheckpointStore(tmp_path).generations()] == [1, 2]
 
+
+    @pytest.mark.parametrize(
+        "kind, mutate, reseal, error",
+        [
+            ("newer schema", lambda a: a.update({"meta/schema_version": np.array(5)}), True,
+             "schema version 5 is newer than this build"),
+            ("pre-seal", lambda a: [a.update({"meta/schema_version": np.array(2)}),
+                                    a.pop("meta/content_crc32")], False,
+             r"no content seal \(schema version 2\)"),
+        ],
+    )
+    def test_fsck_refuses_what_the_restore_refuses(self, tmp_path, kind, mutate, reseal, error):
+        """A generation rewritten to a newer schema, or to one from before the
+        seal, and vouched for by the manifest: fsck calls it corrupt for the
+        reason the restore quarantines it, and a repair quarantines it too."""
+        store = CheckpointStore(tmp_path)
+        _, snaps = _fill(store, [1, 2])
+        newest = store.generations(quiet=True)[-1]
+        rewrite_archive(tmp_path / newest.file, mutate=mutate, reseal=reseal)
+        vouch_for(store, newest)
+        with pytest.raises(CheckpointError, match=error):
+            verify_checkpoint(tmp_path / newest.file)
+
+        scan = {v.path: v for v in fsck_store(tmp_path)}
+        verdict = scan[str(tmp_path / newest.file)]
+        assert verdict.status == "corrupt" and re.search(error, verdict.detail), verdict
+        assert cli_main(["fsck", str(tmp_path)]) == 1
+
+        reader = CheckpointStore(tmp_path)
+        fresh = _model(seed=5)
+        assert reader.load_latest(_owners(fresh)).step == 1
+        assert np.array_equal(_params(fresh), snaps[1])
+        assert [ev.kind for ev in reader.abnormal_events()] == ["fallback", "quarantine"]
+
+        # The same archive as an orphan: a repair quarantines it rather than adopting it.
+        quarantined = next((tmp_path / "quarantine").iterdir())
+        (tmp_path / "gen-00000003.npz").write_bytes(quarantined.read_bytes())
+        verdicts = fsck_store(tmp_path, repair=True)
+        assert [v.status for v in verdicts if v.kind == "orphan"] == ["quarantined"]
+        assert [g.gen for g in CheckpointStore(tmp_path).generations()] == [1]
 
     def test_stray_gen_names_are_no_generations(self, tmp_path):
         """``gen-extra.npz`` fails the store's name rule: fsck, like the
